@@ -18,7 +18,6 @@ CONFIGS = os.path.join(HERE, "..", "configs")
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     rc = cli.main(["counterexample", "--config",
                    os.path.join(CONFIGS, "transport_counterexample.json"),
@@ -27,8 +26,7 @@ def main() -> int:
         return rc
     return cli.main(["convergence", "--config",
                      os.path.join(CONFIGS, "transport_convergence.json"),
-                     "--out", args.out, "--plot",
-                     "--threads", str(args.threads)])
+                     "--out", args.out, "--plot"])
 
 
 if __name__ == "__main__":

@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument("--plot", action="store_true", help="also write SVG plots")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for multi-grid runs")
     return ap
 
 
@@ -46,7 +44,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        report = run_experiment(cfg, threads=max(1, args.threads))
+        report = run_experiment(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

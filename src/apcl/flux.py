@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .freqlattice import (
     Frequency,
@@ -56,6 +55,22 @@ def _as_realq(basis: FrequencyBasis, c) -> RealQ:
     if isinstance(c, (list, tuple)):
         return basis.real(c)
     return basis.from_rational(c)
+
+
+def _horner(c, x):
+    """Ascending-degree polynomial ``c`` at ``x``, evaluated in place.
+
+    The operations and their order are those of
+    ``numpy.polynomial.polynomial.polyval``, c[-1] + x*0 and then
+    c[-i] + c0*x, so the values are bit for bit the same.  ``c`` has shape
+    (degree,) or (degree,) + x.shape, one coefficient list per element.
+    """
+    out = x * 0.0
+    out += c[-1]
+    for a in c[-2::-1]:
+        out *= x
+        out += a
+    return out
 
 
 def _eval_exact(coeffs: tuple[RealQ, ...], basis: FrequencyBasis, u: Fraction) -> RealQ:
@@ -158,6 +173,10 @@ class PiecewiseFlux:
 
     def _clamp(self, u: np.ndarray) -> np.ndarray:
         lo, hi = self.urange
+        # fmin/fmax skip NaN the way the elementwise comparisons below do
+        if not u.size or (np.fmin.reduce(u, axis=None) >= lo
+                          and np.fmax.reduce(u, axis=None) <= hi):
+            return u
         bad = int(np.count_nonzero((u < lo) | (u > hi)))
         if bad:
             log.warning(
@@ -171,20 +190,21 @@ class PiecewiseFlux:
         """All components at one point; ties take the right piece (left at u_P)."""
         uu = self._clamp(np.asarray([float(u)]))[0]
         p = min(max(bisect.bisect_right(self._bp_f.tolist(), uu) - 1, 0), self.npieces - 1)
-        return np.array([
-            npoly.polyval(uu, self._coef_f[p, k]) for k in range(self.n)
-        ])
+        return np.array([_horner(self._coef_f[p, k], uu) for k in range(self.n)])
 
     def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
-        """Vectorized single-component evaluation with the same tie rules."""
+        """Vectorized single-component evaluation with the same tie rules.
+
+        Returns a new array, which the caller may overwrite.
+        """
         u = self._clamp(np.asarray(u, dtype=float))
-        idx = np.clip(np.searchsorted(self._bp_f, u, side="right") - 1, 0, self.npieces - 1)
-        out = np.empty_like(u)
-        for p in range(self.npieces):
-            mask = idx == p
-            if np.any(mask):
-                out[mask] = npoly.polyval(u[mask], self._coef_f[p, component])
-        return out
+        coef = self._coef_f[:, component]
+        if self.npieces == 1:
+            return _horner(coef[0], u)
+        # count of interior breakpoints <= u: ties go right, u_P stays in the last piece
+        idx = np.searchsorted(self._bp_f[1:-1], u, side="right")
+        # one coefficient per cell: shape (degree,) + u.shape
+        return _horner(coef.T.take(idx, axis=1), u)
 
 
 @dataclass(frozen=True)
@@ -257,7 +277,7 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
             if a > b:
                 continue
             us = np.linspace(a, b, 1024) if a < b else np.array([a])
-            vals = np.abs(npoly.polyval(us, flux._dcoef_f[p, k]))
+            vals = np.abs(_horner(flux._dcoef_f[p, k], us))
             best = max(best, float(vals.max()))
         out.append(1.1 * best)
     return tuple(out)

@@ -12,10 +12,8 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -27,6 +25,7 @@ from .lift import lift_problem
 from .solver import (
     SolverConfig,
     TorusGrid,
+    cfl_dt,
     exact_cell_average,
     exact_counterexample,
     fourier_coeff,
@@ -414,7 +413,7 @@ def _run_check_flux(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
 def _run_decay(cfg: ExperimentConfig):
     pb = lift_problem(cfg.initial, cfg.flux, frequencies=cfg.group_frequencies,
                       z=cfg.offset)
-    traj = run(pb, cfg.grid if pb.m else None, cfg.solver)
+    traj = run(pb.v0, pb.flux, cfg.grid if pb.m else None, cfg.solver)
     rows = traj.rows
     final = rows[-1]["l1_to_mean"]
     verdicts = _check_thresholds(cfg, {"final_l1_to_mean_max": (final, "max")})
@@ -440,11 +439,10 @@ def _run_contraction(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
     t = 0.0
     worst_increase = 0.0
     for s in range(1, cfg.steps + 1):
-        lo = min(fa.vmin, fb.vmin)
-        hi = max(fa.vmax, fb.vmax)
-        alphas = lip_bound(flux, lo, hi)
-        denom = sum(a / h for a, h in zip(alphas, cfg.grid.h))
-        dt = cfg.cfl / denom if denom > 0 else 1.0
+        # one operator for both fields: alphas over their joint range; dt is
+        # capped at unit time, the step a flux constant on that range gets
+        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        dt = cfl_dt(fa, flux, cfg.cfl, t_remaining=1.0, alphas=alphas)
         fa = step(fa, flux, dt, alphas=alphas)
         fb = step(fb, flux, dt, alphas=alphas)
         t += dt
@@ -469,13 +467,12 @@ def _wave_problem(cfg: ExperimentConfig):
     wave = exact_counterexample(cfg.flux, gb, cfg.wave["a"], cfg.wave["b"],
                                 cfg.wave["kbar"], tau=cfg.wave["tau"])
     lifted = lift_flux(cfg.flux, gb)
-    return gb, wave, lifted
+    return wave, lifted
 
 
 def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
-    gb, wave, lifted = _wave_problem(cfg)
-    pb = SimpleNamespace(v0=wave.torus_poly(0.0), flux=lifted, m=gb.rank)
-    traj = run(pb, cfg.grid, cfg.solver)
+    wave, lifted = _wave_problem(cfg)
+    traj = run(wave.torus_poly(0.0), lifted, cfg.grid, cfg.solver)
     rows = []
     for t, f, row in zip(traj.times, traj.fields, traj.rows):
         ref = exact_cell_average(wave.torus_poly(t), cfg.grid)
@@ -500,20 +497,13 @@ def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
     return verdicts, tables, scalars, plots, fields
 
 
-def _run_convergence(cfg: ExperimentConfig, threads: int = 1) -> tuple[dict, dict, dict, dict]:
-    gb, wave, lifted = _wave_problem(cfg)
-
-    def solve_one(grid: TorusGrid) -> float:
-        pb = SimpleNamespace(v0=wave.torus_poly(0.0), flux=lifted, m=gb.rank)
-        traj = run(pb, grid, cfg.solver)
-        ref = exact_cell_average(wave.torus_poly(cfg.solver.t_end), grid)
-        return l1_distance(traj.fields[-1], ref)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(solve_one, cfg.grids))
-    else:
-        errors = [solve_one(g) for g in cfg.grids]
+def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
+    wave, lifted = _wave_problem(cfg)
+    errors = []
+    for g in cfg.grids:
+        traj = run(wave.torus_poly(0.0), lifted, g, cfg.solver)
+        ref = exact_cell_average(wave.torus_poly(cfg.solver.t_end), g)
+        errors.append(l1_distance(traj.fields[-1], ref))
     rows = []
     orders = []
     for i, (g, e) in enumerate(zip(cfg.grids, errors)):
@@ -544,7 +534,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
     for i, p in enumerate(cfg.probes):
         if len(p) != pb.m:
             raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
-    traj = run(pb, cfg.grid, cfg.solver)
+    traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
     final = traj.fields[-1]
     image = [list(k) for k in pb.v0.terms]
     rows = []
@@ -593,7 +583,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
     return verdicts, tables, scalars, plots, fields
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
+def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Dispatch one experiment; deterministic data, timing only in the report."""
     t0 = time.perf_counter()
     if cfg.kind == "check-flux":
@@ -605,7 +595,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     elif cfg.kind == "counterexample":
         out = _run_counterexample(cfg)
     elif cfg.kind == "convergence":
-        out = _run_convergence(cfg, threads=threads)
+        out = _run_convergence(cfg)
     elif cfg.kind == "spectrum":
         out = _run_spectrum(cfg)
     else:  # pragma: no cover - parse_config already rejects

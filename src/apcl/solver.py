@@ -3,15 +3,17 @@
 Unsplit conservative update with a Rusanov numerical flux per axis,
 F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
 global viscosity per step and axis, a padded Lipschitz bound of the flux
-component over the current field range.  Under the CFL cap
-sum_j alpha_j dt/h_j <= 1/2 the update is monotone, hence conservative,
-max-principle stable, L1-contractive, and cell-entropy dissipative for
-the Kruzhkov-type numerical entropy flux
+component over the current field range.  ``run`` computes the alphas once
+per step, takes dt from them and hands the same alphas to ``step``.  Under
+the CFL cap sum_j alpha_j dt/h_j <= 1/2 the update is monotone, hence
+conservative, max-principle stable, L1-contractive, and cell-entropy
+dissipative for the Kruzhkov-type numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,7 +34,6 @@ __all__ = [
     "TravelingWave",
     "exact_cell_average",
     "cfl_dt",
-    "rusanov_flux",
     "step",
     "run",
     "l1_distance",
@@ -168,35 +169,73 @@ def _alphas(f: CellField, flux: PiecewiseFlux) -> tuple[float, ...]:
 
 
 def cfl_dt(f: CellField, flux: PiecewiseFlux, cfl: float = 0.45,
-           t_remaining: float = np.inf) -> float:
+           t_remaining: float = np.inf,
+           alphas: tuple[float, ...] | None = None) -> float:
     """Largest admissible dt: cfl / sum_j alpha_j/h_j on the field's range.
 
     With all alpha_j = 0 (flux constant on the range) the remaining time
-    wins; the result is always capped by ``t_remaining``.
+    wins; the result is always capped by ``t_remaining``.  ``alphas``
+    overrides the viscosities, as in ``step``; only the grid of ``f`` is
+    used then.
     """
     if not 0.0 < cfl <= 0.5:
         raise ValueError("cfl must lie in (0, 1/2]")
-    alphas = _alphas(f, flux)
+    if alphas is None:
+        alphas = _alphas(f, flux)
     denom = sum(a / h for a, h in zip(alphas, f.grid.h))
     if denom == 0.0:
         return t_remaining
     return min(cfl / denom, t_remaining)
 
 
-def rusanov_flux(a: float, b: float, phi, alpha: float) -> float:
-    """Two-point monotone flux (phi(a)+phi(b))/2 - alpha/2 (b-a)."""
-    pa = float(np.asarray(phi(np.asarray([a])))[0])
-    pb = float(np.asarray(phi(np.asarray([b])))[0])
-    return 0.5 * (pa + pb) - 0.5 * alpha * (b - a)
+def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
+    """out = op(x_{i+1}, x_i) along axis j of the torus, stored at i (at i+1 if ``upper``).
+
+    ``x`` and ``out`` are C-contiguous, so the work runs on their flat
+    views, where one cell along axis j is s = prod(shape[j+1:]) elements:
+    slices offset by s need no shifted copy and keep the loops contiguous.
+    The pairs that wrap round the torus come out wrong on the flat views
+    and are redone from the first and last slabs of axis j.
+    """
+    s = math.prod(x.shape[j + 1:])
+    xf, of = x.reshape(-1), out.reshape(-1)
+    op(xf[s:], xf[:-s], out=of[s:] if upper else of[:-s])
+    first = (slice(None),) * j + (slice(None, 1),)
+    last = (slice(None),) * j + (slice(-1, None),)
+    op(x[first], x[last], out=out[first] if upper else out[last])
+
+
+def _faces(u: np.ndarray, alphas: tuple[float, ...], flux: PiecewiseFlux,
+           j: int) -> np.ndarray:
+    """Rusanov flux F_j(u_i, u_{i+1}) on face i+1/2 of every cell along axis j."""
+    u = np.ascontiguousarray(u)
+    phi = flux.eval_component(j, u)
+    face = np.empty_like(u)
+    _neighbours(np.add, phi, j, face, upper=False)
+    face *= 0.5
+    jump = phi  # phi is no longer needed
+    _neighbours(np.subtract, u, j, jump, upper=False)
+    jump *= 0.5 * alphas[j]
+    face -= jump
+    return face
+
+
+def _flux_difference(face: np.ndarray, j: int, scale: float) -> np.ndarray:
+    """scale * (face_{i+1/2} - face_{i-1/2}) along axis j."""
+    out = np.empty_like(face)
+    _neighbours(np.subtract, face, j, out, upper=True)
+    out *= scale
+    return out
 
 
 def step(f: CellField, flux: PiecewiseFlux, dt: float,
          alphas: tuple[float, ...] | None = None) -> CellField:
     """One unsplit conservative update; refuses CFL violations.
 
-    ``alphas`` overrides the per-axis viscosities (needed when two fields
-    must be advanced by the same monotone operator, e.g. for contraction
-    comparisons); the default recomputes them from the field's own range.
+    ``alphas`` overrides the per-axis viscosities (``run`` passes the ones
+    it took dt from; two fields advanced by the same monotone operator,
+    e.g. for contraction comparisons, share them); the default recomputes
+    them from the field's own range.
     """
     g = f.grid
     if flux.n != g.m:
@@ -210,12 +249,9 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
             f"(dt={dt:.6g}, alphas={alphas}, shape={g.shape})"
         )
     u = f.values
-    div = np.zeros_like(u)
-    for j in range(g.m):
-        phi_u = flux.eval_component(j, u)
-        face = 0.5 * (phi_u + np.roll(phi_u, -1, axis=j)) \
-            - 0.5 * alphas[j] * (np.roll(u, -1, axis=j) - u)
-        div += (dt * g.shape[j]) * (face - np.roll(face, 1, axis=j))
+    div = _flux_difference(_faces(u, alphas, flux, 0), 0, dt * g.shape[0])
+    for j in range(1, g.m):
+        div += _flux_difference(_faces(u, alphas, flux, j), j, dt * g.shape[j])
     return CellField(g, u - div)
 
 
@@ -244,17 +280,9 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     umax = np.maximum(u, k)
     umin = np.minimum(u, k)
     for j in range(g.m):
-        a = alphas[j]
-        phx = flux.eval_component(j, umax)
-        phn = flux.eval_component(j, umin)
-        qface = (
-            0.5 * (phx + np.roll(phx, -1, axis=j))
-            - 0.5 * a * (np.roll(umax, -1, axis=j) - umax)
-        ) - (
-            0.5 * (phn + np.roll(phn, -1, axis=j))
-            - 0.5 * a * (np.roll(umin, -1, axis=j) - umin)
-        )
-        acc += (dt * g.shape[j]) * (qface - np.roll(qface, 1, axis=j))
+        qface = _faces(umax, alphas, flux, j)
+        qface -= _faces(umin, alphas, flux, j)
+        acc += _flux_difference(qface, j, dt * g.shape[j])
     return float(acc.max())
 
 
@@ -283,32 +311,35 @@ def _observe(t: float, v: CellField, c: float) -> dict:
     }
 
 
-def run(pb, grid: TorusGrid | None, cfg: SolverConfig) -> Trajectory:
-    """Evolve a lifted problem to t_end, recording observables.
+def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
+        cfg: SolverConfig) -> Trajectory:
+    """Evolve torus data v0 under an m-component flux to t_end, recording observables.
 
-    Initial data are the exact cell averages of pb.v0; each record row
-    holds t, the L1 distance to the data mean C, field min/max, and mass.
-    Rank-zero problems (constant data) shortcut to the constant solution.
+    Initial data are the exact cell averages of v0; each record row holds
+    t, the L1 distance to the data mean C, field min/max, and mass.  Each
+    step computes the alphas once, takes dt from them and steps with them.
+    Rank-zero data (constant, m = 0) shortcut to the constant solution and
+    need neither flux nor grid.
     """
-    c = pb.v0.mean
+    c = v0.mean
     times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
-    if pb.m == 0:
+    if v0.m == 0:
         rows = [
             {"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
             for t in times
         ]
         return Trajectory(times=times, fields=[], rows=rows, mean=c)
-    if grid is None or grid.m != pb.m:
-        raise ValueError(f"problem needs a {pb.m}-dimensional grid")
-    flux = pb.flux
-    v = exact_cell_average(pb.v0, grid)
+    if grid is None or grid.m != v0.m:
+        raise ValueError(f"problem needs a {v0.m}-dimensional grid")
+    v = exact_cell_average(v0, grid)
     rows = [_observe(0.0, v, c)]
     fields = [v]
     t = 0.0
     for target in times[1:]:
         while t < target - 1e-14:
-            dt = cfl_dt(v, flux, cfg.cfl, t_remaining=target - t)
-            v = step(v, flux, dt)
+            alphas = lip_bound(flux, v.vmin, v.vmax)
+            dt = cfl_dt(v, flux, cfg.cfl, t_remaining=target - t, alphas=alphas)
+            v = step(v, flux, dt, alphas)
             t += dt
         t = target
         rows.append(_observe(t, v, c))

@@ -9,7 +9,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,7 +137,7 @@ def test_04_decay_to_mean():
     u0 = TrigPoly(B1, 1, {Frequency.of(B1, [[0]]): 0.3,
                           Frequency.of(B1, [[1]]): -0.25j})
     pb = lift_problem(u0, burgers())
-    traj = run(pb, TorusGrid((1024,)), SolverConfig(t_end=15.0))
+    traj = run(pb.v0, pb.flux, TorusGrid((1024,)), SolverConfig(t_end=15.0))
     final = traj.rows[-1]["l1_to_mean"]
     el = time.perf_counter() - t0
     ok = final <= 0.05 and el < 30.0
@@ -156,9 +155,9 @@ def test_05_traveling_wave_sharpness_and_order():
     gb = group_basis([Frequency.of(B1, [[1]])])
     wave = exact_counterexample(flux, gb, Fraction(-1, 4), Fraction(1, 4), (1,),
                                 tau=0.5)
-    pb = SimpleNamespace(v0=wave.torus_poly(0.0), flux=lift_flux(flux, gb), m=1)
+    v0, lifted = wave.torus_poly(0.0), lift_flux(flux, gb)
 
-    traj = run(pb, TorusGrid((1024,)), SolverConfig(t_end=5.0))
+    traj = run(v0, lifted, TorusGrid((1024,)), SolverConfig(t_end=5.0))
     initial = traj.rows[0]["l1_to_mean"]
     final = traj.rows[-1]["l1_to_mean"]
     ratio = final / initial
@@ -167,7 +166,7 @@ def test_05_traveling_wave_sharpness_and_order():
     errs, hs = [], []
     for n in (128, 256, 512, 1024):
         g = TorusGrid((n,))
-        tr = run(pb, g, SolverConfig(t_end=1.0))
+        tr = run(v0, lifted, g, SolverConfig(t_end=1.0))
         errs.append(l1_distance(tr.fields[-1],
                                 exact_cell_average(wave.torus_poly(1.0), g)))
         hs.append(1.0 / n)
@@ -341,7 +340,7 @@ def test_08_orbit_average():
 def test_09_spectrum_stays_in_group():
     t0 = time.perf_counter()
     pb = _quasi_problem()
-    traj = run(pb, TorusGrid((128, 128)), SolverConfig(t_end=1.0))
+    traj = run(pb.v0, pb.flux, TorusGrid((128, 128)), SolverConfig(t_end=1.0))
     final = traj.fields[-1]
     probes = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]
     worst = max(abs(fourier_coeff(final, k)) for k in probes)

@@ -281,20 +281,6 @@ def test_convergence_orders():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_convergence_threads_do_not_change_results(tmp_path):
-    d = wave_config(kind="convergence")
-    del d["grid"]
-    d["grids"] = [[32], [64]]
-    d["solver"] = {"t_end": 0.25}
-    r1 = run_experiment(parse_config(d), threads=1)
-    r4 = run_experiment(parse_config(d), threads=4)
-    p1, p4 = tmp_path / "one", tmp_path / "four"
-    r1.save(str(p1))
-    r4.save(str(p4))
-    assert (p1 / "convergence_errors.csv").read_bytes() == \
-        (p4 / "convergence_errors.csv").read_bytes()
-
-
 def test_spectrum_probe_rejects_bad_probe_length():
     d = decay_config(kind="spectrum")
     d["probes"] = [[0, 1]]

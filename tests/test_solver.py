@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apcl.solver as solver_mod
 from apcl.flux import PiecewiseFlux, lip_bound
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
 from apcl.solver import (
@@ -25,7 +26,6 @@ from apcl.solver import (
     l1_distance,
     read_field,
     run,
-    rusanov_flux,
     step,
     write_field,
 )
@@ -112,14 +112,19 @@ def test_cfl_dt_zero_flux_returns_remaining():
     assert cfl_dt(f, zero, t_remaining=0.75) == 0.75
 
 
+def _face(a, b, flux, alpha):
+    # face 1/2 of the two-cell periodic field [a, b] sits between a and b
+    return float(solver_mod._faces(np.array([a, b]), (alpha,), flux, 0)[0])
+
+
 def test_rusanov_examples():
     phi = lambda u: u * u / 2
-    assert rusanov_flux(0.4, 0.4, phi, 1.0) == pytest.approx(phi(0.4))
-    assert rusanov_flux(1.0, -1.0, phi, 1.0) == pytest.approx(1.5)
+    assert _face(0.4, 0.4, burgers_1d(), 1.0) == pytest.approx(phi(0.4))
+    assert _face(1.0, -1.0, burgers_1d(), 1.0) == pytest.approx(1.5)
     tau = 0.7
-    lin = lambda u: tau * u
+    lin = PiecewiseFlux.of(B1, [-1, 1], [[["0", "7/10"]]])
     a, b, al = 0.3, -0.2, 1.1
-    assert rusanov_flux(a, b, lin, al) == pytest.approx(
+    assert _face(a, b, lin, al) == pytest.approx(
         tau * (a + b) / 2 - al / 2 * (b - a)
     )
 
@@ -254,16 +259,10 @@ def test_entropy_residual_k_below_min_telescopes():
     assert m2 == pytest.approx(m1, rel=1e-13)
 
 
-def _lifted(v0_terms, flux, m):
-    from types import SimpleNamespace
-
-    return SimpleNamespace(v0=TorusPoly(m, v0_terms), flux=flux, m=m)
-
-
 def test_run_zero_flux_constant_in_time():
     zero = PiecewiseFlux.of(B1, [-2, 2], [[["0"]]])
-    pb = _lifted({(0,): 0.2, (1,): 0.25j}, zero, 1)
-    traj = run(pb, TorusGrid((64,)), SolverConfig(t_end=1.0, record_times=(0.5,)))
+    v0 = TorusPoly(1, {(0,): 0.2, (1,): 0.25j})
+    traj = run(v0, zero, TorusGrid((64,)), SolverConfig(t_end=1.0, record_times=(0.5,)))
     assert len(traj.times) == 3
     first = traj.fields[0].values
     for f in traj.fields[1:]:
@@ -271,8 +270,9 @@ def test_run_zero_flux_constant_in_time():
 
 
 def test_run_records_and_mean():
-    pb = _lifted({(0,): 0.3, (1,): -0.25j}, burgers_1d(), 1)
-    traj = run(pb, TorusGrid((128,)), SolverConfig(t_end=0.5, record_times=(0.25,)))
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
+    traj = run(v0, burgers_1d(), TorusGrid((128,)),
+               SolverConfig(t_end=0.5, record_times=(0.25,)))
     assert [r["t"] for r in traj.rows] == pytest.approx([0.0, 0.25, 0.5])
     assert traj.mean == pytest.approx(0.3)
     assert traj.rows[0]["l1_to_mean"] == pytest.approx(1 / (2 * np.pi) * 2, rel=1e-3)
@@ -281,16 +281,16 @@ def test_run_records_and_mean():
 
 
 def test_run_rank_zero_constant():
-    pb = _lifted({(): 0.7}, None, 0)
-    traj = run(pb, None, SolverConfig(t_end=2.0, record_times=(1.0,)))
+    traj = run(TorusPoly(0, {(): 0.7}), None, None,
+               SolverConfig(t_end=2.0, record_times=(1.0,)))
     assert [r["l1_to_mean"] for r in traj.rows] == [0.0, 0.0, 0.0]
     assert all(r["mass"] == 0.7 for r in traj.rows)
 
 
 def test_run_grid_dimension_mismatch():
-    pb = _lifted({(0, 0): 0.3, (1, 0): -0.25j}, None, 2)
+    v0 = TorusPoly(2, {(0, 0): 0.3, (1, 0): -0.25j})
     with pytest.raises(ValueError):
-        run(pb, TorusGrid((32,)), SolverConfig(t_end=0.1))
+        run(v0, None, TorusGrid((32,)), SolverConfig(t_end=0.1))
 
 
 def test_traveling_wave_profile_and_range():
@@ -370,8 +370,115 @@ def test_field_dump_roundtrip(tmp_path):
 
 
 def test_run_deterministic():
-    pb = _lifted({(0,): 0.3, (1,): -0.25j}, burgers_1d(), 1)
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
     cfg = SolverConfig(t_end=0.3)
-    a = run(pb, TorusGrid((64,)), cfg)
-    b = run(pb, TorusGrid((64,)), cfg)
+    a = run(v0, burgers_1d(), TorusGrid((64,)), cfg)
+    b = run(v0, burgers_1d(), TorusGrid((64,)), cfg)
     assert np.array_equal(a.fields[-1].values, b.fields[-1].values)
+
+
+# --- reference: the unfused step ----------------------------------------------
+# np.roll shifts and npoly.polyval on per-piece masked gathers.  The fused
+# kernel must reproduce its values exactly (np.array_equal).
+
+def _ref_eval_component(flux, j, u):
+    from numpy.polynomial import polynomial as npoly
+
+    u = np.clip(u, *flux.urange)
+    idx = np.clip(np.searchsorted(flux._bp_f, u, side="right") - 1, 0, flux.npieces - 1)
+    out = np.empty_like(u)
+    for p in range(flux.npieces):
+        mask = idx == p
+        if np.any(mask):
+            out[mask] = npoly.polyval(u[mask], flux._coef_f[p, j])
+    return out
+
+
+def _ref_face(flux, j, u, alpha):
+    phi = _ref_eval_component(flux, j, u)
+    return 0.5 * (phi + np.roll(phi, -1, axis=j)) \
+        - 0.5 * alpha * (np.roll(u, -1, axis=j) - u)
+
+
+def _ref_step(f, flux, dt, alphas):
+    u = f.values
+    div = np.zeros_like(u)
+    for j in range(f.grid.m):
+        face = _ref_face(flux, j, u, alphas[j])
+        div += (dt * f.grid.shape[j]) * (face - np.roll(face, 1, axis=j))
+    return u - div
+
+
+def _ref_entropy_residual(before, after, flux, dt, k, alphas):
+    u, u2 = before.values, after.values
+    acc = np.abs(u2 - k) - np.abs(u - k)
+    umax, umin = np.maximum(u, k), np.minimum(u, k)
+    for j in range(before.grid.m):
+        qface = _ref_face(flux, j, umax, alphas[j]) - _ref_face(flux, j, umin, alphas[j])
+        acc += (dt * before.grid.shape[j]) * (qface - np.roll(qface, 1, axis=j))
+    return float(acc.max())
+
+
+def _burgers_nd(m):
+    return PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"]] * m])
+
+
+def _three_piece_nd(m):
+    """Continuous quadratic, affine, quadratic on [-2, -1/3, 2/5, 2]; component j times j+1.
+
+    The interior breakpoints are not floats, so at their float shadows the
+    two adjacent pieces round differently and the tie rule shows in the bits.
+    """
+    base = [["1/9", "1", "1/2"], ["0", "1/2"], ["3/25", "0", "1/2"]]
+    pieces = [
+        [[str(Fraction(c) * (j + 1)) for c in comp] for j in range(m)]
+        for comp in base
+    ]
+    return PiecewiseFlux.of(B1, ["-2", "-1/3", "2/5", "2"], pieces)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+def test_fused_step_matches_reference_bitwise(shape, make_flux):
+    rng = np.random.default_rng(len(shape))
+    flux = make_flux(len(shape))
+    vals = rng.uniform(-2.0, 2.0, shape)
+    # breakpoints themselves: ties go right, the last (u_P = 2) goes left
+    flat = vals.reshape(-1)
+    flat[:5] = [-2.0, -1 / 3, 2 / 5, 2.0, 0.0]
+    flat[7::11] = 2 / 5
+    flat[9::13] = -1 / 3
+    g = TorusGrid(shape)
+    f = CellField(g, vals)
+    alphas = lip_bound(flux, f.vmin, f.vmax)
+    dt = cfl_dt(f, flux)
+    new = step(f, flux, dt)
+    assert np.array_equal(new.values, _ref_step(f, flux, dt, alphas))
+    for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
+        assert entropy_residual(f, new, flux, dt, k) == \
+            _ref_entropy_residual(f, new, flux, dt, k, alphas)
+
+
+def test_eval_component_matches_polyval_on_breakpoints():
+    flux = _three_piece_nd(2)
+    u = np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, 1.75])
+    for j in range(2):
+        assert np.array_equal(flux.eval_component(j, u), _ref_eval_component(flux, j, u))
+
+
+def test_run_calls_lip_bound_once_per_step(monkeypatch):
+    calls = {"lip_bound": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver_mod, "lip_bound", counted("lip_bound", solver_mod.lip_bound))
+    monkeypatch.setattr(solver_mod, "step", counted("step", solver_mod.step))
+    v0 = TorusPoly(2, {(0, 0): 0.3, (1, 0): -0.25j, (0, 1): 0.1j})
+    run(v0, _burgers_nd(2), TorusGrid((32, 24)),
+        SolverConfig(t_end=0.2, record_times=(0.05,)))
+    assert calls["step"] > 10
+    assert calls["lip_bound"] == calls["step"]
