@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from .freqlattice import (
-    Frequency,
     FrequencyBasis,
     RealQ,
     SpectrumGroupBasis,
@@ -139,10 +138,6 @@ class PiecewiseFlux:
         else:
             self._dcoef_f = np.zeros((len(self.pieces), ncomp, 1))
 
-    @classmethod
-    def of(cls, basis, breakpoints, pieces, urange=None) -> "PiecewiseFlux":
-        return cls(basis, breakpoints, pieces, urange)
-
     @property
     def npieces(self) -> int:
         return len(self.pieces)
@@ -187,10 +182,9 @@ class PiecewiseFlux:
         return u
 
     def eval(self, u: float) -> np.ndarray:
-        """All components at one point; ties take the right piece (left at u_P)."""
-        uu = self._clamp(np.asarray([float(u)]))[0]
-        p = min(max(bisect.bisect_right(self._bp_f.tolist(), uu) - 1, 0), self.npieces - 1)
-        return np.array([_horner(self._coef_f[p, k], uu) for k in range(self.n)])
+        """All components at one point, with the tie rules of ``eval_component``."""
+        uu = self._clamp(np.asarray([float(u)]))
+        return np.array([self.eval_component(k, uu)[0] for k in range(self.n)])
 
     def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
         """Vectorized single-component evaluation with the same tie rules.
@@ -224,6 +218,40 @@ class NdVerdict:
     c: float | None = None
 
 
+def _dot(xi, piece, start: int = 0) -> list[RealQ]:
+    """Exact coefficients of u -> xi.phi(u) on one piece, degree ``start`` up.
+
+    ``xi`` holds one RealQ per flux component; zero factors are skipped.
+    This is the one place where a frequency meets the flux coefficients.
+    """
+    zero = xi[0].basis.zero
+    terms = [(x, comp) for x, comp in zip(xi, piece) if not x.is_zero]
+    out = []
+    for d in range(start, max(len(comp) for comp in piece)):
+        acc = zero
+        for x, comp in terms:
+            if d < len(comp) and not comp[d].is_zero:
+                acc = acc + x * comp[d]
+        out.append(acc)
+    return out
+
+
+def _xi(kbar, gb: SpectrumGroupBasis, basis: FrequencyBasis) -> list[RealQ]:
+    """Coordinates of the group element sum_j kbar_j lambda_j."""
+    xi = [basis.zero] * gb.n
+    for kj, lam in zip(kbar, gb.frequencies):
+        if kj:
+            xi = [a + c.scale(kj) for a, c in zip(xi, lam.coords)]
+    return xi
+
+
+def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
+    if gb.rank < 1:
+        raise ValueError("group basis must have positive rank")
+    if gb.n != flux.n:
+        raise ValueError("group basis dimension disagrees with flux components")
+
+
 def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """Scalar piecewise polynomial u -> xi.phi(u), xi = sum_j kbar_j lambda_j.
 
@@ -234,25 +262,9 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
         raise ValueError(f"kbar must have {gb.rank} entries")
     if gb.n != flux.n:
         raise ValueError("group basis dimension disagrees with flux components")
-    basis = flux.basis
-    xi = [basis.zero for _ in range(flux.n)]
-    for kj, lam in zip(kbar, gb.frequencies):
-        if kj:
-            for i, c in enumerate(lam.coords):
-                xi[i] = xi[i] + c.scale(kj)
-    out_pieces = []
-    for piece in flux.pieces:
-        deg = max(len(comp) for comp in piece)
-        coeffs = []
-        for d in range(deg):
-            acc = basis.zero
-            for k in range(flux.n):
-                comp = piece[k]
-                if d < len(comp) and not comp[d].is_zero and not xi[k].is_zero:
-                    acc = acc + xi[k] * comp[d]
-            coeffs.append(acc)
-        out_pieces.append([tuple(coeffs)])
-    return PiecewiseFlux(basis, flux.breakpoints, out_pieces, flux.urange)
+    xi = _xi(kbar, gb, flux.basis)
+    return PiecewiseFlux(flux.basis, flux.breakpoints,
+                         [[_dot(xi, piece)] for piece in flux.pieces], flux.urange)
 
 
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
@@ -285,71 +297,37 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
 
 def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdict:
     """Decide whether any nonzero kbar makes xi.phi affine on some piece."""
-    m = gb.rank
-    if m < 1:
-        raise ValueError("group basis must have positive rank")
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
-    basis = flux.basis
-    q = basis.dim
+    _check_group(flux, gb)
+    q = flux.basis.dim
     for p, piece in enumerate(flux.pieces):
-        deg = max(len(comp) for comp in piece)
+        # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
+        dots = [_dot(lam.coords, piece, 2) for lam in gb.frequencies]
         rows = []
-        for d in range(2, deg):
-            # lambda_j . c_d as an exact RealQ, one matrix row per coordinate
-            dots = []
-            for lam in gb.frequencies:
-                acc = basis.zero
-                for k in range(flux.n):
-                    comp = piece[k]
-                    if d < len(comp) and not comp[d].is_zero:
-                        acc = acc + lam.coords[k] * comp[d]
-                dots.append(acc)
+        for d in range(len(dots[0])):
             for qi in range(q):
-                row = [dot.coeffs[qi] for dot in dots]
+                row = [dot[d].coeffs[qi] for dot in dots]
                 if any(row):
                     rows.append(row)
-        kern = integer_kernel(rows, ncols=m)
+        kern = integer_kernel(rows, ncols=gb.rank)
         if kern:
             kbar = kern[0]
-            dflux = directional(flux, kbar, gb)
-            coeffs = dflux.pieces[p][0]
-            tau = coeffs[1].value if len(coeffs) > 1 else 0.0
-            c = coeffs[0].value if coeffs else 0.0
+            coeffs = _dot(_xi(kbar, gb, flux.basis), piece)
             return NdVerdict(
                 nondegenerate=False,
                 kbar=kbar,
                 piece=p,
                 interval=(flux.breakpoints[p], flux.breakpoints[p + 1]),
-                tau=tau,
-                c=c,
+                tau=coeffs[1].value if len(coeffs) > 1 else 0.0,
+                c=coeffs[0].value if coeffs else 0.0,
             )
     return NdVerdict(nondegenerate=True)
 
 
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints."""
-    if gb.rank < 1:
-        raise ValueError("group basis must have positive rank")
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
-    basis = flux.basis
-    out_pieces = []
-    for piece in flux.pieces:
-        deg = max(len(comp) for comp in piece)
-        comps = []
-        for lam in gb.frequencies:
-            coeffs = []
-            for d in range(deg):
-                acc = basis.zero
-                for k in range(flux.n):
-                    comp = piece[k]
-                    if d < len(comp) and not comp[d].is_zero:
-                        acc = acc + lam.coords[k] * comp[d]
-                coeffs.append(acc)
-            comps.append(tuple(coeffs))
-        out_pieces.append(comps)
-    return PiecewiseFlux(basis, flux.breakpoints, out_pieces, flux.urange)
+    _check_group(flux, gb)
+    pieces = [[_dot(lam.coords, piece) for lam in gb.frequencies] for piece in flux.pieces]
+    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange)
 
 
 def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):

@@ -21,7 +21,6 @@ __all__ = [
     "RealQ",
     "Frequency",
     "SpectrumGroupBasis",
-    "real_value",
     "integer_kernel",
     "group_basis",
     "member_coords",
@@ -197,11 +196,6 @@ class RealQ:
         return RealQ(self.basis, tuple(out))
 
     __rmul__ = __mul__
-
-
-def real_value(x: RealQ) -> float:
-    """Float shadow of an exact coordinate vector."""
-    return x.value
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -83,6 +84,23 @@ def _fraction(v, path) -> Fraction:
     raise ConfigError(path, f"expected a rational string like \"1/2\", got {v!r}")
 
 
+def _real(v, path) -> float:
+    """A JSON number or a rational string, as a finite float."""
+    try:
+        x = v if isinstance(v, float) else float(_fraction(v, path))
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
+    return x
+
+
+def _reals(v, path) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list of numbers, got {v!r}")
+    return tuple(_real(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
 def _parse_basis(d, path) -> FrequencyBasis:
     labels = _need(d, "labels", path, list)
     values = _need(d, "values", path, list)
@@ -126,8 +144,8 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
             n = freq.n
         elif freq.n != n:
             raise ConfigError(f"{p}.frequency", f"dimension {freq.n} != {n}")
-        re = float(t.get("re", 0.0))
-        im = float(t.get("im", 0.0))
+        re = _real(t.get("re", 0.0), f"{p}.re")
+        im = _real(t.get("im", 0.0), f"{p}.im")
         parsed.append((freq, complex(re, im)))
     try:
         return TrigPoly(basis, n, parsed)
@@ -160,10 +178,9 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
         pieces.append(comps)
     urange = None
     if "range" in d:
-        ur = d["range"]
-        if not (isinstance(ur, list) and len(ur) == 2):
+        urange = _reals(d["range"], f"{path}.range")
+        if len(urange) != 2:
             raise ConfigError(f"{path}.range", "expected [lo, hi]")
-        urange = (float(ur[0]), float(ur[1]))
     try:
         return PiecewiseFlux(basis, bps, pieces, urange)
     except ValueError as e:
@@ -180,13 +197,11 @@ def _parse_grid(v, path) -> TorusGrid:
 
 
 def _parse_solver(d, path) -> SolverConfig:
-    t_end = float(_need(d, "t_end", path))
+    t_end = _real(_need(d, "t_end", path), f"{path}.t_end")
+    cfl = _real(d.get("cfl", 0.45), f"{path}.cfl")
+    record_times = _reals(d.get("record_times", []), f"{path}.record_times")
     try:
-        return SolverConfig(
-            t_end=t_end,
-            cfl=float(d.get("cfl", 0.45)),
-            record_times=tuple(float(t) for t in d.get("record_times", ())),
-        )
+        return SolverConfig(t_end=t_end, cfl=cfl, record_times=record_times)
     except ValueError as e:
         raise ConfigError(path, str(e))
 
@@ -201,7 +216,7 @@ def _parse_wave(d, path) -> dict:
         "a": a,
         "b": b,
         "kbar": tuple(int(k) for k in kbar),
-        "tau": float(d["tau"]) if "tau" in d else None,
+        "tau": _real(d["tau"], f"{path}.tau") if "tau" in d else None,
     }
 
 
@@ -275,7 +290,9 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         if cfg.steps < 1:
             raise ConfigError("steps", "need at least one step")
     if "cfl" in d:
-        cfg.cfl = float(d["cfl"])
+        cfg.cfl = _real(d["cfl"], "cfl")
+        if not 0.0 < cfg.cfl <= 0.5:
+            raise ConfigError("cfl", "must lie in (0, 1/2]")
     if "wave" in d:
         cfg.wave = _parse_wave(d["wave"], "wave")
     if "probes" in d:
@@ -285,7 +302,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
             tuple(int(c) for c in p) for p in d["probes"]
         )
     if "offset" in d:
-        cfg.offset = tuple(float(c) for c in d["offset"])
+        cfg.offset = _reals(d["offset"], "offset")
     if "thresholds" in d:
         if not isinstance(d["thresholds"], dict):
             raise ConfigError("thresholds", "expected an object")

@@ -164,10 +164,6 @@ def exact_cell_average(p: TorusPoly, g: TorusGrid) -> CellField:
     return CellField(g, acc.real)
 
 
-def _alphas(f: CellField, flux: PiecewiseFlux) -> tuple[float, ...]:
-    return lip_bound(flux, f.vmin, f.vmax)
-
-
 def cfl_dt(f: CellField, flux: PiecewiseFlux, cfl: float = 0.45,
            t_remaining: float = np.inf,
            alphas: tuple[float, ...] | None = None) -> float:
@@ -181,7 +177,7 @@ def cfl_dt(f: CellField, flux: PiecewiseFlux, cfl: float = 0.45,
     if not 0.0 < cfl <= 0.5:
         raise ValueError("cfl must lie in (0, 1/2]")
     if alphas is None:
-        alphas = _alphas(f, flux)
+        alphas = lip_bound(flux, f.vmin, f.vmax)
     denom = sum(a / h for a, h in zip(alphas, f.grid.h))
     if denom == 0.0:
         return t_remaining
@@ -241,7 +237,7 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
     if flux.n != g.m:
         raise ValueError("flux component count must match grid dimension")
     if alphas is None:
-        alphas = _alphas(f, flux)
+        alphas = lip_bound(flux, f.vmin, f.vmax)
     courant = sum(a * dt / h for a, h in zip(alphas, g.h))
     if courant > 0.5 * (1.0 + 1e-9):
         raise CflError(
@@ -273,7 +269,7 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     """
     g = before.grid
     if alphas is None:
-        alphas = _alphas(before, flux)
+        alphas = lip_bound(flux, before.vmin, before.vmax)
     u, u2 = before.values, after.values
     k = float(k)
     acc = np.abs(u2 - k) - np.abs(u - k)

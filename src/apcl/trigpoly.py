@@ -16,7 +16,6 @@ from .freqlattice import Frequency, FrequencyBasis
 __all__ = [
     "TrigPoly",
     "TorusPoly",
-    "mean_and_coeff",
     "combine",
     "fejer_damp",
     "fejer_factor",
@@ -26,9 +25,14 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def _normalize_real_terms(items, negate, conj_key=None):
-    """Enforce the a_{-key} = conj(a_key) pairing; drop exact zeros."""
+def _normalize_real_terms(items, negate):
+    """Enforce the a_{-key} = conj(a_key) pairing; drop exact zeros.
+
+    Returns the terms and the mean, the coefficient at the one self-paired
+    key (the zero frequency).
+    """
     terms = {}
+    mean = 0.0
     for key, amp in items:
         amp = complex(amp)
         if amp == 0:
@@ -38,35 +42,91 @@ def _normalize_real_terms(items, negate, conj_key=None):
             # self-paired frequency (zero): coefficient must be real
             if amp.imag != 0.0:
                 raise ValueError(f"coefficient at self-paired frequency {key} must be real")
+            mean = amp.real
         if key in terms and terms[key] != amp:
             raise ValueError(f"conflicting coefficients at {key}")
         if neg in terms and terms[neg] != amp.conjugate():
             raise ValueError(f"reality conflict between {key} and its negative")
         terms[key] = amp
         terms[neg] = amp.conjugate()
-    return terms
+    return terms, mean
 
 
-class TrigPoly:
+def _items(terms) -> list:
+    return list(terms.items() if hasattr(terms, "items") else terms)
+
+
+class _TrigCore:
+    """Evaluation core shared by TrigPoly and TorusPoly.
+
+    Holds the reality-normalised terms in a fixed key order, their mean,
+    float frequency matrix and amplitudes, and evaluates them.  ``space`` is the
+    constructor arguments before ``terms``, so ``_like`` rebuilds the same
+    kind of polynomial.
+    """
+
+    def __init__(self, space: tuple, dim: int, items, negate,
+                 sort_key=None, row=tuple):
+        self._space = space
+        self.terms, self.mean = _normalize_real_terms(items, negate)
+        self._keys = sorted(self.terms, key=sort_key)
+        self._freq_mat = np.array(
+            [row(k) for k in self._keys], dtype=float
+        ).reshape(len(self._keys), dim)
+        self._amps = np.array([self.terms[k] for k in self._keys], dtype=complex)
+        self._amp_scale = float(np.sum(np.abs(self._amps)))
+
+    def _like(self, terms):
+        """A polynomial of the same kind and space with other terms."""
+        return type(self)(*self._space, terms)
+
+    def spectrum(self) -> tuple:
+        return tuple(self._keys)
+
+    def __call__(self, x):
+        return self.eval(x)
+
+    def eval(self, x):
+        """Evaluate at x (shape (dim,) or (N, dim)); returns real values.
+
+        Asserts the imaginary residue is below 1e-12 * sum|a_lam|.
+        """
+        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        dim = self._freq_mat.shape[1]
+        if xs.shape[-1] != dim:
+            raise ValueError(f"points must have {dim} coordinates")
+        if len(self._keys) == 0:
+            out = np.zeros(xs.shape[0])
+        else:
+            phase = xs @ self._freq_mat.T
+            vals = np.exp(2j * np.pi * phase) @ self._amps
+            resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+            assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
+                f"imaginary residue {resid:.3e} exceeds tolerance"
+            )
+            out = vals.real
+        return float(out[0]) if np.asarray(x).ndim == 1 else out
+
+
+class TrigPoly(_TrigCore):
     """sum of a_lam e^{2 pi i lam.x}, lam exact, reality enforced."""
 
     def __init__(self, basis: FrequencyBasis, n: int, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
-        items = list(items)
+        items = _items(terms)
         for lam, _ in items:
             if lam.basis != basis or lam.n != n:
                 raise ValueError("term frequency disagrees with basis or dimension")
         self.basis = basis
         self.n = n
-        self.terms = _normalize_real_terms(items, lambda f: -f)
-        self._keys = sorted(
-            self.terms, key=lambda f: tuple(c.coeffs for c in f.coords)
+        super().__init__(
+            (basis, n), n, items, lambda f: -f,
+            sort_key=lambda f: tuple(c.coeffs for c in f.coords),
+            row=lambda f: [c.value for c in f.coords],
         )
-        self._freq_mat = np.array(
-            [[c.value for c in f.coords] for f in self._keys], dtype=float
-        ).reshape(len(self._keys), n)
-        self._amps = np.array([self.terms[f] for f in self._keys], dtype=complex)
-        self._amp_scale = float(np.sum(np.abs(self._amps)))
+
+    # bound in the class body (here and in TorusPoly): bench/tracer.py
+    # wraps ``eval`` through each class's own __dict__
+    eval = _TrigCore.eval
 
     @classmethod
     def constant(cls, basis, n, c: float) -> "TrigPoly":
@@ -81,56 +141,22 @@ class TrigPoly:
     def sine(cls, freq: Frequency, amplitude: float = 1.0) -> "TrigPoly":
         return cls(freq.basis, freq.n, {freq: amplitude / 2j})
 
-    def spectrum(self) -> tuple[Frequency, ...]:
-        return tuple(self._keys)
-
-    @property
-    def mean(self) -> float:
-        zero = Frequency(tuple(self.basis.zero for _ in range(self.n)))
-        return self.terms.get(zero, 0j).real
-
     def coeff(self, freq: Frequency) -> complex:
         return self.terms.get(freq, 0j)
 
-    def __call__(self, x):
-        return self.eval(x)
 
-    def eval(self, x):
-        """Evaluate at x (shape (n,) or (N, n)); returns real values.
-
-        Asserts the imaginary residue is below 1e-12 * sum|a_lam|.
-        """
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        if xs.shape[-1] != self.n:
-            raise ValueError(f"points must have {self.n} coordinates")
-        if len(self._keys) == 0:
-            out = np.zeros(xs.shape[0])
-        else:
-            phase = xs @ self._freq_mat.T
-            vals = np.exp(2j * np.pi * phase) @ self._amps
-            resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-            assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
-                f"imaginary residue {resid:.3e} exceeds tolerance"
-            )
-            out = vals.real
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-class TorusPoly:
+class TorusPoly(_TrigCore):
     """sum of a_k e^{2 pi i k.y} over integer k on the m-torus."""
 
     def __init__(self, m: int, terms):
-        items = terms.items() if hasattr(terms, "items") else terms
-        items = [(tuple(int(c) for c in k), amp) for k, amp in items]
+        items = [(tuple(int(c) for c in k), amp) for k, amp in _items(terms)]
         for k, _ in items:
             if len(k) != m:
                 raise ValueError(f"expected {m}-vector frequency, got {k}")
         self.m = m
-        self.terms = _normalize_real_terms(items, lambda k: tuple(-c for c in k))
-        self._keys = sorted(self.terms)
-        self._freq_mat = np.array(self._keys, dtype=float).reshape(len(self._keys), m)
-        self._amps = np.array([self.terms[k] for k in self._keys], dtype=complex)
-        self._amp_scale = float(np.sum(np.abs(self._amps)))
+        super().__init__((m,), m, items, lambda k: tuple(-c for c in k))
+
+    eval = _TrigCore.eval
 
     @classmethod
     def constant(cls, m, c: float) -> "TorusPoly":
@@ -146,59 +172,28 @@ class TorusPoly:
         k = tuple(k)
         return cls(len(k), {k: amplitude / 2j})
 
-    def spectrum(self):
-        return tuple(self._keys)
-
-    @property
-    def mean(self) -> float:
-        return self.terms.get((0,) * self.m, 0j).real
-
     def coeff(self, k) -> complex:
         return self.terms.get(tuple(k), 0j)
 
-    def __call__(self, y):
-        return self.eval(y)
 
-    def eval(self, y):
-        ys = np.atleast_2d(np.asarray(y, dtype=float))
-        if ys.shape[-1] != self.m:
-            raise ValueError(f"points must have {self.m} coordinates")
-        if len(self._keys) == 0:
-            out = np.zeros(ys.shape[0])
-        else:
-            phase = ys @ self._freq_mat.T
-            vals = np.exp(2j * np.pi * phase) @ self._amps
-            resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-            assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
-                f"imaginary residue {resid:.3e} exceeds tolerance"
-            )
-            out = vals.real
-        return float(out[0]) if np.asarray(y).ndim == 1 else out
-
-
-def mean_and_coeff(p, freq):
-    """(mean value, coefficient at freq); the mean is the zero-frequency term."""
-    return p.mean, p.coeff(freq)
-
-
-def combine(alpha: float, p: TrigPoly, beta: float, q: TrigPoly) -> TrigPoly:
+def combine(alpha: float, p, beta: float, q):
     """alpha*p + beta*q with exact coefficient merge; zero terms dropped."""
-    if isinstance(p, TrigPoly) != isinstance(q, TrigPoly):
+    if type(p) is not type(q):
         raise ValueError("cannot combine polynomials of different kinds")
-    if isinstance(p, TrigPoly):
-        if p.basis != q.basis or p.n != q.n:
-            raise ValueError("combine: basis or dimension mismatch")
-        merged = dict(p.terms)
-        merged = {k: alpha * v for k, v in merged.items()}
-        for k, v in q.terms.items():
-            merged[k] = merged.get(k, 0j) + beta * v
-        return TrigPoly(p.basis, p.n, merged)
-    if p.m != q.m:
-        raise ValueError("combine: torus dimension mismatch")
+    if p._space != q._space:
+        raise ValueError("combine: basis or dimension mismatch")
     merged = {k: alpha * v for k, v in p.terms.items()}
     for k, v in q.terms.items():
         merged[k] = merged.get(k, 0j) + beta * v
-    return TorusPoly(p.m, merged)
+    return p._like(merged)
+
+
+def fejer_factor(k, r: int) -> float:
+    """The exact damping weight applied to frequency k at level r."""
+    w = 1.0
+    for kj in k:
+        w *= max(0.0, 1.0 - abs(kj) / r)
+    return w
 
 
 def fejer_damp(p: TorusPoly, r: int) -> TorusPoly:
@@ -210,25 +205,12 @@ def fejer_damp(p: TorusPoly, r: int) -> TorusPoly:
         raise ValueError("r must be a positive integer")
     out = {}
     for k, amp in p.terms.items():
-        w = 1.0
-        for kj in k:
-            w *= max(0.0, 1.0 - abs(kj) / r)
+        w = fejer_factor(k, r)
         if w > 0.0:
             out[k] = amp * w
     return TorusPoly(p.m, out)
 
 
-def fejer_factor(k, r: int) -> float:
-    """The exact damping weight applied to frequency k at level r."""
-    w = 1.0
-    for kj in k:
-        w *= max(0.0, 1.0 - abs(kj) / r)
-    return w
-
-
 def truncate(p, eps: float):
     """Drop every term with |a_lam| <= eps."""
-    kept = {k: v for k, v in p.terms.items() if abs(v) > eps}
-    if isinstance(p, TrigPoly):
-        return TrigPoly(p.basis, p.n, kept)
-    return TorusPoly(p.m, kept)
+    return p._like({k: v for k, v in p.terms.items() if abs(v) > eps})

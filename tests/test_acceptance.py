@@ -48,7 +48,7 @@ def _line(num, name, ok, detail, elapsed, limit):
 
 
 def burgers(basis=B1):
-    return PiecewiseFlux.of(basis, [-2, 2], [[["0", "0", "1/2"]]])
+    return PiecewiseFlux(basis, [-2, 2], [[["0", "0", "1/2"]]])
 
 
 def test_01_mass_conservation():
@@ -151,7 +151,7 @@ def test_04_decay_to_mean():
 
 def test_05_traveling_wave_sharpness_and_order():
     t0 = time.perf_counter()
-    flux = PiecewiseFlux.of(B1, [-1, 1], [[["0", "1/2"]]])
+    flux = PiecewiseFlux(B1, [-1, 1], [[["0", "1/2"]]])
     gb = group_basis([Frequency.of(B1, [[1]])])
     wave = exact_counterexample(flux, gb, Fraction(-1, 4), Fraction(1, 4), (1,),
                                 tau=0.5)

@@ -23,7 +23,7 @@ B2 = FrequencyBasis.with_sqrt(2)
 
 
 def burgers(basis=B1, lo=-2, hi=2):
-    return PiecewiseFlux.of(basis, [lo, hi], [[["0", "0", "1/2"]]])
+    return PiecewiseFlux(basis, [lo, hi], [[["0", "0", "1/2"]]])
 
 
 def test_eval_burgers():
@@ -34,7 +34,7 @@ def test_eval_burgers():
 
 def test_eval_two_piece_continuity():
     # u^2 on [-1,0], 0 on [0,1]; continuous at 0
-    f = PiecewiseFlux.of(B1, [-1, 0, 1], [[["0", "0", "1"]], [["0"]]])
+    f = PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "1"]], [["0"]]])
     assert f.eval(0.0) == pytest.approx([0.0])
     assert f.eval(-0.5) == pytest.approx([0.25])
     assert f.eval(0.5) == pytest.approx([0.0])
@@ -42,12 +42,12 @@ def test_eval_two_piece_continuity():
 
 def test_construction_rejects_discontinuity():
     with pytest.raises(ValueError):
-        PiecewiseFlux.of(B1, [-1, 0, 1], [[["0", "0", "1"]], [["1"]]])
+        PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "1"]], [["1"]]])
 
 
 def test_eval_vector_components():
     # (u^2/2, u^3/3) at u=-1 -> (0.5, -1/3)
-    f = PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
+    f = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
     out = f.eval(-1.0)
     assert out[0] == pytest.approx(0.5)
     assert out[1] == pytest.approx(-1 / 3)
@@ -65,7 +65,7 @@ def test_eval_clamps_outside_range(caplog):
 
 def test_breakpoint_tie_goes_right_except_last():
     # pieces: u on [0,1], affine continuation 1 + 2(u-1) on [1,2]
-    f = PiecewiseFlux.of(B1, [0, 1, 2], [[["0", "1"]], [["-1", "2"]]])
+    f = PiecewiseFlux(B1, [0, 1, 2], [[["0", "1"]], [["-1", "2"]]])
     assert f.eval(1.0) == pytest.approx([1.0])  # continuity makes tie invisible
     assert f.eval(2.0) == pytest.approx([3.0])  # right endpoint uses last piece
     vals = f.eval_component(0, np.array([0.0, 0.5, 1.5, 2.0]))
@@ -83,7 +83,7 @@ def test_directional_zero_and_identity():
 
 def test_directional_sqrt2_combination():
     # n=2, one basis frequency (1, sqrt2); phi = (u^2/2, u^3/3)
-    f = PiecewiseFlux.of(B2, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
+    f = PiecewiseFlux(B2, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
     lam = Frequency.of(B2, [[1, 0], [0, 1]])
     gb = group_basis([lam])
     d = directional(f, (1,), gb)
@@ -98,7 +98,7 @@ def test_directional_sqrt2_combination():
 
 def test_directional_matches_float_dot():
     rng = np.random.default_rng(1234)
-    f = PiecewiseFlux.of(B2, [-2, 2], [[["0", "0", "1/2"], ["1/3", "1", "0", "1/5"]]])
+    f = PiecewiseFlux(B2, [-2, 2], [[["0", "0", "1/2"], ["1/3", "1", "0", "1/5"]]])
     lam1 = Frequency.of(B2, [[1, 0], [0, 1]])
     lam2 = Frequency.of(B2, [[0, 1], [2, 0]])
     gb = group_basis([lam1, lam2])
@@ -118,10 +118,10 @@ def test_lip_bound_examples():
     f = burgers(lo=-1, hi=1)
     (b,) = lip_bound(f, -1.0, 1.0)
     assert 1.0 <= b <= 1.1 + 1e-12
-    aff = PiecewiseFlux.of(B1, [-1, 1], [[["0", "2"]]])
+    aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
     (b,) = lip_bound(aff, -1.0, 1.0)
     assert 2.0 <= b <= 2.2 + 1e-12
-    const = PiecewiseFlux.of(B1, [-1, 1], [[["3/2"]]])
+    const = PiecewiseFlux(B1, [-1, 1], [[["3/2"]]])
     assert lip_bound(const, -1.0, 1.0) == (0.0,)
 
 
@@ -140,7 +140,7 @@ def test_nd_burgers_nondegenerate():
 
 
 def test_nd_affine_degenerate():
-    f = PiecewiseFlux.of(B1, [-1, 1], [[["0", "1"]]])
+    f = PiecewiseFlux(B1, [-1, 1], [[["0", "1"]]])
     gb = group_basis([Frequency.of(B1, [[1]])])
     v = nondegeneracy_check(f, gb)
     assert not v.nondegenerate
@@ -153,7 +153,7 @@ def test_nd_affine_degenerate():
 def test_nd_cancellation_witness():
     # n=2 flux (u^2/2, u^2/2) over the integer lattice: xi=(1,-1) kills
     # the quadratic part
-    f = PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "1/2"]]])
+    f = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "1/2"]]])
     e1 = Frequency.of(B1, [[1], [0]])
     e2 = Frequency.of(B1, [[0], [1]])
     gb = group_basis([e1, e2])
@@ -178,10 +178,10 @@ def _brute_force_witness(flux, gb, kmax=5):
     return None
 
 
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_nd_matches_brute_force(data):
-    """Random rational instances, m <= 3: decider agrees with enumeration."""
+def _draw_case(data, plant=False):
+    """A random continuous flux with n <= 2 components, deg 2, on up to two
+    pieces, and a group of m <= 3 generators; with ``plant`` the drawn piece
+    is made affine so the flux is degenerate."""
     q = data.draw(st.integers(1, 2))
     basis = B1 if q == 1 else B2
     n = data.draw(st.integers(1, 2))
@@ -195,7 +195,7 @@ def test_nd_matches_brute_force(data):
         lams.append(Frequency.of(basis, rows))
     gb = group_basis(lams)
     if gb.rank == 0:
-        return
+        return None, gb
     npieces = data.draw(st.integers(1, 2))
     bps = [Fraction(-1), Fraction(0), Fraction(1)][: npieces + 1]
     deg = 2
@@ -206,6 +206,9 @@ def test_nd_matches_brute_force(data):
             comps.append([basis.from_rational(data.draw(small))
                           for _ in range(deg + 1)])
         pieces.append(comps)
+    if plant:
+        for comp in pieces[data.draw(st.integers(0, npieces - 1))]:
+            comp[2] = basis.zero
     # stitch continuity: adjust constant terms of later pieces
     for p in range(1, npieces):
         u = bps[p]
@@ -213,7 +216,16 @@ def test_nd_matches_brute_force(data):
             left = _eval_coeffs(pieces[p - 1][kcomp], u, basis)
             right = _eval_coeffs(pieces[p][kcomp], u, basis)
             pieces[p][kcomp][0] = pieces[p][kcomp][0] + (left - right)
-    flux = PiecewiseFlux(basis, bps, pieces)
+    return PiecewiseFlux(basis, bps, pieces), gb
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_nd_matches_brute_force(data):
+    """Random rational instances, m <= 3: decider agrees with enumeration."""
+    flux, gb = _draw_case(data)
+    if gb.rank == 0:
+        return
     verdict = nondegeneracy_check(flux, gb)
     brute = _brute_force_witness(flux, gb, kmax=5)
     if verdict.nondegenerate:
@@ -238,7 +250,7 @@ def _eval_coeffs(coeffs, u, basis):
 
 
 def test_lift_flux_identity_basis():
-    f = PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "1"]]])
+    f = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "1"]]])
     e1 = Frequency.of(B1, [[1], [0]])
     e2 = Frequency.of(B1, [[0], [1]])
     gb = group_basis([e1, e2])
@@ -256,7 +268,7 @@ def test_lift_flux_scaling():
 
 
 def test_lift_flux_sqrt2():
-    f = PiecewiseFlux.of(B2, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
+    f = PiecewiseFlux(B2, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
     lam = Frequency.of(B2, [[1, 0], [0, 1]])
     gb = group_basis([lam])
     lf = lift_flux(f, gb)
@@ -267,7 +279,7 @@ def test_lift_flux_sqrt2():
 
 def test_lift_then_directional_is_original_directional():
     """k.lifted == (sum k_j lam_j).original, exactly in rational coords."""
-    f = PiecewiseFlux.of(B2, [-2, 2], [[["0", "0", "1/2"], ["1/3", "1", "0", "1/5"]]])
+    f = PiecewiseFlux(B2, [-2, 2], [[["0", "0", "1/2"], ["1/3", "1", "0", "1/5"]]])
     lam1 = Frequency.of(B2, [[1, 0], [0, 1]])
     lam2 = Frequency.of(B2, [[0, 1], [2, 0]])
     gb = group_basis([lam1, lam2])
@@ -288,7 +300,7 @@ def test_lift_then_directional_is_original_directional():
 
 
 def test_affine_on():
-    f = PiecewiseFlux.of(B1, [-1, 0, 1], [[["0", "0", "1"]], [["0"]]])
+    f = PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "1"]], [["0"]]])
     d = directional(f, (1,), group_basis([Frequency.of(B1, [[1]])]))
     assert affine_on(d, Fraction(-1), Fraction(0)) is None
     got = affine_on(d, Fraction(0), Fraction(1))
@@ -296,3 +308,37 @@ def test_affine_on():
     slope, intercept = got
     assert slope.is_zero and intercept.is_zero
     assert affine_on(d, Fraction(-1, 2), Fraction(1, 2)) is None
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_directional_is_k_dot_lift(data):
+    """xi.phi for xi = sum_j k_j lambda_j equals sum_j k_j (lambda_j.phi), exactly."""
+    flux, gb = _draw_case(data)
+    if gb.rank == 0:
+        return
+    kbar = data.draw(st.lists(st.integers(-3, 3), min_size=gb.rank, max_size=gb.rank))
+    lifted = lift_flux(flux, gb)
+    d = directional(flux, kbar, gb)
+    assert d.breakpoints == lifted.breakpoints == flux.breakpoints
+    for dpiece, lpiece in zip(d.pieces, lifted.pieces, strict=True):
+        want = []
+        for deg in range(len(dpiece[0])):
+            acc = flux.basis.zero
+            for kj, comp in zip(kbar, lpiece, strict=True):
+                acc = acc + comp[deg].scale(kj)
+            want.append(acc)
+        assert dpiece[0] == tuple(want)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_witness_is_affine_part_of_directional(data):
+    """A degenerate verdict's (tau, c) is the affine pair of its directional flux."""
+    flux, gb = _draw_case(data, plant=True)
+    if gb.rank == 0:
+        return
+    v = nondegeneracy_check(flux, gb)
+    assert not v.nondegenerate  # the planted piece is affine
+    slope, intercept = affine_on(directional(flux, v.kbar, gb), *v.interval)
+    assert (v.tau, v.c) == (slope.value, intercept.value)

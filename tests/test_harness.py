@@ -64,6 +64,69 @@ def wave_config(kind="counterexample", **over):
     return d
 
 
+def contraction_config(**over):
+    d = {
+        "kind": "contraction",
+        "basis": {"labels": ["1"], "values": [1.0]},
+        "flux": {"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"]]]},
+        "initial": {"terms": [
+            {"frequency": [["0"]], "re": 0.3},
+            {"frequency": [["1"]], "im": -0.25},
+        ]},
+        "initial_b": {"terms": [
+            {"frequency": [["0"]], "re": 0.1},
+            {"frequency": [["1"]], "re": 0.2},
+        ]},
+        "grid": [64],
+        "steps": 40,
+        "thresholds": {"max_step_increase": 1e-12},
+    }
+    d.update(over)
+    return d
+
+
+DELETE = object()
+NAN, INF = float("nan"), float("inf")
+
+
+def edited(make, *path_and_value):
+    """``make()`` with the value at a key path replaced, or deleted if it is DELETE."""
+    *path, value = path_and_value
+    d = make()
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return d
+
+
+
+# configs that must fail to parse: booleans, non-finite values and
+# unparseable strings where numbers are expected, and an out-of-range cfl
+BAD_NUMBERS = [
+    pytest.param(decay_config, ("flux", "breakpoints", [True, "2"]), id="breakpoint-bool"),
+    pytest.param(decay_config, ("initial", "terms", 0, "re", True), id="re-bool"),
+    pytest.param(decay_config, ("initial", "terms", 0, "re", "abc"), id="re-string"),
+    pytest.param(decay_config, ("initial", "terms", 1, "im", "inf"), id="im-inf-string"),
+    pytest.param(decay_config, ("solver", "t_end", "nan"), id="t_end-nan-string"),
+    pytest.param(decay_config, ("solver", "t_end", NAN), id="t_end-nan"),
+    pytest.param(decay_config, ("solver", "t_end", INF), id="t_end-inf"),
+    pytest.param(decay_config, ("solver", "t_end", 10 ** 400), id="t_end-overflow"),
+    pytest.param(decay_config, ("solver", "cfl", True), id="solver-cfl-bool"),
+    pytest.param(decay_config, ("solver", "record_times", ["1/4", False]), id="record-bool"),
+    pytest.param(decay_config, ("solver", "record_times", 0.5), id="record-not-list"),
+    pytest.param(decay_config, ("flux", "range", [-1, NAN]), id="range-nan"),
+    pytest.param(decay_config, ("offset", [True]), id="offset-bool"),
+    pytest.param(wave_config, ("wave", "tau", True), id="tau-bool"),
+    pytest.param(contraction_config, ("cfl", 0.7), id="cfl-above-half"),
+    pytest.param(contraction_config, ("cfl", 0), id="cfl-zero"),
+    pytest.param(contraction_config, ("cfl", "x"), id="cfl-string"),
+]
+
+
 # --- parsing -------------------------------------------------------------------
 
 
@@ -107,11 +170,21 @@ def test_parse_config_bad_rational_names_path():
     assert str(e.value).startswith("wave.a")
 
 
-def test_parse_config_rejects_bool_as_rational():
-    d = decay_config()
-    d["flux"]["breakpoints"] = [True, "2"]
+@pytest.mark.parametrize("make,edit", BAD_NUMBERS)
+def test_parse_config_rejects_bool_as_rational(make, edit):
     with pytest.raises(ConfigError):
-        parse_config(d)
+        parse_config(edited(make, *edit))
+
+
+def test_parse_config_accepts_rational_strings():
+    d = edited(decay_config, "solver", {"t_end": "3/4", "cfl": "2/5",
+                                         "record_times": ["1/4", 0.5]})
+    d["initial"]["terms"][0]["re"] = "3/10"
+    cfg = parse_config(d)
+    assert cfg.solver.t_end == 0.75 and cfg.solver.cfl == 0.4
+    assert cfg.solver.record_times == (0.25, 0.5)
+    assert cfg.initial.mean == 0.3
+    assert parse_config(contraction_config(cfl="1/2")).cfl == 0.5
 
 
 def test_parse_config_wave_needs_a_below_b():
@@ -238,23 +311,7 @@ def test_decay_series_shape_and_monotone_tail():
 
 
 def test_contraction_never_increases():
-    d = {
-        "kind": "contraction",
-        "basis": {"labels": ["1"], "values": [1.0]},
-        "flux": {"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"]]]},
-        "initial": {"terms": [
-            {"frequency": [["0"]], "re": 0.3},
-            {"frequency": [["1"]], "im": -0.25},
-        ]},
-        "initial_b": {"terms": [
-            {"frequency": [["0"]], "re": 0.1},
-            {"frequency": [["1"]], "re": 0.2},
-        ]},
-        "grid": [64],
-        "steps": 40,
-        "thresholds": {"max_step_increase": 1e-12},
-    }
-    rep = run_experiment(parse_config(d))
+    rep = run_experiment(parse_config(contraction_config()))
     assert rep.passed
     assert rep.scalars["max_step_increase"] <= 0.0
     rows, _ = rep.tables["series"]
@@ -349,11 +406,14 @@ def test_cli_threshold_failure_exit_four(tmp_path):
     assert (tmp_path / "out" / "decay_report.json").exists()
 
 
-def test_cli_config_error_exit_two(tmp_path, capsys):
-    d = decay_config()
-    del d["solver"]
+@pytest.mark.parametrize("make,edit", [
+    pytest.param(decay_config, ("solver", DELETE), id="missing-solver"),
+    *BAD_NUMBERS,
+])
+def test_cli_config_error_exit_two(tmp_path, capsys, make, edit):
+    d = edited(make, *edit)
     cp = write_config(tmp_path, d)
-    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    rc = cli.main([d["kind"], "--config", cp, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 

@@ -16,7 +16,7 @@ B2 = FrequencyBasis.with_sqrt(2)
 
 
 def burgers(basis=B1):
-    return PiecewiseFlux.of(basis, [-2, 2], [[["0", "0", "1/2"]]])
+    return PiecewiseFlux(basis, [-2, 2], [[["0", "0", "1/2"]]])
 
 
 def quasi_data():

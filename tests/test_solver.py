@@ -35,7 +35,7 @@ B1 = FrequencyBasis.rational()
 
 
 def burgers_1d(lo=-2, hi=2):
-    return PiecewiseFlux.of(B1, [lo, hi], [[["0", "0", "1/2"]]])
+    return PiecewiseFlux(B1, [lo, hi], [[["0", "0", "1/2"]]])
 
 
 def test_grid_validation():
@@ -100,7 +100,7 @@ def test_cfl_dt_burgers_range():
 def test_cfl_dt_affine_constant_field():
     g = TorusGrid((10,))
     f = CellField(g, np.full(10, 0.3))
-    aff = PiecewiseFlux.of(B1, [-1, 1], [[["0", "2"]]])
+    aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
     dt = cfl_dt(f, aff, cfl=0.45)
     assert 0.0204 <= dt <= 0.0225
 
@@ -108,7 +108,7 @@ def test_cfl_dt_affine_constant_field():
 def test_cfl_dt_zero_flux_returns_remaining():
     g = TorusGrid((10,))
     f = CellField(g, np.zeros(10))
-    zero = PiecewiseFlux.of(B1, [-1, 1], [[["0"]]])
+    zero = PiecewiseFlux(B1, [-1, 1], [[["0"]]])
     assert cfl_dt(f, zero, t_remaining=0.75) == 0.75
 
 
@@ -122,7 +122,7 @@ def test_rusanov_examples():
     assert _face(0.4, 0.4, burgers_1d(), 1.0) == pytest.approx(phi(0.4))
     assert _face(1.0, -1.0, burgers_1d(), 1.0) == pytest.approx(1.5)
     tau = 0.7
-    lin = PiecewiseFlux.of(B1, [-1, 1], [[["0", "7/10"]]])
+    lin = PiecewiseFlux(B1, [-1, 1], [[["0", "7/10"]]])
     a, b, al = 0.3, -0.2, 1.1
     assert _face(a, b, lin, al) == pytest.approx(
         tau * (a + b) / 2 - al / 2 * (b - a)
@@ -161,7 +161,7 @@ def test_step_2d_conserves():
     rng = np.random.default_rng(3)
     g = TorusGrid((16, 24))
     f = CellField(g, rng.uniform(0, 1, (16, 24)))
-    flux = PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "1/3"]]])
+    flux = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "1/3"]]])
     dt = cfl_dt(f, flux)
     f2 = step(f, flux, dt)
     assert f2.mean() == pytest.approx(f.mean(), rel=1e-13)
@@ -260,7 +260,7 @@ def test_entropy_residual_k_below_min_telescopes():
 
 
 def test_run_zero_flux_constant_in_time():
-    zero = PiecewiseFlux.of(B1, [-2, 2], [[["0"]]])
+    zero = PiecewiseFlux(B1, [-2, 2], [[["0"]]])
     v0 = TorusPoly(1, {(0,): 0.2, (1,): 0.25j})
     traj = run(v0, zero, TorusGrid((64,)), SolverConfig(t_end=1.0, record_times=(0.5,)))
     assert len(traj.times) == 3
@@ -315,7 +315,7 @@ def test_traveling_wave_l1_constant_in_time():
 
 
 def test_exact_counterexample_validates():
-    aff = PiecewiseFlux.of(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
+    aff = PiecewiseFlux(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
     gb = group_basis([Frequency.of(B1, [[1]])])
     w = exact_counterexample(aff, gb, Fraction(-1, 4), Fraction(1, 4), (1,))
     assert w.tau == pytest.approx(0.5)
@@ -331,7 +331,7 @@ def test_exact_counterexample_rejects_nondegenerate():
 
 
 def test_exact_counterexample_rejects_wrong_tau():
-    aff = PiecewiseFlux.of(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
+    aff = PiecewiseFlux(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
     gb = group_basis([Frequency.of(B1, [[1]])])
     with pytest.raises(CounterexampleError):
         exact_counterexample(aff, gb, Fraction(-1, 4), Fraction(1, 4), (1,),
@@ -339,7 +339,7 @@ def test_exact_counterexample_rejects_wrong_tau():
 
 
 def test_exact_counterexample_needs_order():
-    aff = PiecewiseFlux.of(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
+    aff = PiecewiseFlux(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
     gb = group_basis([Frequency.of(B1, [[1]])])
     with pytest.raises(ValueError):
         exact_counterexample(aff, gb, Fraction(1, 4), Fraction(-1, 4), (1,))
@@ -420,7 +420,7 @@ def _ref_entropy_residual(before, after, flux, dt, k, alphas):
 
 
 def _burgers_nd(m):
-    return PiecewiseFlux.of(B1, [-2, 2], [[["0", "0", "1/2"]] * m])
+    return PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"]] * m])
 
 
 def _three_piece_nd(m):
@@ -434,7 +434,7 @@ def _three_piece_nd(m):
         [[str(Fraction(c) * (j + 1)) for c in comp] for j in range(m)]
         for comp in base
     ]
-    return PiecewiseFlux.of(B1, ["-2", "-1/3", "2/5", "2"], pieces)
+    return PiecewiseFlux(B1, ["-2", "-1/3", "2/5", "2"], pieces)
 
 
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])

@@ -14,7 +14,6 @@ from apcl.trigpoly import (
     combine,
     fejer_damp,
     fejer_factor,
-    mean_and_coeff,
     truncate,
 )
 
@@ -61,12 +60,15 @@ def test_eval_dimension_mismatch():
 def test_mean_and_coeff():
     p = sine_poly()
     zero = Frequency.of(B1, [[0]])
-    assert mean_and_coeff(p, zero) == (0.3, pytest.approx(0.3))
-    mean, c = mean_and_coeff(p, XI)
-    assert mean == 0.3
-    assert c == pytest.approx(-0.25j)
+    assert p.mean == 0.3
+    assert p.coeff(zero) == pytest.approx(0.3)
+    assert p.coeff(XI) == pytest.approx(-0.25j)
     two_xi = Frequency.of(B1, [[2]])
-    assert mean_and_coeff(p, two_xi)[1] == 0
+    assert p.coeff(two_xi) == 0
+    v = TorusPoly(2, {(0, 0): -0.5, (1, -1): 0.25j})
+    assert v.mean == -0.5
+    assert v.coeff((-1, 1)) == pytest.approx(-0.25j)
+    assert v.coeff((2, 0)) == 0
 
 
 def test_reality_invariant_enforced():
@@ -101,6 +103,13 @@ def test_combine_sine_plus_cosine():
 def test_combine_basis_mismatch():
     with pytest.raises(ValueError):
         combine(1.0, sine_poly(), 1.0, TrigPoly.constant(B2, 1, 1.0))
+    with pytest.raises(ValueError):
+        combine(1.0, TorusPoly.constant(1, 1.0), 1.0, TorusPoly.constant(2, 1.0))
+    torus = TorusPoly.cosine((1,))
+    with pytest.raises(ValueError, match="different kinds"):
+        combine(1.0, sine_poly(), 1.0, torus)
+    with pytest.raises(ValueError, match="different kinds"):
+        combine(1.0, torus, 1.0, sine_poly())
 
 
 def test_fejer_factor_values():
@@ -149,6 +158,9 @@ def test_truncate():
     t = truncate(p, 1e-6)
     assert len(t.spectrum()) == 2  # the +/- pair of the big term
     assert all(abs(a) > 1e-6 for a in t.terms.values())
+    v = truncate(TorusPoly(2, {(1, 0): 0.5, (0, 1): 1e-9}), 1e-6)
+    assert isinstance(v, TorusPoly) and v.m == 2
+    assert v.spectrum() == ((-1, 0), (1, 0))
 
 
 @given(st.data())
