@@ -1,28 +1,33 @@
 """Continuous piecewise-polynomial flux vectors with exact coefficients.
 
-The flux phi: R -> R^n is stored per piece and per component as RealQ
-polynomial coefficients over exact rational breakpoints.  Exactness is the
-point: continuity at breakpoints, directional combinations xi.phi, lifting
-to the torus, and the linear non-degeneracy decision are all settled in
-rational arithmetic; floats appear only in numeric evaluation paths.
+The flux phi: R -> R^n over a declared basis of q reals is stored as one
+integer tensor: ``_num[p][k][d]`` is the q-tuple of integer numerators of
+the degree-d coefficient of component k on piece p, and ``_den`` is one
+positive denominator shared by every entry.  Exactness is the point:
+continuity at breakpoints, directional combinations xi.phi, lifting to the
+torus, and the linear non-degeneracy decision are all settled in Python
+integers, which cannot overflow.  Floats appear only in numeric evaluation
+paths, and RealQ only in the ``pieces`` view and in returned values.
 
 Non-degeneracy: the flux is degenerate for a group basis (lambda_1..lambda_m)
 iff some nonzero integer vector kbar makes u -> (sum_j kbar_j lambda_j).phi(u)
 affine on some piece, i.e. kills every coefficient of degree >= 2 there.
 Each degree-d coefficient of the combination is sum_j kbar_j (lambda_j.c_d),
-an exact RealQ that vanishes iff all its rational coordinates do, so the
-witnesses on a piece form the integer kernel of the matrix with one row per
-(degree >= 2, basis coordinate) pair.  A polynomial with any nonzero
-coefficient of degree >= 2 is non-affine on every interval, so the per-piece
-test is complete.
+an exact vector of basis coordinates that vanishes iff all its coordinates
+do, so the witnesses on a piece form the integer kernel of the matrix with
+one row per (degree >= 2, basis coordinate) pair.  A polynomial with any
+nonzero coefficient of degree >= 2 is non-affine on every interval, so the
+per-piece test is complete.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .freqlattice import (
     FrequencyBasis,
     RealQ,
     SpectrumGroupBasis,
+    _as_fraction,
     integer_kernel,
 )
 
@@ -46,14 +52,49 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _as_realq(basis: FrequencyBasis, c) -> RealQ:
+def _coords(basis: FrequencyBasis, c) -> tuple[Fraction, ...]:
+    """Rational basis coordinates of a coefficient given as RealQ, list or rational."""
     if isinstance(c, RealQ):
         if c.basis != basis:
             raise ValueError("coefficient uses a different basis")
-        return c
+        return c.coeffs
     if isinstance(c, (list, tuple)):
-        return basis.real(c)
-    return basis.from_rational(c)
+        if len(c) != basis.dim:
+            raise ValueError(f"expected {basis.dim} coordinates, got {len(c)}")
+        return tuple(_as_fraction(x) for x in c)
+    return (_as_fraction(c),) + (Fraction(0),) * (basis.dim - 1)
+
+
+def _value(num, den: int, values) -> float:
+    """Float shadow of sum_i (num_i / den) e_i.
+
+    The same operations in the same order as ``RealQ.value``: int / int is
+    correctly rounded, as ``Fraction.__float__`` is, so the floats agree.
+    """
+    s = 0.0
+    for x, v in zip(num, values):
+        s += x / den * v
+    return s
+
+
+def _jump(left, right, a: int, b: int) -> list[int]:
+    """b^(L-1) (left - right)(a/b) per basis coordinate, L the longer length.
+
+    Homogeneous integer Horner: sum_d (l_d - r_d) a^d b^(L-1-d), which is
+    zero iff the two polynomials agree at a/b (b > 0).
+    """
+    size = max(len(left), len(right))
+    if not size:
+        return []
+    zero = (0,) * len((left or right)[0])
+    diff = [[x - y for x, y in zip(left[d] if d < len(left) else zero,
+                                   right[d] if d < len(right) else zero)]
+            for d in range(size)]
+    acc, w = diff[-1], 1
+    for c in diff[-2::-1]:
+        w *= b
+        acc = [x * a + y * w for x, y in zip(acc, c)]
+    return acc
 
 
 def _horner(c, x):
@@ -83,14 +124,20 @@ def _eval_exact(coeffs: tuple[RealQ, ...], basis: FrequencyBasis, u: Fraction) -
 class PiecewiseFlux:
     """Flux vector on [u_0, u_P] given piecewise by exact polynomials.
 
-    ``pieces[p][k]`` lists ascending-degree RealQ coefficients of component
-    k on [u_p, u_{p+1}].  Continuity at every interior breakpoint is checked
-    exactly at construction.  Evaluation clamps to the working range (with a
-    logged warning) and takes the right piece at interior breakpoints, the
-    left piece at u_P.
+    ``pieces[p][k]`` lists the ascending-degree coefficients of component k
+    on [u_p, u_{p+1}], each a RealQ, a list of rational basis coordinates or
+    a rational.  They are stored as one integer tensor, ``_num[p][k][d]`` a
+    q-tuple of numerators over the common denominator ``_den``, ragged in
+    degree as given; with ``den`` set, ``pieces`` already holds those
+    numerators (the form derived fluxes are built in).  The ``pieces``
+    attribute is a RealQ view of the tensor.  Continuity at every interior
+    breakpoint is checked exactly at construction.  Evaluation clamps to
+    the working range (with a logged warning) and takes the right piece at
+    interior breakpoints, the left piece at u_P.
     """
 
-    def __init__(self, basis: FrequencyBasis, breakpoints, pieces, urange=None):
+    def __init__(self, basis: FrequencyBasis, breakpoints, pieces, urange=None,
+                 *, den: int | None = None):
         self.basis = basis
         self.breakpoints = tuple(
             b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints
@@ -105,11 +152,18 @@ class PiecewiseFlux:
         ncomp = len(pieces[0])
         if ncomp < 1:
             raise ValueError("flux needs at least one component")
-        self.pieces = tuple(
-            tuple(tuple(_as_realq(basis, c) for c in comp) for comp in piece)
-            for piece in pieces
+        if den is None:
+            pieces = [[[_coords(basis, c) for c in comp] for comp in piece]
+                      for piece in pieces]
+            den = math.lcm(*(x.denominator for piece in pieces for comp in piece
+                             for c in comp for x in c))
+            pieces = [[[[x.numerator * (den // x.denominator) for x in c] for c in comp]
+                       for comp in piece] for piece in pieces]
+        self._den = den
+        self._num = tuple(
+            tuple(tuple(tuple(c) for c in comp) for comp in piece) for piece in pieces
         )
-        for piece in self.pieces:
+        for piece in self._num:
             if len(piece) != ncomp:
                 raise ValueError("all pieces must have the same component count")
         self.n = ncomp
@@ -125,30 +179,41 @@ class PiecewiseFlux:
             self.urange = (lo, hi)
         self._check_continuity()
         self._bp_f = np.array([float(b) for b in self.breakpoints])
-        deg = max((len(c) for piece in self.pieces for c in piece), default=1)
-        deg = max(deg, 1)
-        self._coef_f = np.zeros((len(self.pieces), ncomp, deg))
-        for p, piece in enumerate(self.pieces):
-            for k, comp in enumerate(piece):
-                for d, c in enumerate(comp):
-                    self._coef_f[p, k, d] = c.value
+        deg = max(1, max(len(comp) for piece in self._num for comp in piece))
+        values = basis.values
+        self._coef_f = np.array([
+            [[_value(c, den, values) for c in comp] + [0.0] * (deg - len(comp))
+             for comp in piece]
+            for piece in self._num
+        ], dtype=float)
         # derivative coefficients, ascending degree
         if deg > 1:
             self._dcoef_f = self._coef_f[:, :, 1:] * np.arange(1, deg)
         else:
-            self._dcoef_f = np.zeros((len(self.pieces), ncomp, 1))
+            self._dcoef_f = np.zeros((len(self._num), ncomp, 1))
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """``pieces[p][k][d]`` as RealQ, built from the integer tensor on first use."""
+        basis, den = self.basis, self._den
+        return tuple(
+            tuple(tuple(RealQ(basis, tuple(Fraction(x, den) for x in c)) for c in comp)
+                  for comp in piece)
+            for piece in self._num
+        )
 
     @property
     def npieces(self) -> int:
-        return len(self.pieces)
+        return len(self._num)
 
     def _check_continuity(self):
         for i in range(1, len(self.breakpoints) - 1):
             u = self.breakpoints[i]
             for k in range(self.n):
-                left = _eval_exact(self.pieces[i - 1][k], self.basis, u)
-                right = _eval_exact(self.pieces[i][k], self.basis, u)
-                if left != right:
+                if any(_jump(self._num[i - 1][k], self._num[i][k],
+                             u.numerator, u.denominator)):
+                    left = _eval_exact(self.pieces[i - 1][k], self.basis, u)
+                    right = _eval_exact(self.pieces[i][k], self.basis, u)
                     raise ValueError(
                         f"component {k} jumps at breakpoint {u}: "
                         f"{left.coeffs} != {right.coeffs}"
@@ -218,53 +283,114 @@ class NdVerdict:
     c: float | None = None
 
 
-def _dot(xi, piece, start: int = 0) -> list[RealQ]:
-    """Exact coefficients of u -> xi.phi(u) on one piece, degree ``start`` up.
+def _structure(basis: FrequencyBasis):
+    """Integer structure constants of the basis algebra, as (P, table, labels).
 
-    ``xi`` holds one RealQ per flux component; zero factors are skipped.
-    This is the one place where a frequency meets the flux coefficients.
+    e_i e_j = sum of (w / P) e_k over the pairs (k, w) in ``table[i][j]``.
+    Index 0 is the rational unit; a product of two irrational elements comes
+    from the basis product table, looked up as ``RealQ.__mul__`` does, and
+    is None when the basis does not declare it.
     """
-    zero = xi[0].basis.zero
-    terms = [(x, comp) for x, comp in zip(xi, piece) if not x.is_zero]
+    q = basis.dim
+    tab = basis.products or {}
+    declared = {(i, j): tab.get((i, j)) or tab.get((j, i))
+                for i in range(1, q) for j in range(1, q)}
+    entries = {ij: [_as_fraction(t) for t in e] for ij, e in declared.items() if e is not None}
+    den = math.lcm(*(t.denominator for e in entries.values() for t in e))
+    table = [[((i or j, den),) if not (i and j) else None for j in range(q)]
+             for i in range(q)]
+    for (i, j), e in entries.items():
+        table[i][j] = tuple((k, int(t * den)) for k, t in enumerate(e) if t)
+    return den, table, basis.labels
+
+
+def _mul_add(acc: list[int], x, c, mul):
+    """acc += x * c for two q-tuples of integer basis coordinates.
+
+    ``acc`` is over the product of the denominators of x, c and ``mul``.
+    Zero coordinates are skipped, so an undeclared product raises only when
+    both of its factors are nonzero.
+    """
+    _, table, labels = mul
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(c):
+            if not b:
+                continue
+            t = table[i][j]
+            if t is None:
+                raise ValueError(
+                    f"product of basis elements {labels[i]}*{labels[j]} "
+                    "is not declared; exact multiplication undefined"
+                )
+            ab = a * b
+            for k, w in t:
+                acc[k] += ab * w
+
+
+def _dot(xi, piece, mul, start: int = 0) -> list[tuple[int, ...]]:
+    """Integer coefficients of u -> xi.phi(u) on one piece, degree ``start`` up.
+
+    ``xi`` holds one q-tuple of integer numerators per flux component,
+    ``piece`` is one piece of a flux's integer tensor and ``mul`` the basis
+    structure constants from ``_structure``; the result is over the product
+    of the three denominators.  This is the one place where a frequency
+    meets the flux coefficients.
+    """
+    q = len(mul[1])
+    terms = [(x, comp) for x, comp in zip(xi, piece) if any(x)]
     out = []
     for d in range(start, max(len(comp) for comp in piece)):
-        acc = zero
+        acc = [0] * q
         for x, comp in terms:
-            if d < len(comp) and not comp[d].is_zero:
-                acc = acc + x * comp[d]
-        out.append(acc)
+            if d < len(comp):
+                _mul_add(acc, x, comp[d], mul)
+        out.append(tuple(acc))
     return out
 
 
-def _xi(kbar, gb: SpectrumGroupBasis, basis: FrequencyBasis) -> list[RealQ]:
-    """Coordinates of the group element sum_j kbar_j lambda_j."""
-    xi = [basis.zero] * gb.n
-    for kj, lam in zip(kbar, gb.frequencies):
+def _split(row, q: int) -> list[tuple[int, ...]]:
+    """A flat frequency row as one q-tuple of basis coordinates per component."""
+    return [tuple(row[i:i + q]) for i in range(0, len(row), q)]
+
+
+def _xi(kbar, gb: SpectrumGroupBasis, q: int) -> list[tuple[int, ...]]:
+    """Coordinates of sum_j kbar_j lambda_j, as numerators over ``gb._den``."""
+    flat = [0] * (gb.n * q)
+    for kj, row in zip(kbar, gb._hnf):
         if kj:
-            xi = [a + c.scale(kj) for a, c in zip(xi, lam.coords)]
-    return xi
+            flat = [a + kj * x for a, x in zip(flat, row)]
+    return _split(flat, q)
+
+
+def _check_basis(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
+    if gb.n != flux.n:
+        raise ValueError("group basis dimension disagrees with flux components")
+    if gb.rank and gb.basis != flux.basis:
+        raise ValueError("group basis and flux use different frequency bases")
 
 
 def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
     if gb.rank < 1:
         raise ValueError("group basis must have positive rank")
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
+    _check_basis(flux, gb)
 
 
 def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """Scalar piecewise polynomial u -> xi.phi(u), xi = sum_j kbar_j lambda_j.
 
-    Coefficients are exact RealQ; breakpoints and working range carry over.
+    Coefficients are exact; breakpoints and working range carry over.
     """
     kbar = tuple(int(k) for k in kbar)
     if len(kbar) != gb.rank:
         raise ValueError(f"kbar must have {gb.rank} entries")
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
-    xi = _xi(kbar, gb, flux.basis)
+    _check_basis(flux, gb)
+    mul = _structure(flux.basis)
+    xi = _xi(kbar, gb, flux.basis.dim)
     return PiecewiseFlux(flux.basis, flux.breakpoints,
-                         [[_dot(xi, piece)] for piece in flux.pieces], flux.urange)
+                         [[_dot(xi, piece, mul)] for piece in flux._num], flux.urange,
+                         den=gb._den * flux._den * mul[0])
 
 
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
@@ -299,26 +425,31 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     """Decide whether any nonzero kbar makes xi.phi affine on some piece."""
     _check_group(flux, gb)
     q = flux.basis.dim
-    for p, piece in enumerate(flux.pieces):
+    mul = _structure(flux.basis)
+    lams = [_split(row, q) for row in gb._hnf]
+    for p, piece in enumerate(flux._num):
         # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
-        dots = [_dot(lam.coords, piece, 2) for lam in gb.frequencies]
+        dots = [_dot(lam, piece, mul, 2) for lam in lams]
         rows = []
         for d in range(len(dots[0])):
             for qi in range(q):
-                row = [dot[d].coeffs[qi] for dot in dots]
+                row = [dot[d][qi] for dot in dots]
                 if any(row):
-                    rows.append(row)
+                    # a primitive row keeps the kernel and the numbers small
+                    g = math.gcd(*row)
+                    rows.append([x // g for x in row])
         kern = integer_kernel(rows, ncols=gb.rank)
         if kern:
             kbar = kern[0]
-            coeffs = _dot(_xi(kbar, gb, flux.basis), piece)
+            coeffs = _dot(_xi(kbar, gb, q), piece, mul)
+            den, values = gb._den * flux._den * mul[0], flux.basis.values
             return NdVerdict(
                 nondegenerate=False,
                 kbar=kbar,
                 piece=p,
                 interval=(flux.breakpoints[p], flux.breakpoints[p + 1]),
-                tau=coeffs[1].value if len(coeffs) > 1 else 0.0,
-                c=coeffs[0].value if coeffs else 0.0,
+                tau=_value(coeffs[1], den, values) if len(coeffs) > 1 else 0.0,
+                c=_value(coeffs[0], den, values) if coeffs else 0.0,
             )
     return NdVerdict(nondegenerate=True)
 
@@ -326,8 +457,11 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints."""
     _check_group(flux, gb)
-    pieces = [[_dot(lam.coords, piece) for lam in gb.frequencies] for piece in flux.pieces]
-    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange)
+    mul = _structure(flux.basis)
+    lams = [_split(row, flux.basis.dim) for row in gb._hnf]
+    pieces = [[_dot(lam, piece, mul) for lam in lams] for piece in flux._num]
+    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange,
+                         den=gb._den * flux._den * mul[0])
 
 
 def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
@@ -345,17 +479,18 @@ def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
     if a < bp[0] or b > bp[-1]:
         raise ValueError("[a, b] must lie inside the breakpoint span")
     basis = scalar_flux.basis
-    slope = intercept = None
+    zero = (0,) * basis.dim
+    pair = None
     for p in range(scalar_flux.npieces):
         if bp[p] >= b or bp[p + 1] <= a:
             continue
-        coeffs = scalar_flux.pieces[p][0]
-        if any(not c.is_zero for c in coeffs[2:]):
+        coeffs = scalar_flux._num[p][0]
+        if any(any(c) for c in coeffs[2:]):
             return None
-        s = coeffs[1] if len(coeffs) > 1 else basis.zero
-        t = coeffs[0] if coeffs else basis.zero
-        if slope is None:
-            slope, intercept = s, t
-        elif s != slope or t != intercept:
+        here = (coeffs[1] if len(coeffs) > 1 else zero, coeffs[0] if coeffs else zero)
+        if pair is None:
+            pair = here
+        elif here != pair:
             return None
-    return slope, intercept
+    den = scalar_flux._den
+    return tuple(basis.real([Fraction(x, den) for x in c]) for c in pair)

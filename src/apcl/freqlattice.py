@@ -291,8 +291,8 @@ def _row_hnf(mat: list[list[int]], ncols: int | None = None):
 
 
 def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    den = math.lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * den) for f in row]
+    den = math.lcm(*(f.denominator for f in row))
+    return [f.numerator * (den // f.denominator) for f in row]
 
 
 def integer_kernel(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
@@ -374,7 +374,10 @@ class SpectrumGroupBasis:
 
     ``frequencies`` are the m generators (Hermite rows mapped back to
     frequency space, not the inputs themselves); ``coords`` maps every
-    input frequency to its integer coordinate vector in Z^m.
+    input frequency to its integer coordinate vector in Z^m.  ``_hnf``
+    holds the same generators as flat integer rows (n blocks of q basis
+    coordinates) over the common denominator ``_den``; the exact flux
+    contractions read them from there.
     """
 
     basis: FrequencyBasis
@@ -419,7 +422,7 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
     q = basis.dim
     flat = [_flatten(f) for f in freqs]
     den = math.lcm(*(c.denominator for row in flat for c in row))
-    int_rows = [[int(c * den) for c in row] for row in flat]
+    int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in flat]
     work = [r for r in int_rows if any(r)]
     work, pivots = _row_hnf(work)
     hnf_rows = [tuple(r) for r in work[: len(pivots)]]
@@ -457,10 +460,10 @@ def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | 
     if freq.basis != gb.basis or freq.n != gb.n:
         raise ValueError("frequency does not match the group's basis/dimension")
     flat = _flatten(freq)
-    scaled = [c * gb._den for c in flat]
-    if any(c.denominator != 1 for c in scaled):
+    den = gb._den
+    if any(den % c.denominator for c in flat):
         return None
-    v = [int(c) for c in scaled]
+    v = [c.numerator * (den // c.denominator) for c in flat]
     if not gb.frequencies:
         return () if not any(v) else None
     ks = _solve_int_rows(list(gb._hnf), list(gb._pivots), v)

@@ -95,6 +95,20 @@ def _real(v, path) -> float:
     return x
 
 
+def _int(v, path) -> int:
+    """A JSON integer or an integral rational string; never a boolean or a float."""
+    f = _fraction(v, path)
+    if f.denominator != 1:
+        raise ConfigError(path, f"expected an integer, got {v!r}")
+    return int(f)
+
+
+def _ints(v, path) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list of integers, got {v!r}")
+    return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
 def _reals(v, path) -> tuple[float, ...]:
     if not isinstance(v, list):
         raise ConfigError(path, f"expected a list of numbers, got {v!r}")
@@ -109,9 +123,14 @@ def _parse_basis(d, path) -> FrequencyBasis:
         products = {}
         for i, entry in enumerate(d["products"]):
             p = f"{path}.products[{i}]"
-            if not (isinstance(entry, list) and len(entry) == 3):
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[2], list)):
                 raise ConfigError(p, "expected [i, j, [coords...]]")
-            products[(int(entry[0]), int(entry[1]))] = tuple(
+            ij = (_int(entry[0], f"{p}[0]"), _int(entry[1], f"{p}[1]"))
+            if not all(1 <= i < len(values) for i in ij):
+                raise ConfigError(p, f"indices must name irrational basis elements "
+                                     f"1..{len(values) - 1}")
+            products[ij] = tuple(
                 _fraction(c, f"{p}[2][{k}]") for k, c in enumerate(entry[2])
             )
     try:
@@ -190,9 +209,10 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
 def _parse_grid(v, path) -> TorusGrid:
     if not isinstance(v, list) or not v:
         raise ConfigError(path, "expected a list of cell counts")
+    shape = _ints(v, path)
     try:
-        return TorusGrid(tuple(int(n) for n in v))
-    except (TypeError, ValueError) as e:
+        return TorusGrid(shape)
+    except ValueError as e:
         raise ConfigError(path, str(e))
 
 
@@ -209,15 +229,47 @@ def _parse_solver(d, path) -> SolverConfig:
 def _parse_wave(d, path) -> dict:
     a = _fraction(_need(d, "a", path), f"{path}.a")
     b = _fraction(_need(d, "b", path), f"{path}.b")
-    kbar = _need(d, "kbar", path, list)
+    kbar = _ints(_need(d, "kbar", path), f"{path}.kbar")
     if not a < b:
         raise ConfigError(path, "need a < b")
     return {
         "a": a,
         "b": b,
-        "kbar": tuple(int(k) for k in kbar),
+        "kbar": kbar,
         "tau": _real(d["tau"], f"{path}.tau") if "tau" in d else None,
     }
+
+
+def _parse_thresholds(d, path) -> dict:
+    """Every bound a finite number; ``expect`` one of the two verdict names."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, "expected an object")
+    out = {}
+    for name, v in d.items():
+        if name == "expect":
+            if v not in ("degenerate", "nondegenerate"):
+                raise ConfigError(f"{path}.expect",
+                                  f"expected \"degenerate\" or \"nondegenerate\", got {v!r}")
+            out[name] = v
+        else:
+            out[name] = _real(v, f"{path}.{name}")
+    return out
+
+
+def _parse_prefix(d, path) -> str:
+    """A file-name stem inside the output directory.
+
+    Path separators (so also absolute paths), ``..`` and NUL are refused:
+    outputs are written as ``{prefix}_{name}`` inside ``--out``.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError("output", f"expected an object, got {type(d).__name__}")
+    prefix = d.get("prefix", "")
+    if not isinstance(prefix, str):
+        raise ConfigError(path, f"expected a string, got {prefix!r}")
+    if prefix == ".." or any(c in prefix for c in "/\\\0"):
+        raise ConfigError(path, f"must be a plain file-name stem inside --out, got {prefix!r}")
+    return prefix
 
 
 @dataclass
@@ -286,7 +338,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         cfg.solver = _parse_solver(d["solver"], "solver")
         cfg.cfl = cfg.solver.cfl
     if "steps" in d:
-        cfg.steps = int(d["steps"])
+        cfg.steps = _int(d["steps"], "steps")
         if cfg.steps < 1:
             raise ConfigError("steps", "need at least one step")
     if "cfl" in d:
@@ -298,16 +350,13 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     if "probes" in d:
         if not isinstance(d["probes"], list) or not d["probes"]:
             raise ConfigError("probes", "expected a non-empty list of integer vectors")
-        cfg.probes = tuple(
-            tuple(int(c) for c in p) for p in d["probes"]
-        )
+        cfg.probes = tuple(_ints(p, f"probes[{i}]") for i, p in enumerate(d["probes"]))
     if "offset" in d:
         cfg.offset = _reals(d["offset"], "offset")
     if "thresholds" in d:
-        if not isinstance(d["thresholds"], dict):
-            raise ConfigError("thresholds", "expected an object")
-        cfg.thresholds = dict(d["thresholds"])
-    cfg.prefix = str(d.get("output", {}).get("prefix", "")) if isinstance(d.get("output", {}), dict) else ""
+        cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds")
+    if "output" in d:
+        cfg.prefix = _parse_prefix(d["output"], "output.prefix")
 
     need = {
         "check-flux": [],
@@ -386,7 +435,7 @@ def _check_thresholds(cfg, checks) -> dict:
     for name, (value, direction) in checks.items():
         if name not in cfg.thresholds:
             continue
-        bound = float(cfg.thresholds[name])
+        bound = cfg.thresholds[name]
         ok = value <= bound if direction == "max" else value >= bound
         verdicts[name] = ok
     return verdicts
@@ -579,10 +628,12 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
                "rank": pb.m}
     cube = cfg.raw.get("cube")
     if cube:
-        radii = [float(r) for r in cube.get("radii", (50.0, 100.0, 200.0))]
+        if not isinstance(cube, dict):
+            raise ConfigError("cube", "expected an object")
+        radii = list(_reals(cube.get("radii", [50.0, 100.0, 200.0]), "cube.radii"))
         if radii != sorted(radii) or len(set(radii)) != len(radii):
             raise ConfigError("cube.radii", "radii must be strictly increasing")
-        spu = int(cube.get("samples_per_unit", 4))
+        spu = _int(cube.get("samples_per_unit", 4), "cube.samples_per_unit")
         torus_mean = final.mean()
         crows = [{
             "radius": r,

@@ -45,6 +45,29 @@ def test_construction_rejects_discontinuity():
         PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "1"]], [["1"]]])
 
 
+def test_continuity_jump_in_sqrt2_coordinate_only():
+    # equal rational parts at u = 0; the constant terms differ by sqrt2
+    with pytest.raises(ValueError, match="jumps"):
+        PiecewiseFlux(B2, [-1, 0, 1], [[[["0", "0"], ["1", "0"]]],
+                                       [[["0", "1"], ["1", "0"]]]])
+    PiecewiseFlux(B2, [-1, 0, 1], [[[["0", "1"], ["1", "0"]]],
+                                   [[["0", "1"], ["2", "0"]]]])
+
+
+def test_continuity_at_fractional_breakpoint_across_degrees():
+    # u^2 meets a constant or a cubic at u = 1/3, where u^2 = 1/9; either
+    # piece may be the longer one
+    left = ["0", "0", "1"]
+    for right, ok in ((["1/9"], True), (["1/10"], False),
+                      (["1/9", "0", "0", "27"], False), (["0", "0", "0", "3"], True)):
+        for pieces in ([[left], [right]], [[right], [left]]):
+            if ok:
+                PiecewiseFlux(B1, [-1, "1/3", 1], pieces)
+            else:
+                with pytest.raises(ValueError, match="jumps at breakpoint 1/3"):
+                    PiecewiseFlux(B1, [-1, "1/3", 1], pieces)
+
+
 def test_eval_vector_components():
     # (u^2/2, u^3/3) at u=-1 -> (0.5, -1/3)
     f = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "0", "0", "1/3"]]])
@@ -178,10 +201,11 @@ def _brute_force_witness(flux, gb, kmax=5):
     return None
 
 
-def _draw_case(data, plant=False):
+def _draw_case(data, plant=False, irrational=False):
     """A random continuous flux with n <= 2 components, deg 2, on up to two
     pieces, and a group of m <= 3 generators; with ``plant`` the drawn piece
-    is made affine so the flux is degenerate."""
+    is made affine so the flux is degenerate, and with ``irrational`` the
+    coefficients over {1, sqrt2} get a drawn sqrt2 coordinate too."""
     q = data.draw(st.integers(1, 2))
     basis = B1 if q == 1 else B2
     n = data.draw(st.integers(1, 2))
@@ -203,8 +227,12 @@ def _draw_case(data, plant=False):
     for p in range(npieces):
         comps = []
         for _ in range(n):
-            comps.append([basis.from_rational(data.draw(small))
-                          for _ in range(deg + 1)])
+            if irrational:
+                comps.append([basis.real(data.draw(st.lists(small, min_size=q, max_size=q)))
+                              for _ in range(deg + 1)])
+            else:
+                comps.append([basis.from_rational(data.draw(small))
+                              for _ in range(deg + 1)])
         pieces.append(comps)
     if plant:
         for comp in pieces[data.draw(st.integers(0, npieces - 1))]:
@@ -342,3 +370,72 @@ def test_witness_is_affine_part_of_directional(data):
     assert not v.nondegenerate  # the planted piece is affine
     slope, intercept = affine_on(directional(flux, v.kbar, gb), *v.interval)
     assert (v.tau, v.c) == (slope.value, intercept.value)
+
+
+def _ref_dot(xi, piece, basis):
+    """u -> xi.phi(u) on one piece by RealQ products and sums, all degrees."""
+    out = []
+    for d in range(max(len(comp) for comp in piece)):
+        acc = basis.zero
+        for x, comp in zip(xi, piece):
+            if d < len(comp):
+                acc = acc + x * comp[d]
+        out.append(acc)
+    return tuple(out)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_lift_and_directional_match_realq_arithmetic(data):
+    """The integer contraction equals RealQ sums of lam.coords[k] * comp[d]."""
+    flux, gb = _draw_case(data, irrational=True)
+    if gb.rank == 0:
+        return
+    basis = flux.basis
+    lifted = lift_flux(flux, gb)
+    want = tuple(tuple(_ref_dot(lam.coords, piece, basis) for lam in gb.frequencies)
+                 for piece in flux.pieces)
+    assert lifted.pieces == want
+    kbar = data.draw(st.lists(st.integers(-3, 3), min_size=gb.rank, max_size=gb.rank))
+    xi = [basis.zero] * gb.n
+    for kj, lam in zip(kbar, gb.frequencies):
+        xi = [a + c.scale(kj) for a, c in zip(xi, lam.coords)]
+    d = directional(flux, kbar, gb)
+    assert d.pieces == tuple((_ref_dot(xi, piece, basis),) for piece in flux.pieces)
+    assert np.array_equal(
+        d._coef_f[:, 0], [[c.value for c in piece[0]] for piece in d.pieces])
+
+
+B3 = FrequencyBasis(("1", "sqrt2", "sqrt3"), (1.0, 2 ** 0.5, 3 ** 0.5))
+
+
+def test_undeclared_product_raises_only_when_both_factors_are_irrational():
+    # sqrt3 u^2 against the frequency sqrt2: sqrt2*sqrt3 is not declared
+    flux = PiecewiseFlux(B3, [-1, 1], [[["0", "0", ["0", "0", "1"]]]])
+    gb = group_basis([Frequency.of(B3, [["0", "1", "0"]])])
+    for call in (lambda: lift_flux(flux, gb), lambda: directional(flux, (1,), gb),
+                 lambda: nondegeneracy_check(flux, gb)):
+        with pytest.raises(ValueError, match="sqrt2\\*sqrt3 is not declared"):
+            call()
+    # a rational factor on either side needs no product table
+    rational = group_basis([Frequency.of(B3, [["2", "0", "0"]])])
+    assert lift_flux(flux, rational).pieces[0][0][2].coeffs == (0, 0, 2)
+    plain = PiecewiseFlux(B3, [-1, 1], [[["0", "0", "1"]]])
+    assert lift_flux(plain, gb).pieces[0][0][2].coeffs == (0, 1, 0)
+    assert nondegeneracy_check(plain, gb).nondegenerate
+
+
+def test_fractional_product_table():
+    # basis {1, r} with r = 1/sqrt2, so r*r = 1/2: the structure constants
+    # have a denominator of their own
+    basis = FrequencyBasis(("1", "r"), (1.0, 2 ** -0.5),
+                           products={(1, 1): (Fraction(1, 2), Fraction(0))})
+    flux = PiecewiseFlux(basis, [-1, 1], [[["1", ["0", "1/3"], ["0", "3"]]]])
+    gb = group_basis([Frequency.of(basis, [["1", "2"]])])
+    (comp,) = lift_flux(flux, gb).pieces[0]
+    # (1 + 2r) * (1, r/3, 3r) = (1 + 2r, 1/3 + r/3, 3 + 3r)
+    third = Fraction(1, 3)
+    assert [c.coeffs for c in comp] == [(1, 2), (third, third), (3, 3)]
+    assert directional(flux, (1,), gb).pieces[0][0] == comp
+    v = nondegeneracy_check(flux, gb)
+    assert v.nondegenerate

@@ -126,6 +126,55 @@ BAD_NUMBERS = [
     pytest.param(contraction_config, ("cfl", "x"), id="cfl-string"),
 ]
 
+SQRT2_BASIS = {"labels": ["1", "sqrt2"], "values": [1.0, 2 ** 0.5]}
+
+
+def spectrum_config(**over):
+    return decay_config(kind="spectrum", probes=[[1]], **over)
+
+
+def products(*entries):
+    return ("basis", dict(SQRT2_BASIS, products=list(entries)))
+
+
+# configs that must fail to parse, with the field the error must name:
+# integer fields that are not integers, thresholds that are not finite
+# numbers, and output prefixes that would leave the output directory
+BAD_FIELDS = [
+    ("steps-string", contraction_config, ("steps", "abc"), "steps"),
+    ("steps-bool", contraction_config, ("steps", True), "steps"),
+    ("steps-float", contraction_config, ("steps", 2.7), "steps"),
+    ("grid-bool", decay_config, ("grid", [True]), "grid[0]"),
+    ("grid-float", decay_config, ("grid", [128.5]), "grid[0]"),
+    ("grids-string", lambda: wave_config(kind="convergence"),
+     ("grids", [[32], ["x"]]), "grids[1][0]"),
+    ("kbar-bool", wave_config, ("wave", "kbar", [True]), "wave.kbar[0]"),
+    ("kbar-float", wave_config, ("wave", "kbar", [2.7]), "wave.kbar[0]"),
+    ("probe-float", spectrum_config, ("probes", [[1.5]]), "probes[0][0]"),
+    ("probe-not-list", spectrum_config, ("probes", [1]), "probes[0]"),
+    ("products-index-bool", decay_config, products([True, 1, ["2", "0"]]),
+     "basis.products[0][0]"),
+    ("products-index-float", decay_config, products([1, 2.7, ["2", "0"]]),
+     "basis.products[0][1]"),
+    ("products-index-range", decay_config, products([1, 2, ["2", "0"]]),
+     "basis.products[0]"),
+    ("threshold-string", contraction_config,
+     ("thresholds", "max_step_increase", "abc"), "thresholds.max_step_increase"),
+    ("threshold-bool", contraction_config,
+     ("thresholds", "max_step_increase", True), "thresholds.max_step_increase"),
+    ("threshold-nan", decay_config,
+     ("thresholds", "final_l1_to_mean_max", "nan"), "thresholds.final_l1_to_mean_max"),
+    ("expect-typo", checkflux_config, ("thresholds", "expect", "degnerate"),
+     "thresholds.expect"),
+    ("prefix-parent", decay_config, ("output", {"prefix": "../../x"}), "output.prefix"),
+    ("prefix-absolute", decay_config, ("output", {"prefix": "/tmp/x"}), "output.prefix"),
+    ("prefix-subdir", decay_config, ("output", {"prefix": "a/b"}), "output.prefix"),
+    ("prefix-backslash", decay_config, ("output", {"prefix": "..\\x"}), "output.prefix"),
+    ("prefix-dotdot", decay_config, ("output", {"prefix": ".."}), "output.prefix"),
+    ("prefix-number", decay_config, ("output", {"prefix": 5}), "output.prefix"),
+    ("output-not-object", decay_config, ("output", "x"), "output"),
+]
+
 
 # --- parsing -------------------------------------------------------------------
 
@@ -174,6 +223,22 @@ def test_parse_config_bad_rational_names_path():
 def test_parse_config_rejects_bool_as_rational(make, edit):
     with pytest.raises(ConfigError):
         parse_config(edited(make, *edit))
+
+
+@pytest.mark.parametrize("make,edit,field",
+                         [pytest.param(*case[1:], id=case[0]) for case in BAD_FIELDS])
+def test_parse_config_names_bad_field(make, edit, field):
+    with pytest.raises(ConfigError) as e:
+        parse_config(edited(make, *edit))
+    assert e.value.path == field
+
+
+def test_parse_config_accepts_integer_strings_and_plain_prefix():
+    cfg = parse_config(contraction_config(steps="12", output={"prefix": "pair.v2"}))
+    assert cfg.steps == 12 and cfg.prefix == "pair.v2"
+    assert cfg.thresholds == {"max_step_increase": 1e-12}
+    assert parse_config(wave_config(thresholds={"min_final_ratio": "1/2"})
+                        ).thresholds == {"min_final_ratio": 0.5}
 
 
 def test_parse_config_accepts_rational_strings():
@@ -409,6 +474,7 @@ def test_cli_threshold_failure_exit_four(tmp_path):
 @pytest.mark.parametrize("make,edit", [
     pytest.param(decay_config, ("solver", DELETE), id="missing-solver"),
     *BAD_NUMBERS,
+    *(pytest.param(make, edit, id=name) for name, make, edit, _ in BAD_FIELDS),
 ])
 def test_cli_config_error_exit_two(tmp_path, capsys, make, edit):
     d = edited(make, *edit)
