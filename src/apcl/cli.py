@@ -1,7 +1,8 @@
 """Command line front end: one subcommand per experiment kind.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 validation or CFL
-refusal, 4 a configured threshold failed.
+refusal, 4 a configured threshold failed, 5 internal error (a broken
+invariant of the program itself, not of the config).
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (CflError, CounterexampleError, ValueError, AssertionError) as e:
+    except (CflError, CounterexampleError, ValueError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
+    except AssertionError as e:
+        print(f"internal error: {str(e) or 'assertion failed'}", file=sys.stderr)
+        return 5
     paths = report.save(args.out, prefix=cfg.prefix, plot=args.plot)
     for name in sorted(report.verdicts):
         print(f"{'PASS' if report.verdicts[name] else 'FAIL'} {name}")

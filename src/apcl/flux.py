@@ -231,12 +231,53 @@ class PiecewiseFlux:
         i = bisect.bisect_right(self.breakpoints, u) - 1
         return min(max(i, 0), self.npieces - 1)
 
-    def _clamp(self, u: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _inner(self) -> list[float]:
+        """The interior breakpoints as floats, in order."""
+        return self._bp_f[1:-1].tolist()
+
+    @cached_property
+    def _lip_pieces(self) -> tuple:
+        """Per component, one (u_p, u_{p+1}, top, rest, crit) per piece, as Python floats.
+
+        ``top`` and ``rest`` are the coefficients of phi_k' on the piece as
+        ``_dcoef_f`` holds them, the highest one and then the others in
+        descending degree (the order ``_horner`` takes them in); ``crit``
+        are the real roots of phi_k'' strictly inside the piece, where
+        |phi_k'| can peak between the ends.
+        """
+        bp = self._bp_f.tolist()
+        out = []
+        for k in range(self.n):
+            rows = []
+            for p in range(self.npieces):
+                c = self._dcoef_f[p, k].tolist()
+                u0, u1 = bp[p], bp[p + 1]
+                dd = np.trim_zeros(self._dcoef_f[p, k, 1:] * np.arange(1, len(c)), "b")
+                crit = []
+                if len(dd) > 1:
+                    # phi'' of degree >= 1: its real roots (a pair with a tiny
+                    # imaginary part is kept too, which can only raise the bound)
+                    crit = [float(r.real) for r in np.roots(dd[::-1])
+                            if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and u0 < r.real < u1]
+                rows.append((u0, u1, c[-1], tuple(c[-2::-1]), crit))
+            out.append(tuple(rows))
+        return tuple(out)
+
+    def _clamp(self, u: np.ndarray):
+        """``u`` clipped to the working range, with its least and greatest value.
+
+        The bounds skip NaN; they are None when ``u`` is empty, holds no
+        number, or had to be clipped (with a logged warning).
+        """
+        if not u.size:
+            return u, None, None
         lo, hi = self.urange
         # fmin/fmax skip NaN the way the elementwise comparisons below do
-        if not u.size or (np.fmin.reduce(u, axis=None) >= lo
-                          and np.fmax.reduce(u, axis=None) <= hi):
-            return u
+        umin = float(np.fmin.reduce(u, axis=None))
+        umax = float(np.fmax.reduce(u, axis=None))
+        if umin >= lo and umax <= hi:
+            return u, umin, umax
         bad = int(np.count_nonzero((u < lo) | (u > hi)))
         if bad:
             log.warning(
@@ -244,11 +285,11 @@ class PiecewiseFlux:
                 bad, lo, hi,
             )
             u = np.clip(u, lo, hi)
-        return u
+        return u, None, None
 
     def eval(self, u: float) -> np.ndarray:
         """All components at one point, with the tie rules of ``eval_component``."""
-        uu = self._clamp(np.asarray([float(u)]))
+        uu, _, _ = self._clamp(np.asarray([float(u)]))
         return np.array([self.eval_component(k, uu)[0] for k in range(self.n)])
 
     def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
@@ -256,11 +297,15 @@ class PiecewiseFlux:
 
         Returns a new array, which the caller may overwrite.
         """
-        u = self._clamp(np.asarray(u, dtype=float))
+        u, umin, umax = self._clamp(np.asarray(u, dtype=float))
         coef = self._coef_f[:, component]
-        if self.npieces == 1:
-            return _horner(coef[0], u)
-        # count of interior breakpoints <= u: ties go right, u_P stays in the last piece
+        # piece of u = count of interior breakpoints <= u: ties go right,
+        # u_P stays in the last piece
+        if umin is not None:
+            p = bisect.bisect_right(self._inner, umin)
+            if p == bisect.bisect_right(self._inner, umax):
+                # the whole range lies in one piece
+                return _horner(coef[p], u)
         idx = np.searchsorted(self._bp_f[1:-1], u, side="right")
         # one coefficient per cell: shape (degree,) + u.shape
         return _horner(coef.T.take(idx, axis=1), u)
@@ -396,9 +441,12 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
     """Per-component bound on |d phi_k/du| over [lo, hi], padded by 10%.
 
-    Samples the derivative at piece endpoints and on a 1024-point uniform
-    subdivision of each intersected piece; exact for the piecewise-affine
-    case up to the deliberate 1.1 safety factor.
+    The max of |phi_k'| over each intersected piece, taken at the two
+    clipped ends and at the real roots of phi_k'' strictly between them,
+    times the deliberate 1.1 safety factor.  phi_k' is evaluated in floats
+    with the operations of ``_horner``; where phi_k' is affine (flux degree
+    <= 2) its rounded values are monotone, so no point between the ends
+    can exceed them.
     """
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
@@ -406,17 +454,20 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
     rlo, rhi = flux.urange
     if lo < rlo - 1e-12 or hi > rhi + 1e-12:
         raise ValueError("[lo, hi] must lie inside the working range")
-    bp = flux._bp_f
     out = []
-    for k in range(flux.n):
+    for rows in flux._lip_pieces:
         best = 0.0
-        for p in range(flux.npieces):
-            a, b = max(bp[p], lo), min(bp[p + 1], hi)
+        for u0, u1, top, rest, crit in rows:
+            a, b = max(u0, lo), min(u1, hi)
             if a > b:
                 continue
-            us = np.linspace(a, b, 1024) if a < b else np.array([a])
-            vals = np.abs(_horner(flux._dcoef_f[p, k], us))
-            best = max(best, float(vals.max()))
+            for x in (a, b, *[t for t in crit if a < t < b]) if crit else (a, b):
+                # _horner's operations on one float, so numpy's bits
+                v = x * 0.0 + top
+                for ci in rest:
+                    v = v * x + ci
+                if abs(v) > best:
+                    best = abs(v)
         out.append(1.1 * best)
     return tuple(out)
 

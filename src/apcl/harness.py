@@ -48,7 +48,17 @@ __all__ = [
     "render_svg",
 ]
 
-KINDS = ("check-flux", "decay", "contraction", "counterexample", "convergence", "spectrum")
+# the experiment kinds, each with the threshold names it evaluates;
+# max_orbit_mean_error also needs a cube
+THRESHOLDS = {
+    "check-flux": ("expect",),
+    "decay": ("final_l1_to_mean_max",),
+    "contraction": ("max_step_increase",),
+    "counterexample": ("min_final_ratio", "max_final_error"),
+    "convergence": ("min_order",),
+    "spectrum": ("max_outside_coeff", "max_mean_drift", "max_orbit_mean_error"),
+}
+KINDS = tuple(THRESHOLDS)
 
 
 class ConfigError(ValueError):
@@ -240,12 +250,22 @@ def _parse_wave(d, path) -> dict:
     }
 
 
-def _parse_thresholds(d, path) -> dict:
-    """Every bound a finite number; ``expect`` one of the two verdict names."""
+def _parse_thresholds(d, path, kind: str, cube: bool) -> dict:
+    """Every bound a finite number; ``expect`` one of the two verdict names.
+
+    A name the run would not evaluate (a typo, another kind's threshold,
+    an orbit-mean bound without a cube) is refused: it would give no
+    verdict, and a config with no other threshold would pass vacuously.
+    """
     if not isinstance(d, dict):
         raise ConfigError(path, "expected an object")
+    known = [t for t in THRESHOLDS[kind] if cube or t != "max_orbit_mean_error"]
     out = {}
     for name, v in d.items():
+        if name not in known:
+            why = "needs a cube" if name in THRESHOLDS[kind] else \
+                f"not evaluated by kind {kind!r}"
+            raise ConfigError(f"{path}.{name}", f"{why}; expected one of {known}")
         if name == "expect":
             if v not in ("degenerate", "nondegenerate"):
                 raise ConfigError(f"{path}.expect",
@@ -354,7 +374,8 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     if "offset" in d:
         cfg.offset = _reals(d["offset"], "offset")
     if "thresholds" in d:
-        cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds")
+        cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds", cfg_kind,
+                                           bool(d.get("cube")))
     if "output" in d:
         cfg.prefix = _parse_prefix(d["output"], "output.prefix")
 

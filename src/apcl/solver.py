@@ -2,12 +2,14 @@
 
 Unsplit conservative update with a Rusanov numerical flux per axis,
 F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
-global viscosity per step and axis, a padded Lipschitz bound of the flux
-component over the current field range.  ``run`` computes the alphas once
-per step, takes dt from them and hands the same alphas to ``step``.  Under
-the CFL cap sum_j alpha_j dt/h_j <= 1/2 the update is monotone, hence
-conservative, max-principle stable, L1-contractive, and cell-entropy
-dissipative for the Kruzhkov-type numerical entropy flux
+global viscosity per step and axis: 1.1 times the max of |phi_j'| over the
+current field range, which ``lip_bound`` takes in closed form from the
+piece ends and the critical points of phi_j' between them.  ``run``
+computes the alphas once per step, takes dt from them and hands the same
+alphas to ``step``.  Under the CFL cap sum_j alpha_j dt/h_j <= 1/2 the
+update is monotone, hence conservative, max-principle stable,
+L1-contractive, and cell-entropy dissipative for the Kruzhkov-type
+numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 """
 

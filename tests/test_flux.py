@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from apcl.flux import (
     PiecewiseFlux,
@@ -153,6 +154,87 @@ def test_lip_bound_monotone_in_interval():
     (small,) = lip_bound(f, -0.5, 0.5)
     (big,) = lip_bound(f, -2.0, 2.0)
     assert small <= big
+
+
+def _ref_lip_bound(flux, lo, hi):
+    """The sampled bound: |phi_k'| on 1024 points of each intersected piece, times 1.1."""
+    lo, hi = float(lo), float(hi)
+    bp = flux._bp_f
+    out = []
+    for k in range(flux.n):
+        best = 0.0
+        for p in range(flux.npieces):
+            a, b = max(bp[p], lo), min(bp[p + 1], hi)
+            if a > b:
+                continue
+            us = np.linspace(a, b, 1024) if a < b else np.array([a])
+            best = max(best, float(np.abs(npoly.polyval(us, flux._dcoef_f[p, k])).max()))
+        out.append(1.1 * best)
+    return tuple(out)
+
+
+def _draw_low_degree_flux(data):
+    """A continuous flux with n <= 2 components of degree <= 2 (ragged) on
+    1-4 pieces, over {1} or {1, sqrt2}; breakpoints with small denominators,
+    so some float shadows are not the exact rationals."""
+    basis = data.draw(st.sampled_from([B1, B2]))
+    q = basis.dim
+    n = data.draw(st.integers(1, 2))
+    bps = sorted(data.draw(st.sets(
+        st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=2, max_size=5)))
+    small = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5)
+    pieces = []
+    for _ in range(len(bps) - 1):
+        comps = []
+        for _ in range(n):
+            deg = data.draw(st.integers(0, 2))
+            comps.append([basis.real(data.draw(st.lists(small, min_size=q, max_size=q)))
+                          for _ in range(deg + 1)])
+        pieces.append(comps)
+    for p in range(1, len(pieces)):
+        for k in range(n):
+            gap = (_eval_coeffs(pieces[p - 1][k], bps[p], basis)
+                   - _eval_coeffs(pieces[p][k], bps[p], basis))
+            pieces[p][k][0] = pieces[p][k][0] + gap
+    return PiecewiseFlux(basis, bps, pieces)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lip_bound_equals_sampled_bound_up_to_degree_two(data):
+    """phi' affine: the end points decide, so the old 1024-point bound is met bit for bit."""
+    flux = _draw_low_degree_flux(data)
+    rlo, rhi = flux.urange
+    point = st.one_of(st.sampled_from(flux._bp_f.tolist()),
+                      st.floats(min_value=rlo, max_value=rhi))
+    lo = data.draw(point)
+    hi = lo if data.draw(st.booleans()) else data.draw(point)
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert lip_bound(flux, lo, hi) == _ref_lip_bound(flux, lo, hi)
+
+
+def test_lip_bound_exact_max_above_degree_two():
+    """A cubic and a quartic piece whose |phi'| peaks inside: the bound is
+    at least the sampled one and 1.1 max|phi'| on a fine grid."""
+    # phi' = 3 - (u+1)^2 on [-2, 0] (peak 3 at u = -1), phi' = u^3 - 3u^2 + 2u
+    # on [0, 2] (peaks 2/(3 sqrt3) at u = 1 -+ 1/sqrt3, irrational)
+    f = PiecewiseFlux(B1, [-2, 0, 2], [[["-1/3", "2", "-1", "-1/3"]],
+                                       [["-1/3", "0", "1", "-1", "1/4"]]])
+    for lo, hi in [(-2.0, 2.0), (-1.5, -0.5), (0.0, 2.0), (0.1, 0.3), (0.5, 1.9),
+                   (-0.25, 1.0), (-1.0, -1.0)]:
+        (got,) = lip_bound(f, lo, hi)
+        (ref,) = _ref_lip_bound(f, lo, hi)
+        fine = 0.0
+        for p in range(f.npieces):
+            a, b = max(f._bp_f[p], lo), min(f._bp_f[p + 1], hi)
+            if a <= b:
+                us = np.linspace(a, b, 100_001)
+                fine = max(fine, float(np.abs(npoly.polyval(us, f._dcoef_f[p, 0])).max()))
+        assert got >= ref * (1 - 1e-12)
+        assert got >= 1.1 * fine * (1 - 1e-12)
+    assert lip_bound(f, -2.0, 2.0)[0] == pytest.approx(3.3, rel=1e-15)
+    # away from u = 0, where the cubic's phi'(0) = 2 counts too
+    assert lip_bound(f, 0.1, 1.9)[0] == pytest.approx(1.1 * 2 / (3 * 3 ** 0.5), rel=1e-12)
 
 
 def test_nd_burgers_nondegenerate():

@@ -130,6 +130,7 @@ SQRT2_BASIS = {"labels": ["1", "sqrt2"], "values": [1.0, 2 ** 0.5]}
 
 
 def spectrum_config(**over):
+    over.setdefault("thresholds", {"max_mean_drift": 1e-9})
     return decay_config(kind="spectrum", probes=[[1]], **over)
 
 
@@ -166,6 +167,17 @@ BAD_FIELDS = [
      ("thresholds", "final_l1_to_mean_max", "nan"), "thresholds.final_l1_to_mean_max"),
     ("expect-typo", checkflux_config, ("thresholds", "expect", "degnerate"),
      "thresholds.expect"),
+    # threshold names the run would never evaluate
+    ("threshold-typo", contraction_config, ("thresholds", {"max_step_increse": 1e-12}),
+     "thresholds.max_step_increse"),
+    ("threshold-other-kind", decay_config, ("thresholds", {"max_step_increase": 1e-12}),
+     "thresholds.max_step_increase"),
+    ("expect-not-check-flux", decay_config, ("thresholds", {"expect": "degenerate"}),
+     "thresholds.expect"),
+    ("check-flux-bound", checkflux_config, ("thresholds", {"min_order": 0.8}),
+     "thresholds.min_order"),
+    ("orbit-error-without-cube", spectrum_config,
+     ("thresholds", {"max_orbit_mean_error": 0.1}), "thresholds.max_orbit_mean_error"),
     ("prefix-parent", decay_config, ("output", {"prefix": "../../x"}), "output.prefix"),
     ("prefix-absolute", decay_config, ("output", {"prefix": "/tmp/x"}), "output.prefix"),
     ("prefix-subdir", decay_config, ("output", {"prefix": "a/b"}), "output.prefix"),
@@ -239,6 +251,16 @@ def test_parse_config_accepts_integer_strings_and_plain_prefix():
     assert cfg.thresholds == {"max_step_increase": 1e-12}
     assert parse_config(wave_config(thresholds={"min_final_ratio": "1/2"})
                         ).thresholds == {"min_final_ratio": 0.5}
+
+
+def test_parse_config_takes_the_thresholds_its_kind_evaluates():
+    cube = {"radii": [2.0, 4.0], "samples_per_unit": 2}
+    cfg = parse_config(spectrum_config(cube=cube, thresholds={
+        "max_outside_coeff": 1e-6, "max_mean_drift": 1e-9, "max_orbit_mean_error": 0.1}))
+    assert set(cfg.thresholds) == {"max_outside_coeff", "max_mean_drift",
+                                   "max_orbit_mean_error"}
+    cfg = parse_config(wave_config(thresholds={"min_final_ratio": 0.5, "max_final_error": 1}))
+    assert cfg.thresholds == {"min_final_ratio": 0.5, "max_final_error": 1.0}
 
 
 def test_parse_config_accepts_rational_strings():
@@ -404,7 +426,7 @@ def test_convergence_orders():
 
 
 def test_spectrum_probe_rejects_bad_probe_length():
-    d = decay_config(kind="spectrum")
+    d = spectrum_config()
     d["probes"] = [[0, 1]]
     with pytest.raises(ConfigError) as e:
         run_experiment(parse_config(d))
@@ -504,6 +526,20 @@ def test_cli_refusal_exit_three(tmp_path, capsys):
     rc = cli.main(["counterexample", "--config", cp, "--out", str(tmp_path)])
     assert rc == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):
+    # a broken invariant of the program is not a refusal of the config
+    def broken(cfg):
+        raise AssertionError("imaginary residue 1e-3 in cell averages")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    cp = write_config(tmp_path, decay_config())
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: imaginary residue") and "refused" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_plot_writes_svg(tmp_path):

@@ -1,5 +1,6 @@
 """Monotone scheme invariants: conservation, contraction, entropy, waves."""
 
+import logging
 import os
 from fractions import Fraction
 
@@ -437,33 +438,79 @@ def _three_piece_nd(m):
     return PiecewiseFlux(B1, ["-2", "-1/3", "2/5", "2"], pieces)
 
 
+# fields for the reference comparisons, on the pieces of _three_piece_nd
+# [-2, -1/3, 2/5, 2]; eval_component takes one Horner pass when the whole
+# field lies in one piece and gathers per-cell coefficients otherwise
+FIELDS = ("spread", "one-piece", "tie-at-min", "tie-at-max", "nan", "above", "below")
+
+
+def _field_values(kind, shape, rng):
+    """Values of one field kind, and the number of them outside [-2, 2]."""
+    if kind == "spread":
+        vals = rng.uniform(-2.0, 2.0, shape)
+        # breakpoints themselves: ties go right, the last (u_P = 2) goes left
+        flat = vals.reshape(-1)
+        flat[:5] = [-2.0, -1 / 3, 2 / 5, 2.0, 0.0]
+        flat[7::11] = 2 / 5
+        flat[9::13] = -1 / 3
+        return vals, 0
+    # strictly inside the middle piece
+    vals = rng.uniform(-0.3, 0.39, shape)
+    flat = vals.reshape(-1)
+    if kind == "tie-at-min":
+        # the min is the float shadow of -1/3, which goes right: still one piece
+        flat[::7] = -1 / 3
+    elif kind == "tie-at-max":
+        # the max is the shadow of 2/5, which goes right into the next piece
+        flat[::7] = 2 / 5
+    elif kind == "nan":
+        flat[::5] = np.nan
+    elif kind in ("above", "below"):
+        # partly outside the working range [-2, 2] on one side
+        flat[1::6] = 2.5 if kind == "above" else -3.0
+        return vals, len(flat[1::6])
+    return vals, 0
+
+
+def _clamp_counts(caplog):
+    return [r.args[0] for r in caplog.records if r.getMessage().startswith("clamped")]
+
+
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
-def test_fused_step_matches_reference_bitwise(shape, make_flux):
-    rng = np.random.default_rng(len(shape))
+def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
     flux = make_flux(len(shape))
-    vals = rng.uniform(-2.0, 2.0, shape)
-    # breakpoints themselves: ties go right, the last (u_P = 2) goes left
-    flat = vals.reshape(-1)
-    flat[:5] = [-2.0, -1 / 3, 2 / 5, 2.0, 0.0]
-    flat[7::11] = 2 / 5
-    flat[9::13] = -1 / 3
     g = TorusGrid(shape)
-    f = CellField(g, vals)
-    alphas = lip_bound(flux, f.vmin, f.vmax)
-    dt = cfl_dt(f, flux)
-    new = step(f, flux, dt)
-    assert np.array_equal(new.values, _ref_step(f, flux, dt, alphas))
-    for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
-        assert entropy_residual(f, new, flux, dt, k) == \
-            _ref_entropy_residual(f, new, flux, dt, k, alphas)
+    for kind in FIELDS:
+        vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
+        f = CellField(g, vals)
+        ok = not np.isnan(vals).any() and not bad
+        clipped = np.clip(vals, -2.0, 2.0)
+        alphas = lip_bound(flux, np.nanmin(clipped), np.nanmax(clipped))
+        dt = cfl_dt(f, flux) if ok else cfl_dt(f, flux, alphas=alphas)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="apcl.flux"):
+            new = step(f, flux, dt) if ok else step(f, flux, dt, alphas=alphas)
+        # one clamp warning per axis, counting every value outside the range
+        assert _clamp_counts(caplog) == ([bad] * len(shape) if bad else []), kind
+        assert np.array_equal(new.values, _ref_step(f, flux, dt, alphas), equal_nan=True), kind
+        if ok:
+            for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
+                assert entropy_residual(f, new, flux, dt, k) == \
+                    _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
 
 
-def test_eval_component_matches_polyval_on_breakpoints():
+def test_eval_component_matches_polyval_on_breakpoints(caplog):
     flux = _three_piece_nd(2)
-    u = np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, 1.75])
-    for j in range(2):
-        assert np.array_equal(flux.eval_component(j, u), _ref_eval_component(flux, j, u))
+    cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, 1.75]), 0)]
+    cases += [_field_values(kind, (40,), np.random.default_rng(7)) for kind in FIELDS]
+    for u, bad in cases:
+        for j in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="apcl.flux"):
+                got = flux.eval_component(j, u)
+            assert _clamp_counts(caplog) == ([bad] if bad else [])
+            assert np.array_equal(got, _ref_eval_component(flux, j, u), equal_nan=True)
 
 
 def test_run_calls_lip_bound_once_per_step(monkeypatch):
