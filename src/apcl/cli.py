@@ -1,8 +1,9 @@
 """Command line front end: one subcommand per experiment kind.
 
-Exit codes: 0 success, 2 bad config or arguments, 3 validation or CFL
-refusal, 4 a configured threshold failed, 5 internal error (a broken
-invariant of the program itself, not of the config).
+Exit codes: 0 every configured threshold holds, 2 bad config or
+arguments, 3 validation or CFL refusal, 4 a configured threshold failed
+or none is configured (no verdict), 5 internal error (a broken invariant
+of the program itself, not of the config).
 """
 
 from __future__ import annotations
@@ -10,17 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import KINDS, ConfigError, load_config, parse_config, run_experiment
+from .harness import EXPERIMENTS, ConfigError, load_config, parse_config, run_experiment
 from .solver import CflError, CounterexampleError
-
-_HELP = {
-    "check-flux": "decide nondegeneracy of a flux over a frequency group",
-    "decay": "evolve almost periodic data and track distance to its mean",
-    "contraction": "advance two data sets jointly and track their L1 distance",
-    "counterexample": "validate and evolve an exact traveling wave",
-    "convergence": "measure L1 error against an exact wave on refined grids",
-    "spectrum": "probe Fourier coefficients of the evolved lift",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,8 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite volume experiments for almost periodic conservation laws.",
     )
     sub = ap.add_subparsers(dest="kind", required=True, metavar="KIND")
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=_HELP[kind])
+    for kind, exp in EXPERIMENTS.items():
+        sp = sub.add_parser(kind, help=exp.help)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument("--plot", action="store_true", help="also write SVG plots")
@@ -41,10 +33,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(load_config(args.config), kind=args.kind)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         report = run_experiment(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -56,6 +44,8 @@ def main(argv=None) -> int:
         print(f"internal error: {str(e) or 'assertion failed'}", file=sys.stderr)
         return 5
     paths = report.save(args.out, prefix=cfg.prefix, plot=args.plot)
+    if report.passed is None:
+        print("NO VERDICT (no thresholds configured)")
     for name in sorted(report.verdicts):
         print(f"{'PASS' if report.verdicts[name] else 'FAIL'} {name}")
     for name in sorted(report.scalars):

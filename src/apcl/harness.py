@@ -15,24 +15,24 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from . import __version__
-from .flux import PiecewiseFlux, lift_flux, lip_bound, nondegeneracy_check
+from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, group_basis, in_lattice
 from .lift import lift_problem
 from .solver import (
     SolverConfig,
     TorusGrid,
-    cfl_dt,
+    advance,
     exact_cell_average,
     exact_counterexample,
     fourier_coeff,
     l1_distance,
     run,
-    step,
     write_field,
 )
 from .trigpoly import TrigPoly
@@ -47,19 +47,6 @@ __all__ = [
     "write_csv",
     "render_svg",
 ]
-
-# the experiment kinds, each with the threshold names it evaluates;
-# max_orbit_mean_error also needs a cube
-THRESHOLDS = {
-    "check-flux": ("expect",),
-    "decay": ("final_l1_to_mean_max",),
-    "contraction": ("max_step_increase",),
-    "counterexample": ("min_final_ratio", "max_final_error"),
-    "convergence": ("min_order",),
-    "spectrum": ("max_outside_coeff", "max_mean_drift", "max_orbit_mean_error"),
-}
-KINDS = tuple(THRESHOLDS)
-
 
 class ConfigError(ValueError):
     """Config validation failure; message starts with the field path."""
@@ -113,16 +100,26 @@ def _int(v, path) -> int:
     return int(f)
 
 
+def _at_least_one(v, path) -> int:
+    n = _int(v, path)
+    if n < 1:
+        raise ConfigError(path, f"must be at least 1, got {n}")
+    return n
+
+
+def _list(v, path, item, what: str, least: int = 0) -> tuple:
+    """A JSON list of at least ``least`` entries, each read by ``item(x, path)``."""
+    if not isinstance(v, list) or len(v) < least:
+        raise ConfigError(path, f"expected a list of {what}, got {v!r}")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
 def _ints(v, path) -> tuple[int, ...]:
-    if not isinstance(v, list):
-        raise ConfigError(path, f"expected a list of integers, got {v!r}")
-    return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return _list(v, path, _int, "integers")
 
 
 def _reals(v, path) -> tuple[float, ...]:
-    if not isinstance(v, list):
-        raise ConfigError(path, f"expected a list of numbers, got {v!r}")
-    return tuple(_real(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return _list(v, path, _real, "numbers")
 
 
 def _parse_basis(d, path) -> FrequencyBasis:
@@ -217,9 +214,7 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
 
 
 def _parse_grid(v, path) -> TorusGrid:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(path, "expected a list of cell counts")
-    shape = _ints(v, path)
+    shape = _list(v, path, _int, "cell counts", 1)
     try:
         return TorusGrid(shape)
     except ValueError as e:
@@ -236,39 +231,58 @@ def _parse_solver(d, path) -> SolverConfig:
         raise ConfigError(path, str(e))
 
 
+def _parse_cfl(v, path) -> float:
+    cfl = _real(v, path)
+    if not 0.0 < cfl <= 0.5:
+        raise ConfigError(path, "must lie in (0, 1/2]")
+    return cfl
+
+
 def _parse_wave(d, path) -> dict:
     a = _fraction(_need(d, "a", path), f"{path}.a")
     b = _fraction(_need(d, "b", path), f"{path}.b")
     kbar = _ints(_need(d, "kbar", path), f"{path}.kbar")
     if not a < b:
         raise ConfigError(path, "need a < b")
-    return {
-        "a": a,
-        "b": b,
-        "kbar": kbar,
-        "tau": _real(d["tau"], f"{path}.tau") if "tau" in d else None,
-    }
+    return {"a": a, "b": b, "kbar": kbar,
+            "tau": _real(d["tau"], f"{path}.tau") if "tau" in d else None}
 
 
-def _parse_thresholds(d, path, kind: str, cube: bool) -> dict:
-    """Every bound a finite number; ``expect`` one of the two verdict names.
+def _parse_cube(d, path) -> tuple[tuple[float, ...], int]:
+    """(radii, samples_per_unit): positive, strictly increasing radii."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, f"expected an object, got {type(d).__name__}")
+    radii = _reals(d.get("radii", [50.0, 100.0, 200.0]), f"{path}.radii")
+    if not radii or radii[0] <= 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(f"{path}.radii", "radii must be positive and strictly increasing")
+    return radii, _at_least_one(d.get("samples_per_unit", 4), f"{path}.samples_per_unit")
 
-    A name the run would not evaluate (a typo, another kind's threshold,
-    an orbit-mean bound without a cube) is refused: it would give no
-    verdict, and a config with no other threshold would pass vacuously.
+
+def _parse_flag(v, path) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(path, f"expected true or false, got {v!r}")
+    return v
+
+
+def _parse_thresholds(d, path, kind: str, raw: dict) -> dict:
+    """Every bound a finite number, or for ``expect`` one of the two verdict names.
+
+    A name the run would not evaluate (a typo, another kind's threshold, a
+    bound whose scalar needs a key the config lacks) is refused.
     """
     if not isinstance(d, dict):
         raise ConfigError(path, "expected an object")
-    known = [t for t in THRESHOLDS[kind] if cube or t != "max_orbit_mean_error"]
+    exp = EXPERIMENTS[kind]
+    known = [t for t, b in exp.thresholds.items() if b.needs is None or b.needs in raw]
     out = {}
     for name, v in d.items():
         if name not in known:
-            why = "needs a cube" if name in THRESHOLDS[kind] else \
-                f"not evaluated by kind {kind!r}"
+            bound = exp.thresholds.get(name)
+            why = f"needs a {bound.needs}" if bound else f"not evaluated by kind {kind!r}"
             raise ConfigError(f"{path}.{name}", f"{why}; expected one of {known}")
-        if name == "expect":
+        if exp.thresholds[name].direction == "expect":
             if v not in ("degenerate", "nondegenerate"):
-                raise ConfigError(f"{path}.expect",
+                raise ConfigError(f"{path}.{name}",
                                   f"expected \"degenerate\" or \"nondegenerate\", got {v!r}")
             out[name] = v
         else:
@@ -292,6 +306,10 @@ def _parse_prefix(d, path) -> str:
     return prefix
 
 
+# the keys every kind reads; the rest are declared per kind in EXPERIMENTS
+COMMON_KEYS = ("kind", "basis", "flux", "thresholds", "output")
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -309,6 +327,8 @@ class ExperimentConfig:
     wave: dict | None = None
     probes: tuple[tuple[int, ...], ...] | None = None
     offset: tuple[float, ...] | None = None
+    cube: tuple[tuple[float, ...], int] | None = None
+    dump_fields: bool = False
     thresholds: dict = field(default_factory=dict)
     prefix: str = ""
 
@@ -327,6 +347,11 @@ def load_config(path: str) -> dict:
 
 
 def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
+    """Every key the kind reads, parsed and checked before anything runs.
+
+    The kind's entry in ``EXPERIMENTS`` says which keys it requires and
+    which it may take; any other key is refused, as is a missing one.
+    """
     cfg_kind = d.get("kind", kind)
     if cfg_kind is None:
         raise ConfigError("kind", "missing required field")
@@ -334,64 +359,40 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError("kind", f"config says {cfg_kind!r} but {kind!r} was requested")
     if cfg_kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {cfg_kind!r}; expected one of {KINDS}")
+    exp = EXPERIMENTS[cfg_kind]
     basis = _parse_basis(_need(d, "basis", "", dict), "basis")
     flux = _parse_flux(_need(d, "flux", "", dict), basis, "flux")
     cfg = ExperimentConfig(kind=cfg_kind, raw=d, basis=basis, flux=flux)
-    if "initial" in d:
-        cfg.initial = _parse_trigpoly(d["initial"], basis, "initial")
-    if "initial_b" in d:
-        cfg.initial_b = _parse_trigpoly(d["initial_b"], basis, "initial_b")
-    if "group_frequencies" in d:
-        gfs = d["group_frequencies"]
-        if not isinstance(gfs, list) or not gfs:
-            raise ConfigError("group_frequencies", "expected a non-empty list")
-        cfg.group_frequencies = tuple(
-            _parse_frequency(m, basis, f"group_frequencies[{i}]") for i, m in enumerate(gfs)
-        )
-    if "grid" in d:
-        cfg.grid = _parse_grid(d["grid"], "grid")
-    if "grids" in d:
-        if not isinstance(d["grids"], list) or len(d["grids"]) < 2:
-            raise ConfigError("grids", "expected a list of at least two grids")
-        cfg.grids = tuple(_parse_grid(g, f"grids[{i}]") for i, g in enumerate(d["grids"]))
-    if "solver" in d:
-        cfg.solver = _parse_solver(d["solver"], "solver")
-        cfg.cfl = cfg.solver.cfl
-    if "steps" in d:
-        cfg.steps = _int(d["steps"], "steps")
-        if cfg.steps < 1:
-            raise ConfigError("steps", "need at least one step")
-    if "cfl" in d:
-        cfg.cfl = _real(d["cfl"], "cfl")
-        if not 0.0 < cfg.cfl <= 0.5:
-            raise ConfigError("cfl", "must lie in (0, 1/2]")
-    if "wave" in d:
-        cfg.wave = _parse_wave(d["wave"], "wave")
-    if "probes" in d:
-        if not isinstance(d["probes"], list) or not d["probes"]:
-            raise ConfigError("probes", "expected a non-empty list of integer vectors")
-        cfg.probes = tuple(_ints(p, f"probes[{i}]") for i, p in enumerate(d["probes"]))
-    if "offset" in d:
-        cfg.offset = _reals(d["offset"], "offset")
+    parsers = {
+        "initial": lambda v, p: _parse_trigpoly(v, basis, p),
+        "initial_b": lambda v, p: _parse_trigpoly(v, basis, p),
+        "group_frequencies": lambda v, p: _list(
+            v, p, lambda m, q: _parse_frequency(m, basis, q), "frequencies", 1),
+        "grid": _parse_grid,
+        "grids": lambda v, p: _list(v, p, _parse_grid, "at least two grids", 2),
+        "solver": _parse_solver,
+        "steps": _at_least_one,
+        "cfl": _parse_cfl,
+        "wave": _parse_wave,
+        "probes": lambda v, p: _list(v, p, _ints, "integer vectors", 1),
+        "offset": _reals,
+        "cube": _parse_cube,
+        "dump_fields": _parse_flag,
+    }
+    for key, parse in parsers.items():
+        if key in d and key in exp.keys:
+            setattr(cfg, key, parse(d[key], key))
     if "thresholds" in d:
-        cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds", cfg_kind,
-                                           bool(d.get("cube")))
+        cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds", cfg_kind, d)
     if "output" in d:
         cfg.prefix = _parse_prefix(d["output"], "output.prefix")
-
-    need = {
-        "check-flux": [],
-        "decay": ["initial", "grid", "solver"],
-        "contraction": ["initial", "initial_b", "grid"],
-        "counterexample": ["group_frequencies", "wave", "grid", "solver"],
-        "convergence": ["group_frequencies", "wave", "grids", "solver"],
-        "spectrum": ["initial", "probes", "grid", "solver"],
-    }[cfg_kind]
-    for name in need:
-        if getattr(cfg, name) is None:
-            raise ConfigError(name, f"required for kind {cfg_kind!r}")
-    if cfg_kind == "check-flux" and cfg.initial is None and cfg.group_frequencies is None:
-        raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
+    for key in d:
+        if key not in COMMON_KEYS and key not in exp.keys:
+            raise ConfigError(key, f"not read by kind {cfg_kind!r}; it reads "
+                                   f"{list(COMMON_KEYS + exp.keys)}")
+    for key in exp.required:
+        if key not in d:
+            raise ConfigError(key, f"required for kind {cfg_kind!r}")
     return cfg
 
 
@@ -408,8 +409,9 @@ class RunReport:
     version: str = __version__
 
     @property
-    def passed(self) -> bool:
-        return all(bool(v) for v in self.verdicts.values())
+    def passed(self) -> bool | None:
+        """True or False with thresholds configured; None (no verdict) without."""
+        return all(self.verdicts.values()) if self.verdicts else None
 
     def save(self, outdir: str, prefix: str = "", plot: bool = False) -> list[str]:
         os.makedirs(outdir, exist_ok=True)
@@ -420,6 +422,7 @@ class RunReport:
             "kind": self.kind,
             "config": self.config,
             "verdicts": self.verdicts,
+            "passed": self.passed,
             "scalars": self.scalars,
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
@@ -446,105 +449,71 @@ class RunReport:
         return paths
 
 
+# --- runners: each returns (tables, scalars, plots, fields) -----------------
+
 def _series_from_rows(rows, xkey, ykey, label):
     return (label, [r[xkey] for r in rows], [r[ykey] for r in rows])
 
 
-def _check_thresholds(cfg, checks) -> dict:
-    """checks: name -> (value, kind) with kind 'max' or 'min'."""
-    verdicts = {}
-    for name, (value, direction) in checks.items():
-        if name not in cfg.thresholds:
-            continue
-        bound = cfg.thresholds[name]
-        ok = value <= bound if direction == "max" else value >= bound
-        verdicts[name] = ok
-    return verdicts
+def _declared_group(cfg: ExperimentConfig):
+    """The group of ``group_frequencies``, or None to take the data's own."""
+    return None if cfg.group_frequencies is None else group_basis(list(cfg.group_frequencies))
 
 
-def _group_for(cfg: ExperimentConfig):
-    if cfg.group_frequencies is not None:
-        return group_basis(list(cfg.group_frequencies))
-    if cfg.initial is not None and cfg.initial.spectrum():
-        return group_basis(list(cfg.initial.spectrum()))
-    return None
-
-
-def _run_check_flux(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
-    gb = _group_for(cfg)
-    if gb is None or gb.rank == 0:
-        verdict_row = {"nondegenerate": True, "kbar": "", "piece": "",
-                       "interval_lo": "", "interval_hi": "", "tau": "", "c": ""}
-        nd = True
-    else:
-        v = nondegeneracy_check(cfg.flux, gb)
-        nd = v.nondegenerate
-        verdict_row = {
-            "nondegenerate": v.nondegenerate,
-            "kbar": "" if v.kbar is None else ",".join(map(str, v.kbar)),
-            "piece": "" if v.piece is None else v.piece,
-            "interval_lo": "" if v.interval is None else str(v.interval[0]),
-            "interval_hi": "" if v.interval is None else str(v.interval[1]),
-            "tau": "" if v.tau is None else v.tau,
-            "c": "" if v.c is None else v.c,
-        }
-    verdicts = {}
-    expect = cfg.thresholds.get("expect")
-    if expect is not None:
-        verdicts["expect"] = (expect == "nondegenerate") == nd
-    tables = {"verdict": ([verdict_row], list(verdict_row))}
-    scalars = {"nondegenerate": float(nd)}
-    return verdicts, tables, scalars, {}
+def _run_check_flux(cfg: ExperimentConfig):
+    if cfg.initial is None and cfg.group_frequencies is None:
+        raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
+    freqs = cfg.group_frequencies or tuple(cfg.initial.spectrum())
+    gb = group_basis(list(freqs)) if freqs else None
+    v = nondegeneracy_check(cfg.flux, gb) if gb is not None and gb.rank else NdVerdict(True)
+    row = {
+        "nondegenerate": v.nondegenerate,
+        "kbar": None if v.kbar is None else ",".join(map(str, v.kbar)),
+        "piece": v.piece,
+        "interval_lo": None if v.interval is None else str(v.interval[0]),
+        "interval_hi": None if v.interval is None else str(v.interval[1]),
+        "tau": v.tau,
+        "c": v.c,
+    }
+    row = {k: "" if x is None else x for k, x in row.items()}
+    return {"verdict": ([row], list(row))}, {"nondegenerate": float(v.nondegenerate)}, {}, {}
 
 
 def _run_decay(cfg: ExperimentConfig):
-    pb = lift_problem(cfg.initial, cfg.flux, frequencies=cfg.group_frequencies,
-                      z=cfg.offset)
+    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg), z=cfg.offset)
     traj = run(pb.v0, pb.flux, cfg.grid if pb.m else None, cfg.solver)
     rows = traj.rows
-    final = rows[-1]["l1_to_mean"]
-    verdicts = _check_thresholds(cfg, {"final_l1_to_mean_max": (final, "max")})
     tables = {"series": (rows, ["t", "l1_to_mean", "min", "max", "mass"])}
-    scalars = {"final_l1_to_mean": final, "mean": traj.mean, "rank": pb.m}
+    scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": traj.mean, "rank": pb.m}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")], True)}
-    fields = {"final": traj.fields[-1]} if cfg.raw.get("dump_fields") and traj.fields else {}
-    return verdicts, tables, scalars, plots, fields
+    fields = {"final": traj.fields[-1]} if cfg.dump_fields and traj.fields else {}
+    return tables, scalars, plots, fields
 
 
-def _run_contraction(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
-    freqs = list(cfg.initial.spectrum()) + list(cfg.initial_b.spectrum())
-    if cfg.group_frequencies:
-        freqs += list(cfg.group_frequencies)
-    pa = lift_problem(cfg.initial, cfg.flux, frequencies=freqs)
-    pft = lift_problem(cfg.initial_b, cfg.flux, frequencies=freqs)
+def _run_contraction(cfg: ExperimentConfig):
+    freqs = [*cfg.initial.spectrum(), *cfg.initial_b.spectrum(), *(cfg.group_frequencies or ())]
+    gb = group_basis(freqs)
+    pa = lift_problem(cfg.initial, cfg.flux, group=gb)
+    pb = lift_problem(cfg.initial_b, None, group=gb)
     if pa.m == 0:
         raise ValueError("contraction needs non-constant data")
     fa = exact_cell_average(pa.v0, cfg.grid)
-    fb = exact_cell_average(pft.v0, cfg.grid)
-    flux = pa.flux
+    fb = exact_cell_average(pb.v0, cfg.grid)
     rows = [{"step": 0, "t": 0.0, "l1_distance": l1_distance(fa, fb)}]
     t = 0.0
     worst_increase = 0.0
     for s in range(1, cfg.steps + 1):
-        # one operator for both fields: alphas over their joint range; dt is
-        # capped at unit time, the step a flux constant on that range gets
-        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-        dt = cfl_dt(fa, flux, cfg.cfl, t_remaining=1.0, alphas=alphas)
-        fa = step(fa, flux, dt, alphas=alphas)
-        fb = step(fb, flux, dt, alphas=alphas)
+        # dt is capped at unit time, the step a flux constant on the joint range gets
+        dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
         t += dt
         d = l1_distance(fa, fb)
         worst_increase = max(worst_increase, d - rows[-1]["l1_distance"])
         rows.append({"step": s, "t": t, "l1_distance": d})
-    verdicts = _check_thresholds(cfg, {"max_step_increase": (worst_increase, "max")})
     tables = {"series": (rows, ["step", "t", "l1_distance"])}
-    scalars = {
-        "initial_distance": rows[0]["l1_distance"],
-        "final_distance": rows[-1]["l1_distance"],
-        "max_step_increase": worst_increase,
-    }
+    scalars = {"initial_distance": rows[0]["l1_distance"],
+               "final_distance": rows[-1]["l1_distance"], "max_step_increase": worst_increase}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_distance", "l1_distance")], False)}
-    return verdicts, tables, scalars, plots
+    return tables, scalars, plots, {}
 
 
 def _wave_problem(cfg: ExperimentConfig):
@@ -553,11 +522,10 @@ def _wave_problem(cfg: ExperimentConfig):
         raise ValueError("wave experiments need a positive-rank group")
     wave = exact_counterexample(cfg.flux, gb, cfg.wave["a"], cfg.wave["b"],
                                 cfg.wave["kbar"], tau=cfg.wave["tau"])
-    lifted = lift_flux(cfg.flux, gb)
-    return wave, lifted
+    return wave, lift_flux(cfg.flux, gb)
 
 
-def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
+def _run_counterexample(cfg: ExperimentConfig):
     wave, lifted = _wave_problem(cfg)
     traj = run(wave.torus_poly(0.0), lifted, cfg.grid, cfg.solver)
     rows = []
@@ -566,56 +534,42 @@ def _run_counterexample(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
         r = dict(row)
         r["l1_error"] = l1_distance(f, ref)
         rows.append(r)
-    ratio = rows[-1]["l1_to_mean"] / rows[0]["l1_to_mean"]
-    verdicts = _check_thresholds(cfg, {
-        "min_final_ratio": (ratio, "min"),
-        "max_final_error": (rows[-1]["l1_error"], "max"),
-    })
     tables = {"series": (rows, ["t", "l1_to_mean", "l1_error", "min", "max", "mass"])}
-    scalars = {"final_ratio": ratio, "tau": wave.tau,
-               "final_error": rows[-1]["l1_error"]}
+    scalars = {"final_ratio": rows[-1]["l1_to_mean"] / rows[0]["l1_to_mean"],
+               "tau": wave.tau, "final_error": rows[-1]["l1_error"]}
     plots = {
         "series": ([
             _series_from_rows(rows, "t", "l1_to_mean", "numeric"),
             ("exact", [r["t"] for r in rows], [rows[0]["l1_to_mean"]] * len(rows)),
         ], False),
     }
-    fields = {"final": traj.fields[-1]} if cfg.raw.get("dump_fields") else {}
-    return verdicts, tables, scalars, plots, fields
+    fields = {"final": traj.fields[-1]} if cfg.dump_fields else {}
+    return tables, scalars, plots, fields
 
 
-def _run_convergence(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
+def _run_convergence(cfg: ExperimentConfig):
     wave, lifted = _wave_problem(cfg)
-    errors = []
+    rows, orders = [], []
     for g in cfg.grids:
         traj = run(wave.torus_poly(0.0), lifted, g, cfg.solver)
         ref = exact_cell_average(wave.torus_poly(cfg.solver.t_end), g)
-        errors.append(l1_distance(traj.fields[-1], ref))
-    rows = []
-    orders = []
-    for i, (g, e) in enumerate(zip(cfg.grids, errors)):
-        row = {"cells": int(np.prod(g.shape)), "h_max": max(g.h), "l1_error": e}
-        if i > 0 and e > 0 and errors[i - 1] > 0:
-            order = float(np.log(errors[i - 1] / e)
-                          / np.log(max(cfg.grids[i - 1].h) / max(g.h)))
-            orders.append(order)
-            row["order"] = order
-        else:
-            row["order"] = ""
+        e = l1_distance(traj.fields[-1], ref)
+        row = {"cells": int(np.prod(g.shape)), "h_max": max(g.h), "l1_error": e, "order": ""}
+        if rows and e > 0 and rows[-1]["l1_error"] > 0:
+            row["order"] = float(np.log(rows[-1]["l1_error"] / e)
+                                 / np.log(rows[-1]["h_max"] / row["h_max"]))
+            orders.append(row["order"])
         rows.append(row)
-    min_order = min(orders) if orders else 0.0
-    verdicts = _check_thresholds(cfg, {"min_order": (min_order, "min")})
     tables = {"errors": (rows, ["cells", "h_max", "l1_error", "order"])}
-    scalars = {"min_order": min_order, "tau": wave.tau}
+    scalars = {"min_order": min(orders) if orders else 0.0, "tau": wave.tau}
     plots = {"errors": ([
         ("l1_error", [r["cells"] for r in rows], [r["l1_error"] for r in rows]),
     ], True)}
-    return verdicts, tables, scalars, plots
+    return tables, scalars, plots, {}
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
-    pb = lift_problem(cfg.initial, cfg.flux, frequencies=cfg.group_frequencies,
-                      z=cfg.offset)
+def _run_spectrum(cfg: ExperimentConfig):
+    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg), z=cfg.offset)
     if pb.m == 0:
         raise ValueError("spectrum probing needs non-constant data")
     for i, p in enumerate(cfg.probes):
@@ -631,75 +585,117 @@ def _run_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict, dict, dict]:
         inside = in_lattice(list(p), image)
         if not inside:
             worst_outside = max(worst_outside, mag)
-        rows.append({
-            "kbar": ",".join(map(str, p)),
-            "magnitude": mag,
-            "in_group_image": inside,
-        })
-    mean_drift = abs(traj.rows[-1]["mass"] - pb.mean)
-    verdicts = _check_thresholds(cfg, {
-        "max_outside_coeff": (worst_outside, "max"),
-        "max_mean_drift": (mean_drift, "max"),
-    })
+        rows.append({"kbar": ",".join(map(str, p)), "magnitude": mag, "in_group_image": inside})
     tables = {
         "probes": (rows, ["kbar", "magnitude", "in_group_image"]),
         "series": (traj.rows, ["t", "l1_to_mean", "min", "max", "mass"]),
     }
-    scalars = {"max_outside_coeff": worst_outside, "mean_drift": mean_drift,
-               "rank": pb.m}
-    cube = cfg.raw.get("cube")
-    if cube:
-        if not isinstance(cube, dict):
-            raise ConfigError("cube", "expected an object")
-        radii = list(_reals(cube.get("radii", [50.0, 100.0, 200.0]), "cube.radii"))
-        if radii != sorted(radii) or len(set(radii)) != len(radii):
-            raise ConfigError("cube.radii", "radii must be strictly increasing")
-        spu = _int(cube.get("samples_per_unit", 4), "cube.samples_per_unit")
+    scalars = {"max_outside_coeff": worst_outside,
+               "mean_drift": abs(traj.rows[-1]["mass"] - pb.mean), "rank": pb.m}
+    if cfg.cube is not None:
+        radii, spu = cfg.cube
         torus_mean = final.mean()
-        crows = [{
-            "radius": r,
-            "orbit_mean": pb.orbit_mean(final, pb.z, r, spu),
-            "torus_mean": torus_mean,
-        } for r in radii]
-        for row in crows:
-            row["abs_error"] = abs(row["orbit_mean"] - row["torus_mean"])
+        crows = []
+        for r in radii:
+            om = pb.orbit_mean(final, pb.z, r, spu)
+            crows.append({"radius": r, "orbit_mean": om, "torus_mean": torus_mean,
+                          "abs_error": abs(om - torus_mean)})
         tables["cube"] = (crows, ["radius", "orbit_mean", "torus_mean", "abs_error"])
         scalars["orbit_mean_error"] = crows[-1]["abs_error"]
-        verdicts.update(_check_thresholds(
-            cfg, {"max_orbit_mean_error": (crows[-1]["abs_error"], "max")}))
     plots = {"series": ([_series_from_rows(traj.rows, "t", "l1_to_mean", "l1_to_mean")], False)}
-    fields = {"final": final} if cfg.raw.get("dump_fields") else {}
-    return verdicts, tables, scalars, plots, fields
+    fields = {"final": final} if cfg.dump_fields else {}
+    return tables, scalars, plots, fields
+
+
+# --- the experiment kinds ---------------------------------------------------
+
+class Bound(NamedTuple):
+    """What a threshold bounds: a scalar its runner reports, and how.
+
+    ``direction`` is "max" (scalar <= bound), "min" (scalar >= bound) or
+    "expect" (the bound names the verdict, "degenerate" or
+    "nondegenerate", that the 0/1 scalar must equal).  ``needs`` is the
+    config key without which the runner does not report the scalar.
+    """
+
+    scalar: str
+    direction: str
+    needs: str | None = None
+
+
+class Experiment(NamedTuple):
+    """One experiment kind: its help line, runner, config keys and thresholds."""
+
+    help: str
+    run: Callable[[ExperimentConfig], tuple[dict, dict, dict, dict]]
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    thresholds: dict[str, Bound]
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return self.required + self.optional
+
+
+# The only per-kind declaration: parse_config, the CLI and run_experiment
+# take everything kind-specific from here.
+EXPERIMENTS = {
+    "check-flux": Experiment(
+        "decide nondegeneracy of a flux over a frequency group", _run_check_flux,
+        required=(), optional=("initial", "group_frequencies"),
+        thresholds={"expect": Bound("nondegenerate", "expect")}),
+    "decay": Experiment(
+        "evolve almost periodic data and track distance to its mean", _run_decay,
+        required=("initial", "grid", "solver"),
+        optional=("group_frequencies", "offset", "dump_fields"),
+        thresholds={"final_l1_to_mean_max": Bound("final_l1_to_mean", "max")}),
+    "contraction": Experiment(
+        "advance two data sets jointly and track their L1 distance", _run_contraction,
+        required=("initial", "initial_b", "grid"),
+        optional=("group_frequencies", "steps", "cfl"),
+        thresholds={"max_step_increase": Bound("max_step_increase", "max")}),
+    "counterexample": Experiment(
+        "validate and evolve an exact traveling wave", _run_counterexample,
+        required=("group_frequencies", "wave", "grid", "solver"), optional=("dump_fields",),
+        thresholds={"min_final_ratio": Bound("final_ratio", "min"),
+                    "max_final_error": Bound("final_error", "max")}),
+    "convergence": Experiment(
+        "measure L1 error against an exact wave on refined grids", _run_convergence,
+        required=("group_frequencies", "wave", "grids", "solver"), optional=(),
+        thresholds={"min_order": Bound("min_order", "min")}),
+    "spectrum": Experiment(
+        "probe Fourier coefficients of the evolved lift", _run_spectrum,
+        required=("initial", "probes", "grid", "solver"),
+        optional=("group_frequencies", "offset", "cube", "dump_fields"),
+        thresholds={"max_outside_coeff": Bound("max_outside_coeff", "max"),
+                    "max_mean_drift": Bound("mean_drift", "max"),
+                    "max_orbit_mean_error": Bound("orbit_mean_error", "max", needs="cube")}),
+}
+KINDS = tuple(EXPERIMENTS)
+
+
+def _judge(cfg: ExperimentConfig, scalars: dict) -> dict:
+    """One verdict per configured threshold, against the scalar it names."""
+    verdicts = {}
+    for name, limit in cfg.thresholds.items():
+        scalar, direction, _ = EXPERIMENTS[cfg.kind].thresholds[name]
+        if scalar not in scalars:
+            raise AssertionError(f"threshold {name}: the run reported no {scalar!r}")
+        value = scalars[scalar]
+        if direction == "expect":
+            verdicts[name] = (limit == "nondegenerate") == bool(value)
+        else:
+            verdicts[name] = value <= limit if direction == "max" else value >= limit
+    return verdicts
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch one experiment; deterministic data, timing only in the report."""
+    """Run one experiment and judge its thresholds; timing only in the report."""
     t0 = time.perf_counter()
-    if cfg.kind == "check-flux":
-        out = _run_check_flux(cfg)
-    elif cfg.kind == "decay":
-        out = _run_decay(cfg)
-    elif cfg.kind == "contraction":
-        out = _run_contraction(cfg)
-    elif cfg.kind == "counterexample":
-        out = _run_counterexample(cfg)
-    elif cfg.kind == "convergence":
-        out = _run_convergence(cfg)
-    elif cfg.kind == "spectrum":
-        out = _run_spectrum(cfg)
-    else:  # pragma: no cover - parse_config already rejects
-        raise ConfigError("kind", f"unhandled kind {cfg.kind!r}")
-    verdicts, tables, scalars, plots, *rest = out
-    return RunReport(
-        kind=cfg.kind,
-        config=cfg.raw,
-        verdicts=verdicts,
-        tables=tables,
-        scalars=scalars,
-        plots=plots,
-        fields=rest[0] if rest else {},
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    tables, scalars, plots, fields = EXPERIMENTS[cfg.kind].run(cfg)
+    return RunReport(kind=cfg.kind, config=cfg.raw, verdicts=_judge(cfg, scalars),
+                     tables=tables, scalars=scalars, plots=plots, fields=fields,
+                     wall_clock_s=time.perf_counter() - t0)
 
 
 # --- CSV ----------------------------------------------------------------------

@@ -147,37 +147,28 @@ class LiftedProblem:
 
 
 def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
-                 frequencies=None, z=None) -> LiftedProblem:
+                 group: SpectrumGroupBasis | None = None, z=None) -> LiftedProblem:
     """Build the periodic twin of (u0, flux).
 
-    The group basis is computed from the data spectrum, or from an explicit
-    ``frequencies`` list (which must contain the spectrum in its group; this
-    deliberately enlarges m, e.g. to probe coefficients outside the data's
-    coordinate image).  Verifies the lift round trip u0(x) = v0(Lambda x) on
-    100 fixed pseudo-random points to 1e-10.
+    The group basis is computed from the data spectrum unless ``group`` is
+    given.  A given group must contain the spectrum; it may be larger, which
+    enlarges m (e.g. to probe coefficients outside the data's coordinate
+    image) or lets several data sets share one torus.  With ``flux`` None
+    only the data are lifted.  Verifies the lift round trip
+    u0(x) = v0(Lambda x) on 100 fixed pseudo-random points to 1e-10.
     """
     spectrum = list(u0.spectrum())
-    if frequencies is not None:
-        gb = group_basis(list(frequencies))
-    else:
-        if not spectrum:
-            gb = None
-        else:
-            gb = group_basis(spectrum)
+    gb = group
+    if gb is None and spectrum:
+        gb = group_basis(spectrum)
     if gb is not None and flux is not None and gb.n != flux.n:
         raise ValueError("flux component count must equal the data dimension")
     if gb is None or gb.rank == 0:
-        m = 0
-        v0 = TorusPoly(0, {(): complex(u0.mean)})
-        lam = np.zeros((0, u0.n))
-        return LiftedProblem(
-            basis=u0.basis,
-            group=gb if gb is not None else group_basis(
-                [Frequency(tuple(u0.basis.zero for _ in range(u0.n)))]
-            ),
-            m=0, v0=v0, flux=None, lam=lam,
-            z=(),
-        )
+        if gb is None:
+            gb = group_basis([Frequency(tuple(u0.basis.zero for _ in range(u0.n)))])
+        return LiftedProblem(basis=u0.basis, group=gb, m=0,
+                             v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
+                             lam=np.zeros((0, u0.n)), z=())
     m = gb.rank
     terms = {}
     for lamf in spectrum:

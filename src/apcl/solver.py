@@ -4,9 +4,10 @@ Unsplit conservative update with a Rusanov numerical flux per axis,
 F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
 global viscosity per step and axis: 1.1 times the max of |phi_j'| over the
 current field range, which ``lip_bound`` takes in closed form from the
-piece ends and the critical points of phi_j' between them.  ``run``
+piece ends and the critical points of phi_j' between them.  ``advance``
 computes the alphas once per step, takes dt from them and hands the same
-alphas to ``step``.  Under the CFL cap sum_j alpha_j dt/h_j <= 1/2 the
+alphas to ``step``; ``run`` and the harness's two-field contraction both
+step through it.  Under the CFL cap sum_j alpha_j dt/h_j <= 1/2 the
 update is monotone, hence conservative, max-principle stable,
 L1-contractive, and cell-entropy dissipative for the Kruzhkov-type
 numerical entropy flux
@@ -37,6 +38,7 @@ __all__ = [
     "exact_cell_average",
     "cfl_dt",
     "step",
+    "advance",
     "run",
     "l1_distance",
     "entropy_residual",
@@ -230,10 +232,9 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
          alphas: tuple[float, ...] | None = None) -> CellField:
     """One unsplit conservative update; refuses CFL violations.
 
-    ``alphas`` overrides the per-axis viscosities (``run`` passes the ones
-    it took dt from; two fields advanced by the same monotone operator,
-    e.g. for contraction comparisons, share them); the default recomputes
-    them from the field's own range.
+    ``alphas`` overrides the per-axis viscosities (``advance`` passes the
+    ones it took dt from, shared by every field it steps); the default
+    recomputes them from the field's own range.
     """
     g = f.grid
     if flux.n != g.m:
@@ -251,6 +252,28 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
     for j in range(1, g.m):
         div += _flux_difference(_faces(u, alphas, flux, j), j, dt * g.shape[j])
     return CellField(g, u - div)
+
+
+def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
+            *fields: CellField) -> tuple[float, list[CellField]]:
+    """One monotone step of every field with one operator; returns (dt, stepped fields).
+
+    Alphas over the joint range of the fields, dt from them (capped by
+    ``t_remaining``), then every field stepped with those alphas and dt.
+    """
+    # plain loops: in 1D this Python overhead is a visible part of a step
+    lo, hi = fields[0].vmin, fields[0].vmax
+    for f in fields:
+        if f.vmin < lo:
+            lo = f.vmin
+        if f.vmax > hi:
+            hi = f.vmax
+    alphas = lip_bound(flux, lo, hi)
+    dt = cfl_dt(fields[0], flux, cfl, t_remaining, alphas)
+    stepped = []
+    for f in fields:
+        stepped.append(step(f, flux, dt, alphas))
+    return dt, stepped
 
 
 def l1_distance(f: CellField, g: CellField) -> float:
@@ -315,7 +338,7 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
 
     Initial data are the exact cell averages of v0; each record row holds
     t, the L1 distance to the data mean C, field min/max, and mass.  Each
-    step computes the alphas once, takes dt from them and steps with them.
+    step is one ``advance``.
     Rank-zero data (constant, m = 0) shortcut to the constant solution and
     need neither flux nor grid.
     """
@@ -335,9 +358,7 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
     t = 0.0
     for target in times[1:]:
         while t < target - 1e-14:
-            alphas = lip_bound(flux, v.vmin, v.vmax)
-            dt = cfl_dt(v, flux, cfg.cfl, t_remaining=target - t, alphas=alphas)
-            v = step(v, flux, dt, alphas)
+            dt, (v,) = advance(flux, cfg.cfl, target - t, v)
             t += dt
         t = target
         rows.append(_observe(t, v, c))

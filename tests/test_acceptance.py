@@ -318,7 +318,7 @@ def _quasi_problem():
     rt2 = Frequency.of(B2, [[0, 1]])
     zero = Frequency.of(B2, [[0, 0]])
     u0 = TrigPoly(B2, 1, {zero: 0.3, one: -0.25j})
-    return lift_problem(u0, burgers(B2), frequencies=[one, rt2])
+    return lift_problem(u0, burgers(B2), group=group_basis([one, rt2]))
 
 
 def test_08_orbit_average():

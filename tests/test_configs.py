@@ -1,13 +1,18 @@
-"""Every shipped config runs through the CLI and passes its own thresholds."""
+"""Every shipped config runs through the CLI and passes its own thresholds;
+every script in ``scripts/`` runs to exit 0."""
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 from apcl import cli
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_configs_found():
@@ -22,3 +27,16 @@ def test_shipped_config_passes(path, tmp_path, capsys):
     verdicts = [line for line in out if line.startswith(("PASS ", "FAIL "))]
     assert rc == 0, out
     assert verdicts and all(line.startswith("PASS ") for line in verdicts), out
+
+
+def test_scripts_found():
+    assert len(SCRIPTS) >= 4
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_exits_zero(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_path(str(path), run_name="__main__")
+    assert e.value.code == 0, capsys.readouterr()
+    assert any(p.suffix == ".csv" for p in tmp_path.iterdir())

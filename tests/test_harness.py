@@ -4,11 +4,14 @@ import copy
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from apcl import cli
 from apcl.harness import (
+    EXPERIMENTS,
     KINDS,
     ConfigError,
     parse_config,
@@ -17,6 +20,8 @@ from apcl.harness import (
     write_csv,
 )
 from apcl.solver import read_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def decay_config(**over):
@@ -134,6 +139,10 @@ def spectrum_config(**over):
     return decay_config(kind="spectrum", probes=[[1]], **over)
 
 
+def cube_config(**over):
+    return spectrum_config(cube={"radii": [2.0, 4.0], "samples_per_unit": 2}, **over)
+
+
 def products(*entries):
     return ("basis", dict(SQRT2_BASIS, products=list(entries)))
 
@@ -185,6 +194,21 @@ BAD_FIELDS = [
     ("prefix-dotdot", decay_config, ("output", {"prefix": ".."}), "output.prefix"),
     ("prefix-number", decay_config, ("output", {"prefix": 5}), "output.prefix"),
     ("output-not-object", decay_config, ("output", "x"), "output"),
+    # keys the kind does not read
+    ("unknown-key", decay_config, ("tresholds", {"final_l1_to_mean_max": 0.3}), "tresholds"),
+    ("decay-cube", decay_config, ("cube", {"radii": [2.0, 4.0]}), "cube"),
+    ("decay-probes", decay_config, ("probes", [[1]]), "probes"),
+    ("decay-steps", decay_config, ("steps", 5), "steps"),
+    ("contraction-solver", contraction_config, ("solver", {"t_end": 1.0}), "solver"),
+    # keys read only at run time before: dump_fields and cube
+    ("dump-fields-string", decay_config, ("dump_fields", "no"), "dump_fields"),
+    ("dump-fields-int", decay_config, ("dump_fields", 1), "dump_fields"),
+    ("cube-radii-unsorted", cube_config, ("cube", "radii", [100, 50]), "cube.radii"),
+    ("cube-radii-empty", cube_config, ("cube", "radii", []), "cube.radii"),
+    ("cube-radii-negative", cube_config, ("cube", "radii", [-1, 2]), "cube.radii"),
+    ("cube-samples-zero", cube_config, ("cube", "samples_per_unit", 0),
+     "cube.samples_per_unit"),
+    ("cube-not-object", cube_config, ("cube", [2.0, 4.0]), "cube"),
 ]
 
 
@@ -261,6 +285,29 @@ def test_parse_config_takes_the_thresholds_its_kind_evaluates():
                                    "max_orbit_mean_error"}
     cfg = parse_config(wave_config(thresholds={"min_final_ratio": 0.5, "max_final_error": 1}))
     assert cfg.thresholds == {"min_final_ratio": 0.5, "max_final_error": 1.0}
+
+
+def test_parse_config_reads_cube_and_dump_fields():
+    cfg = parse_config(cube_config(dump_fields=True))
+    assert cfg.cube == ((2.0, 4.0), 2) and cfg.dump_fields is True
+    cfg = parse_config(spectrum_config(cube={}))
+    assert cfg.cube == ((50.0, 100.0, 200.0), 4) and cfg.dump_fields is False
+    assert parse_config(spectrum_config()).cube is None
+
+
+def test_bad_cube_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # the cube was read only after the solve; now parsing refuses it
+    def no_run(cfg):
+        pytest.fail("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    d = json.loads((CONFIGS / "spectrum_probe.json").read_text())
+    d["cube"]["radii"] = [100, 50]
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["spectrum", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "cube.radii" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_accepts_rational_strings():
@@ -433,6 +480,68 @@ def test_spectrum_probe_rejects_bad_probe_length():
     assert "probes" in str(e.value)
 
 
+def every_threshold_config(kind):
+    """A tiny config of ``kind`` that sets every threshold the kind declares."""
+    if kind == "counterexample":
+        return wave_config(thresholds={"min_final_ratio": 0.5, "max_final_error": 0.05})
+    if kind == "convergence":
+        d = wave_config(kind="convergence", grids=[[32], [64]], solver={"t_end": 0.25},
+                        thresholds={"min_order": 0.7})
+        del d["grid"]
+        return d
+    if kind == "spectrum":
+        return cube_config(thresholds={"max_outside_coeff": 1e-6, "max_mean_drift": 1e-9,
+                                       "max_orbit_mean_error": 0.1})
+    return {"check-flux": checkflux_config, "decay": decay_config,
+            "contraction": contraction_config}[kind]()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_threshold_is_judged_against_its_scalar(kind):
+    d = every_threshold_config(kind)
+    bounds = EXPERIMENTS[kind].thresholds
+    assert set(d["thresholds"]) == set(bounds)
+    rep = run_experiment(parse_config(d))
+    assert set(rep.verdicts) == set(bounds)
+    values = {name: rep.scalars[b.scalar] for name, b in bounds.items()}
+    # a bound at the reported value holds; one step past it fails
+    at, past = {}, {}
+    for name, b in bounds.items():
+        v = values[name]
+        if b.direction == "expect":
+            at[name] = "nondegenerate" if v else "degenerate"
+            past[name] = "degenerate" if v else "nondegenerate"
+        else:
+            at[name] = v
+            past[name] = float(np.nextafter(v, -np.inf if b.direction == "max" else np.inf))
+    held = run_experiment(parse_config(dict(d, thresholds=at)))
+    assert held.verdicts == dict.fromkeys(bounds, True) and held.passed is True
+    broken = run_experiment(parse_config(dict(d, thresholds=past)))
+    assert broken.verdicts == dict.fromkeys(bounds, False) and broken.passed is False
+    assert {name: broken.scalars[b.scalar] for name, b in bounds.items()} == values
+
+
+def test_threshold_without_its_scalar_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    silent = EXPERIMENTS["decay"]._replace(run=lambda cfg: ({}, {}, {}, {}))
+    monkeypatch.setitem(EXPERIMENTS, "decay", silent)
+    with pytest.raises(AssertionError, match="final_l1_to_mean"):
+        run_experiment(parse_config(decay_config()))
+    cp = write_config(tmp_path, decay_config())
+    assert cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err.startswith("internal error: threshold")
+
+
+def test_report_passed_is_none_without_thresholds(tmp_path):
+    assert run_experiment(parse_config(checkflux_config())).passed is True
+    failing = checkflux_config(thresholds={"expect": "nondegenerate"})
+    assert run_experiment(parse_config(failing)).passed is False
+    rep = run_experiment(parse_config(checkflux_config(thresholds={})))
+    assert rep.verdicts == {} and rep.passed is None
+    rep.save(str(tmp_path))
+    payload = json.loads((tmp_path / "check_flux_report.json").read_text())
+    assert payload["passed"] is None
+
+
 def test_report_save_layout(tmp_path):
     rep = run_experiment(parse_config(decay_config()))
     paths = rep.save(str(tmp_path), prefix="demo", plot=True)
@@ -481,6 +590,27 @@ def test_cli_pass_exit_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS final_l1_to_mean_max" in out
     assert (tmp_path / "out" / "decay_report.json").exists()
+
+
+@pytest.mark.parametrize("edit", [("thresholds", DELETE), ("thresholds", {})],
+                         ids=["missing", "empty"])
+def test_cli_no_thresholds_is_no_verdict(tmp_path, capsys, edit):
+    cp = write_config(tmp_path, edited(decay_config, *edit))
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    out = capsys.readouterr().out.splitlines()
+    assert "NO VERDICT (no thresholds configured)" in out
+    assert not any(line.startswith(("PASS ", "FAIL ")) for line in out)
+    # the outputs are still written
+    payload = json.loads((tmp_path / "out" / "decay_report.json").read_text())
+    assert payload["passed"] is None and payload["verdicts"] == {}
+    assert (tmp_path / "out" / "decay_series.csv").exists()
+
+
+def test_cli_help_comes_from_the_kind_table():
+    text = cli._build_parser().format_help()
+    for kind, exp in EXPERIMENTS.items():
+        assert kind in text and exp.help in text
 
 
 def test_cli_threshold_failure_exit_four(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from apcl.flux import PiecewiseFlux
-from apcl.freqlattice import Frequency, FrequencyBasis
+from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
 from apcl.lift import CubeMeanReport, cube_seminorm, interp_periodic, lift_problem
 from apcl.solver import CellField, TorusGrid, exact_cell_average
 from apcl.trigpoly import TorusPoly, TrigPoly, truncate
@@ -69,9 +69,19 @@ def test_lift_enlarged_group():
     rt2 = Frequency.of(B2, [[0, 1]])
     zero = Frequency.of(B2, [[0, 0]])
     u0 = TrigPoly(B2, 1, {zero: 0.3, one: -0.25j})
-    pb = lift_problem(u0, burgers(B2), frequencies=[one, rt2])
+    pb = lift_problem(u0, burgers(B2), group=group_basis([one, rt2]))
     assert pb.m == 2
     assert set(pb.v0.terms) == {(0, 0), (1, 0), (-1, 0)}
+
+
+def test_lift_data_only_on_a_shared_group():
+    # two data sets on one group: the second lift needs no flux of its own
+    u0 = quasi_data()
+    gb = group_basis(list(u0.spectrum()))
+    with_flux = lift_problem(u0, burgers(B2), group=gb)
+    data_only = lift_problem(u0, None, group=gb)
+    assert data_only.flux is None and data_only.group is with_flux.group is gb
+    assert data_only.v0.terms == with_flux.v0.terms
 
 
 def test_lift_rejects_data_outside_group():
@@ -79,7 +89,7 @@ def test_lift_rejects_data_outside_group():
     rt2 = Frequency.of(B2, [[0, 1]])
     u0 = TrigPoly(B2, 1, {rt2: -0.25j})
     with pytest.raises(ValueError):
-        lift_problem(u0, burgers(B2), frequencies=[one.scale(2)])
+        lift_problem(u0, burgers(B2), group=group_basis([one.scale(2)]))
 
 
 def test_interp_constant_field():

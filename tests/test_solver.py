@@ -14,6 +14,7 @@ from apcl.flux import PiecewiseFlux, lip_bound
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
 from apcl.solver import (
     CellField,
+    advance,
     CflError,
     CounterexampleError,
     SolverConfig,
@@ -149,6 +150,29 @@ def test_step_conserves_and_bounds():
         assert f2.vmin >= f.vmin - 1e-14
         assert f2.vmax <= f.vmax + 1e-14
         f = f2
+
+
+def test_advance_steps_every_field_with_one_operator():
+    rng = np.random.default_rng(7)
+    g = TorusGrid((64,))
+    fa = CellField(g, rng.uniform(-0.5, 0.5, 64))
+    flux = burgers_1d()
+    # one field: the alphas of its own range, dt from them, one step
+    alphas = lip_bound(flux, fa.vmin, fa.vmax)
+    dt = cfl_dt(fa, flux, 0.4, 0.5, alphas)
+    got_dt, (va,) = advance(flux, 0.4, 0.5, fa)
+    assert got_dt == dt
+    assert np.array_equal(va.values, step(fa, flux, dt, alphas).values)
+    assert advance(flux, 0.4, 1e-6, fa)[0] == 1e-6
+    # two fields: the alphas of the joint range, shared by both steps; the
+    # second field widens the range below, then above
+    for lo, hi in ((-1.5, 0.3), (-0.3, 1.5)):
+        fb = CellField(g, rng.uniform(lo, hi, 64))
+        joint = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        dt2, (wa, wb) = advance(flux, 0.4, 0.5, fa, fb)
+        assert dt2 == cfl_dt(fa, flux, 0.4, 0.5, joint) < dt
+        assert np.array_equal(wa.values, step(fa, flux, dt2, joint).values)
+        assert np.array_equal(wb.values, step(fb, flux, dt2, joint).values)
 
 
 def test_step_cfl_refusal():
