@@ -395,20 +395,6 @@ def _dot(xi, piece, mul, start: int = 0) -> list[tuple[int, ...]]:
     return out
 
 
-def _split(row, q: int) -> list[tuple[int, ...]]:
-    """A flat frequency row as one q-tuple of basis coordinates per component."""
-    return [tuple(row[i:i + q]) for i in range(0, len(row), q)]
-
-
-def _xi(kbar, gb: SpectrumGroupBasis, q: int) -> list[tuple[int, ...]]:
-    """Coordinates of sum_j kbar_j lambda_j, as numerators over ``gb._den``."""
-    flat = [0] * (gb.n * q)
-    for kj, row in zip(kbar, gb._hnf):
-        if kj:
-            flat = [a + kj * x for a, x in zip(flat, row)]
-    return _split(flat, q)
-
-
 def _check_basis(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
     if gb.n != flux.n:
         raise ValueError("group basis dimension disagrees with flux components")
@@ -432,10 +418,10 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
         raise ValueError(f"kbar must have {gb.rank} entries")
     _check_basis(flux, gb)
     mul = _structure(flux.basis)
-    xi = _xi(kbar, gb, flux.basis.dim)
+    xi = gb.vector(kbar)
     return PiecewiseFlux(flux.basis, flux.breakpoints,
                          [[_dot(xi, piece, mul)] for piece in flux._num], flux.urange,
-                         den=gb._den * flux._den * mul[0])
+                         den=gb.den * flux._den * mul[0])
 
 
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
@@ -477,10 +463,9 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     _check_group(flux, gb)
     q = flux.basis.dim
     mul = _structure(flux.basis)
-    lams = [_split(row, q) for row in gb._hnf]
     for p, piece in enumerate(flux._num):
         # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
-        dots = [_dot(lam, piece, mul, 2) for lam in lams]
+        dots = [_dot(lam, piece, mul, 2) for lam in gb.generators]
         rows = []
         for d in range(len(dots[0])):
             for qi in range(q):
@@ -492,8 +477,8 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
         kern = integer_kernel(rows, ncols=gb.rank)
         if kern:
             kbar = kern[0]
-            coeffs = _dot(_xi(kbar, gb, q), piece, mul)
-            den, values = gb._den * flux._den * mul[0], flux.basis.values
+            coeffs = _dot(gb.vector(kbar), piece, mul)
+            den, values = gb.den * flux._den * mul[0], flux.basis.values
             return NdVerdict(
                 nondegenerate=False,
                 kbar=kbar,
@@ -509,10 +494,9 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints."""
     _check_group(flux, gb)
     mul = _structure(flux.basis)
-    lams = [_split(row, flux.basis.dim) for row in gb._hnf]
-    pieces = [[_dot(lam, piece, mul) for lam in lams] for piece in flux._num]
+    pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
     return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange,
-                         den=gb._den * flux._den * mul[0])
+                         den=gb.den * flux._den * mul[0])
 
 
 def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):

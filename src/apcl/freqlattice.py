@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -245,7 +246,7 @@ class Frequency:
 # ---------------------------------------------------------------------------
 # Integer lattice routines.
 
-def _row_hnf(mat: list[list[int]], ncols: int | None = None):
+def _hermite(mat: list[list[int]], ncols: int | None = None):
     """In-place row Hermite reduction; returns (rows, pivot_columns).
 
     Only the first ``ncols`` columns are eligible for pivots (rows may be
@@ -327,11 +328,11 @@ def integer_kernel(rows: Sequence[Sequence], ncols: int | None = None) -> list[t
         [int_rows[i][j] for i in range(nprof)] + [int(i == j) for i in range(m)]
         for j in range(m)
     ]
-    work, pivots = _row_hnf(work, ncols=nprof)
+    work, pivots = _hermite(work, ncols=nprof)
     kernel = [row[nprof:] for row in work[len(pivots):]]
     if not kernel:
         return []
-    kernel, _ = _row_hnf(kernel)
+    kernel, _ = _hermite(kernel)
     out = []
     for vec in kernel:
         if not any(vec):
@@ -349,7 +350,7 @@ def in_lattice(vec: Sequence[int], basis_vectors: Sequence[Sequence[int]]) -> bo
     if not basis_vectors:
         return not any(vec)
     mat = [list(b) for b in basis_vectors]
-    mat, pivots = _row_hnf(mat)
+    mat, pivots = _hermite(mat)
     return _solve_int_rows(mat[: len(pivots)], pivots, list(vec)) is not None
 
 
@@ -370,101 +371,94 @@ def _solve_int_rows(hnf_rows, pivot_cols, v: list[int]):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumGroupBasis:
-    """Canonical generating set of the group spanned by input frequencies.
+    """The additive group spanned by a finite set of frequencies, held once.
 
-    ``frequencies`` are the m generators (Hermite rows mapped back to
-    frequency space, not the inputs themselves); ``coords`` maps every
-    input frequency to its integer coordinate vector in Z^m.  ``_hnf``
-    holds the same generators as flat integer rows (n blocks of q basis
-    coordinates) over the common denominator ``_den``; the exact flux
-    contractions read them from there.
+    ``rows`` are its canonical Hermite rows, the generators lambda_j as
+    integer vectors of n blocks of q basis coordinates over the common
+    denominator ``den``, with pivot columns ``pivots``.  Only this module
+    reads that layout: the flux takes the generators and their integer
+    combinations as per-component q-tuples (``generators``, ``vector``),
+    and ``frequencies`` is the same generators in frequency space.
     """
 
     basis: FrequencyBasis
     n: int
-    frequencies: tuple[Frequency, ...]
-    coords: dict
-    _hnf: tuple = field(repr=False, default=())
-    _pivots: tuple = field(repr=False, default=())
-    _den: int = field(repr=False, default=1)
+    rows: tuple[tuple[int, ...], ...] = ()
+    pivots: tuple[int, ...] = ()
+    den: int = 1
 
     @property
     def rank(self) -> int:
-        return len(self.frequencies)
+        return len(self.rows)
+
+    def _blocks(self, row) -> list[tuple[int, ...]]:
+        q = self.basis.dim
+        return [tuple(row[i:i + q]) for i in range(0, len(row), q)]
+
+    @cached_property
+    def generators(self) -> tuple[list[tuple[int, ...]], ...]:
+        """lambda_j as one q-tuple of numerators over ``den`` per component."""
+        return tuple(self._blocks(row) for row in self.rows)
+
+    def vector(self, kbar) -> list[tuple[int, ...]]:
+        """sum_j kbar_j lambda_j, one q-tuple of numerators over ``den`` per component."""
+        flat = [0] * (self.n * self.basis.dim)
+        for kj, row in zip(kbar, self.rows):
+            if kj:
+                flat = [a + kj * x for a, x in zip(flat, row)]
+        return self._blocks(flat)
+
+    @cached_property
+    def frequencies(self) -> tuple[Frequency, ...]:
+        """The generators as frequencies, built on first use."""
+        return tuple(Frequency(tuple(self.basis.real([Fraction(x, self.den) for x in c])
+                                     for c in comp))
+                     for comp in self.generators)
 
 
-def _flatten(freq: Frequency) -> list[Fraction]:
-    return [c for coord in freq.coords for c in coord.coeffs]
+def _numerators(freq: Frequency, den: int) -> list[int] | None:
+    """The flat coordinates of ``freq`` times ``den``, or None if not all integers."""
+    flat = [c for coord in freq.coords for c in coord.coeffs]
+    if any(den % c.denominator for c in flat):
+        return None
+    return [c.numerator * (den // c.denominator) for c in flat]
 
 
 def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
     """Smallest additive group containing the given frequencies.
 
     Rational coordinate rows are scaled by one global denominator (per-row
-    scaling would change the generated group), Hermite-reduced over Z, and
-    the nonzero rows mapped back.  Rank 0 for an empty or all-zero
-    spectrum.
+    scaling would change the generated group) and Hermite-reduced over Z.
+    Rank 0 for an empty or all-zero spectrum; an empty one has no basis or
+    dimension, so it gets the rational basis and n = 1.
     """
-    freqs = []
-    for f in spectrum:
-        if f not in freqs:
-            freqs.append(f)
+    freqs = list(spectrum)
     if not freqs:
-        # rank 0; basis/dimension unknowable, so degenerate placeholders
-        return SpectrumGroupBasis(
-            basis=FrequencyBasis.rational(), n=1, frequencies=(), coords={}
-        )
-    basis = freqs[0].basis
-    n = freqs[0].n
+        return SpectrumGroupBasis(FrequencyBasis.rational(), 1)
+    basis, n = freqs[0].basis, freqs[0].n
     for f in freqs:
         if f.basis != basis or f.n != n:
             raise ValueError("spectrum frequencies disagree in basis or dimension")
-    q = basis.dim
-    flat = [_flatten(f) for f in freqs]
-    den = math.lcm(*(c.denominator for row in flat for c in row))
-    int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in flat]
-    work = [r for r in int_rows if any(r)]
-    work, pivots = _row_hnf(work)
-    hnf_rows = [tuple(r) for r in work[: len(pivots)]]
-    gens = tuple(
-        Frequency.of(
-            basis,
-            [[Fraction(row[i * q + j], den) for j in range(q)] for i in range(n)],
-        )
-        for row in hnf_rows
-    )
-    coords = {}
-    for f, iv in zip(freqs, int_rows):
-        ks = _solve_int_rows(hnf_rows, pivots, list(iv))
-        assert ks is not None, "input frequency must lie in its own group"
-        coords[f] = tuple(ks)
-    return SpectrumGroupBasis(
-        basis=basis,
-        n=n,
-        frequencies=gens,
-        coords=coords,
-        _hnf=hnf_rows,
-        _pivots=tuple(pivots),
-        _den=den,
-    )
+    den = math.lcm(*(c.denominator for f in freqs for coord in f.coords
+                     for c in coord.coeffs))
+    int_rows = list(dict.fromkeys(tuple(_numerators(f, den)) for f in freqs))
+    work, pivots = _hermite([list(r) for r in int_rows if any(r)])
+    gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
+                            tuple(pivots), den)
+    for r in int_rows:
+        assert _solve_int_rows(gb.rows, gb.pivots, list(r)) is not None, \
+            "input frequency must lie in its own group"
+    return gb
 
 
 def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | None:
     """Integer coordinates of ``freq`` over the group basis, or None.
 
-    None when the exact rational solve has no solution or a non-integer
-    one (the frequency lies outside the group).
+    None when the exact solve has no integer solution (the frequency lies
+    outside the group).
     """
-    if freq in gb.coords:
-        return gb.coords[freq]
     if freq.basis != gb.basis or freq.n != gb.n:
         raise ValueError("frequency does not match the group's basis/dimension")
-    flat = _flatten(freq)
-    den = gb._den
-    if any(den % c.denominator for c in flat):
-        return None
-    v = [c.numerator * (den // c.denominator) for c in flat]
-    if not gb.frequencies:
-        return () if not any(v) else None
-    ks = _solve_int_rows(list(gb._hnf), list(gb._pivots), v)
-    return tuple(ks) if ks is not None else None
+    v = _numerators(freq, gb.den)
+    ks = None if v is None else _solve_int_rows(gb.rows, gb.pivots, v)
+    return None if ks is None else tuple(ks)

@@ -56,9 +56,22 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _need(d, key, path, typ=None):
+def _object(d, path, keys, reader: str | None = None) -> dict:
+    """``d`` as a JSON object, refusing any key not in ``keys``.
+
+    ``reader`` names what reads the object in the message; it defaults to
+    the object's path.
+    """
     if not isinstance(d, dict):
         raise ConfigError(path, f"expected an object, got {type(d).__name__}")
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"not read by {reader or path}; it reads {list(keys)}")
+    return d
+
+
+def _need(d: dict, key, path, typ=None):
     sub = f"{path}.{key}" if path else key
     if key not in d:
         raise ConfigError(sub, "missing required field")
@@ -122,26 +135,36 @@ def _reals(v, path) -> tuple[float, ...]:
     return _list(v, path, _real, "numbers")
 
 
+def _label(v, path) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(path, f"expected a string, got {v!r}")
+    return v
+
+
 def _parse_basis(d, path) -> FrequencyBasis:
-    labels = _need(d, "labels", path, list)
-    values = _need(d, "values", path, list)
+    _object(d, path, ("labels", "values", "products"))
+    labels = _list(_need(d, "labels", path), f"{path}.labels", _label, "strings")
+    values = _reals(_need(d, "values", path), f"{path}.values")
+    dim = len(values)
+
+    def product(entry, p):
+        """[i, j, [coords...]]: the exact coordinates of e_i e_j."""
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ConfigError(p, "expected [i, j, [coords...]]")
+        ij = (_int(entry[0], f"{p}[0]"), _int(entry[1], f"{p}[1]"))
+        if not all(1 <= i < dim for i in ij):
+            raise ConfigError(p, f"indices must name irrational basis elements 1..{dim - 1}")
+        coords = _list(entry[2], f"{p}[2]", _fraction, "rationals")
+        if len(coords) != dim:
+            raise ConfigError(f"{p}[2]", f"expected {dim} coordinates, got {len(coords)}")
+        return ij, coords
+
     products = None
     if "products" in d:
-        products = {}
-        for i, entry in enumerate(d["products"]):
-            p = f"{path}.products[{i}]"
-            if not (isinstance(entry, list) and len(entry) == 3
-                    and isinstance(entry[2], list)):
-                raise ConfigError(p, "expected [i, j, [coords...]]")
-            ij = (_int(entry[0], f"{p}[0]"), _int(entry[1], f"{p}[1]"))
-            if not all(1 <= i < len(values) for i in ij):
-                raise ConfigError(p, f"indices must name irrational basis elements "
-                                     f"1..{len(values) - 1}")
-            products[ij] = tuple(
-                _fraction(c, f"{p}[2][{k}]") for k, c in enumerate(entry[2])
-            )
+        products = dict(_list(d["products"], f"{path}.products", product,
+                              "products [i, j, [coords...]]"))
     try:
-        return FrequencyBasis(tuple(labels), tuple(values), products)
+        return FrequencyBasis(labels, values, products)
     except ValueError as e:
         raise ConfigError(path, str(e))
 
@@ -158,13 +181,14 @@ def _parse_frequency(mat, basis, path) -> Frequency:
 
 
 def _parse_trigpoly(d, basis, path) -> TrigPoly:
-    terms = _need(d, "terms", path, list)
+    terms = _need(_object(d, path, ("terms",)), "terms", path, list)
     if not terms:
         raise ConfigError(f"{path}.terms", "need at least one term")
     parsed = []
     n = None
     for i, t in enumerate(terms):
         p = f"{path}.terms[{i}]"
+        _object(t, p, ("frequency", "re", "im"))
         freq = _parse_frequency(_need(t, "frequency", p, list), basis, f"{p}.frequency")
         if n is None:
             n = freq.n
@@ -180,6 +204,7 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
 
 
 def _parse_flux(d, basis, path) -> PiecewiseFlux:
+    _object(d, path, ("breakpoints", "pieces", "range"))
     bps = [_fraction(b, f"{path}.breakpoints[{i}]")
            for i, b in enumerate(_need(d, "breakpoints", path, list))]
     pieces_raw = _need(d, "pieces", path, list)
@@ -222,6 +247,7 @@ def _parse_grid(v, path) -> TorusGrid:
 
 
 def _parse_solver(d, path) -> SolverConfig:
+    _object(d, path, ("t_end", "cfl", "record_times"))
     t_end = _real(_need(d, "t_end", path), f"{path}.t_end")
     cfl = _real(d.get("cfl", 0.45), f"{path}.cfl")
     record_times = _reals(d.get("record_times", []), f"{path}.record_times")
@@ -239,6 +265,7 @@ def _parse_cfl(v, path) -> float:
 
 
 def _parse_wave(d, path) -> dict:
+    _object(d, path, ("a", "b", "kbar", "tau"))
     a = _fraction(_need(d, "a", path), f"{path}.a")
     b = _fraction(_need(d, "b", path), f"{path}.b")
     kbar = _ints(_need(d, "kbar", path), f"{path}.kbar")
@@ -248,14 +275,18 @@ def _parse_wave(d, path) -> dict:
             "tau": _real(d["tau"], f"{path}.tau") if "tau" in d else None}
 
 
-def _parse_cube(d, path) -> tuple[tuple[float, ...], int]:
-    """(radii, samples_per_unit): positive, strictly increasing radii."""
-    if not isinstance(d, dict):
-        raise ConfigError(path, f"expected an object, got {type(d).__name__}")
+def _parse_cube(d, path) -> tuple[tuple[float, ...], int, tuple[float, ...] | None]:
+    """(radii, samples_per_unit, offset): positive, strictly increasing radii.
+
+    ``offset`` is the torus offset z of the sampled orbit, None for zeros;
+    its length is checked against the rank once the group is known.
+    """
+    _object(d, path, ("radii", "samples_per_unit", "offset"))
     radii = _reals(d.get("radii", [50.0, 100.0, 200.0]), f"{path}.radii")
     if not radii or radii[0] <= 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(f"{path}.radii", "radii must be positive and strictly increasing")
-    return radii, _at_least_one(d.get("samples_per_unit", 4), f"{path}.samples_per_unit")
+    spu = _at_least_one(d.get("samples_per_unit", 4), f"{path}.samples_per_unit")
+    return radii, spu, _reals(d["offset"], f"{path}.offset") if "offset" in d else None
 
 
 def _parse_flag(v, path) -> bool:
@@ -296,9 +327,7 @@ def _parse_prefix(d, path) -> str:
     Path separators (so also absolute paths), ``..`` and NUL are refused:
     outputs are written as ``{prefix}_{name}`` inside ``--out``.
     """
-    if not isinstance(d, dict):
-        raise ConfigError("output", f"expected an object, got {type(d).__name__}")
-    prefix = d.get("prefix", "")
+    prefix = _object(d, "output", ("prefix",)).get("prefix", "")
     if not isinstance(prefix, str):
         raise ConfigError(path, f"expected a string, got {prefix!r}")
     if prefix == ".." or any(c in prefix for c in "/\\\0"):
@@ -326,8 +355,7 @@ class ExperimentConfig:
     cfl: float = 0.45
     wave: dict | None = None
     probes: tuple[tuple[int, ...], ...] | None = None
-    offset: tuple[float, ...] | None = None
-    cube: tuple[tuple[float, ...], int] | None = None
+    cube: tuple[tuple[float, ...], int, tuple[float, ...] | None] | None = None
     dump_fields: bool = False
     thresholds: dict = field(default_factory=dict)
     prefix: str = ""
@@ -360,8 +388,8 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     if cfg_kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {cfg_kind!r}; expected one of {KINDS}")
     exp = EXPERIMENTS[cfg_kind]
-    basis = _parse_basis(_need(d, "basis", "", dict), "basis")
-    flux = _parse_flux(_need(d, "flux", "", dict), basis, "flux")
+    basis = _parse_basis(_need(d, "basis", ""), "basis")
+    flux = _parse_flux(_need(d, "flux", ""), basis, "flux")
     cfg = ExperimentConfig(kind=cfg_kind, raw=d, basis=basis, flux=flux)
     parsers = {
         "initial": lambda v, p: _parse_trigpoly(v, basis, p),
@@ -375,7 +403,6 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         "cfl": _parse_cfl,
         "wave": _parse_wave,
         "probes": lambda v, p: _list(v, p, _ints, "integer vectors", 1),
-        "offset": _reals,
         "cube": _parse_cube,
         "dump_fields": _parse_flag,
     }
@@ -386,10 +413,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         cfg.thresholds = _parse_thresholds(d["thresholds"], "thresholds", cfg_kind, d)
     if "output" in d:
         cfg.prefix = _parse_prefix(d["output"], "output.prefix")
-    for key in d:
-        if key not in COMMON_KEYS and key not in exp.keys:
-            raise ConfigError(key, f"not read by kind {cfg_kind!r}; it reads "
-                                   f"{list(COMMON_KEYS + exp.keys)}")
+    _object(d, "", COMMON_KEYS + exp.keys, f"kind {cfg_kind!r}")
     for key in exp.required:
         if key not in d:
             raise ConfigError(key, f"required for kind {cfg_kind!r}")
@@ -480,7 +504,7 @@ def _run_check_flux(cfg: ExperimentConfig):
 
 
 def _run_decay(cfg: ExperimentConfig):
-    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg), z=cfg.offset)
+    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
     traj = run(pb.v0, pb.flux, cfg.grid if pb.m else None, cfg.solver)
     rows = traj.rows
     tables = {"series": (rows, ["t", "l1_to_mean", "min", "max", "mass"])}
@@ -569,12 +593,17 @@ def _run_convergence(cfg: ExperimentConfig):
 
 
 def _run_spectrum(cfg: ExperimentConfig):
-    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg), z=cfg.offset)
+    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
     if pb.m == 0:
         raise ValueError("spectrum probing needs non-constant data")
     for i, p in enumerate(cfg.probes):
         if len(p) != pb.m:
             raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
+    if cfg.cube is not None:
+        radii, spu, offset = cfg.cube
+        z = (0.0,) * pb.m if offset is None else offset
+        if len(z) != pb.m:
+            raise ConfigError("cube.offset", f"expected {pb.m} entries, got {len(z)}")
     traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
     final = traj.fields[-1]
     image = [list(k) for k in pb.v0.terms]
@@ -593,11 +622,10 @@ def _run_spectrum(cfg: ExperimentConfig):
     scalars = {"max_outside_coeff": worst_outside,
                "mean_drift": abs(traj.rows[-1]["mass"] - pb.mean), "rank": pb.m}
     if cfg.cube is not None:
-        radii, spu = cfg.cube
         torus_mean = final.mean()
         crows = []
         for r in radii:
-            om = pb.orbit_mean(final, pb.z, r, spu)
+            om = pb.orbit_mean(final, z, r, spu)
             crows.append({"radius": r, "orbit_mean": om, "torus_mean": torus_mean,
                           "abs_error": abs(om - torus_mean)})
         tables["cube"] = (crows, ["radius", "orbit_mean", "torus_mean", "abs_error"])
@@ -647,7 +675,7 @@ EXPERIMENTS = {
     "decay": Experiment(
         "evolve almost periodic data and track distance to its mean", _run_decay,
         required=("initial", "grid", "solver"),
-        optional=("group_frequencies", "offset", "dump_fields"),
+        optional=("group_frequencies", "dump_fields"),
         thresholds={"final_l1_to_mean_max": Bound("final_l1_to_mean", "max")}),
     "contraction": Experiment(
         "advance two data sets jointly and track their L1 distance", _run_contraction,
@@ -666,7 +694,7 @@ EXPERIMENTS = {
     "spectrum": Experiment(
         "probe Fourier coefficients of the evolved lift", _run_spectrum,
         required=("initial", "probes", "grid", "solver"),
-        optional=("group_frequencies", "offset", "cube", "dump_fields"),
+        optional=("group_frequencies", "cube", "dump_fields"),
         thresholds={"max_outside_coeff": Bound("max_outside_coeff", "max"),
                     "max_mean_drift": Bound("mean_drift", "max"),
                     "max_orbit_mean_error": Bound("orbit_mean_error", "max", needs="cube")}),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flux import PiecewiseFlux, lift_flux
-from .freqlattice import Frequency, FrequencyBasis, SpectrumGroupBasis, group_basis, member_coords
+from .freqlattice import SpectrumGroupBasis, group_basis, member_coords
 from .solver import CellField
 from .trigpoly import TorusPoly, TrigPoly
 
@@ -91,19 +91,20 @@ def _cube_points(n: int, radius: float, samples_per_unit: float) -> np.ndarray:
 class LiftedProblem:
     """Periodic twin of an almost-periodic Cauchy problem.
 
-    ``flux`` is the lifted m-component flux (None iff m == 0), ``lam`` the
-    float shadow of the m x n lift matrix whose rows are the group basis
-    frequencies, ``z`` the torus offset selecting one member of the orbit
-    family (default 0, the member that interpolates the original data).
+    ``flux`` is the lifted m-component flux (None iff m == 0) and ``lam``
+    the float shadow of the m x n lift matrix whose rows are the group
+    basis frequencies.  Sampling takes a torus offset z that selects one
+    member of the orbit family; z = 0 interpolates the original data.
     """
 
-    basis: FrequencyBasis
     group: SpectrumGroupBasis
-    m: int
     v0: TorusPoly
     flux: PiecewiseFlux | None
     lam: np.ndarray
-    z: tuple[float, ...]
+
+    @property
+    def m(self) -> int:
+        return self.group.rank
 
     @property
     def n(self) -> int:
@@ -113,11 +114,10 @@ class LiftedProblem:
     def mean(self) -> float:
         return self.v0.mean
 
-    def lift_points(self, xs, z=None) -> np.ndarray:
+    def lift_points(self, xs, z) -> np.ndarray:
         """y = z + Lambda x mod 1 for points x of R^n."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        zz = np.asarray(self.z if z is None else z, dtype=float)
-        return np.mod(xs @ self.lam.T + zz, 1.0)
+        return np.mod(xs @ self.lam.T + np.asarray(z, dtype=float), 1.0)
 
     def pullback_sample(self, v: CellField, z, xs) -> np.ndarray:
         """Sample the pulled-back field x -> v(z + Lambda x) by interpolation."""
@@ -147,7 +147,7 @@ class LiftedProblem:
 
 
 def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
-                 group: SpectrumGroupBasis | None = None, z=None) -> LiftedProblem:
+                 group: SpectrumGroupBasis | None = None) -> LiftedProblem:
     """Build the periodic twin of (u0, flux).
 
     The group basis is computed from the data spectrum unless ``group`` is
@@ -159,17 +159,13 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     """
     spectrum = list(u0.spectrum())
     gb = group
-    if gb is None and spectrum:
-        gb = group_basis(spectrum)
-    if gb is not None and flux is not None and gb.n != flux.n:
+    if gb is None:
+        gb = group_basis(spectrum) if spectrum else SpectrumGroupBasis(u0.basis, u0.n)
+    if flux is not None and gb.n != flux.n:
         raise ValueError("flux component count must equal the data dimension")
-    if gb is None or gb.rank == 0:
-        if gb is None:
-            gb = group_basis([Frequency(tuple(u0.basis.zero for _ in range(u0.n)))])
-        return LiftedProblem(basis=u0.basis, group=gb, m=0,
-                             v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
-                             lam=np.zeros((0, u0.n)), z=())
-    m = gb.rank
+    if gb.rank == 0:
+        return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
+                             lam=np.zeros((0, u0.n)))
     terms = {}
     for lamf in spectrum:
         k = member_coords(lamf, gb)
@@ -178,14 +174,10 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
                 f"data frequency {lamf} lies outside the declared group"
             )
         terms[k] = u0.terms[lamf]
-    v0 = TorusPoly(m, terms)
-    lifted = lift_flux(flux, gb) if flux is not None else None
+    v0 = TorusPoly(gb.rank, terms)
     lam = np.array([f.floats() for f in gb.frequencies], dtype=float)
-    zz = tuple(float(c) for c in (z if z is not None else (0.0,) * m))
-    if len(zz) != m:
-        raise ValueError(f"offset z must have {m} entries")
-    pb = LiftedProblem(basis=u0.basis, group=gb, m=m, v0=v0, flux=lifted,
-                       lam=lam, z=zz)
+    pb = LiftedProblem(group=gb, v0=v0, lam=lam,
+                       flux=lift_flux(flux, gb) if flux is not None else None)
     rng = np.random.default_rng(987654321)
     xs = rng.uniform(-3.0, 3.0, size=(100, u0.n))
     lifted_vals = v0.eval(xs @ lam.T)

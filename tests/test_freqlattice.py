@@ -125,8 +125,8 @@ def test_group_basis_periodic_pair():
     lam = Frequency.of(B1, [[1], [0]])
     gb = group_basis([lam, -lam])
     assert gb.rank == 1
-    assert gb.coords[lam] == (1,)
-    assert gb.coords[-lam] == (-1,)
+    assert member_coords(lam, gb) == (1,)
+    assert member_coords(-lam, gb) == (-1,)
     assert gb.frequencies[0].floats() == pytest.approx([1.0, 0.0])
 
 
@@ -134,8 +134,25 @@ def test_group_basis_zero_spectrum():
     zero = Frequency.of(B1, [[0]])
     gb = group_basis([zero])
     assert gb.rank == 0
-    assert gb.coords[zero] == ()
+    assert member_coords(zero, gb) == ()
     assert group_basis([]).rank == 0
+
+
+def test_member_coords_rank_zero():
+    gb = group_basis([Frequency.of(B2, [[0, 0]])])
+    assert gb.rank == 0 and gb.rows == ()
+    assert member_coords(Frequency.of(B2, [[0, 0]]), gb) == ()
+    assert member_coords(Frequency.of(B2, [[1, 0]]), gb) is None
+    assert member_coords(Frequency.of(B2, [[Fraction(1, 3), 0]]), gb) is None
+
+
+def test_group_basis_ignores_duplicates():
+    f = Frequency.of(B2, [[Fraction(1, 2), 1]])
+    g = Frequency.of(B2, [[0, Fraction(2, 3)]])
+    gb = group_basis([f, f, -f, g])
+    ref = group_basis([f, g])
+    assert (gb.rows, gb.pivots, gb.den) == (ref.rows, ref.pivots, ref.den)
+    assert member_coords(-f, gb) == tuple(-k for k in member_coords(f, ref))
 
 
 def test_group_basis_sqrt2_triple():
@@ -144,9 +161,9 @@ def test_group_basis_sqrt2_triple():
     both = Frequency.of(B2, [[1, 1]])
     gb = group_basis([one, rt2, both])
     assert gb.rank == 2
-    assert gb.coords[one] == (1, 0)
-    assert gb.coords[rt2] == (0, 1)
-    assert gb.coords[both] == (1, 1)
+    assert member_coords(one, gb) == (1, 0)
+    assert member_coords(rt2, gb) == (0, 1)
+    assert member_coords(both, gb) == (1, 1)
     # no rank-1 subgroup catches all three: any candidate generator from
     # the list leaves another element without integer coordinates
     for gen in (one, rt2, both):
@@ -175,7 +192,7 @@ def test_group_basis_idempotent():
     assert gb2.rank == gb.rank
     for i, f in enumerate(gb.frequencies):
         expect = tuple(1 if j == i else 0 for j in range(gb.rank))
-        assert gb2.coords[f] == expect
+        assert member_coords(f, gb2) == expect
 
 
 def _rational_rank(rows):
@@ -221,7 +238,7 @@ def test_group_basis_reconstruction_random(n, q, data):
     gb = group_basis(freqs)
     # exact reconstruction of every input from integer coordinates
     for f in freqs:
-        k = gb.coords[f]
+        k = member_coords(f, gb)
         acc = Frequency.of(basis, [[0] * q for _ in range(n)])
         for ki, lam in zip(k, gb.frequencies):
             acc = acc + lam.scale(ki)

@@ -124,8 +124,8 @@ BAD_NUMBERS = [
     pytest.param(decay_config, ("solver", "record_times", ["1/4", False]), id="record-bool"),
     pytest.param(decay_config, ("solver", "record_times", 0.5), id="record-not-list"),
     pytest.param(decay_config, ("flux", "range", [-1, NAN]), id="range-nan"),
-    pytest.param(decay_config, ("offset", [True]), id="offset-bool"),
     pytest.param(wave_config, ("wave", "tau", True), id="tau-bool"),
+    pytest.param(lambda: cube_config(), ("cube", "offset", [True]), id="offset-bool"),
     pytest.param(contraction_config, ("cfl", 0.7), id="cfl-above-half"),
     pytest.param(contraction_config, ("cfl", 0), id="cfl-zero"),
     pytest.param(contraction_config, ("cfl", "x"), id="cfl-string"),
@@ -145,6 +145,10 @@ def cube_config(**over):
 
 def products(*entries):
     return ("basis", dict(SQRT2_BASIS, products=list(entries)))
+
+
+def sqrt2_basis(**over):
+    return ("basis", dict(SQRT2_BASIS, **over))
 
 
 # configs that must fail to parse, with the field the error must name:
@@ -168,6 +172,13 @@ BAD_FIELDS = [
      "basis.products[0][1]"),
     ("products-index-range", decay_config, products([1, 2, ["2", "0"]]),
      "basis.products[0]"),
+    ("products-coords-length", decay_config, products([1, 1, ["2", "0", "0"]]),
+     "basis.products[0][2]"),
+    ("products-number", decay_config, sqrt2_basis(products=5), "basis.products"),
+    ("products-null", decay_config, sqrt2_basis(products=None), "basis.products"),
+    ("values-null", decay_config, sqrt2_basis(values=[1, None]), "basis.values[1]"),
+    ("values-bool", decay_config, sqrt2_basis(values=[True, 2 ** 0.5]), "basis.values[0]"),
+    ("labels-not-strings", decay_config, sqrt2_basis(labels=[1, [2]]), "basis.labels[0]"),
     ("threshold-string", contraction_config,
      ("thresholds", "max_step_increase", "abc"), "thresholds.max_step_increase"),
     ("threshold-bool", contraction_config,
@@ -200,6 +211,18 @@ BAD_FIELDS = [
     ("decay-probes", decay_config, ("probes", [[1]]), "probes"),
     ("decay-steps", decay_config, ("steps", 5), "steps"),
     ("contraction-solver", contraction_config, ("solver", {"t_end": 1.0}), "solver"),
+    ("decay-offset", decay_config, ("offset", [0.37]), "offset"),
+    ("spectrum-offset", spectrum_config, ("offset", [0.37]), "offset"),
+    # keys a nested object does not read
+    ("basis-key", decay_config, ("basis", "lables", ["1"]), "basis.lables"),
+    ("flux-key", decay_config, ("flux", "rang", [-1, 1]), "flux.rang"),
+    ("initial-key", decay_config, ("initial", "term", []), "initial.term"),
+    ("initial-b-key", contraction_config, ("initial_b", "terms_", []), "initial_b.terms_"),
+    ("term-key", decay_config, ("initial", "terms", 1, "imag", 0.1), "initial.terms[1].imag"),
+    ("solver-key", decay_config, ("solver", "cfll", 0.01), "solver.cfll"),
+    ("wave-key", wave_config, ("wave", "tua", 9.0), "wave.tua"),
+    ("cube-key", cube_config, ("cube", "offest", [0.1]), "cube.offest"),
+    ("output-key", decay_config, ("output", {"prefx": "x"}), "output.prefx"),
     # keys read only at run time before: dump_fields and cube
     ("dump-fields-string", decay_config, ("dump_fields", "no"), "dump_fields"),
     ("dump-fields-int", decay_config, ("dump_fields", 1), "dump_fields"),
@@ -289,10 +312,44 @@ def test_parse_config_takes_the_thresholds_its_kind_evaluates():
 
 def test_parse_config_reads_cube_and_dump_fields():
     cfg = parse_config(cube_config(dump_fields=True))
-    assert cfg.cube == ((2.0, 4.0), 2) and cfg.dump_fields is True
-    cfg = parse_config(spectrum_config(cube={}))
-    assert cfg.cube == ((50.0, 100.0, 200.0), 4) and cfg.dump_fields is False
+    assert cfg.cube == ((2.0, 4.0), 2, None) and cfg.dump_fields is True
+    cfg = parse_config(spectrum_config(cube={"offset": ["1/4"]}))
+    assert cfg.cube == ((50.0, 100.0, 200.0), 4, (0.25,)) and cfg.dump_fields is False
     assert parse_config(spectrum_config()).cube is None
+
+
+# stand-ins for any one JSON value: every type, and the falsy ones
+MUTANTS = (None, True, 0, 1.5, "x", [], {})
+
+
+def value_paths(node, path=()):
+    """The key path of every value below ``node``, at every depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_parse_config_survives_every_value_mutation(path):
+    """Any one value of a shipped config replaced: parse_config returns or refuses.
+
+    The root is not mutated: ``load_config`` refuses a non-object root.
+    """
+    d = json.loads(path.read_text())
+    for keys in value_paths(d):
+        for value in MUTANTS:
+            try:
+                parse_config(edited(lambda: copy.deepcopy(d), *keys, value))
+            except ConfigError:
+                pass
+            except Exception as e:  # anything else is a traceback at the CLI
+                pytest.fail(f"{'.'.join(map(str, keys))} = {value!r}: {e!r}")
 
 
 def test_bad_cube_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
@@ -478,6 +535,23 @@ def test_spectrum_probe_rejects_bad_probe_length():
     with pytest.raises(ConfigError) as e:
         run_experiment(parse_config(d))
     assert "probes" in str(e.value)
+
+
+def test_cube_offset_moves_the_sampled_orbit():
+    base = run_experiment(parse_config(cube_config()))
+    zero = run_experiment(parse_config(edited(cube_config, "cube", "offset", [0])))
+    moved = run_experiment(parse_config(edited(cube_config, "cube", "offset", ["3/10"])))
+    assert zero.tables["cube"] == base.tables["cube"]
+    assert moved.tables["cube"] != base.tables["cube"]
+    assert moved.tables["series"] == base.tables["series"]
+
+
+def test_cli_cube_offset_of_wrong_length_is_a_config_error(tmp_path, capsys):
+    d = edited(cube_config, "cube", "offset", [0.1, 0.2])
+    rc = cli.main(["spectrum", "--config", write_config(tmp_path, d),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: cube.offset: expected 1 entries")
 
 
 def every_threshold_config(kind):
