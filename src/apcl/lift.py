@@ -115,9 +115,12 @@ class LiftedProblem:
         return self.v0.mean
 
     def lift_points(self, xs, z) -> np.ndarray:
-        """y = z + Lambda x mod 1 for points x of R^n."""
+        """y = z + Lambda x mod 1 for points x of R^n.
+
+        z is reduced mod 1 first, so a large offset cannot swamp Lambda x.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.mod(xs @ self.lam.T + np.asarray(z, dtype=float), 1.0)
+        return np.mod(xs @ self.lam.T + np.mod(np.asarray(z, dtype=float), 1.0), 1.0)
 
     def pullback_sample(self, v: CellField, z, xs) -> np.ndarray:
         """Sample the pulled-back field x -> v(z + Lambda x) by interpolation."""

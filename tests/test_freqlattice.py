@@ -135,15 +135,10 @@ def test_group_basis_zero_spectrum():
     gb = group_basis([zero])
     assert gb.rank == 0
     assert member_coords(zero, gb) == ()
+    # a nonzero frequency, also one with a new denominator, is not a member
+    assert member_coords(Frequency.of(B1, [[1]]), gb) is None
+    assert member_coords(Frequency.of(B1, [[Fraction(1, 3)]]), gb) is None
     assert group_basis([]).rank == 0
-
-
-def test_member_coords_rank_zero():
-    gb = group_basis([Frequency.of(B2, [[0, 0]])])
-    assert gb.rank == 0 and gb.rows == ()
-    assert member_coords(Frequency.of(B2, [[0, 0]]), gb) == ()
-    assert member_coords(Frequency.of(B2, [[1, 0]]), gb) is None
-    assert member_coords(Frequency.of(B2, [[Fraction(1, 3), 0]]), gb) is None
 
 
 def test_group_basis_ignores_duplicates():

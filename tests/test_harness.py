@@ -143,12 +143,12 @@ def cube_config(**over):
     return spectrum_config(cube={"radii": [2.0, 4.0], "samples_per_unit": 2}, **over)
 
 
-def products(*entries):
-    return ("basis", dict(SQRT2_BASIS, products=list(entries)))
-
-
 def sqrt2_basis(**over):
     return ("basis", dict(SQRT2_BASIS, **over))
+
+
+def products(*entries):
+    return sqrt2_basis(products=list(entries))
 
 
 # configs that must fail to parse, with the field the error must name:
@@ -313,8 +313,10 @@ def test_parse_config_takes_the_thresholds_its_kind_evaluates():
 def test_parse_config_reads_cube_and_dump_fields():
     cfg = parse_config(cube_config(dump_fields=True))
     assert cfg.cube == ((2.0, 4.0), 2, None) and cfg.dump_fields is True
+    cfg = parse_config(spectrum_config(cube={}))
+    assert cfg.cube == ((50.0, 100.0, 200.0), 4, None) and cfg.dump_fields is False
     cfg = parse_config(spectrum_config(cube={"offset": ["1/4"]}))
-    assert cfg.cube == ((50.0, 100.0, 200.0), 4, (0.25,)) and cfg.dump_fields is False
+    assert cfg.cube == ((50.0, 100.0, 200.0), 4, (0.25,))
     assert parse_config(spectrum_config()).cube is None
 
 
@@ -542,6 +544,10 @@ def test_cube_offset_moves_the_sampled_orbit():
     zero = run_experiment(parse_config(edited(cube_config, "cube", "offset", [0])))
     moved = run_experiment(parse_config(edited(cube_config, "cube", "offset", ["3/10"])))
     assert zero.tables["cube"] == base.tables["cube"]
+    # z is reduced mod 1 before Lambda x is added: an integer offset of any
+    # size is the same torus point as 0 and keeps every digit of Lambda x
+    whole = run_experiment(parse_config(edited(cube_config, "cube", "offset", [1e16])))
+    assert whole.tables["cube"] == base.tables["cube"]
     assert moved.tables["cube"] != base.tables["cube"]
     assert moved.tables["series"] == base.tables["series"]
 
