@@ -97,19 +97,45 @@ def _jump(left, right, a: int, b: int) -> list[int]:
     return acc
 
 
-def _horner(c, x):
-    """Ascending-degree polynomial ``c`` at ``x``, evaluated in place.
+def _plan(coef: np.ndarray) -> tuple:
+    """Horner plan of ascending coefficient rows ``coef``, one row per piece.
 
-    The operations and their order are those of
-    ``numpy.polynomial.polynomial.polyval``, c[-1] + x*0 and then
-    c[-i] + c0*x, so the values are bit for bit the same.  ``c`` has shape
-    (degree,) or (degree,) + x.shape, one coefficient list per element.
+    The plan lists the columns of ``coef`` from the top one, the highest
+    with a nonzero entry, down to the constant one, with None for an
+    all-zero column between them; a plan with no nonzero column above the
+    constant one is (zeros, c_0).  ``_horner`` evaluates it.
     """
-    out = x * 0.0
-    out += c[-1]
-    for a in c[-2::-1]:
+    live = coef.any(axis=0)
+    d = max((i for i in range(1, len(live)) if live[i]), default=0)
+    if not d:
+        return np.zeros(len(coef)), coef[:, 0]
+    return (coef[:, d], *(coef[:, i] if live[i] else None for i in range(d - 1, 0, -1)),
+            coef[:, 0])
+
+
+def _horner(c, x):
+    """Horner plan ``c`` = (c_d, ..., c_0) from ``_plan`` at ``x``, as a new array.
+
+    The entries are floats, or arrays of x's shape (one coefficient per
+    element).  The result is bit for bit that of
+    ``numpy.polynomial.polynomial.polyval`` on the untrimmed coefficients,
+    c[-1] + x*0 and then c[-i] + c0*x, for finite or NaN x:
+
+    - (x*0 + c)*x equals c*x, so the plan starts from x*c_d, and any
+      leading zero coefficients only make zeros that the first nonzero
+      one replaces;
+    - adding +0.0 changes nothing but -0.0 into +0.0, and a zero stays a
+      zero under *x until a nonzero coefficient or the constant term,
+      which is always added, fixes its sign, so the interior zeros (None)
+      are skipped;
+    - a constant plan (0.0, c_0) keeps x*0.0 + c_0, so NaN still propagates.
+    """
+    out = x * c[0]
+    for a in c[1:-1]:
+        if a is not None:
+            out += a
         out *= x
-        out += a
+    out += c[-1]
     return out
 
 
@@ -237,12 +263,28 @@ class PiecewiseFlux:
         return self._bp_f[1:-1].tolist()
 
     @cached_property
+    def _plans(self) -> tuple:
+        """Per component, the ``_horner`` plans of its pieces (as floats) and of all of them.
+
+        Built on first numeric evaluation, so the exact layer never pays for it.
+        """
+        out = []
+        for k in range(self.n):
+            coef = self._coef_f[:, k]
+            pieces = tuple(
+                tuple(None if c is None else float(c[0]) for c in _plan(coef[p:p + 1]))
+                for p in range(self.npieces)
+            )
+            out.append((pieces, _plan(coef)))
+        return tuple(out)
+
+    @cached_property
     def _lip_pieces(self) -> tuple:
         """Per component, one (u_p, u_{p+1}, top, rest, crit) per piece, as Python floats.
 
         ``top`` and ``rest`` are the coefficients of phi_k' on the piece as
         ``_dcoef_f`` holds them, the highest one and then the others in
-        descending degree (the order ``_horner`` takes them in); ``crit``
+        descending degree (the order ``polyval`` takes them in); ``crit``
         are the real roots of phi_k'' strictly inside the piece, where
         |phi_k'| can peak between the ends.
         """
@@ -298,17 +340,17 @@ class PiecewiseFlux:
         Returns a new array, which the caller may overwrite.
         """
         u, umin, umax = self._clamp(np.asarray(u, dtype=float))
-        coef = self._coef_f[:, component]
+        pieces, gathered = self._plans[component]
         # piece of u = count of interior breakpoints <= u: ties go right,
         # u_P stays in the last piece
         if umin is not None:
             p = bisect.bisect_right(self._inner, umin)
             if p == bisect.bisect_right(self._inner, umax):
                 # the whole range lies in one piece
-                return _horner(coef[p], u)
+                return _horner(pieces[p], u)
         idx = np.searchsorted(self._bp_f[1:-1], u, side="right")
-        # one coefficient per cell: shape (degree,) + u.shape
-        return _horner(coef.T.take(idx, axis=1), u)
+        # one coefficient per cell
+        return _horner([None if c is None else c.take(idx) for c in gathered], u)
 
 
 @dataclass(frozen=True)
@@ -430,9 +472,9 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
     The max of |phi_k'| over each intersected piece, taken at the two
     clipped ends and at the real roots of phi_k'' strictly between them,
     times the deliberate 1.1 safety factor.  phi_k' is evaluated in floats
-    with the operations of ``_horner``; where phi_k' is affine (flux degree
-    <= 2) its rounded values are monotone, so no point between the ends
-    can exceed them.
+    with the operations of numpy's ``polyval``; where phi_k' is affine
+    (flux degree <= 2) its rounded values are monotone, so no point
+    between the ends can exceed them.
     """
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
@@ -448,7 +490,7 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
             if a > b:
                 continue
             for x in (a, b, *[t for t in crit if a < t < b]) if crit else (a, b):
-                # _horner's operations on one float, so numpy's bits
+                # polyval's operations on one float, so numpy's bits
                 v = x * 0.0 + top
                 for ci in rest:
                     v = v * x + ci

@@ -25,6 +25,7 @@ from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, group_basis, in_lattice
 from .lift import lift_problem
 from .solver import (
+    MAX_STEPS,
     SolverConfig,
     TorusGrid,
     advance,
@@ -117,6 +118,14 @@ def _at_least_one(v, path) -> int:
     n = _int(v, path)
     if n < 1:
         raise ConfigError(path, f"must be at least 1, got {n}")
+    return n
+
+
+def _steps(v, path) -> int:
+    """A step count of the contraction kind: at least 1, at most ``MAX_STEPS``."""
+    n = _at_least_one(v, path)
+    if n > MAX_STEPS:
+        raise ConfigError(path, f"must be at most {MAX_STEPS}, got {n}")
     return n
 
 
@@ -399,7 +408,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         "grid": _parse_grid,
         "grids": lambda v, p: _list(v, p, _parse_grid, "at least two grids", 2),
         "solver": _parse_solver,
-        "steps": _at_least_one,
+        "steps": _steps,
         "cfl": _parse_cfl,
         "wave": _parse_wave,
         "probes": lambda v, p: _list(v, p, _ints, "integer vectors", 1),
@@ -528,7 +537,7 @@ def _run_contraction(cfg: ExperimentConfig):
     worst_increase = 0.0
     for s in range(1, cfg.steps + 1):
         # dt is capped at unit time, the step a flux constant on the joint range gets
-        dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
+        _, dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
         t += dt
         d = l1_distance(fa, fb)
         worst_increase = max(worst_increase, d - rows[-1]["l1_distance"])

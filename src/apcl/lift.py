@@ -10,6 +10,7 @@ cubes converge to torus integrals because the orbit equidistributes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,34 +47,59 @@ class CubeMeanReport:
         return self.estimates[-1]
 
 
+def _wrap(y: np.ndarray) -> np.ndarray:
+    """y mod 1 in place, as y - floor(y), which rounds like ``np.mod(y, 1.0)``.
+
+    For y >= 0 both are the exact fractional part; for y < 0 both round
+    the exact (y - ceil(y)) + 1; at integers and +-0 both give +0.0, and
+    +-inf and NaN give NaN.  floor and a subtraction are cheap ufuncs
+    where ``np.mod`` calls fmod per element.
+    """
+    y -= np.floor(y)
+    return y
+
+
 def interp_periodic(f: CellField, y: np.ndarray) -> np.ndarray:
     """Multilinear periodic interpolation of cell averages at points y.
 
     Cell values sit at centers (i + 1/2) h; y is wrapped mod 1 per axis.
+    Per axis, the low cell index i mod n_j, the high one (that plus one,
+    wrapped at n_j, which is (i + 1) mod n_j) and the weights 1 - frac and
+    frac are worked out once; each of the 2^m corners then gathers through
+    one flat index.  A corner's weight is the product of its per-axis
+    weights in axis order, which is the product started from 1.0 less a
+    factor that changes no bit, and the corners are summed in order from
+    0.0, so the result is bit for bit that of per-corner ``% n_j`` gathers.
     """
     g = f.grid
     ys = np.atleast_2d(np.asarray(y, dtype=float))
     if ys.shape[-1] != g.m:
         raise ValueError(f"points must have {g.m} coordinates")
-    out = np.zeros(ys.shape[0])
-    base = []
-    frac = []
+    # per corner, built up one axis at a time: bit j selects the high side of axis j
+    weights, flats = [None], [None]
     for j, nj in enumerate(g.shape):
-        t = ys[:, j] * nj - 0.5
-        i0 = np.floor(t)
-        frac.append(t - i0)
-        base.append(i0.astype(np.int64))
-    for corner in range(1 << g.m):
-        w = np.ones(ys.shape[0])
-        idx = []
-        for j, nj in enumerate(g.shape):
-            if corner >> j & 1:
-                w = w * frac[j]
-                idx.append((base[j] + 1) % nj)
-            else:
-                w = w * (1.0 - frac[j])
-                idx.append(base[j] % nj)
-        out += w * f.values[tuple(idx)]
+        frac = ys[:, j] * nj
+        frac -= 0.5
+        i0 = np.floor(frac)
+        frac -= i0
+        lo = i0.astype(np.int64)
+        lo %= nj
+        hi = lo + 1
+        hi[hi == nj] = 0
+        stride = math.prod(g.shape[j + 1:])
+        if stride > 1:
+            lo *= stride
+            hi *= stride
+        weights = [wt if w is None else w * wt for wt in (1.0 - frac, frac) for w in weights]
+        flats = [i if fl is None else fl + i for i in (lo, hi) for fl in flats]
+    values = f.values.reshape(-1)
+    out = 0.0
+    for w, fl in zip(weights, flats):
+        # term + out is out + term; the first corner is added to 0.0
+        term = values.take(fl)
+        term *= w
+        term += out
+        out = term
     return out
 
 
@@ -120,7 +146,9 @@ class LiftedProblem:
         z is reduced mod 1 first, so a large offset cannot swamp Lambda x.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.mod(xs @ self.lam.T + np.mod(np.asarray(z, dtype=float), 1.0), 1.0)
+        y = xs @ self.lam.T
+        y += _wrap(np.array(z, dtype=float))
+        return _wrap(y)
 
     def pullback_sample(self, v: CellField, z, xs) -> np.ndarray:
         """Sample the pulled-back field x -> v(z + Lambda x) by interpolation."""

@@ -17,9 +17,11 @@ Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "cfl_dt",
     "step",
     "advance",
+    "MAX_STEPS",
     "run",
     "l1_distance",
     "entropy_residual",
@@ -47,6 +50,11 @@ __all__ = [
     "write_field",
     "read_field",
 ]
+
+
+# the most time steps one run, or one contraction pair, may take; the
+# shipped configs and the bench workloads take at most a few thousand
+MAX_STEPS = 1_000_000
 
 
 class CflError(RuntimeError):
@@ -78,11 +86,11 @@ class TorusGrid:
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least two cells per axis")
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(1.0 / n for n in self.shape)
 
@@ -188,6 +196,10 @@ def cfl_dt(f: CellField, flux: PiecewiseFlux, cfl: float = 0.45,
     return min(cfl / denom, t_remaining)
 
 
+# the scalar twin of each ufunc ``_neighbours`` takes: the same IEEE operation
+_SCALAR_OP = {np.add: operator.add, np.subtract: operator.sub}
+
+
 def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     """out = op(x_{i+1}, x_i) along axis j of the torus, stored at i (at i+1 if ``upper``).
 
@@ -195,11 +207,15 @@ def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     views, where one cell along axis j is s = prod(shape[j+1:]) elements:
     slices offset by s need no shifted copy and keep the loops contiguous.
     The pairs that wrap round the torus come out wrong on the flat views
-    and are redone from the first and last slabs of axis j.
+    and are redone from the first and last slabs of axis j; in 1D that is
+    one pair, for which a scalar operation costs far less than a ufunc call.
     """
     s = math.prod(x.shape[j + 1:])
     xf, of = x.reshape(-1), out.reshape(-1)
     op(xf[s:], xf[:-s], out=of[s:] if upper else of[:-s])
+    if x.ndim == 1:
+        of[0 if upper else -1] = _SCALAR_OP[op](xf[0], xf[-1])
+        return
     first = (slice(None),) * j + (slice(None, 1),)
     last = (slice(None),) * j + (slice(-1, None),)
     op(x[first], x[last], out=out[first] if upper else out[last])
@@ -255,11 +271,12 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
 
 
 def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
-            *fields: CellField) -> tuple[float, list[CellField]]:
-    """One monotone step of every field with one operator; returns (dt, stepped fields).
+            *fields: CellField) -> tuple[float, float, list[CellField]]:
+    """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
 
-    Alphas over the joint range of the fields, dt from them (capped by
-    ``t_remaining``), then every field stepped with those alphas and dt.
+    Alphas over the joint range of the fields, the CFL step dt_cfl from
+    them, then every field stepped with those alphas and
+    dt = min(dt_cfl, ``t_remaining``).
     """
     # plain loops: in 1D this Python overhead is a visible part of a step
     lo, hi = fields[0].vmin, fields[0].vmax
@@ -269,11 +286,12 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
         if f.vmax > hi:
             hi = f.vmax
     alphas = lip_bound(flux, lo, hi)
-    dt = cfl_dt(fields[0], flux, cfl, t_remaining, alphas)
+    dt_cfl = cfl_dt(fields[0], flux, cfl, alphas=alphas)
+    dt = min(dt_cfl, t_remaining)
     stepped = []
     for f in fields:
         stepped.append(step(f, flux, dt, alphas))
-    return dt, stepped
+    return dt_cfl, dt, stepped
 
 
 def l1_distance(f: CellField, g: CellField) -> float:
@@ -341,6 +359,10 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
     step is one ``advance``.
     Rank-zero data (constant, m = 0) shortcut to the constant solution and
     need neither flux nor grid.
+
+    The run is refused with ``CflError`` as soon as the steps taken plus
+    ceil((t_end - t) / dt) would exceed ``MAX_STEPS``, dt the CFL step
+    of the current field before any cap to a record time.
     """
     c = v0.mean
     times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
@@ -356,9 +378,19 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
     rows = [_observe(0.0, v, c)]
     fields = [v]
     t = 0.0
+    steps = 0
     for target in times[1:]:
         while t < target - 1e-14:
-            dt, (v,) = advance(flux, cfg.cfl, target - t, v)
+            dt_cfl, dt, (v,) = advance(flux, cfg.cfl, target - t, v)
+            # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the
+            # alphas overflow
+            left = MAX_STEPS - steps
+            if cfg.t_end - t > dt_cfl * left:
+                raise CflError(
+                    f"step budget: t={t:g} to t_end={cfg.t_end:g} at dt={dt_cfl:.4g} "
+                    f"takes more than the {left} steps left of the {MAX_STEPS} a run may take"
+                )
+            steps += 1
             t += dt
         t = target
         rows.append(_observe(t, v, c))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -158,6 +159,7 @@ BAD_FIELDS = [
     ("steps-string", contraction_config, ("steps", "abc"), "steps"),
     ("steps-bool", contraction_config, ("steps", True), "steps"),
     ("steps-float", contraction_config, ("steps", 2.7), "steps"),
+    ("steps-over-budget", contraction_config, ("steps", 1_000_001), "steps"),
     ("grid-bool", decay_config, ("grid", [True]), "grid[0]"),
     ("grid-float", decay_config, ("grid", [128.5]), "grid[0]"),
     ("grids-string", lambda: wave_config(kind="convergence"),
@@ -295,6 +297,7 @@ def test_parse_config_names_bad_field(make, edit, field):
 def test_parse_config_accepts_integer_strings_and_plain_prefix():
     cfg = parse_config(contraction_config(steps="12", output={"prefix": "pair.v2"}))
     assert cfg.steps == 12 and cfg.prefix == "pair.v2"
+    assert parse_config(contraction_config(steps=1_000_000)).steps == 1_000_000
     assert cfg.thresholds == {"max_step_increase": 1e-12}
     assert parse_config(wave_config(thresholds={"min_final_ratio": "1/2"})
                         ).thresholds == {"min_final_ratio": 0.5}
@@ -736,6 +739,19 @@ def test_cli_refusal_exit_three(tmp_path, capsys):
     rc = cli.main(["counterexample", "--config", cp, "--out", str(tmp_path)])
     assert rc == 3
     assert "refused" in capsys.readouterr().err
+
+
+def test_cli_step_budget_exit_three(tmp_path, capsys):
+    # a data frequency of 10^6 scales the lifted flux, and the step count, by 10^6
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    d["initial"]["terms"][1]["frequency"] = [["1000000"]]
+    cp = write_config(tmp_path, d)
+    t0 = time.perf_counter()
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert "the 1000000 a run may take" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):

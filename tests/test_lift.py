@@ -10,6 +10,7 @@ from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
 from apcl.lift import CubeMeanReport, cube_seminorm, interp_periodic, lift_problem
 from apcl.solver import CellField, TorusGrid, exact_cell_average
 from apcl.trigpoly import TorusPoly, TrigPoly, truncate
+from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -234,3 +235,84 @@ def test_lift_round_trip_internal_check():
     direct = u0.eval(xs)
     via = pb.v0.eval(xs @ pb.lam.T)
     assert via == pytest.approx(direct, abs=1e-10)
+
+
+# --- oracles: the sampler's first formulas -------------------------------------
+# np.mod for the wrap, and per-corner `% n_j` gathers with the weights
+# multiplied up from ones.  The sampler must reproduce them bit for bit.
+
+def _ref_interp(f, y):
+    g = f.grid
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    out = np.zeros(ys.shape[0])
+    base, frac = [], []
+    for j, nj in enumerate(g.shape):
+        t = ys[:, j] * nj - 0.5
+        i0 = np.floor(t)
+        frac.append(t - i0)
+        base.append(i0.astype(np.int64))
+    for corner in range(1 << g.m):
+        w = np.ones(ys.shape[0])
+        idx = []
+        for j, nj in enumerate(g.shape):
+            if corner >> j & 1:
+                w = w * frac[j]
+                idx.append((base[j] + 1) % nj)
+            else:
+                w = w * (1.0 - frac[j])
+                idx.append(base[j] % nj)
+        out += w * f.values[tuple(idx)]
+    return out
+
+
+def _ref_lift_points(pb, xs, z):
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return np.mod(xs @ pb.lam.T + np.mod(np.asarray(z, dtype=float), 1.0), 1.0)
+
+
+# zeros of both signs, subnormals, the floats next to the integers, and
+# points far outside [0, 1)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -60, -(2.0 ** -60), 1 - 2.0 ** -53,
+         -(1 - 2.0 ** -53), 1.0, -1.0, 0.5, -0.5, 3.75, -3.75, 2.0 ** 52 + 0.5, 1e16, -1e16]
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 4, 5)])
+def test_interp_periodic_matches_per_corner_oracle(shape):
+    rng = np.random.default_rng(len(shape))
+    f = CellField(TorusGrid(shape), rng.normal(size=shape))
+    m = len(shape)
+    pts = [rng.uniform(-3.0, 3.0, (300, m)), rng.uniform(0.0, 1.0, (300, m))]
+    # on every axis: each edge value, and the cell faces and centers, where
+    # a weight is exactly 0 or 1; the other axes random
+    for j, n in enumerate(shape):
+        line = EDGES + [i / (2 * n) for i in range(2 * n)]
+        p = rng.uniform(-1.0, 2.0, (len(line), m))
+        p[:, j] = line
+        pts.append(p)
+    for p in pts:
+        assert same_bits(interp_periodic(f, p), _ref_interp(f, p))
+    # a single point, given as a flat vector
+    assert same_bits(interp_periodic(f, [-0.0] * m), _ref_interp(f, [-0.0] * m))
+
+
+def _lifted(rank):
+    if rank == 2:
+        return lift_problem(quasi_data(), None)
+    # n = rank data with one unit frequency per axis: Lambda is the identity
+    terms = {Frequency.of(B1, [[int(i == j)] for i in range(rank)]): 0.1j for j in range(rank)}
+    return lift_problem(TrigPoly(B1, rank, terms), None)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_lift_points_matches_mod_oracle(rank):
+    pb = _lifted(rank)
+    assert pb.m == rank
+    rng = np.random.default_rng(rank)
+    xs = [rng.uniform(-50.0, 50.0, (200, pb.n)), rng.uniform(-1e-3, 1e-3, (50, pb.n))]
+    xs.append(np.repeat(np.array(EDGES + [np.inf, -np.inf, np.nan])[:, None], pb.n, axis=1))
+    offsets = [(0.0,) * rank, (-0.0,) * rank, (1e16,) * rank, (-1e16,) * rank,
+               tuple(rng.uniform(-5.0, 5.0, rank)), tuple(EDGES[3:3 + rank])]
+    with np.errstate(invalid="ignore"):
+        for x in xs:
+            for z in offsets:
+                assert same_bits(pb.lift_points(x, z), _ref_lift_points(pb, x, z)), z

@@ -32,6 +32,7 @@ from apcl.solver import (
     write_field,
 )
 from apcl.trigpoly import TorusPoly
+from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
 
@@ -160,16 +161,17 @@ def test_advance_steps_every_field_with_one_operator():
     # one field: the alphas of its own range, dt from them, one step
     alphas = lip_bound(flux, fa.vmin, fa.vmax)
     dt = cfl_dt(fa, flux, 0.4, 0.5, alphas)
-    got_dt, (va,) = advance(flux, 0.4, 0.5, fa)
-    assert got_dt == dt
+    dt_cfl, got_dt, (va,) = advance(flux, 0.4, 0.5, fa)
+    assert dt_cfl == got_dt == dt
     assert np.array_equal(va.values, step(fa, flux, dt, alphas).values)
-    assert advance(flux, 0.4, 1e-6, fa)[0] == 1e-6
+    # a step capped by the time left still reports the uncapped CFL step
+    assert advance(flux, 0.4, 1e-6, fa)[:2] == (dt, 1e-6)
     # two fields: the alphas of the joint range, shared by both steps; the
     # second field widens the range below, then above
     for lo, hi in ((-1.5, 0.3), (-0.3, 1.5)):
         fb = CellField(g, rng.uniform(lo, hi, 64))
         joint = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-        dt2, (wa, wb) = advance(flux, 0.4, 0.5, fa, fb)
+        _, dt2, (wa, wb) = advance(flux, 0.4, 0.5, fa, fb)
         assert dt2 == cfl_dt(fa, flux, 0.4, 0.5, joint) < dt
         assert np.array_equal(wa.values, step(fa, flux, dt2, joint).values)
         assert np.array_equal(wb.values, step(fb, flux, dt2, joint).values)
@@ -305,6 +307,40 @@ def test_run_records_and_mean():
         assert r["mass"] == pytest.approx(0.3, abs=1e-13)
 
 
+def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
+    calls = []
+    real = solver_mod.advance
+    monkeypatch.setattr(solver_mod, "advance", lambda *a: calls.append(1) or real(*a))
+    full = run(v0, burgers_1d(), TorusGrid((64,)), SolverConfig(t_end=0.5))
+    n = len(calls)
+    assert 10 < n < 100
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 5)
+    with pytest.raises(CflError, match="the 5 a run may take"):
+        run(v0, burgers_1d(), TorusGrid((64,)), SolverConfig(t_end=0.5))
+    # refused at the first step, not when the budget has run out
+    assert len(calls) == 1
+    # a step shortened to hit a record time does not count as the CFL step
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 2 * n)
+    near = SolverConfig(t_end=0.5, record_times=(1e-9,))
+    traj = run(v0, burgers_1d(), TorusGrid((64,)), near)
+    assert traj.times == [0.0, 1e-9, 0.5]
+    assert traj.rows[-1]["mass"] == pytest.approx(full.rows[-1]["mass"], abs=1e-13)
+    # a linear flux keeps dt fixed, so the estimate is exact: a budget of
+    # the run's own step count k lets it finish, k - 1 does not
+    transport = PiecewiseFlux(B1, [-2, 2], [[["0", "1"]]])
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 10 ** 6)
+    calls.clear()
+    run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+    k = len(calls)
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", k)
+    run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", k - 1)
+    with pytest.raises(CflError):
+        run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+
+
 def test_run_rank_zero_constant():
     traj = run(TorusPoly(0, {(): 0.7}), None, None,
                SolverConfig(t_end=2.0, record_times=(1.0,)))
@@ -404,7 +440,8 @@ def test_run_deterministic():
 
 # --- reference: the unfused step ----------------------------------------------
 # np.roll shifts and npoly.polyval on per-piece masked gathers.  The fused
-# kernel must reproduce its values exactly (np.array_equal).
+# kernel must reproduce its values exactly: the same bytes, so the same
+# signs of zero, wherever they are not NaN.
 
 def _ref_eval_component(flux, j, u):
     from numpy.polynomial import polynomial as npoly
@@ -462,10 +499,31 @@ def _three_piece_nd(m):
     return PiecewiseFlux(B1, ["-2", "-1/3", "2/5", "2"], pieces)
 
 
+def _cubic_nd(m):
+    """(j+1)(u^3 + u): zero constant and u^2 coefficients."""
+    return PiecewiseFlux(B1, [-2, 2], [[[0, j + 1, 0, j + 1] for j in range(m)]])
+
+
+def _padded_nd(m):
+    """Cubic, zero-padded affine, cubic on [-2, -1/3, 2/5, 2]; component j times j+1.
+
+    The outer pieces are u^3 + u/2 + c with no u^2 term, the middle one is
+    u/2 given with two zero coefficients on top, so the Horner plans skip
+    interior zeros and trim leading ones.
+    """
+    base = [["1/27", "1/2", "0", "1"], ["0", "1/2", "0", "0"], ["-8/125", "1/2", "0", "1"]]
+    pieces = [
+        [[str(Fraction(c) * (j + 1)) for c in comp] for j in range(m)]
+        for comp in base
+    ]
+    return PiecewiseFlux(B1, ["-2", "-1/3", "2/5", "2"], pieces)
+
+
 # fields for the reference comparisons, on the pieces of _three_piece_nd
 # [-2, -1/3, 2/5, 2]; eval_component takes one Horner pass when the whole
 # field lies in one piece and gathers per-cell coefficients otherwise
-FIELDS = ("spread", "one-piece", "tie-at-min", "tie-at-max", "nan", "above", "below")
+FIELDS = ("spread", "one-piece", "tie-at-min", "tie-at-max", "nan", "above", "below",
+          "signed-zero")
 
 
 def _field_values(kind, shape, rng):
@@ -489,6 +547,12 @@ def _field_values(kind, shape, rng):
         flat[::7] = 2 / 5
     elif kind == "nan":
         flat[::5] = np.nan
+    elif kind == "signed-zero":
+        # exact zeros of both signs, in runs and scattered
+        flat[:4] = -0.0
+        flat[4:7] = 0.0
+        flat[9::5] = -0.0
+        flat[11::7] = 0.0
     elif kind in ("above", "below"):
         # partly outside the working range [-2, 2] on one side
         flat[1::6] = 2.5 if kind == "above" else -3.0
@@ -501,7 +565,7 @@ def _clamp_counts(caplog):
 
 
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
-@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd])
 def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
     flux = make_flux(len(shape))
     g = TorusGrid(shape)
@@ -517,7 +581,7 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
             new = step(f, flux, dt) if ok else step(f, flux, dt, alphas=alphas)
         # one clamp warning per axis, counting every value outside the range
         assert _clamp_counts(caplog) == ([bad] * len(shape) if bad else []), kind
-        assert np.array_equal(new.values, _ref_step(f, flux, dt, alphas), equal_nan=True), kind
+        assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
         if ok:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
                 assert entropy_residual(f, new, flux, dt, k) == \
@@ -525,16 +589,28 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
 
 
 def test_eval_component_matches_polyval_on_breakpoints(caplog):
-    flux = _three_piece_nd(2)
-    cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, 1.75]), 0)]
+    cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, -0.0, 1e-170, -1e-170,
+                        5e-324, 1.75]), 0)]
     cases += [_field_values(kind, (40,), np.random.default_rng(7)) for kind in FIELDS]
-    for u, bad in cases:
-        for j in range(2):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="apcl.flux"):
-                got = flux.eval_component(j, u)
-            assert _clamp_counts(caplog) == ([bad] if bad else [])
-            assert np.array_equal(got, _ref_eval_component(flux, j, u), equal_nan=True)
+    for flux in (_three_piece_nd(2), _cubic_nd(2), _padded_nd(2)):
+        for u, bad in cases:
+            for j in range(2):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="apcl.flux"):
+                    got = flux.eval_component(j, u)
+                assert _clamp_counts(caplog) == ([bad] if bad else [])
+                assert same_bits(got, _ref_eval_component(flux, j, u))
+
+
+def test_horner_plans_drop_zero_coefficients():
+    # (top, interior coefficients or None where skipped, constant term)
+    assert burgers_1d()._plans[0][0] == ((0.5, None, 0.0),)
+    assert _cubic_nd(1)._plans[0][0] == ((1.0, None, 1.0, 0.0),)
+    assert _padded_nd(1)._plans[0][0][1] == (0.5, 0.0)
+    assert PiecewiseFlux(B1, [-1, 1], [[["1/4"]]])._plans[0][0] == ((0.0, 0.25),)
+    # the gathered plan skips a column only where every piece has a zero
+    gathered = _padded_nd(1)._plans[0][1]
+    assert [c is None for c in gathered] == [False, True, False, False]
 
 
 def test_run_calls_lip_bound_once_per_step(monkeypatch):
