@@ -7,7 +7,8 @@ positive denominator shared by every entry.  Exactness is the point:
 continuity at breakpoints, directional combinations xi.phi, lifting to the
 torus, and the linear non-degeneracy decision are all settled in Python
 integers, which cannot overflow.  Floats appear only in numeric evaluation
-paths, and RealQ only in the ``pieces`` view and in returned values.
+paths, whose float tables a flux builds on first use, and RealQ only in
+the ``pieces`` view and in returned values.
 
 Non-degeneracy: the flux is degenerate for a group basis (lambda_1..lambda_m)
 iff some nonzero integer vector kbar makes u -> (sum_j kbar_j lambda_j).phi(u)
@@ -70,10 +71,16 @@ def _value(num, den: int, values) -> float:
 
     The same operations in the same order as ``RealQ.value``: int / int is
     correctly rounded, as ``Fraction.__float__`` is, so the floats agree.
+    A shadow beyond float range raises ValueError.
     """
     s = 0.0
-    for x, v in zip(num, values):
-        s += x / den * v
+    try:
+        for x, v in zip(num, values):
+            s += x / den * v
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise ValueError("a float shadow lies beyond float range")
     return s
 
 
@@ -193,7 +200,10 @@ class PiecewiseFlux:
             if len(piece) != ncomp:
                 raise ValueError("all pieces must have the same component count")
         self.n = ncomp
-        lo_f, hi_f = float(self.breakpoints[0]), float(self.breakpoints[-1])
+        try:
+            lo_f, hi_f = float(self.breakpoints[0]), float(self.breakpoints[-1])
+        except OverflowError:
+            raise ValueError("breakpoints must lie within float range") from None
         if urange is None:
             self.urange = (lo_f, hi_f)
         else:
@@ -204,19 +214,33 @@ class PiecewiseFlux:
                 raise ValueError("breakpoints must cover the working range")
             self.urange = (lo, hi)
         self._check_continuity()
-        self._bp_f = np.array([float(b) for b in self.breakpoints])
+
+    @cached_property
+    def _bp_f(self) -> np.ndarray:
+        """The breakpoints as floats, built on first numeric use."""
+        return np.array([float(b) for b in self.breakpoints])
+
+    @cached_property
+    def _coef_f(self) -> np.ndarray:
+        """Float shadows ``[p, k, d]`` of the coefficients, zero-padded to one degree.
+
+        Built on first numeric use, so the exact layer never pays for it.
+        """
         deg = max(1, max(len(comp) for piece in self._num for comp in piece))
-        values = basis.values
-        self._coef_f = np.array([
+        den, values = self._den, self.basis.values
+        return np.array([
             [[_value(c, den, values) for c in comp] + [0.0] * (deg - len(comp))
              for comp in piece]
             for piece in self._num
         ], dtype=float)
-        # derivative coefficients, ascending degree
+
+    @cached_property
+    def _dcoef_f(self) -> np.ndarray:
+        """Float derivative coefficients ``[p, k, d]``, ascending degree."""
+        deg = self._coef_f.shape[2]
         if deg > 1:
-            self._dcoef_f = self._coef_f[:, :, 1:] * np.arange(1, deg)
-        else:
-            self._dcoef_f = np.zeros((len(self._num), ncomp, 1))
+            return self._coef_f[:, :, 1:] * np.arange(1, deg)
+        return np.zeros((self.npieces, self.n, 1))
 
     @cached_property
     def pieces(self) -> tuple:
@@ -370,27 +394,6 @@ class NdVerdict:
     c: float | None = None
 
 
-def _structure(basis: FrequencyBasis):
-    """Integer structure constants of the basis algebra, as (P, table, labels).
-
-    e_i e_j = sum of (w / P) e_k over the pairs (k, w) in ``table[i][j]``.
-    Index 0 is the rational unit; a product of two irrational elements comes
-    from the basis product table, looked up as ``RealQ.__mul__`` does, and
-    is None when the basis does not declare it.
-    """
-    q = basis.dim
-    tab = basis.products or {}
-    declared = {(i, j): tab.get((i, j)) or tab.get((j, i))
-                for i in range(1, q) for j in range(1, q)}
-    entries = {ij: [_as_fraction(t) for t in e] for ij, e in declared.items() if e is not None}
-    den = math.lcm(*(t.denominator for e in entries.values() for t in e))
-    table = [[((i or j, den),) if not (i and j) else None for j in range(q)]
-             for i in range(q)]
-    for (i, j), e in entries.items():
-        table[i][j] = tuple((k, int(t * den)) for k, t in enumerate(e) if t)
-    return den, table, basis.labels
-
-
 def _mul_add(acc: list[int], x, c, mul):
     """acc += x * c for two q-tuples of integer basis coordinates.
 
@@ -421,8 +424,8 @@ def _dot(xi, piece, mul, start: int = 0) -> list[tuple[int, ...]]:
 
     ``xi`` holds one q-tuple of integer numerators per flux component,
     ``piece`` is one piece of a flux's integer tensor and ``mul`` the basis
-    structure constants from ``_structure``; the result is over the product
-    of the three denominators.  This is the one place where a frequency
+    structure constants ``FrequencyBasis.structure``; the result is over the
+    product of the three denominators.  This is the one place where a frequency
     meets the flux coefficients.
     """
     q = len(mul[1])
@@ -459,7 +462,7 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
     if len(kbar) != gb.rank:
         raise ValueError(f"kbar must have {gb.rank} entries")
     _check_basis(flux, gb)
-    mul = _structure(flux.basis)
+    mul = flux.basis.structure
     xi = gb.vector(kbar)
     return PiecewiseFlux(flux.basis, flux.breakpoints,
                          [[_dot(xi, piece, mul)] for piece in flux._num], flux.urange,
@@ -504,7 +507,7 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     """Decide whether any nonzero kbar makes xi.phi affine on some piece."""
     _check_group(flux, gb)
     q = flux.basis.dim
-    mul = _structure(flux.basis)
+    mul = flux.basis.structure
     for p, piece in enumerate(flux._num):
         # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
         dots = [_dot(lam, piece, mul, 2) for lam in gb.generators]
@@ -535,7 +538,7 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints."""
     _check_group(flux, gb)
-    mul = _structure(flux.basis)
+    mul = flux.basis.structure
     pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
     return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange,
                          den=gb.den * flux._den * mul[0])

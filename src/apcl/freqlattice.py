@@ -76,6 +76,30 @@ class FrequencyBasis:
     def dim(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def structure(self) -> tuple[int, list, tuple[str, ...]]:
+        """Integer structure constants of the basis algebra, as (P, table, labels).
+
+        e_i e_j = sum of (w / P) e_k over the pairs (k, w) in ``table[i][j]``.
+        Index 0 is the rational unit; a product of two irrational elements
+        comes from ``products``, looked up as ``RealQ.__mul__`` does, and is
+        None when the basis does not declare it.  Built once per basis
+        object: ``products`` takes no part in equality, so bases that
+        compare equal may still differ here.
+        """
+        q = self.dim
+        tab = self.products or {}
+        declared = {(i, j): tab.get((i, j)) or tab.get((j, i))
+                    for i in range(1, q) for j in range(1, q)}
+        entries = {ij: [_as_fraction(t) for t in e]
+                   for ij, e in declared.items() if e is not None}
+        den = math.lcm(*(t.denominator for e in entries.values() for t in e))
+        table = [[((i or j, den),) if not (i and j) else None for j in range(q)]
+                 for i in range(q)]
+        for (i, j), e in entries.items():
+            table[i][j] = tuple((k, int(t * den)) for k, t in enumerate(e) if t)
+        return den, table, self.labels
+
     @classmethod
     def rational(cls) -> "FrequencyBasis":
         return cls(("1",), (1.0,))

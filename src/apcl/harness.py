@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
-from .freqlattice import Frequency, FrequencyBasis, group_basis, in_lattice
-from .lift import lift_problem
+from .freqlattice import Frequency, FrequencyBasis, RealQ, group_basis, in_lattice
+from .lift import _cube_per_axis, lift_problem
 from .solver import (
     MAX_STEPS,
     SolverConfig,
@@ -93,6 +93,23 @@ def _fraction(v, path) -> Fraction:
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(path, f"not a rational: {v!r} ({e})")
     raise ConfigError(path, f"expected a rational string like \"1/2\", got {v!r}")
+
+
+def _rational(v, path) -> Fraction:
+    """A rational whose float shadow is finite: the numeric layer evaluates it."""
+    f = _fraction(v, path)
+    try:
+        float(f)
+    except OverflowError:
+        raise ConfigError(path, f"{v!r} lies beyond float range") from None
+    return f
+
+
+def _shadowed(r: RealQ, path) -> RealQ:
+    """``r``, refused when its float shadow, the sum over the basis, is not finite."""
+    if not math.isfinite(r.value):
+        raise ConfigError(path, "float shadow over the basis values lies beyond float range")
+    return r
 
 
 def _real(v, path) -> float:
@@ -185,8 +202,9 @@ def _parse_frequency(mat, basis, path) -> Frequency:
     for i, r in enumerate(mat):
         if len(r) != basis.dim:
             raise ConfigError(f"{path}[{i}]", f"expected {basis.dim} coordinates")
-        rows.append([_fraction(c, f"{path}[{i}][{j}]") for j, c in enumerate(r)])
-    return Frequency.of(basis, rows)
+        rows.append(_shadowed(basis.real([_rational(c, f"{path}[{i}][{j}]")
+                                          for j, c in enumerate(r)]), f"{path}[{i}]"))
+    return Frequency(tuple(rows))
 
 
 def _parse_trigpoly(d, basis, path) -> TrigPoly:
@@ -214,7 +232,7 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
 
 def _parse_flux(d, basis, path) -> PiecewiseFlux:
     _object(d, path, ("breakpoints", "pieces", "range"))
-    bps = [_fraction(b, f"{path}.breakpoints[{i}]")
+    bps = [_rational(b, f"{path}.breakpoints[{i}]")
            for i, b in enumerate(_need(d, "breakpoints", path, list))]
     pieces_raw = _need(d, "pieces", path, list)
     pieces = []
@@ -231,9 +249,9 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
                 if isinstance(c, list):
                     if len(c) != basis.dim:
                         raise ConfigError(cp, f"expected {basis.dim} coordinates")
-                    coeffs.append(basis.real([_fraction(x, cp) for x in c]))
+                    coeffs.append(_shadowed(basis.real([_rational(x, cp) for x in c]), cp))
                 else:
-                    coeffs.append(basis.from_rational(_fraction(c, cp)))
+                    coeffs.append(basis.from_rational(_rational(c, cp)))
             comps.append(coeffs)
         pieces.append(comps)
     urange = None
@@ -275,8 +293,8 @@ def _parse_cfl(v, path) -> float:
 
 def _parse_wave(d, path) -> dict:
     _object(d, path, ("a", "b", "kbar", "tau"))
-    a = _fraction(_need(d, "a", path), f"{path}.a")
-    b = _fraction(_need(d, "b", path), f"{path}.b")
+    a = _rational(_need(d, "a", path), f"{path}.a")
+    b = _rational(_need(d, "b", path), f"{path}.b")
     kbar = _ints(_need(d, "kbar", path), f"{path}.kbar")
     if not a < b:
         raise ConfigError(path, "need a < b")
@@ -426,6 +444,13 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     for key in exp.required:
         if key not in d:
             raise ConfigError(key, f"required for kind {cfg_kind!r}")
+    if cfg.cube is not None:
+        # the largest radius has the most points; the data dimension sets the power
+        radii, spu, _ = cfg.cube
+        try:
+            _cube_per_axis(cfg.initial.n, radii[-1], spu)
+        except ValueError as e:
+            raise ConfigError(f"cube.radii[{len(radii) - 1}]", str(e))
     return cfg
 
 

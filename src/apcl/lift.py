@@ -10,14 +10,15 @@ cubes converge to torus integrals because the orbit equidistributes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import PiecewiseFlux, lift_flux
+from .flux import PiecewiseFlux, _value, lift_flux
 from .freqlattice import SpectrumGroupBasis, group_basis, member_coords
-from .solver import CellField
+from .solver import MAX_CELLS, CellField
 from .trigpoly import TorusPoly, TrigPoly
 
 __all__ = [
@@ -103,11 +104,28 @@ def interp_periodic(f: CellField, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cube_per_axis(n: int, radius: float, samples_per_unit: float) -> int:
+    """Midpoints per axis of the sampling cube, max(1, round(R * spu)).
+
+    Raises ValueError when the cube, that count to the power n, would hold
+    more than ``MAX_CELLS`` points.
+    """
+    try:
+        points = radius * samples_per_unit
+    except OverflowError:  # an integer count beyond float range
+        points = math.inf
+    per_axis = max(1, int(round(points))) if points <= MAX_CELLS else None
+    if per_axis is None or per_axis ** n > MAX_CELLS:
+        raise ValueError(f"the {n}D cube of radius {radius:g} holds more than "
+                         f"{MAX_CELLS} sample points")
+    return per_axis
+
+
 def _cube_points(n: int, radius: float, samples_per_unit: float) -> np.ndarray:
     """Midpoint grid on the cube {|x|_inf <= R/2}, same count per axis."""
     if n > 3:
         raise ValueError("cube sampling supports n <= 3")
-    per_axis = max(1, int(round(radius * samples_per_unit)))
+    per_axis = _cube_per_axis(n, radius, samples_per_unit)
     axis = (np.arange(per_axis) + 0.5) * (radius / per_axis) - radius / 2.0
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
@@ -177,6 +195,17 @@ class LiftedProblem:
         return complex(np.mean(vals))
 
 
+@functools.cache
+def _round_trip_points(n: int) -> np.ndarray:
+    """The 100 fixed pseudo-random points of R^n that ``lift_problem`` checks at.
+
+    Drawn once per dimension n and read-only, since every caller shares them.
+    """
+    xs = np.random.default_rng(987654321).uniform(-3.0, 3.0, size=(100, n))
+    xs.setflags(write=False)
+    return xs
+
+
 def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
                  group: SpectrumGroupBasis | None = None) -> LiftedProblem:
     """Build the periodic twin of (u0, flux).
@@ -197,20 +226,22 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     if gb.rank == 0:
         return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
                              lam=np.zeros((0, u0.n)))
-    terms = {}
-    for lamf in spectrum:
+    terms = []
+    # u0's amplitudes come in spectrum order, so no frequency is hashed
+    for lamf, amp in zip(spectrum, u0._amps.tolist()):
         k = member_coords(lamf, gb)
         if k is None:
             raise ValueError(
                 f"data frequency {lamf} lies outside the declared group"
             )
-        terms[k] = u0.terms[lamf]
+        terms.append((k, amp))
     v0 = TorusPoly(gb.rank, terms)
-    lam = np.array([f.floats() for f in gb.frequencies], dtype=float)
+    values = gb.basis.values
+    lam = np.array([[_value(c, gb.den, values) for c in comp] for comp in gb.generators],
+                   dtype=float)
     pb = LiftedProblem(group=gb, v0=v0, lam=lam,
                        flux=lift_flux(flux, gb) if flux is not None else None)
-    rng = np.random.default_rng(987654321)
-    xs = rng.uniform(-3.0, 3.0, size=(100, u0.n))
+    xs = _round_trip_points(u0.n)
     lifted_vals = v0.eval(xs @ lam.T)
     direct_vals = u0.eval(xs)
     scale = max(1.0, float(np.max(np.abs(direct_vals))))

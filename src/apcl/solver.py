@@ -42,6 +42,7 @@ __all__ = [
     "step",
     "advance",
     "MAX_STEPS",
+    "MAX_CELLS",
     "run",
     "l1_distance",
     "entropy_residual",
@@ -55,6 +56,10 @@ __all__ = [
 # the most time steps one run, or one contraction pair, may take; the
 # shipped configs and the bench workloads take at most a few thousand
 MAX_STEPS = 1_000_000
+
+# the most cells one grid, or points one orbit-mean cube, may hold; the
+# shipped configs and the bench workloads use at most 262144
+MAX_CELLS = 2 ** 24
 
 
 class CflError(RuntimeError):
@@ -85,6 +90,9 @@ class TorusGrid:
             raise ValueError("grid dimension must be 1, 2 or 3")
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least two cells per axis")
+        if math.prod(self.shape) > MAX_CELLS:
+            raise ValueError(f"a grid may hold at most {MAX_CELLS} cells, "
+                             f"got {math.prod(self.shape)}")
 
     @cached_property
     def m(self) -> int:

@@ -29,6 +29,24 @@ def test_shipped_config_passes(path, tmp_path, capsys):
     assert verdicts and all(line.startswith("PASS ") for line in verdicts), out
 
 
+# the exact layer's CSV outputs, which use integer arithmetic and IEEE
+# division only and so are the same bytes on every platform
+EXACT_CSV = {
+    "checkflux_sqrt2": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
+                       b"true,,,,,,\n",
+    "degenerate_diagonal": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
+                           b'false,"1,-1",0,-2,2,0.0,0.0\n',
+}
+
+
+@pytest.mark.parametrize("stem", sorted(EXACT_CSV))
+def test_exact_layer_csv_bytes(stem, tmp_path):
+    rc = cli.main(["check-flux", "--config", str(ROOT / "configs" / f"{stem}.json"),
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / f"{stem}_verdict.csv").read_bytes() == EXACT_CSV[stem]
+
+
 def test_scripts_found():
     assert len(SCRIPTS) >= 4
 

@@ -521,3 +521,34 @@ def test_fractional_product_table():
     assert directional(flux, (1,), gb).pieces[0][0] == comp
     v = nondegeneracy_check(flux, gb)
     assert v.nondegenerate
+
+
+def test_structure_table_is_built_per_basis_object():
+    # products takes no part in equality, so these bases compare equal but
+    # multiply differently: each must get its own table
+    two = FrequencyBasis(("1", "r"), (1.0, 2 ** 0.5),
+                         products={(1, 1): (Fraction(2), Fraction(0))})
+    three = FrequencyBasis(("1", "r"), (1.0, 2 ** 0.5),
+                           products={(1, 1): (Fraction(3), Fraction(0))})
+    assert two == three and hash(two) == hash(three)
+    assert two.structure[1][1][1] == ((0, 2),)
+    assert three.structure[1][1][1] == ((0, 3),)
+    assert two.structure is two.structure
+    for basis, r2 in ((two, 2), (three, 3)):
+        flux = PiecewiseFlux(basis, [-1, 1], [[["0", "0", ["0", "1"]]]])
+        gb = group_basis([Frequency.of(basis, [["0", "1"]])])
+        # r * (r u^2) = r^2 u^2
+        assert lift_flux(flux, gb).pieces[0][0][2].coeffs == (r2, 0)
+
+
+def test_float_shadow_beyond_range_is_a_value_error():
+    # 1e10 * 1e300 u^2: exact everywhere, beyond float range as a float table
+    flux = PiecewiseFlux(B1, [-1, 1], [[["0", "0", "1e300"]]])
+    gb = group_basis([Frequency.of(B1, [["1e10"]])])
+    lifted = lift_flux(flux, gb)
+    assert nondegeneracy_check(flux, gb).nondegenerate
+    for call in (lambda: lifted.eval(0.5), lambda: lip_bound(lifted, -1, 1)):
+        with pytest.raises(ValueError, match="beyond float range"):
+            call()
+    with pytest.raises(ValueError, match="float range"):
+        PiecewiseFlux(B1, ["-1e400", 1], [[["0", "1"]]])

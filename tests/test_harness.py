@@ -20,7 +20,7 @@ from apcl.harness import (
     run_experiment,
     write_csv,
 )
-from apcl.solver import read_field
+from apcl.solver import MAX_CELLS, read_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -144,6 +144,13 @@ def cube_config(**over):
     return spectrum_config(cube={"radii": [2.0, 4.0], "samples_per_unit": 2}, **over)
 
 
+def sqrt2_decay_config():
+    return decay_config(basis=SQRT2_BASIS, initial={"terms": [
+        {"frequency": [["0", "0"]], "re": 0.3},
+        {"frequency": [["0", "1"]], "im": -0.25},
+    ]})
+
+
 def sqrt2_basis(**over):
     return ("basis", dict(SQRT2_BASIS, **over))
 
@@ -234,6 +241,37 @@ BAD_FIELDS = [
     ("cube-samples-zero", cube_config, ("cube", "samples_per_unit", 0),
      "cube.samples_per_unit"),
     ("cube-not-object", cube_config, ("cube", [2.0, 4.0]), "cube"),
+    # rationals whose float shadow lies beyond float range
+    ("coefficient-overflow", decay_config, ("flux", "pieces", 0, 0, 2, "1e400"),
+     "flux.pieces[0][0][2]"),
+    ("breakpoint-overflow", decay_config, ("flux", "breakpoints", ["-2", "1e400"]),
+     "flux.breakpoints[1]"),
+    ("frequency-overflow", decay_config, ("initial", "terms", 1, "frequency", [["1e400"]]),
+     "initial.terms[1].frequency[0][0]"),
+    ("group-frequency-overflow", wave_config, ("group_frequencies", [[["-1e400"]]]),
+     "group_frequencies[0][0][0]"),
+    ("wave-a-overflow", wave_config, ("wave", "a", "-1e400"), "wave.a"),
+    ("wave-b-overflow", wave_config, ("wave", "b", "1e400"), "wave.b"),
+    # each coordinate in range, their sum over the basis values not
+    ("coefficient-shadow-overflow", sqrt2_decay_config,
+     ("flux", "pieces", 0, 0, 2, ["1e308", "1e308"]), "flux.pieces[0][0][2]"),
+    ("frequency-shadow-overflow", sqrt2_decay_config,
+     ("initial", "terms", 1, "frequency", [["1e308", "1e308"]]),
+     "initial.terms[1].frequency[0]"),
+]
+
+# sizes beyond MAX_CELLS, refused by parse_config alone: a check that let
+# one through would allocate it
+OVER_BUDGET = [
+    ("grid", decay_config, ("grid", [4097, 4097]), "grid"),
+    ("grids", lambda: wave_config(kind="convergence"),
+     ("grids", [[32], [2 ** 24 + 1]]), "grids[1]"),
+    ("cube-radius", cube_config, ("cube", "radii", [2.0, 1e308]), "cube.radii[1]"),
+    ("cube-samples", cube_config, ("cube", "samples_per_unit", 10 ** 7), "cube.radii[1]"),
+    ("cube-samples-overflow", cube_config, ("cube", "samples_per_unit", "1e400"),
+     "cube.radii[1]"),
+    ("cube-2d", lambda: cube_config(initial={"terms": [{"frequency": [["1"], ["0"]]}]}),
+     ("cube", "radii", [2.0, 2049.0]), "cube.radii[1]"),
 ]
 
 
@@ -294,6 +332,23 @@ def test_parse_config_names_bad_field(make, edit, field):
     assert e.value.path == field
 
 
+@pytest.mark.parametrize("make,edit,field",
+                         [pytest.param(*case[1:], id=case[0]) for case in OVER_BUDGET])
+def test_parse_config_refuses_sizes_over_budget(make, edit, field):
+    with pytest.raises(ConfigError, match=f"at most {MAX_CELLS}|more than {MAX_CELLS}") as e:
+        parse_config(edited(make, *edit))
+    assert e.value.path == field
+
+
+def test_parse_config_takes_sizes_up_to_the_budget():
+    assert parse_config(decay_config(grid=[4096, 4096])).grid.shape == (4096, 4096)
+    # 4096 points per axis in 2D: exactly MAX_CELLS
+    cfg = parse_config(edited(
+        lambda: cube_config(initial={"terms": [{"frequency": [["1"], ["0"]]}]}),
+        "cube", {"radii": [2.0, 4096.0], "samples_per_unit": 1}))
+    assert cfg.cube[0][-1] == 4096.0
+
+
 def test_parse_config_accepts_integer_strings_and_plain_prefix():
     cfg = parse_config(contraction_config(steps="12", output={"prefix": "pair.v2"}))
     assert cfg.steps == 12 and cfg.prefix == "pair.v2"
@@ -323,8 +378,9 @@ def test_parse_config_reads_cube_and_dump_fields():
     assert parse_config(spectrum_config()).cube is None
 
 
-# stand-ins for any one JSON value: every type, and the falsy ones
-MUTANTS = (None, True, 0, 1.5, "x", [], {})
+# stand-ins for any one JSON value: every type, the falsy ones, and a
+# rational beyond float range
+MUTANTS = (None, True, 0, 1.5, "x", "1e400", [], {})
 
 
 def value_paths(node, path=()):
@@ -751,6 +807,19 @@ def test_cli_step_budget_exit_three(tmp_path, capsys):
     assert rc == 3
     assert time.perf_counter() - t0 < 10.0
     assert "the 1000000 a run may take" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_derived_float_overflow_exit_three(tmp_path, capsys):
+    # every rational is in float range, but the lifted flux 1e10 * 1e300 u^2
+    # is not: its float table refuses when the solve first needs it
+    d = decay_config()
+    d["flux"]["pieces"] = [[["0", "0", "1e300"]]]
+    d["initial"]["terms"][1]["frequency"] = [["1e10"]]
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "beyond float range" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

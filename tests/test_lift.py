@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apcl.flux import PiecewiseFlux
-from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
+from apcl.flux import (
+    PiecewiseFlux,
+    affine_on,
+    directional,
+    lift_flux,
+    lip_bound,
+    nondegeneracy_check,
+)
+from apcl.freqlattice import Frequency, FrequencyBasis, group_basis, member_coords
 from apcl.lift import CubeMeanReport, cube_seminorm, interp_periodic, lift_problem
 from apcl.solver import CellField, TorusGrid, exact_cell_average
 from apcl.trigpoly import TorusPoly, TrigPoly, truncate
@@ -235,6 +244,70 @@ def test_lift_round_trip_internal_check():
     direct = u0.eval(xs)
     via = pb.v0.eval(xs @ pb.lam.T)
     assert via == pytest.approx(direct, abs=1e-10)
+
+
+# --- oracles: the lift's first formulas ---------------------------------------
+# lam from the float shadows of ``gb.frequencies``, and the amplitudes looked
+# up by frequency in ``u0.terms``.  The lift must reproduce them bit for bit.
+
+def _ref_lift(u0, gb):
+    lam = np.array([f.floats() for f in gb.frequencies], dtype=float)
+    terms = {member_coords(f, gb): u0.terms[f] for f in u0.spectrum()}
+    return lam, TorusPoly(gb.rank, terms)
+
+
+def _draw_data(data):
+    basis = data.draw(st.sampled_from([B1, B2]))
+    n = data.draw(st.integers(1, 2))
+    # small coordinates keep the lift's own round-trip check well inside 1e-10
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    amp = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        rows = data.draw(st.lists(st.lists(small, min_size=basis.dim, max_size=basis.dim),
+                                  min_size=n, max_size=n))
+        f = Frequency.of(basis, rows)
+        if not f.is_zero and f not in terms and -f not in terms:
+            terms[f] = data.draw(amp)
+    terms[Frequency.of(basis, [[0] * basis.dim] * n)] = data.draw(st.floats(-1.0, 1.0))
+    return TrigPoly(basis, n, terms)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lift_problem_matches_first_formulas(data):
+    u0 = _draw_data(data)
+    pb = lift_problem(u0, None)
+    if not pb.m:
+        return
+    lam, v0 = _ref_lift(u0, pb.group)
+    assert pb.lam.shape == lam.shape and pb.lam.tobytes() == lam.tobytes()
+    assert list(pb.v0.terms) == list(v0.terms)
+    assert same_bits(np.array(list(pb.v0.terms.values())), np.array(list(v0.terms.values())))
+    assert pb.v0.mean == v0.mean
+
+
+FLOAT_TABLES = {"_bp_f", "_coef_f", "_dcoef_f"}
+
+
+def test_exact_layer_builds_no_float_tables():
+    u0 = quasi_data()
+    # affine on [-2, 0], Burgers on [0, 2]: degenerate, so the decision
+    # also reports a witness
+    flux = PiecewiseFlux(B2, [-2, 0, 2], [[["0", "1"]], [["0", "1", "1/2"]]])
+    gb = group_basis(list(u0.spectrum()))
+    verdict = nondegeneracy_check(flux, gb)
+    assert not verdict.nondegenerate
+    lifted = lift_flux(flux, gb)
+    d = directional(flux, verdict.kbar, gb)
+    assert affine_on(d, *verdict.interval) is not None
+    pb = lift_problem(u0, flux)
+    for f in (flux, lifted, d, pb.flux):
+        assert not FLOAT_TABLES & set(vars(f))
+    # the first numeric call builds them
+    pb.flux.eval(0.5)
+    lip_bound(pb.flux, -1.0, 1.0)
+    assert FLOAT_TABLES <= set(vars(pb.flux))
 
 
 # --- oracles: the sampler's first formulas -------------------------------------

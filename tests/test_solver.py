@@ -3,6 +3,7 @@
 import logging
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,7 +426,7 @@ def test_field_dump_roundtrip(tmp_path):
     f2 = read_field(path)
     assert f2.grid.shape == (6, 4, 3)
     assert f2.values == pytest.approx(f.values, abs=0)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert len(raw) == 8 + 3 * 8 + 6 * 4 * 3 * 8
     assert int.from_bytes(raw[:8], "little") == 3
 
