@@ -165,12 +165,13 @@ class PiecewiseFlux:
     numerators (the form derived fluxes are built in).  The ``pieces``
     attribute is a RealQ view of the tensor.  Continuity at every interior
     breakpoint is checked exactly at construction.  Evaluation clamps to
-    the working range (with a logged warning) and takes the right piece at
-    interior breakpoints, the left piece at u_P.
+    the working range ``urange``, the float breakpoint span [u_0, u_P]
+    (with a logged warning), and takes the right piece at interior
+    breakpoints, the left piece at u_P.
     """
 
-    def __init__(self, basis: FrequencyBasis, breakpoints, pieces, urange=None,
-                 *, den: int | None = None):
+    def __init__(self, basis: FrequencyBasis, breakpoints, pieces, *,
+                 den: int | None = None):
         self.basis = basis
         self.breakpoints = tuple(
             b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints
@@ -201,18 +202,9 @@ class PiecewiseFlux:
                 raise ValueError("all pieces must have the same component count")
         self.n = ncomp
         try:
-            lo_f, hi_f = float(self.breakpoints[0]), float(self.breakpoints[-1])
+            self.urange = (float(self.breakpoints[0]), float(self.breakpoints[-1]))
         except OverflowError:
             raise ValueError("breakpoints must lie within float range") from None
-        if urange is None:
-            self.urange = (lo_f, hi_f)
-        else:
-            lo, hi = float(urange[0]), float(urange[1])
-            if not (lo <= hi):
-                raise ValueError("working range must satisfy lo <= hi")
-            if lo < lo_f or hi > hi_f:
-                raise ValueError("breakpoints must cover the working range")
-            self.urange = (lo, hi)
         self._check_continuity()
 
     @cached_property
@@ -268,18 +260,6 @@ class PiecewiseFlux:
                         f"component {k} jumps at breakpoint {u}: "
                         f"{left.coeffs} != {right.coeffs}"
                     )
-
-    def eval_exact(self, component: int, u: Fraction) -> RealQ:
-        """Exact value of one component at a rational point in range."""
-        u = Fraction(u)
-        if u < self.breakpoints[0] or u > self.breakpoints[-1]:
-            raise ValueError("exact evaluation outside breakpoint span")
-        p = self._piece_of_exact(u)
-        return _eval_exact(self.pieces[p][component], self.basis, u)
-
-    def _piece_of_exact(self, u: Fraction) -> int:
-        i = bisect.bisect_right(self.breakpoints, u) - 1
-        return min(max(i, 0), self.npieces - 1)
 
     @cached_property
     def _inner(self) -> list[float]:
@@ -353,13 +333,8 @@ class PiecewiseFlux:
             u = np.clip(u, lo, hi)
         return u, None, None
 
-    def eval(self, u: float) -> np.ndarray:
-        """All components at one point, with the tie rules of ``eval_component``."""
-        uu, _, _ = self._clamp(np.asarray([float(u)]))
-        return np.array([self.eval_component(k, uu)[0] for k in range(self.n)])
-
     def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
-        """Vectorized single-component evaluation with the same tie rules.
+        """Vectorized single-component evaluation with the tie rules above.
 
         Returns a new array, which the caller may overwrite.
         """
@@ -456,7 +431,7 @@ def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
 def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """Scalar piecewise polynomial u -> xi.phi(u), xi = sum_j kbar_j lambda_j.
 
-    Coefficients are exact; breakpoints and working range carry over.
+    Coefficients are exact; the breakpoints carry over.
     """
     kbar = tuple(int(k) for k in kbar)
     if len(kbar) != gb.rank:
@@ -465,7 +440,7 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
     mul = flux.basis.structure
     xi = gb.vector(kbar)
     return PiecewiseFlux(flux.basis, flux.breakpoints,
-                         [[_dot(xi, piece, mul)] for piece in flux._num], flux.urange,
+                         [[_dot(xi, piece, mul)] for piece in flux._num],
                          den=gb.den * flux._den * mul[0])
 
 
@@ -540,7 +515,7 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     _check_group(flux, gb)
     mul = flux.basis.structure
     pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
-    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, flux.urange,
+    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
                          den=gb.den * flux._den * mul[0])
 
 

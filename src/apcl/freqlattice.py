@@ -127,10 +127,6 @@ class FrequencyBasis:
     def zero(self) -> "RealQ":
         return self.from_rational(0)
 
-    @property
-    def one(self) -> "RealQ":
-        return self.from_rational(1)
-
 
 @dataclass(frozen=True)
 class RealQ:
@@ -163,15 +159,6 @@ class RealQ:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def __add__(self, other: "RealQ") -> "RealQ":
         self._check_same_basis(other)

@@ -25,10 +25,12 @@ from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, RealQ, group_basis, in_lattice
 from .lift import _cube_per_axis, lift_problem
 from .solver import (
+    DEFAULT_CFL,
     MAX_STEPS,
     SolverConfig,
     TorusGrid,
     advance,
+    check_cfl,
     exact_cell_average,
     exact_counterexample,
     fourier_coeff,
@@ -124,8 +126,8 @@ def _real(v, path) -> float:
 
 
 def _int(v, path) -> int:
-    """A JSON integer or an integral rational string; never a boolean or a float."""
-    f = _fraction(v, path)
+    """A JSON integer or an integral rational string in float range; never a bool or a float."""
+    f = _rational(v, path)
     if f.denominator != 1:
         raise ConfigError(path, f"expected an integer, got {v!r}")
     return int(f)
@@ -231,7 +233,7 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
 
 
 def _parse_flux(d, basis, path) -> PiecewiseFlux:
-    _object(d, path, ("breakpoints", "pieces", "range"))
+    _object(d, path, ("breakpoints", "pieces"))
     bps = [_rational(b, f"{path}.breakpoints[{i}]")
            for i, b in enumerate(_need(d, "breakpoints", path, list))]
     pieces_raw = _need(d, "pieces", path, list)
@@ -254,13 +256,8 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
                     coeffs.append(basis.from_rational(_rational(c, cp)))
             comps.append(coeffs)
         pieces.append(comps)
-    urange = None
-    if "range" in d:
-        urange = _reals(d["range"], f"{path}.range")
-        if len(urange) != 2:
-            raise ConfigError(f"{path}.range", "expected [lo, hi]")
     try:
-        return PiecewiseFlux(basis, bps, pieces, urange)
+        return PiecewiseFlux(basis, bps, pieces)
     except ValueError as e:
         raise ConfigError(path, str(e))
 
@@ -276,7 +273,7 @@ def _parse_grid(v, path) -> TorusGrid:
 def _parse_solver(d, path) -> SolverConfig:
     _object(d, path, ("t_end", "cfl", "record_times"))
     t_end = _real(_need(d, "t_end", path), f"{path}.t_end")
-    cfl = _real(d.get("cfl", 0.45), f"{path}.cfl")
+    cfl = _real(d.get("cfl", DEFAULT_CFL), f"{path}.cfl")
     record_times = _reals(d.get("record_times", []), f"{path}.record_times")
     try:
         return SolverConfig(t_end=t_end, cfl=cfl, record_times=record_times)
@@ -286,9 +283,11 @@ def _parse_solver(d, path) -> SolverConfig:
 
 def _parse_cfl(v, path) -> float:
     cfl = _real(v, path)
-    if not 0.0 < cfl <= 0.5:
-        raise ConfigError(path, "must lie in (0, 1/2]")
-    return cfl
+    try:
+        return check_cfl(cfl)
+    except ValueError as e:
+        # the path already names the field
+        raise ConfigError(path, str(e).removeprefix("cfl ")) from None
 
 
 def _parse_wave(d, path) -> dict:
@@ -379,7 +378,7 @@ class ExperimentConfig:
     grids: tuple[TorusGrid, ...] | None = None
     solver: SolverConfig | None = None
     steps: int = 200
-    cfl: float = 0.45
+    cfl: float = DEFAULT_CFL
     wave: dict | None = None
     probes: tuple[tuple[int, ...], ...] | None = None
     cube: tuple[tuple[float, ...], int, tuple[float, ...] | None] | None = None

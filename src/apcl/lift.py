@@ -23,29 +23,9 @@ from .trigpoly import TorusPoly, TrigPoly
 
 __all__ = [
     "LiftedProblem",
-    "CubeMeanReport",
     "lift_problem",
-    "cube_seminorm",
     "interp_periodic",
 ]
-
-
-@dataclass(frozen=True)
-class CubeMeanReport:
-    """Cube-average estimates over growing radii; extrapolated = last."""
-
-    radii: tuple[float, ...]
-    estimates: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.radii) != len(self.estimates) or not self.radii:
-            raise ValueError("radii and estimates must pair up, nonempty")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-
-    @property
-    def extrapolated(self) -> float:
-        return self.estimates[-1]
 
 
 def _wrap(y: np.ndarray) -> np.ndarray:
@@ -183,17 +163,6 @@ class LiftedProblem:
         pts = _cube_points(self.n, radius, samples_per_unit)
         return float(np.mean(self.pullback_sample(w, z, pts)))
 
-    def bohr_coefficient(self, w: CellField, kbar, z, radius: float,
-                         samples_per_unit: float) -> complex:
-        """Orbit average of w(y) e^{-2 pi i kbar.y}: the coefficient probe."""
-        kvec = np.asarray(kbar, dtype=float)
-        if kvec.shape != (self.m,):
-            raise ValueError(f"kbar must have {self.m} entries")
-        pts = _cube_points(self.n, radius, samples_per_unit)
-        ys = self.lift_points(pts, z)
-        vals = interp_periodic(w, ys) * np.exp(-2j * np.pi * (ys @ kvec))
-        return complex(np.mean(vals))
-
 
 @functools.cache
 def _round_trip_points(n: int) -> np.ndarray:
@@ -249,23 +218,3 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     if err > 1e-10 * scale:
         raise AssertionError(f"lift round trip off by {err:.3e}")
     return pb
-
-
-def cube_seminorm(f, n: int, p: int, radii, samples_per_unit: float) -> CubeMeanReport:
-    """Mean L^p cube seminorm estimates (R^{-n} int_{C_R} |f|^p)^{1/p}.
-
-    ``f`` maps an (N, n) array of points to N values; estimates use the
-    same midpoint rule as orbit averaging, one entry per radius, final
-    entry reported as the extrapolated value.
-    """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("need positive radii")
-    ests = []
-    for r in radii:
-        pts = _cube_points(n, r, samples_per_unit)
-        vals = np.abs(np.asarray(f(pts), dtype=float)) ** p
-        ests.append(float(np.mean(vals)) ** (1.0 / p))
-    return CubeMeanReport(radii=radii, estimates=tuple(ests))

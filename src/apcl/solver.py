@@ -5,12 +5,12 @@ F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
 global viscosity per step and axis: 1.1 times the max of |phi_j'| over the
 current field range, which ``lip_bound`` takes in closed form from the
 piece ends and the critical points of phi_j' between them.  ``advance``
-computes the alphas once per step, takes dt from them and hands the same
-alphas to ``step``; ``run`` and the harness's two-field contraction both
-step through it.  Under the CFL cap sum_j alpha_j dt/h_j <= 1/2 the
-update is monotone, hence conservative, max-principle stable,
-L1-contractive, and cell-entropy dissipative for the Kruzhkov-type
-numerical entropy flux
+is the one place that chooses them: it computes the alphas once per step,
+takes dt from them and hands the same alphas to ``step``; ``run`` and the
+harness's two-field contraction both step through it.  Under the CFL cap
+sum_j alpha_j dt/h_j <= 1/2 the update is monotone, hence conservative,
+max-principle stable, L1-contractive, and cell-entropy dissipative for
+the Kruzhkov-type numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 """
 
@@ -33,6 +33,8 @@ __all__ = [
     "TorusGrid",
     "CellField",
     "SolverConfig",
+    "DEFAULT_CFL",
+    "check_cfl",
     "Trajectory",
     "CflError",
     "CounterexampleError",
@@ -53,6 +55,9 @@ __all__ = [
 ]
 
 
+# the Courant number a config that names none runs at
+DEFAULT_CFL = 0.45
+
 # the most time steps one run, or one contraction pair, may take; the
 # shipped configs and the bench workloads take at most a few thousand
 MAX_STEPS = 1_000_000
@@ -60,6 +65,13 @@ MAX_STEPS = 1_000_000
 # the most cells one grid, or points one orbit-mean cube, may hold; the
 # shipped configs and the bench workloads use at most 262144
 MAX_CELLS = 2 ** 24
+
+
+def check_cfl(cfl: float) -> float:
+    """``cfl``, refused with ValueError unless it lies in (0, 1/2]."""
+    if not 0.0 < cfl <= 0.5:
+        raise ValueError("cfl must lie in (0, 1/2]")
+    return cfl
 
 
 class CflError(RuntimeError):
@@ -135,12 +147,11 @@ class CellField:
 @dataclass(frozen=True)
 class SolverConfig:
     t_end: float
-    cfl: float = 0.45
+    cfl: float = DEFAULT_CFL
     record_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 0.5:
-            raise ValueError("cfl must lie in (0, 1/2]")
+        check_cfl(self.cfl)
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
         rt = tuple(float(t) for t in self.record_times)
@@ -184,24 +195,17 @@ def exact_cell_average(p: TorusPoly, g: TorusGrid) -> CellField:
     return CellField(g, acc.real)
 
 
-def cfl_dt(f: CellField, flux: PiecewiseFlux, cfl: float = 0.45,
-           t_remaining: float = np.inf,
-           alphas: tuple[float, ...] | None = None) -> float:
-    """Largest admissible dt: cfl / sum_j alpha_j/h_j on the field's range.
+def cfl_dt(f: CellField, cfl: float, alphas: tuple[float, ...]) -> float:
+    """Largest admissible dt for the viscosities ``alphas``: cfl / sum_j alpha_j/h_j.
 
-    With all alpha_j = 0 (flux constant on the range) the remaining time
-    wins; the result is always capped by ``t_remaining``.  ``alphas``
-    overrides the viscosities, as in ``step``; only the grid of ``f`` is
-    used then.
+    Only the grid of ``f`` is read.  With all alpha_j = 0 (a flux constant
+    on the range) every dt is admissible, and the result is infinite.
     """
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError("cfl must lie in (0, 1/2]")
-    if alphas is None:
-        alphas = lip_bound(flux, f.vmin, f.vmax)
+    check_cfl(cfl)
     denom = sum(a / h for a, h in zip(alphas, f.grid.h))
     if denom == 0.0:
-        return t_remaining
-    return min(cfl / denom, t_remaining)
+        return math.inf
+    return cfl / denom
 
 
 # the scalar twin of each ufunc ``_neighbours`` takes: the same IEEE operation
@@ -253,18 +257,15 @@ def _flux_difference(face: np.ndarray, j: int, scale: float) -> np.ndarray:
 
 
 def step(f: CellField, flux: PiecewiseFlux, dt: float,
-         alphas: tuple[float, ...] | None = None) -> CellField:
-    """One unsplit conservative update; refuses CFL violations.
+         alphas: tuple[float, ...]) -> CellField:
+    """One unsplit conservative update with the per-axis viscosities ``alphas``.
 
-    ``alphas`` overrides the per-axis viscosities (``advance`` passes the
-    ones it took dt from, shared by every field it steps); the default
-    recomputes them from the field's own range.
+    ``advance`` passes the ones it took dt from, shared by every field it
+    steps.  Refuses CFL violations.
     """
     g = f.grid
     if flux.n != g.m:
         raise ValueError("flux component count must match grid dimension")
-    if alphas is None:
-        alphas = lip_bound(flux, f.vmin, f.vmax)
     courant = sum(a * dt / h for a, h in zip(alphas, g.h))
     if courant > 0.5 * (1.0 + 1e-9):
         raise CflError(
@@ -294,7 +295,7 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
         if f.vmax > hi:
             hi = f.vmax
     alphas = lip_bound(flux, lo, hi)
-    dt_cfl = cfl_dt(fields[0], flux, cfl, alphas=alphas)
+    dt_cfl = cfl_dt(fields[0], cfl, alphas)
     dt = min(dt_cfl, t_remaining)
     stepped = []
     for f in fields:
@@ -310,17 +311,14 @@ def l1_distance(f: CellField, g: CellField) -> float:
 
 
 def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
-                     dt: float, k: float,
-                     alphas: tuple[float, ...] | None = None) -> float:
+                     dt: float, k: float, alphas: tuple[float, ...]) -> float:
     """Max cell entropy-inequality violation for threshold k.
 
     Uses the numerical entropy flux Q_j(a,b;k) = F_j(a max k, b max k)
-    - F_j(a min k, b min k) with the same viscosities the step used;
+    - F_j(a min k, b min k) with ``alphas``, the viscosities the step used;
     nonpositive (up to roundoff) for any monotone step.
     """
     g = before.grid
-    if alphas is None:
-        alphas = lip_bound(flux, before.vmin, before.vmax)
     u, u2 = before.values, after.values
     k = float(k)
     acc = np.abs(u2 - k) - np.abs(u - k)

@@ -16,10 +16,8 @@ from .freqlattice import Frequency, FrequencyBasis
 __all__ = [
     "TrigPoly",
     "TorusPoly",
-    "combine",
     "fejer_damp",
     "fejer_factor",
-    "truncate",
 ]
 
 _IMAG_TOL = 1e-12
@@ -60,14 +58,10 @@ class _TrigCore:
     """Evaluation core shared by TrigPoly and TorusPoly.
 
     Holds the reality-normalised terms in a fixed key order, their mean,
-    float frequency matrix and amplitudes, and evaluates them.  ``space`` is the
-    constructor arguments before ``terms``, so ``_like`` rebuilds the same
-    kind of polynomial.
+    float frequency matrix and amplitudes, and evaluates them.
     """
 
-    def __init__(self, space: tuple, dim: int, items, negate,
-                 sort_key=None, row=tuple):
-        self._space = space
+    def __init__(self, dim: int, items, negate, sort_key=None, row=tuple):
         self.terms, self.mean = _normalize_real_terms(items, negate)
         self._keys = sorted(self.terms, key=sort_key)
         self._freq_mat = np.array(
@@ -76,15 +70,8 @@ class _TrigCore:
         self._amps = np.array([self.terms[k] for k in self._keys], dtype=complex)
         self._amp_scale = float(np.sum(np.abs(self._amps)))
 
-    def _like(self, terms):
-        """A polynomial of the same kind and space with other terms."""
-        return type(self)(*self._space, terms)
-
     def spectrum(self) -> tuple:
         return tuple(self._keys)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """Evaluate at x (shape (dim,) or (N, dim)); returns real values.
@@ -119,7 +106,7 @@ class TrigPoly(_TrigCore):
         self.basis = basis
         self.n = n
         super().__init__(
-            (basis, n), n, items, lambda f: -f,
+            n, items, lambda f: -f,
             sort_key=lambda f: tuple(c.coeffs for c in f.coords),
             row=lambda f: [c.value for c in f.coords],
         )
@@ -154,7 +141,7 @@ class TorusPoly(_TrigCore):
             if len(k) != m:
                 raise ValueError(f"expected {m}-vector frequency, got {k}")
         self.m = m
-        super().__init__((m,), m, items, lambda k: tuple(-c for c in k))
+        super().__init__(m, items, lambda k: tuple(-c for c in k))
 
     eval = _TrigCore.eval
 
@@ -174,18 +161,6 @@ class TorusPoly(_TrigCore):
 
     def coeff(self, k) -> complex:
         return self.terms.get(tuple(k), 0j)
-
-
-def combine(alpha: float, p, beta: float, q):
-    """alpha*p + beta*q with exact coefficient merge; zero terms dropped."""
-    if type(p) is not type(q):
-        raise ValueError("cannot combine polynomials of different kinds")
-    if p._space != q._space:
-        raise ValueError("combine: basis or dimension mismatch")
-    merged = {k: alpha * v for k, v in p.terms.items()}
-    for k, v in q.terms.items():
-        merged[k] = merged.get(k, 0j) + beta * v
-    return p._like(merged)
 
 
 def fejer_factor(k, r: int) -> float:
@@ -209,8 +184,3 @@ def fejer_damp(p: TorusPoly, r: int) -> TorusPoly:
         if w > 0.0:
             out[k] = amp * w
     return TorusPoly(p.m, out)
-
-
-def truncate(p, eps: float):
-    """Drop every term with |a_lam| <= eps."""
-    return p._like({k: v for k, v in p.terms.items() if abs(v) > eps})

@@ -124,6 +124,7 @@ BAD_NUMBERS = [
     pytest.param(decay_config, ("solver", "cfl", True), id="solver-cfl-bool"),
     pytest.param(decay_config, ("solver", "record_times", ["1/4", False]), id="record-bool"),
     pytest.param(decay_config, ("solver", "record_times", 0.5), id="record-not-list"),
+    # flux reads no range any more: refused as a key it does not read
     pytest.param(decay_config, ("flux", "range", [-1, NAN]), id="range-nan"),
     pytest.param(wave_config, ("wave", "tau", True), id="tau-bool"),
     pytest.param(lambda: cube_config(), ("cube", "offset", [True]), id="offset-bool"),
@@ -159,6 +160,11 @@ def products(*entries):
     return sqrt2_basis(products=list(entries))
 
 
+def shipped(stem):
+    """A maker of the shipped config ``configs/<stem>.json``."""
+    return lambda: json.loads((CONFIGS / f"{stem}.json").read_text())
+
+
 # configs that must fail to parse, with the field the error must name:
 # integer fields that are not integers, thresholds that are not finite
 # numbers, and output prefixes that would leave the output directory
@@ -175,6 +181,12 @@ BAD_FIELDS = [
     ("kbar-float", wave_config, ("wave", "kbar", [2.7]), "wave.kbar[0]"),
     ("probe-float", spectrum_config, ("probes", [[1.5]]), "probes[0][0]"),
     ("probe-not-list", spectrum_config, ("probes", [1]), "probes[0]"),
+    # integers beyond float range: the numeric layer multiplies them by floats
+    ("probe-overflow", shipped("spectrum_probe"), ("probes", [[0, "1e400"]]), "probes[0][1]"),
+    ("kbar-overflow", shipped("transport_counterexample"), ("wave", "kbar", ["1e400"]),
+     "wave.kbar[0]"),
+    ("cube-samples-overflow", cube_config, ("cube", "samples_per_unit", "1e400"),
+     "cube.samples_per_unit"),
     ("products-index-bool", decay_config, products([True, 1, ["2", "0"]]),
      "basis.products[0][0]"),
     ("products-index-float", decay_config, products([1, 2.7, ["2", "0"]]),
@@ -225,6 +237,7 @@ BAD_FIELDS = [
     # keys a nested object does not read
     ("basis-key", decay_config, ("basis", "lables", ["1"]), "basis.lables"),
     ("flux-key", decay_config, ("flux", "rang", [-1, 1]), "flux.rang"),
+    ("flux-range", shipped("burgers_decay"), ("flux", "range", ["-2", "2"]), "flux.range"),
     ("initial-key", decay_config, ("initial", "term", []), "initial.term"),
     ("initial-b-key", contraction_config, ("initial_b", "terms_", []), "initial_b.terms_"),
     ("term-key", decay_config, ("initial", "terms", 1, "imag", 0.1), "initial.terms[1].imag"),
@@ -268,8 +281,6 @@ OVER_BUDGET = [
      ("grids", [[32], [2 ** 24 + 1]]), "grids[1]"),
     ("cube-radius", cube_config, ("cube", "radii", [2.0, 1e308]), "cube.radii[1]"),
     ("cube-samples", cube_config, ("cube", "samples_per_unit", 10 ** 7), "cube.radii[1]"),
-    ("cube-samples-overflow", cube_config, ("cube", "samples_per_unit", "1e400"),
-     "cube.radii[1]"),
     ("cube-2d", lambda: cube_config(initial={"terms": [{"frequency": [["1"], ["0"]]}]}),
      ("cube", "radii", [2.0, 2049.0]), "cube.radii[1]"),
 ]

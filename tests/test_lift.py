@@ -1,6 +1,4 @@
-"""Dimension lifting, orbit sampling, and cube seminorms."""
-
-from fractions import Fraction
+"""Dimension lifting and orbit sampling."""
 
 import numpy as np
 import pytest
@@ -16,9 +14,9 @@ from apcl.flux import (
     nondegeneracy_check,
 )
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis, member_coords
-from apcl.lift import CubeMeanReport, cube_seminorm, interp_periodic, lift_problem
-from apcl.solver import CellField, TorusGrid, exact_cell_average
-from apcl.trigpoly import TorusPoly, TrigPoly, truncate
+from apcl.lift import interp_periodic, lift_problem
+from apcl.solver import CellField, TorusGrid
+from apcl.trigpoly import TorusPoly, TrigPoly
 from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
@@ -45,7 +43,8 @@ def test_lift_periodic_case():
     assert pb.m == 1
     assert pb.v0.coeff((1,)) == pytest.approx(-0.25j)
     assert pb.v0.mean == pytest.approx(0.3)
-    assert pb.flux.eval(0.4) == pytest.approx(burgers().eval(0.4))
+    u = np.array([0.4])
+    assert pb.flux.eval_component(0, u) == pytest.approx(burgers().eval_component(0, u))
 
 
 def test_lift_quasi_periodic_coordinates():
@@ -56,7 +55,7 @@ def test_lift_quasi_periodic_coordinates():
     assert pb.lam == pytest.approx(np.array([[1.0], [np.sqrt(2)]]))
     assert pb.flux.n == 2
     # second lifted component carries the sqrt2 factor
-    assert pb.flux.eval(0.8)[1] == pytest.approx(np.sqrt(2) * 0.32)
+    assert pb.flux.eval_component(1, np.array([0.8]))[0] == pytest.approx(np.sqrt(2) * 0.32)
 
 
 def test_lift_constant_data():
@@ -177,61 +176,6 @@ def test_orbit_mean_matches_torus_integral():
     assert abs(est - torus_mean) <= 0.02 * max(abs(w.vmin), abs(w.vmax))
 
 
-def test_bohr_coefficient_probe():
-    u0 = quasi_data()
-    pb = lift_problem(u0, burgers(B2))
-    g = TorusGrid((64, 64))
-    v = TorusPoly(2, {(1, 0): 0.25, (0, 1): -0.1j, (0, 0): 0.4})
-    w = exact_cell_average(v, g)
-    for k in [(1, 0), (0, 1), (0, 0)]:
-        a = pb.bohr_coefficient(w, k, Z0, 200.0, 16)
-        assert abs(a - v.coeff(k)) <= 0.01
-    # absent frequency probes to ~0
-    assert abs(pb.bohr_coefficient(w, (2, 2), Z0, 200.0, 16)) <= 0.01
-
-
-def test_cube_seminorm_zero():
-    rep = cube_seminorm(lambda xs: np.zeros(len(xs)), 1, 1, [10.0, 20.0], 8)
-    assert rep.estimates == (0.0, 0.0)
-    assert rep.extrapolated == 0.0
-
-
-def test_cube_seminorm_abs_sine():
-    f = lambda xs: np.sin(2 * np.pi * xs[:, 0])
-    rep = cube_seminorm(f, 1, 1, [25.0, 50.0, 100.0], 64)
-    assert rep.extrapolated == pytest.approx(2 / np.pi, abs=0.01)
-
-
-def test_cube_seminorm_p2_parseval():
-    # N2 of dropped tail: two-frequency poly minus its truncation
-    one = Frequency.of(B2, [[1, 0]])
-    rt2 = Frequency.of(B2, [[0, 1]])
-    p = TrigPoly(B2, 1, {one: 0.25, rt2: 0.1})
-    t = truncate(p, 0.2)  # drops the 0.1 pair
-    diff = lambda xs: p.eval(xs) - t.eval(xs)
-    rep = cube_seminorm(diff, 1, 2, [50.0, 100.0], 32)
-    expect = np.sqrt(2 * 0.1 ** 2)
-    assert rep.extrapolated == pytest.approx(expect, abs=0.01)
-
-
-def test_cube_seminorm_equal_polys_zero():
-    one = Frequency.of(B2, [[1, 0]])
-    p = TrigPoly(B2, 1, {one: 0.25})
-    q = TrigPoly(B2, 1, {one: 0.25})
-    diff = lambda xs: p.eval(xs) - q.eval(xs)
-    rep = cube_seminorm(diff, 1, 1, [10.0], 16)
-    assert rep.extrapolated <= 1e-10
-
-
-def test_cube_report_validation():
-    with pytest.raises(ValueError):
-        CubeMeanReport((2.0, 1.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        CubeMeanReport((), ())
-    with pytest.raises(ValueError):
-        cube_seminorm(lambda xs: np.zeros(len(xs)), 1, 3, [1.0], 4)
-
-
 def test_lift_round_trip_internal_check():
     # a poly with several incommensurate terms passes the built-in check
     one = Frequency.of(B2, [[1, 0]])
@@ -305,7 +249,7 @@ def test_exact_layer_builds_no_float_tables():
     for f in (flux, lifted, d, pb.flux):
         assert not FLOAT_TABLES & set(vars(f))
     # the first numeric call builds them
-    pb.flux.eval(0.5)
+    pb.flux.eval_component(0, np.array([0.5]))
     lip_bound(pb.flux, -1.0, 1.0)
     assert FLOAT_TABLES <= set(vars(pb.flux))
 

@@ -1,6 +1,7 @@
 """Monotone scheme invariants: conservation, contraction, entropy, waves."""
 
 import logging
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -97,7 +98,7 @@ def test_cfl_dt_burgers_range():
     g = TorusGrid((100,))
     vals = np.linspace(-1.0, 1.0, 100)
     f = CellField(g, vals)
-    dt = cfl_dt(f, burgers_1d(), cfl=0.45)
+    dt = cfl_dt(f, 0.45, lip_bound(burgers_1d(), f.vmin, f.vmax))
     assert 0.0040 <= dt <= 0.0045
 
 
@@ -105,7 +106,7 @@ def test_cfl_dt_affine_constant_field():
     g = TorusGrid((10,))
     f = CellField(g, np.full(10, 0.3))
     aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
-    dt = cfl_dt(f, aff, cfl=0.45)
+    dt = cfl_dt(f, 0.45, lip_bound(aff, f.vmin, f.vmax))
     assert 0.0204 <= dt <= 0.0225
 
 
@@ -113,7 +114,8 @@ def test_cfl_dt_zero_flux_returns_remaining():
     g = TorusGrid((10,))
     f = CellField(g, np.zeros(10))
     zero = PiecewiseFlux(B1, [-1, 1], [[["0"]]])
-    assert cfl_dt(f, zero, t_remaining=0.75) == 0.75
+    assert cfl_dt(f, 0.45, lip_bound(zero, f.vmin, f.vmax)) == math.inf
+    assert advance(zero, 0.45, 0.75, f)[:2] == (math.inf, 0.75)
 
 
 def _face(a, b, flux, alpha):
@@ -136,7 +138,7 @@ def test_rusanov_examples():
 def test_step_constant_unchanged():
     g = TorusGrid((32,))
     f = CellField(g, np.full(32, 0.4))
-    f2 = step(f, burgers_1d(), 0.001)
+    _, _, (f2,) = advance(burgers_1d(), 0.45, 0.001, f)
     assert f2.values == pytest.approx(f.values, abs=1e-16)
 
 
@@ -146,8 +148,7 @@ def test_step_conserves_and_bounds():
     f = CellField(g, rng.uniform(-1, 1, 64))
     flux = burgers_1d()
     for _ in range(20):
-        dt = cfl_dt(f, flux)
-        f2 = step(f, flux, dt)
+        _, _, (f2,) = advance(flux, 0.45, math.inf, f)
         assert f2.mean() == pytest.approx(f.mean(), rel=1e-13, abs=1e-15)
         assert f2.vmin >= f.vmin - 1e-14
         assert f2.vmax <= f.vmax + 1e-14
@@ -161,7 +162,7 @@ def test_advance_steps_every_field_with_one_operator():
     flux = burgers_1d()
     # one field: the alphas of its own range, dt from them, one step
     alphas = lip_bound(flux, fa.vmin, fa.vmax)
-    dt = cfl_dt(fa, flux, 0.4, 0.5, alphas)
+    dt = cfl_dt(fa, 0.4, alphas)
     dt_cfl, got_dt, (va,) = advance(flux, 0.4, 0.5, fa)
     assert dt_cfl == got_dt == dt
     assert np.array_equal(va.values, step(fa, flux, dt, alphas).values)
@@ -173,7 +174,7 @@ def test_advance_steps_every_field_with_one_operator():
         fb = CellField(g, rng.uniform(lo, hi, 64))
         joint = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
         _, dt2, (wa, wb) = advance(flux, 0.4, 0.5, fa, fb)
-        assert dt2 == cfl_dt(fa, flux, 0.4, 0.5, joint) < dt
+        assert dt2 == cfl_dt(fa, 0.4, joint) < dt
         assert np.array_equal(wa.values, step(fa, flux, dt2, joint).values)
         assert np.array_equal(wb.values, step(fb, flux, dt2, joint).values)
 
@@ -181,8 +182,9 @@ def test_advance_steps_every_field_with_one_operator():
 def test_step_cfl_refusal():
     g = TorusGrid((64,))
     f = CellField(g, np.linspace(-1, 1, 64))
+    flux = burgers_1d()
     with pytest.raises(CflError):
-        step(f, burgers_1d(), 1.0)
+        step(f, flux, 1.0, lip_bound(flux, f.vmin, f.vmax))
 
 
 def test_step_2d_conserves():
@@ -190,8 +192,7 @@ def test_step_2d_conserves():
     g = TorusGrid((16, 24))
     f = CellField(g, rng.uniform(0, 1, (16, 24)))
     flux = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"], ["0", "1/3"]]])
-    dt = cfl_dt(f, flux)
-    f2 = step(f, flux, dt)
+    _, _, (f2,) = advance(flux, 0.45, math.inf, f)
     assert f2.mean() == pytest.approx(f.mean(), rel=1e-13)
 
 
@@ -254,9 +255,10 @@ def test_entropy_residual_constant_zero():
     g = TorusGrid((32,))
     f = CellField(g, np.full(32, 0.25))
     flux = burgers_1d()
+    alphas = lip_bound(flux, f.vmin, f.vmax)
     dt = 0.001
-    f2 = step(f, flux, dt)
-    assert entropy_residual(f, f2, flux, dt, k=0.1) <= 1e-15
+    f2 = step(f, flux, dt, alphas)
+    assert entropy_residual(f, f2, flux, dt, 0.1, alphas) <= 1e-15
 
 
 def test_entropy_residual_riemann_sweep():
@@ -265,10 +267,11 @@ def test_entropy_residual_riemann_sweep():
     f = CellField(g, vals)
     flux = burgers_1d()
     for _ in range(5):
-        dt = cfl_dt(f, flux)
-        f2 = step(f, flux, dt)
+        alphas = lip_bound(flux, f.vmin, f.vmax)
+        dt = cfl_dt(f, 0.45, alphas)
+        f2 = step(f, flux, dt, alphas)
         for k in np.linspace(-1, 1, 20):
-            assert entropy_residual(f, f2, flux, dt, float(k)) <= 1e-12
+            assert entropy_residual(f, f2, flux, dt, float(k), alphas) <= 1e-12
         f = f2
 
 
@@ -277,10 +280,11 @@ def test_entropy_residual_k_below_min_telescopes():
     g = TorusGrid((64,))
     f = CellField(g, rng.uniform(0.2, 0.8, 64))
     flux = burgers_1d()
-    dt = cfl_dt(f, flux)
-    f2 = step(f, flux, dt)
+    alphas = lip_bound(flux, f.vmin, f.vmax)
+    dt = cfl_dt(f, 0.45, alphas)
+    f2 = step(f, flux, dt, alphas)
     k = -1.0  # below the field minimum
-    assert entropy_residual(f, f2, flux, dt, k) <= 1e-12
+    assert entropy_residual(f, f2, flux, dt, k, alphas) <= 1e-12
     # |u - k| = u - k here, so its mean is conserved exactly
     m1 = float(np.mean(np.abs(f.values - k)))
     m2 = float(np.mean(np.abs(f2.values - k)))
@@ -576,16 +580,20 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
         ok = not np.isnan(vals).any() and not bad
         clipped = np.clip(vals, -2.0, 2.0)
         alphas = lip_bound(flux, np.nanmin(clipped), np.nanmax(clipped))
-        dt = cfl_dt(f, flux) if ok else cfl_dt(f, flux, alphas=alphas)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="apcl.flux"):
-            new = step(f, flux, dt) if ok else step(f, flux, dt, alphas=alphas)
+            if ok:
+                # advance takes the alphas of the field's own range, as above
+                _, dt, (new,) = advance(flux, 0.45, math.inf, f)
+            else:
+                dt = cfl_dt(f, 0.45, alphas)
+                new = step(f, flux, dt, alphas)
         # one clamp warning per axis, counting every value outside the range
         assert _clamp_counts(caplog) == ([bad] * len(shape) if bad else []), kind
         assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
         if ok:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
-                assert entropy_residual(f, new, flux, dt, k) == \
+                assert entropy_residual(f, new, flux, dt, k, alphas) == \
                     _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
 
 

@@ -1,24 +1,14 @@
 """Trigonometric polynomial invariants: reality, means, Fejer damping."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcl.freqlattice import Frequency, FrequencyBasis
-from apcl.trigpoly import (
-    TorusPoly,
-    TrigPoly,
-    combine,
-    fejer_damp,
-    fejer_factor,
-    truncate,
-)
+from apcl.trigpoly import TorusPoly, TrigPoly, fejer_damp, fejer_factor
 
 B1 = FrequencyBasis.rational()
-B2 = FrequencyBasis.with_sqrt(2)
 
 XI = Frequency.of(B1, [[1]])
 
@@ -79,39 +69,6 @@ def test_reality_invariant_enforced():
         TrigPoly(B1, 1, [(XI, 0.5), (-XI, 0.5j)])  # conjugate conflict
 
 
-def test_combine_cancellation_and_scaling():
-    p = sine_poly()
-    z = combine(1.0, p, -1.0, p)
-    assert z.spectrum() == ()
-    c1 = TrigPoly.constant(B1, 1, 1.0)
-    q = combine(2.0, c1, 0.0, p)
-    assert q.mean == pytest.approx(2.0)
-    assert len(q.spectrum()) == 1
-
-
-def test_combine_sine_plus_cosine():
-    s = TrigPoly.sine(XI)
-    c = TrigPoly.cosine(XI)
-    both = combine(1.0, s, 1.0, c)
-    # a_xi = 1/2 + 1/(2i) = (1 - i)/2
-    assert both.coeff(XI) == pytest.approx((1 - 1j) / 2)
-    assert both.eval([0.125]) == pytest.approx(
-        np.sin(2 * np.pi * 0.125) + np.cos(2 * np.pi * 0.125)
-    )
-
-
-def test_combine_basis_mismatch():
-    with pytest.raises(ValueError):
-        combine(1.0, sine_poly(), 1.0, TrigPoly.constant(B2, 1, 1.0))
-    with pytest.raises(ValueError):
-        combine(1.0, TorusPoly.constant(1, 1.0), 1.0, TorusPoly.constant(2, 1.0))
-    torus = TorusPoly.cosine((1,))
-    with pytest.raises(ValueError, match="different kinds"):
-        combine(1.0, sine_poly(), 1.0, torus)
-    with pytest.raises(ValueError, match="different kinds"):
-        combine(1.0, torus, 1.0, sine_poly())
-
-
 def test_fejer_factor_values():
     assert fejer_factor((1,), 2) == pytest.approx(0.5)
     assert fejer_factor((0, 0), 7) == 1.0
@@ -147,20 +104,6 @@ def test_fejer_damp_converges():
         for k, a in v.terms.items():
             err = abs(d.coeff(k) - a)
             assert err <= 2 * kmax / r * abs(a) + 1e-15
-
-
-def test_truncate():
-    p = TrigPoly(B2, 1, {
-        Frequency.of(B2, [[1, 0]]): 0.5,
-        Frequency.of(B2, [[0, 1]]): 1e-9,
-    })
-    assert truncate(p, 0.0).terms == p.terms
-    t = truncate(p, 1e-6)
-    assert len(t.spectrum()) == 2  # the +/- pair of the big term
-    assert all(abs(a) > 1e-6 for a in t.terms.values())
-    v = truncate(TorusPoly(2, {(1, 0): 0.5, (0, 1): 1e-9}), 1e-6)
-    assert isinstance(v, TorusPoly) and v.m == 2
-    assert v.spectrum() == ((-1, 0), (1, 0))
 
 
 @given(st.data())
