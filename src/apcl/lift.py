@@ -184,7 +184,10 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     enlarges m (e.g. to probe coefficients outside the data's coordinate
     image) or lets several data sets share one torus.  With ``flux`` None
     only the data are lifted.  Verifies the lift round trip
-    u0(x) = v0(Lambda x) on 100 fixed pseudo-random points to 1e-10.
+    u0(x) = v0(Lambda x) on 100 fixed pseudo-random points to 1e-10, and
+    refuses with ValueError beyond that: the exact lift is right, but the
+    floats of a badly scaled Lambda (group rows far longer than the data
+    frequencies) do not reproduce the data.
     """
     spectrum = list(u0.spectrum())
     gb = group
@@ -216,5 +219,7 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     scale = max(1.0, float(np.max(np.abs(direct_vals))))
     err = float(np.max(np.abs(lifted_vals - direct_vals)))
     if err > 1e-10 * scale:
-        raise AssertionError(f"lift round trip off by {err:.3e}")
+        raise ValueError(f"lift round trip off by {err:.3e}, beyond 1e-10 x {scale:g}: "
+                         f"the group basis is badly scaled, its largest |Lambda| "
+                         f"entry is {float(np.max(np.abs(lam))):g}")
     return pb

@@ -834,6 +834,30 @@ def test_cli_derived_float_overflow_exit_three(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_badly_scaled_lift_is_refused(tmp_path, capsys):
+    # rank 4 over {1, sqrt2} with Hermite rows up to 74880/60: the exact lift
+    # is right, but its floats miss the 1e-10 round trip, which the lift
+    # checks before the rank meets the grid
+    d = decay_config(
+        basis=dict(SQRT2_BASIS, products=[[1, 1, ["2", "0"]]]),
+        flux={"breakpoints": ["-2", "2"],
+              "pieces": [[["0", "0", "1/2"], ["0", "0", "1/4"]]]},
+        initial={"terms": [
+            {"frequency": [["0", "0"], ["13/5", "0"]], "re": 1},
+            {"frequency": [["0", "1"], ["1/4", "0"]], "re": 1},
+            {"frequency": [["1", "0"], ["0", "0"]], "re": 0.5},
+            {"frequency": [["1/3", "1/4"], ["0", "2"]], "re": 0.25},
+        ]},
+        grid=[16, 16, 16])
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: lift round trip off by 5.224e-10")
+    assert "largest |Lambda| entry is 1764.94" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):
     # a broken invariant of the program is not a refusal of the config
     def broken(cfg):

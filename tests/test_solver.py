@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apcl.solver as solver_mod
-from apcl.flux import PiecewiseFlux, lip_bound
+from apcl.flux import PiecewiseFlux, _empty, lip_bound
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
 from apcl.solver import (
     CellField,
@@ -569,7 +569,7 @@ def _clamp_counts(caplog):
     return [r.args[0] for r in caplog.records if r.getMessage().startswith("clamped")]
 
 
-@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4), (96, 96), (24, 24, 16)])
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd])
 def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
     flux = make_flux(len(shape))
@@ -609,6 +609,34 @@ def test_eval_component_matches_polyval_on_breakpoints(caplog):
                     got = flux.eval_component(j, u)
                 assert _clamp_counts(caplog) == ([bad] if bad else [])
                 assert same_bits(got, _ref_eval_component(flux, j, u))
+
+
+def _on_line(a):
+    return a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (24, 24, 16)])
+def test_full_grid_arrays_start_on_a_cache_line(shape):
+    # the arrays a step writes in full; a vector store into one that starts
+    # off a 64-byte line splits a line (see the solver docstring)
+    g = TorusGrid(shape)
+    flux = _three_piece_nd(g.m)
+    f = CellField(g, np.random.default_rng(0).uniform(-2.0, 2.0, shape))
+    # a plain allocation can land on a line by chance, so look at several
+    for _ in range(4):
+        _, _, (f,) = advance(flux, 0.45, math.inf, f)
+        assert _on_line(f.values)
+        for j in range(g.m):
+            # gathered coefficients, then one piece
+            assert _on_line(flux.eval_component(j, f.values))
+            assert _on_line(flux.eval_component(j, 0.1 * f.values))
+            assert _on_line(solver_mod._faces(f.values, (1.0,) * g.m, flux, j))
+            out = solver_mod._flux_difference(f.values, j, 1.0)
+            # the pass writes from the flat element one cell along axis j on
+            assert _on_line(out.reshape(-1)[math.prod(shape[j + 1:]):])
+    # below the size bound the allocation is a plain np.empty_like
+    assert _empty(np.zeros(512)).flags.owndata
+    assert not _empty(f.values).flags.owndata
 
 
 def test_horner_plans_drop_zero_coefficients():
