@@ -126,7 +126,7 @@ def _plan(coef: np.ndarray) -> tuple:
 # two-input multiply into an output 16 bytes past a line, against one on
 # a line, took 1.4 against 1.3 us at 512 cells, 3.1-3.4 against 2.0 us at
 # 2048, 6-11 against 4 us at 8192 and 46-83 against 22-33 us at 65536;
-# finding the line costs about 1.3 us per array.  Below 64 KiB (8192
+# finding the line costs 1-2 us per array.  Below 64 KiB (8192
 # floats) the saving is a few us at most, so smaller grids, every 1D grid
 # the bench and the shipped configs use among them, keep plain arrays.
 _ALIGN_BYTES = 1 << 16
@@ -145,8 +145,8 @@ def _empty(like: np.ndarray, start: int = 0) -> np.ndarray:
     if like.nbytes < _ALIGN_BYTES:
         return np.empty_like(like)
     buf = np.empty(like.size + _LINE // 8)
-    # its address: a ctypes view reads it in a third of the time that
-    # ``__array_interface__`` or ``.ctypes.data`` take
+    # its address through a ctypes view: 0.6 us against about 1.8 us for
+    # ``.ctypes.data``, which made ``lifted_nd`` run_s x1.036 (BENCH_11.json)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     skip = (-(addr + start) % _LINE) // 8
     return buf[skip:skip + like.size].reshape(like.shape)
@@ -168,14 +168,8 @@ def _horner(c, x):
       which is always added, fixes its sign, so the interior zeros (None)
       are skipped;
     - a constant plan (0.0, c_0) keeps x*0.0 + c_0, so NaN still propagates.
-
-    Above ``_ALIGN_BYTES`` the result is an ``_empty`` array; below it the
-    operator's own allocation, which for small arrays is the cheaper call.
     """
-    if x.nbytes < _ALIGN_BYTES:
-        out = x * c[0]
-    else:
-        out = np.multiply(x, c[0], out=_empty(x))
+    out = np.multiply(x, c[0], out=_empty(x))
     for a in c[1:-1]:
         if a is not None:
             out += a

@@ -23,11 +23,11 @@ fresh numpy array of this size starts where malloc or mmap put it,
 typically 16 bytes past a line, and with AVX-512 loops every vector store
 into it then splits a line.  On a 2-core Xeon (numpy 2.4.6, AVX512_SPR) a
 two-input multiply into a 65536-cell output took 22-33 us aligned against
-46-83 us, and ``lifted_nd`` run_s fell by x0.82 (``BENCH_11.json``).
+46-83 us, and ``lifted_nd`` run_s fell by x0.86-0.88 (``BENCH_11.json``).
 The gain depends on the hardware: with 32-byte vectors only every other
 store splits a line, so it is smaller without AVX-512.  Arrays under 64
 KiB (8192 cells) are allocated plainly: there the saving is a few us
-at most, against about 1.3 us to find the line.  The operations, operands
+at most, against 1-2 us to find the line.  The operations, operands
 and their order are the same either way, so no bit depends on the layout.
 """
 
