@@ -38,6 +38,7 @@ from .freqlattice import (
     RealQ,
     SpectrumGroupBasis,
     _as_fraction,
+    _value,
     integer_kernel,
 )
 
@@ -65,24 +66,6 @@ def _coords(basis: FrequencyBasis, c) -> tuple[Fraction, ...]:
             raise ValueError(f"expected {basis.dim} coordinates, got {len(c)}")
         return tuple(_as_fraction(x) for x in c)
     return (_as_fraction(c),) + (Fraction(0),) * (basis.dim - 1)
-
-
-def _value(num, den: int, values) -> float:
-    """Float shadow of sum_i (num_i / den) e_i.
-
-    The same operations in the same order as ``RealQ.value``: int / int is
-    correctly rounded, as ``Fraction.__float__`` is, so the floats agree.
-    A shadow beyond float range raises ValueError.
-    """
-    s = 0.0
-    try:
-        for x, v in zip(num, values):
-            s += x / den * v
-    except OverflowError:
-        s = math.inf
-    if not math.isfinite(s):
-        raise ValueError("a float shadow lies beyond float range")
-    return s
 
 
 def _jump(left, right, a: int, b: int) -> list[int]:

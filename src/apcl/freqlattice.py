@@ -5,12 +5,13 @@ vectors over a user-declared basis of reals (assumed Q-independent, not
 verified); floats are kept only as evaluation shadows.  On top of that sit
 integer-lattice routines: the integer kernel of a rational matrix and the
 canonical generating set of the additive group spanned by a finite set of
-frequencies.  All lattice arithmetic is over Python's arbitrary-precision
-integers and fractions.Fraction, so there is no overflow to guard against.
+frequencies, held as integer numerators over one denominator.  All lattice
+arithmetic is over Python's arbitrary-precision integers: no overflow.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,46 +213,92 @@ class RealQ:
 
 @dataclass(frozen=True)
 class Frequency:
-    """Point of R^n with each coordinate an exact RealQ over one basis."""
+    """Point of R^n with exact coordinates over one basis.
 
-    coords: tuple[RealQ, ...]
+    ``num[k][i] / den`` is the coordinate of basis element i in component k:
+    n q-tuples of integer numerators over one positive denominator, the
+    layout of ``SpectrumGroupBasis.generators``.  Kept in lowest terms, so
+    equality and hashing are on ints.  ``coords`` is the same point as
+    RealQs, built on first use, for reference checks.
+    """
+
+    basis: FrequencyBasis
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not self.coords:
+        num = tuple(tuple(c) for c in self.num)
+        if not num:
             raise ValueError("frequency needs at least one coordinate")
-        b = self.coords[0].basis
-        for c in self.coords[1:]:
-            if c.basis != b:
-                raise ValueError("frequency coordinates use different bases")
+        if any(len(c) != self.basis.dim for c in num):
+            raise ValueError(f"expected {self.basis.dim} coordinates per component")
+        if self.den < 1:
+            raise ValueError("frequency denominator must be positive")
+        g = math.gcd(self.den, *(x for c in num for x in c))
+        if g > 1:
+            num = tuple(tuple(x // g for x in c) for c in num)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def of(cls, basis: FrequencyBasis, rows: Sequence[Sequence]) -> "Frequency":
-        return cls(tuple(basis.real(row) for row in rows))
+        rows = [[_as_fraction(c) for c in row] for row in rows]
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        return cls(basis, tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                                for row in rows), den)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def basis(self) -> FrequencyBasis:
-        return self.coords[0].basis
+        return len(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coords)
+        return not any(map(any, self.num))
+
+    @cached_property
+    def coords(self) -> tuple[RealQ, ...]:
+        """The components as RealQs, built on first use."""
+        return tuple(RealQ(self.basis, tuple(Fraction(x, self.den) for x in c))
+                     for c in self.num)
 
     def floats(self) -> tuple[float, ...]:
-        return tuple(c.value for c in self.coords)
+        return tuple(_value(c, self.den, self.basis.values) for c in self.num)
+
+    def __str__(self) -> str:
+        """The config form, e.g. [["1/2", "3"]]."""
+        return json.dumps([[str(Fraction(x, self.den)) for x in c] for c in self.num])
 
     def __add__(self, other: "Frequency") -> "Frequency":
-        return Frequency(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if other.basis != self.basis or other.n != self.n:
+            raise ValueError("frequencies disagree in basis or dimension")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Frequency(self.basis, tuple(tuple(x * a + y * b for x, y in zip(c, d))
+                                           for c, d in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "Frequency":
-        return Frequency(tuple(-a for a in self.coords))
+        return Frequency(self.basis, tuple(tuple(-x for x in c) for c in self.num), self.den)
 
     def scale(self, k: int) -> "Frequency":
-        return Frequency(tuple(c.scale(k) for c in self.coords))
+        return Frequency(self.basis, tuple(tuple(k * x for x in c) for c in self.num), self.den)
+
+
+def _value(num, den: int, values) -> float:
+    """Float shadow of sum_i (num_i / den) e_i.
+
+    The same operations in the same order as ``RealQ.value``: int / int is
+    correctly rounded, as ``Fraction.__float__`` is, so the floats agree.
+    A shadow beyond float range raises ValueError.
+    """
+    s = 0.0
+    try:
+        for x, v in zip(num, values):
+            s += x / den * v
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise ValueError("a float shadow lies beyond float range")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +469,7 @@ class SpectrumGroupBasis:
     @cached_property
     def frequencies(self) -> tuple[Frequency, ...]:
         """The generators as frequencies, built on first use."""
-        return tuple(Frequency(tuple(self.basis.real([Fraction(x, self.den) for x in c])
-                                     for c in comp))
-                     for comp in self.generators)
-
-
-def _numerators(freq: Frequency, den: int) -> list[int] | None:
-    """The flat coordinates of ``freq`` times ``den``, or None if not all integers."""
-    flat = [c for coord in freq.coords for c in coord.coeffs]
-    if any(den % c.denominator for c in flat):
-        return None
-    return [c.numerator * (den // c.denominator) for c in flat]
+        return tuple(Frequency(self.basis, comp, self.den) for comp in self.generators)
 
 
 def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
@@ -450,9 +487,9 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
     for f in freqs:
         if f.basis != basis or f.n != n:
             raise ValueError("spectrum frequencies disagree in basis or dimension")
-    den = math.lcm(*(c.denominator for f in freqs for coord in f.coords
-                     for c in coord.coeffs))
-    int_rows = list(dict.fromkeys(tuple(_numerators(f, den)) for f in freqs))
+    den = math.lcm(*(f.den for f in freqs))
+    int_rows = list(dict.fromkeys(
+        tuple(x * (den // f.den) for c in f.num for x in c) for f in freqs))
     work, pivots = _hermite([list(r) for r in int_rows if any(r)])
     gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
                             tuple(pivots), den)
@@ -470,6 +507,8 @@ def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | 
     """
     if freq.basis != gb.basis or freq.n != gb.n:
         raise ValueError("frequency does not match the group's basis/dimension")
-    v = _numerators(freq, gb.den)
-    ks = None if v is None else _solve_int_rows(gb.rows, gb.pivots, v)
+    if gb.den % freq.den:
+        return None
+    mul = gb.den // freq.den
+    ks = _solve_int_rows(gb.rows, gb.pivots, [x * mul for c in freq.num for x in c])
     return None if ks is None else tuple(ks)

@@ -205,8 +205,8 @@ def _parse_frequency(mat, basis, path) -> Frequency:
         if len(r) != basis.dim:
             raise ConfigError(f"{path}[{i}]", f"expected {basis.dim} coordinates")
         rows.append(_shadowed(basis.real([_rational(c, f"{path}[{i}][{j}]")
-                                          for j, c in enumerate(r)]), f"{path}[{i}]"))
-    return Frequency(tuple(rows))
+                                          for j, c in enumerate(r)]), f"{path}[{i}]").coeffs)
+    return Frequency.of(basis, rows)
 
 
 def _parse_trigpoly(d, basis, path) -> TrigPoly:

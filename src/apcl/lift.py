@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import PiecewiseFlux, _value, lift_flux
-from .freqlattice import SpectrumGroupBasis, group_basis, member_coords
+from .flux import PiecewiseFlux, lift_flux
+from .freqlattice import SpectrumGroupBasis, _value, group_basis, member_coords
 from .solver import MAX_CELLS, CellField
 from .trigpoly import TorusPoly, TrigPoly
 

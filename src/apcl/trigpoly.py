@@ -1,13 +1,15 @@
 """Real trigonometric polynomials with exact frequencies.
 
 TrigPoly: finite sum of a_lam * e^{2 pi i lam.x} over frequencies lam in R^n
-with exact RealQ coordinates.  TorusPoly: the same over integer frequencies
-on the m-torus.  Reality is a structural invariant: the coefficient at -lam
-is stored and must equal the conjugate at lam, so evaluation is real up to
-roundoff (asserted).
+with exact coordinates (``Frequency``).  TorusPoly: the same over integer
+frequencies on the m-torus.  Reality is a structural invariant: the
+coefficient at -lam is stored and must equal the conjugate at lam, so
+evaluation is real up to roundoff (asserted).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -105,31 +107,18 @@ class TrigPoly(_TrigCore):
                 raise ValueError("term frequency disagrees with basis or dimension")
         self.basis = basis
         self.n = n
+        # the order of the rational coordinates: numerators over one
+        # common denominator compare as the rationals do
+        den = math.lcm(*(lam.den for lam, _ in items))
         super().__init__(
             n, items, lambda f: -f,
-            sort_key=lambda f: tuple(c.coeffs for c in f.coords),
-            row=lambda f: [c.value for c in f.coords],
+            sort_key=lambda f: tuple(tuple(x * (den // f.den) for x in c) for c in f.num),
+            row=Frequency.floats,
         )
 
     # bound in the class body (here and in TorusPoly): bench/tracer.py
     # wraps ``eval`` through each class's own __dict__
     eval = _TrigCore.eval
-
-    @classmethod
-    def constant(cls, basis, n, c: float) -> "TrigPoly":
-        zero = Frequency(tuple(basis.zero for _ in range(n)))
-        return cls(basis, n, {zero: complex(c)})
-
-    @classmethod
-    def cosine(cls, freq: Frequency, amplitude: float = 1.0) -> "TrigPoly":
-        return cls(freq.basis, freq.n, {freq: amplitude / 2})
-
-    @classmethod
-    def sine(cls, freq: Frequency, amplitude: float = 1.0) -> "TrigPoly":
-        return cls(freq.basis, freq.n, {freq: amplitude / 2j})
-
-    def coeff(self, freq: Frequency) -> complex:
-        return self.terms.get(freq, 0j)
 
 
 class TorusPoly(_TrigCore):
@@ -144,20 +133,6 @@ class TorusPoly(_TrigCore):
         super().__init__(m, items, lambda k: tuple(-c for c in k))
 
     eval = _TrigCore.eval
-
-    @classmethod
-    def constant(cls, m, c: float) -> "TorusPoly":
-        return cls(m, {(0,) * m: complex(c)})
-
-    @classmethod
-    def cosine(cls, k, amplitude: float = 1.0) -> "TorusPoly":
-        k = tuple(k)
-        return cls(len(k), {k: amplitude / 2})
-
-    @classmethod
-    def sine(cls, k, amplitude: float = 1.0) -> "TorusPoly":
-        k = tuple(k)
-        return cls(len(k), {k: amplitude / 2j})
 
     def coeff(self, k) -> complex:
         return self.terms.get(tuple(k), 0j)

@@ -1,8 +1,10 @@
 """Exact frequency arithmetic, integer kernels, and group bases."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from apcl.freqlattice import (
     integer_kernel,
     member_coords,
 )
+from apcl.trigpoly import TrigPoly
+from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -250,3 +254,73 @@ def test_frequency_negation_exact():
     g = -f
     assert (f + g).is_zero
     assert g.coords[0].coeffs == (Fraction(-2, 3), Fraction(1, 7))
+
+
+def test_frequency_str_is_the_config_form():
+    assert str(Frequency.of(B1, [[-1]])) == '[["-1"]]'
+    assert str(Frequency.of(B2, [["2/4", "3"], [0, "-6/9"]])) == '[["1/2", "3"], ["0", "-2/3"]]'
+
+
+B3 = FrequencyBasis(("1", "sqrt2", "sqrt3"), (1.0, 2 ** 0.5, 3 ** 0.5))
+BASES = {1: B1, 2: B2, 3: B3}
+
+# entries as unreduced p/q strings, so denominators mix and reduce
+entries = st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def matrices(draw, n, q):
+    """An n x q matrix of rational strings; some rows are all zero."""
+    return [draw(st.just(["0"] * q) | st.lists(entries, min_size=q, max_size=q))
+            for _ in range(n)]
+
+
+def fractions_of(mat):
+    return tuple(tuple(Fraction(x) for x in row) for row in mat)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frequency_integer_form_matches_the_rational_oracle(n, q, data):
+    basis = BASES[q]
+    ma, mb = data.draw(matrices(n, q)), data.draw(matrices(n, q))
+    f, g = Frequency.of(basis, ma), Frequency.of(basis, mb)
+    for h, m in ((f, ma), (g, mb)):
+        rat = fractions_of(m)
+        # lowest terms: the least denominator that clears every entry
+        assert h.den == math.lcm(*(x.denominator for row in rat for x in row))
+        assert all(type(x) is int for row in h.num for x in row)
+        assert tuple(c.coeffs for c in h.coords) == rat
+        assert same_bits(np.array(h.floats()), np.array([c.value for c in h.coords]))
+        assert h.is_zero == (not any(map(any, rat)))
+        # the same point over a multiple of its denominator reduces back
+        k = data.draw(st.integers(2, 6))
+        same = Frequency(basis, [[k * x for x in row] for row in h.num], k * h.den)
+        assert same == h and hash(same) == hash(h)
+        assert (same.num, same.den) == (h.num, h.den)
+    assert (f == g) == (fractions_of(ma) == fractions_of(mb))
+    if f == g:
+        assert hash(f) == hash(g)
+    assert (-f).coords == tuple(-c for c in f.coords)
+    assert (f + g).coords == tuple(a + b for a, b in zip(f.coords, g.coords))
+    assert (f + g) == Frequency.of(basis, [c.coeffs for c in (f + g).coords])
+    k = data.draw(st.integers(-4, 4))
+    assert f.scale(k).coords == tuple(c.scale(k) for c in f.coords)
+    assert f.scale(k) == Frequency.of(basis, [c.coeffs for c in f.scale(k).coords])
+
+
+@given(st.integers(1, 2), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_trigpoly_spectrum_follows_the_rational_order(n, q, data):
+    basis = BASES[q]
+    freqs = []
+    for m in data.draw(st.lists(matrices(n, q), min_size=1, max_size=6)):
+        f = Frequency.of(basis, m)
+        if f not in freqs and -f not in freqs:
+            freqs.append(f)
+    terms = [(f, complex(i + 1)) for i, f in enumerate(freqs)]
+    p = TrigPoly(basis, n, data.draw(st.permutations(terms)))
+    rational = lambda f: tuple(c.coeffs for c in f.coords)  # noqa: E731
+    want = sorted({h for f in freqs for h in (f, -f)}, key=rational)
+    assert list(p.spectrum()) == want
+    assert same_bits(p._freq_mat, np.array([f.floats() for f in want]))

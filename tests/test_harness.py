@@ -858,6 +858,26 @@ def test_cli_badly_scaled_lift_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_frequency_outside_the_group_is_named_in_config_form(tmp_path, capsys):
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    d["group_frequencies"] = [[["2"]]]
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        'refused: data frequency [["-1"]] lies outside the declared group\n')
+
+
+def test_cli_conflicting_coefficients_are_named_in_config_form(tmp_path, capsys):
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    d["initial"]["terms"].append({"frequency": [["1"]], "re": 0.5})
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        'config error: initial: conflicting coefficients at [["1"]]\n')
+
+
 def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):
     # a broken invariant of the program is not a refusal of the config
     def broken(cfg):

@@ -59,7 +59,7 @@ def test_lift_quasi_periodic_coordinates():
 
 
 def test_lift_constant_data():
-    u0 = TrigPoly.constant(B2, 1, 0.7)
+    u0 = TrigPoly(B2, 1, {Frequency.of(B2, [[0, 0]]): 0.7})
     pb = lift_problem(u0, burgers(B2))
     assert pb.m == 0
     assert pb.flux is None

@@ -69,7 +69,7 @@ def test_solver_config_validation():
 
 def test_exact_cell_average_constant():
     g = TorusGrid((16,))
-    f = exact_cell_average(TorusPoly.constant(1, 0.7), g)
+    f = exact_cell_average(TorusPoly(1, {(0,): 0.7}), g)
     assert f.values == pytest.approx(np.full(16, 0.7))
 
 
