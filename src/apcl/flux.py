@@ -7,8 +7,9 @@ positive denominator shared by every entry.  Exactness is the point:
 continuity at breakpoints, directional combinations xi.phi, lifting to the
 torus, and the linear non-degeneracy decision are all settled in Python
 integers, which cannot overflow.  Floats appear only in numeric evaluation
-paths, whose float tables a flux builds on first use, and RealQ only in
-the ``pieces`` view and in returned values.
+paths, whose float tables a flux builds on first use.  RealQ, the rational
+reference and the bench's input form, appears only as an accepted
+coefficient, in the ``pieces`` view and in returned values.
 
 Non-degeneracy: the flux is degenerate for a group basis (lambda_1..lambda_m)
 iff some nonzero integer vector kbar makes u -> (sum_j kbar_j lambda_j).phi(u)
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import bisect
 import ctypes
+import json
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +38,7 @@ from .freqlattice import (
     FrequencyBasis,
     RealQ,
     SpectrumGroupBasis,
-    _as_fraction,
+    _clear,
     _value,
     integer_kernel,
 )
@@ -55,7 +56,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _coords(basis: FrequencyBasis, c) -> tuple[Fraction, ...]:
+def _coords(basis: FrequencyBasis, c) -> tuple:
     """Rational basis coordinates of a coefficient given as RealQ, list or rational."""
     if isinstance(c, RealQ):
         if c.basis != basis:
@@ -64,8 +65,8 @@ def _coords(basis: FrequencyBasis, c) -> tuple[Fraction, ...]:
     if isinstance(c, (list, tuple)):
         if len(c) != basis.dim:
             raise ValueError(f"expected {basis.dim} coordinates, got {len(c)}")
-        return tuple(_as_fraction(x) for x in c)
-    return (_as_fraction(c),) + (Fraction(0),) * (basis.dim - 1)
+        return tuple(c)
+    return (c,) + (0,) * (basis.dim - 1)
 
 
 def _jump(left, right, a: int, b: int) -> list[int]:
@@ -161,14 +162,6 @@ def _horner(c, x):
     return out
 
 
-def _eval_exact(coeffs: tuple[RealQ, ...], basis: FrequencyBasis, u: Fraction) -> RealQ:
-    # Horner with rational scaling only, so the result stays exact
-    acc = basis.zero
-    for c in reversed(coeffs):
-        acc = acc.scale(u) + c
-    return acc
-
-
 class PiecewiseFlux:
     """Flux vector on [u_0, u_P] given piecewise by exact polynomials.
 
@@ -202,12 +195,10 @@ class PiecewiseFlux:
         if ncomp < 1:
             raise ValueError("flux needs at least one component")
         if den is None:
-            pieces = [[[_coords(basis, c) for c in comp] for comp in piece]
-                      for piece in pieces]
-            den = math.lcm(*(x.denominator for piece in pieces for comp in piece
-                             for c in comp for x in c))
-            pieces = [[[[x.numerator * (den // x.denominator) for x in c] for c in comp]
-                       for comp in piece] for piece in pieces]
+            nums, den = _clear(_coords(basis, c) for piece in pieces
+                               for comp in piece for c in comp)
+            nums = iter(nums)
+            pieces = [[[next(nums) for _ in comp] for comp in piece] for piece in pieces]
         self._den = den
         self._num = tuple(
             tuple(tuple(tuple(c) for c in comp) for comp in piece) for piece in pieces
@@ -266,15 +257,17 @@ class PiecewiseFlux:
     def _check_continuity(self):
         for i in range(1, len(self.breakpoints) - 1):
             u = self.breakpoints[i]
+            a, b = u.numerator, u.denominator
             for k in range(self.n):
-                if any(_jump(self._num[i - 1][k], self._num[i][k],
-                             u.numerator, u.denominator)):
-                    left = _eval_exact(self.pieces[i - 1][k], self.basis, u)
-                    right = _eval_exact(self.pieces[i][k], self.basis, u)
-                    raise ValueError(
-                        f"component {k} jumps at breakpoint {u}: "
-                        f"{left.coeffs} != {right.coeffs}"
-                    )
+                if any(_jump(self._num[i - 1][k], self._num[i][k], a, b)):
+                    left, right = (self._at(self._num[p][k], a, b) for p in (i - 1, i))
+                    raise ValueError(f"component {k} jumps at breakpoint {u}: {left} != {right}")
+
+    def _at(self, coefs, a: int, b: int) -> str:
+        """Config form of one component's exact value at a/b, e.g. ["1/9"]."""
+        acc = _jump(coefs, (), a, b) or [0] * self.basis.dim
+        den = self._den * b ** max(len(coefs) - 1, 0)
+        return json.dumps([str(Fraction(x, den)) for x in acc])
 
     @cached_property
     def _inner(self) -> list[float]:
@@ -501,15 +494,8 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     for p, piece in enumerate(flux._num):
         # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
         dots = [_dot(lam, piece, mul, 2) for lam in gb.generators]
-        rows = []
-        for d in range(len(dots[0])):
-            for qi in range(q):
-                row = [dot[d][qi] for dot in dots]
-                if any(row):
-                    # a primitive row keeps the kernel and the numbers small
-                    g = math.gcd(*row)
-                    rows.append([x // g for x in row])
-        kern = integer_kernel(rows, ncols=gb.rank)
+        rows = [[dot[d][qi] for dot in dots] for d in range(len(dots[0])) for qi in range(q)]
+        kern = integer_kernel(rows, gb.rank)
         if kern:
             kbar = kern[0]
             coeffs = _dot(gb.vector(kbar), piece, mul)

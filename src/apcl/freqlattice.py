@@ -3,7 +3,7 @@
 Real numbers like 1 + 2*sqrt(2) are carried as exact rational coordinate
 vectors over a user-declared basis of reals (assumed Q-independent, not
 verified); floats are kept only as evaluation shadows.  On top of that sit
-integer-lattice routines: the integer kernel of a rational matrix and the
+integer-lattice routines: the integer kernel of an integer matrix and the
 canonical generating set of the additive group spanned by a finite set of
 frequencies, held as integer numerators over one denominator.  All lattice
 arithmetic is over Python's arbitrary-precision integers: no overflow.
@@ -37,6 +37,13 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}: {x!r}")
+
+
+def _clear(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals as rows of integer numerators over their lcm denominator."""
+    rows = [[_as_fraction(x) for x in r] for r in rows]
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
 @dataclass(frozen=True)
@@ -92,13 +99,12 @@ class FrequencyBasis:
         tab = self.products or {}
         declared = {(i, j): tab.get((i, j)) or tab.get((j, i))
                     for i in range(1, q) for j in range(1, q)}
-        entries = {ij: [_as_fraction(t) for t in e]
-                   for ij, e in declared.items() if e is not None}
-        den = math.lcm(*(t.denominator for e in entries.values() for t in e))
+        entries = {ij: e for ij, e in declared.items() if e is not None}
+        nums, den = _clear(entries.values())
         table = [[((i or j, den),) if not (i and j) else None for j in range(q)]
                  for i in range(q)]
-        for (i, j), e in entries.items():
-            table[i][j] = tuple((k, int(t * den)) for k, t in enumerate(e) if t)
+        for (i, j), e in zip(entries, nums):
+            table[i][j] = tuple((k, w) for k, w in enumerate(e) if w)
         return den, table, self.labels
 
     @classmethod
@@ -242,10 +248,7 @@ class Frequency:
 
     @classmethod
     def of(cls, basis: FrequencyBasis, rows: Sequence[Sequence]) -> "Frequency":
-        rows = [[_as_fraction(c) for c in row] for row in rows]
-        den = math.lcm(*(c.denominator for row in rows for c in row))
-        return cls(basis, tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                                for row in rows), den)
+        return cls(basis, *_clear(rows))
 
     @property
     def n(self) -> int:
@@ -349,42 +352,31 @@ def _hermite(mat: list[list[int]], ncols: int | None = None):
     return mat, pivots
 
 
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    den = math.lcm(*(f.denominator for f in row))
-    return [f.numerator * (den // f.denominator) for f in row]
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the lattice {k in Z^ncols : A k = 0} for an integer matrix A.
 
-
-def integer_kernel(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of the lattice {k in Z^m : A k = 0} for a rational matrix A.
-
-    ``rows`` holds the matrix rows (entries coercible to Fraction); ``ncols``
-    is required when ``rows`` is empty.  The result is canonical: vectors in
-    Hermite-reduced order with positive leading entries, each primitive.
-    Empty list iff the kernel is trivial.
+    ``rows`` holds the matrix rows, each of length ``ncols``.  The result is
+    canonical: vectors in Hermite-reduced order with positive leading
+    entries, each primitive.  Empty list iff the kernel is trivial.
     """
-    rows = [list(map(_as_fraction, r)) for r in rows]
-    if rows:
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged matrix")
-        if ncols is not None and ncols != m:
-            raise ValueError("ncols disagrees with row length")
-    else:
-        if ncols is None:
-            raise ValueError("ncols is required for an empty matrix")
-        m = ncols
-    if m == 0:
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("row length disagrees with ncols")
+    if ncols == 0:
         return []
-    # Per-row denominator clearing preserves the kernel.
-    int_rows = [_clear_row(r) for r in rows]
-    int_rows = [r for r in int_rows if any(r)]
+    # Dividing a row by its gcd keeps the kernel and the numbers small;
+    # zero rows constrain nothing.
+    int_rows = []
+    for r in rows:
+        g = math.gcd(*r)
+        if g:
+            int_rows.append([x // g for x in r])
     # Row-reduce the transpose augmented with an identity tail: rows of the
     # work matrix are [column profile of variable k_j | e_j].  Rows whose
     # profile part reduces to zero have tails spanning the kernel lattice.
     nprof = len(int_rows)
     work = [
-        [int_rows[i][j] for i in range(nprof)] + [int(i == j) for i in range(m)]
-        for j in range(m)
+        [int_rows[i][j] for i in range(nprof)] + [int(i == j) for i in range(ncols)]
+        for j in range(ncols)
     ]
     work, pivots = _hermite(work, ncols=nprof)
     kernel = [row[nprof:] for row in work[len(pivots):]]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
-from .freqlattice import Frequency, FrequencyBasis, RealQ, group_basis, in_lattice
+from .freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis, in_lattice
 from .lift import _cube_per_axis, lift_problem
 from .solver import (
     DEFAULT_CFL,
@@ -105,13 +105,6 @@ def _rational(v, path) -> Fraction:
     except OverflowError:
         raise ConfigError(path, f"{v!r} lies beyond float range") from None
     return f
-
-
-def _shadowed(r: RealQ, path) -> RealQ:
-    """``r``, refused when its float shadow, the sum over the basis, is not finite."""
-    if not math.isfinite(r.value):
-        raise ConfigError(path, "float shadow over the basis values lies beyond float range")
-    return r
 
 
 def _real(v, path) -> float:
@@ -197,16 +190,24 @@ def _parse_basis(d, path) -> FrequencyBasis:
         raise ConfigError(path, str(e))
 
 
+def _coordinates(row: list, basis, path) -> tuple[Fraction, ...]:
+    """Rational basis coordinates whose float shadow, the sum over the basis, is finite."""
+    if len(row) != basis.dim:
+        raise ConfigError(path, f"expected {basis.dim} coordinates")
+    coords = _list(row, path, _rational, "rationals")
+    (num,), den = _clear([coords])
+    try:
+        _value(num, den, basis.values)
+    except ValueError:
+        msg = "float shadow over the basis values lies beyond float range"
+        raise ConfigError(path, msg) from None
+    return coords
+
+
 def _parse_frequency(mat, basis, path) -> Frequency:
     if not isinstance(mat, list) or not mat or not all(isinstance(r, list) for r in mat):
         raise ConfigError(path, "expected a matrix [[p/q, ...], ...] of rationals")
-    rows = []
-    for i, r in enumerate(mat):
-        if len(r) != basis.dim:
-            raise ConfigError(f"{path}[{i}]", f"expected {basis.dim} coordinates")
-        rows.append(_shadowed(basis.real([_rational(c, f"{path}[{i}][{j}]")
-                                          for j, c in enumerate(r)]), f"{path}[{i}]").coeffs)
-    return Frequency.of(basis, rows)
+    return Frequency.of(basis, [_coordinates(r, basis, f"{path}[{i}]") for i, r in enumerate(mat)])
 
 
 def _parse_trigpoly(d, basis, path) -> TrigPoly:
@@ -226,6 +227,17 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
         re = _real(t.get("re", 0.0), f"{p}.re")
         im = _real(t.get("im", 0.0), f"{p}.im")
         parsed.append((freq, complex(re, im)))
+    # TrigPoly sums |a| over the terms and their conjugates in floats
+    amps = {}
+    for freq, a in parsed:
+        amps[freq] = amps[-freq] = math.hypot(a.real, a.imag)
+    try:
+        total = math.fsum(amps.values())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ConfigError(f"{path}.terms", "the sum of |re + i im| over the terms and "
+                          "their conjugates lies beyond float range")
     try:
         return TrigPoly(basis, n, parsed)
     except ValueError as e:
@@ -248,12 +260,8 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
             coeffs = []
             for dgr, c in enumerate(comp):
                 cp = f"{path}.pieces[{p}][{k}][{dgr}]"
-                if isinstance(c, list):
-                    if len(c) != basis.dim:
-                        raise ConfigError(cp, f"expected {basis.dim} coordinates")
-                    coeffs.append(_shadowed(basis.real([_rational(x, cp) for x in c]), cp))
-                else:
-                    coeffs.append(basis.from_rational(_rational(c, cp)))
+                coeffs.append(_coordinates(c, basis, cp) if isinstance(c, list)
+                              else _rational(c, cp))
             comps.append(coeffs)
         pieces.append(comps)
     try:
@@ -768,8 +776,6 @@ def _csv_cell(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 

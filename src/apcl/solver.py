@@ -38,6 +38,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -460,8 +461,6 @@ def exact_counterexample(flux: PiecewiseFlux, gb: SpectrumGroupBasis,
     [a, b]; refuses otherwise, attaching the non-degeneracy verdict.  When
     ``tau`` is given it must match the exact affine slope.
     """
-    from fractions import Fraction
-
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("need a < b")

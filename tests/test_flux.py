@@ -1,5 +1,6 @@
 """Piecewise flux evaluation, directional fluxes, and the ND decider."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -53,7 +54,8 @@ def test_construction_rejects_discontinuity():
 
 def test_continuity_jump_in_sqrt2_coordinate_only():
     # equal rational parts at u = 0; the constant terms differ by sqrt2
-    with pytest.raises(ValueError, match="jumps"):
+    msg = 'component 0 jumps at breakpoint 0: ["0", "0"] != ["0", "1"]'
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         PiecewiseFlux(B2, [-1, 0, 1], [[[["0", "0"], ["1", "0"]]],
                                        [[["0", "1"], ["1", "0"]]]])
     PiecewiseFlux(B2, [-1, 0, 1], [[[["0", "1"], ["1", "0"]]],
@@ -62,15 +64,17 @@ def test_continuity_jump_in_sqrt2_coordinate_only():
 
 def test_continuity_at_fractional_breakpoint_across_degrees():
     # u^2 meets a constant or a cubic at u = 1/3, where u^2 = 1/9; either
-    # piece may be the longer one
+    # piece may be the longer one.  The refusal names both values at 1/3.
     left = ["0", "0", "1"]
-    for right, ok in ((["1/9"], True), (["1/10"], False),
-                      (["1/9", "0", "0", "27"], False), (["0", "0", "0", "3"], True)):
-        for pieces in ([[left], [right]], [[right], [left]]):
-            if ok:
+    for right, value in ((["1/9"], None), (["1/10"], "1/10"),
+                         (["1/9", "0", "0", "27"], "10/9"), (["0", "0", "0", "3"], None)):
+        for pieces, pair in (([[left], [right]], ("1/9", value)),
+                             ([[right], [left]], (value, "1/9"))):
+            if value is None:
                 PiecewiseFlux(B1, [-1, "1/3", 1], pieces)
             else:
-                with pytest.raises(ValueError, match="jumps at breakpoint 1/3"):
+                msg = 'component 0 jumps at breakpoint 1/3: ["%s"] != ["%s"]' % pair
+                with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
                     PiecewiseFlux(B1, [-1, "1/3", 1], pieces)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from apcl import cli
+from apcl.freqlattice import RealQ
 from apcl.harness import (
     EXPERIMENTS,
     KINDS,
@@ -160,6 +161,11 @@ def products(*entries):
     return sqrt2_basis(products=list(entries))
 
 
+# two terms of amplitude 1e308, at frequencies 0 and 1: |a| sums to 3e308
+BIG_TERMS = [{"frequency": [["0"]], "re": 1e308, "im": 0},
+             {"frequency": [["1"]], "re": 1e308, "im": 0}]
+
+
 def shipped(stem):
     """A maker of the shipped config ``configs/<stem>.json``."""
     return lambda: json.loads((CONFIGS / f"{stem}.json").read_text())
@@ -257,6 +263,8 @@ BAD_FIELDS = [
     # rationals whose float shadow lies beyond float range
     ("coefficient-overflow", decay_config, ("flux", "pieces", 0, 0, 2, "1e400"),
      "flux.pieces[0][0][2]"),
+    ("coefficient-coordinate-overflow", sqrt2_decay_config,
+     ("flux", "pieces", 0, 0, 2, ["0", "1e400"]), "flux.pieces[0][0][2][1]"),
     ("breakpoint-overflow", decay_config, ("flux", "breakpoints", ["-2", "1e400"]),
      "flux.breakpoints[1]"),
     ("frequency-overflow", decay_config, ("initial", "terms", 1, "frequency", [["1e400"]]),
@@ -271,6 +279,14 @@ BAD_FIELDS = [
     ("frequency-shadow-overflow", sqrt2_decay_config,
      ("initial", "terms", 1, "frequency", [["1e308", "1e308"]]),
      "initial.terms[1].frequency[0]"),
+    # each amplitude in range, the sum of |a| over the terms and their
+    # conjugates not: a nonzero frequency counts twice
+    ("amplitude-sum-overflow", shipped("burgers_decay"), ("initial", "terms", BIG_TERMS),
+     "initial.terms"),
+    ("amplitude-sum-overflow-b", shipped("contraction_pair"), ("initial_b", "terms", BIG_TERMS),
+     "initial_b.terms"),
+    ("amplitude-conjugate-overflow", decay_config, ("initial", "terms", 1, "re", 1e308),
+     "initial.terms"),
 ]
 
 # sizes beyond MAX_CELLS, refused by parse_config alone: a check that let
@@ -349,6 +365,21 @@ def test_parse_config_refuses_sizes_over_budget(make, edit, field):
     with pytest.raises(ConfigError, match=f"at most {MAX_CELLS}|more than {MAX_CELLS}") as e:
         parse_config(edited(make, *edit))
     assert e.value.path == field
+
+
+def test_parse_config_takes_a_mean_up_to_float_range():
+    # the zero frequency is its own conjugate, so 1e308 there counts once
+    parse_config(edited(decay_config, "initial", "terms", 0, "re", 1e308))
+
+
+def test_parse_config_builds_no_realq(monkeypatch):
+    # the parser hands the exact layer rationals; RealQ is only the reference
+    def refuse(self):
+        raise AssertionError("parse_config built a RealQ")
+
+    monkeypatch.setattr(RealQ, "__post_init__", refuse)
+    for path in sorted(CONFIGS.glob("*.json")):
+        parse_config(json.loads(path.read_text()))
 
 
 def test_parse_config_takes_sizes_up_to_the_budget():
