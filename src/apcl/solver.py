@@ -13,8 +13,8 @@ max-principle stable, L1-contractive, and cell-entropy dissipative for
 the Kruzhkov-type numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 
-Layout rule: every full-grid array a step writes starts on a 64-byte
-cache line: each component's Horner result, the faces, and the flux
+Layout rule: every full-grid array of at least 64 KiB that a step writes
+starts on a 64-byte cache line: each component's Horner result, the faces, and the flux
 difference, which the pass writes from flat element prod(shape[j+1:]) on,
 so its line starts there.  ``flux._empty`` allocates them.  The new
 values overwrite the first axis's flux difference in place, so they
@@ -26,9 +26,11 @@ two-input multiply into a 65536-cell output took 22-33 us aligned against
 46-83 us, and ``lifted_nd`` run_s fell by x0.86-0.88 (``BENCH_11.json``).
 The gain depends on the hardware: with 32-byte vectors only every other
 store splits a line, so it is smaller without AVX-512.  Arrays under 64
-KiB (8192 cells) are allocated plainly: there the saving is a few us
-at most, against 1-2 us to find the line.  The operations, operands
-and their order are the same either way, so no bit depends on the layout.
+KiB (8192 cells), every 1D grid the shipped configs and the bench use
+among them, are plain numpy results, the Horner product ``x * c`` too:
+there the saving is a few us at most, against 1-2 us to find the line.
+The operations, operands and their order are the same either way, so no
+bit depends on the layout.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .flux import PiecewiseFlux, _empty, affine_on, directional, lip_bound, nondegeneracy_check
+from .flux import (
+    PiecewiseFlux,
+    _check_range,
+    _empty,
+    affine_on,
+    directional,
+    lip_bound,
+    nondegeneracy_check,
+)
 from .freqlattice import SpectrumGroupBasis
 from .trigpoly import TorusPoly
 
@@ -155,8 +165,9 @@ class CellField:
             raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
         self.grid = grid
         self.values = values
-        self.vmin = float(values.min())
-        self.vmax = float(values.max())
+        # the ufunc reductions ndarray.min/max call, NaN propagating alike
+        self.vmin = float(np.minimum.reduce(values, axis=None))
+        self.vmax = float(np.maximum.reduce(values, axis=None))
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -220,7 +231,9 @@ def cfl_dt(f: CellField, cfl: float, alphas: tuple[float, ...]) -> float:
     on the range) every dt is admissible, and the result is infinite.
     """
     check_cfl(cfl)
-    denom = sum(a / h for a, h in zip(alphas, f.grid.h))
+    denom = 0.0
+    for a, h in zip(alphas, f.grid.h):
+        denom += a / h
     if denom == 0.0:
         return math.inf
     return cfl / denom
@@ -233,19 +246,22 @@ _SCALAR_OP = {np.add: operator.add, np.subtract: operator.sub}
 def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     """out = op(x_{i+1}, x_i) along axis j of the torus, stored at i (at i+1 if ``upper``).
 
-    ``x`` and ``out`` are C-contiguous, so the work runs on their flat
-    views, where one cell along axis j is s = prod(shape[j+1:]) elements:
-    slices offset by s need no shifted copy and keep the loops contiguous.
-    The pairs that wrap round the torus come out wrong on the flat views
-    and are redone from the first and last slabs of axis j; in 1D that is
-    one pair, for which a scalar operation costs far less than a ufunc call.
+    In 1D that is one ufunc call on the slices offset by one cell, and
+    the one pair that wraps round the torus, for which a scalar operation
+    costs far less than a ufunc call.  In n-D, ``x`` and ``out`` are
+    C-contiguous, so the work runs on their flat views, where one cell
+    along axis j is s = prod(shape[j+1:]) elements: slices offset by s
+    need no shifted copy and keep the loops contiguous.  The pairs that
+    wrap round the torus come out wrong on the flat views and are redone
+    from the first and last slabs of axis j.
     """
+    if x.ndim == 1:
+        op(x[1:], x[:-1], out=out[1:] if upper else out[:-1])
+        out[0 if upper else -1] = _SCALAR_OP[op](x[0], x[-1])
+        return
     s = math.prod(x.shape[j + 1:])
     xf, of = x.reshape(-1), out.reshape(-1)
     op(xf[s:], xf[:-s], out=of[s:] if upper else of[:-s])
-    if x.ndim == 1:
-        of[0 if upper else -1] = _SCALAR_OP[op](xf[0], xf[-1])
-        return
     first = (slice(None),) * j + (slice(None, 1),)
     last = (slice(None),) * j + (slice(-1, None),)
     op(x[first], x[last], out=out[first] if upper else out[last])
@@ -289,7 +305,9 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
     g = f.grid
     if flux.n != g.m:
         raise ValueError("flux component count must match grid dimension")
-    courant = sum(a * dt / h for a, h in zip(alphas, g.h))
+    courant = 0.0
+    for a, h in zip(alphas, g.h):
+        courant += a * dt / h
     if courant > 0.5 * (1.0 + 1e-9):
         raise CflError(
             f"CFL violation: sum_j alpha_j dt/h_j = {courant:.6g} > 1/2 "
@@ -404,6 +422,9 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid | None,
     if grid is None or grid.m != v0.m:
         raise ValueError(f"problem needs a {v0.m}-dimensional grid")
     v = exact_cell_average(v0, grid)
+    # the first step would refuse data outside the working range; refuse
+    # them before observing them, which may overflow
+    _check_range(flux, v.vmin, v.vmax)
     rows = [_observe(0.0, v, c)]
     fields = [v]
     t = 0.0

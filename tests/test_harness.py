@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apcl import cli
+from apcl import cli, harness
 from apcl.freqlattice import RealQ
 from apcl.harness import (
     EXPERIMENTS,
@@ -24,6 +27,7 @@ from apcl.harness import (
 from apcl.solver import MAX_CELLS, read_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def decay_config(**over):
@@ -544,6 +548,25 @@ def test_render_svg_single_point(tmp_path):
     ET.fromstring(p.read_text())
 
 
+def test_svg_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    for text in ("a & b", "<x>", "u < 1 & v > 2", "\"quoted\" 'single'", "&amp;", "&lt;>",
+                 "", "plain"):
+        assert harness._escape(text) == escape(text)
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils alone pulls these in, tens of ms of start-up
+    code = ("import sys, apcl.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', "
+            "'email', 'ssl') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_render_svg_refuses_empty(tmp_path):
     p = tmp_path / "p.svg"
     with pytest.raises(ValueError):
@@ -849,6 +872,20 @@ def test_cli_step_budget_exit_three(tmp_path, capsys):
     assert rc == 3
     assert time.perf_counter() - t0 < 10.0
     assert "the 1000000 a run may take" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_data_outside_working_range_refused_before_observing(tmp_path, capsys):
+    # |a| sums to 1.2e308, in float range, but the cell averages leave the
+    # flux's [-2, 2]: refused before the t = 0 row, whose L1 sum would
+    # overflow (a RuntimeWarning, an error under pytest)
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    for term in d["initial"]["terms"]:
+        term["re"] = 4e307
+    cp = write_config(tmp_path, d)
+    rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "refused: [lo, hi] must lie inside the working range" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -537,7 +537,7 @@ def _field_values(kind, shape, rng):
         vals = rng.uniform(-2.0, 2.0, shape)
         # breakpoints themselves: ties go right, the last (u_P = 2) goes left
         flat = vals.reshape(-1)
-        flat[:5] = [-2.0, -1 / 3, 2 / 5, 2.0, 0.0]
+        flat[:5] = [-2.0, -1 / 3, 2 / 5, 2.0, 0.0][:flat.size]
         flat[7::11] = 2 / 5
         flat[9::13] = -1 / 3
         return vals, 0
@@ -569,7 +569,11 @@ def _clamp_counts(caplog):
     return [r.args[0] for r in caplog.records if r.getMessage().startswith("clamped")]
 
 
-@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4), (96, 96), (24, 24, 16)])
+# 1D shapes on both sides of the 64 KiB layout bound (8192 cells), where
+# the Horner product is a plain x * c below it and a multiply into an
+# aligned buffer at it
+@pytest.mark.parametrize("shape", [(2,), (64,), (2048,), (8191,), (8192,), (12, 10),
+                                   (6, 5, 4), (96, 96), (24, 24, 16)])
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd])
 def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
     flux = make_flux(len(shape))
@@ -583,8 +587,11 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="apcl.flux"):
             if ok:
-                # advance takes the alphas of the field's own range, as above
-                _, dt, (new,) = advance(flux, 0.45, math.inf, f)
+                # advance takes the alphas of the field's own range, as
+                # above; dt is capped at unit time, as the contraction run
+                # caps it, since two -0.0 cells under Burgers give all
+                # alphas 0 and so no CFL cap
+                _, dt, (new,) = advance(flux, 0.45, 1.0, f)
             else:
                 dt = cfl_dt(f, 0.45, alphas)
                 new = step(f, flux, dt, alphas)
@@ -600,7 +607,10 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
 def test_eval_component_matches_polyval_on_breakpoints(caplog):
     cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, -0.0, 1e-170, -1e-170,
                         5e-324, 1.75]), 0)]
-    cases += [_field_values(kind, (40,), np.random.default_rng(7)) for kind in FIELDS]
+    # 8191 and 8192 values: the two sides of the layout bound, where the
+    # first Horner product is taken two ways
+    cases += [_field_values(kind, (n,), np.random.default_rng(7))
+              for n in (40, 8191, 8192) for kind in FIELDS]
     for flux in (_three_piece_nd(2), _cubic_nd(2), _padded_nd(2)):
         for u, bad in cases:
             for j in range(2):
@@ -609,6 +619,21 @@ def test_eval_component_matches_polyval_on_breakpoints(caplog):
                     got = flux.eval_component(j, u)
                 assert _clamp_counts(caplog) == ([bad] if bad else [])
                 assert same_bits(got, _ref_eval_component(flux, j, u))
+
+
+@pytest.mark.parametrize("op", [np.add, np.subtract])
+@pytest.mark.parametrize("upper", [False, True])
+def test_neighbours_1d_branch_matches_nd_branch(op, upper):
+    # the 1D branch (plain slices and a scalar wrap) against the n-D one
+    # (flat views and a slab wrap) on the (N, 1) view of the same values
+    x, _ = _field_values("signed-zero", (97,), np.random.default_rng(5))
+    x[40::9] = np.nan
+    for first, last in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (np.nan, 1.0), (0.1, 0.2)):
+        x[0], x[-1] = first, last
+        got, want = np.full_like(x, 7.0), np.full((x.size, 1), 7.0)
+        solver_mod._neighbours(op, x, 0, got, upper)
+        solver_mod._neighbours(op, x.reshape(-1, 1), 0, want, upper)
+        assert same_bits(got, want.reshape(-1)), (first, last)
 
 
 def _on_line(a):
