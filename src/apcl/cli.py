@@ -1,9 +1,9 @@
 """Command line front end: one subcommand per experiment kind.
 
 Exit codes: 0 every configured threshold holds, 2 bad config or
-arguments, 3 validation or CFL refusal, 4 a configured threshold failed
-or none is configured (no verdict), 5 internal error (a broken invariant
-of the program itself, not of the config).
+arguments, 3 validation, CFL or float-overflow refusal, 4 a configured
+threshold failed or none is configured (no verdict), 5 internal error (a
+broken invariant of the program itself, not of the config).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (CflError, CounterexampleError, ValueError) as e:
+    except (CflError, CounterexampleError, FloatingPointError, ValueError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
     except AssertionError as e:

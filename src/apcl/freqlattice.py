@@ -112,13 +112,12 @@ class FrequencyBasis:
         return cls(("1",), (1.0,))
 
     @classmethod
-    def with_sqrt(cls, d: int, label: str | None = None) -> "FrequencyBasis":
+    def with_sqrt(cls, d: int) -> "FrequencyBasis":
         """Basis (1, sqrt d) with the exact product sqrt(d)^2 = d declared."""
         if d <= 0 or int(math.isqrt(d)) ** 2 == d:
             raise ValueError("need a positive non-square integer")
-        lbl = label or f"sqrt{d}"
         return cls(
-            ("1", lbl),
+            ("1", f"sqrt{d}"),
             (1.0, math.sqrt(d)),
             products={(1, 1): (Fraction(d), Fraction(0))},
         )

@@ -9,6 +9,7 @@ report.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
+from .flux import NdVerdict, PiecewiseFlux, _check_range, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis, in_lattice
 from .lift import _cube_per_axis, lift_problem
 from .solver import (
@@ -226,43 +227,28 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
         re = _real(t.get("re", 0.0), f"{p}.re")
         im = _real(t.get("im", 0.0), f"{p}.im")
         parsed.append((freq, complex(re, im)))
-    # TrigPoly sums |a| over the terms and their conjugates in floats
-    amps = {}
-    for freq, a in parsed:
-        amps[freq] = amps[-freq] = math.hypot(a.real, a.imag)
-    try:
-        total = math.fsum(amps.values())
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise ConfigError(f"{path}.terms", "the sum of |re + i im| over the terms and "
-                          "their conjugates lies beyond float range")
     try:
         return TrigPoly(basis, n, parsed)
+    except OverflowError as e:
+        raise ConfigError(f"{path}.terms", str(e))
     except ValueError as e:
         raise ConfigError(path, str(e))
 
 
 def _parse_flux(d, basis, path) -> PiecewiseFlux:
     _object(d, path, ("breakpoints", "pieces"))
-    bps = [_rational(b, f"{path}.breakpoints[{i}]")
-           for i, b in enumerate(_need(d, "breakpoints", path, list))]
-    pieces_raw = _need(d, "pieces", path, list)
-    pieces = []
-    for p, piece in enumerate(pieces_raw):
-        if not isinstance(piece, list):
-            raise ConfigError(f"{path}.pieces[{p}]", "expected a list of components")
-        comps = []
-        for k, comp in enumerate(piece):
-            if not isinstance(comp, list):
-                raise ConfigError(f"{path}.pieces[{p}][{k}]", "expected a coefficient list")
-            coeffs = []
-            for dgr, c in enumerate(comp):
-                cp = f"{path}.pieces[{p}][{k}][{dgr}]"
-                coeffs.append(_coordinates(c, basis, cp) if isinstance(c, list)
-                              else _rational(c, cp))
-            comps.append(coeffs)
-        pieces.append(comps)
+
+    def coefficient(c, p):
+        return _coordinates(c, basis, p) if isinstance(c, list) else _rational(c, p)
+
+    def component(v, p):
+        return _list(v, p, coefficient, "coefficients")
+
+    def piece(v, p):
+        return _list(v, p, component, "components")
+
+    bps = _list(_need(d, "breakpoints", path), f"{path}.breakpoints", _rational, "rationals")
+    pieces = _list(_need(d, "pieces", path), f"{path}.pieces", piece, "pieces")
     try:
         return PiecewiseFlux(basis, bps, pieces)
     except ValueError as e:
@@ -275,6 +261,16 @@ def _parse_grid(v, path) -> TorusGrid:
         return TorusGrid(shape)
     except ValueError as e:
         raise ConfigError(path, str(e))
+
+
+def _parse_grids(v, path) -> tuple[TorusGrid, ...]:
+    """At least two grids; the observed order divides by the log of each h_max ratio."""
+    grids = _list(v, path, _parse_grid, "at least two grids", 2)
+    for i in range(1, len(grids)):
+        if max(grids[i].h) == max(grids[i - 1].h):
+            raise ConfigError(f"{path}[{i}]", f"h_max equals that of {path}[{i - 1}]; "
+                              "the observed order needs two different mesh sizes")
+    return grids
 
 
 def _parse_solver(d, path) -> SolverConfig:
@@ -430,7 +426,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         "group_frequencies": lambda v, p: _list(
             v, p, lambda m, q: _parse_frequency(m, basis, q), "frequencies", 1),
         "grid": _parse_grid,
-        "grids": lambda v, p: _list(v, p, _parse_grid, "at least two grids", 2),
+        "grids": _parse_grids,
         "solver": _parse_solver,
         "steps": _steps,
         "cfl": _parse_cfl,
@@ -491,11 +487,7 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
-        tmp = rp + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-        os.replace(tmp, rp)
+        _write_text(rp, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         paths.append(rp)
         for name, (rows, columns) in sorted(self.tables.items()):
             cp = os.path.join(outdir, f"{stem}_{name}.csv")
@@ -528,8 +520,8 @@ def _run_check_flux(cfg: ExperimentConfig):
     if cfg.initial is None and cfg.group_frequencies is None:
         raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
     freqs = cfg.group_frequencies or tuple(cfg.initial.spectrum())
-    gb = group_basis(list(freqs)) if freqs else None
-    v = nondegeneracy_check(cfg.flux, gb) if gb is not None and gb.rank else NdVerdict(True)
+    gb = group_basis(list(freqs))
+    v = nondegeneracy_check(cfg.flux, gb) if gb.rank else NdVerdict(True)
     row = {
         "nondegenerate": v.nondegenerate,
         "kbar": None if v.kbar is None else ",".join(map(str, v.kbar)),
@@ -548,7 +540,7 @@ def _run_decay(cfg: ExperimentConfig):
     traj = run(pb.v0, pb.flux, cfg.grid if pb.m else None, cfg.solver)
     rows = traj.rows
     tables = {"series": (rows, ["t", "l1_to_mean", "min", "max", "mass"])}
-    scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": traj.mean, "rank": pb.m}
+    scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": pb.mean, "rank": pb.m}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")], True)}
     fields = {"final": traj.fields[-1]} if cfg.dump_fields and traj.fields else {}
     return tables, scalars, plots, fields
@@ -563,6 +555,8 @@ def _run_contraction(cfg: ExperimentConfig):
         raise ValueError("contraction needs non-constant data")
     fa = exact_cell_average(pa.v0, cfg.grid)
     fb = exact_cell_average(pb.v0, cfg.grid)
+    # as in ``run``: refused before their distance, which may overflow
+    _check_range(pa.flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
     rows = [{"step": 0, "t": 0.0, "l1_distance": l1_distance(fa, fb)}]
     t = 0.0
     worst_increase = 0.0
@@ -593,8 +587,8 @@ def _run_counterexample(cfg: ExperimentConfig):
     wave, lifted = _wave_problem(cfg)
     traj = run(wave.torus_poly(0.0), lifted, cfg.grid, cfg.solver)
     rows = []
-    for t, f, row in zip(traj.times, traj.fields, traj.rows):
-        ref = exact_cell_average(wave.torus_poly(t), cfg.grid)
+    for f, row in zip(traj.fields, traj.rows):
+        ref = exact_cell_average(wave.torus_poly(row["t"]), cfg.grid)
         r = dict(row)
         r["l1_error"] = l1_distance(f, ref)
         rows.append(r)
@@ -758,12 +752,27 @@ def _judge(cfg: ExperimentConfig, scalars: dict) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Run one experiment and judge its thresholds; timing only in the report."""
+    """Run one experiment and judge its thresholds; timing only in the report.
+
+    Numpy overflow raises ``FloatingPointError``: values in float range can
+    still ask for products beyond it (a flux of 1e308 u^2, a probe of 1e308).
+    """
     t0 = time.perf_counter()
-    tables, scalars, plots, fields = EXPERIMENTS[cfg.kind].run(cfg)
+    with np.errstate(over="raise", invalid="raise"):
+        tables, scalars, plots, fields = EXPERIMENTS[cfg.kind].run(cfg)
     return RunReport(kind=cfg.kind, config=cfg.raw, verdicts=_judge(cfg, scalars),
                      tables=tables, scalars=scalars, plots=plots, fields=fields,
                      wall_clock_s=time.perf_counter() - t0)
+
+
+# --- output files --------------------------------------------------------------
+
+def _write_text(path: str, text: str):
+    """``text`` as UTF-8 at ``path``, through a ``.tmp`` file and one atomic replace."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -788,13 +797,12 @@ def write_csv(rows, path: str, columns=None):
         if not rows:
             raise ValueError("empty rows need explicit columns")
         columns = list(rows[0])
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([_csv_cell(r.get(c, "")) for c in columns])
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for r in rows:
+        w.writerow([_csv_cell(r.get(c, "")) for c in columns])
+    _write_text(path, buf.getvalue())
 
 
 # --- SVG ----------------------------------------------------------------------
@@ -912,8 +920,4 @@ def render_svg(series, path: str, log_y: bool = False):
         out.append(f'<text x="{_W - _MR - 90}" y="{ly}" font-size="12" '
                    f'font-family="sans-serif">{_escape(label)}</text>')
     out.append("</svg>")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out))
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_text(path, "\n".join(out) + "\n")

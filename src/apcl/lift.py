@@ -148,20 +148,16 @@ class LiftedProblem:
         y += _wrap(np.array(z, dtype=float))
         return _wrap(y)
 
-    def pullback_sample(self, v: CellField, z, xs) -> np.ndarray:
-        """Sample the pulled-back field x -> v(z + Lambda x) by interpolation."""
-        return interp_periodic(v, self.lift_points(xs, z))
-
     def orbit_mean(self, w: CellField, z, radius: float,
                    samples_per_unit: float) -> float:
-        """Cube average of the pullback of w over {|x|_inf <= R/2}.
+        """Cube average of the pullback x -> w(z + Lambda x) over {|x|_inf <= R/2}.
 
-        Uniform midpoint sampling; the summation order is fixed (numpy
-        pairwise reduction over one flat array), so results are
-        reproducible bit for bit.
+        Uniform midpoint sampling, interpolated; the summation order is
+        fixed (numpy pairwise reduction over one flat array), so results
+        are reproducible bit for bit.
         """
         pts = _cube_points(self.n, radius, samples_per_unit)
-        return float(np.mean(self.pullback_sample(w, z, pts)))
+        return float(np.mean(interp_periodic(w, self.lift_points(pts, z))))
 
 
 @functools.cache
@@ -214,8 +210,14 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     pb = LiftedProblem(group=gb, v0=v0, lam=lam,
                        flux=lift_flux(flux, gb) if flux is not None else None)
     xs = _round_trip_points(u0.n)
-    lifted_vals = v0.eval(xs @ lam.T)
-    direct_vals = u0.eval(xs)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lifted_vals = v0.eval(xs @ lam.T)
+            direct_vals = u0.eval(xs)
+    except FloatingPointError:
+        raise ValueError("lift round trip: the phases 2 pi lambda.x at the check points "
+                         "lie beyond float range; the largest |Lambda| entry is "
+                         f"{float(np.max(np.abs(lam))):g}") from None
     scale = max(1.0, float(np.max(np.abs(direct_vals))))
     err = float(np.max(np.abs(lifted_vals - direct_vals)))
     if err > 1e-10 * scale:

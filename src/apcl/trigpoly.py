@@ -60,17 +60,26 @@ class _TrigCore:
     """Evaluation core shared by TrigPoly and TorusPoly.
 
     Holds the reality-normalised terms in a fixed key order, their mean,
-    float frequency matrix and amplitudes, and evaluates them.
+    float frequency matrix and amplitudes, and evaluates them.  Refuses
+    with OverflowError terms whose sum of |a|, over every key and so over
+    each conjugate too, is not a finite float.
     """
 
     def __init__(self, dim: int, items, negate, sort_key=None, row=tuple):
         self.terms, self.mean = _normalize_real_terms(items, negate)
+        # the scale of every roundoff check on the values
+        try:
+            self._amp_scale = math.fsum(abs(a) for a in self.terms.values())
+        except OverflowError:
+            self._amp_scale = math.inf
+        if not math.isfinite(self._amp_scale):
+            raise OverflowError("the sum of |re + i im| over the terms and their "
+                                "conjugates lies beyond float range")
         self._keys = sorted(self.terms, key=sort_key)
         self._freq_mat = np.array(
             [row(k) for k in self._keys], dtype=float
         ).reshape(len(self._keys), dim)
         self._amps = np.array([self.terms[k] for k in self._keys], dtype=complex)
-        self._amp_scale = float(np.sum(np.abs(self._amps)))
 
     def spectrum(self) -> tuple:
         return tuple(self._keys)

@@ -1,17 +1,24 @@
 """Experiment harness: config parsing, runners, reports, CSV/SVG output."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apcl import cli, harness
 from apcl.freqlattice import RealQ
@@ -187,6 +194,9 @@ BAD_FIELDS = [
     ("grid-float", decay_config, ("grid", [128.5]), "grid[0]"),
     ("grids-string", lambda: wave_config(kind="convergence"),
      ("grids", [[32], ["x"]]), "grids[1][0]"),
+    # the observed order divides by the log of the h_max ratio
+    ("grids-equal", lambda: wave_config(kind="convergence"),
+     ("grids", [[32], [64], [64]]), "grids[2]"),
     ("kbar-bool", wave_config, ("wave", "kbar", [True]), "wave.kbar[0]"),
     ("kbar-float", wave_config, ("wave", "kbar", [2.7]), "wave.kbar[0]"),
     ("probe-float", spectrum_config, ("probes", [[1.5]]), "probes[0][0]"),
@@ -958,6 +968,62 @@ def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error: imaginary residue") and "refused" not in err
     assert not (tmp_path / "out").exists()
+
+
+# hostile stand-ins for one value: both ends of float range as numbers and
+# as rational strings, the smallest subnormal, small and negative counts,
+# and every JSON type
+HOSTILE = (None, True, 0, -1, 2, 5e-324, 1e308, -1e308, "1e308", "-1e308", "1e400",
+           "-1/3", "x", [], {}, [2], [[0]])
+
+
+def tiny(stem, *edits):
+    """A shipped config with every grid axis cut 32-fold (to at least 2 cells), then edited.
+
+    Each edit is a key path and its new value, as ``edited`` takes them.
+    """
+    d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    for grid in [d["grid"]] if "grid" in d else d.get("grids", []):
+        grid[:] = [max(2, n // 32) for n in grid]
+    for *keys, value in edits:
+        d = edited(lambda: d, *keys, copy.deepcopy(value))
+    return d
+
+
+@st.composite
+def hostile_configs(draw):
+    """A tiny shipped config with one or two of its values made hostile."""
+    stem = draw(st.sampled_from(sorted(p.stem for p in CONFIGS.glob("*.json"))))
+    d = tiny(stem)
+    for _ in range(draw(st.integers(1, 2))):
+        keys = draw(st.sampled_from(list(value_paths(d))))
+        d = edited(lambda: d, *keys, copy.deepcopy(draw(st.sampled_from(HOSTILE))))
+    return stem, d
+
+
+@example(("transport_convergence", tiny("transport_convergence", ("grids", [[64], [64]]))))
+@example(("contraction_pair", tiny("contraction_pair", ("initial_b", "terms", 0, "re", -1e308))))
+@example(("spectrum_probe", tiny("spectrum_probe", ("basis", "values", 1, -1e308))))
+# values in float range whose products are not: flux values, a Fourier
+# probe, and a wave phase 2 pi tau t
+@example(("burgers_decay", tiny("burgers_decay", ("flux", "pieces", 0, 0, 2, "1e308"))))
+@example(("spectrum_probe", tiny("spectrum_probe", ("probes", 0, 0, "1e308"))))
+@example(("transport_convergence",
+          tiny("transport_convergence", ("group_frequencies", 0, 0, 0, "1e308"))))
+@settings(max_examples=200, derandomize=True, database=None,
+          deadline=timedelta(seconds=10))
+@given(hostile_configs())
+def test_cli_ends_every_hostile_config_in_a_documented_exit(case):
+    """0 pass, 2 config error, 3 refusal or 4 fail: no exit 5, exception or warning."""
+    stem, d = case
+    kind = json.loads((CONFIGS / f"{stem}.json").read_text())["kind"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cp = write_config(Path(tmp), d)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main([kind, "--config", cp, "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 2, 3, 4), err.getvalue()
 
 
 def test_cli_plot_writes_svg(tmp_path):

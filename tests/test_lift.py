@@ -137,8 +137,8 @@ def test_pullback_z_shift_equivariance():
     xs = rng.uniform(-2, 2, (20, 1))
     z0 = np.array([0.2, 0.6])
     z_shift = np.mod(z0 + pb.lam @ np.array([x0]), 1.0)
-    a = pb.pullback_sample(w, tuple(z_shift), xs)
-    b = pb.pullback_sample(w, tuple(z0), xs + x0)
+    a = interp_periodic(w, pb.lift_points(xs, tuple(z_shift)))
+    b = interp_periodic(w, pb.lift_points(xs + x0, tuple(z0)))
     assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -187,6 +187,17 @@ def test_step_cfl_refusal():
         step(f, flux, 1.0, lip_bound(flux, f.vmin, f.vmax))
 
 
+def test_step_refuses_a_dt_that_is_not_finite():
+    g = TorusGrid((4,))
+    flux = burgers_1d()
+    # phi' vanishes on the range: the alphas are 0, every dt passes the
+    # cap and the Courant number is 0 * inf = NaN
+    with pytest.raises(CflError):
+        advance(flux, 0.45, math.inf, CellField(g, np.zeros(4)))
+    with pytest.raises(CflError):
+        step(CellField(g, np.linspace(-1, 1, 4)), flux, math.nan, (1.0,))
+
+
 def test_step_2d_conserves():
     rng = np.random.default_rng(3)
     g = TorusGrid((16, 24))
@@ -295,7 +306,7 @@ def test_run_zero_flux_constant_in_time():
     zero = PiecewiseFlux(B1, [-2, 2], [[["0"]]])
     v0 = TorusPoly(1, {(0,): 0.2, (1,): 0.25j})
     traj = run(v0, zero, TorusGrid((64,)), SolverConfig(t_end=1.0, record_times=(0.5,)))
-    assert len(traj.times) == 3
+    assert len(traj.rows) == 3
     first = traj.fields[0].values
     for f in traj.fields[1:]:
         assert f.values == pytest.approx(first, abs=1e-14)
@@ -306,7 +317,6 @@ def test_run_records_and_mean():
     traj = run(v0, burgers_1d(), TorusGrid((128,)),
                SolverConfig(t_end=0.5, record_times=(0.25,)))
     assert [r["t"] for r in traj.rows] == pytest.approx([0.0, 0.25, 0.5])
-    assert traj.mean == pytest.approx(0.3)
     assert traj.rows[0]["l1_to_mean"] == pytest.approx(1 / (2 * np.pi) * 2, rel=1e-3)
     for r in traj.rows:
         assert r["mass"] == pytest.approx(0.3, abs=1e-13)
@@ -330,7 +340,7 @@ def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
     monkeypatch.setattr(solver_mod, "MAX_STEPS", 2 * n)
     near = SolverConfig(t_end=0.5, record_times=(1e-9,))
     traj = run(v0, burgers_1d(), TorusGrid((64,)), near)
-    assert traj.times == [0.0, 1e-9, 0.5]
+    assert [r["t"] for r in traj.rows] == [0.0, 1e-9, 0.5]
     assert traj.rows[-1]["mass"] == pytest.approx(full.rows[-1]["mass"], abs=1e-13)
     # a linear flux keeps dt fixed, so the estimate is exact: a budget of
     # the run's own step count k lets it finish, k - 1 does not
@@ -360,7 +370,7 @@ def test_run_grid_dimension_mismatch():
 
 
 def test_traveling_wave_profile_and_range():
-    w = TravelingWave(mid=0.0, amp=0.25, kbar=(1,), tau=0.5, c=0.0)
+    w = TravelingWave(mid=0.0, amp=0.25, kbar=(1,), tau=0.5)
     ys = np.linspace(0, 1, 101).reshape(-1, 1)
     v0 = w(0.0, ys)
     assert v0.max() <= 0.25 + 1e-12
@@ -372,7 +382,7 @@ def test_traveling_wave_profile_and_range():
 
 
 def test_traveling_wave_l1_constant_in_time():
-    w = TravelingWave(mid=0.1, amp=0.25, kbar=(1,), tau=0.5, c=0.0)
+    w = TravelingWave(mid=0.1, amp=0.25, kbar=(1,), tau=0.5)
     g = TorusGrid((512,))
     for t in (0.0, 0.7, 2.3):
         f = exact_cell_average(w.torus_poly(t), g)
@@ -391,9 +401,8 @@ def test_exact_counterexample_validates():
 
 def test_exact_counterexample_rejects_nondegenerate():
     gb = group_basis([Frequency.of(B1, [[1]])])
-    with pytest.raises(CounterexampleError) as e:
+    with pytest.raises(CounterexampleError, match="not affine on"):
         exact_counterexample(burgers_1d(), gb, Fraction(-1, 4), Fraction(1, 4), (1,))
-    assert e.value.verdict is not None and e.value.verdict.nondegenerate
 
 
 def test_exact_counterexample_rejects_wrong_tau():

@@ -69,6 +69,16 @@ def test_reality_invariant_enforced():
         TrigPoly(B1, 1, [(XI, 0.5), (-XI, 0.5j)])  # conjugate conflict
 
 
+def test_amplitude_sum_must_be_finite():
+    # 1e308 at xi counts twice, with its conjugate; the zero frequency once
+    assert TrigPoly(B1, 1, {Frequency.of(B1, [[0]]): 1e308})._amp_scale == 1e308
+    for amp in (1e308, float("inf"), complex("nan")):
+        with pytest.raises(OverflowError, match="beyond float range"):
+            TrigPoly(B1, 1, {XI: amp})
+    with pytest.raises(OverflowError):
+        TorusPoly(1, {(1,): complex("nan")})
+
+
 def test_fejer_factor_values():
     assert fejer_factor((1,), 2) == pytest.approx(0.5)
     assert fejer_factor((0, 0), 7) == 1.0
