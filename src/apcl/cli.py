@@ -1,14 +1,16 @@
 """Command line front end: one subcommand per experiment kind.
 
 Exit codes: 0 every configured threshold holds, 2 bad config or
-arguments, 3 validation, CFL or float-overflow refusal, 4 a configured
-threshold failed or none is configured (no verdict), 5 internal error (a
-broken invariant of the program itself, not of the config).
+arguments or unwritable outputs, 3 validation, CFL or float-overflow
+refusal, 4 a configured threshold failed or none is configured (no
+verdict), 5 internal error (a broken invariant of the program itself,
+not of the config).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import EXPERIMENTS, ConfigError, load_config, parse_config, run_experiment
@@ -33,9 +35,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(load_config(args.config), kind=args.kind)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise NotADirectoryError(f"--out {args.out} is not a directory")
         report = run_experiment(cfg)
+        paths = report.save(args.out, prefix=cfg.prefix, plot=args.plot)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
         return 2
     except (CflError, CounterexampleError, FloatingPointError, ValueError) as e:
         print(f"refused: {e}", file=sys.stderr)
@@ -43,7 +51,6 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"internal error: {str(e) or 'assertion failed'}", file=sys.stderr)
         return 5
-    paths = report.save(args.out, prefix=cfg.prefix, plot=args.plot)
     if report.passed is None:
         print("NO VERDICT (no thresholds configured)")
     for name in sorted(report.verdicts):

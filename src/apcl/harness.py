@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .solver import (
     MAX_STEPS,
     SolverConfig,
     TorusGrid,
+    _write_atomic,
     advance,
     check_cfl,
     exact_cell_average,
@@ -474,6 +476,7 @@ class RunReport:
         return all(self.verdicts.values()) if self.verdicts else None
 
     def save(self, outdir: str, prefix: str = "", plot: bool = False) -> list[str]:
+        """Every output in ``outdir``, returning the paths; an empty plot is named on stderr."""
         os.makedirs(outdir, exist_ok=True)
         stem = prefix or self.kind.replace("-", "_")
         paths = []
@@ -487,7 +490,8 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
-        _write_text(rp, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        _write_atomic(rp, text.encode("utf-8"))
         paths.append(rp)
         for name, (rows, columns) in sorted(self.tables.items()):
             cp = os.path.join(outdir, f"{stem}_{name}.csv")
@@ -500,7 +504,11 @@ class RunReport:
         if plot:
             for name, (series, log_y) in sorted(self.plots.items()):
                 sp = os.path.join(outdir, f"{stem}_{name}.svg")
-                render_svg(series, sp, log_y=log_y)
+                try:
+                    render_svg(series, sp, log_y=log_y)
+                except ValueError as e:
+                    print(f"not plotted: {sp}: {e}", file=sys.stderr)
+                    continue
                 paths.append(sp)
         return paths
 
@@ -537,9 +545,9 @@ def _run_check_flux(cfg: ExperimentConfig):
 
 def _run_decay(cfg: ExperimentConfig):
     pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
-    traj = run(pb.v0, pb.flux, cfg.grid if pb.m else None, cfg.solver)
+    traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
     rows = traj.rows
-    tables = {"series": (rows, ["t", "l1_to_mean", "min", "max", "mass"])}
+    tables = {"series": (rows, list(rows[0]))}
     scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": pb.mean, "rank": pb.m}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")], True)}
     fields = {"final": traj.fields[-1]} if cfg.dump_fields and traj.fields else {}
@@ -575,7 +583,7 @@ def _run_contraction(cfg: ExperimentConfig):
 
 
 def _wave_problem(cfg: ExperimentConfig):
-    gb = group_basis(list(cfg.group_frequencies))
+    gb = _declared_group(cfg)
     if gb.rank == 0:
         raise ValueError("wave experiments need a positive-rank group")
     wave = exact_counterexample(cfg.flux, gb, cfg.wave["a"], cfg.wave["b"],
@@ -651,7 +659,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         rows.append({"kbar": ",".join(map(str, p)), "magnitude": mag, "in_group_image": inside})
     tables = {
         "probes": (rows, ["kbar", "magnitude", "in_group_image"]),
-        "series": (traj.rows, ["t", "l1_to_mean", "min", "max", "mass"]),
+        "series": (traj.rows, list(traj.rows[0])),
     }
     scalars = {"max_outside_coeff": worst_outside,
                "mean_drift": abs(traj.rows[-1]["mass"] - pb.mean), "rank": pb.m}
@@ -765,16 +773,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                      wall_clock_s=time.perf_counter() - t0)
 
 
-# --- output files --------------------------------------------------------------
-
-def _write_text(path: str, text: str):
-    """``text`` as UTF-8 at ``path``, through a ``.tmp`` file and one atomic replace."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 # --- CSV ----------------------------------------------------------------------
 
 def _csv_cell(v) -> str:
@@ -787,22 +785,18 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_csv(rows, path: str, columns=None):
+def write_csv(rows, path: str, columns):
     """UTF-8 CSV with header; repr round-trip floats; atomic replace.
 
-    Column order is ``columns`` if given, else the first row's key order;
-    empty rows with declared columns produce a header-only file.
+    One column per entry of ``columns``, in order; a row without a column's
+    key leaves its cell empty, and empty rows produce a header-only file.
     """
-    if columns is None:
-        if not rows:
-            raise ValueError("empty rows need explicit columns")
-        columns = list(rows[0])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     for r in rows:
         w.writerow([_csv_cell(r.get(c, "")) for c in columns])
-    _write_text(path, buf.getvalue())
+    _write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 # --- SVG ----------------------------------------------------------------------
@@ -820,22 +814,19 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """The multiples of stp in [lo, hi], stp the least round step >= (hi - lo)/4.
+
+    Up to 1e-9 steps past hi still counts, as 0.3 / 0.1 is 2.9999999999999996.
+    An empty range, or one too narrow or too wide for a float step, gets lo.
+    """
+    raw = (hi - lo) / 4
+    if not 1e-300 < raw < math.inf:
         return [lo]
-    raw = (hi - lo) / max(count - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            stp = mult * mag
-            break
-    start = np.ceil(lo / stp) * stp
-    ticks = []
-    v = start
-    while v <= hi + 1e-9 * stp:
-        ticks.append(0.0 if abs(v) < 1e-12 * stp else float(v))
-        v += stp
-    return ticks or [lo]
+    stp = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
+    ticks = range(math.ceil(lo / stp), math.floor(hi / stp + 1e-9) + 1)
+    return [float(i * stp) for i in ticks] or [lo]
 
 
 def render_svg(series, path: str, log_y: bool = False):
@@ -920,4 +911,4 @@ def render_svg(series, path: str, log_y: bool = False):
         out.append(f'<text x="{_W - _MR - 90}" y="{ly}" font-size="12" '
                    f'font-family="sans-serif">{_escape(label)}</text>')
     out.append("</svg>")
-    _write_text(path, "\n".join(out) + "\n")
+    _write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

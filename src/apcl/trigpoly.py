@@ -84,11 +84,16 @@ class _TrigCore:
     def spectrum(self) -> tuple:
         return tuple(self._keys)
 
-    def eval(self, x):
-        """Evaluate at x (shape (dim,) or (N, dim)); returns real values.
+    def real(self, vals: np.ndarray) -> np.ndarray:
+        """``vals.real`` of values of this sum; asserts |imag| <= 1e-12 max(sum|a|, 1e-300)."""
+        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+        assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
+            f"imaginary residue {resid:.3e} exceeds tolerance"
+        )
+        return vals.real
 
-        Asserts the imaginary residue is below 1e-12 * sum|a_lam|.
-        """
+    def eval(self, x):
+        """Evaluate at x (shape (dim,) or (N, dim)); returns real values (see ``real``)."""
         xs = np.atleast_2d(np.asarray(x, dtype=float))
         dim = self._freq_mat.shape[1]
         if xs.shape[-1] != dim:
@@ -97,12 +102,7 @@ class _TrigCore:
             out = np.zeros(xs.shape[0])
         else:
             phase = xs @ self._freq_mat.T
-            vals = np.exp(2j * np.pi * phase) @ self._amps
-            resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-            assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
-                f"imaginary residue {resid:.3e} exceeds tolerance"
-            )
-            out = vals.real
+            out = self.real(np.exp(2j * np.pi * phase) @ self._amps)
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 

@@ -508,22 +508,20 @@ def test_parse_config_wave_needs_a_below_b():
 def test_write_csv_cell_formats(tmp_path):
     p = tmp_path / "t.csv"
     rows = [{"a": True, "b": 3, "c": 0.1, "d": Fraction(1, 3), "e": "x"}]
-    write_csv(rows, str(p))
+    write_csv(rows, str(p), list(rows[0]))
     assert p.read_text() == "a,b,c,d,e\ntrue,3,0.1,1/3,x\n"
 
 
 def test_write_csv_float_repr_roundtrip(tmp_path):
     p = tmp_path / "t.csv"
     v = 0.1 + 0.2
-    write_csv([{"x": v}], str(p))
+    write_csv([{"x": v}], str(p), ["x"])
     cell = p.read_text().splitlines()[1]
     assert float(cell) == v
 
 
 def test_write_csv_empty_rows(tmp_path):
     p = tmp_path / "t.csv"
-    with pytest.raises(ValueError):
-        write_csv([], str(p))
     write_csv([], str(p), columns=["a", "b"])
     assert p.read_text() == "a,b\n"
 
@@ -537,8 +535,8 @@ def test_write_csv_column_order_and_gaps(tmp_path):
 def test_write_csv_deterministic(tmp_path):
     rows = [{"t": 0.1 * i, "v": 1.0 / (i + 1)} for i in range(20)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows, str(p1))
-    write_csv(rows, str(p2))
+    write_csv(rows, str(p1), ["t", "v"])
+    write_csv(rows, str(p2), ["t", "v"])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -583,6 +581,22 @@ def test_render_svg_refuses_empty(tmp_path):
         render_svg([], str(p))
     with pytest.raises(ValueError):
         render_svg([("z", [0.0, 1.0], [-1.0, 0.0])], str(p), log_y=True)
+
+
+@pytest.mark.parametrize("y", [1e-3, 0.2, 1.0, 123.456])
+def test_ticks_of_a_one_ulp_range(y):
+    # a step below half an ulp of y: adding it to a tick would never move it
+    ticks = harness._ticks(y, float(np.nextafter(y, np.inf)))
+    assert 1 <= len(ticks) <= 8
+    assert all(t == pytest.approx(y, rel=1e-15) for t in ticks)
+
+
+def test_ticks_are_counted_multiples_of_the_step():
+    assert harness._ticks(0.0, 1.0) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # 0.3 / 0.1 is 2.9999999999999996: the tick at t_end is kept
+    assert harness._ticks(0.0, 0.3) == [0.0, 0.1, 0.2, 0.30000000000000004]
+    assert [f"{t:g}" for t in harness._ticks(-0.4, 0.4)] == ["-0.4", "-0.2", "0", "0.2", "0.4"]
+    assert harness._ticks(2.0, 2.0) == [2.0]
 
 
 def test_render_svg_log_drops_nonpositive(tmp_path):
@@ -1010,11 +1024,14 @@ def hostile_configs(draw):
 @example(("spectrum_probe", tiny("spectrum_probe", ("probes", 0, 0, "1e308"))))
 @example(("transport_convergence",
           tiny("transport_convergence", ("group_frequencies", 0, 0, 0, "1e308"))))
+# constant data: nothing to plot on the log scale
+@example(("burgers_decay", tiny("burgers_decay", ("initial", "terms", [
+    {"frequency": [["0"]], "re": 0.3}]))))
 @settings(max_examples=200, derandomize=True, database=None,
           deadline=timedelta(seconds=10))
 @given(hostile_configs())
 def test_cli_ends_every_hostile_config_in_a_documented_exit(case):
-    """0 pass, 2 config error, 3 refusal or 4 fail: no exit 5, exception or warning."""
+    """0 pass, 2 config error, 3 refusal or 4 fail: no exit 5, exception or warning, plots too."""
     stem, d = case
     kind = json.loads((CONFIGS / f"{stem}.json").read_text())["kind"]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -1022,7 +1039,7 @@ def test_cli_ends_every_hostile_config_in_a_documented_exit(case):
         cp = write_config(Path(tmp), d)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
-            rc = cli.main([kind, "--config", cp, "--out", str(Path(tmp) / "out")])
+            rc = cli.main([kind, "--config", cp, "--out", str(Path(tmp) / "out"), "--plot"])
     assert rc in (0, 2, 3, 4), err.getvalue()
 
 
@@ -1033,6 +1050,60 @@ def test_cli_plot_writes_svg(tmp_path):
     assert rc == 0
     svg = tmp_path / "out" / "decay_series.svg"
     ET.fromstring(svg.read_text())
+
+
+def test_cli_plot_of_distances_one_ulp_apart_returns(tmp_path):
+    # the two distances differ in the last bit; the tick loop once spun on
+    # them, so this runs in a process the timeout can end
+    d = {"kind": "contraction", "basis": {"labels": ["1"], "values": [1.0]},
+         "flux": {"breakpoints": ["-2", "2"], "pieces": [[["0", "1"]]]},
+         "initial": {"terms": [{"frequency": [["0"]], "re": 0.3},
+                               {"frequency": [["1"]], "im": -0.25}]},
+         "initial_b": {"terms": [{"frequency": [["0"]], "re": 0.1},
+                                 {"frequency": [["1"]], "im": -0.25}]},
+         "grid": [32], "steps": 1, "thresholds": {"max_step_increase": 1e-12}}
+    cp = write_config(tmp_path, d)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "apcl.cli", "contraction", "--config", cp,
+                           "--out", str(tmp_path / "out"), "--plot"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    ET.fromstring((tmp_path / "out" / "contraction_series.svg").read_text())
+
+
+def test_cli_plot_of_constant_data_skips_the_svg(tmp_path, capsys):
+    # rank 0: the distance to the mean is 0 throughout, nothing to plot on a log scale
+    d = decay_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]}, grid=[16],
+                     solver={"t_end": 1.0}, thresholds={"final_l1_to_mean_max": 0.1})
+    cp = write_config(tmp_path, d)
+    out = tmp_path / "out"
+    rc = cli.main(["decay", "--config", cp, "--out", str(out), "--plot"])
+    assert rc == 0
+    cap = capsys.readouterr()
+    assert cap.err == (f"not plotted: {out / 'decay_series.svg'}: "
+                       "no plottable points (log scale drops y <= 0)\n")
+    assert "PASS final_l1_to_mean_max" in cap.out
+    assert sorted(p.name for p in out.iterdir()) == ["decay_report.json", "decay_series.csv"]
+
+
+def test_cli_out_naming_a_file_exit_two_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        pytest.fail("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    cp = write_config(tmp_path, decay_config())
+    rc = cli.main(["decay", "--config", cp, "--out", cp])
+    assert rc == 2
+    assert capsys.readouterr().err == f"cannot write output: --out {cp} is not a directory\n"
+
+
+def test_cli_unwritable_out_exit_two(tmp_path, capsys):
+    # below a file: only creating the directory finds out, after the run
+    cp = write_config(tmp_path, decay_config())
+    rc = cli.main(["decay", "--config", cp, "--out", str(Path(cp) / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("cannot write output: [Errno 20] Not a directory")
 
 
 def test_cli_prefix_from_config(tmp_path):
