@@ -31,12 +31,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: str):
+    """Refuse an ``--out`` that is, or lies below, something other than a directory.
+
+    Its nearest existing ancestor (or itself) must be a directory, so that
+    a run whose outputs cannot be written is refused before it starts.
+    """
+    full = path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        where = "" if path == full else f" lies below {path}, which"
+        raise NotADirectoryError(f"--out {out}{where} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(load_config(args.config), kind=args.kind)
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise NotADirectoryError(f"--out {args.out} is not a directory")
+        _check_out(args.out)
         report = run_experiment(cfg)
         paths = report.save(args.out, prefix=cfg.prefix, plot=args.plot)
     except ConfigError as e:

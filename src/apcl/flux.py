@@ -119,8 +119,8 @@ _ALIGN_BYTES = 1 << 16
 _LINE = 64
 
 
-def _empty(like: np.ndarray, start: int = 0) -> np.ndarray:
-    """``np.empty_like`` of a float array, with byte ``start`` of the result on a cache line.
+def _empty(like: np.ndarray) -> np.ndarray:
+    """``np.empty_like`` of a float array, starting on a cache line.
 
     Below ``_ALIGN_BYTES`` exactly ``np.empty_like(like)``.  Above it, a
     C-contiguous view into a buffer one line longer, sliced where the line
@@ -134,7 +134,7 @@ def _empty(like: np.ndarray, start: int = 0) -> np.ndarray:
     # its address through a ctypes view: 0.6 us against about 1.8 us for
     # ``.ctypes.data``, which made ``lifted_nd`` run_s x1.036 (BENCH_11.json)
     addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    skip = (-(addr + start) % _LINE) // 8
+    skip = (-addr % _LINE) // 8
     return buf[skip:skip + like.size].reshape(like.shape)
 
 
@@ -214,6 +214,31 @@ class PiecewiseFlux:
         except OverflowError:
             raise ValueError("breakpoints must lie within float range") from None
         self._check_continuity()
+
+    # the lift of a scalar flux: (data flux, generators, their den), set by
+    # ``lift_flux``, so that a step evaluates the data flux once for every
+    # component
+    _lift = None
+
+    @cached_property
+    def _weights(self) -> tuple:
+        """Per component j, the float lambda_j if it is lambda_j.phi, phi from ``_lift``, else None.
+
+        The floats of ``LiftedProblem.lam``, built on first numeric use, so
+        the exact layer never pays for them.  A weight that is 0 or beyond
+        float range is None too: that component is evaluated as itself.
+        """
+        if self._lift is None:
+            return (None,) * self.n
+        _, gens, den = self._lift
+        out = []
+        for lam in gens:
+            try:
+                w = _value(lam[0], den, self.basis.values)
+            except ValueError:  # beyond float range
+                w = None
+            out.append(w or None)
+        return tuple(out)
 
     @cached_property
     def _bp_f(self) -> np.ndarray:
@@ -521,12 +546,18 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
 
 
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
-    """m-component flux with components (lambda_j . phi), same breakpoints."""
+    """m-component flux with components (lambda_j . phi), same breakpoints.
+
+    The lift of a scalar flux records it and the generators (``_lift``).
+    """
     _check_group(flux, gb)
     mul = flux.basis.structure
     pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
-    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
-                         den=gb.den * flux._den * mul[0])
+    lifted = PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
+                           den=gb.den * flux._den * mul[0])
+    if flux.n == 1:
+        lifted._lift = (flux, gb.generators, gb.den)
+    return lifted
 
 
 def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):

@@ -815,10 +815,11 @@ def _escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """The multiples of stp in [lo, hi], stp the least round step >= (hi - lo)/4.
+    """The distinct multiples of stp in [lo, hi], stp the least round step >= (hi - lo)/4.
 
     Up to 1e-9 steps past hi still counts, as 0.3 / 0.1 is 2.9999999999999996.
     An empty range, or one too narrow or too wide for a float step, gets lo.
+    Below an ulp of lo two multiples can round to one float, which is kept once.
     """
     raw = (hi - lo) / 4
     if not 1e-300 < raw < math.inf:
@@ -826,7 +827,16 @@ def _ticks(lo: float, hi: float) -> list[float]:
     mag = 10.0 ** np.floor(np.log10(raw))
     stp = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
     ticks = range(math.ceil(lo / stp), math.floor(hi / stp + 1e-9) + 1)
-    return [float(i * stp) for i in ticks] or [lo]
+    return list(dict.fromkeys(float(i * stp) for i in ticks)) or [lo]
+
+
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """``ticks`` with the fewest significant digits, 6 (``{:g}``) to 17, that tell them apart."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def render_svg(series, path: str, log_y: bool = False):
@@ -877,12 +887,13 @@ def render_svg(series, path: str, log_y: bool = False):
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>',
     ]
-    for tx in _ticks(xlo + padx, xhi - padx):
+    xticks = _ticks(xlo + padx, xhi - padx)
+    for tx, lab in zip(xticks, _tick_labels(xticks)):
         px = sx(tx)
         out.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
                    f'y2="{_H - _MB + 5}" stroke="#333333"/>')
         out.append(f'<text x="{px:.2f}" y="{_H - _MB + 20}" font-size="12" '
-                   f'font-family="sans-serif" text-anchor="middle">{tx:g}</text>')
+                   f'font-family="sans-serif" text-anchor="middle">{lab}</text>')
     if log_y:
         lo_d = int(np.floor(ylo))
         hi_d = int(np.ceil(yhi))
@@ -890,7 +901,7 @@ def render_svg(series, path: str, log_y: bool = False):
         ylabels = [f"1e{d}" for d in yticks]
     else:
         yticks = _ticks(ylo + pady, yhi - pady)
-        ylabels = [f"{t:g}" for t in yticks]
+        ylabels = _tick_labels(yticks)
     for ty, lab in zip(yticks, ylabels):
         py = sy(ty)
         out.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '

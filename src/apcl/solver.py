@@ -13,24 +13,43 @@ max-principle stable, L1-contractive, and cell-entropy dissipative for
 the Kruzhkov-type numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 
+Shared evaluation and the folded scale: ``_per_axis`` hands each axis j
+values phi and a weight w with Phi_j(u) = w phi(u), Phi_j the flux's
+component j.  ``_faces`` computes 2F/w on every face as
+(phi_i + phi_{i+1}) - (alpha_j/w)(u_{i+1} - u_i), and ``step`` scales its
+difference by w dt N_j / 2.  The lift of scalar data (n = 1) has
+Phi_j = lambda_j phi, so one evaluation of the data flux phi per step
+serves every axis, with w = lambda_j: on T^2 or T^3 one clamp and one
+Horner pass replace two or three.  Every other component (of a direct
+flux, of a lift of n >= 2 data, or with a weight that is 0 or not
+finite) is evaluated as itself with w = 1; for it the two halvings that
+moved into the scale are exact on normal floats, so the step is that of
+F itself bit for bit.  A power-of-two weight gives the same bits too.
+Any other weight rounds w phi otherwise than the lifted coefficients
+lambda_j c_d do, by an ulp or two of the field per step.
+``entropy_residual`` runs the same face code.
+
 Layout rule: every full-grid array of at least 64 KiB that a step writes
-starts on a 64-byte cache line: each component's Horner result, the faces, and the flux
-difference, which the pass writes from flat element prod(shape[j+1:]) on,
-so its line starts there.  ``flux._empty`` allocates them.  The new
-values overwrite the first axis's flux difference in place, so they
-start on a line too when prod(shape[1:]) is a multiple of 8.  A
-fresh numpy array of this size starts where malloc or mmap put it,
-typically 16 bytes past a line, and with AVX-512 loops every vector store
-into it then splits a line.  On a 2-core Xeon (numpy 2.4.6, AVX512_SPR) a
-two-input multiply into a 65536-cell output took 22-33 us aligned against
-46-83 us, and ``lifted_nd`` run_s fell by x0.86-0.88 (``BENCH_11.json``).
-The gain depends on the hardware: with 32-byte vectors only every other
-store splits a line, so it is smaller without AVX-512.  Arrays under 64
-KiB (8192 cells), every 1D grid the shipped configs and the bench use
-among them, are plain numpy results, the Horner product ``x * c`` too:
-there the saving is a few us at most, against 1-2 us to find the line.
-The operations, operands and their order are the same either way, so no
-bit depends on the layout.
+starts on a 64-byte cache line: each Horner result and, per axis, the
+faces and the jump buffer, which then takes the flux difference; the
+first axis's takes the new values too.  ``flux._empty`` allocates them.
+The jump buffer is the Horner result itself once no later axis reads it,
+as it is still in cache: every axis of a direct flux, the last axis of a
+shared one.  The jump buffer's other passes write from its first element,
+but the flux difference writes from flat element prod(shape[j+1:]) on, so
+along the last axis those stores run one element off the line.  A fresh
+numpy array of this size starts where malloc or mmap put it, typically 16
+bytes past a line, and with AVX-512 loops every vector store into it then
+splits a line.  On a 2-core Xeon (numpy 2.4.6, AVX512_SPR) a two-input
+multiply into a 65536-cell output took 22-33 us aligned against 46-83 us,
+and ``lifted_nd`` run_s fell by x0.86-0.88 (``BENCH_11.json``).  The gain
+depends on the hardware: with 32-byte vectors only every other store
+splits a line, so it is smaller without AVX-512.  Arrays under 64 KiB
+(8192 cells), every 1D grid the shipped configs and the bench use among
+them, are plain numpy results, the Horner product ``x * c`` too: there
+the saving is a few us at most, against 1-2 us to find the line.  The
+operations, operands and their order are the same either way, so no bit
+depends on the layout.
 """
 
 from __future__ import annotations
@@ -258,29 +277,45 @@ def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     op(x[first], x[last], out=out[first] if upper else out[last])
 
 
-def _faces(u: np.ndarray, alphas: tuple[float, ...], flux: PiecewiseFlux,
-           j: int) -> np.ndarray:
-    """Rusanov flux F_j(u_i, u_{i+1}) on face i+1/2 of every cell along axis j."""
-    u = np.ascontiguousarray(u)
-    phi = flux.eval_component(j, u)
+def _per_axis(flux: PiecewiseFlux, u: np.ndarray):
+    """For each axis j in turn, (phi, w, free): values phi with Phi_j(u) = w * phi.
+
+    The lift of a scalar flux has Phi_j = lambda_j phi, so the data flux
+    is evaluated once, on the first axis that needs it, and shared with
+    weight w = lambda_j.  Any other component, of a direct flux or of a
+    lift of n >= 2 data, is evaluated as itself, with w = 1.  ``free``
+    says that no later axis reads phi, so the caller may overwrite it.
+    """
+    weights = flux._weights
+    phi = None
+    for j, w in enumerate(weights):
+        if w is None:
+            yield flux.eval_component(j, u), 1.0, True
+        else:
+            if phi is None:
+                phi = flux._lift[0].eval_component(0, u)
+            yield phi, w, not any(weights[j + 1:])
+
+
+def _faces(u: np.ndarray, phi: np.ndarray, a: float, j: int, free: bool):
+    """2/w times the Rusanov flux on face i+1/2 of every cell along axis j, and a scratch array.
+
+    The face is (phi_i + phi_{i+1}) - a (u_{i+1} - u_i) with a = alpha_j / w,
+    (phi, w, free) from ``_per_axis``.  The scratch array holds the jump
+    and is then free for the caller to overwrite, as the flux difference
+    does; it is phi itself when ``free`` (phi is still in cache).
+    """
     face = _empty(u)
     _neighbours(np.add, phi, j, face, upper=False)
-    face *= 0.5
-    jump = phi  # phi is no longer needed
+    jump = phi if free else _empty(u)
     _neighbours(np.subtract, u, j, jump, upper=False)
-    jump *= 0.5 * alphas[j]
+    jump *= a
     face -= jump
-    return face
+    return face, jump
 
 
-def _flux_difference(face: np.ndarray, j: int, scale: float) -> np.ndarray:
-    """scale * (face_{i+1/2} - face_{i-1/2}) along axis j.
-
-    The pass writes the flat elements from s = prod(shape[j+1:]) on, so
-    that is where the output's cache line starts: ``face`` is C-contiguous,
-    so s elements are ``face.strides[j]`` bytes.
-    """
-    out = _empty(face, face.strides[j])
+def _flux_difference(face: np.ndarray, j: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """scale * (face_{i+1/2} - face_{i-1/2}) along axis j, written into ``out``."""
     _neighbours(np.subtract, face, j, out, upper=True)
     out *= scale
     return out
@@ -306,9 +341,14 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
             f"(dt={dt:.6g}, alphas={alphas}, shape={g.shape})"
         )
     u = f.values
-    div = _flux_difference(_faces(u, alphas, flux, 0), 0, dt * g.shape[0])
-    for j in range(1, g.m):
-        div += _flux_difference(_faces(u, alphas, flux, j), j, dt * g.shape[j])
+    div = None
+    for j, (phi, w, free) in enumerate(_per_axis(flux, u)):
+        face, jump = _faces(u, phi, alphas[j] / w, j, free)
+        d = _flux_difference(face, j, 0.5 * w * dt * g.shape[j], jump)
+        if div is None:
+            div = d
+        else:
+            div += d
     return CellField(g, np.subtract(u, div, out=div))
 
 
@@ -357,15 +397,18 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     nonpositive (up to roundoff) for any monotone step.
     """
     g = before.grid
+    if flux.n != g.m:
+        raise ValueError("flux component count must match grid dimension")
     u, u2 = before.values, after.values
     k = float(k)
     acc = np.abs(u2 - k) - np.abs(u - k)
     umax = np.maximum(u, k)
     umin = np.minimum(u, k)
-    for j in range(g.m):
-        qface = _faces(umax, alphas, flux, j)
-        qface -= _faces(umin, alphas, flux, j)
-        acc += _flux_difference(qface, j, dt * g.shape[j])
+    for j, ((phi_max, w, free), (phi_min, _, _)) in enumerate(zip(_per_axis(flux, umax),
+                                                                  _per_axis(flux, umin))):
+        qface, jump = _faces(umax, phi_max, alphas[j] / w, j, free)
+        qface -= _faces(umin, phi_min, alphas[j] / w, j, free)[0]
+        acc += _flux_difference(qface, j, 0.5 * w * dt * g.shape[j], jump)
     return float(acc.max())
 
 

@@ -599,6 +599,27 @@ def test_ticks_are_counted_multiples_of_the_step():
     assert harness._ticks(2.0, 2.0) == [2.0]
 
 
+def test_tick_labels_tell_ticks_apart():
+    # {:g} where it tells the ticks apart, as every shipped plot needs
+    assert harness._tick_labels([0.0, 0.25, 0.5]) == ["0", "0.25", "0.5"]
+    assert harness._tick_labels([1.0, 1.0000001]) == ["1", "1.0000001"]
+    # two floats one ulp apart take all 17 digits
+    lo, hi = 0.19999999999999998, 0.2
+    assert harness._ticks(lo, hi) == [lo, hi]
+    assert harness._tick_labels([lo, hi]) == ["0.19999999999999998", "0.20000000000000001"]
+
+
+def test_render_svg_tells_apart_distances_one_ulp_apart(tmp_path):
+    # the contraction distances of test_cli_plot_of_distances_one_ulp_apart_returns
+    p = tmp_path / "ulp.svg"
+    render_svg([("l1_distance", [0.0, 0.012784090909090908], [0.19999999999999998, 0.2])],
+               str(p))
+    root = ET.fromstring(p.read_text())
+    ylabels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+               if t.get("text-anchor") == "end"]
+    assert ylabels == ["0.19999999999999998", "0.20000000000000001"]
+
+
 def test_render_svg_log_drops_nonpositive(tmp_path):
     p = tmp_path / "p.svg"
     render_svg([("z", [0, 1, 2], [0.0, 1e-3, 1e-1])], str(p), log_y=True)
@@ -1098,12 +1119,20 @@ def test_cli_out_naming_a_file_exit_two_before_the_run(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"cannot write output: --out {cp} is not a directory\n"
 
 
-def test_cli_unwritable_out_exit_two(tmp_path, capsys):
-    # below a file: only creating the directory finds out, after the run
+def test_cli_unwritable_out_exit_two(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        pytest.fail("the experiment ran")
+
+    # below a file, at any depth: refused before the run, and nothing is made
+    monkeypatch.setattr(cli, "run_experiment", no_run)
     cp = write_config(tmp_path, decay_config())
-    rc = cli.main(["decay", "--config", cp, "--out", str(Path(cp) / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("cannot write output: [Errno 20] Not a directory")
+    before = sorted(tmp_path.rglob("*"))
+    for out in (Path(cp) / "out", Path(cp) / "a" / "b"):
+        rc = cli.main(["decay", "--config", cp, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"cannot write output: --out {out} lies below "
+                                           f"{cp}, which is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_prefix_from_config(tmp_path):

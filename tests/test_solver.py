@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apcl.solver as solver_mod
-from apcl.flux import PiecewiseFlux, _empty, lip_bound
-from apcl.freqlattice import Frequency, FrequencyBasis, group_basis
+import apcl.flux as flux_mod
+from apcl.flux import PiecewiseFlux, _empty, lift_flux, lip_bound
+from apcl.freqlattice import Frequency, FrequencyBasis, SpectrumGroupBasis, _clear, group_basis
 from apcl.solver import (
     CellField,
     advance,
@@ -119,8 +120,12 @@ def test_cfl_dt_zero_flux_returns_remaining():
 
 
 def _face(a, b, flux, alpha):
-    # face 1/2 of the two-cell periodic field [a, b] sits between a and b
-    return float(solver_mod._faces(np.array([a, b]), (alpha,), flux, 0)[0])
+    # face 1/2 of the two-cell periodic field [a, b] sits between a and b;
+    # ``_faces`` gives twice the Rusanov flux of a component evaluated as
+    # itself (w = 1, its values free to overwrite)
+    u = np.array([a, b])
+    face, _ = solver_mod._faces(u, flux.eval_component(0, u), alpha, 0, True)
+    return 0.5 * float(face[0])
 
 
 def test_rusanov_examples():
@@ -495,11 +500,11 @@ def _ref_entropy_residual(before, after, flux, dt, k, alphas):
     return float(acc.max())
 
 
-def _burgers_nd(m):
-    return PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"]] * m])
+def _burgers_nd(m, basis=B1):
+    return PiecewiseFlux(basis, [-2, 2], [[["0", "0", "1/2"]] * m])
 
 
-def _three_piece_nd(m):
+def _three_piece_nd(m, basis=B1):
     """Continuous quadratic, affine, quadratic on [-2, -1/3, 2/5, 2]; component j times j+1.
 
     The interior breakpoints are not floats, so at their float shadows the
@@ -510,7 +515,7 @@ def _three_piece_nd(m):
         [[str(Fraction(c) * (j + 1)) for c in comp] for j in range(m)]
         for comp in base
     ]
-    return PiecewiseFlux(B1, ["-2", "-1/3", "2/5", "2"], pieces)
+    return PiecewiseFlux(basis, ["-2", "-1/3", "2/5", "2"], pieces)
 
 
 def _cubic_nd(m):
@@ -613,6 +618,113 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
                     _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
 
 
+B2 = FrequencyBasis.with_sqrt(2)
+B3 = FrequencyBasis(("1", "sqrt2", "sqrt3"), (1.0, math.sqrt(2.0), math.sqrt(3.0)))
+
+
+def _lifted(make_flux, basis, *gens):
+    """``lift_flux`` of the scalar make_flux(1, basis) over the generators ``gens``.
+
+    Each generator is a list of rational basis coordinates.  They are taken
+    as given, without a Hermite reduction, so a dependent set like {1, 2}
+    makes a lifted flux too.
+    """
+    rows, den = _clear(gens)
+    gb = SpectrumGroupBasis(basis, 1, tuple(tuple(r) for r in rows), den=den)
+    return lift_flux(make_flux(1, basis), gb)
+
+
+# generators over {1} whose floats are powers of two: then each lifted
+# coefficient is exactly w times the data flux's, and so are its values
+DYADIC = [((2048,), ([Fraction(1, 2)],)), ((8192,), ([2],)), ((12, 10), ([1], [2])),
+          ((96, 96), ([Fraction(1, 2)], [1])), ((6, 5, 4), ([1], [2], [Fraction(1, 2)])),
+          ((24, 24, 16), ([2], [Fraction(1, 2)], [1]))]
+# the generators of the lifted_nd bench: {1, sqrt2} on T^2, {1, sqrt2, sqrt3} on T^3
+IRRATIONAL = [((96, 96), B2, ([1, 0], [0, 1])),
+              ((24, 24, 16), B3, ([1, 0, 0], [0, 1, 0], [0, 0, 1]))]
+
+
+@pytest.mark.parametrize("shape, gens", DYADIC)
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+def test_shared_step_of_a_dyadic_lift_matches_reference_bitwise(shape, gens, make_flux, caplog):
+    flux = _lifted(make_flux, B1, *gens)
+    assert flux._weights == tuple(float(w) for (w,) in gens)
+    g = TorusGrid(shape)
+    for kind in FIELDS:
+        vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
+        f = CellField(g, vals)
+        ok = not np.isnan(vals).any() and not bad
+        clipped = np.clip(vals, -2.0, 2.0)
+        alphas = lip_bound(flux, np.nanmin(clipped), np.nanmax(clipped))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="apcl.flux"):
+            if ok:
+                _, dt, (new,) = advance(flux, 0.45, 1.0, f)
+            else:
+                dt = cfl_dt(f, 0.45, alphas)
+                new = step(f, flux, dt, alphas)
+        # the data flux is evaluated once per step, so one clamp warning
+        assert _clamp_counts(caplog) == ([bad] if bad else []), kind
+        assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
+        if ok:
+            for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
+                assert entropy_residual(f, new, flux, dt, k, alphas) == \
+                    _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
+
+
+@pytest.mark.parametrize("shape, basis, gens", IRRATIONAL)
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+def test_shared_step_of_an_irrational_lift_is_within_four_ulps(shape, basis, gens, make_flux):
+    flux = _lifted(make_flux, basis, *gens)
+    assert flux._weights == tuple(math.sqrt(k + 1) for k in range(len(gens)))
+    g = TorusGrid(shape)
+    for seed in range(3):
+        for kind in ("spread", "one-piece", "tie-at-min", "tie-at-max", "signed-zero"):
+            vals, _ = _field_values(kind, shape, np.random.default_rng(seed))
+            f = CellField(g, vals)
+            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
+            ref = _ref_step(f, flux, dt, lip_bound(flux, f.vmin, f.vmax))
+            # w * phi rounds otherwise than the lifted coefficients lambda_j c_d
+            # do; under the CFL cap the step moves each cell by an ulp or two
+            # of the field's largest value
+            assert np.max(np.abs(new.values - ref)) <= 4 * np.spacing(np.max(np.abs(vals))), kind
+
+
+def test_a_zero_weight_falls_back_to_the_lifted_component():
+    # lambda_2 = 1 - 2 h is not 0, but its float over the declared value
+    # h = 0.5 is, and a zero weight cannot carry alpha_j / w: that axis
+    # evaluates its own component (zero too), the other one shares phi
+    basis = FrequencyBasis(("1", "h"), (1.0, 0.5))
+    flux = _lifted(_burgers_nd, basis, [1, 0], [1, -2])
+    assert flux._weights == (1.0, None)
+    g = TorusGrid((12, 10))
+    f = CellField(g, np.random.default_rng(2).uniform(-1.0, 1.0, g.shape))
+    _, dt, (new,) = advance(flux, 0.45, 1.0, f)
+    assert same_bits(new.values, _ref_step(f, flux, dt, lip_bound(flux, f.vmin, f.vmax)))
+
+
+@pytest.mark.parametrize("shape, basis, gens", [(shape, B1, gens) for shape, gens in DYADIC[2:]]
+                         + IRRATIONAL)
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+def test_shared_step_is_monotone(shape, basis, gens, make_flux):
+    flux = _lifted(make_flux, basis, *gens)
+    g = TorusGrid(shape)
+    rng = np.random.default_rng(17)
+    fa = CellField(g, rng.uniform(-1.5, 1.5, shape))
+    fb = CellField(g, rng.uniform(-1.0, 1.8, shape))
+    for _ in range(3):
+        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        _, dt, (fa2, fb2) = advance(flux, 0.45, math.inf, fa, fb)
+        for f, f2 in ((fa, fa2), (fb, fb2)):
+            assert f2.mean() == pytest.approx(f.mean(), rel=1e-13, abs=1e-15)
+            assert f2.vmin >= f.vmin - 1e-14
+            assert f2.vmax <= f.vmax + 1e-14
+            for k in (-1.5, -1 / 3, 0.1, 2 / 5, 1.8):
+                assert entropy_residual(f, f2, flux, dt, k, alphas) <= 1e-12
+        assert l1_distance(fa2, fb2) <= l1_distance(fa, fb) + 1e-12
+        fa, fb = fa2, fb2
+
+
 def test_eval_component_matches_polyval_on_breakpoints(caplog):
     cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, -0.0, 1e-170, -1e-170,
                         5e-324, 1.75]), 0)]
@@ -650,24 +762,39 @@ def _on_line(a):
 
 
 @pytest.mark.parametrize("shape", [(128, 128), (24, 24, 16)])
-def test_full_grid_arrays_start_on_a_cache_line(shape):
+def test_full_grid_arrays_start_on_a_cache_line(shape, monkeypatch):
     # the arrays a step writes in full; a vector store into one that starts
     # off a 64-byte line splits a line (see the solver docstring)
     g = TorusGrid(shape)
-    flux = _three_piece_nd(g.m)
-    f = CellField(g, np.random.default_rng(0).uniform(-2.0, 2.0, shape))
-    # a plain allocation can land on a line by chance, so look at several
-    for _ in range(4):
-        _, _, (f,) = advance(flux, 0.45, math.inf, f)
-        assert _on_line(f.values)
-        for j in range(g.m):
-            # gathered coefficients, then one piece
-            assert _on_line(flux.eval_component(j, f.values))
-            assert _on_line(flux.eval_component(j, 0.1 * f.values))
-            assert _on_line(solver_mod._faces(f.values, (1.0,) * g.m, flux, j))
-            out = solver_mod._flux_difference(f.values, j, 1.0)
-            # the pass writes from the flat element one cell along axis j on
-            assert _on_line(out.reshape(-1)[math.prod(shape[j + 1:]):])
+    made = []
+
+    def recorded(like):
+        out = _empty(like)
+        made.append(out)
+        return out
+
+    # the Horner results (flux), the faces and the jump buffers (solver)
+    monkeypatch.setattr(flux_mod, "_empty", recorded)
+    monkeypatch.setattr(solver_mod, "_empty", recorded)
+    # a direct flux evaluates each component and takes the jump into its
+    # values; the lift of a scalar flux evaluates its data flux once per
+    # step and takes the jump into its values only along the last axis
+    lifted = _lifted(_three_piece_nd, B1, *([k + 1] for k in range(g.m)))
+    for flux, evals, jumps in ((_three_piece_nd(g.m), g.m, 0), (lifted, 1, g.m - 1)):
+        f = CellField(g, np.random.default_rng(0).uniform(-2.0, 2.0, shape))
+        # a plain allocation can land on a line by chance, so look at several
+        for _ in range(4):
+            made.clear()
+            _, _, (f,) = advance(flux, 0.45, math.inf, f)
+            # and per axis a face; the jump buffer takes the flux
+            # difference, the first axis's the new values too
+            assert len(made) == evals + g.m + jumps
+            assert all(_on_line(a) for a in made)
+            assert any(a is f.values for a in made)
+            for j in range(g.m):
+                # gathered coefficients, then one piece
+                assert _on_line(flux.eval_component(j, f.values))
+                assert _on_line(flux.eval_component(j, 0.1 * f.values))
     # below the size bound the allocation is a plain np.empty_like
     assert _empty(np.zeros(512)).flags.owndata
     assert not _empty(f.values).flags.owndata
