@@ -9,7 +9,7 @@ torus, and the linear non-degeneracy decision are all settled in Python
 integers, which cannot overflow.  Floats appear only in numeric evaluation
 paths, whose float tables a flux builds on first use.  RealQ, the rational
 reference and the bench's input form, appears only as an accepted
-coefficient, in the ``pieces`` view and in returned values.
+coefficient: every result is integers over a denominator, or floats.
 
 Non-degeneracy: the flux is degenerate for a group basis (lambda_1..lambda_m)
 iff some nonzero integer vector kbar makes u -> (sum_j kbar_j lambda_j).phi(u)
@@ -172,12 +172,11 @@ class PiecewiseFlux:
     a rational.  They are stored as one integer tensor, ``_num[p][k][d]`` a
     q-tuple of numerators over the common denominator ``_den``, ragged in
     degree as given; with ``den`` set, ``pieces`` already holds those
-    numerators (the form derived fluxes are built in).  The ``pieces``
-    attribute is a RealQ view of the tensor.  Continuity at every interior
-    breakpoint is checked exactly at construction.  Evaluation clamps to
-    the working range ``urange``, the float breakpoint span [u_0, u_P]
-    (with a logged warning), and takes the right piece at interior
-    breakpoints, the left piece at u_P.
+    numerators (the form derived fluxes are built in).  Continuity at
+    every interior breakpoint is checked exactly at construction.
+    Evaluation clamps to the working range ``urange``, the float
+    breakpoint span [u_0, u_P] (with a logged warning), and takes the
+    right piece at interior breakpoints, the left piece at u_P.
     """
 
     def __init__(self, basis: FrequencyBasis, breakpoints, pieces, *,
@@ -266,16 +265,6 @@ class PiecewiseFlux:
         if deg > 1:
             return self._coef_f[:, :, 1:] * np.arange(1, deg)
         return np.zeros((self.npieces, self.n, 1))
-
-    @cached_property
-    def pieces(self) -> tuple:
-        """``pieces[p][k][d]`` as RealQ, built from the integer tensor on first use."""
-        basis, den = self.basis, self._den
-        return tuple(
-            tuple(tuple(RealQ(basis, tuple(Fraction(x, den) for x in c)) for c in comp)
-                  for comp in piece)
-            for piece in self._num
-        )
 
     @property
     def npieces(self) -> int:
@@ -532,15 +521,15 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
         kern = integer_kernel(rows, gb.rank)
         if kern:
             kbar = kern[0]
-            coeffs = _dot(gb.vector(kbar), piece, mul)
             den, values = gb.den * flux._den * mul[0], flux.basis.values
+            slope, intercept = _affine_part(_dot(gb.vector(kbar), piece, mul), q)
             return NdVerdict(
                 nondegenerate=False,
                 kbar=kbar,
                 piece=p,
                 interval=(flux.breakpoints[p], flux.breakpoints[p + 1]),
-                tau=_value(coeffs[1], den, values) if len(coeffs) > 1 else 0.0,
-                c=_value(coeffs[0], den, values) if coeffs else 0.0,
+                tau=_value(slope, den, values),
+                c=_value(intercept, den, values),
             )
     return NdVerdict(nondegenerate=True)
 
@@ -560,9 +549,16 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     return lifted
 
 
-def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
-    """(slope, intercept) RealQ pair if the scalar flux is affine on [a, b].
+def _affine_part(coeffs, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(slope, intercept) of one component's coefficient q-tuples, zero where missing."""
+    zero = (0,) * q
+    return (coeffs[1] if len(coeffs) > 1 else zero, coeffs[0] if coeffs else zero)
 
+
+def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
+    """(slope, intercept) if the scalar flux is affine on [a, b].
+
+    Each is a q-tuple of integer numerators over ``scalar_flux._den``.
     Returns None when any overlapped piece has a surviving coefficient of
     degree >= 2 or the affine parts disagree between pieces.
     """
@@ -574,19 +570,9 @@ def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
     bp = scalar_flux.breakpoints
     if a < bp[0] or b > bp[-1]:
         raise ValueError("[a, b] must lie inside the breakpoint span")
-    basis = scalar_flux.basis
-    zero = (0,) * basis.dim
-    pair = None
-    for p in range(scalar_flux.npieces):
-        if bp[p] >= b or bp[p + 1] <= a:
-            continue
-        coeffs = scalar_flux._num[p][0]
-        if any(any(c) for c in coeffs[2:]):
-            return None
-        here = (coeffs[1] if len(coeffs) > 1 else zero, coeffs[0] if coeffs else zero)
-        if pair is None:
-            pair = here
-        elif here != pair:
-            return None
-    den = scalar_flux._den
-    return tuple(basis.real([Fraction(x, den) for x in c]) for c in pair)
+    overlapped = [comp for (comp,), lo, hi in zip(scalar_flux._num, bp, bp[1:])
+                  if lo < b and hi > a]
+    if any(any(c) for comp in overlapped for c in comp[2:]):
+        return None
+    pairs = {_affine_part(comp, scalar_flux.basis.dim) for comp in overlapped}
+    return pairs.pop() if len(pairs) == 1 else None

@@ -125,14 +125,6 @@ class FrequencyBasis:
     def real(self, coeffs) -> "RealQ":
         return RealQ(self, tuple(_as_fraction(c) for c in coeffs))
 
-    def from_rational(self, r) -> "RealQ":
-        r = _as_fraction(r)
-        return RealQ(self, (r,) + (Fraction(0),) * (self.dim - 1))
-
-    @property
-    def zero(self) -> "RealQ":
-        return self.from_rational(0)
-
 
 @dataclass(frozen=True)
 class RealQ:

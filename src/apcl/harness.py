@@ -300,6 +300,9 @@ def _parse_wave(d, path) -> dict:
     a = _rational(_need(d, "a", path), f"{path}.a")
     b = _rational(_need(d, "b", path), f"{path}.b")
     kbar = _ints(_need(d, "kbar", path), f"{path}.kbar")
+    if not any(kbar):
+        # xi = 0 makes every flux affine and the wave a constant
+        raise ConfigError(f"{path}.kbar", f"needs a nonzero entry, got {list(kbar)}")
     if not a < b:
         raise ConfigError(path, "need a < b")
     return {"a": a, "b": b, "kbar": kbar,
@@ -641,6 +644,10 @@ def _run_spectrum(cfg: ExperimentConfig):
     for i, p in enumerate(cfg.probes):
         if len(p) != pb.m:
             raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
+        # on N cells, k and k - N read the same grid mode
+        if any(2 * abs(k) >= n for k, n in zip(p, cfg.grid.shape)):
+            raise ConfigError(f"probes[{i}]", f"needs 2|k_j| < N_j on the grid "
+                              f"{list(cfg.grid.shape)}, got {list(p)}")
     if cfg.cube is not None:
         radii, spu, offset = cfg.cube
         z = (0.0,) * pb.m if offset is None else offset
@@ -763,7 +770,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run one experiment and judge its thresholds; timing only in the report.
 
     Numpy overflow raises ``FloatingPointError``: values in float range can
-    still ask for products beyond it (a flux of 1e308 u^2, a probe of 1e308).
+    still ask for products beyond it (a flux of 1e308 u^2, a wave phase 2 pi tau t).
     """
     t0 = time.perf_counter()
     with np.errstate(over="raise", invalid="raise"):

@@ -36,6 +36,7 @@ from apcl.solver import (
     step,
 )
 from apcl.trigpoly import TorusPoly, TrigPoly, fejer_damp, fejer_factor
+import reference
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -201,7 +202,7 @@ def _directions(m, kmax=5):
 def _enum_witness(flux, gb, dirs):
     for k in dirs:
         d = directional(flux, k, gb)
-        for p, piece in enumerate(d.pieces):
+        for p, piece in enumerate(reference.pieces(d)):
             if all(c.is_zero for c in piece[0][2:]):
                 return k, p
     return None
@@ -228,12 +229,12 @@ def test_06_flat_direction_decider():
             continue
         npieces = rnd.randint(1, 2)
         bps = [Fraction(-1), Fraction(0), Fraction(1)][: npieces + 1]
-        pieces = [[[basis.from_rational(frac()) for _ in range(3)]
+        pieces = [[[reference.rational(basis, frac()) for _ in range(3)]
                    for _ in range(n)] for _ in range(npieces)]
         if rnd.random() < 0.35:
             # plant an affine piece so both verdicts get exercised
             for comp in pieces[0]:
-                comp[2] = basis.zero
+                comp[2] = reference.zero(basis)
         for p in range(1, npieces):
             for c in range(n):
                 left = pieces[p - 1][c][0] + pieces[p - 1][c][1].scale(bps[p]) \
@@ -249,7 +250,7 @@ def test_06_flat_direction_decider():
             n_nd += 1
         else:
             d = directional(flux, verdict.kbar, gb)
-            coeffs = d.pieces[verdict.piece][0]
+            coeffs = reference.pieces(d)[verdict.piece][0]
             assert all(c.is_zero for c in coeffs[2:])
             n_deg += 1
         if brute is not None:

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apcl import cli, harness
-from apcl.freqlattice import RealQ
 from apcl.harness import (
     EXPERIMENTS,
     KINDS,
@@ -31,7 +30,11 @@ from apcl.harness import (
     run_experiment,
     write_csv,
 )
-from apcl.solver import MAX_CELLS, read_field
+from apcl.flux import PiecewiseFlux, affine_on, directional, lift_flux, nondegeneracy_check
+from apcl.freqlattice import Frequency, FrequencyBasis, RealQ, group_basis
+from apcl.lift import lift_problem
+from apcl.solver import MAX_CELLS, exact_counterexample, read_field
+from apcl.trigpoly import TrigPoly
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -386,14 +389,35 @@ def test_parse_config_takes_a_mean_up_to_float_range():
     parse_config(edited(decay_config, "initial", "terms", 0, "re", 1e308))
 
 
-def test_parse_config_builds_no_realq(monkeypatch):
-    # the parser hands the exact layer rationals; RealQ is only the reference
+@pytest.fixture
+def no_realq(monkeypatch):
+    """Building a RealQ raises: the program computes in integers and floats only."""
     def refuse(self):
-        raise AssertionError("parse_config built a RealQ")
+        raise AssertionError("a RealQ was built")
 
     monkeypatch.setattr(RealQ, "__post_init__", refuse)
+
+
+def test_parse_config_builds_no_realq(no_realq):
+    # the parser hands the exact layer rationals; RealQ is only the reference
     for path in sorted(CONFIGS.glob("*.json")):
         parse_config(json.loads(path.read_text()))
+
+
+def test_no_product_path_builds_a_realq(no_realq):
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert run_experiment(parse_config(json.loads(path.read_text()))).passed
+    # each exact call on its own: (1 + sqrt2) u^2 + u/2 on [-2, 0], u/2 on [0, 2]
+    basis = FrequencyBasis.with_sqrt(2)
+    flux = PiecewiseFlux(basis, ["-2", "0", "2"],
+                         [[["0", "1/2", ["1", "1"]]], [["0", "1/2"]]])
+    freqs = [Frequency.of(basis, [["1", "0"]]), Frequency.of(basis, [["0", "1"]])]
+    gb = group_basis(freqs)
+    assert not nondegeneracy_check(flux, gb).nondegenerate
+    assert lift_flux(flux, gb).n == 2
+    assert affine_on(directional(flux, (1, 1), gb), 0, 2) is not None
+    assert exact_counterexample(flux, gb, 0, 1, (1, 1)).tau == 0.5 + 0.5 * 2 ** 0.5
+    assert lift_problem(TrigPoly(basis, 1, [(freqs[1], 0.25j)]), flux).m == 1
 
 
 def test_parse_config_takes_sizes_up_to_the_budget():
@@ -907,6 +931,54 @@ def test_cli_refusal_exit_three(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem, wave", [
+    ("transport_counterexample", {"a": "0", "b": "1/2", "kbar": [0]}),
+    ("transport_counterexample", {"a": "-1/4", "b": "1/4", "kbar": [0]}),
+    ("transport_convergence", {"a": "0", "b": "1/2", "kbar": [0]}),
+])
+def test_cli_zero_kbar_is_a_config_error(tmp_path, capsys, stem, wave):
+    # xi = 0 makes every flux affine and the wave a constant: its distance
+    # to the mean is 0, a mean of a = -b is not real, and no order is measured
+    d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    d["wave"] = wave
+    rc = cli.main([d["kind"], "--config", write_config(tmp_path, d),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: wave.kbar: needs a nonzero entry")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_aliased_probe_is_a_config_error_before_the_solve(tmp_path, capsys, monkeypatch):
+    # on 128 cells the probe 128 reads the mode 0, the data's mean
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(harness, "run", no_solve)
+    d = json.loads((CONFIGS / "spectrum_probe.json").read_text())
+    d["probes"] = [[0, 128], [0, 1]]
+    rc = cli.main(["spectrum", "--config", write_config(tmp_path, d),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: probes[0]: needs 2|k_j| < N_j on the grid [128, 128], got [0, 128]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_takes_probes_up_to_the_alias_bound():
+    d = json.loads((CONFIGS / "spectrum_probe.json").read_text())
+    d["grid"] = [16, 128]
+    d["solver"]["t_end"] = 0.05
+    d["probes"] = [[7, 63], [-7, -63], [0, 63]]
+    d.pop("cube")
+    d["thresholds"] = {"max_mean_drift": 1e-3}
+    rows, _ = run_experiment(parse_config(d)).tables["probes"]
+    assert [r["kbar"] for r in rows] == ["7,63", "-7,-63", "0,63"]
+    d["probes"] = [[8, 0]]
+    with pytest.raises(ConfigError) as e:
+        run_experiment(parse_config(d))
+    assert e.value.path == "probes[0]"
+
+
 def test_cli_step_budget_exit_three(tmp_path, capsys):
     # a data frequency of 10^6 scales the lifted flux, and the step count, by 10^6
     d = json.loads((CONFIGS / "burgers_decay.json").read_text())
@@ -1013,13 +1085,17 @@ HOSTILE = (None, True, 0, -1, 2, 5e-324, 1e308, -1e308, "1e308", "-1e308", "1e40
 
 
 def tiny(stem, *edits):
-    """A shipped config with every grid axis cut 32-fold (to at least 2 cells), then edited.
+    """A shipped config with every grid axis cut 32-fold, then edited.
 
-    Each edit is a key path and its new value, as ``edited`` takes them.
+    Each axis keeps at least 2 cells, and more than twice the largest probe
+    entry, so that the probes stay below the alias bound and the spectrum
+    runs go on to the solve.  Each edit is a key path and its new value, as
+    ``edited`` takes them.
     """
     d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    least = max(2, 2 * max((abs(k) for p in d.get("probes", []) for k in p), default=0) + 1)
     for grid in [d["grid"]] if "grid" in d else d.get("grids", []):
-        grid[:] = [max(2, n // 32) for n in grid]
+        grid[:] = [max(least, n // 32) for n in grid]
     for *keys, value in edits:
         d = edited(lambda: d, *keys, copy.deepcopy(value))
     return d
@@ -1039,12 +1115,20 @@ def hostile_configs(draw):
 @example(("transport_convergence", tiny("transport_convergence", ("grids", [[64], [64]]))))
 @example(("contraction_pair", tiny("contraction_pair", ("initial_b", "terms", 0, "re", -1e308))))
 @example(("spectrum_probe", tiny("spectrum_probe", ("basis", "values", 1, -1e308))))
-# values in float range whose products are not: flux values, a Fourier
-# probe, and a wave phase 2 pi tau t
+# values in float range whose products are not: flux values and a wave
+# phase 2 pi tau t; a probe of 1e308, whose phase once overflowed, is now
+# refused by the alias bound (exit 2)
 @example(("burgers_decay", tiny("burgers_decay", ("flux", "pieces", 0, 0, 2, "1e308"))))
 @example(("spectrum_probe", tiny("spectrum_probe", ("probes", 0, 0, "1e308"))))
 @example(("transport_convergence",
           tiny("transport_convergence", ("group_frequencies", 0, 0, 0, "1e308"))))
+# a wave slope 4e308 beyond float range, from rationals within it
+@example(("transport_counterexample",
+          tiny("transport_counterexample", ("flux", "pieces", 0, 0, 1, "4"),
+               ("wave", {"a": "0", "b": "1/2", "kbar": ["1e308"]}))))
+# a zero kbar with a != -b: a constant wave, whose distance to the mean is 0
+@example(("transport_counterexample", tiny("transport_counterexample",
+                                           ("wave", {"a": "0", "b": "1/2", "kbar": [0]}))))
 # constant data: nothing to plot on the log scale
 @example(("burgers_decay", tiny("burgers_decay", ("initial", "terms", [
     {"frequency": [["0"]], "re": 0.3}]))))

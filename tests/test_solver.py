@@ -425,6 +425,14 @@ def test_exact_counterexample_needs_order():
         exact_counterexample(aff, gb, Fraction(1, 4), Fraction(-1, 4), (1,))
 
 
+def test_exact_counterexample_refuses_a_zero_kbar():
+    # xi = 0 makes every flux affine, and the "wave" a constant
+    aff = PiecewiseFlux(B1, [Fraction(-1, 2), Fraction(1, 2)], [[["0", "1/2"]]])
+    gb = group_basis([Frequency.of(B1, [[1]])])
+    with pytest.raises(ValueError, match="no nonzero entry"):
+        exact_counterexample(aff, gb, 0, Fraction(1, 2), (0,))
+
+
 def test_fourier_coeff_probe():
     g = TorusGrid((64, 64))
     v = TorusPoly(2, {(1, 0): 0.5, (0, 0): 0.3})
