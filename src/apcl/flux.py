@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import ctypes
 import json
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,8 +51,6 @@ __all__ = [
     "lift_flux",
     "affine_on",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _coords(basis: FrequencyBasis, c) -> tuple:
@@ -174,9 +171,10 @@ class PiecewiseFlux:
     degree as given; with ``den`` set, ``pieces`` already holds those
     numerators (the form derived fluxes are built in).  Continuity at
     every interior breakpoint is checked exactly at construction.
-    Evaluation clamps to the working range ``urange``, the float
-    breakpoint span [u_0, u_P] (with a logged warning), and takes the
-    right piece at interior breakpoints, the left piece at u_P.
+    Evaluation takes the end pieces up to 1e-12 past the working range
+    ``urange``, the float breakpoint span [u_0, u_P], and refuses values
+    beyond (``_check_range``); it takes the right piece at interior
+    breakpoints, the left piece at u_P.
     """
 
     def __init__(self, basis: FrequencyBasis, breakpoints, pieces, *,
@@ -314,9 +312,11 @@ class PiecewiseFlux:
         ``_dcoef_f`` holds them, the highest one and then the others in
         descending degree (the order ``polyval`` takes them in); ``crit``
         are the real roots of phi_k'' strictly inside the piece, where
-        |phi_k'| can peak between the ends.
+        |phi_k'| can peak between the ends.  The outer ends are -inf and
+        inf, so that the end pieces cover the slack ``_check_range`` allows.
         """
         bp = self._bp_f.tolist()
+        ends = [-np.inf, *bp[1:-1], np.inf]
         out = []
         for k in range(self.n):
             rows = []
@@ -330,43 +330,25 @@ class PiecewiseFlux:
                     # imaginary part is kept too, which can only raise the bound)
                     crit = [float(r.real) for r in np.roots(dd[::-1])
                             if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and u0 < r.real < u1]
-                rows.append((u0, u1, c[-1], tuple(c[-2::-1]), crit))
+                rows.append((ends[p], ends[p + 1], c[-1], tuple(c[-2::-1]), crit))
             out.append(tuple(rows))
         return tuple(out)
-
-    def _clamp(self, u: np.ndarray):
-        """``u`` clipped to the working range, with its least and greatest value.
-
-        The bounds skip NaN; they are None when ``u`` is empty, holds no
-        number, or had to be clipped (with a logged warning).
-        """
-        if not u.size:
-            return u, None, None
-        lo, hi = self.urange
-        # fmin/fmax skip NaN the way the elementwise comparisons below do
-        umin = float(np.fmin.reduce(u, axis=None))
-        umax = float(np.fmax.reduce(u, axis=None))
-        if umin >= lo and umax <= hi:
-            return u, umin, umax
-        bad = int(np.count_nonzero((u < lo) | (u > hi)))
-        if bad:
-            log.warning(
-                "clamped %d flux argument(s) outside working range [%g, %g]",
-                bad, lo, hi,
-            )
-            u = np.clip(u, lo, hi)
-        return u, None, None
 
     def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
         """Vectorized single-component evaluation with the tie rules above.
 
+        Refuses values beyond the working range (``_check_range``).
         Returns a new array, which the caller may overwrite.
         """
-        u, umin, umax = self._clamp(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
         pieces, gathered = self._plans[component]
-        # piece of u = count of interior breakpoints <= u: ties go right,
-        # u_P stays in the last piece
-        if umin is not None:
+        if u.size:
+            # fmin/fmax skip NaN, as the range check and the piece choice do
+            umin = float(np.fmin.reduce(u, axis=None))
+            umax = float(np.fmax.reduce(u, axis=None))
+            _check_range(self, umin, umax)
+            # piece of u = count of interior breakpoints <= u: ties go right,
+            # u_P stays in the last piece
             p = bisect.bisect_right(self._inner, umin)
             if p == bisect.bisect_right(self._inner, umax):
                 # the whole range lies in one piece
@@ -469,20 +451,22 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
 
 
 def _check_range(flux: PiecewiseFlux, lo: float, hi: float):
-    """Refuse a value range [lo, hi] that leaves the flux's working range."""
+    """Refuse values [lo, hi] that reach more than 1e-12 past the flux's working range."""
     rlo, rhi = flux.urange
     if lo < rlo - 1e-12 or hi > rhi + 1e-12:
-        raise ValueError("[lo, hi] must lie inside the working range")
+        raise ValueError(f"values [{lo!r}, {hi!r}] leave the working range "
+                         f"[{rlo!r}, {rhi!r}] of the flux")
 
 
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
     """Per-component bound on |d phi_k/du| over [lo, hi], padded by 10%.
 
-    The max of |phi_k'| over each intersected piece, taken at the two
-    clipped ends and at the real roots of phi_k'' strictly between them,
-    times the deliberate 1.1 safety factor.  phi_k' is evaluated in floats
-    with the operations of numpy's ``polyval``; where phi_k' is affine
-    (flux degree <= 2) its rounded values are monotone, so no point
+    The max of |phi_k'| over each piece's share of [lo, hi] (the end
+    pieces reach into the slack past the span, as in evaluation), taken at
+    the share's ends and at the real roots of phi_k'' strictly between
+    them, times the deliberate 1.1 safety factor.  phi_k' is evaluated in
+    floats with the operations of numpy's ``polyval``; where phi_k' is
+    affine (flux degree <= 2) its rounded values are monotone, so no point
     between the ends can exceed them.
     """
     lo, hi = float(lo), float(hi)

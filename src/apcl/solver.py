@@ -19,7 +19,7 @@ component j.  ``_faces`` computes 2F/w on every face as
 (phi_i + phi_{i+1}) - (alpha_j/w)(u_{i+1} - u_i), and ``step`` scales its
 difference by w dt N_j / 2.  The lift of scalar data (n = 1) has
 Phi_j = lambda_j phi, so one evaluation of the data flux phi per step
-serves every axis, with w = lambda_j: on T^2 or T^3 one clamp and one
+serves every axis, with w = lambda_j: on T^2 or T^3 one range check and one
 Horner pass replace two or three.  Every other component (of a direct
 flux, of a lift of n >= 2 data, or with a weight that is 0 or not
 finite) is evaluated as itself with w = 1; for it the two halvings that

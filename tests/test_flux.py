@@ -87,14 +87,19 @@ def test_eval_vector_components():
     assert out[1] == pytest.approx(-1 / 3)
 
 
-def test_eval_clamps_outside_range(caplog):
+def test_eval_clamps_outside_range():
+    # nothing is clamped: beyond the working range [-1, 1] and its 1e-12
+    # slack, evaluation refuses, naming both ranges
     f = burgers(lo=-1, hi=1)
-    import logging
-
-    with caplog.at_level(logging.WARNING):
-        v = at(f, 5.0)
-    assert v == pytest.approx([0.5])
-    assert any("clamp" in r.message for r in caplog.records)
+    with pytest.raises(ValueError, match=re.escape(
+            "values [5.0, 5.0] leave the working range [-1.0, 1.0] of the flux")):
+        at(f, 5.0)
+    with pytest.raises(ValueError, match="leave the working range"):
+        at(f, -1.0 - 2e-12)
+    # within the slack the end piece is taken as given, unclipped
+    (v,) = at(f, 1.0 + 5e-13)
+    assert v == npoly.polyval(1.0 + 5e-13, f._coef_f[0, 0])
+    assert v > 0.5
 
 
 def test_breakpoint_tie_goes_right_except_last():
@@ -166,9 +171,12 @@ def test_lip_bound_monotone_in_interval():
 
 
 def _ref_lip_bound(flux, lo, hi):
-    """The sampled bound: |phi_k'| on 1024 points of each intersected piece, times 1.1."""
+    """The sampled bound: |phi_k'| on 1024 points of each intersected piece, times 1.1.
+
+    The end pieces reach past the span, into the slack that evaluation takes.
+    """
     lo, hi = float(lo), float(hi)
-    bp = flux._bp_f
+    bp = [-np.inf, *flux._bp_f[1:-1], np.inf]
     out = []
     for k in range(flux.n):
         best = 0.0
@@ -214,7 +222,8 @@ def test_lip_bound_equals_sampled_bound_up_to_degree_two(data):
     """phi' affine: the end points decide, so the old 1024-point bound is met bit for bit."""
     flux = _draw_low_degree_flux(data)
     rlo, rhi = flux.urange
-    point = st.one_of(st.sampled_from(flux._bp_f.tolist()),
+    # the breakpoints, and the span's ends moved 5e-13 out, into the slack
+    point = st.one_of(st.sampled_from([*flux._bp_f.tolist(), rlo - 5e-13, rhi + 5e-13]),
                       st.floats(min_value=rlo, max_value=rhi))
     lo = data.draw(point)
     hi = lo if data.draw(st.booleans()) else data.draw(point)
@@ -244,6 +253,17 @@ def test_lip_bound_exact_max_above_degree_two():
     assert lip_bound(f, -2.0, 2.0)[0] == pytest.approx(3.3, rel=1e-15)
     # away from u = 0, where the cubic's phi'(0) = 2 counts too
     assert lip_bound(f, 0.1, 1.9)[0] == pytest.approx(1.1 * 2 / (3 * 3 ** 0.5), rel=1e-12)
+
+
+def test_lip_bound_reaches_into_the_slack():
+    # -u^2/2 on [-1, 0], u^2/2 on [0, 1]: |phi'| = |u| grows past either end,
+    # so 5e-13 out, where evaluation takes the end piece, it exceeds 1
+    f = PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "-1/2"]], [["0", "0", "1/2"]]])
+    lo, hi = -1.0 - 5e-13, 1.0 + 5e-13
+    for (a, b), u, p in (((lo, -0.5), lo, 0), ((0.5, hi), hi, -1), ((lo, hi), hi, -1)):
+        slope = abs(float(npoly.polyval(u, f._dcoef_f[p, 0])))
+        assert slope > 1.0
+        assert lip_bound(f, a, b) == (1.1 * slope,)
 
 
 def test_nd_burgers_nondegenerate():

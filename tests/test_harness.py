@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -1002,7 +1003,9 @@ def test_cli_data_outside_working_range_refused_before_observing(tmp_path, capsy
     cp = write_config(tmp_path, d)
     rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "refused: [lo, hi] must lie inside the working range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "refused: values [" in err
+    assert "] leave the working range [-2.0, 2.0] of the flux" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1132,20 +1135,41 @@ def hostile_configs(draw):
 # constant data: nothing to plot on the log scale
 @example(("burgers_decay", tiny("burgers_decay", ("initial", "terms", [
     {"frequency": [["0"]], "re": 0.3}]))))
+# data up to 3e-13 past the span [-2, 1], within its 1e-12 slack: a run
+# that once clamped them, with one warning on stderr per step
+@example(("burgers_decay", tiny("burgers_decay", ("flux", "breakpoints", ["-2", "1"]),
+                                ("initial", "terms", [{"frequency": [["0"]], "re": 1 - 2e-13},
+                                                      {"frequency": [["1"]], "im": -2.5e-13}]),
+                                ("solver", {"t_end": 0.05}))))
 @settings(max_examples=200, derandomize=True, database=None,
           deadline=timedelta(seconds=10))
 @given(hostile_configs())
 def test_cli_ends_every_hostile_config_in_a_documented_exit(case):
-    """0 pass, 2 config error, 3 refusal or 4 fail: no exit 5, exception or warning, plots too."""
+    """0 pass, 2 config error, 3 refusal or 4 fail: no exit 5, exception or warning, plots too.
+
+    A run that finishes (0 or 4) writes nothing on stderr but the plots it
+    skips.  A logged warning counts too: from the bare CLI, logging's last
+    resort writes it on stderr, but pytest captures it, so a handler here
+    writes it where the CLI would.
+    """
     stem, d = case
     kind = json.loads((CONFIGS / f"{stem}.json").read_text())["kind"]
+    err = io.StringIO()
+    logged = logging.StreamHandler(err)
+    logged.setLevel(logging.WARNING)
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         cp = write_config(Path(tmp), d)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            rc = cli.main([kind, "--config", cp, "--out", str(Path(tmp) / "out"), "--plot"])
+        logging.getLogger().addHandler(logged)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main([kind, "--config", cp, "--out", str(Path(tmp) / "out"), "--plot"])
+        finally:
+            logging.getLogger().removeHandler(logged)
     assert rc in (0, 2, 3, 4), err.getvalue()
+    if rc in (0, 4):
+        assert all(line.startswith("not plotted: ")
+                   for line in err.getvalue().splitlines()), err.getvalue()
 
 
 def test_cli_plot_writes_svg(tmp_path):

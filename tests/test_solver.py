@@ -1,6 +1,5 @@
 """Monotone scheme invariants: conservation, contraction, entropy, waves."""
 
-import logging
 import math
 import os
 from fractions import Fraction
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 import apcl.solver as solver_mod
 import apcl.flux as flux_mod
@@ -471,9 +471,7 @@ def test_run_deterministic():
 # signs of zero, wherever they are not NaN.
 
 def _ref_eval_component(flux, j, u):
-    from numpy.polynomial import polynomial as npoly
-
-    u = np.clip(u, *flux.urange)
+    # values past the span, in the slack, take the end pieces
     idx = np.clip(np.searchsorted(flux._bp_f, u, side="right") - 1, 0, flux.npieces - 1)
     out = np.empty_like(u)
     for p in range(flux.npieces):
@@ -550,11 +548,11 @@ def _padded_nd(m):
 # [-2, -1/3, 2/5, 2]; eval_component takes one Horner pass when the whole
 # field lies in one piece and gathers per-cell coefficients otherwise
 FIELDS = ("spread", "one-piece", "tie-at-min", "tie-at-max", "nan", "above", "below",
-          "signed-zero")
+          "slack-above", "slack-below", "signed-zero")
 
 
 def _field_values(kind, shape, rng):
-    """Values of one field kind, and the number of them outside [-2, 2]."""
+    """Values of one field kind, and the number of them beyond [-2, 2] and its 1e-12 slack."""
     if kind == "spread":
         vals = rng.uniform(-2.0, 2.0, shape)
         # breakpoints themselves: ties go right, the last (u_P = 2) goes left
@@ -584,11 +582,19 @@ def _field_values(kind, shape, rng):
         # partly outside the working range [-2, 2] on one side
         flat[1::6] = 2.5 if kind == "above" else -3.0
         return vals, len(flat[1::6])
+    elif kind in ("slack-above", "slack-below"):
+        # partly past u_P or u_0 by 5e-13, within the slack: the end pieces
+        # are evaluated there as given
+        flat[1::6] = 2.0 + 5e-13 if kind == "slack-above" else -2.0 - 5e-13
     return vals, 0
 
 
-def _clamp_counts(caplog):
-    return [r.args[0] for r in caplog.records if r.getMessage().startswith("clamped")]
+def _assert_refused(f, flux):
+    """``step`` refuses the field ``f``, whose values leave [-2, 2] and its slack."""
+    alphas = lip_bound(flux, -2.0, 2.0)
+    with pytest.raises(ValueError, match=r"values \[.*\] leave the working range "
+                       r"\[-2\.0, 2\.0\] of the flux"):
+        step(f, flux, cfl_dt(f, 0.45, alphas), alphas)
 
 
 # 1D shapes on both sides of the 64 KiB layout bound (8192 cells), where
@@ -597,28 +603,26 @@ def _clamp_counts(caplog):
 @pytest.mark.parametrize("shape", [(2,), (64,), (2048,), (8191,), (8192,), (12, 10),
                                    (6, 5, 4), (96, 96), (24, 24, 16)])
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd])
-def test_fused_step_matches_reference_bitwise(shape, make_flux, caplog):
+def test_fused_step_matches_reference_bitwise(shape, make_flux):
     flux = make_flux(len(shape))
     g = TorusGrid(shape)
     for kind in FIELDS:
         vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
         f = CellField(g, vals)
-        ok = not np.isnan(vals).any() and not bad
-        clipped = np.clip(vals, -2.0, 2.0)
-        alphas = lip_bound(flux, np.nanmin(clipped), np.nanmax(clipped))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="apcl.flux"):
-            if ok:
-                # advance takes the alphas of the field's own range, as
-                # above; dt is capped at unit time, as the contraction run
-                # caps it, since two -0.0 cells under Burgers give all
-                # alphas 0 and so no CFL cap
-                _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-            else:
-                dt = cfl_dt(f, 0.45, alphas)
-                new = step(f, flux, dt, alphas)
-        # one clamp warning per axis, counting every value outside the range
-        assert _clamp_counts(caplog) == ([bad] * len(shape) if bad else []), kind
+        if bad:
+            _assert_refused(f, flux)
+            continue
+        ok = not np.isnan(vals).any()
+        alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
+        if ok:
+            # advance takes the alphas of the field's own range, as above;
+            # dt is capped at unit time, as the contraction run caps it,
+            # since two -0.0 cells under Burgers give all alphas 0 and so
+            # no CFL cap
+            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
+        else:
+            dt = cfl_dt(f, 0.45, alphas)
+            new = step(f, flux, dt, alphas)
         assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
         if ok:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
@@ -654,25 +658,24 @@ IRRATIONAL = [((96, 96), B2, ([1, 0], [0, 1])),
 
 @pytest.mark.parametrize("shape, gens", DYADIC)
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
-def test_shared_step_of_a_dyadic_lift_matches_reference_bitwise(shape, gens, make_flux, caplog):
+def test_shared_step_of_a_dyadic_lift_matches_reference_bitwise(shape, gens, make_flux):
     flux = _lifted(make_flux, B1, *gens)
     assert flux._weights == tuple(float(w) for (w,) in gens)
     g = TorusGrid(shape)
     for kind in FIELDS:
         vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
         f = CellField(g, vals)
-        ok = not np.isnan(vals).any() and not bad
-        clipped = np.clip(vals, -2.0, 2.0)
-        alphas = lip_bound(flux, np.nanmin(clipped), np.nanmax(clipped))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="apcl.flux"):
-            if ok:
-                _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-            else:
-                dt = cfl_dt(f, 0.45, alphas)
-                new = step(f, flux, dt, alphas)
-        # the data flux is evaluated once per step, so one clamp warning
-        assert _clamp_counts(caplog) == ([bad] if bad else []), kind
+        if bad:
+            # the shared data flux refuses them as the lifted components do
+            _assert_refused(f, flux)
+            continue
+        ok = not np.isnan(vals).any()
+        alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
+        if ok:
+            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
+        else:
+            dt = cfl_dt(f, 0.45, alphas)
+            new = step(f, flux, dt, alphas)
         assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
         if ok:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
@@ -733,9 +736,13 @@ def test_shared_step_is_monotone(shape, basis, gens, make_flux):
         fa, fb = fa2, fb2
 
 
-def test_eval_component_matches_polyval_on_breakpoints(caplog):
+def test_eval_component_matches_polyval_on_breakpoints():
+    # u_0 - 5e-13 and u_P + 5e-13 lie in the slack past the span: alone
+    # (one Horner pass) and among the others (per-cell coefficients)
+    slack = [-2.0 - 5e-13, 2.0 + 5e-13]
     cases = [(np.array([-2.0, -1 / 3, 2 / 5, 2.0, -1.25, 0.0, -0.0, 1e-170, -1e-170,
-                        5e-324, 1.75]), 0)]
+                        5e-324, 1.75, *slack]), 0)]
+    cases += [(np.array([u]), 0) for u in slack]
     # 8191 and 8192 values: the two sides of the layout bound, where the
     # first Horner product is taken two ways
     cases += [_field_values(kind, (n,), np.random.default_rng(7))
@@ -743,11 +750,17 @@ def test_eval_component_matches_polyval_on_breakpoints(caplog):
     for flux in (_three_piece_nd(2), _cubic_nd(2), _padded_nd(2)):
         for u, bad in cases:
             for j in range(2):
-                caplog.clear()
-                with caplog.at_level(logging.WARNING, logger="apcl.flux"):
-                    got = flux.eval_component(j, u)
-                assert _clamp_counts(caplog) == ([bad] if bad else [])
+                if bad:
+                    with pytest.raises(ValueError, match="leave the working range"):
+                        flux.eval_component(j, u)
+                    continue
+                got = flux.eval_component(j, u)
                 assert same_bits(got, _ref_eval_component(flux, j, u))
+        for j in range(2):
+            # the end pieces at the unclipped values, bit for bit
+            for u, p in zip(slack, (0, -1)):
+                got = flux.eval_component(j, np.array([u]))
+                assert same_bits(got, npoly.polyval(np.array([u]), flux._coef_f[p, j]))
 
 
 @pytest.mark.parametrize("op", [np.add, np.subtract])
