@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -334,18 +335,27 @@ class PiecewiseFlux:
             out.append(tuple(rows))
         return tuple(out)
 
-    def eval_component(self, component: int, u: np.ndarray) -> np.ndarray:
+    def eval_component(self, component: int, u) -> np.ndarray:
         """Vectorized single-component evaluation with the tie rules above.
 
+        ``u`` is an array, or a field that holds its values' range: anything
+        with ``values``, ``vmin`` and ``vmax``, as ``solver.CellField`` has.
+        A field's range is read, not reduced again, unless it is NaN.
         Refuses values beyond the working range (``_check_range``).
         Returns a new array, which the caller may overwrite.
         """
-        u = np.asarray(u, dtype=float)
+        if hasattr(u, "vmin"):
+            umin, umax, u = u.vmin, u.vmax, u.values
+        else:
+            umin = umax = math.nan
+            u = np.asarray(u, dtype=float)
         pieces, gathered = self._plans[component]
         if u.size:
-            # fmin/fmax skip NaN, as the range check and the piece choice do
-            umin = float(np.fmin.reduce(u, axis=None))
-            umax = float(np.fmax.reduce(u, axis=None))
+            if math.isnan(umin) or math.isnan(umax):
+                # fmin/fmax skip NaN, as the range check and the piece choice
+                # do; a field's NaN-propagating range does not
+                umin = float(np.fmin.reduce(u, axis=None))
+                umax = float(np.fmax.reduce(u, axis=None))
             _check_range(self, umin, umax)
             # piece of u = count of interior breakpoints <= u: ties go right,
             # u_P stays in the last piece

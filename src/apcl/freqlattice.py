@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -471,8 +472,12 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
         if f.basis != basis or f.n != n:
             raise ValueError("spectrum frequencies disagree in basis or dimension")
     den = math.lcm(*(f.den for f in freqs))
+    rows = (tuple(x * (den // f.den) for c in f.num for x in c) for f in freqs)
+    # r and -r generate the same group: keep one row of each such pair (a
+    # conjugate-closed spectrum has them all), the one whose first nonzero
+    # entry is positive
     int_rows = list(dict.fromkeys(
-        tuple(x * (den // f.den) for c in f.num for x in c) for f in freqs))
+        tuple(map(operator.neg, r)) if next(filter(None, r), 0) < 0 else r for r in rows))
     work, pivots = _hermite([list(r) for r in int_rows if any(r)])
     gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
                             tuple(pivots), den)

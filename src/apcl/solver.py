@@ -20,7 +20,9 @@ component j.  ``_faces`` computes 2F/w on every face as
 difference by w dt N_j / 2.  The lift of scalar data (n = 1) has
 Phi_j = lambda_j phi, so one evaluation of the data flux phi per step
 serves every axis, with w = lambda_j: on T^2 or T^3 one range check and one
-Horner pass replace two or three.  Every other component (of a direct
+Horner pass replace two or three.  The range is the one the field
+already holds (``CellField.vmin``/``vmax``), so an evaluation in a step
+reduces nothing unless that range is NaN.  Every other component (of a direct
 flux, of a lift of n >= 2 data, or with a weight that is 0 or not
 finite) is evaluated as itself with w = 1; for it the two halvings that
 moved into the scale are exact on normal floats, so the step is that of
@@ -166,7 +168,12 @@ class TorusGrid:
 
 
 class CellField:
-    """Cell-average values on a TorusGrid; treated as immutable."""
+    """Cell-average values on a TorusGrid; treated as immutable.
+
+    ``vmin`` and ``vmax`` are the values' range, reduced once here.
+    ``lip_bound``, ``eval_component`` and ``_observe`` trust them, so
+    ``values`` must not be written after construction.
+    """
 
     __slots__ = ("grid", "values", "vmin", "vmax")
 
@@ -179,6 +186,11 @@ class CellField:
         # the ufunc reductions ndarray.min/max call, NaN propagating alike
         self.vmin = float(np.minimum.reduce(values, axis=None))
         self.vmax = float(np.maximum.reduce(values, axis=None))
+
+    @property
+    def size(self) -> int:
+        """The cell count."""
+        return self.values.size
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -277,14 +289,17 @@ def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     op(x[first], x[last], out=out[first] if upper else out[last])
 
 
-def _per_axis(flux: PiecewiseFlux, u: np.ndarray):
+def _per_axis(flux: PiecewiseFlux, u):
     """For each axis j in turn, (phi, w, free): values phi with Phi_j(u) = w * phi.
 
-    The lift of a scalar flux has Phi_j = lambda_j phi, so the data flux
-    is evaluated once, on the first axis that needs it, and shared with
-    weight w = lambda_j.  Any other component, of a direct flux or of a
-    lift of n >= 2 data, is evaluated as itself, with w = 1.  ``free``
-    says that no later axis reads phi, so the caller may overwrite it.
+    ``u`` goes to ``eval_component`` as given: ``step`` passes the field,
+    whose range spares the evaluation its reductions, ``entropy_residual``
+    the arrays u max k and u min k.  The lift of a scalar flux has
+    Phi_j = lambda_j phi, so the data flux is evaluated once, on the
+    first axis that needs it, and shared with weight w = lambda_j.  Any
+    other component, of a direct flux or of a lift of n >= 2 data, is
+    evaluated as itself, with w = 1.  ``free`` says that no later axis
+    reads phi, so the caller may overwrite it.
     """
     weights = flux._weights
     phi = None
@@ -342,7 +357,7 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
         )
     u = f.values
     div = None
-    for j, (phi, w, free) in enumerate(_per_axis(flux, u)):
+    for j, (phi, w, free) in enumerate(_per_axis(flux, f)):
         face, jump = _faces(u, phi, alphas[j] / w, j, free)
         d = _flux_difference(face, j, 0.5 * w * dt * g.shape[j], jump)
         if div is None:

@@ -259,6 +259,20 @@ def test_group_basis_reconstruction_random(n, q, data):
     assert gb.rank == _rational_rank(rows)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_group_basis_of_a_conjugate_closed_spectrum_is_that_of_its_half(seed):
+    # each +-f pair is reduced as one row, and the Hermite rows are canonical
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    basis = B1 if q == 1 else B2
+    spec = [Frequency.of(basis, [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                                  for _ in range(q)] for _ in range(n)])
+            for _ in range(int(rng.integers(1, 7)))]
+    half = group_basis(spec)
+    whole = group_basis(spec + [-f for f in spec])
+    assert (whole.rows, whole.pivots, whole.den) == (half.rows, half.pivots, half.den)
+
+
 def test_frequency_negation_exact():
     f = Frequency.of(B2, [[Fraction(2, 3), Fraction(-1, 7)]])
     g = -f

@@ -1,5 +1,6 @@
 """Monotone scheme invariants: conservation, contraction, entropy, waves."""
 
+import importlib.util
 import math
 import os
 from fractions import Fraction
@@ -761,6 +762,82 @@ def test_eval_component_matches_polyval_on_breakpoints():
             for u, p in zip(slack, (0, -1)):
                 got = flux.eval_component(j, np.array([u]))
                 assert same_bits(got, npoly.polyval(np.array([u]), flux._coef_f[p, j]))
+
+
+@pytest.mark.parametrize("shape", [(64,), (8192,), (12, 10), (6, 5, 4)])
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd])
+def test_eval_component_of_a_field_is_that_of_its_values(shape, make_flux):
+    # a field hands over the range it holds; a NaN range (the nan kind)
+    # falls back to the reductions an array gets
+    flux = make_flux(len(shape))
+    g = TorusGrid(shape)
+    for kind in FIELDS:
+        vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
+        f = CellField(g, vals)
+        assert np.size(f) == f.values.size == math.prod(shape)
+        assert math.isnan(f.vmin) == (kind == "nan")
+        for j in range(flux.n):
+            if not bad:
+                assert same_bits(flux.eval_component(j, f), flux.eval_component(j, vals)), kind
+                continue
+            with pytest.raises(ValueError, match="leave the working range") as from_values:
+                flux.eval_component(j, vals)
+            with pytest.raises(ValueError) as from_field:
+                flux.eval_component(j, f)
+            assert str(from_field.value) == str(from_values.value), kind
+
+
+class _NoRangeReductions:
+    """numpy as ``apcl.flux`` sees it, but for fmin and fmax, which raise."""
+
+    def __getattr__(self, name):
+        if name in ("fmin", "fmax"):
+            raise AssertionError(f"np.{name} reduced a range")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("shape, gens", [((64,), ([Fraction(1, 2)],)), ((12, 10), ([1], [2])),
+                                         ((6, 5, 4), ([1], [2], [Fraction(1, 2)]))])
+def test_a_step_reduces_no_finite_field_again(shape, gens, monkeypatch):
+    # the field's vmin/vmax are all the range a step needs, for a direct
+    # flux (each component evaluated) and a lift (the data flux, shared)
+    m = len(shape)
+    g = TorusGrid(shape)
+    monkeypatch.setattr(flux_mod, "np", _NoRangeReductions())
+    for flux in (_burgers_nd(m), _three_piece_nd(m), _lifted(_three_piece_nd, B1, *gens)):
+        f = CellField(g, np.random.default_rng(m).uniform(-1.5, 1.5, shape))
+        for _ in range(3):
+            _, _, (f,) = advance(flux, 0.45, 1.0, f)
+    # an array holds no range, so it is reduced, and the proxy catches that
+    with pytest.raises(AssertionError, match="np.fmin"):
+        flux.eval_component(0, f.values)
+
+
+def test_traced_eval_component_counts_the_cells_of_a_field():
+    # bench/tracer.py as it is: its work for an eval_component call is
+    # np.size(u), now of the field that step hands over
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    importlib.import_module("apcl.harness")  # the tracer wraps every apcl module
+    cases = [(_three_piece_nd(1), TorusGrid((64,))),
+             (_lifted(_three_piece_nd, B2, [1, 0], [0, 1]), TorusGrid((12, 10)))]
+    for flux, g in cases:
+        f = CellField(g, np.random.default_rng(5).uniform(-1.5, 1.5, g.shape))
+        tracer = tracer_mod.Tracer()
+        with tracer.installed():
+            for _ in range(3):
+                _, _, (f,) = advance(flux, 0.45, 1.0, f)
+        spans = tracer.spans
+        steps = [i for i, s in enumerate(spans) if s[0] == "solver.step"]
+        evals = [s for s in spans if s[0] == "flux.eval_component"]
+        assert len(steps) == 3
+        # one evaluation per step: the one component, or the shared data flux
+        assert len(evals) == 3
+        for s in evals:
+            assert s[3] in steps
+            assert s[5] == f.size == math.prod(g.shape)
 
 
 @pytest.mark.parametrize("op", [np.add, np.subtract])
