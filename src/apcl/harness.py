@@ -29,6 +29,7 @@ from .solver import (
     DEFAULT_CFL,
     MAX_STEPS,
     SolverConfig,
+    StepLog,
     TorusGrid,
     _write_atomic,
     advance,
@@ -471,6 +472,7 @@ class RunReport:
     plots: dict
     wall_clock_s: float
     fields: dict = field(default_factory=dict)
+    stepping: list = field(default_factory=list)
     version: str = __version__
 
     @property
@@ -490,6 +492,7 @@ class RunReport:
             "verdicts": self.verdicts,
             "passed": self.passed,
             "scalars": self.scalars,
+            "stepping": self.stepping,
             "wall_clock_s": self.wall_clock_s,
             "version": self.version,
         }
@@ -516,7 +519,9 @@ class RunReport:
         return paths
 
 
-# --- runners: each returns (tables, scalars, plots, fields) -----------------
+# --- runners: each returns (tables, scalars, plots, fields, stepping) -------
+# stepping holds one StepLog record per solver run: per grid for
+# convergence, per pair for contraction, none for check-flux
 
 def _series_from_rows(rows, xkey, ykey, label):
     return (label, [r[xkey] for r in rows], [r[ykey] for r in rows])
@@ -543,7 +548,7 @@ def _run_check_flux(cfg: ExperimentConfig):
         "c": v.c,
     }
     row = {k: "" if x is None else x for k, x in row.items()}
-    return {"verdict": ([row], list(row))}, {"nondegenerate": float(v.nondegenerate)}, {}, {}
+    return {"verdict": ([row], list(row))}, {"nondegenerate": float(v.nondegenerate)}, {}, {}, []
 
 
 def _run_decay(cfg: ExperimentConfig):
@@ -554,7 +559,7 @@ def _run_decay(cfg: ExperimentConfig):
     scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": pb.mean, "rank": pb.m}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")], True)}
     fields = {"final": traj.fields[-1]} if cfg.dump_fields and traj.fields else {}
-    return tables, scalars, plots, fields
+    return tables, scalars, plots, fields, [traj.stepping]
 
 
 def _run_contraction(cfg: ExperimentConfig):
@@ -571,9 +576,11 @@ def _run_contraction(cfg: ExperimentConfig):
     rows = [{"step": 0, "t": 0.0, "l1_distance": l1_distance(fa, fb)}]
     t = 0.0
     worst_increase = 0.0
+    log = StepLog(cfg.cfl)
     for s in range(1, cfg.steps + 1):
         # dt is capped at unit time, the step a flux constant on the joint range gets
-        _, dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
+        dt_cfl, dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
+        log.add(dt_cfl, dt)
         t += dt
         d = l1_distance(fa, fb)
         worst_increase = max(worst_increase, d - rows[-1]["l1_distance"])
@@ -582,7 +589,7 @@ def _run_contraction(cfg: ExperimentConfig):
     scalars = {"initial_distance": rows[0]["l1_distance"],
                "final_distance": rows[-1]["l1_distance"], "max_step_increase": worst_increase}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_distance", "l1_distance")], False)}
-    return tables, scalars, plots, {}
+    return tables, scalars, plots, {}, [log.record()]
 
 
 def _wave_problem(cfg: ExperimentConfig):
@@ -613,14 +620,15 @@ def _run_counterexample(cfg: ExperimentConfig):
         ], False),
     }
     fields = {"final": traj.fields[-1]} if cfg.dump_fields else {}
-    return tables, scalars, plots, fields
+    return tables, scalars, plots, fields, [traj.stepping]
 
 
 def _run_convergence(cfg: ExperimentConfig):
     wave, lifted = _wave_problem(cfg)
-    rows, orders = [], []
+    rows, orders, stepping = [], [], []
     for g in cfg.grids:
         traj = run(wave.torus_poly(0.0), lifted, g, cfg.solver)
+        stepping.append(traj.stepping)
         ref = exact_cell_average(wave.torus_poly(cfg.solver.t_end), g)
         e = l1_distance(traj.fields[-1], ref)
         row = {"cells": int(np.prod(g.shape)), "h_max": max(g.h), "l1_error": e, "order": ""}
@@ -634,7 +642,7 @@ def _run_convergence(cfg: ExperimentConfig):
     plots = {"errors": ([
         ("l1_error", [r["cells"] for r in rows], [r["l1_error"] for r in rows]),
     ], True)}
-    return tables, scalars, plots, {}
+    return tables, scalars, plots, {}, stepping
 
 
 def _run_spectrum(cfg: ExperimentConfig):
@@ -681,7 +689,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         scalars["orbit_mean_error"] = crows[-1]["abs_error"]
     plots = {"series": ([_series_from_rows(traj.rows, "t", "l1_to_mean", "l1_to_mean")], False)}
     fields = {"final": final} if cfg.dump_fields else {}
-    return tables, scalars, plots, fields
+    return tables, scalars, plots, fields, [traj.stepping]
 
 
 # --- the experiment kinds ---------------------------------------------------
@@ -704,7 +712,7 @@ class Experiment(NamedTuple):
     """One experiment kind: its help line, runner, config keys and thresholds."""
 
     help: str
-    run: Callable[[ExperimentConfig], tuple[dict, dict, dict, dict]]
+    run: Callable[[ExperimentConfig], tuple[dict, dict, dict, dict, list]]
     required: tuple[str, ...]
     optional: tuple[str, ...]
     thresholds: dict[str, Bound]
@@ -774,10 +782,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """
     t0 = time.perf_counter()
     with np.errstate(over="raise", invalid="raise"):
-        tables, scalars, plots, fields = EXPERIMENTS[cfg.kind].run(cfg)
+        tables, scalars, plots, fields, stepping = EXPERIMENTS[cfg.kind].run(cfg)
     return RunReport(kind=cfg.kind, config=cfg.raw, verdicts=_judge(cfg, scalars),
                      tables=tables, scalars=scalars, plots=plots, fields=fields,
-                     wall_clock_s=time.perf_counter() - t0)
+                     stepping=stepping, wall_clock_s=time.perf_counter() - t0)
 
 
 # --- CSV ----------------------------------------------------------------------

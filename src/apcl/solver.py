@@ -7,10 +7,17 @@ current field range, which ``lip_bound`` takes in closed form from the
 piece ends and the critical points of phi_j' between them.  ``advance``
 is the one place that chooses them: it computes the alphas once per step,
 takes dt from them and hands the same alphas to ``step``; ``run`` and the
-harness's two-field contraction both step through it.  Under the CFL cap
-sum_j alpha_j dt/h_j <= 1/2 the update is monotone, hence conservative,
-max-principle stable, L1-contractive, and cell-entropy dissipative for
-the Kruzhkov-type numerical entropy flux
+harness's two-field contraction both step through it.
+
+The update is monotone when every new value is a nondecreasing function
+of the old ones.  Its weight on u_i is 1 - C, C = sum_j alpha_j dt/h_j
+the Courant number, as the phi_i of the two faces of cell i cancel; its
+weight on u_{i +- e_j} is (dt/2h_j)(alpha_j -+ phi_j'), which is >= 0 as
+alpha_j >= |phi_j'|.  So the cap C <= 1 is all that monotonicity needs
+(Crandall & Majda, Math. Comp. 34, 1980), and the step is refused beyond
+it: above 1 the weight on u_i is negative.  A monotone step is
+conservative, max-principle stable, L1-contractive, and cell-entropy
+dissipative for the Kruzhkov-type numerical entropy flux
 Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
 
 Shared evaluation and the folded scale: ``_per_axis`` hands each axis j
@@ -84,6 +91,7 @@ __all__ = [
     "SolverConfig",
     "DEFAULT_CFL",
     "check_cfl",
+    "StepLog",
     "Trajectory",
     "CflError",
     "CounterexampleError",
@@ -104,8 +112,12 @@ __all__ = [
 ]
 
 
-# the Courant number a config that names none runs at
-DEFAULT_CFL = 0.45
+# the largest Courant number sum_j alpha_j dt/h_j a step may take: the
+# bound of monotonicity
+MAX_CFL = 1.0
+
+# the Courant number a config that names none runs at, 10% below the cap
+DEFAULT_CFL = 0.9
 
 # the most time steps one run, or one contraction pair, may take; the
 # shipped configs and the bench workloads take at most a few thousand
@@ -117,9 +129,9 @@ MAX_CELLS = 2 ** 24
 
 
 def check_cfl(cfl: float) -> float:
-    """``cfl``, refused with ValueError unless it lies in (0, 1/2]."""
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError("cfl must lie in (0, 1/2]")
+    """``cfl``, refused with ValueError unless it lies in (0, 1]."""
+    if not 0.0 < cfl <= MAX_CFL:
+        raise ValueError("cfl must lie in (0, 1]")
     return cfl
 
 
@@ -213,10 +225,48 @@ class SolverConfig:
                 raise ValueError(f"record time {t} outside [0, t_end]")
 
 
+class StepLog:
+    """How one run, or one contraction pair, stepped: ``add`` each ``advance``.
+
+    ``record`` gives the step count, the least and largest dt, and the peak
+    Courant number sum_j alpha_j dt/h_j.  A step's Courant number is
+    cfl * (dt / dt_cfl), as dt_cfl = cfl / sum_j alpha_j/h_j; dt <= dt_cfl,
+    so the quotient rounds to at most 1 and the peak to at most ``cfl``.
+    """
+
+    __slots__ = ("cfl", "steps", "dt_min", "dt_max", "ratio_max")
+
+    def __init__(self, cfl: float):
+        self.cfl = cfl
+        self.steps = 0
+        self.dt_min = math.inf
+        self.dt_max = 0.0
+        self.ratio_max = 0.0
+
+    def add(self, dt_cfl: float, dt: float):
+        self.steps += 1
+        if dt < self.dt_min:
+            self.dt_min = dt
+        if dt > self.dt_max:
+            self.dt_max = dt
+        # 0 when every alpha is 0 and dt_cfl infinite
+        ratio = dt / dt_cfl
+        if ratio > self.ratio_max:
+            self.ratio_max = ratio
+
+    def record(self) -> dict:
+        """steps, dt_min, dt_max and courant_max; the last three null without a step."""
+        if not self.steps:
+            return {"steps": 0, "dt_min": None, "dt_max": None, "courant_max": None}
+        return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
+                "courant_max": self.cfl * self.ratio_max}
+
+
 @dataclass
 class Trajectory:
     fields: list[CellField]
     rows: list[dict]
+    stepping: dict
 
 
 def _times_per_axis(w: np.ndarray, vecs) -> np.ndarray:
@@ -349,10 +399,11 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
     courant = 0.0
     for a, h in zip(alphas, g.h):
         courant += a * dt / h
-    # a NaN Courant number (0 * inf) fails this test too
-    if not courant <= 0.5 * (1.0 + 1e-9):
+    # rounding only: dt = cfl / sum_j alpha_j/h_j at cfl 1 gives a Courant
+    # number an ulp or two from 1; a NaN one (0 * inf) fails this test too
+    if not courant <= MAX_CFL * (1.0 + 1e-12):
         raise CflError(
-            f"CFL violation: sum_j alpha_j dt/h_j = {courant:.6g} > 1/2 "
+            f"CFL violation: sum_j alpha_j dt/h_j = {courant:.6g} > 1 "
             f"(dt={dt:.6g}, alphas={alphas}, shape={g.shape})"
         )
     u = f.values
@@ -459,7 +510,7 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
 
     Initial data are the exact cell averages of v0; each record row holds
     t, the L1 distance to the data mean C, field min/max, and mass.  Each
-    step is one ``advance``.
+    step is one ``advance``, and ``stepping`` is the ``StepLog`` record.
     Rank-zero data (constant, m = 0) shortcut to the constant solution and
     read neither flux nor grid.
 
@@ -469,9 +520,10 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
     """
     c = v0.mean
     times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
+    log = StepLog(cfg.cfl)
     if v0.m == 0:
         return Trajectory([], [{"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
-                               for t in times])
+                               for t in times], log.record())
     if grid.m != v0.m:
         raise ValueError(f"problem needs a {v0.m}-dimensional grid")
     v = exact_cell_average(v0, grid)
@@ -481,24 +533,23 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
     rows = [_observe(0.0, v, c)]
     fields = [v]
     t = 0.0
-    steps = 0
     for target in times[1:]:
         while t < target - 1e-14:
             dt_cfl, dt, (v,) = advance(flux, cfg.cfl, target - t, v)
             # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the
             # alphas overflow
-            left = MAX_STEPS - steps
+            left = MAX_STEPS - log.steps
             if cfg.t_end - t > dt_cfl * left:
                 raise CflError(
                     f"step budget: t={t:g} to t_end={cfg.t_end:g} at dt={dt_cfl:.4g} "
                     f"takes more than the {left} steps left of the {MAX_STEPS} a run may take"
                 )
-            steps += 1
+            log.add(dt_cfl, dt)
             t += dt
         t = target
         rows.append(_observe(t, v, c))
         fields.append(v)
-    return Trajectory(fields=fields, rows=rows)
+    return Trajectory(fields=fields, rows=rows, stepping=log.record())
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apcl.solver as solver_mod
 from apcl import cli, harness
 from apcl.harness import (
     EXPERIMENTS,
@@ -34,7 +35,7 @@ from apcl.harness import (
 from apcl.flux import PiecewiseFlux, affine_on, directional, lift_flux, nondegeneracy_check
 from apcl.freqlattice import Frequency, FrequencyBasis, RealQ, group_basis
 from apcl.lift import lift_problem
-from apcl.solver import MAX_CELLS, exact_counterexample, read_field
+from apcl.solver import MAX_CELLS, advance, exact_counterexample, read_field
 from apcl.trigpoly import TrigPoly
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -144,7 +145,7 @@ BAD_NUMBERS = [
     pytest.param(decay_config, ("flux", "range", [-1, NAN]), id="range-nan"),
     pytest.param(wave_config, ("wave", "tau", True), id="tau-bool"),
     pytest.param(lambda: cube_config(), ("cube", "offset", [True]), id="offset-bool"),
-    pytest.param(contraction_config, ("cfl", 0.7), id="cfl-above-half"),
+    pytest.param(contraction_config, ("cfl", 1.0000001), id="cfl-above-one"),
     pytest.param(contraction_config, ("cfl", 0), id="cfl-zero"),
     pytest.param(contraction_config, ("cfl", "x"), id="cfl-string"),
 ]
@@ -796,7 +797,7 @@ def test_every_threshold_is_judged_against_its_scalar(kind):
 
 
 def test_threshold_without_its_scalar_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    silent = EXPERIMENTS["decay"]._replace(run=lambda cfg: ({}, {}, {}, {}))
+    silent = EXPERIMENTS["decay"]._replace(run=lambda cfg: ({}, {}, {}, {}, []))
     monkeypatch.setitem(EXPERIMENTS, "decay", silent)
     with pytest.raises(AssertionError, match="final_l1_to_mean"):
         run_experiment(parse_config(decay_config()))
@@ -826,6 +827,41 @@ def test_report_save_layout(tmp_path):
     assert payload["config"] == decay_config()
     assert payload["verdicts"] == {"final_l1_to_mean_max": True}
     assert payload["wall_clock_s"] > 0
+
+
+@pytest.mark.parametrize("kind, cfl", [("decay", None), ("decay", 0.3), ("contraction", None),
+                                       ("contraction", 0.45), ("counterexample", None),
+                                       ("convergence", None), ("spectrum", None)])
+def test_report_says_how_the_run_stepped(kind, cfl, tmp_path, monkeypatch):
+    # one StepLog record per solver run, per grid for convergence: its
+    # steps are the advance calls on that grid, its Courant peak the cfl
+    d = every_threshold_config(kind)
+    if cfl is None:
+        cfl = 0.9
+    elif kind == "contraction":
+        d["cfl"] = cfl
+    else:
+        d["solver"] = dict(d["solver"], cfl=cfl)
+    shapes = [tuple(g) for g in (d["grids"] if kind == "convergence" else [d["grid"]])]
+    grids = []
+
+    def counted(flux, cfl, t_remaining, *fields):
+        grids.append(fields[0].grid.shape)
+        return advance(flux, cfl, t_remaining, *fields)
+
+    monkeypatch.setattr(solver_mod, "advance", counted)
+    monkeypatch.setattr(harness, "advance", counted)
+    rep = run_experiment(parse_config(d))
+    assert [r["steps"] for r in rep.stepping] == [grids.count(s) for s in shapes]
+    assert len(grids) == sum(r["steps"] for r in rep.stepping)
+    for r in rep.stepping:
+        assert r["steps"] > 0 and 0.0 < r["dt_min"] <= r["dt_max"]
+        assert r["courant_max"] <= cfl
+    # a step that no record time caps runs at the cfl itself
+    assert rep.stepping[0]["courant_max"] == cfl
+    rep.save(str(tmp_path), prefix="demo")
+    payload = json.loads((tmp_path / "demo_report.json").read_text())
+    assert payload["stepping"] == rep.stepping
 
 
 def test_report_field_dump_roundtrip(tmp_path):

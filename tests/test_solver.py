@@ -60,7 +60,7 @@ def test_grid_validation():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(t_end=1.0, cfl=0.6)
+        SolverConfig(t_end=1.0, cfl=math.nextafter(1.0, 2.0))
     with pytest.raises(ValueError):
         SolverConfig(t_end=0.0)
     with pytest.raises(ValueError):
@@ -316,6 +316,8 @@ def test_run_zero_flux_constant_in_time():
     first = traj.fields[0].values
     for f in traj.fields[1:]:
         assert f.values == pytest.approx(first, abs=1e-14)
+    # every alpha is 0: each step runs to the next record time at Courant number 0
+    assert traj.stepping == {"steps": 2, "dt_min": 0.5, "dt_max": 0.5, "courant_max": 0.0}
 
 
 def test_run_records_and_mean():
@@ -367,6 +369,7 @@ def test_run_rank_zero_constant():
                SolverConfig(t_end=2.0, record_times=(1.0,)))
     assert [r["l1_to_mean"] for r in traj.rows] == [0.0, 0.0, 0.0]
     assert all(r["mass"] == 0.7 for r in traj.rows)
+    assert traj.stepping == {"steps": 0, "dt_min": None, "dt_max": None, "courant_max": None}
 
 
 def test_run_grid_dimension_mismatch():
@@ -925,3 +928,77 @@ def test_run_calls_lip_bound_once_per_step(monkeypatch):
         SolverConfig(t_end=0.2, record_times=(0.05,)))
     assert calls["step"] > 10
     assert calls["lip_bound"] == calls["step"]
+
+
+# --- monotone up to the cap: a Courant number of 1 ----------------------------
+
+MAKE_FLUX = [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd]
+ENTROPY_KS = (-1.5, -1 / 3, 0.1, 2 / 5, 1.8)
+
+
+def _bumped(shape, seed):
+    """A random field in [-1.8, 1.5], it with one cell raised by 0.01 to 0.5, another field, the cell."""
+    rng = np.random.default_rng(seed)
+    g = TorusGrid(shape)
+    u, other = rng.uniform(-1.8, 1.5, (2,) + shape)
+    raised = u.copy()
+    cell = tuple(int(rng.integers(n)) for n in shape)
+    raised[cell] += rng.uniform(0.01, 0.5)
+    return CellField(g, u), CellField(g, raised), CellField(g, other), cell
+
+
+def _assert_monotone_advance(make_flux, shape, courant, seed):
+    f, up, other, _ = _bumped(shape, seed)
+    flux = make_flux(len(shape))
+    fields = (f, up, other)
+    alphas = lip_bound(flux, min(x.vmin for x in fields), max(x.vmax for x in fields))
+    _, dt, stepped = advance(flux, courant, math.inf, *fields)
+    f2, up2, other2 = stepped
+    # raising one cell lowers no cell
+    assert np.all(up2.values >= f2.values - 1e-13)
+    for x, x2 in zip(fields, stepped):
+        assert x2.mean() == pytest.approx(x.mean(), rel=1e-13, abs=1e-14)
+        assert x.vmin - 1e-13 <= x2.vmin and x2.vmax <= x.vmax + 1e-13
+        for k in ENTROPY_KS:
+            assert entropy_residual(x, x2, flux, dt, k, alphas) <= 1e-12
+    assert l1_distance(f2, other2) <= l1_distance(f, other) + 1e-13
+    assert l1_distance(up2, other2) <= l1_distance(up, other) + 1e-13
+
+
+SHAPES_1_TO_3D = st.one_of(
+    st.tuples(st.integers(2, 64)),
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+)
+
+
+@given(shape=SHAPES_1_TO_3D, make_flux=st.sampled_from(MAKE_FLUX),
+       courant=st.floats(0.5, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_step_is_monotone_up_to_courant_one(shape, make_flux, courant, seed):
+    _assert_monotone_advance(make_flux, shape, courant, seed)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
+@pytest.mark.parametrize("make_flux", MAKE_FLUX)
+def test_advance_at_courant_one_is_monotone_and_not_refused(shape, make_flux):
+    # the step's own sum_j alpha_j dt/h_j lands an ulp or two from 1
+    _assert_monotone_advance(make_flux, shape, 1.0, 5)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
+@pytest.mark.parametrize("make_flux", MAKE_FLUX)
+def test_beyond_courant_one_the_bumped_cell_goes_down(shape, make_flux):
+    # u_i's weight in its own update is 1 - C: at C = 1.05 the step (the
+    # reference, which refuses nothing) lowers the cell it was raised in
+    f, up, _, cell = _bumped(shape, 5)
+    flux = make_flux(len(shape))
+    alphas = lip_bound(flux, f.vmin, up.vmax)
+    per_dt = sum(a / h for a, h in zip(alphas, f.grid.h))
+    dt = 1.05 / per_dt
+    assert _ref_step(up, flux, dt, alphas)[cell] < _ref_step(f, flux, dt, alphas)[cell]
+    with pytest.raises(CflError):
+        step(up, flux, dt, alphas)
+    # the refusal allows rounding only
+    with pytest.raises(CflError):
+        step(up, flux, (1 + 1e-10) / per_dt, alphas)
