@@ -6,10 +6,13 @@ the degree-d coefficient of component k on piece p, and ``_den`` is one
 positive denominator shared by every entry.  Exactness is the point:
 continuity at breakpoints, directional combinations xi.phi, lifting to the
 torus, and the linear non-degeneracy decision are all settled in Python
-integers, which cannot overflow.  Floats appear only in numeric evaluation
-paths, whose float tables a flux builds on first use.  RealQ, the rational
-reference and the bench's input form, appears only as an accepted
-coefficient: every result is integers over a denominator, or floats.
+integers, which cannot overflow.  A flux derives each of its lifts once:
+``lift_flux`` keeps the lambda_j.phi tensor per group on the flux, and a
+directional flux is an integer combination of that tensor's components.
+Floats appear only in numeric evaluation paths, whose float tables a flux
+builds on first use.  RealQ, the rational reference and the bench's input
+form, appears only as an accepted coefficient: every result is integers
+over a denominator, or floats.
 
 Non-degeneracy: the flux is degenerate for a group basis (lambda_1..lambda_m)
 iff some nonzero integer vector kbar makes u -> (sum_j kbar_j lambda_j).phi(u)
@@ -217,6 +220,11 @@ class PiecewiseFlux:
     # ``lift_flux``, so that a step evaluates the data flux once for every
     # component
     _lift = None
+
+    @cached_property
+    def _lifts(self) -> dict:
+        """``lift_flux``'s results for this flux, keyed by the group's (rows, den)."""
+        return {}
 
     @cached_property
     def _weights(self) -> tuple:
@@ -431,33 +439,43 @@ def _dot(xi, piece, mul, start: int = 0) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_basis(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
-    if gb.rank and gb.basis != flux.basis:
-        raise ValueError("group basis and flux use different frequency bases")
-
-
 def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
     if gb.rank < 1:
         raise ValueError("group basis must have positive rank")
-    _check_basis(flux, gb)
+    if gb.n != flux.n:
+        raise ValueError("group basis dimension disagrees with flux components")
+    if gb.basis != flux.basis:
+        raise ValueError("group basis and flux use different frequency bases")
 
 
 def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """Scalar piecewise polynomial u -> xi.phi(u), xi = sum_j kbar_j lambda_j.
 
-    Coefficients are exact; the breakpoints carry over.
+    Built as sum_j kbar_j (lambda_j.phi) from the components of the flux's
+    lift over ``gb`` (``lift_flux``, which derives it once), over the lift's
+    denominator.  Coefficients are exact; the breakpoints carry over.  It
+    raises whatever the lift raises: a group of rank 0, or a product of
+    basis elements the basis does not declare, even on a generator whose
+    kbar_j is 0.
     """
     kbar = tuple(int(k) for k in kbar)
     if len(kbar) != gb.rank:
         raise ValueError(f"kbar must have {gb.rank} entries")
-    _check_basis(flux, gb)
-    mul = flux.basis.structure
-    xi = gb.vector(kbar)
-    return PiecewiseFlux(flux.basis, flux.breakpoints,
-                         [[_dot(xi, piece, mul)] for piece in flux._num],
-                         den=gb.den * flux._den * mul[0])
+    lifted = lift_flux(flux, gb)
+    terms = [(j, k) for j, k in enumerate(kbar) if k]
+    q = flux.basis.dim
+    pieces = []
+    for piece in lifted._num:
+        degrees = []
+        # lambda_j.c_d for every j, degree d: every lift component of a
+        # piece has the same degrees
+        for dots in zip(*piece):
+            acc = [0] * q
+            for j, k in terms:
+                acc = [x + k * y for x, y in zip(acc, dots[j])]
+            degrees.append(tuple(acc))
+        pieces.append([degrees])
+    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, den=lifted._den)
 
 
 def _check_range(flux: PiecewiseFlux, lo: float, hi: float):
@@ -532,14 +550,22 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints.
 
     The lift of a scalar flux records it and the generators (``_lift``).
+    A flux derives each of its lifts once: the result is kept on the flux,
+    keyed by the group's canonical (rows, den), which with the flux's own
+    basis fixes it, so equal groups from separate ``group_basis`` calls
+    share one lift.  The group is checked on every call.
     """
     _check_group(flux, gb)
-    mul = flux.basis.structure
-    pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
-    lifted = PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
-                           den=gb.den * flux._den * mul[0])
-    if flux.n == 1:
-        lifted._lift = (flux, gb.generators, gb.den)
+    key = (gb.rows, gb.den)
+    lifted = flux._lifts.get(key)
+    if lifted is None:
+        mul = flux.basis.structure
+        pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
+        lifted = PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
+                               den=gb.den * flux._den * mul[0])
+        if flux.n == 1:
+            lifted._lift = (flux, gb.generators, gb.den)
+        flux._lifts[key] = lifted
     return lifted
 
 

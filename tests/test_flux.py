@@ -12,6 +12,7 @@ from numpy.polynomial import polynomial as npoly
 
 from apcl.flux import (
     PiecewiseFlux,
+    _dot,
     affine_on,
     directional,
     lift_flux,
@@ -469,6 +470,14 @@ def test_directional_is_k_dot_lift(data):
     if gb.rank == 0:
         return
     kbar = data.draw(st.lists(st.integers(-3, 3), min_size=gb.rank, max_size=gb.rank))
+    # the drawn kbar, its negative, and with a zero first entry
+    for k in (kbar, [-x for x in kbar], [0, *kbar[1:]]):
+        _assert_directional_is_k_dot_lift(flux, gb, k)
+
+
+def _assert_directional_is_k_dot_lift(flux, gb, kbar):
+    """``directional`` is sum_j k_j (lambda_j.phi) by RealQ, and the integer
+    tensor ``_dot(xi, piece)`` of xi = sum_j k_j lambda_j, numerators and den."""
     lifted = lift_flux(flux, gb)
     d = directional(flux, kbar, gb)
     assert d.breakpoints == lifted.breakpoints == flux.breakpoints
@@ -480,6 +489,10 @@ def test_directional_is_k_dot_lift(data):
                 acc = acc + comp[deg].scale(kj)
             want.append(acc)
         assert dpiece[0] == tuple(want)
+    mul = flux.basis.structure
+    xi = gb.vector(kbar)
+    assert d._num == tuple((tuple(_dot(xi, piece, mul)),) for piece in flux._num)
+    assert d._den == gb.den * flux._den * mul[0]
 
 
 @given(st.data())
@@ -541,6 +554,14 @@ def test_undeclared_product_raises_only_when_both_factors_are_irrational():
                  lambda: nondegeneracy_check(flux, gb)):
         with pytest.raises(ValueError, match="sqrt2\\*sqrt3 is not declared"):
             call()
+    # sqrt3 u + u^2/2: only the degree-1 coefficient needs sqrt2*sqrt3, and
+    # the decision reads degree >= 2 only, so it still gives a verdict; the
+    # lift and a directional flux, built from it, need every degree
+    linear = PiecewiseFlux(B3, [-1, 1], [[["0", ["0", "0", "1"], "1/2"]]])
+    assert nondegeneracy_check(linear, gb).nondegenerate
+    for call in (lambda: lift_flux(linear, gb), lambda: directional(linear, (1,), gb)):
+        with pytest.raises(ValueError, match="sqrt2\\*sqrt3 is not declared"):
+            call()
     # a rational factor on either side needs no product table
     rational = group_basis([Frequency.of(B3, [["2", "0", "0"]])])
     assert reference.pieces(lift_flux(flux, rational))[0][0][2].coeffs == (0, 0, 2)
@@ -563,6 +584,11 @@ def test_fractional_product_table():
     assert reference.pieces(directional(flux, (1,), gb))[0][0] == comp
     v = nondegeneracy_check(flux, gb)
     assert v.nondegenerate
+    # rank 2, so kbar can have a zero or a negative entry
+    two = group_basis([Frequency.of(basis, [["1", "2"]]), Frequency.of(basis, [["0", "1/3"]])])
+    assert two.rank == 2
+    for kbar in ((0, 0), (1, 0), (0, -1), (-2, 3), (3, -1)):
+        _assert_directional_is_k_dot_lift(flux, two, kbar)
 
 
 def test_structure_table_is_built_per_basis_object():

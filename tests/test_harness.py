@@ -968,6 +968,26 @@ def test_cli_refusal_exit_three(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_cli_decides_a_flux_it_cannot_lift(tmp_path, capsys):
+    # sqrt3 u + u^2/2 over the group sqrt2, no products declared: the
+    # decision reads degree >= 2 only, the lift needs sqrt2*sqrt3 at degree 1
+    basis = {"labels": ["1", "sqrt2", "sqrt3"], "values": [1.0, 2 ** 0.5, 3 ** 0.5]}
+    flux = {"breakpoints": ["-1", "1"], "pieces": [[["0", ["0", "0", "1"], "1/2"]]]}
+    group = [[["0", "1", "0"]]]
+    d = checkflux_config(basis=basis, flux=flux, group_frequencies=group,
+                         thresholds={"expect": "nondegenerate"})
+    rc = cli.main(["check-flux", "--config", write_config(tmp_path, d),
+                   "--out", str(tmp_path / "check")])
+    assert rc == 0
+    assert "nondegenerate = 1.0" in capsys.readouterr().out.splitlines()
+    d = wave_config(basis=basis, flux=flux, group_frequencies=group)
+    rc = cli.main(["counterexample", "--config", write_config(tmp_path, d),
+                   "--out", str(tmp_path / "wave")])
+    assert rc == 3
+    assert "sqrt2*sqrt3 is not declared" in capsys.readouterr().err
+    assert not (tmp_path / "wave").exists()
+
+
 @pytest.mark.parametrize("stem, wave", [
     ("transport_counterexample", {"a": "0", "b": "1/2", "kbar": [0]}),
     ("transport_counterexample", {"a": "-1/4", "b": "1/4", "kbar": [0]}),

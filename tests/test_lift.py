@@ -15,7 +15,7 @@ from apcl.flux import (
 )
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis, member_coords
 from apcl.lift import interp_periodic, lift_problem
-from apcl.solver import CellField, TorusGrid
+from apcl.solver import CellField, TorusGrid, advance, exact_cell_average
 from apcl.trigpoly import TorusPoly, TrigPoly
 from bitwise import same_bits
 
@@ -229,6 +229,38 @@ def test_lift_problem_matches_first_formulas(data):
     assert list(pb.v0.terms) == list(v0.terms)
     assert same_bits(np.array(list(pb.v0.terms.values())), np.array(list(v0.terms.values())))
     assert pb.v0.mean == v0.mean
+
+
+def test_lift_is_derived_once_per_flux_and_group():
+    u0 = quasi_data()
+    spectrum = list(u0.spectrum())
+    flux = burgers(B2)
+    # the conjugate-closed spectrum in another order: a distinct, equal group
+    gb1, gb2 = group_basis(spectrum), group_basis(spectrum[::-1])
+    assert gb1 is not gb2 and (gb1.rows, gb1.den) == (gb2.rows, gb2.den)
+    lifted = lift_flux(flux, gb1)
+    assert lift_flux(flux, gb2) is lifted
+    assert lift_problem(u0, flux).flux is lift_flux(flux, group_basis(u0.spectrum()))
+    # another group, or another flux with equal coefficients, gets its own lift
+    other = group_basis([Frequency.of(B2, [[2, 0]]), Frequency.of(B2, [[0, 1]])])
+    assert lift_flux(flux, other) is not lifted
+    assert lift_flux(flux, other)._num != lifted._num
+    twin = burgers(B2)
+    fresh = lift_flux(twin, gb1)
+    assert fresh is not lifted
+    assert (fresh._num, fresh._den) == (lifted._num, lifted._den)
+    # the group is checked before the lookup: equal rows over another basis
+    b3 = FrequencyBasis.with_sqrt(3)
+    alien = group_basis([Frequency.of(b3, [[1, 0]]), Frequency.of(b3, [[0, 1]])])
+    assert (alien.rows, alien.den) == (gb1.rows, gb1.den)
+    with pytest.raises(ValueError, match="different frequency bases"):
+        lift_flux(flux, alien)
+    # a step on the memoized lift, float tables built or not, is a step on a fresh one
+    field = exact_cell_average(lift_problem(u0, None, group=gb1).v0, TorusGrid((32, 16)))
+    want_dt, _, (want,) = advance(fresh, 0.9, np.inf, field)
+    for _ in range(2):
+        dt, _, (got,) = advance(lift_flux(flux, gb2), 0.9, np.inf, field)
+        assert dt == want_dt and same_bits(got.values, want.values)
 
 
 FLOAT_TABLES = {"_bp_f", "_coef_f", "_dcoef_f"}
