@@ -172,17 +172,17 @@ class PiecewiseFlux:
     on [u_p, u_{p+1}], each a RealQ, a list of rational basis coordinates or
     a rational.  They are stored as one integer tensor, ``_num[p][k][d]`` a
     q-tuple of numerators over the common denominator ``_den``, ragged in
-    degree as given; with ``den`` set, ``pieces`` already holds those
-    numerators (the form derived fluxes are built in).  Continuity at
-    every interior breakpoint is checked exactly at construction.
+    degree as given.  The constructor checks the breakpoints, the shape and
+    continuity at every interior breakpoint exactly.  A flux derived from a
+    checked one (``_derived``: its lift, a directional flux) is a Q-linear
+    image of it, so it is continuous too and is not checked again.
     Evaluation takes the end pieces up to 1e-12 past the working range
     ``urange``, the float breakpoint span [u_0, u_P], and refuses values
     beyond (``_check_range``); it takes the right piece at interior
     breakpoints, the left piece at u_P.
     """
 
-    def __init__(self, basis: FrequencyBasis, breakpoints, pieces, *,
-                 den: int | None = None):
+    def __init__(self, basis: FrequencyBasis, breakpoints, pieces):
         self.basis = basis
         self.breakpoints = tuple(
             b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints
@@ -197,14 +197,11 @@ class PiecewiseFlux:
         ncomp = len(pieces[0])
         if ncomp < 1:
             raise ValueError("flux needs at least one component")
-        if den is None:
-            nums, den = _clear(_coords(basis, c) for piece in pieces
-                               for comp in piece for c in comp)
-            nums = iter(nums)
-            pieces = [[[next(nums) for _ in comp] for comp in piece] for piece in pieces]
-        self._den = den
+        nums, self._den = _clear(_coords(basis, c) for piece in pieces
+                                 for comp in piece for c in comp)
+        nums = iter(nums)
         self._num = tuple(
-            tuple(tuple(tuple(c) for c in comp) for comp in piece) for piece in pieces
+            tuple(tuple(tuple(next(nums)) for _ in comp) for comp in piece) for piece in pieces
         )
         for piece in self._num:
             if len(piece) != ncomp:
@@ -215,6 +212,21 @@ class PiecewiseFlux:
         except OverflowError:
             raise ValueError("breakpoints must lie within float range") from None
         self._check_continuity()
+
+    @classmethod
+    def _derived(cls, source: "PiecewiseFlux", pieces, den: int) -> "PiecewiseFlux":
+        """The flux with numerators ``pieces[p][k][d]`` (q-tuples) over ``den``,
+        on ``source``'s basis and breakpoints.
+
+        Unchecked: for Q-linear images of the checked ``source`` only, as
+        ``lift_flux`` and ``directional`` build.
+        """
+        self = cls.__new__(cls)
+        self.basis, self.breakpoints, self.urange = source.basis, source.breakpoints, source.urange
+        self._den = den
+        self._num = tuple(tuple(tuple(comp) for comp in piece) for piece in pieces)
+        self.n = len(self._num[0])
+        return self
 
     # the lift of a scalar flux: (data flux, generators, their den), set by
     # ``lift_flux``, so that a step evaluates the data flux once for every
@@ -475,7 +487,7 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
                 acc = [x + k * y for x, y in zip(acc, dots[j])]
             degrees.append(tuple(acc))
         pieces.append([degrees])
-    return PiecewiseFlux(flux.basis, flux.breakpoints, pieces, den=lifted._den)
+    return PiecewiseFlux._derived(flux, pieces, lifted._den)
 
 
 def _check_range(flux: PiecewiseFlux, lo: float, hi: float):
@@ -561,8 +573,7 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     if lifted is None:
         mul = flux.basis.structure
         pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
-        lifted = PiecewiseFlux(flux.basis, flux.breakpoints, pieces,
-                               den=gb.den * flux._den * mul[0])
+        lifted = PiecewiseFlux._derived(flux, pieces, gb.den * flux._den * mul[0])
         if flux.n == 1:
             lifted._lift = (flux, gb.generators, gb.den)
         flux._lifts[key] = lifted

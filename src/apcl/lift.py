@@ -195,14 +195,19 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
         return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
                              lam=np.zeros((0, u0.n)))
     terms = []
-    # u0's amplitudes come in spectrum order, so no frequency is hashed
-    for lamf, amp in zip(spectrum, u0._amps.tolist()):
+    # one solve per +-pair, for its first key: the pairs' first keys are the
+    # first half of the spectrum, in order, and TorusPoly adds each -k
+    half = len(u0._pair_amps)
+    for lamf, amp in zip(spectrum, u0._pair_amps.tolist()):
         k = member_coords(lamf, gb)
         if k is None:
             raise ValueError(
                 f"data frequency {lamf} lies outside the declared group"
             )
         terms.append((k, amp))
+    if len(spectrum) > 2 * half:
+        # the zero frequency, in the middle
+        terms.append(((0,) * gb.rank, u0.terms[spectrum[half]]))
     v0 = TorusPoly(gb.rank, terms)
     values = gb.basis.values
     lam = np.array([[_value(c, gb.den, values) for c in comp] for comp in gb.generators],

@@ -3,8 +3,10 @@
 TrigPoly: finite sum of a_lam * e^{2 pi i lam.x} over frequencies lam in R^n
 with exact coordinates (``Frequency``).  TorusPoly: the same over integer
 frequencies on the m-torus.  Reality is a structural invariant: the
-coefficient at -lam is stored and must equal the conjugate at lam, so
-evaluation is real up to roundoff (asserted).
+coefficient at -lam is stored and must equal the conjugate at lam.  So
+evaluation sums each +-lam pair once, as a real cosine and sine, and is
+real by construction; only ``solver.exact_cell_average`` still forms a
+complex sum, whose imaginary residue ``_TrigCore.real`` asserts is roundoff.
 """
 
 from __future__ import annotations
@@ -25,14 +27,18 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def _normalize_real_terms(items, negate):
+def _normalize_real_terms(items, negate, sort_key, row):
     """Enforce the a_{-key} = conj(a_key) pairing; drop exact zeros.
 
-    Returns the terms and the mean, the coefficient at the one self-paired
-    key (the zero frequency).
+    Returns the terms, the self-paired key (the zero frequency) or None,
+    and the +-key pairs, each met once in this one pass: one
+    (sort_key(first), first, second, row(first)) per pair, first the key of
+    the pair that sorts first.  ``sort_key`` reverses its order under
+    ``negate``, as a linear one on integer coordinates does.
     """
     terms = {}
-    mean = 0.0
+    zero = None
+    pairs = []
     for key, amp in items:
         amp = complex(amp)
         if amp == 0:
@@ -42,14 +48,18 @@ def _normalize_real_terms(items, negate):
             # self-paired frequency (zero): coefficient must be real
             if amp.imag != 0.0:
                 raise ValueError(f"coefficient at self-paired frequency {key} must be real")
-            mean = amp.real
-        if key in terms and terms[key] != amp:
-            raise ValueError(f"conflicting coefficients at {key}")
-        if neg in terms and terms[neg] != amp.conjugate():
-            raise ValueError(f"reality conflict between {key} and its negative")
+            zero = key
+        if key in terms:
+            # the key or its negative came before
+            if terms[key] != amp:
+                raise ValueError(f"conflicting coefficients at {key}")
+        elif key != neg:
+            at_key, at_neg = sort_key(key), sort_key(neg)
+            pairs.append((at_key, key, neg, row(key)) if at_key < at_neg
+                         else (at_neg, neg, key, row(neg)))
         terms[key] = amp
         terms[neg] = amp.conjugate()
-    return terms, mean
+    return terms, zero, pairs
 
 
 def _items(terms) -> list:
@@ -59,14 +69,18 @@ def _items(terms) -> list:
 class _TrigCore:
     """Evaluation core shared by TrigPoly and TorusPoly.
 
-    Holds the reality-normalised terms in a fixed key order, their mean,
-    float frequency matrix and amplitudes, and evaluates them.  Refuses
-    with OverflowError terms whose sum of |a|, over every key and so over
-    each conjugate too, is not a finite float.
+    Holds the reality-normalised terms, their spectrum in ``sort_key``
+    order, their mean, and one float frequency row and amplitude per +-pair
+    (``_pair_rows``, ``_pair_amps``, in spectrum order: the pair's first
+    key, which is the first half of the spectrum), and evaluates them.
+    Refuses with OverflowError terms whose sum of |a|, over every key and so
+    over each conjugate too, is not a finite float.
     """
 
     def __init__(self, dim: int, items, negate, sort_key=None, row=tuple):
-        self.terms, self.mean = _normalize_real_terms(items, negate)
+        self.terms, zero, pairs = _normalize_real_terms(
+            items, negate, sort_key or (lambda k: k), row)
+        self.mean = 0.0 if zero is None else self.terms[zero].real
         # the scale of every roundoff check on the values
         try:
             self._amp_scale = math.fsum(abs(a) for a in self.terms.values())
@@ -75,17 +89,20 @@ class _TrigCore:
         if not math.isfinite(self._amp_scale):
             raise OverflowError("the sum of |re + i im| over the terms and their "
                                 "conjugates lies beyond float range")
-        self._keys = sorted(self.terms, key=sort_key)
-        self._freq_mat = np.array(
-            [row(k) for k in self._keys], dtype=float
-        ).reshape(len(self._keys), dim)
-        self._amps = np.array([self.terms[k] for k in self._keys], dtype=complex)
+        pairs.sort(key=lambda p: p[0])
+        firsts = [p[1] for p in pairs]
+        # the order reverses under negation: the first keys, the zero, then
+        # the second keys backwards
+        self._keys = firsts + ([] if zero is None else [zero]) + [p[2] for p in pairs[::-1]]
+        self._pair_rows = np.array([p[3] for p in pairs], dtype=float).reshape(len(pairs), dim)
+        # the coefficient given last for the key, as ``terms`` holds it
+        self._pair_amps = np.array([self.terms[k] for k in firsts], dtype=complex)
 
     def spectrum(self) -> tuple:
         return tuple(self._keys)
 
     def real(self, vals: np.ndarray) -> np.ndarray:
-        """``vals.real`` of values of this sum; asserts |imag| <= 1e-12 max(sum|a|, 1e-300)."""
+        """``vals.real`` of complex values of this sum; asserts |imag| <= 1e-12 max(sum|a|, 1e-300)."""
         resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
         assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
             f"imaginary residue {resid:.3e} exceeds tolerance"
@@ -93,16 +110,25 @@ class _TrigCore:
         return vals.real
 
     def eval(self, x):
-        """Evaluate at x (shape (dim,) or (N, dim)); returns real values (see ``real``)."""
+        """Values at x (shape (dim,) or (N, dim)): mean + sum_pairs 2 Re(a e^{i theta}).
+
+        With theta = 2 pi x.lam over the pairs' first keys, each pair adds
+        2 re cos(theta) - 2 im sin(theta), which is real by construction.
+        """
         xs = np.atleast_2d(np.asarray(x, dtype=float))
-        dim = self._freq_mat.shape[1]
+        dim = self._pair_rows.shape[1]
         if xs.shape[-1] != dim:
             raise ValueError(f"points must have {dim} coordinates")
-        if len(self._keys) == 0:
-            out = np.zeros(xs.shape[0])
+        if len(self._pair_amps) == 0:
+            out = np.full(xs.shape[0], self.mean)
         else:
-            phase = xs @ self._freq_mat.T
-            out = self.real(np.exp(2j * np.pi * phase) @ self._amps)
+            theta = xs @ self._pair_rows.T
+            theta *= 2.0 * np.pi
+            amps = self._pair_amps
+            out = np.cos(theta) @ amps.real
+            out -= np.sin(theta) @ amps.imag
+            out *= 2.0
+            out += self.mean
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 

@@ -1,12 +1,15 @@
-"""RealQ views of the program's integer forms, for the reference tests.
+"""Reference forms of what the program computes, for the reference tests.
 
 The package computes in integer numerators over one denominator and in
 floats; ``RealQ`` is the rational reference the tests check against.
 These helpers build the same ``RealQ`` values from a flux's ``_num`` and
-``_den`` and from ``FrequencyBasis.real``.
+``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` is the complex
+sum a trigonometric polynomial's values were first taken from.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from apcl.flux import affine_on
 
@@ -39,3 +42,19 @@ def affine(scalar_flux, a, b):
     if pair is None:
         return None
     return tuple(real(scalar_flux.basis, c, scalar_flux._den) for c in pair)
+
+
+def trig_values(p, xs):
+    """Re(exp(2 pi i x.F) @ a) over every key of ``p``'s spectrum, at points ``xs`` (N, dim).
+
+    F holds the keys' float rows (``Frequency.floats``, or the integer
+    vector), a their coefficients; ``p.real`` asserts that the imaginary
+    residue is roundoff.
+    """
+    keys = p.spectrum()
+    xs = np.asarray(xs, dtype=float)
+    if not keys:
+        return np.zeros(len(xs))
+    rows = np.array([k.floats() if hasattr(k, "floats") else k for k in keys], dtype=float)
+    amps = np.array([p.terms[k] for k in keys], dtype=complex)
+    return p.real(np.exp(2j * np.pi * (xs @ rows.reshape(len(keys), -1).T)) @ amps)

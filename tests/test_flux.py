@@ -21,6 +21,7 @@ from apcl.flux import (
 )
 from apcl.freqlattice import Frequency, FrequencyBasis, _value, group_basis
 import reference
+from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -493,6 +494,36 @@ def _assert_directional_is_k_dot_lift(flux, gb, kbar):
     xi = gb.vector(kbar)
     assert d._num == tuple((tuple(_dot(xi, piece, mul)),) for piece in flux._num)
     assert d._den == gb.den * flux._den * mul[0]
+
+
+def _checked(flux):
+    """``flux`` rebuilt through the public constructor from its rational coefficients."""
+    return PiecewiseFlux(flux.basis, flux.breakpoints, [
+        [[[Fraction(x, flux._den) for x in c] for c in comp] for comp in piece]
+        for piece in flux._num])
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_derived_fluxes_are_continuous_and_equal_the_checked_build(data):
+    """The lift and directional fluxes skip the constructor's checks: they
+    are continuous anyway, and equal what the checked constructor builds."""
+    flux, gb = _draw_case(data, irrational=data.draw(st.booleans()))
+    if gb.rank == 0:
+        return
+    kbar = data.draw(st.lists(st.integers(-3, 3), min_size=gb.rank, max_size=gb.rank))
+    derived = [lift_flux(flux, gb)] + [
+        directional(flux, k, gb)
+        for k in (kbar, [-x for x in kbar], [0] * gb.rank, [0, *kbar[1:]])]
+    for d in derived:
+        d._check_continuity()
+        checked = _checked(d)
+        assert set(vars(checked)) <= set(vars(d))
+        for name in ("basis", "breakpoints", "urange", "n"):
+            assert getattr(d, name) == getattr(checked, name)
+        # the same rationals, over a denominator that need not be the least
+        assert reference.pieces(d) == reference.pieces(checked)
+        assert same_bits(d._coef_f, checked._coef_f)
 
 
 @given(st.data())

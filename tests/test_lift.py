@@ -1,5 +1,7 @@
 """Dimension lifting and orbit sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,18 @@ def test_lift_round_trip_internal_check():
     direct = u0.eval(xs)
     via = pb.v0.eval(xs @ pb.lam.T)
     assert via == pytest.approx(direct, abs=1e-10)
+
+
+def test_lift_refuses_phases_beyond_float_range():
+    # one frequency 1e307: 2 pi lambda.x overflows at the check points |x| <= 3
+    u0 = TrigPoly(B1, 1, {Frequency.of(B1, [[10 ** 307]]): 0.5})
+    with pytest.raises(ValueError, match=re.escape(
+            "lift round trip: the phases 2 pi lambda.x at the check points lie beyond "
+            "float range; the largest |Lambda| entry is 1e+307")):
+        lift_problem(u0, None)
+    # 1e306 stays in range, and both sides round the same phases
+    pb = lift_problem(TrigPoly(B1, 1, {Frequency.of(B1, [[10 ** 306]]): 0.5}), None)
+    assert pb.lam.tolist() == [[1e306]]
 
 
 # --- oracles: the lift's first formulas ---------------------------------------

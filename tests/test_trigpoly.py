@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from apcl.freqlattice import Frequency, FrequencyBasis
 from apcl.trigpoly import TorusPoly, TrigPoly, fejer_damp, fejer_factor
+import reference
 
 B1 = FrequencyBasis.rational()
+B2 = FrequencyBasis.with_sqrt(2)
 
 XI = Frequency.of(B1, [[1]])
 
@@ -159,3 +161,95 @@ def test_fejer_damp_linear():
     for k in set(v.terms) | set(w.terms) | set(left.terms):
         expect = fejer_factor(k, r) * (v.coeff(k) + w.coeff(k))
         assert left.coeff(k) == pytest.approx(expect, abs=1e-15)
+
+
+# eval sums each +-pair once as 2 re cos - 2 im sin; the complex sum over
+# every key (reference.trig_values) agrees with it to a fraction of sum |a|.
+# Both take cos and sin of phases 2 pi x.lam, but a phase of dim products
+# may round differently in the two matrix products (one fused multiply-add
+# more or less), by up to dim * eps * sum_i |x_i lam_i| each, and cos and
+# sin pass that on at most unchanged.  So the bound is
+# sum |a| * (1e-14 + 4 pi dim eps max_k sum_i |x_i lam_ki|).  Over 3000
+# random TorusPolys with phases up to 1.5e3 the largest gap was 9e-13 of
+# sum |a|, about a quarter of this bound.
+def _eval_bound(p, xs, dim):
+    rows = np.array([k.floats() if isinstance(k, Frequency) else k for k in p.spectrum()],
+                    dtype=float).reshape(-1, dim)
+    phase = float(np.max(np.abs(xs) @ np.abs(rows).T, initial=0.0))
+    amp_sum = sum(abs(a) for a in p.terms.values())
+    return amp_sum * (1e-14 + 4 * np.pi * dim * np.finfo(float).eps * phase)
+
+
+def _draw_sum(data):
+    """A TrigPoly or a TorusPoly with 0-4 +-pairs, and a mean that is absent, 0 or drawn."""
+    amp = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    mean = data.draw(st.sampled_from(["absent", "zero", "drawn"]))
+    if data.draw(st.booleans()):
+        basis, n = data.draw(st.sampled_from([B1, B2])), data.draw(st.integers(1, 2))
+        coord = st.fractions(min_value=-10, max_value=10, max_denominator=4)
+        key = st.lists(st.lists(coord, min_size=basis.dim, max_size=basis.dim),
+                       min_size=n, max_size=n).map(lambda rows: Frequency.of(basis, rows))
+        zero = Frequency.of(basis, [[0] * basis.dim] * n)
+        make = lambda terms: TrigPoly(basis, n, terms)  # noqa: E731
+    else:
+        n = data.draw(st.integers(1, 3))
+        key = st.tuples(*[st.integers(-10, 10)] * n)
+        zero = (0,) * n
+        make = lambda terms: TorusPoly(n, terms)  # noqa: E731
+    terms = []
+    for k in data.draw(st.lists(key, max_size=4)):
+        if k != zero:
+            # either key of a pair
+            terms.append((k, data.draw(amp)))
+    if mean != "absent":
+        terms.append((zero, 0.0 if mean == "zero" else data.draw(st.floats(-2.0, 2.0))))
+    return make(_one_per_pair(terms)), n
+
+
+def _one_per_pair(terms):
+    """The terms with the later key of any +-pair dropped, so that no pair conflicts."""
+    seen, out = set(), []
+    for k, a in terms:
+        neg = -k if isinstance(k, Frequency) else tuple(-c for c in k)
+        if k not in seen:
+            seen.update((k, neg))
+            out.append((k, a))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_eval_matches_the_complex_sum(data):
+    p, dim = _draw_sum(data)
+    scale = data.draw(st.sampled_from([1.0, 10.0, 50.0]))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    # phases x.lam up to a few 1e3 at the largest scale
+    xs = np.random.default_rng(seed).uniform(-scale, scale, size=(64, dim))
+    got, want = p.eval(xs), reference.trig_values(p, xs)
+    bound = _eval_bound(p, xs, dim)
+    assert got.shape == want.shape == (64,)
+    assert np.max(np.abs(got - want), initial=0.0) <= bound
+    # one point, as a float
+    one = p.eval(xs[0])
+    assert type(one) is float and abs(one - want[0]) <= bound
+    if not p.terms:
+        assert not np.any(got)
+    elif len(p.terms) == 1:
+        # the mean alone
+        assert np.all(got == p.mean)
+
+
+def test_eval_has_one_row_and_amplitude_per_pair():
+    xi2 = Frequency.of(B1, [[2]])
+    p = TrigPoly(B1, 1, [(XI, 0.5j), (-xi2, 0.25), (Frequency.of(B1, [[0]]), 0.3), (xi2, 0.25)])
+    assert p.spectrum() == (-xi2, -XI, Frequency.of(B1, [[0]]), XI, xi2)
+    # the first key of each pair, in spectrum order, and its coefficient
+    assert p._pair_rows.tolist() == [[-2.0], [-1.0]]
+    assert p._pair_amps.tolist() == [0.25, -0.5j]
+    assert p.eval([0.25]) == pytest.approx(0.3 + 0.25 * 2 * np.cos(np.pi) - 1.0, abs=1e-15)
+
+
+def test_eval_at_an_infinite_phase_raises_under_errstate():
+    # the lift's round trip refuses phases beyond float range through this
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        TorusPoly(1, {(1,): 0.5}).eval(np.array([[np.inf]]))
