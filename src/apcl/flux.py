@@ -499,15 +499,20 @@ def _check_range(flux: PiecewiseFlux, lo: float, hi: float):
 
 
 def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
-    """Per-component bound on |d phi_k/du| over [lo, hi], padded by 10%.
+    """Per-component max of |d phi_k/du| over [lo, hi], with no safety factor.
 
     The max of |phi_k'| over each piece's share of [lo, hi] (the end
     pieces reach into the slack past the span, as in evaluation), taken at
     the share's ends and at the real roots of phi_k'' strictly between
-    them, times the deliberate 1.1 safety factor.  phi_k' is evaluated in
-    floats with the operations of numpy's ``polyval``; where phi_k' is
-    affine (flux degree <= 2) its rounded values are monotone, so no point
-    between the ends can exceed them.
+    them.  A monotone step needs alpha_k >= |phi_k'| and nothing more, so
+    the max itself is returned.  phi_k' is evaluated in floats with the
+    operations of numpy's ``polyval``.  Where phi_k' is affine (flux degree
+    <= 2) the max is at an end, and its rounded values are monotone, so no
+    float between the ends exceeds the result: it is exact up to the
+    rounding of phi_k' at the end.  Above degree 2 an interior peak sits at
+    a root of phi_k'' that ``np.roots`` returns with an error delta; as
+    phi_k'' vanishes there, phi_k' at it is off the true peak by
+    O(delta^2), second order, far below the rounding of a step.
     """
     lo, hi = float(lo), float(hi)
     if not lo <= hi:
@@ -529,7 +534,7 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
                     v = v * x + ci
                 if abs(v) > best:
                     best = abs(v)
-        out.append(1.1 * best)
+        out.append(best)
     return tuple(out)
 
 

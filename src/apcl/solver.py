@@ -2,12 +2,14 @@
 
 Unsplit conservative update with a Rusanov numerical flux per axis,
 F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
-global viscosity per step and axis: 1.1 times the max of |phi_j'| over the
-current field range, which ``lip_bound`` takes in closed form from the
-piece ends and the critical points of phi_j' between them.  ``advance``
-is the one place that chooses them: it computes the alphas once per step,
-takes dt from them and hands the same alphas to ``step``; ``run`` and the
-harness's two-field contraction both step through it.
+global viscosity per step and axis: the max of |phi_j'| over the current
+field range, with no safety factor, which ``lip_bound`` takes in closed
+form from the piece ends and the critical points of phi_j' between them.
+For a linear flux at a Courant number of 1 the step is exact upwind, a
+shift by one cell.  ``advance`` is the one place that chooses the alphas:
+it computes them once per step, takes dt from them and hands the same
+alphas to ``step``; ``run`` and the harness's two-field contraction both
+step through it.
 
 The update is monotone when every new value is a nondecreasing function
 of the old ones.  Its weight on u_i is 1 - C, C = sum_j alpha_j dt/h_j

@@ -157,10 +157,10 @@ def test_directional_matches_float_dot():
 def test_lip_bound_examples():
     f = burgers(lo=-1, hi=1)
     (b,) = lip_bound(f, -1.0, 1.0)
-    assert 1.0 <= b <= 1.1 + 1e-12
+    assert b == 1.0
     aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
     (b,) = lip_bound(aff, -1.0, 1.0)
-    assert 2.0 <= b <= 2.2 + 1e-12
+    assert b == 2.0
     const = PiecewiseFlux(B1, [-1, 1], [[["3/2"]]])
     assert lip_bound(const, -1.0, 1.0) == (0.0,)
 
@@ -173,7 +173,7 @@ def test_lip_bound_monotone_in_interval():
 
 
 def _ref_lip_bound(flux, lo, hi):
-    """The sampled bound: |phi_k'| on 1024 points of each intersected piece, times 1.1.
+    """The sampled bound: max |phi_k'| on 1024 points of each intersected piece.
 
     The end pieces reach past the span, into the slack that evaluation takes.
     """
@@ -188,7 +188,7 @@ def _ref_lip_bound(flux, lo, hi):
                 continue
             us = np.linspace(a, b, 1024) if a < b else np.array([a])
             best = max(best, float(np.abs(npoly.polyval(us, flux._dcoef_f[p, k])).max()))
-        out.append(1.1 * best)
+        out.append(best)
     return tuple(out)
 
 
@@ -235,7 +235,7 @@ def test_lip_bound_equals_sampled_bound_up_to_degree_two(data):
 
 def test_lip_bound_exact_max_above_degree_two():
     """A cubic and a quartic piece whose |phi'| peaks inside: the bound is
-    at least the sampled one and 1.1 max|phi'| on a fine grid."""
+    at least the sampled one and max|phi'| on a fine grid, and it is the exact peak."""
     # phi' = 3 - (u+1)^2 on [-2, 0] (peak 3 at u = -1), phi' = u^3 - 3u^2 + 2u
     # on [0, 2] (peaks 2/(3 sqrt3) at u = 1 -+ 1/sqrt3, irrational)
     f = PiecewiseFlux(B1, [-2, 0, 2], [[["-1/3", "2", "-1", "-1/3"]],
@@ -251,10 +251,10 @@ def test_lip_bound_exact_max_above_degree_two():
                 us = np.linspace(a, b, 100_001)
                 fine = max(fine, float(np.abs(npoly.polyval(us, f._dcoef_f[p, 0])).max()))
         assert got >= ref * (1 - 1e-12)
-        assert got >= 1.1 * fine * (1 - 1e-12)
-    assert lip_bound(f, -2.0, 2.0)[0] == pytest.approx(3.3, rel=1e-15)
+        assert got >= fine * (1 - 1e-12)
+    assert lip_bound(f, -2.0, 2.0)[0] == pytest.approx(3.0, rel=1e-15)
     # away from u = 0, where the cubic's phi'(0) = 2 counts too
-    assert lip_bound(f, 0.1, 1.9)[0] == pytest.approx(1.1 * 2 / (3 * 3 ** 0.5), rel=1e-12)
+    assert lip_bound(f, 0.1, 1.9)[0] == pytest.approx(2 / (3 * 3 ** 0.5), rel=1e-12)
 
 
 def test_lip_bound_reaches_into_the_slack():
@@ -265,7 +265,7 @@ def test_lip_bound_reaches_into_the_slack():
     for (a, b), u, p in (((lo, -0.5), lo, 0), ((0.5, hi), hi, -1), ((lo, hi), hi, -1)):
         slope = abs(float(npoly.polyval(u, f._dcoef_f[p, 0])))
         assert slope > 1.0
-        assert lip_bound(f, a, b) == (1.1 * slope,)
+        assert lip_bound(f, a, b) == (slope,)
 
 
 def test_nd_burgers_nondegenerate():

@@ -100,8 +100,9 @@ def test_cfl_dt_burgers_range():
     g = TorusGrid((100,))
     vals = np.linspace(-1.0, 1.0, 100)
     f = CellField(g, vals)
+    # alpha = max|u| = 1 exactly, so dt = cfl h
     dt = cfl_dt(f, 0.45, lip_bound(burgers_1d(), f.vmin, f.vmax))
-    assert 0.0040 <= dt <= 0.0045
+    assert dt == pytest.approx(0.45 / 100, rel=1e-15)
 
 
 def test_cfl_dt_affine_constant_field():
@@ -533,6 +534,12 @@ def _cubic_nd(m):
     return PiecewiseFlux(B1, [-2, 2], [[[0, j + 1, 0, j + 1] for j in range(m)]])
 
 
+def _linear_nd(m):
+    """(j+1) u/2 on [-2, 2]: alpha_j = |phi_j'| exactly, so at a Courant number
+    of 1 the step is upwind and its weight on the downwind neighbour is 0."""
+    return PiecewiseFlux(B1, [-2, 2], [[[0, Fraction(j + 1, 2)] for j in range(m)]])
+
+
 def _padded_nd(m):
     """Cubic, zero-padded affine, cubic on [-2, -1/3, 2/5, 2]; component j times j+1.
 
@@ -932,7 +939,7 @@ def test_run_calls_lip_bound_once_per_step(monkeypatch):
 
 # --- monotone up to the cap: a Courant number of 1 ----------------------------
 
-MAKE_FLUX = [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd]
+MAKE_FLUX = [_burgers_nd, _three_piece_nd, _cubic_nd, _padded_nd, _linear_nd]
 ENTROPY_KS = (-1.5, -1 / 3, 0.1, 2 / 5, 1.8)
 
 
@@ -984,6 +991,16 @@ def test_step_is_monotone_up_to_courant_one(shape, make_flux, courant, seed):
 def test_advance_at_courant_one_is_monotone_and_not_refused(shape, make_flux):
     # the step's own sum_j alpha_j dt/h_j lands an ulp or two from 1
     _assert_monotone_advance(make_flux, shape, 1.0, 5)
+
+
+@pytest.mark.parametrize("k", [3, 6, 10])
+def test_linear_flux_at_courant_one_shifts_one_cell(k):
+    # u/2 on 2^k cells: alpha = 1/2 exactly, dt = 2h, and exact upwind
+    # moves every value one cell along; a padded alpha would smear it
+    f = CellField(TorusGrid((2 ** k,)), np.random.default_rng(k).uniform(-2.0, 2.0, 2 ** k))
+    dt_cfl, dt, (f2,) = advance(_linear_nd(1), 1.0, math.inf, f)
+    assert dt == dt_cfl == 2.0 / 2 ** k
+    np.testing.assert_allclose(f2.values, np.roll(f.values, 1), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
