@@ -40,13 +40,24 @@ Any other weight rounds w phi otherwise than the lifted coefficients
 lambda_j c_d do, by an ulp or two of the field per step.
 ``entropy_residual`` runs the same face code.
 
+Scratch rule: a step allocates no full-grid array but its flux
+evaluations and the new values.  Per axis it writes the faces and then a
+jump buffer, which takes the flux difference next; the first axis's takes
+the new values too.  The jump buffer is the Horner result itself once no
+later axis reads it, as it is still in cache: every axis of a direct
+flux, the last axis of a shared one.  Otherwise the first axis's is a new
+array, as it becomes the new values, and every later axis's is the jump
+scratch of the grid.  The faces of every axis go into the grid's face
+scratch.  The grid builds that pair once (``TorusGrid._scratch``), so
+the step's memory does not churn the C heap, and a step writes its
+grid's scratch: two threads must not step fields of one ``TorusGrid`` at
+once.  ``entropy_residual`` holds two faces at once, so it passes face
+buffers of its own.
+
 Layout rule: every full-grid array of at least 64 KiB that a step writes
-starts on a 64-byte cache line: each Horner result and, per axis, the
-faces and the jump buffer, which then takes the flux difference; the
-first axis's takes the new values too.  ``flux._empty`` allocates them.
-The jump buffer is the Horner result itself once no later axis reads it,
-as it is still in cache: every axis of a direct flux, the last axis of a
-shared one.  The jump buffer's other passes write from its first element,
+starts on a 64-byte cache line: each Horner result, the first axis's jump
+buffer and the grid's two scratch arrays.  ``flux._empty`` allocates
+them.  The jump buffer's passes write from its first element,
 but the flux difference writes from flat element prod(shape[j+1:]) on, so
 along the last axis those stores run one element off the line.  A fresh
 numpy array of this size starts where malloc or mmap put it, typically 16
@@ -168,6 +179,12 @@ class TorusGrid:
     @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(1.0 / n for n in self.shape)
+
+    @cached_property
+    def _scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The face and jump buffers every step on this grid writes, built on its first step."""
+        like = np.empty(self.shape)
+        return _empty(like), _empty(like)
 
     @property
     def cell_volume(self) -> float:
@@ -364,21 +381,20 @@ def _per_axis(flux: PiecewiseFlux, u):
             yield phi, w, not any(weights[j + 1:])
 
 
-def _faces(u: np.ndarray, phi: np.ndarray, a: float, j: int, free: bool):
-    """2/w times the Rusanov flux on face i+1/2 of every cell along axis j, and a scratch array.
+def _faces(u: np.ndarray, phi: np.ndarray, a: float, j: int,
+           face: np.ndarray, jump: np.ndarray):
+    """2/w times the Rusanov flux on face i+1/2 of every cell along axis j, in ``face``.
 
     The face is (phi_i + phi_{i+1}) - a (u_{i+1} - u_i) with a = alpha_j / w,
-    (phi, w, free) from ``_per_axis``.  The scratch array holds the jump
-    and is then free for the caller to overwrite, as the flux difference
-    does; it is phi itself when ``free`` (phi is still in cache).
+    (phi, w, free) from ``_per_axis``.  ``jump`` holds the jump and is then
+    free for the caller to overwrite, as the flux difference does; callers
+    pass phi itself when ``free`` (phi is still in cache).  Returns ``face``.
     """
-    face = _empty(u)
     _neighbours(np.add, phi, j, face, upper=False)
-    jump = phi if free else _empty(u)
     _neighbours(np.subtract, u, j, jump, upper=False)
     jump *= a
     face -= jump
-    return face, jump
+    return face
 
 
 def _flux_difference(face: np.ndarray, j: int, scale: float, out: np.ndarray) -> np.ndarray:
@@ -409,9 +425,12 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float,
             f"(dt={dt:.6g}, alphas={alphas}, shape={g.shape})"
         )
     u = f.values
+    face, scratch = g._scratch
     div = None
     for j, (phi, w, free) in enumerate(_per_axis(flux, f)):
-        face, jump = _faces(u, phi, alphas[j] / w, j, free)
+        # axis 0's jump buffer takes the new values, so it is a new array
+        jump = phi if free else _empty(u) if div is None else scratch
+        _faces(u, phi, alphas[j] / w, j, face, jump)
         d = _flux_difference(face, j, 0.5 * w * dt * g.shape[j], jump)
         if div is None:
             div = d
@@ -472,10 +491,13 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     acc = np.abs(u2 - k) - np.abs(u - k)
     umax = np.maximum(u, k)
     umin = np.minimum(u, k)
+    # two faces at once, so face buffers of its own rather than the grid's pair
+    qface, face = _empty(u), _empty(u)
     for j, ((phi_max, w, free), (phi_min, _, _)) in enumerate(zip(_per_axis(flux, umax),
                                                                   _per_axis(flux, umin))):
-        qface, jump = _faces(umax, phi_max, alphas[j] / w, j, free)
-        qface -= _faces(umin, phi_min, alphas[j] / w, j, free)[0]
+        jump = phi_max if free else _empty(u)
+        _faces(umax, phi_max, alphas[j] / w, j, qface, jump)
+        qface -= _faces(umin, phi_min, alphas[j] / w, j, face, phi_min if free else _empty(u))
         acc += _flux_difference(qface, j, 0.5 * w * dt * g.shape[j], jump)
     return float(acc.max())
 

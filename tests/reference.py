@@ -4,7 +4,8 @@ The package computes in integer numerators over one denominator and in
 floats; ``RealQ`` is the rational reference the tests check against.
 These helpers build the same ``RealQ`` values from a flux's ``_num`` and
 ``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` is the complex
-sum a trigonometric polynomial's values were first taken from.
+sum a trigonometric polynomial's values were first taken from, and
+``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from apcl.flux import affine_on
+from apcl.lift import interp_periodic
 
 
 def real(basis, num, den):
@@ -58,3 +60,16 @@ def trig_values(p, xs):
     rows = np.array([k.floats() if hasattr(k, "floats") else k for k in keys], dtype=float)
     amps = np.array([p.terms[k] for k in keys], dtype=complex)
     return p.real(np.exp(2j * np.pi * (xs @ rows.reshape(len(keys), -1).T)) @ amps)
+
+
+def orbit_mean(pb, w, z, radius, samples_per_unit):
+    """The mean of w over the lifted cube, every midpoint made, lifted and interpolated at once.
+
+    The midpoints come from ``np.meshgrid`` in C order, and ``np.mean``
+    takes the pairwise sum over the one flat array of their values.
+    """
+    per_axis = max(1, int(round(radius * samples_per_unit)))
+    axis = (np.arange(per_axis) + 0.5) * (radius / per_axis) - radius / 2.0
+    grids = np.meshgrid(*([axis] * pb.n), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return float(np.mean(interp_periodic(w, pb.lift_points(pts, z))))

@@ -1,12 +1,14 @@
 """Dimension lifting and orbit sampling."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apcl.lift as lift_mod
 from apcl.flux import (
     PiecewiseFlux,
     affine_on,
@@ -16,10 +18,11 @@ from apcl.flux import (
     nondegeneracy_check,
 )
 from apcl.freqlattice import Frequency, FrequencyBasis, group_basis, member_coords
-from apcl.lift import interp_periodic, lift_problem
+from apcl.lift import LiftedProblem, interp_periodic, lift_problem
 from apcl.solver import CellField, TorusGrid, advance, exact_cell_average
 from apcl.trigpoly import TorusPoly, TrigPoly
 from bitwise import same_bits
+import reference
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -379,3 +382,86 @@ def test_lift_points_matches_mod_oracle(rank):
         for x in xs:
             for z in offsets:
                 assert same_bits(pb.lift_points(x, z), _ref_lift_points(pb, x, z)), z
+
+
+def _two_frequency_data():
+    """n = 2 data with frequencies (1, sqrt2) and (sqrt2, 1), as the lifted_nd bench's second run."""
+    xi1 = Frequency.of(B2, [[1, 0], [0, 1]])
+    xi2 = Frequency.of(B2, [[0, 1], [1, 0]])
+    zero = Frequency.of(B2, [[0, 0], [0, 0]])
+    return TrigPoly(B2, 2, {zero: 0.3, xi1: 0.25 / 2j, xi2: 0.2 / 2j})
+
+
+@pytest.mark.parametrize("z", [(0.3,), (), (0.1, 0.2, 0.3)])
+def test_an_offset_of_another_length_than_m_is_refused(z):
+    pb = lift_problem(_two_frequency_data(), None)
+    assert pb.m == 2
+    w = CellField(TorusGrid((8, 8)), np.zeros((8, 8)))
+    message = rf"offset z must have m = 2 entries, got {len(z)}"
+    with pytest.raises(ValueError, match=message):
+        pb.lift_points([[0.1, 0.2]], z)
+    with pytest.raises(ValueError, match=message):
+        pb.orbit_mean(w, z, 4.0, 4)
+
+
+def test_orbit_mean_checks_its_offset_once(monkeypatch):
+    pb = lift_problem(_two_frequency_data(), None)
+    calls = []
+
+    def counted(self, z):
+        calls.append(z)
+        return offset(self, z)
+
+    offset = LiftedProblem._offset
+    monkeypatch.setattr(LiftedProblem, "_offset", counted)
+    monkeypatch.setattr(lift_mod, "_BLOCK", 64)
+    w = CellField(TorusGrid((8, 8)), np.random.default_rng(0).normal(size=(8, 8)))
+    # 40^2 points in 25 blocks
+    pb.orbit_mean(w, Z0, 10.0, 4)
+    assert calls == [Z0]
+
+
+def _cube_problem(n):
+    """A lift of n-dimensional data: quasi_data (n = 1) and the data above (n = 2) on T^2, Lambda = I on T^3."""
+    if n == 3:
+        return _lifted(3)
+    return lift_problem(quasi_data() if n == 1 else _two_frequency_data(), None)
+
+
+# (n, points per axis, block, None for the module's own): a cube smaller
+# than one block, an exact multiple of the block, a ragged last block; with
+# small blocks, an n = 3 cube whose last-axis row (12 points) and
+# first-axis slab (144 points) are each longer than one block
+ORBIT_CUBES = [(1, 5, None), (1, 2 * lift_mod._BLOCK, None), (1, lift_mod._BLOCK + 3, None),
+               (2, 50, None), (2, 128, None), (2, 100, None),
+               (3, 12, None), (3, 32, None), (3, 25, None),
+               (2, 9, 4), (3, 12, 7), (3, 12, 8), (3, 12, 64), (3, 12, 1000)]
+
+
+@pytest.mark.parametrize("n, per_axis, block", ORBIT_CUBES)
+def test_orbit_mean_matches_the_whole_cube_bitwise(n, per_axis, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(lift_mod, "_BLOCK", block)
+    pb = _cube_problem(n)
+    assert pb.n == n
+    rng = np.random.default_rng(per_axis)
+    shape = (13, 11, 7)[:pb.m]
+    w = CellField(TorusGrid(shape), rng.normal(size=shape))
+    for z in [(0.0,) * pb.m, tuple(rng.uniform(-3.0, 3.0, pb.m))]:
+        # per_axis / 4 at 4 samples per unit: exactly per_axis points per axis
+        got = pb.orbit_mean(w, z, per_axis / 4, 4)
+        assert same_bits(np.array([got]), np.array([reference.orbit_mean(pb, w, z, per_axis / 4, 4)]))
+
+
+def test_orbit_mean_memory_is_a_value_per_point_and_one_block():
+    # 2^20 points with n = m = 2: the whole cube at once took 144 bytes a point
+    pb = lift_problem(_two_frequency_data(), None)
+    w = CellField(TorusGrid((64, 64)), np.random.default_rng(1).normal(size=(64, 64)))
+    points = 1 << 20
+    tracemalloc.start()
+    try:
+        pb.orbit_mean(w, Z0, 64.0, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * points + (1 << 20)

@@ -124,9 +124,10 @@ def test_cfl_dt_zero_flux_returns_remaining():
 def _face(a, b, flux, alpha):
     # face 1/2 of the two-cell periodic field [a, b] sits between a and b;
     # ``_faces`` gives twice the Rusanov flux of a component evaluated as
-    # itself (w = 1, its values free to overwrite)
+    # itself (w = 1, its values free to overwrite, so they take the jump)
     u = np.array([a, b])
-    face, _ = solver_mod._faces(u, flux.eval_component(0, u), alpha, 0, True)
+    phi = flux.eval_component(0, u)
+    face = solver_mod._faces(u, phi, alpha, 0, np.empty_like(u), phi)
     return 0.5 * float(face[0])
 
 
@@ -881,24 +882,31 @@ def test_full_grid_arrays_start_on_a_cache_line(shape, monkeypatch):
         made.append(out)
         return out
 
-    # the Horner results (flux), the faces and the jump buffers (solver)
+    # the Horner results (flux), the grid's face and jump buffers and the
+    # first axis's jump buffer (solver)
     monkeypatch.setattr(flux_mod, "_empty", recorded)
     monkeypatch.setattr(solver_mod, "_empty", recorded)
+    # the grid's two scratch arrays, built once for every step on it
+    scratch = g._scratch
+    assert len(made) == 2 and all(a is b for a, b in zip(made, scratch))
+    assert all(_on_line(a) for a in scratch)
     # a direct flux evaluates each component and takes the jump into its
     # values; the lift of a scalar flux evaluates its data flux once per
     # step and takes the jump into its values only along the last axis
     lifted = _lifted(_three_piece_nd, B1, *([k + 1] for k in range(g.m)))
-    for flux, evals, jumps in ((_three_piece_nd(g.m), g.m, 0), (lifted, 1, g.m - 1)):
+    for flux, evals, jumps in ((_three_piece_nd(g.m), g.m, 0), (lifted, 1, 1)):
         f = CellField(g, np.random.default_rng(0).uniform(-2.0, 2.0, shape))
         # a plain allocation can land on a line by chance, so look at several
         for _ in range(4):
             made.clear()
             _, _, (f,) = advance(flux, 0.45, math.inf, f)
-            # and per axis a face; the jump buffer takes the flux
-            # difference, the first axis's the new values too
-            assert len(made) == evals + g.m + jumps
+            # and, unless it is the flux values, the first axis's jump
+            # buffer, which takes the flux difference and the new values;
+            # the faces and the other jump buffers are the grid's scratch
+            assert len(made) == evals + jumps
             assert all(_on_line(a) for a in made)
             assert any(a is f.values for a in made)
+            assert all(_on_line(a) for a in g._scratch)
             for j in range(g.m):
                 # gathered coefficients, then one piece
                 assert _on_line(flux.eval_component(j, f.values))
@@ -906,6 +914,41 @@ def test_full_grid_arrays_start_on_a_cache_line(shape, monkeypatch):
     # below the size bound the allocation is a plain np.empty_like
     assert _empty(np.zeros(512)).flags.owndata
     assert not _empty(f.values).flags.owndata
+
+
+# one grid per shape, for a direct flux and for a dyadic lift that shares phi
+SCRATCH_GRIDS = [((4, 4), ([1], [2])), ((96, 96), ([Fraction(1, 2)], [1])),
+                 ((24, 24, 16), ([2], [Fraction(1, 2)], [1]))]
+
+
+@pytest.mark.parametrize("shape, gens", SCRATCH_GRIDS)
+@pytest.mark.parametrize("shared", [False, True])
+def test_steps_write_the_grids_scratch_and_return_new_values(shape, gens, shared):
+    flux = _lifted(_three_piece_nd, B1, *gens) if shared else _three_piece_nd(len(shape))
+    assert (flux._weights[0] is not None) == shared
+    g = TorusGrid(shape)
+    rng = np.random.default_rng(len(shape))
+    fa = CellField(g, rng.uniform(-2.0, 2.0, shape))
+    fb = CellField(g, rng.uniform(-1.0, 1.5, shape))
+    earlier = [fa.values, fb.values]
+    pairs = []
+    for _ in range(6):
+        _, dt, (na, nb) = advance(flux, 0.9, 1.0, fa, fb)
+        pairs.append(g._scratch)
+        # the alphas of the joint range, which advance stepped both with
+        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        for before, after in ((fa, na), (fb, nb)):
+            # one field alone gives the bits it gives beside the other
+            assert same_bits(after.values, step(before, flux, dt, alphas).values)
+            assert same_bits(after.values, _ref_step(before, flux, dt, alphas))
+            for k in (-1 / 3, 0.1, 2 / 5):
+                assert entropy_residual(before, after, flux, dt, k, alphas) == \
+                    _ref_entropy_residual(before, after, flux, dt, k, alphas)
+            assert not any(np.shares_memory(after.values, a) for a in earlier + list(g._scratch))
+            earlier.append(after.values)
+        fa, fb = na, nb
+    # every step reused the pair the first one built
+    assert all(pair is pairs[0] for pair in pairs)
 
 
 def test_horner_plans_drop_zero_coefficients():
