@@ -22,18 +22,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .flux import NdVerdict, PiecewiseFlux, _check_range, lift_flux, nondegeneracy_check
+from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis, in_lattice
 from .lift import _cube_per_axis, lift_problem
 from .solver import (
     DEFAULT_CFL,
     MAX_STEPS,
     SolverConfig,
-    StepLog,
     TorusGrid,
     _write_atomic,
-    advance,
     check_cfl,
+    evolve,
     exact_cell_average,
     exact_counterexample,
     fourier_coeff,
@@ -520,8 +519,8 @@ class RunReport:
 
 
 # --- runners: each returns (tables, scalars, plots, fields, stepping) -------
-# stepping holds one StepLog record per solver run: per grid for
-# convergence, per pair for contraction, none for check-flux
+# stepping holds one StepLog record per ``solver.evolve`` loop: per grid
+# for convergence, per pair for contraction, none for check-flux
 
 def _series_from_rows(rows, xkey, ykey, label):
     return (label, [r[xkey] for r in rows], [r[ykey] for r in rows])
@@ -569,25 +568,17 @@ def _run_contraction(cfg: ExperimentConfig):
     pb = lift_problem(cfg.initial_b, None, group=gb)
     if pa.m == 0:
         raise ValueError("contraction needs non-constant data")
-    fa = exact_cell_average(pa.v0, cfg.grid)
-    fb = exact_cell_average(pb.v0, cfg.grid)
-    # as in ``run``: refused before their distance, which may overflow
-    _check_range(pa.flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-    rows = [{"step": 0, "t": 0.0, "l1_distance": l1_distance(fa, fb)}]
-    t = 0.0
-    worst_increase = 0.0
-    log = StepLog(cfg.cfl)
-    for s in range(1, cfg.steps + 1):
-        # dt is capped at unit time, the step a flux constant on the joint range gets
-        dt_cfl, dt, (fa, fb) = advance(pa.flux, cfg.cfl, 1.0, fa, fb)
-        log.add(dt_cfl, dt)
-        t += dt
-        d = l1_distance(fa, fb)
-        worst_increase = max(worst_increase, d - rows[-1]["l1_distance"])
-        rows.append({"step": s, "t": t, "l1_distance": d})
+    rows = []
+    # dt is capped at unit time, the step a flux constant on the joint range gets
+    for t, (fa, fb), log in evolve(pa.flux, cfg.cfl, cfg.grid, (pa.v0, pb.v0),
+                                   (0.0, math.inf), cap=1.0):
+        rows.append({"step": log.steps, "t": t, "l1_distance": l1_distance(fa, fb)})
+        if log.steps == cfg.steps:
+            break
+    d = [r["l1_distance"] for r in rows]
     tables = {"series": (rows, ["step", "t", "l1_distance"])}
-    scalars = {"initial_distance": rows[0]["l1_distance"],
-               "final_distance": rows[-1]["l1_distance"], "max_step_increase": worst_increase}
+    scalars = {"initial_distance": d[0], "final_distance": d[-1],
+               "max_step_increase": max([0.0] + [b - a for a, b in zip(d, d[1:])])}
     plots = {"series": ([_series_from_rows(rows, "t", "l1_distance", "l1_distance")], False)}
     return tables, scalars, plots, {}, [log.record()]
 

@@ -8,8 +8,8 @@ form from the piece ends and the critical points of phi_j' between them.
 For a linear flux at a Courant number of 1 the step is exact upwind, a
 shift by one cell.  ``advance`` is the one place that chooses the alphas:
 it computes them once per step, takes dt from them and hands the same
-alphas to ``step``; ``run`` and the harness's two-field contraction both
-step through it.
+alphas to ``step``.  ``evolve`` is the one time loop that calls it: ``run``
+and the harness's two-field contraction both step through ``evolve``.
 
 The update is monotone when every new value is a nondecreasing function
 of the old ones.  Its weight on u_i is 1 - C, C = sum_j alpha_j dt/h_j
@@ -115,6 +115,7 @@ __all__ = [
     "advance",
     "MAX_STEPS",
     "MAX_CELLS",
+    "evolve",
     "run",
     "l1_distance",
     "entropy_residual",
@@ -235,13 +236,13 @@ class SolverConfig:
 
     def __post_init__(self):
         check_cfl(self.cfl)
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         rt = tuple(float(t) for t in self.record_times)
-        object.__setattr__(self, "record_times", rt)
         for t in rt:
-            if t < 0.0 or t > self.t_end + 1e-12:
+            if not 0.0 <= t <= self.t_end + 1e-12:
                 raise ValueError(f"record time {t} outside [0, t_end]")
+        object.__setattr__(self, "record_times", tuple(min(t, self.t_end) for t in rt))
 
 
 class StepLog:
@@ -528,51 +529,59 @@ def _observe(t: float, v: CellField, c: float) -> dict:
     }
 
 
-def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
-        cfg: SolverConfig) -> Trajectory:
-    """Evolve torus data v0 under an m-component flux to t_end, recording observables.
+def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=math.inf):
+    """Step the exact cell averages of torus polynomials ``data`` jointly; yield (t, fields, log).
 
-    Initial data are the exact cell averages of v0; each record row holds
-    t, the L1 distance to the data mean C, field min/max, and mass.  Each
-    step is one ``advance``, and ``stepping`` is the ``StepLog`` record.
-    Rank-zero data (constant, m = 0) shortcut to the constant solution and
-    read neither flux nor grid.
-
-    The run is refused with ``CflError`` as soon as the steps taken plus
-    ceil((t_end - t) / dt) would exceed ``MAX_STEPS``, dt the CFL step
-    of the current field before any cap to a record time.
+    A joint range outside the flux's working range is refused before the
+    first yield, as observing it may overflow.  Each step is one ``advance``
+    of every field, added to ``log``, one ``StepLog``.  Yields after each step
+    and at each of ``times`` (ascending from 0.0), where t lands exactly; a
+    time reached within 1e-14 takes no step.  dt passes neither the next time
+    nor ``cap``.  A finite ``times[-1]`` is refused with ``CflError`` once the
+    steps taken plus ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
     """
-    c = v0.mean
-    times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
-    log = StepLog(cfg.cfl)
-    if v0.m == 0:
-        return Trajectory([], [{"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
-                               for t in times], log.record())
-    if grid.m != v0.m:
-        raise ValueError(f"problem needs a {v0.m}-dimensional grid")
-    v = exact_cell_average(v0, grid)
-    # the first step would refuse data outside the working range; refuse
-    # them before observing them, which may overflow
-    _check_range(flux, v.vmin, v.vmax)
-    rows = [_observe(0.0, v, c)]
-    fields = [v]
-    t = 0.0
-    for target in times[1:]:
+    fields = [exact_cell_average(p, grid) for p in data]
+    _check_range(flux, min(f.vmin for f in fields), max(f.vmax for f in fields))
+    log, t = StepLog(cfl), 0.0
+    for target in times:
         while t < target - 1e-14:
-            dt_cfl, dt, (v,) = advance(flux, cfg.cfl, target - t, v)
-            # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the
-            # alphas overflow
+            dt_cfl, dt, fields = advance(flux, cfl, min(target - t, cap), *fields)
+            # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the alphas overflow
             left = MAX_STEPS - log.steps
-            if cfg.t_end - t > dt_cfl * left:
+            if times[-1] - t > dt_cfl * left and times[-1] < math.inf:
                 raise CflError(
-                    f"step budget: t={t:g} to t_end={cfg.t_end:g} at dt={dt_cfl:.4g} "
+                    f"step budget: t={t:g} to t_end={times[-1]:g} at dt={dt_cfl:.4g} "
                     f"takes more than the {left} steps left of the {MAX_STEPS} a run may take"
                 )
             log.add(dt_cfl, dt)
             t += dt
+            if t < target - 1e-14:
+                yield t, fields, log
         t = target
-        rows.append(_observe(t, v, c))
-        fields.append(v)
+        yield t, fields, log
+
+
+def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
+        cfg: SolverConfig) -> Trajectory:
+    """Evolve torus data v0 under an m-component flux to t_end, recording observables.
+
+    ``evolve`` steps v0 to each record time and t_end, where a row holds t,
+    the L1 distance to the data mean C, field min/max, and mass; ``stepping``
+    is its ``StepLog`` record.  Rank-zero data (constant, m = 0) shortcut to
+    the constant solution and read neither flux nor grid.
+    """
+    c = v0.mean
+    times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
+    if v0.m == 0:
+        return Trajectory([], [{"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
+                               for t in times], StepLog(cfg.cfl).record())
+    if grid.m != v0.m:
+        raise ValueError(f"problem needs a {v0.m}-dimensional grid")
+    rows, fields = [], []
+    for t, (v,), log in evolve(flux, cfg.cfl, grid, (v0,), times):
+        if t == times[len(rows)]:  # not a step between record times
+            rows.append(_observe(t, v, c))
+            fields.append(v)
     return Trajectory(fields=fields, rows=rows, stepping=log.record())
 
 

@@ -26,6 +26,7 @@ from apcl.solver import (
     TravelingWave,
     cfl_dt,
     entropy_residual,
+    evolve,
     exact_cell_average,
     exact_counterexample,
     fourier_coeff,
@@ -67,6 +68,16 @@ def test_solver_config_validation():
         SolverConfig(t_end=1.0, record_times=(2.0,))
     cfg = SolverConfig(t_end=1.0, record_times=(0.5,))
     assert cfg.record_times == (0.5,)
+    # past t_end by at most 1e-12 is rounding: the time is t_end itself
+    with pytest.raises(ValueError):
+        SolverConfig(t_end=0.5, record_times=(0.5 + 2e-12,))
+    assert SolverConfig(t_end=0.5, record_times=(0.5 + 9e-13, 0.25)).record_times == (0.5, 0.25)
+    # an infinite t_end would leave the run unbudgeted; NaN is no time
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(t_end=bad)
+    with pytest.raises(ValueError):
+        SolverConfig(t_end=1.0, record_times=(math.nan,))
 
 
 def test_exact_cell_average_constant():
@@ -364,6 +375,57 @@ def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
     monkeypatch.setattr(solver_mod, "MAX_STEPS", k - 1)
     with pytest.raises(CflError):
         run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+
+
+def test_run_stops_at_t_end_for_a_record_time_rounded_past_it():
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
+    plain = run(v0, burgers_1d(), TorusGrid((64,)), SolverConfig(t_end=0.5))
+    late = run(v0, burgers_1d(), TorusGrid((64,)),
+               SolverConfig(t_end=0.5, record_times=(0.5 + 9e-13,)))
+    assert [r["t"] for r in late.rows] == [0.0, 0.5]
+    assert late.rows == plain.rows
+    assert late.stepping == plain.stepping
+
+
+def test_evolve_yields_after_each_step_and_at_each_time():
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
+    g = TorusGrid((64,))
+    times = (0.0, 0.0, 0.1, 0.1 + 1e-15, 0.3)
+    seen = [(t, len(fields), log.steps, log)
+            for t, fields, log in evolve(burgers_1d(), 0.45, g, (v0, v0), times)]
+    assert all(n == 2 for _, n, _, _ in seen)
+    assert all(log is seen[0][3] for *_, log in seen)
+    ts = [t for t, *_ in seen]
+    assert ts == sorted(ts) and ts[0] == 0.0
+    # every time is hit exactly; one already reached yields without a step
+    hits = [i for i, t in enumerate(ts) if t in times]
+    assert [ts[i] for i in hits] == list(times)
+    steps = [s for _, _, s, _ in seen]
+    assert steps[:2] == [0, 0]
+    assert steps[hits[3]] == steps[hits[2]] and hits[3] == hits[2] + 1
+    # every other yield follows exactly one step
+    rest = [i for i in range(1, len(seen)) if i not in (1, hits[3])]
+    assert all(steps[i] == steps[i - 1] + 1 for i in rest)
+    assert seen[-1][3].record() == run(v0, burgers_1d(), g, SolverConfig(
+        t_end=0.3, cfl=0.45, record_times=times)).stepping
+    # a joint range outside [-2, 2] is refused before the first yield
+    outside = TorusPoly(1, {(0,): 1.9, (1,): 0.25j})
+    with pytest.raises(ValueError, match="leave the working range"):
+        next(evolve(burgers_1d(), 0.45, g, (v0, outside), times))
+
+
+def test_evolve_caps_dt_and_budgets_only_a_finite_horizon(monkeypatch):
+    zero = PiecewiseFlux(B1, [-2, 2], [[["0"]]])
+    v0 = TorusPoly(1, {(0,): 0.2, (1,): 0.25j})
+    g = TorusGrid((16,))
+    # every alpha is 0, so only the cap and the times bound dt
+    ts = [t for t, _, _ in evolve(zero, 0.9, g, (v0,), (0.0, 2.5), cap=1.0)]
+    assert ts == [0.0, 1.0, 2.0, 2.5]
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 3)
+    loop = evolve(burgers_1d(), 0.9, g, (v0,), (0.0, math.inf))
+    assert [log.steps for _, (_, _, log) in zip(range(6), loop)] == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(CflError, match="the 3 a run may take"):
+        list(evolve(burgers_1d(), 0.9, g, (v0,), (0.0, 10.0)))
 
 
 def test_run_rank_zero_constant():
