@@ -507,10 +507,10 @@ class RunReport:
             write_field(f, fp)
             paths.append(fp)
         if plot:
-            for name, (series, log_y) in sorted(self.plots.items()):
+            for name, series in sorted(self.plots.items()):
                 sp = os.path.join(outdir, f"{stem}_{name}.svg")
                 try:
-                    render_svg(series, sp, log_y=log_y)
+                    render_svg(series, sp)
                 except ValueError as e:
                     print(f"not plotted: {sp}: {e}", file=sys.stderr)
                     continue
@@ -519,8 +519,10 @@ class RunReport:
 
 
 # --- runners: each returns (tables, scalars, plots, fields, stepping) -------
-# stepping holds one StepLog record per ``solver.evolve`` loop: per grid
-# for convergence, per pair for contraction, none for check-flux
+# plots maps an SVG name to its (label, xs, ys) series, and render_svg picks
+# the y scale; stepping holds one StepLog record per ``solver.evolve`` loop:
+# per grid for convergence, per pair for contraction, none for check-flux;
+# decay and spectrum share one runner, which reads what the config holds
 
 def _series_from_rows(rows, xkey, ykey, label):
     return (label, [r[xkey] for r in rows], [r[ykey] for r in rows])
@@ -550,17 +552,6 @@ def _run_check_flux(cfg: ExperimentConfig):
     return {"verdict": ([row], list(row))}, {"nondegenerate": float(v.nondegenerate)}, {}, {}, []
 
 
-def _run_decay(cfg: ExperimentConfig):
-    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
-    traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
-    rows = traj.rows
-    tables = {"series": (rows, list(rows[0]))}
-    scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": pb.mean, "rank": pb.m}
-    plots = {"series": ([_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")], True)}
-    fields = {"final": traj.fields[-1]} if cfg.dump_fields and traj.fields else {}
-    return tables, scalars, plots, fields, [traj.stepping]
-
-
 def _run_contraction(cfg: ExperimentConfig):
     freqs = [*cfg.initial.spectrum(), *cfg.initial_b.spectrum(), *(cfg.group_frequencies or ())]
     gb = group_basis(freqs)
@@ -579,7 +570,7 @@ def _run_contraction(cfg: ExperimentConfig):
     tables = {"series": (rows, ["step", "t", "l1_distance"])}
     scalars = {"initial_distance": d[0], "final_distance": d[-1],
                "max_step_increase": max([0.0] + [b - a for a, b in zip(d, d[1:])])}
-    plots = {"series": ([_series_from_rows(rows, "t", "l1_distance", "l1_distance")], False)}
+    plots = {"series": [_series_from_rows(rows, "t", "l1_distance", "l1_distance")]}
     return tables, scalars, plots, {}, [log.record()]
 
 
@@ -604,12 +595,10 @@ def _run_counterexample(cfg: ExperimentConfig):
     tables = {"series": (rows, ["t", "l1_to_mean", "l1_error", "min", "max", "mass"])}
     scalars = {"final_ratio": rows[-1]["l1_to_mean"] / rows[0]["l1_to_mean"],
                "tau": wave.tau, "final_error": rows[-1]["l1_error"]}
-    plots = {
-        "series": ([
-            _series_from_rows(rows, "t", "l1_to_mean", "numeric"),
-            ("exact", [r["t"] for r in rows], [rows[0]["l1_to_mean"]] * len(rows)),
-        ], False),
-    }
+    plots = {"series": [
+        _series_from_rows(rows, "t", "l1_to_mean", "numeric"),
+        ("exact", [r["t"] for r in rows], [rows[0]["l1_to_mean"]] * len(rows)),
+    ]}
     fields = {"final": traj.fields[-1]} if cfg.dump_fields else {}
     return tables, scalars, plots, fields, [traj.stepping]
 
@@ -630,45 +619,50 @@ def _run_convergence(cfg: ExperimentConfig):
         rows.append(row)
     tables = {"errors": (rows, ["cells", "h_max", "l1_error", "order"])}
     scalars = {"min_order": min(orders) if orders else 0.0, "tau": wave.tau}
-    plots = {"errors": ([
-        ("l1_error", [r["cells"] for r in rows], [r["l1_error"] for r in rows]),
-    ], True)}
+    plots = {"errors": [("l1_error", [r["cells"] for r in rows], [r["l1_error"] for r in rows])]}
     return tables, scalars, plots, {}, stepping
 
 
-def _run_spectrum(cfg: ExperimentConfig):
+def _run_lifted(cfg: ExperimentConfig):
+    """``decay`` and ``spectrum``: the lifted solve, with probes and cube when configured."""
     pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
-    if pb.m == 0:
-        raise ValueError("spectrum probing needs non-constant data")
-    for i, p in enumerate(cfg.probes):
-        if len(p) != pb.m:
-            raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
-        # on N cells, k and k - N read the same grid mode
-        if any(2 * abs(k) >= n for k, n in zip(p, cfg.grid.shape)):
-            raise ConfigError(f"probes[{i}]", f"needs 2|k_j| < N_j on the grid "
-                              f"{list(cfg.grid.shape)}, got {list(p)}")
+    if cfg.probes is not None:
+        if pb.m == 0:
+            raise ValueError("spectrum probing needs non-constant data")
+        for i, p in enumerate(cfg.probes):
+            if len(p) != pb.m:
+                raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
+            # on N cells, k and k - N read the same grid mode
+            if any(2 * abs(k) >= n for k, n in zip(p, cfg.grid.shape)):
+                raise ConfigError(f"probes[{i}]", f"needs 2|k_j| < N_j on the grid "
+                                  f"{list(cfg.grid.shape)}, got {list(p)}")
     if cfg.cube is not None:
         radii, spu, offset = cfg.cube
         z = (0.0,) * pb.m if offset is None else offset
         if len(z) != pb.m:
             raise ConfigError("cube.offset", f"expected {pb.m} entries, got {len(z)}")
     traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
-    final = traj.fields[-1]
-    image = [list(k) for k in pb.v0.terms]
-    rows = []
-    worst_outside = 0.0
-    for p in cfg.probes:
-        mag = abs(fourier_coeff(final, p))
-        inside = in_lattice(list(p), image)
-        if not inside:
-            worst_outside = max(worst_outside, mag)
-        rows.append({"kbar": ",".join(map(str, p)), "magnitude": mag, "in_group_image": inside})
-    tables = {
-        "probes": (rows, ["kbar", "magnitude", "in_group_image"]),
-        "series": (traj.rows, list(traj.rows[0])),
-    }
-    scalars = {"max_outside_coeff": worst_outside,
-               "mean_drift": abs(traj.rows[-1]["mass"] - pb.mean), "rank": pb.m}
+    rows = traj.rows
+    tables = {"series": (rows, list(rows[0]))}
+    scalars = {"final_l1_to_mean": rows[-1]["l1_to_mean"], "mean": pb.mean, "rank": pb.m,
+               "mean_drift": abs(rows[-1]["mass"] - pb.mean)}
+    plots = {"series": [_series_from_rows(rows, "t", "l1_to_mean", "l1_to_mean")]}
+    # rank-0 data have no field: ``run`` shortcuts to the constant solution
+    final = traj.fields[-1] if traj.fields else None
+    fields = {"final": final} if cfg.dump_fields and final is not None else {}
+    if cfg.probes is not None:
+        image = [list(k) for k in pb.v0.terms]
+        prows = []
+        worst_outside = 0.0
+        for p in cfg.probes:
+            mag = abs(fourier_coeff(final, p))
+            inside = in_lattice(list(p), image)
+            if not inside:
+                worst_outside = max(worst_outside, mag)
+            prows.append({"kbar": ",".join(map(str, p)), "magnitude": mag,
+                          "in_group_image": inside})
+        tables["probes"] = (prows, ["kbar", "magnitude", "in_group_image"])
+        scalars["max_outside_coeff"] = worst_outside
     if cfg.cube is not None:
         torus_mean = final.mean()
         crows = []
@@ -678,8 +672,6 @@ def _run_spectrum(cfg: ExperimentConfig):
                           "abs_error": abs(om - torus_mean)})
         tables["cube"] = (crows, ["radius", "orbit_mean", "torus_mean", "abs_error"])
         scalars["orbit_mean_error"] = crows[-1]["abs_error"]
-    plots = {"series": ([_series_from_rows(traj.rows, "t", "l1_to_mean", "l1_to_mean")], False)}
-    fields = {"final": final} if cfg.dump_fields else {}
     return tables, scalars, plots, fields, [traj.stepping]
 
 
@@ -721,7 +713,7 @@ EXPERIMENTS = {
         required=(), optional=("initial", "group_frequencies"),
         thresholds={"expect": Bound("nondegenerate", "expect")}),
     "decay": Experiment(
-        "evolve almost periodic data and track distance to its mean", _run_decay,
+        "evolve almost periodic data and track distance to its mean", _run_lifted,
         required=("initial", "grid", "solver"),
         optional=("group_frequencies", "dump_fields"),
         thresholds={"final_l1_to_mean_max": Bound("final_l1_to_mean", "max")}),
@@ -740,7 +732,7 @@ EXPERIMENTS = {
         required=("group_frequencies", "wave", "grids", "solver"), optional=(),
         thresholds={"min_order": Bound("min_order", "min")}),
     "spectrum": Experiment(
-        "probe Fourier coefficients of the evolved lift", _run_spectrum,
+        "probe Fourier coefficients of the evolved lift", _run_lifted,
         required=("initial", "probes", "grid", "solver"),
         optional=("group_frequencies", "cube", "dump_fields"),
         thresholds={"max_outside_coeff": Bound("max_outside_coeff", "max"),
@@ -845,11 +837,14 @@ def _tick_labels(ticks: list[float]) -> list[str]:
     return labels
 
 
-def render_svg(series, path: str, log_y: bool = False):
+def render_svg(series, path: str):
     """Single-panel line plot; fixed 800x500 viewport; self-contained XML.
 
-    ``series`` is a list of (label, xs, ys) triples.  With log_y, points
-    with nonpositive y are dropped.  Refuses empty input.
+    ``series`` is a list of (label, xs, ys) triples.  Points with a
+    non-finite coordinate are dropped; input with no point left is refused.
+    The y axis is logarithmic when every y is positive and at least two
+    powers of ten lie between the least and largest, so that it carries
+    two decade labels; otherwise it is linear.
     """
     if not series:
         raise ValueError("no series to plot")
@@ -859,18 +854,18 @@ def render_svg(series, path: str, log_y: bool = False):
         ys = [float(y) for y in ys]
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: x/y length mismatch")
-        pts = [(x, y) for x, y in zip(xs, ys)
-               if np.isfinite(x) and np.isfinite(y) and (not log_y or y > 0.0)]
+        pts = [(x, y) for x, y in zip(xs, ys) if np.isfinite(x) and np.isfinite(y)]
         if pts:
             clean.append((str(label), pts))
     if not clean:
-        raise ValueError("no plottable points (log scale drops y <= 0)")
+        raise ValueError("no plottable points")
     allx = [x for _, pts in clean for x, _ in pts]
     ally = [y for _, pts in clean for _, y in pts]
-    if log_y:
-        ally = [np.log10(y) for y in ally]
     xlo, xhi = min(allx), max(allx)
     ylo, yhi = min(ally), max(ally)
+    log_y = ylo > 0.0 and np.floor(np.log10(yhi)) > np.ceil(np.log10(ylo))
+    if log_y:
+        ylo, yhi = np.log10(ylo), np.log10(yhi)
     if xhi <= xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi <= ylo:

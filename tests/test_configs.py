@@ -26,7 +26,10 @@ def test_shipped_config_passes(path, tmp_path, capsys):
     assert verdicts and all(line.startswith("PASS ") for line in verdicts), out
     assert any(p.suffix == ".csv" for p in tmp_path.iterdir())
     for svg in tmp_path.glob("*.svg"):
-        ET.fromstring(svg.read_text())
+        root = ET.fromstring(svg.read_text())
+        ylabels = [t for t in root.iter("{http://www.w3.org/2000/svg}text")
+                   if t.get("text-anchor") == "end"]
+        assert len(ylabels) >= 2, svg.name
 
 
 # the exact layer's CSV outputs, which use integer arithmetic and IEEE

@@ -606,7 +606,7 @@ def test_render_svg_refuses_empty(tmp_path):
     with pytest.raises(ValueError):
         render_svg([], str(p))
     with pytest.raises(ValueError):
-        render_svg([("z", [0.0, 1.0], [-1.0, 0.0])], str(p), log_y=True)
+        render_svg([("z", [0.0, np.nan, 1.0], [np.inf, 0.5, -np.inf])], str(p))
 
 
 @pytest.mark.parametrize("y", [1e-3, 0.2, 1.0, 123.456])
@@ -646,17 +646,40 @@ def test_render_svg_tells_apart_distances_one_ulp_apart(tmp_path):
     assert ylabels == ["0.19999999999999998", "0.20000000000000001"]
 
 
-def test_render_svg_log_drops_nonpositive(tmp_path):
+def _ylabels(path) -> list[str]:
+    root = ET.fromstring(path.read_text())
+    return [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+            if t.get("text-anchor") == "end"]
+
+
+def test_render_svg_zero_in_the_series_gets_a_linear_axis(tmp_path):
+    # no log axis can hold the 0, so every point is drawn on a linear one
     p = tmp_path / "p.svg"
-    render_svg([("z", [0, 1, 2], [0.0, 1e-3, 1e-1])], str(p), log_y=True)
-    ET.fromstring(p.read_text())
+    render_svg([("z", [0, 1, 2], [0.0, 1e-3, 1e-1])], str(p))
+    (line,) = ET.fromstring(p.read_text()).iter("{http://www.w3.org/2000/svg}polyline")
+    assert len(line.get("points").split()) == 3
+    assert "1e-1" not in _ylabels(p)
+    assert float(_ylabels(p)[0]) == 0.0
+
+
+def test_render_svg_log_axis_needs_two_powers_of_ten(tmp_path):
+    # 0.01 and 0.1 lie between 0.005 and 0.3: two decade labels on a log axis
+    p = tmp_path / "log.svg"
+    render_svg([("s", [0, 1, 2], [0.3, 0.02, 0.005])], str(p))
+    assert _ylabels(p) == ["1e-2", "1e-1"]
+    # only 0.1 lies between 0.05 and 0.9: a log axis would carry one label
+    p = tmp_path / "lin.svg"
+    render_svg([("s", [0, 1, 2], [0.9, 0.1, 0.05])], str(p))
+    assert len(_ylabels(p)) >= 2
+    assert not any(lab.startswith("1e") for lab in _ylabels(p))
 
 
 def test_render_svg_deterministic(tmp_path):
-    series = [("s", [0, 1, 2, 3], [0.3, 0.1, 0.05, 0.02])]
+    # two decades: the log axis
+    series = [("s", [0, 1, 2, 3], [0.3, 0.1, 0.05, 0.002])]
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_svg(series, str(p1), log_y=True)
-    render_svg(series, str(p2), log_y=True)
+    render_svg(series, str(p1))
+    render_svg(series, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -1198,7 +1221,7 @@ def hostile_configs(draw):
 # a zero kbar with a != -b: a constant wave, whose distance to the mean is 0
 @example(("transport_counterexample", tiny("transport_counterexample",
                                            ("wave", {"a": "0", "b": "1/2", "kbar": [0]}))))
-# constant data: nothing to plot on the log scale
+# constant data: a distance of 0 throughout, plotted as a flat line
 @example(("burgers_decay", tiny("burgers_decay", ("initial", "terms", [
     {"frequency": [["0"]], "re": 0.3}]))))
 # data up to 3e-13 past the span [-2, 1], within its 1e-12 slack: a run
@@ -1267,8 +1290,8 @@ def test_cli_plot_of_distances_one_ulp_apart_returns(tmp_path):
     ET.fromstring((tmp_path / "out" / "contraction_series.svg").read_text())
 
 
-def test_cli_plot_of_constant_data_skips_the_svg(tmp_path, capsys):
-    # rank 0: the distance to the mean is 0 throughout, nothing to plot on a log scale
+def test_cli_plot_of_constant_data_writes_a_flat_line_svg(tmp_path, capsys):
+    # rank 0: the distance to the mean is 0 throughout, a flat line on a linear axis
     d = decay_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]}, grid=[16],
                      solver={"t_end": 1.0}, thresholds={"final_l1_to_mean_max": 0.1})
     cp = write_config(tmp_path, d)
@@ -1276,10 +1299,64 @@ def test_cli_plot_of_constant_data_skips_the_svg(tmp_path, capsys):
     rc = cli.main(["decay", "--config", cp, "--out", str(out), "--plot"])
     assert rc == 0
     cap = capsys.readouterr()
-    assert cap.err == (f"not plotted: {out / 'decay_series.svg'}: "
-                       "no plottable points (log scale drops y <= 0)\n")
+    assert cap.err == ""
     assert "PASS final_l1_to_mean_max" in cap.out
-    assert sorted(p.name for p in out.iterdir()) == ["decay_report.json", "decay_series.csv"]
+    assert "decay_series.svg" in [p.name for p in out.iterdir()]
+
+
+def test_cli_plot_of_a_long_decay_gets_a_log_axis(tmp_path):
+    # on 64 cells to t = 40 the distance falls from 0.318 to 0.00505: two decades
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    d["grid"] = [64]
+    d["solver"] = {"t_end": 40.0}
+    out = tmp_path / "out"
+    rc = cli.main(["decay", "--config", write_config(tmp_path, d), "--out", str(out), "--plot"])
+    assert rc == 0
+    assert _ylabels(out / "burgers_decay_series.svg") == ["1e-2", "1e-1"]
+
+
+@pytest.mark.parametrize("kind, d, msg", [
+    ("spectrum", spectrum_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]}),
+     "spectrum probing needs non-constant data"),
+    ("contraction", contraction_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]},
+                                       initial_b={"terms": [{"frequency": [["0"]], "re": 0.1}]}),
+     "contraction needs non-constant data"),
+])
+def test_cli_constant_data_refused_with_exit_three(tmp_path, capsys, kind, d, msg):
+    rc = cli.main([kind, "--config", write_config(tmp_path, d), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"refused: {msg}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_spectrum_of_constant_data_over_a_declared_group_runs(tmp_path):
+    # the {1, sqrt2} group_frequencies lift constant data to rank 2: probing reads zeros
+    d = json.loads((CONFIGS / "spectrum_probe.json").read_text())
+    d["initial"] = {"terms": [{"frequency": [["0", "0"]], "re": 0.3}]}
+    out = tmp_path / "out"
+    rc = cli.main(["spectrum", "--config", write_config(tmp_path, d), "--out", str(out)])
+    assert rc == 0
+    scalars = json.loads((out / "spectrum_probe_report.json").read_text())["scalars"]
+    assert scalars["rank"] == 2
+    assert scalars["final_l1_to_mean"] == 0.0
+
+
+def test_rank_zero_decay_dumps_no_field():
+    # constant data take the constant solution on no grid: there is no cell field
+    d = decay_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]}, dump_fields=True)
+    rep = run_experiment(parse_config(d))
+    assert rep.scalars["rank"] == 0
+    assert rep.fields == {}
+    assert rep.scalars["mean_drift"] == 0.0
+
+
+def test_decay_and_spectrum_report_the_same_series_scalars():
+    for d in (decay_config(), spectrum_config()):
+        rep = run_experiment(parse_config(d))
+        rows, _ = rep.tables["series"]
+        assert rep.scalars["mean_drift"] == abs(rows[-1]["mass"] - rep.scalars["mean"])
+        assert rep.scalars["final_l1_to_mean"] == rows[-1]["l1_to_mean"]
+        assert rep.scalars["rank"] == 1
 
 
 def test_cli_out_naming_a_file_exit_two_before_the_run(tmp_path, capsys, monkeypatch):
