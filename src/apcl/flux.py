@@ -228,35 +228,10 @@ class PiecewiseFlux:
         self.n = len(self._num[0])
         return self
 
-    # the lift of a scalar flux: (data flux, generators, their den), set by
-    # ``lift_flux``, so that a step evaluates the data flux once for every
-    # component
-    _lift = None
-
     @cached_property
     def _lifts(self) -> dict:
         """``lift_flux``'s results for this flux, keyed by the group's (rows, den)."""
         return {}
-
-    @cached_property
-    def _weights(self) -> tuple:
-        """Per component j, the float lambda_j if it is lambda_j.phi, phi from ``_lift``, else None.
-
-        The floats of ``LiftedProblem.lam``, built on first numeric use, so
-        the exact layer never pays for them.  A weight that is 0 or beyond
-        float range is None too: that component is evaluated as itself.
-        """
-        if self._lift is None:
-            return (None,) * self.n
-        _, gens, den = self._lift
-        out = []
-        for lam in gens:
-            try:
-                w = _value(lam[0], den, self.basis.values)
-            except ValueError:  # beyond float range
-                w = None
-            out.append(w or None)
-        return tuple(out)
 
     @cached_property
     def _bp_f(self) -> np.ndarray:
@@ -566,7 +541,6 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints.
 
-    The lift of a scalar flux records it and the generators (``_lift``).
     A flux derives each of its lifts once: the result is kept on the flux,
     keyed by the group's canonical (rows, den), which with the flux's own
     basis fixes it, so equal groups from separate ``group_basis`` calls
@@ -579,8 +553,6 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
         mul = flux.basis.structure
         pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
         lifted = PiecewiseFlux._derived(flux, pieces, gb.den * flux._den * mul[0])
-        if flux.n == 1:
-            lifted._lift = (flux, gb.generators, gb.den)
         flux._lifts[key] = lifted
     return lifted
 

@@ -1,66 +1,57 @@
 """Monotone first-order finite volumes on the periodic torus, m in {1,2,3}.
 
-Unsplit conservative update with a Rusanov numerical flux per axis,
-F(a, b) = (phi(a) + phi(b))/2 - (alpha/2)(b - a), where alpha_j is one
-global viscosity per step and axis: the max of |phi_j'| over the current
-field range, with no safety factor, which ``lip_bound`` takes in closed
-form from the piece ends and the critical points of phi_j' between them.
-For a linear flux at a Courant number of 1 the step is exact upwind, a
-shift by one cell.  ``advance`` is the one place that chooses the alphas:
-it computes them once per step, takes dt from them and hands the same
-alphas to ``step``.  ``evolve`` is the one time loop that calls it: ``run``
-and the harness's two-field contraction both step through ``evolve``.
+A time step is m one-axis sweeps in turn (Godunov, or Lie, splitting).
+Sweep j updates the field along axis j alone, with the Rusanov numerical
+flux F_j(a, b) = (phi_j(a) + phi_j(b))/2 - (alpha_j/2)(b - a) of the
+flux's component j.  alpha_j is one global viscosity per sweep: the max
+of |phi_j'| over the joint range of the fields the sweep reads, with no
+safety factor, which ``lip_bound`` takes in closed form from the piece
+ends and the critical points of phi_j' between them.  In 1D a step is one
+sweep.  For a linear flux at a Courant number of 1 a sweep is exact
+upwind, a shift by one cell.  ``advance`` is the one place that chooses
+dt and the alphas: dt from the alphas of the fields' range at the start
+of the step, then each sweep with the alpha of what it reads.  ``evolve``
+is the one time loop that calls it: ``run`` and the harness's two-field
+contraction both step through ``evolve``.
 
-The update is monotone when every new value is a nondecreasing function
-of the old ones.  Its weight on u_i is 1 - C, C = sum_j alpha_j dt/h_j
-the Courant number, as the phi_i of the two faces of cell i cancel; its
-weight on u_{i +- e_j} is (dt/2h_j)(alpha_j -+ phi_j'), which is >= 0 as
-alpha_j >= |phi_j'|.  So the cap C <= 1 is all that monotonicity needs
-(Crandall & Majda, Math. Comp. 34, 1980), and the step is refused beyond
-it: above 1 the weight on u_i is negative.  A monotone step is
-conservative, max-principle stable, L1-contractive, and cell-entropy
-dissipative for the Kruzhkov-type numerical entropy flux
-Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k).
+A sweep is monotone when every new value is a nondecreasing function of
+the old ones.  Its weight on u_i is 1 - C_j, C_j = alpha_j dt/h_j the
+sweep's Courant number, as the phi_j(u_i) of the two faces of cell i
+cancel; its weight on u_{i +- e_j} is (dt/2h_j)(alpha_j -+ phi_j'), which
+is >= 0 as alpha_j >= |phi_j'|.  So the cap C_j <= 1 is all that
+monotonicity needs (Crandall & Majda, Math. Comp. 34, 1980), and a sweep
+is refused beyond it: above 1 the weight on u_i is negative.  A monotone
+sweep is conservative, max-principle stable, L1-contractive, and
+cell-entropy dissipative for the Kruzhkov-type numerical entropy flux
+Q_j(a, b; k) = F_j(a max k, b max k) - F_j(a min k, b min k); a step, as
+their composition, keeps the first three, and ``entropy_residual`` checks
+the fourth sweep by sweep.  The composition of monotone one-axis sweeps
+converges to the Kruzhkov entropy solution (Crandall & Majda, "The method
+of fractional steps for conservation laws", Numer. Math. 34, 1980).
 
-Shared evaluation and the folded scale: ``_per_axis`` hands each axis j
-values phi and a weight w with Phi_j(u) = w phi(u), Phi_j the flux's
-component j.  ``_faces`` computes 2F/w on every face as
-(phi_i + phi_{i+1}) - (alpha_j/w)(u_{i+1} - u_i), and ``step`` scales its
-difference by w dt N_j / 2.  The lift of scalar data (n = 1) has
-Phi_j = lambda_j phi, so one evaluation of the data flux phi per step
-serves every axis, with w = lambda_j: on T^2 or T^3 one range check and one
-Horner pass replace two or three.  The range is the one the field
-already holds (``CellField.vmin``/``vmax``), so an evaluation in a step
-reduces nothing unless that range is NaN.  Every other component (of a direct
-flux, of a lift of n >= 2 data, or with a weight that is 0 or not
-finite) is evaluated as itself with w = 1; for it the two halvings that
-moved into the scale are exact on normal floats, so the step is that of
-F itself bit for bit.  A power-of-two weight gives the same bits too.
-Any other weight rounds w phi otherwise than the lifted coefficients
-lambda_j c_d do, by an ulp or two of the field per step.
-``entropy_residual`` runs the same face code.
+The step's Courant number is max_j C_j, so dt = cfl / max_j alpha_j/h_j.
+An unsplit update, which adds every axis's flux difference to one
+divergence, is monotone only while sum_j C_j <= 1, so it takes
+sum_j C_j / max_j C_j times the steps, up to m.  A sweep's range
+lies inside the range it reads, up to rounding, so each later alpha_j is
+at most the start's and each sweep's C_j at most the cfl.
 
-Scratch rule: a step allocates no full-grid array but its flux
-evaluations and the new values.  Per axis it writes the faces and then a
-jump buffer, which takes the flux difference next; the first axis's takes
-the new values too.  The jump buffer is the Horner result itself once no
-later axis reads it, as it is still in cache: every axis of a direct
-flux, the last axis of a shared one.  Otherwise the first axis's is a new
-array, as it becomes the new values, and every later axis's is the jump
-scratch of the grid.  The faces of every axis go into the grid's face
-scratch.  The grid builds that pair once (``TorusGrid._scratch``), so
-the step's memory does not churn the C heap, and a step writes its
-grid's scratch: two threads must not step fields of one ``TorusGrid`` at
-once.  ``entropy_residual`` holds two faces at once, so it passes face
-buffers of its own.
+Scratch rule: a sweep allocates no full-grid array but its one flux
+evaluation and, in it, the new values.  The Horner result phi_j takes
+the jump, then the flux difference, then the new values in place, while
+it is still in cache.  The faces go into the grid's face buffer, which
+the grid builds once (``TorusGrid._face``), so the step's memory does not
+churn the C heap, and a sweep writes its grid's face buffer: two threads
+must not step fields of one ``TorusGrid`` at once.  ``entropy_residual``
+holds two faces at once, so it uses face buffers of its own.
 
-Layout rule: every full-grid array of at least 64 KiB that a step writes
-starts on a 64-byte cache line: each Horner result, the first axis's jump
-buffer and the grid's two scratch arrays.  ``flux._empty`` allocates
-them.  The jump buffer's passes write from its first element,
-but the flux difference writes from flat element prod(shape[j+1:]) on, so
-along the last axis those stores run one element off the line.  A fresh
-numpy array of this size starts where malloc or mmap put it, typically 16
+Layout rule: every full-grid array of at least 64 KiB that a sweep
+writes starts on a 64-byte cache line: each Horner result, and so the new
+values, and the grid's face buffer.  ``flux._empty`` allocates them.  The
+passes over the Horner result write from its first element, but the flux
+difference writes from flat element prod(shape[j+1:]) on, so along the
+last axis those stores run one element off the line.  A fresh numpy
+array of this size starts where malloc or mmap put it, typically 16
 bytes past a line, and with AVX-512 loops every vector store into it then
 splits a line.  On a 2-core Xeon (numpy 2.4.6, AVX512_SPR) a two-input
 multiply into a 65536-cell output took 22-33 us aligned against 46-83 us,
@@ -126,8 +117,8 @@ __all__ = [
 ]
 
 
-# the largest Courant number sum_j alpha_j dt/h_j a step may take: the
-# bound of monotonicity
+# the largest Courant number alpha_j dt/h_j a sweep may take: the bound
+# of monotonicity
 MAX_CFL = 1.0
 
 # the Courant number a config that names none runs at, 10% below the cap
@@ -182,10 +173,9 @@ class TorusGrid:
         return tuple(1.0 / n for n in self.shape)
 
     @cached_property
-    def _scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The face and jump buffers every step on this grid writes, built on its first step."""
-        like = np.empty(self.shape)
-        return _empty(like), _empty(like)
+    def _face(self) -> np.ndarray:
+        """The face buffer every sweep on this grid writes, built on its first step."""
+        return _empty(np.empty(self.shape))
 
     @property
     def cell_volume(self) -> float:
@@ -249,8 +239,9 @@ class StepLog:
     """How one run, or one contraction pair, stepped: ``add`` each ``advance``.
 
     ``record`` gives the step count, the least and largest dt, and the peak
-    Courant number sum_j alpha_j dt/h_j.  A step's Courant number is
-    cfl * (dt / dt_cfl), as dt_cfl = cfl / sum_j alpha_j/h_j; dt <= dt_cfl,
+    Courant number max_j alpha_j dt/h_j, with the alphas of the step's start.
+    A step's Courant number is cfl * (dt / dt_cfl), as
+    dt_cfl = cfl / max_j alpha_j/h_j; dt <= dt_cfl,
     so the quotient rounds to at most 1 and the peak to at most ``cfl``.
     """
 
@@ -317,18 +308,19 @@ def exact_cell_average(p: TorusPoly, g: TorusGrid) -> CellField:
 
 
 def cfl_dt(f: CellField, cfl: float, alphas: tuple[float, ...]) -> float:
-    """Largest admissible dt for the viscosities ``alphas``: cfl / sum_j alpha_j/h_j.
+    """Largest admissible dt for the viscosities ``alphas``: cfl / max_j alpha_j/h_j.
 
     Only the grid of ``f`` is read.  With all alpha_j = 0 (a flux constant
     on the range) every dt is admissible, and the result is infinite.
     """
     check_cfl(cfl)
-    denom = 0.0
+    rate = 0.0
     for a, h in zip(alphas, f.grid.h):
-        denom += a / h
-    if denom == 0.0:
+        if a / h > rate:
+            rate = a / h
+    if rate == 0.0:
         return math.inf
-    return cfl / denom
+    return cfl / rate
 
 
 # the scalar twin of each ufunc ``_neighbours`` takes: the same IEEE operation
@@ -359,42 +351,18 @@ def _neighbours(op, x: np.ndarray, j: int, out: np.ndarray, upper: bool):
     op(x[first], x[last], out=out[first] if upper else out[last])
 
 
-def _per_axis(flux: PiecewiseFlux, u):
-    """For each axis j in turn, (phi, w, free): values phi with Phi_j(u) = w * phi.
+def _faces(u: np.ndarray, phi: np.ndarray, alpha: float, j: int, face: np.ndarray):
+    """Twice the Rusanov flux on face i+1/2 of every cell along axis j, in ``face``.
 
-    ``u`` goes to ``eval_component`` as given: ``step`` passes the field,
-    whose range spares the evaluation its reductions, ``entropy_residual``
-    the arrays u max k and u min k.  The lift of a scalar flux has
-    Phi_j = lambda_j phi, so the data flux is evaluated once, on the
-    first axis that needs it, and shared with weight w = lambda_j.  Any
-    other component, of a direct flux or of a lift of n >= 2 data, is
-    evaluated as itself, with w = 1.  ``free`` says that no later axis
-    reads phi, so the caller may overwrite it.
-    """
-    weights = flux._weights
-    phi = None
-    for j, w in enumerate(weights):
-        if w is None:
-            yield flux.eval_component(j, u), 1.0, True
-        else:
-            if phi is None:
-                phi = flux._lift[0].eval_component(0, u)
-            yield phi, w, not any(weights[j + 1:])
-
-
-def _faces(u: np.ndarray, phi: np.ndarray, a: float, j: int,
-           face: np.ndarray, jump: np.ndarray):
-    """2/w times the Rusanov flux on face i+1/2 of every cell along axis j, in ``face``.
-
-    The face is (phi_i + phi_{i+1}) - a (u_{i+1} - u_i) with a = alpha_j / w,
-    (phi, w, free) from ``_per_axis``.  ``jump`` holds the jump and is then
-    free for the caller to overwrite, as the flux difference does; callers
-    pass phi itself when ``free`` (phi is still in cache).  Returns ``face``.
+    The face is (phi_i + phi_{i+1}) - alpha (u_{i+1} - u_i), phi the values
+    of the flux's component j at u.  ``phi`` then holds alpha times the
+    jump and is free for the caller to overwrite, as the flux difference
+    does: it is still in cache.  Returns ``face``.
     """
     _neighbours(np.add, phi, j, face, upper=False)
-    _neighbours(np.subtract, u, j, jump, upper=False)
-    jump *= a
-    face -= jump
+    _neighbours(np.subtract, u, j, phi, upper=False)
+    phi *= alpha
+    face -= phi
     return face
 
 
@@ -406,48 +374,34 @@ def _flux_difference(face: np.ndarray, j: int, scale: float, out: np.ndarray) ->
 
 
 def step(f: CellField, flux: PiecewiseFlux, dt: float,
-         alphas: tuple[float, ...]) -> CellField:
-    """One unsplit conservative update with the per-axis viscosities ``alphas``.
+         alphas: tuple[float, ...], axis: int = 0) -> CellField:
+    """One sweep: the conservative update of ``f`` along ``axis`` alone, viscosity alphas[axis].
 
-    ``advance`` passes the ones it took dt from, shared by every field it
-    steps.  Refuses CFL violations.
+    ``advance`` composes one sweep per axis into a time step, with the
+    alphas it takes for each; in 1D a sweep is the step.  Refuses a
+    Courant number alphas[axis] dt/h_axis above 1.
     """
     g = f.grid
     if flux.n != g.m:
         raise ValueError("flux component count must match grid dimension")
-    courant = 0.0
-    for a, h in zip(alphas, g.h):
-        courant += a * dt / h
-    # rounding only: dt = cfl / sum_j alpha_j/h_j at cfl 1 gives a Courant
+    alpha = alphas[axis]
+    courant = alpha * dt / g.h[axis]
+    # rounding only: dt = cfl / max_j alpha_j/h_j at cfl 1 gives a Courant
     # number an ulp or two from 1; a NaN one (0 * inf) fails this test too
     if not courant <= MAX_CFL * (1.0 + 1e-12):
         raise CflError(
-            f"CFL violation: sum_j alpha_j dt/h_j = {courant:.6g} > 1 "
-            f"(dt={dt:.6g}, alphas={alphas}, shape={g.shape})"
+            f"CFL violation: alpha_j dt/h_j = {courant:.6g} > 1 on axis {axis} "
+            f"(dt={dt:.6g}, alpha={alpha:.6g}, shape={g.shape})"
         )
     u = f.values
-    face, scratch = g._scratch
-    div = None
-    for j, (phi, w, free) in enumerate(_per_axis(flux, f)):
-        # axis 0's jump buffer takes the new values, so it is a new array
-        jump = phi if free else _empty(u) if div is None else scratch
-        _faces(u, phi, alphas[j] / w, j, face, jump)
-        d = _flux_difference(face, j, 0.5 * w * dt * g.shape[j], jump)
-        if div is None:
-            div = d
-        else:
-            div += d
-    return CellField(g, np.subtract(u, div, out=div))
+    phi = flux.eval_component(axis, f)
+    face = _faces(u, phi, alpha, axis, g._face)
+    d = _flux_difference(face, axis, 0.5 * dt * g.shape[axis], phi)
+    return CellField(g, np.subtract(u, d, out=d))
 
 
-def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
-            *fields: CellField) -> tuple[float, float, list[CellField]]:
-    """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
-
-    Alphas over the joint range of the fields, the CFL step dt_cfl from
-    them, then every field stepped with those alphas and
-    dt = min(dt_cfl, ``t_remaining``).
-    """
+def _joint_range(fields) -> tuple[float, float]:
+    """The least vmin and the largest vmax of ``fields``."""
     # plain loops: in 1D this Python overhead is a visible part of a step
     lo, hi = fields[0].vmin, fields[0].vmax
     for f in fields:
@@ -455,13 +409,26 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
             lo = f.vmin
         if f.vmax > hi:
             hi = f.vmax
-    alphas = lip_bound(flux, lo, hi)
+    return lo, hi
+
+
+def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
+            *fields: CellField) -> tuple[float, float, list[CellField]]:
+    """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
+
+    Alphas over the joint range of the fields, the CFL step dt_cfl from
+    them and dt = min(dt_cfl, ``t_remaining``); then one sweep of every
+    field along each axis j in turn, with the alphas over the joint range
+    of the fields that sweep reads: the start's for axis 0.
+    """
+    alphas = lip_bound(flux, *_joint_range(fields))
     dt_cfl = cfl_dt(fields[0], cfl, alphas)
     dt = min(dt_cfl, t_remaining)
-    stepped = []
-    for f in fields:
-        stepped.append(step(f, flux, dt, alphas))
-    return dt_cfl, dt, stepped
+    for axis in range(len(alphas)):
+        if axis:
+            alphas = lip_bound(flux, *_joint_range(fields))
+        fields = [step(f, flux, dt, alphas, axis) for f in fields]
+    return dt_cfl, dt, fields
 
 
 def _l1(f: CellField, other) -> float:
@@ -477,12 +444,13 @@ def l1_distance(f: CellField, g: CellField) -> float:
 
 
 def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
-                     dt: float, k: float, alphas: tuple[float, ...]) -> float:
-    """Max cell entropy-inequality violation for threshold k.
+                     dt: float, k: float, alphas: tuple[float, ...], axis: int = 0) -> float:
+    """Max cell entropy-inequality violation of one sweep for threshold k.
 
-    Uses the numerical entropy flux Q_j(a,b;k) = F_j(a max k, b max k)
-    - F_j(a min k, b min k) with ``alphas``, the viscosities the step used;
-    nonpositive (up to roundoff) for any monotone step.
+    ``after`` is ``before`` swept along ``axis`` with alphas[axis].  Uses the
+    numerical entropy flux Q_j(a,b;k) = F_j(a max k, b max k) - F_j(a min k,
+    b min k) of that sweep; nonpositive (up to roundoff) for any monotone
+    sweep.
     """
     g = before.grid
     if flux.n != g.m:
@@ -492,14 +460,12 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     acc = np.abs(u2 - k) - np.abs(u - k)
     umax = np.maximum(u, k)
     umin = np.minimum(u, k)
-    # two faces at once, so face buffers of its own rather than the grid's pair
-    qface, face = _empty(u), _empty(u)
-    for j, ((phi_max, w, free), (phi_min, _, _)) in enumerate(zip(_per_axis(flux, umax),
-                                                                  _per_axis(flux, umin))):
-        jump = phi_max if free else _empty(u)
-        _faces(umax, phi_max, alphas[j] / w, j, qface, jump)
-        qface -= _faces(umin, phi_min, alphas[j] / w, j, face, phi_min if free else _empty(u))
-        acc += _flux_difference(qface, j, 0.5 * w * dt * g.shape[j], jump)
+    phi_max = flux.eval_component(axis, umax)
+    phi_min = flux.eval_component(axis, umin)
+    # two faces at once, so face buffers of its own rather than the grid's
+    qface = _faces(umax, phi_max, alphas[axis], axis, _empty(u))
+    qface -= _faces(umin, phi_min, alphas[axis], axis, _empty(u))
+    acc += _flux_difference(qface, axis, 0.5 * dt * g.shape[axis], phi_max)
     return float(acc.max())
 
 

@@ -38,6 +38,7 @@ from apcl.solver import (
 )
 from apcl.trigpoly import TorusPoly
 from bitwise import same_bits
+from sweeps import advance_with_sweeps
 
 B1 = FrequencyBasis.rational()
 
@@ -124,6 +125,28 @@ def test_cfl_dt_affine_constant_field():
     assert 0.0204 <= dt <= 0.0225
 
 
+def test_cfl_dt_is_the_cfl_over_the_largest_axis_rate():
+    g = TorusGrid((8, 32, 4))
+    f = CellField(g, np.random.default_rng(1).uniform(-1.0, 1.0, g.shape))
+    # alpha_j / h_j = 24, 16, 8: the first axis sets dt, not their sum 48
+    assert cfl_dt(f, 0.9, (3.0, 0.5, 2.0)) == 0.9 / 24
+    assert cfl_dt(f, 0.9, (0.0, 0.5, 0.0)) == 0.9 / 16
+    assert cfl_dt(f, 0.9, (0.0, 0.0, 0.0)) == math.inf
+    # (j+1) u/2: alphas 1/2, 1, 3/2, rates 4, 32, 6; at cfl 1 the sweep
+    # along axis 1 runs at a Courant number of 1 and the others below it
+    flux = _linear_nd(3)
+    alphas = lip_bound(flux, f.vmin, f.vmax)
+    dt = cfl_dt(f, 1.0, alphas)
+    assert alphas == (0.5, 1.0, 1.5) and dt == 1 / 32
+    for j in range(3):
+        step(f, flux, dt, alphas, j)
+    # a sweep at a Courant number of 1 + 1e-10 is refused, on its own axis only
+    for j in (0, 2):
+        step(f, flux, (1 + 1e-10) * dt, alphas, j)
+    with pytest.raises(CflError, match="on axis 1"):
+        step(f, flux, (1 + 1e-10) * dt, alphas, 1)
+
+
 def test_cfl_dt_zero_flux_returns_remaining():
     g = TorusGrid((10,))
     f = CellField(g, np.zeros(10))
@@ -134,11 +157,9 @@ def test_cfl_dt_zero_flux_returns_remaining():
 
 def _face(a, b, flux, alpha):
     # face 1/2 of the two-cell periodic field [a, b] sits between a and b;
-    # ``_faces`` gives twice the Rusanov flux of a component evaluated as
-    # itself (w = 1, its values free to overwrite, so they take the jump)
+    # ``_faces`` gives twice the Rusanov flux of component 0
     u = np.array([a, b])
-    phi = flux.eval_component(0, u)
-    face = solver_mod._faces(u, phi, alpha, 0, np.empty_like(u), phi)
+    face = solver_mod._faces(u, flux.eval_component(0, u), alpha, 0, np.empty_like(u))
     return 0.5 * float(face[0])
 
 
@@ -196,6 +217,29 @@ def test_advance_steps_every_field_with_one_operator():
         assert dt2 == cfl_dt(fa, 0.4, joint) < dt
         assert np.array_equal(wa.values, step(fa, flux, dt2, joint).values)
         assert np.array_equal(wb.values, step(fb, flux, dt2, joint).values)
+
+
+def test_advance_sweeps_each_axis_with_the_alphas_of_what_it_reads():
+    g = TorusGrid((12, 10))
+    rng = np.random.default_rng(4)
+    fa = CellField(g, rng.uniform(-1.5, 1.5, g.shape))
+    fb = CellField(g, rng.uniform(-0.5, 1.9, g.shape))
+    flux = _three_piece_nd(2)
+    dt_cfl, dt, stepped, sweeps = advance_with_sweeps(flux, 0.9, math.inf, fa, fb)
+    # dt from the alphas of the joint range at the start of the step
+    assert dt == dt_cfl == cfl_dt(fa, 0.9, lip_bound(flux, fa.vmin, fb.vmax))
+    # both fields along axis 0, then both along axis 1, each sweep reading
+    # the last one's output and stepping with the alphas of the joint range
+    # of what the sweeps along its axis read
+    assert [(b, j) for b, _, _, j in sweeps] == [(fa, 0), (fb, 0), (sweeps[0][1], 1),
+                                                (sweeps[1][1], 1)]
+    for j in range(2):
+        reads = [b for b, _, _, axis in sweeps if axis == j]
+        joint = lip_bound(flux, min(x.vmin for x in reads), max(x.vmax for x in reads))
+        assert all(a == joint for _, _, a, axis in sweeps if axis == j)
+    assert [a for _, a, _, j in sweeps if j == 1] == stepped
+    # the second axis reads a narrower range, so its alpha is no larger
+    assert sweeps[2][2][1] <= sweeps[0][2][1]
 
 
 def test_step_cfl_refusal():
@@ -555,22 +599,31 @@ def _ref_face(flux, j, u, alpha):
         - 0.5 * alpha * (np.roll(u, -1, axis=j) - u)
 
 
-def _ref_step(f, flux, dt, alphas):
-    u = f.values
-    div = np.zeros_like(u)
-    for j in range(f.grid.m):
-        face = _ref_face(flux, j, u, alphas[j])
-        div += (dt * f.grid.shape[j]) * (face - np.roll(face, 1, axis=j))
-    return u - div
+def _ref_sweep(u, flux, dt, alpha, j):
+    face = _ref_face(flux, j, u, alpha)
+    return u - (dt * u.shape[j]) * (face - np.roll(face, 1, axis=j))
 
 
-def _ref_entropy_residual(before, after, flux, dt, k, alphas):
+def _ref_step(flux, dt, *fields):
+    """The split step of ``fields``: their sweeps along each axis j in turn.
+
+    Sweep j takes alpha_j over the joint range of the values it reads.
+    """
+    us = [f.values for f in fields]
+    for j in range(fields[0].grid.m):
+        lo, hi = min(u.min() for u in us), max(u.max() for u in us)
+        alpha = lip_bound(flux, lo, hi)[j]
+        us = [_ref_sweep(u, flux, dt, alpha, j) for u in us]
+    return us
+
+
+def _ref_entropy_residual(before, after, flux, dt, k, alpha, j):
+    """The residual of ``after``, ``before`` swept along axis j with ``alpha``."""
     u, u2 = before.values, after.values
     acc = np.abs(u2 - k) - np.abs(u - k)
     umax, umin = np.maximum(u, k), np.minimum(u, k)
-    for j in range(before.grid.m):
-        qface = _ref_face(flux, j, umax, alphas[j]) - _ref_face(flux, j, umin, alphas[j])
-        acc += (dt * before.grid.shape[j]) * (qface - np.roll(qface, 1, axis=j))
+    qface = _ref_face(flux, j, umax, alpha) - _ref_face(flux, j, umin, alpha)
+    acc += (dt * before.grid.shape[j]) * (qface - np.roll(qface, 1, axis=j))
     return float(acc.max())
 
 
@@ -686,22 +739,26 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux):
         if bad:
             _assert_refused(f, flux)
             continue
-        ok = not np.isnan(vals).any()
-        alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
-        if ok:
-            # advance takes the alphas of the field's own range, as above;
-            # dt is capped at unit time, as the contraction run caps it,
-            # since two -0.0 cells under Burgers give all alphas 0 and so
-            # no CFL cap
-            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-        else:
+        if np.isnan(vals).any():
+            # advance refuses a NaN range: the field's sweep along each
+            # axis, with the alphas of its range, NaN skipped
+            alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
             dt = cfl_dt(f, 0.45, alphas)
-            new = step(f, flux, dt, alphas)
-        assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
-        if ok:
+            for j in range(g.m):
+                assert same_bits(step(f, flux, dt, alphas, j).values,
+                                 _ref_sweep(vals, flux, dt, alphas[j], j)), kind
+            continue
+        # advance takes the alphas of the range each sweep reads, as the
+        # reference does; dt is capped at unit time, as the contraction run
+        # caps it, since two -0.0 cells under Burgers give all alphas 0 and
+        # so no CFL cap
+        _, dt, (new,), sweeps = advance_with_sweeps(flux, 0.45, 1.0, f)
+        assert [j for *_, j in sweeps] == list(range(g.m))
+        assert same_bits(new.values, _ref_step(flux, dt, f)[0]), kind
+        for before, after, alphas, j in sweeps:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
-                assert entropy_residual(f, new, flux, dt, k, alphas) == \
-                    _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
+                assert entropy_residual(before, after, flux, dt, k, alphas, j) == \
+                    _ref_entropy_residual(before, after, flux, dt, k, alphas[j], j), kind
 
 
 B2 = FrequencyBasis.with_sqrt(2)
@@ -720,92 +777,38 @@ def _lifted(make_flux, basis, *gens):
     return lift_flux(make_flux(1, basis), gb)
 
 
-# generators over {1} whose floats are powers of two: then each lifted
-# coefficient is exactly w times the data flux's, and so are its values
-DYADIC = [((2048,), ([Fraction(1, 2)],)), ((8192,), ([2],)), ((12, 10), ([1], [2])),
-          ((96, 96), ([Fraction(1, 2)], [1])), ((6, 5, 4), ([1], [2], [Fraction(1, 2)])),
-          ((24, 24, 16), ([2], [Fraction(1, 2)], [1]))]
-# the generators of the lifted_nd bench: {1, sqrt2} on T^2, {1, sqrt2, sqrt3} on T^3
-IRRATIONAL = [((96, 96), B2, ([1, 0], [0, 1])),
-              ((24, 24, 16), B3, ([1, 0, 0], [0, 1, 0], [0, 0, 1]))]
+# lifts of a scalar flux: generators over {1} on T^2 and T^3, and those of
+# the lifted_nd bench, {1, sqrt2} on T^2 and {1, sqrt2, sqrt3} on T^3
+LIFTS = [((12, 10), B1, ([1], [2])), ((96, 96), B1, ([Fraction(1, 2)], [1])),
+         ((6, 5, 4), B1, ([1], [2], [Fraction(1, 2)])),
+         ((24, 24, 16), B1, ([2], [Fraction(1, 2)], [1])),
+         ((96, 96), B2, ([1, 0], [0, 1])),
+         ((24, 24, 16), B3, ([1, 0, 0], [0, 1, 0], [0, 0, 1]))]
 
 
-@pytest.mark.parametrize("shape, gens", DYADIC)
-@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
-def test_shared_step_of_a_dyadic_lift_matches_reference_bitwise(shape, gens, make_flux):
-    flux = _lifted(make_flux, B1, *gens)
-    assert flux._weights == tuple(float(w) for (w,) in gens)
-    g = TorusGrid(shape)
-    for kind in FIELDS:
-        vals, bad = _field_values(kind, shape, np.random.default_rng(len(shape)))
-        f = CellField(g, vals)
-        if bad:
-            # the shared data flux refuses them as the lifted components do
-            _assert_refused(f, flux)
-            continue
-        ok = not np.isnan(vals).any()
-        alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
-        if ok:
-            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-        else:
-            dt = cfl_dt(f, 0.45, alphas)
-            new = step(f, flux, dt, alphas)
-        assert same_bits(new.values, _ref_step(f, flux, dt, alphas)), kind
-        if ok:
-            for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
-                assert entropy_residual(f, new, flux, dt, k, alphas) == \
-                    _ref_entropy_residual(f, new, flux, dt, k, alphas), kind
-
-
-@pytest.mark.parametrize("shape, basis, gens", IRRATIONAL)
-@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
-def test_shared_step_of_an_irrational_lift_is_within_four_ulps(shape, basis, gens, make_flux):
-    flux = _lifted(make_flux, basis, *gens)
-    assert flux._weights == tuple(math.sqrt(k + 1) for k in range(len(gens)))
-    g = TorusGrid(shape)
-    for seed in range(3):
-        for kind in ("spread", "one-piece", "tie-at-min", "tie-at-max", "signed-zero"):
-            vals, _ = _field_values(kind, shape, np.random.default_rng(seed))
-            f = CellField(g, vals)
-            _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-            ref = _ref_step(f, flux, dt, lip_bound(flux, f.vmin, f.vmax))
-            # w * phi rounds otherwise than the lifted coefficients lambda_j c_d
-            # do; under the CFL cap the step moves each cell by an ulp or two
-            # of the field's largest value
-            assert np.max(np.abs(new.values - ref)) <= 4 * np.spacing(np.max(np.abs(vals))), kind
-
-
-def test_a_zero_weight_falls_back_to_the_lifted_component():
-    # lambda_2 = 1 - 2 h is not 0, but its float over the declared value
-    # h = 0.5 is, and a zero weight cannot carry alpha_j / w: that axis
-    # evaluates its own component (zero too), the other one shares phi
-    basis = FrequencyBasis(("1", "h"), (1.0, 0.5))
-    flux = _lifted(_burgers_nd, basis, [1, 0], [1, -2])
-    assert flux._weights == (1.0, None)
-    g = TorusGrid((12, 10))
-    f = CellField(g, np.random.default_rng(2).uniform(-1.0, 1.0, g.shape))
-    _, dt, (new,) = advance(flux, 0.45, 1.0, f)
-    assert same_bits(new.values, _ref_step(f, flux, dt, lip_bound(flux, f.vmin, f.vmax)))
-
-
-@pytest.mark.parametrize("shape, basis, gens", [(shape, B1, gens) for shape, gens in DYADIC[2:]]
-                         + IRRATIONAL)
+@pytest.mark.parametrize("shape, basis, gens", LIFTS)
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
 def test_shared_step_is_monotone(shape, basis, gens, make_flux):
+    # two fields share each step, every sweep taking the alphas of their
+    # joint range; each sweep evaluates its own lifted component
+    # lambda_j.phi, so the step is the reference's bit for bit, and every
+    # sweep is monotone
     flux = _lifted(make_flux, basis, *gens)
     g = TorusGrid(shape)
     rng = np.random.default_rng(17)
     fa = CellField(g, rng.uniform(-1.5, 1.5, shape))
     fb = CellField(g, rng.uniform(-1.0, 1.8, shape))
     for _ in range(3):
-        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-        _, dt, (fa2, fb2) = advance(flux, 0.45, math.inf, fa, fb)
+        _, dt, (fa2, fb2), sweeps = advance_with_sweeps(flux, 0.45, math.inf, fa, fb)
+        ref_a, ref_b = _ref_step(flux, dt, fa, fb)
+        assert same_bits(fa2.values, ref_a) and same_bits(fb2.values, ref_b)
         for f, f2 in ((fa, fa2), (fb, fb2)):
             assert f2.mean() == pytest.approx(f.mean(), rel=1e-13, abs=1e-15)
             assert f2.vmin >= f.vmin - 1e-14
             assert f2.vmax <= f.vmax + 1e-14
+        for before, after, alphas, j in sweeps:
             for k in (-1.5, -1 / 3, 0.1, 2 / 5, 1.8):
-                assert entropy_residual(f, f2, flux, dt, k, alphas) <= 1e-12
+                assert entropy_residual(before, after, flux, dt, k, alphas, j) <= 1e-12
         assert l1_distance(fa2, fb2) <= l1_distance(fa, fb) + 1e-12
         fa, fb = fa2, fb2
 
@@ -872,8 +875,8 @@ class _NoRangeReductions:
 @pytest.mark.parametrize("shape, gens", [((64,), ([Fraction(1, 2)],)), ((12, 10), ([1], [2])),
                                          ((6, 5, 4), ([1], [2], [Fraction(1, 2)]))])
 def test_a_step_reduces_no_finite_field_again(shape, gens, monkeypatch):
-    # the field's vmin/vmax are all the range a step needs, for a direct
-    # flux (each component evaluated) and a lift (the data flux, shared)
+    # the field's vmin/vmax are all the range a sweep needs, for a direct
+    # flux and a lift alike: each sweep evaluates its own component
     m = len(shape)
     g = TorusGrid(shape)
     monkeypatch.setattr(flux_mod, "np", _NoRangeReductions())
@@ -903,11 +906,12 @@ def test_traced_eval_component_counts_the_cells_of_a_field():
             for _ in range(3):
                 _, _, (f,) = advance(flux, 0.45, 1.0, f)
         spans = tracer.spans
+        # one step span per sweep, so per axis and advance
         steps = [i for i, s in enumerate(spans) if s[0] == "solver.step"]
         evals = [s for s in spans if s[0] == "flux.eval_component"]
-        assert len(steps) == 3
-        # one evaluation per step: the one component, or the shared data flux
-        assert len(evals) == 3
+        assert len(steps) == 3 * g.m
+        # one evaluation per sweep: the sweep's own component
+        assert len(evals) == len(steps)
         for s in evals:
             assert s[3] in steps
             assert s[5] == f.size == math.prod(g.shape)
@@ -944,31 +948,26 @@ def test_full_grid_arrays_start_on_a_cache_line(shape, monkeypatch):
         made.append(out)
         return out
 
-    # the Horner results (flux), the grid's face and jump buffers and the
-    # first axis's jump buffer (solver)
+    # the Horner results (flux) and the grid's face buffer (solver)
     monkeypatch.setattr(flux_mod, "_empty", recorded)
     monkeypatch.setattr(solver_mod, "_empty", recorded)
-    # the grid's two scratch arrays, built once for every step on it
-    scratch = g._scratch
-    assert len(made) == 2 and all(a is b for a, b in zip(made, scratch))
-    assert all(_on_line(a) for a in scratch)
-    # a direct flux evaluates each component and takes the jump into its
-    # values; the lift of a scalar flux evaluates its data flux once per
-    # step and takes the jump into its values only along the last axis
+    # the grid's face buffer, built once for every sweep on it
+    face = g._face
+    assert len(made) == 1 and made[0] is face and _on_line(face)
+    # each sweep evaluates its own component, and those values take the
+    # jump, the flux difference and the new values: one array per sweep,
+    # the last of them the new field, for a direct flux and a lift alike
     lifted = _lifted(_three_piece_nd, B1, *([k + 1] for k in range(g.m)))
-    for flux, evals, jumps in ((_three_piece_nd(g.m), g.m, 0), (lifted, 1, 1)):
+    for flux in (_three_piece_nd(g.m), lifted):
         f = CellField(g, np.random.default_rng(0).uniform(-2.0, 2.0, shape))
         # a plain allocation can land on a line by chance, so look at several
         for _ in range(4):
             made.clear()
             _, _, (f,) = advance(flux, 0.45, math.inf, f)
-            # and, unless it is the flux values, the first axis's jump
-            # buffer, which takes the flux difference and the new values;
-            # the faces and the other jump buffers are the grid's scratch
-            assert len(made) == evals + jumps
+            assert len(made) == g.m
             assert all(_on_line(a) for a in made)
-            assert any(a is f.values for a in made)
-            assert all(_on_line(a) for a in g._scratch)
+            assert made[-1] is f.values
+            assert g._face is face
             for j in range(g.m):
                 # gathered coefficients, then one piece
                 assert _on_line(flux.eval_component(j, f.values))
@@ -978,39 +977,38 @@ def test_full_grid_arrays_start_on_a_cache_line(shape, monkeypatch):
     assert not _empty(f.values).flags.owndata
 
 
-# one grid per shape, for a direct flux and for a dyadic lift that shares phi
+# one grid per shape, for a direct flux and for a lift
 SCRATCH_GRIDS = [((4, 4), ([1], [2])), ((96, 96), ([Fraction(1, 2)], [1])),
                  ((24, 24, 16), ([2], [Fraction(1, 2)], [1]))]
 
 
 @pytest.mark.parametrize("shape, gens", SCRATCH_GRIDS)
-@pytest.mark.parametrize("shared", [False, True])
-def test_steps_write_the_grids_scratch_and_return_new_values(shape, gens, shared):
-    flux = _lifted(_three_piece_nd, B1, *gens) if shared else _three_piece_nd(len(shape))
-    assert (flux._weights[0] is not None) == shared
+@pytest.mark.parametrize("lifted", [False, True])
+def test_steps_write_the_grids_scratch_and_return_new_values(shape, gens, lifted):
+    flux = _lifted(_three_piece_nd, B1, *gens) if lifted else _three_piece_nd(len(shape))
     g = TorusGrid(shape)
     rng = np.random.default_rng(len(shape))
     fa = CellField(g, rng.uniform(-2.0, 2.0, shape))
     fb = CellField(g, rng.uniform(-1.0, 1.5, shape))
     earlier = [fa.values, fb.values]
-    pairs = []
+    faces = []
     for _ in range(6):
-        _, dt, (na, nb) = advance(flux, 0.9, 1.0, fa, fb)
-        pairs.append(g._scratch)
-        # the alphas of the joint range, which advance stepped both with
-        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-        for before, after in ((fa, na), (fb, nb)):
+        _, dt, (na, nb), sweeps = advance_with_sweeps(flux, 0.9, 1.0, fa, fb)
+        faces.append(g._face)
+        ref_a, ref_b = _ref_step(flux, dt, fa, fb)
+        assert same_bits(na.values, ref_a) and same_bits(nb.values, ref_b)
+        for before, after, alphas, j in sweeps:
             # one field alone gives the bits it gives beside the other
-            assert same_bits(after.values, step(before, flux, dt, alphas).values)
-            assert same_bits(after.values, _ref_step(before, flux, dt, alphas))
+            assert same_bits(after.values, step(before, flux, dt, alphas, j).values)
             for k in (-1 / 3, 0.1, 2 / 5):
-                assert entropy_residual(before, after, flux, dt, k, alphas) == \
-                    _ref_entropy_residual(before, after, flux, dt, k, alphas)
-            assert not any(np.shares_memory(after.values, a) for a in earlier + list(g._scratch))
+                assert entropy_residual(before, after, flux, dt, k, alphas, j) == \
+                    _ref_entropy_residual(before, after, flux, dt, k, alphas[j], j)
+            # every sweep returns new values, in no earlier array and not in the face buffer
+            assert not any(np.shares_memory(after.values, a) for a in earlier + [g._face])
             earlier.append(after.values)
         fa, fb = na, nb
-    # every step reused the pair the first one built
-    assert all(pair is pairs[0] for pair in pairs)
+    # every sweep reused the face buffer the first one built
+    assert all(face is faces[0] for face in faces)
 
 
 def test_horner_plans_drop_zero_coefficients():
@@ -1025,7 +1023,8 @@ def test_horner_plans_drop_zero_coefficients():
 
 
 def test_run_calls_lip_bound_once_per_step(monkeypatch):
-    calls = {"lip_bound": 0, "step": 0}
+    # once per call of ``step``, which is one sweep: per axis of each advance
+    calls = {"lip_bound": 0, "step": 0, "advance": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1035,11 +1034,12 @@ def test_run_calls_lip_bound_once_per_step(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "lip_bound", counted("lip_bound", solver_mod.lip_bound))
     monkeypatch.setattr(solver_mod, "step", counted("step", solver_mod.step))
+    monkeypatch.setattr(solver_mod, "advance", counted("advance", solver_mod.advance))
     v0 = TorusPoly(2, {(0, 0): 0.3, (1, 0): -0.25j, (0, 1): 0.1j})
-    run(v0, _burgers_nd(2), TorusGrid((32, 24)),
-        SolverConfig(t_end=0.2, record_times=(0.05,)))
-    assert calls["step"] > 10
-    assert calls["lip_bound"] == calls["step"]
+    traj = run(v0, _burgers_nd(2), TorusGrid((32, 24)),
+               SolverConfig(t_end=0.2, record_times=(0.05,)))
+    assert calls["advance"] == traj.stepping["steps"] > 5
+    assert calls["lip_bound"] == calls["step"] == 2 * calls["advance"]
 
 
 # --- monotone up to the cap: a Courant number of 1 ----------------------------
@@ -1063,16 +1063,18 @@ def _assert_monotone_advance(make_flux, shape, courant, seed):
     f, up, other, _ = _bumped(shape, seed)
     flux = make_flux(len(shape))
     fields = (f, up, other)
-    alphas = lip_bound(flux, min(x.vmin for x in fields), max(x.vmax for x in fields))
-    _, dt, stepped = advance(flux, courant, math.inf, *fields)
+    _, dt, stepped, sweeps = advance_with_sweeps(flux, courant, math.inf, *fields)
     f2, up2, other2 = stepped
     # raising one cell lowers no cell
     assert np.all(up2.values >= f2.values - 1e-13)
     for x, x2 in zip(fields, stepped):
         assert x2.mean() == pytest.approx(x.mean(), rel=1e-13, abs=1e-14)
         assert x.vmin - 1e-13 <= x2.vmin and x2.vmax <= x.vmax + 1e-13
+    # every sweep, with the alphas it used
+    assert len(sweeps) == len(fields) * len(shape)
+    for x, x2, alphas, j in sweeps:
         for k in ENTROPY_KS:
-            assert entropy_residual(x, x2, flux, dt, k, alphas) <= 1e-12
+            assert entropy_residual(x, x2, flux, dt, k, alphas, j) <= 1e-12
     assert l1_distance(f2, other2) <= l1_distance(f, other) + 1e-13
     assert l1_distance(up2, other2) <= l1_distance(up, other) + 1e-13
 
@@ -1094,7 +1096,7 @@ def test_step_is_monotone_up_to_courant_one(shape, make_flux, courant, seed):
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
 @pytest.mark.parametrize("make_flux", MAKE_FLUX)
 def test_advance_at_courant_one_is_monotone_and_not_refused(shape, make_flux):
-    # the step's own sum_j alpha_j dt/h_j lands an ulp or two from 1
+    # the limiting sweep's own alpha_j dt/h_j lands an ulp or two from 1
     _assert_monotone_advance(make_flux, shape, 1.0, 5)
 
 
@@ -1111,16 +1113,18 @@ def test_linear_flux_at_courant_one_shifts_one_cell(k):
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 5, 4)])
 @pytest.mark.parametrize("make_flux", MAKE_FLUX)
 def test_beyond_courant_one_the_bumped_cell_goes_down(shape, make_flux):
-    # u_i's weight in its own update is 1 - C: at C = 1.05 the step (the
-    # reference, which refuses nothing) lowers the cell it was raised in
+    # u_i's weight in its own update along axis j is 1 - C_j: at C_j = 1.05
+    # the sweep (the reference, which refuses nothing) lowers the cell it
+    # was raised in
     f, up, _, cell = _bumped(shape, 5)
     flux = make_flux(len(shape))
     alphas = lip_bound(flux, f.vmin, up.vmax)
-    per_dt = sum(a / h for a, h in zip(alphas, f.grid.h))
-    dt = 1.05 / per_dt
-    assert _ref_step(up, flux, dt, alphas)[cell] < _ref_step(f, flux, dt, alphas)[cell]
-    with pytest.raises(CflError):
-        step(up, flux, dt, alphas)
-    # the refusal allows rounding only
-    with pytest.raises(CflError):
-        step(up, flux, (1 + 1e-10) / per_dt, alphas)
+    for j, (a, h) in enumerate(zip(alphas, f.grid.h)):
+        dt = 1.05 * h / a
+        assert _ref_sweep(up.values, flux, dt, a, j)[cell] < \
+            _ref_sweep(f.values, flux, dt, a, j)[cell]
+        with pytest.raises(CflError):
+            step(up, flux, dt, alphas, j)
+        # the refusal allows rounding only
+        with pytest.raises(CflError):
+            step(up, flux, (1 + 1e-10) * h / a, alphas, j)
