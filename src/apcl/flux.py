@@ -473,13 +473,13 @@ def _check_range(flux: PiecewiseFlux, lo: float, hi: float):
                          f"[{rlo!r}, {rhi!r}] of the flux")
 
 
-def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
-    """Per-component max of |d phi_k/du| over [lo, hi], with no safety factor.
+def lip_bound(flux: PiecewiseFlux, component: int, lo: float, hi: float) -> float:
+    """Max of |d phi_k/du| over [lo, hi] for k = ``component``, with no safety factor.
 
     The max of |phi_k'| over each piece's share of [lo, hi] (the end
     pieces reach into the slack past the span, as in evaluation), taken at
     the share's ends and at the real roots of phi_k'' strictly between
-    them.  A monotone step needs alpha_k >= |phi_k'| and nothing more, so
+    them.  A monotone sweep needs alpha_k >= |phi_k'| and nothing more, so
     the max itself is returned.  phi_k' is evaluated in floats with the
     operations of numpy's ``polyval``.  Where phi_k' is affine (flux degree
     <= 2) the max is at an end, and its rounded values are monotone, so no
@@ -493,24 +493,21 @@ def lip_bound(flux: PiecewiseFlux, lo: float, hi: float) -> tuple[float, ...]:
     if not lo <= hi:
         raise ValueError("need lo <= hi")
     _check_range(flux, lo, hi)
-    out = []
-    for rows in flux._lip_pieces:
-        best = 0.0
-        for u0, u1, top, rest, crit in rows:
-            # max(u0, lo) and min(u1, hi), ties to the piece end, without the calls
-            a = lo if lo > u0 else u0
-            b = hi if hi < u1 else u1
-            if a > b:
-                continue
-            for x in (a, b, *[t for t in crit if a < t < b]) if crit else (a, b):
-                # polyval's operations on one float, so numpy's bits
-                v = x * 0.0 + top
-                for ci in rest:
-                    v = v * x + ci
-                if abs(v) > best:
-                    best = abs(v)
-        out.append(best)
-    return tuple(out)
+    best = 0.0
+    for u0, u1, top, rest, crit in flux._lip_pieces[component]:
+        # max(u0, lo) and min(u1, hi), ties to the piece end, without the calls
+        a = lo if lo > u0 else u0
+        b = hi if hi < u1 else u1
+        if a > b:
+            continue
+        for x in (a, b, *[t for t in crit if a < t < b]) if crit else (a, b):
+            # polyval's operations on one float, so numpy's bits
+            v = x * 0.0 + top
+            for ci in rest:
+                v = v * x + ci
+            if abs(v) > best:
+                best = abs(v)
+    return best
 
 
 def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdict:

@@ -9,8 +9,9 @@ safety factor, which ``lip_bound`` takes in closed form from the piece
 ends and the critical points of phi_j' between them.  In 1D a step is one
 sweep.  For a linear flux at a Courant number of 1 a sweep is exact
 upwind, a shift by one cell.  ``advance`` is the one place that chooses
-dt and the alphas: dt from the alphas of the fields' range at the start
-of the step, then each sweep with the alpha of what it reads.  ``evolve``
+dt and the alphas, 2m - 1 maxima a step: dt from the alphas of the
+fields' range at the start of the step, then each sweep with the alpha
+of what it reads, the start's for sweep 0.  ``evolve``
 is the one time loop that calls it: ``run`` and the harness's two-field
 contraction both step through ``evolve``.
 
@@ -373,18 +374,17 @@ def _flux_difference(face: np.ndarray, j: int, scale: float, out: np.ndarray) ->
     return out
 
 
-def step(f: CellField, flux: PiecewiseFlux, dt: float,
-         alphas: tuple[float, ...], axis: int = 0) -> CellField:
-    """One sweep: the conservative update of ``f`` along ``axis`` alone, viscosity alphas[axis].
+def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
+         axis: int = 0) -> CellField:
+    """One sweep: the conservative update of ``f`` along ``axis`` alone, viscosity ``alpha``.
 
-    ``advance`` composes one sweep per axis into a time step, with the
-    alphas it takes for each; in 1D a sweep is the step.  Refuses a
-    Courant number alphas[axis] dt/h_axis above 1.
+    ``advance`` composes one sweep per axis into a time step, each with
+    the ``lip_bound`` of component ``axis`` over what it reads; in 1D a
+    sweep is the step.  Refuses a Courant number alpha dt/h_axis above 1.
     """
     g = f.grid
     if flux.n != g.m:
         raise ValueError("flux component count must match grid dimension")
-    alpha = alphas[axis]
     courant = alpha * dt / g.h[axis]
     # rounding only: dt = cfl / max_j alpha_j/h_j at cfl 1 gives a Courant
     # number an ulp or two from 1; a NaN one (0 * inf) fails this test too
@@ -416,18 +416,21 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
             *fields: CellField) -> tuple[float, float, list[CellField]]:
     """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
 
-    Alphas over the joint range of the fields, the CFL step dt_cfl from
-    them and dt = min(dt_cfl, ``t_remaining``); then one sweep of every
-    field along each axis j in turn, with the alphas over the joint range
-    of the fields that sweep reads: the start's for axis 0.
+    Every alpha_j over the joint range of the fields, the CFL step dt_cfl
+    from them and dt = min(dt_cfl, ``t_remaining``); then one sweep of
+    every field along each axis j in turn, with alpha_j over the joint
+    range of what it reads: the start's for axis 0.  2m - 1 maxima a step.
     """
-    alphas = lip_bound(flux, *_joint_range(fields))
+    lo, hi = _joint_range(fields)
+    alphas = []  # a plain loop: a comprehension's frame (Python <= 3.11) costs 0.3 us
+    for j in range(flux.n):
+        alphas.append(lip_bound(flux, j, lo, hi))
     dt_cfl = cfl_dt(fields[0], cfl, alphas)
     dt = min(dt_cfl, t_remaining)
-    for axis in range(len(alphas)):
+    for axis, alpha in enumerate(alphas):
         if axis:
-            alphas = lip_bound(flux, *_joint_range(fields))
-        fields = [step(f, flux, dt, alphas, axis) for f in fields]
+            alpha = lip_bound(flux, axis, *_joint_range(fields))
+        fields = [step(f, flux, dt, alpha, axis) for f in fields]
     return dt_cfl, dt, fields
 
 
@@ -444,10 +447,10 @@ def l1_distance(f: CellField, g: CellField) -> float:
 
 
 def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
-                     dt: float, k: float, alphas: tuple[float, ...], axis: int = 0) -> float:
+                     dt: float, k: float, alpha: float, axis: int = 0) -> float:
     """Max cell entropy-inequality violation of one sweep for threshold k.
 
-    ``after`` is ``before`` swept along ``axis`` with alphas[axis].  Uses the
+    ``after`` is ``before`` swept along ``axis`` with ``alpha``.  Uses the
     numerical entropy flux Q_j(a,b;k) = F_j(a max k, b max k) - F_j(a min k,
     b min k) of that sweep; nonpositive (up to roundoff) for any monotone
     sweep.
@@ -463,8 +466,8 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     phi_max = flux.eval_component(axis, umax)
     phi_min = flux.eval_component(axis, umin)
     # two faces at once, so face buffers of its own rather than the grid's
-    qface = _faces(umax, phi_max, alphas[axis], axis, _empty(u))
-    qface -= _faces(umin, phi_min, alphas[axis], axis, _empty(u))
+    qface = _faces(umax, phi_max, alpha, axis, _empty(u))
+    qface -= _faces(umin, phi_min, alpha, axis, _empty(u))
     acc += _flux_difference(qface, axis, 0.5 * dt * g.shape[axis], phi_max)
     return float(acc.max())
 
@@ -507,7 +510,7 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
     steps taken plus ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
     """
     fields = [exact_cell_average(p, grid) for p in data]
-    _check_range(flux, min(f.vmin for f in fields), max(f.vmax for f in fields))
+    _check_range(flux, *_joint_range(fields))
     log, t = StepLog(cfl), 0.0
     for target in times:
         while t < target - 1e-14:

@@ -8,15 +8,15 @@ import apcl.solver as solver
 def advance_with_sweeps(flux, cfl, t_remaining, *fields):
     """``solver.advance``'s (dt_cfl, dt, stepped fields), and the sweeps it took.
 
-    Each sweep is (before, after, alphas, axis), one per field and axis, in
+    Each sweep is (before, after, alpha, axis), one per field and axis, in
     the order ``advance`` called ``solver.step``.
     """
     sweeps = []
     real = solver.step
 
-    def recorded(f, flux, dt, alphas, axis=0):
-        after = real(f, flux, dt, alphas, axis)
-        sweeps.append((f, after, alphas, axis))
+    def recorded(f, flux, dt, alpha, axis=0):
+        after = real(f, flux, dt, alpha, axis)
+        sweeps.append((f, after, alpha, axis))
         return after
 
     with mock.patch.object(solver, "step", recorded):

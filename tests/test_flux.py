@@ -156,19 +156,17 @@ def test_directional_matches_float_dot():
 
 def test_lip_bound_examples():
     f = burgers(lo=-1, hi=1)
-    (b,) = lip_bound(f, -1.0, 1.0)
-    assert b == 1.0
+    assert lip_bound(f, 0, -1.0, 1.0) == 1.0
     aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
-    (b,) = lip_bound(aff, -1.0, 1.0)
-    assert b == 2.0
+    assert lip_bound(aff, 0, -1.0, 1.0) == 2.0
     const = PiecewiseFlux(B1, [-1, 1], [[["3/2"]]])
-    assert lip_bound(const, -1.0, 1.0) == (0.0,)
+    assert lip_bound(const, 0, -1.0, 1.0) == 0.0
 
 
 def test_lip_bound_monotone_in_interval():
     f = burgers()
-    (small,) = lip_bound(f, -0.5, 0.5)
-    (big,) = lip_bound(f, -2.0, 2.0)
+    small = lip_bound(f, 0, -0.5, 0.5)
+    big = lip_bound(f, 0, -2.0, 2.0)
     assert small <= big
 
 
@@ -221,7 +219,9 @@ def _draw_low_degree_flux(data):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_lip_bound_equals_sampled_bound_up_to_degree_two(data):
-    """phi' affine: the end points decide, so the old 1024-point bound is met bit for bit."""
+    """phi' affine: the end points decide, so the old 1024-point bound is met bit for bit.
+
+    Each component k is bounded alone, and reads its own phi_k'."""
     flux = _draw_low_degree_flux(data)
     rlo, rhi = flux.urange
     # the breakpoints, and the span's ends moved 5e-13 out, into the slack
@@ -230,7 +230,9 @@ def test_lip_bound_equals_sampled_bound_up_to_degree_two(data):
     lo = data.draw(point)
     hi = lo if data.draw(st.booleans()) else data.draw(point)
     lo, hi = min(lo, hi), max(lo, hi)
-    assert lip_bound(flux, lo, hi) == _ref_lip_bound(flux, lo, hi)
+    ref = _ref_lip_bound(flux, lo, hi)
+    for k in range(flux.n):
+        assert lip_bound(flux, k, lo, hi) == ref[k]
 
 
 def test_lip_bound_exact_max_above_degree_two():
@@ -242,7 +244,7 @@ def test_lip_bound_exact_max_above_degree_two():
                                        [["-1/3", "0", "1", "-1", "1/4"]]])
     for lo, hi in [(-2.0, 2.0), (-1.5, -0.5), (0.0, 2.0), (0.1, 0.3), (0.5, 1.9),
                    (-0.25, 1.0), (-1.0, -1.0)]:
-        (got,) = lip_bound(f, lo, hi)
+        got = lip_bound(f, 0, lo, hi)
         (ref,) = _ref_lip_bound(f, lo, hi)
         fine = 0.0
         for p in range(f.npieces):
@@ -252,9 +254,9 @@ def test_lip_bound_exact_max_above_degree_two():
                 fine = max(fine, float(np.abs(npoly.polyval(us, f._dcoef_f[p, 0])).max()))
         assert got >= ref * (1 - 1e-12)
         assert got >= fine * (1 - 1e-12)
-    assert lip_bound(f, -2.0, 2.0)[0] == pytest.approx(3.0, rel=1e-15)
+    assert lip_bound(f, 0, -2.0, 2.0) == pytest.approx(3.0, rel=1e-15)
     # away from u = 0, where the cubic's phi'(0) = 2 counts too
-    assert lip_bound(f, 0.1, 1.9)[0] == pytest.approx(2 / (3 * 3 ** 0.5), rel=1e-12)
+    assert lip_bound(f, 0, 0.1, 1.9) == pytest.approx(2 / (3 * 3 ** 0.5), rel=1e-12)
 
 
 def test_lip_bound_reaches_into_the_slack():
@@ -265,7 +267,7 @@ def test_lip_bound_reaches_into_the_slack():
     for (a, b), u, p in (((lo, -0.5), lo, 0), ((0.5, hi), hi, -1), ((lo, hi), hi, -1)):
         slope = abs(float(npoly.polyval(u, f._dcoef_f[p, 0])))
         assert slope > 1.0
-        assert lip_bound(f, a, b) == (slope,)
+        assert lip_bound(f, 0, a, b) == slope
 
 
 def test_nd_burgers_nondegenerate():
@@ -646,7 +648,7 @@ def test_float_shadow_beyond_range_is_a_value_error():
     gb = group_basis([Frequency.of(B1, [["1e10"]])])
     lifted = lift_flux(flux, gb)
     assert nondegeneracy_check(flux, gb).nondegenerate
-    for call in (lambda: at(lifted, 0.5), lambda: lip_bound(lifted, -1, 1)):
+    for call in (lambda: at(lifted, 0.5), lambda: lip_bound(lifted, 0, -1, 1)):
         with pytest.raises(ValueError, match="beyond float range"):
             call()
     with pytest.raises(ValueError, match="float range"):

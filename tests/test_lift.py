@@ -299,7 +299,7 @@ def test_exact_layer_builds_no_float_tables():
         assert not FLOAT_TABLES & set(vars(f))
     # the first numeric call builds them
     pb.flux.eval_component(0, np.array([0.5]))
-    lip_bound(pb.flux, -1.0, 1.0)
+    lip_bound(pb.flux, 0, -1.0, 1.0)
     assert FLOAT_TABLES <= set(vars(pb.flux))
 
 

@@ -47,6 +47,11 @@ def burgers_1d(lo=-2, hi=2):
     return PiecewiseFlux(B1, [lo, hi], [[["0", "0", "1/2"]]])
 
 
+def _alphas(flux, lo, hi):
+    """Every component's ``lip_bound`` over [lo, hi], the alphas ``cfl_dt`` takes."""
+    return tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
+
+
 def test_grid_validation():
     g = TorusGrid((8, 4))
     assert g.m == 2
@@ -113,7 +118,7 @@ def test_cfl_dt_burgers_range():
     vals = np.linspace(-1.0, 1.0, 100)
     f = CellField(g, vals)
     # alpha = max|u| = 1 exactly, so dt = cfl h
-    dt = cfl_dt(f, 0.45, lip_bound(burgers_1d(), f.vmin, f.vmax))
+    dt = cfl_dt(f, 0.45, _alphas(burgers_1d(), f.vmin, f.vmax))
     assert dt == pytest.approx(0.45 / 100, rel=1e-15)
 
 
@@ -121,7 +126,7 @@ def test_cfl_dt_affine_constant_field():
     g = TorusGrid((10,))
     f = CellField(g, np.full(10, 0.3))
     aff = PiecewiseFlux(B1, [-1, 1], [[["0", "2"]]])
-    dt = cfl_dt(f, 0.45, lip_bound(aff, f.vmin, f.vmax))
+    dt = cfl_dt(f, 0.45, _alphas(aff, f.vmin, f.vmax))
     assert 0.0204 <= dt <= 0.0225
 
 
@@ -135,23 +140,23 @@ def test_cfl_dt_is_the_cfl_over_the_largest_axis_rate():
     # (j+1) u/2: alphas 1/2, 1, 3/2, rates 4, 32, 6; at cfl 1 the sweep
     # along axis 1 runs at a Courant number of 1 and the others below it
     flux = _linear_nd(3)
-    alphas = lip_bound(flux, f.vmin, f.vmax)
+    alphas = _alphas(flux, f.vmin, f.vmax)
     dt = cfl_dt(f, 1.0, alphas)
     assert alphas == (0.5, 1.0, 1.5) and dt == 1 / 32
     for j in range(3):
-        step(f, flux, dt, alphas, j)
+        step(f, flux, dt, alphas[j], j)
     # a sweep at a Courant number of 1 + 1e-10 is refused, on its own axis only
     for j in (0, 2):
-        step(f, flux, (1 + 1e-10) * dt, alphas, j)
+        step(f, flux, (1 + 1e-10) * dt, alphas[j], j)
     with pytest.raises(CflError, match="on axis 1"):
-        step(f, flux, (1 + 1e-10) * dt, alphas, 1)
+        step(f, flux, (1 + 1e-10) * dt, alphas[1], 1)
 
 
 def test_cfl_dt_zero_flux_returns_remaining():
     g = TorusGrid((10,))
     f = CellField(g, np.zeros(10))
     zero = PiecewiseFlux(B1, [-1, 1], [[["0"]]])
-    assert cfl_dt(f, 0.45, lip_bound(zero, f.vmin, f.vmax)) == math.inf
+    assert cfl_dt(f, 0.45, _alphas(zero, f.vmin, f.vmax)) == math.inf
     assert advance(zero, 0.45, 0.75, f)[:2] == (math.inf, 0.75)
 
 
@@ -200,21 +205,21 @@ def test_advance_steps_every_field_with_one_operator():
     g = TorusGrid((64,))
     fa = CellField(g, rng.uniform(-0.5, 0.5, 64))
     flux = burgers_1d()
-    # one field: the alphas of its own range, dt from them, one step
-    alphas = lip_bound(flux, fa.vmin, fa.vmax)
-    dt = cfl_dt(fa, 0.4, alphas)
+    # one field: the alpha of its own range, dt from it, one step
+    alpha = lip_bound(flux, 0, fa.vmin, fa.vmax)
+    dt = cfl_dt(fa, 0.4, (alpha,))
     dt_cfl, got_dt, (va,) = advance(flux, 0.4, 0.5, fa)
     assert dt_cfl == got_dt == dt
-    assert np.array_equal(va.values, step(fa, flux, dt, alphas).values)
+    assert np.array_equal(va.values, step(fa, flux, dt, alpha).values)
     # a step capped by the time left still reports the uncapped CFL step
     assert advance(flux, 0.4, 1e-6, fa)[:2] == (dt, 1e-6)
-    # two fields: the alphas of the joint range, shared by both steps; the
+    # two fields: the alpha of the joint range, shared by both steps; the
     # second field widens the range below, then above
     for lo, hi in ((-1.5, 0.3), (-0.3, 1.5)):
         fb = CellField(g, rng.uniform(lo, hi, 64))
-        joint = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        joint = lip_bound(flux, 0, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
         _, dt2, (wa, wb) = advance(flux, 0.4, 0.5, fa, fb)
-        assert dt2 == cfl_dt(fa, 0.4, joint) < dt
+        assert dt2 == cfl_dt(fa, 0.4, (joint,)) < dt
         assert np.array_equal(wa.values, step(fa, flux, dt2, joint).values)
         assert np.array_equal(wb.values, step(fb, flux, dt2, joint).values)
 
@@ -227,19 +232,20 @@ def test_advance_sweeps_each_axis_with_the_alphas_of_what_it_reads():
     flux = _three_piece_nd(2)
     dt_cfl, dt, stepped, sweeps = advance_with_sweeps(flux, 0.9, math.inf, fa, fb)
     # dt from the alphas of the joint range at the start of the step
-    assert dt == dt_cfl == cfl_dt(fa, 0.9, lip_bound(flux, fa.vmin, fb.vmax))
+    assert dt == dt_cfl == cfl_dt(fa, 0.9, _alphas(flux, fa.vmin, fb.vmax))
     # both fields along axis 0, then both along axis 1, each sweep reading
-    # the last one's output and stepping with the alphas of the joint range
-    # of what the sweeps along its axis read
+    # the last one's output and stepping with the alpha of its own
+    # component over the joint range of what the sweeps along its axis read
     assert [(b, j) for b, _, _, j in sweeps] == [(fa, 0), (fb, 0), (sweeps[0][1], 1),
                                                 (sweeps[1][1], 1)]
     for j in range(2):
         reads = [b for b, _, _, axis in sweeps if axis == j]
-        joint = lip_bound(flux, min(x.vmin for x in reads), max(x.vmax for x in reads))
+        joint = lip_bound(flux, j, min(x.vmin for x in reads), max(x.vmax for x in reads))
         assert all(a == joint for _, _, a, axis in sweeps if axis == j)
     assert [a for _, a, _, j in sweeps if j == 1] == stepped
     # the second axis reads a narrower range, so its alpha is no larger
-    assert sweeps[2][2][1] <= sweeps[0][2][1]
+    # than the start's
+    assert sweeps[2][2] <= lip_bound(flux, 1, fa.vmin, fb.vmax)
 
 
 def test_step_cfl_refusal():
@@ -247,7 +253,7 @@ def test_step_cfl_refusal():
     f = CellField(g, np.linspace(-1, 1, 64))
     flux = burgers_1d()
     with pytest.raises(CflError):
-        step(f, flux, 1.0, lip_bound(flux, f.vmin, f.vmax))
+        step(f, flux, 1.0, lip_bound(flux, 0, f.vmin, f.vmax))
 
 
 def test_step_refuses_a_dt_that_is_not_finite():
@@ -258,7 +264,7 @@ def test_step_refuses_a_dt_that_is_not_finite():
     with pytest.raises(CflError):
         advance(flux, 0.45, math.inf, CellField(g, np.zeros(4)))
     with pytest.raises(CflError):
-        step(CellField(g, np.linspace(-1, 1, 4)), flux, math.nan, (1.0,))
+        step(CellField(g, np.linspace(-1, 1, 4)), flux, math.nan, 1.0)
 
 
 def test_step_2d_conserves():
@@ -273,17 +279,17 @@ def test_step_2d_conserves():
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_step_comonotone(seed):
-    """f <= g cellwise is preserved when both advance with shared alphas."""
+    """f <= g cellwise is preserved when both advance with a shared alpha."""
     rng = np.random.default_rng(seed)
     g = TorusGrid((32,))
     lo = rng.uniform(-1, 0, 32)
     hi = lo + rng.uniform(0, 1, 32)
     fa, fb = CellField(g, lo), CellField(g, hi)
     flux = burgers_1d()
-    alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-    dt = 0.45 / sum(a / h for a, h in zip(alphas, g.h))
-    fa2 = step(fa, flux, dt, alphas=alphas)
-    fb2 = step(fb, flux, dt, alphas=alphas)
+    alpha = lip_bound(flux, 0, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+    dt = 0.45 / (alpha / g.h[0])
+    fa2 = step(fa, flux, dt, alpha=alpha)
+    fb2 = step(fb, flux, dt, alpha=alpha)
     assert np.all(fa2.values <= fb2.values + 1e-14)
 
 
@@ -297,10 +303,10 @@ def test_l1_contraction_random_pairs(seed):
     flux = burgers_1d()
     d = l1_distance(fa, fb)
     for _ in range(10):
-        alphas = lip_bound(flux, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
-        dt = 0.45 / sum(a / h for a, h in zip(alphas, g.h))
-        fa = step(fa, flux, dt, alphas=alphas)
-        fb = step(fb, flux, dt, alphas=alphas)
+        alpha = lip_bound(flux, 0, min(fa.vmin, fb.vmin), max(fa.vmax, fb.vmax))
+        dt = 0.45 / (alpha / g.h[0])
+        fa = step(fa, flux, dt, alpha=alpha)
+        fb = step(fb, flux, dt, alpha=alpha)
         d2 = l1_distance(fa, fb)
         assert d2 <= d + 1e-12
         d = d2
@@ -329,10 +335,10 @@ def test_entropy_residual_constant_zero():
     g = TorusGrid((32,))
     f = CellField(g, np.full(32, 0.25))
     flux = burgers_1d()
-    alphas = lip_bound(flux, f.vmin, f.vmax)
+    alpha = lip_bound(flux, 0, f.vmin, f.vmax)
     dt = 0.001
-    f2 = step(f, flux, dt, alphas)
-    assert entropy_residual(f, f2, flux, dt, 0.1, alphas) <= 1e-15
+    f2 = step(f, flux, dt, alpha)
+    assert entropy_residual(f, f2, flux, dt, 0.1, alpha) <= 1e-15
 
 
 def test_entropy_residual_riemann_sweep():
@@ -341,11 +347,11 @@ def test_entropy_residual_riemann_sweep():
     f = CellField(g, vals)
     flux = burgers_1d()
     for _ in range(5):
-        alphas = lip_bound(flux, f.vmin, f.vmax)
-        dt = cfl_dt(f, 0.45, alphas)
-        f2 = step(f, flux, dt, alphas)
+        alpha = lip_bound(flux, 0, f.vmin, f.vmax)
+        dt = cfl_dt(f, 0.45, (alpha,))
+        f2 = step(f, flux, dt, alpha)
         for k in np.linspace(-1, 1, 20):
-            assert entropy_residual(f, f2, flux, dt, float(k), alphas) <= 1e-12
+            assert entropy_residual(f, f2, flux, dt, float(k), alpha) <= 1e-12
         f = f2
 
 
@@ -354,11 +360,11 @@ def test_entropy_residual_k_below_min_telescopes():
     g = TorusGrid((64,))
     f = CellField(g, rng.uniform(0.2, 0.8, 64))
     flux = burgers_1d()
-    alphas = lip_bound(flux, f.vmin, f.vmax)
-    dt = cfl_dt(f, 0.45, alphas)
-    f2 = step(f, flux, dt, alphas)
+    alpha = lip_bound(flux, 0, f.vmin, f.vmax)
+    dt = cfl_dt(f, 0.45, (alpha,))
+    f2 = step(f, flux, dt, alpha)
     k = -1.0  # below the field minimum
-    assert entropy_residual(f, f2, flux, dt, k, alphas) <= 1e-12
+    assert entropy_residual(f, f2, flux, dt, k, alpha) <= 1e-12
     # |u - k| = u - k here, so its mean is conserved exactly
     m1 = float(np.mean(np.abs(f.values - k)))
     m2 = float(np.mean(np.abs(f2.values - k)))
@@ -612,7 +618,7 @@ def _ref_step(flux, dt, *fields):
     us = [f.values for f in fields]
     for j in range(fields[0].grid.m):
         lo, hi = min(u.min() for u in us), max(u.max() for u in us)
-        alpha = lip_bound(flux, lo, hi)[j]
+        alpha = lip_bound(flux, j, lo, hi)
         us = [_ref_sweep(u, flux, dt, alpha, j) for u in us]
     return us
 
@@ -718,10 +724,10 @@ def _field_values(kind, shape, rng):
 
 def _assert_refused(f, flux):
     """``step`` refuses the field ``f``, whose values leave [-2, 2] and its slack."""
-    alphas = lip_bound(flux, -2.0, 2.0)
+    alphas = _alphas(flux, -2.0, 2.0)
     with pytest.raises(ValueError, match=r"values \[.*\] leave the working range "
                        r"\[-2\.0, 2\.0\] of the flux"):
-        step(f, flux, cfl_dt(f, 0.45, alphas), alphas)
+        step(f, flux, cfl_dt(f, 0.45, alphas), alphas[0])
 
 
 # 1D shapes on both sides of the 64 KiB layout bound (8192 cells), where
@@ -742,23 +748,23 @@ def test_fused_step_matches_reference_bitwise(shape, make_flux):
         if np.isnan(vals).any():
             # advance refuses a NaN range: the field's sweep along each
             # axis, with the alphas of its range, NaN skipped
-            alphas = lip_bound(flux, np.nanmin(vals), np.nanmax(vals))
+            alphas = _alphas(flux, np.nanmin(vals), np.nanmax(vals))
             dt = cfl_dt(f, 0.45, alphas)
             for j in range(g.m):
-                assert same_bits(step(f, flux, dt, alphas, j).values,
+                assert same_bits(step(f, flux, dt, alphas[j], j).values,
                                  _ref_sweep(vals, flux, dt, alphas[j], j)), kind
             continue
-        # advance takes the alphas of the range each sweep reads, as the
+        # advance takes the alpha of the range each sweep reads, as the
         # reference does; dt is capped at unit time, as the contraction run
         # caps it, since two -0.0 cells under Burgers give all alphas 0 and
         # so no CFL cap
         _, dt, (new,), sweeps = advance_with_sweeps(flux, 0.45, 1.0, f)
         assert [j for *_, j in sweeps] == list(range(g.m))
         assert same_bits(new.values, _ref_step(flux, dt, f)[0]), kind
-        for before, after, alphas, j in sweeps:
+        for before, after, alpha, j in sweeps:
             for k in (-2.0, -1 / 3, 0.1, 2 / 5, 2.0):
-                assert entropy_residual(before, after, flux, dt, k, alphas, j) == \
-                    _ref_entropy_residual(before, after, flux, dt, k, alphas[j], j), kind
+                assert entropy_residual(before, after, flux, dt, k, alpha, j) == \
+                    _ref_entropy_residual(before, after, flux, dt, k, alpha, j), kind
 
 
 B2 = FrequencyBasis.with_sqrt(2)
@@ -789,7 +795,7 @@ LIFTS = [((12, 10), B1, ([1], [2])), ((96, 96), B1, ([Fraction(1, 2)], [1])),
 @pytest.mark.parametrize("shape, basis, gens", LIFTS)
 @pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
 def test_shared_step_is_monotone(shape, basis, gens, make_flux):
-    # two fields share each step, every sweep taking the alphas of their
+    # two fields share each step, every sweep taking the alpha of their
     # joint range; each sweep evaluates its own lifted component
     # lambda_j.phi, so the step is the reference's bit for bit, and every
     # sweep is monotone
@@ -806,9 +812,9 @@ def test_shared_step_is_monotone(shape, basis, gens, make_flux):
             assert f2.mean() == pytest.approx(f.mean(), rel=1e-13, abs=1e-15)
             assert f2.vmin >= f.vmin - 1e-14
             assert f2.vmax <= f.vmax + 1e-14
-        for before, after, alphas, j in sweeps:
+        for before, after, alpha, j in sweeps:
             for k in (-1.5, -1 / 3, 0.1, 2 / 5, 1.8):
-                assert entropy_residual(before, after, flux, dt, k, alphas, j) <= 1e-12
+                assert entropy_residual(before, after, flux, dt, k, alpha, j) <= 1e-12
         assert l1_distance(fa2, fb2) <= l1_distance(fa, fb) + 1e-12
         fa, fb = fa2, fb2
 
@@ -891,14 +897,16 @@ def test_a_step_reduces_no_finite_field_again(shape, gens, monkeypatch):
 
 def test_traced_eval_component_counts_the_cells_of_a_field():
     # bench/tracer.py as it is: its work for an eval_component call is
-    # np.size(u), now of the field that step hands over
+    # np.size(u), of the field that step hands over; for a step call it is
+    # read from step's first two arguments, the field and the flux
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
     importlib.import_module("apcl.harness")  # the tracer wraps every apcl module
     cases = [(_three_piece_nd(1), TorusGrid((64,))),
-             (_lifted(_three_piece_nd, B2, [1, 0], [0, 1]), TorusGrid((12, 10)))]
+             (_lifted(_three_piece_nd, B2, [1, 0], [0, 1]), TorusGrid((12, 10))),
+             (_three_piece_nd(3), TorusGrid((6, 5, 4)))]
     for flux, g in cases:
         f = CellField(g, np.random.default_rng(5).uniform(-1.5, 1.5, g.shape))
         tracer = tracer_mod.Tracer()
@@ -910,6 +918,10 @@ def test_traced_eval_component_counts_the_cells_of_a_field():
         steps = [i for i, s in enumerate(spans) if s[0] == "solver.step"]
         evals = [s for s in spans if s[0] == "flux.eval_component"]
         assert len(steps) == 3 * g.m
+        for i in steps:
+            assert spans[i][5] == (g.shape, flux.npieces, flux._coef_f.shape[2])
+        # one span per component maximum: 2m - 1 per advance
+        assert sum(s[0] == "flux.lip_bound" for s in spans) == 3 * (2 * g.m - 1)
         # one evaluation per sweep: the sweep's own component
         assert len(evals) == len(steps)
         for s in evals:
@@ -997,12 +1009,12 @@ def test_steps_write_the_grids_scratch_and_return_new_values(shape, gens, lifted
         faces.append(g._face)
         ref_a, ref_b = _ref_step(flux, dt, fa, fb)
         assert same_bits(na.values, ref_a) and same_bits(nb.values, ref_b)
-        for before, after, alphas, j in sweeps:
+        for before, after, alpha, j in sweeps:
             # one field alone gives the bits it gives beside the other
-            assert same_bits(after.values, step(before, flux, dt, alphas, j).values)
+            assert same_bits(after.values, step(before, flux, dt, alpha, j).values)
             for k in (-1 / 3, 0.1, 2 / 5):
-                assert entropy_residual(before, after, flux, dt, k, alphas, j) == \
-                    _ref_entropy_residual(before, after, flux, dt, k, alphas[j], j)
+                assert entropy_residual(before, after, flux, dt, k, alpha, j) == \
+                    _ref_entropy_residual(before, after, flux, dt, k, alpha, j)
             # every sweep returns new values, in no earlier array and not in the face buffer
             assert not any(np.shares_memory(after.values, a) for a in earlier + [g._face])
             earlier.append(after.values)
@@ -1023,23 +1035,32 @@ def test_horner_plans_drop_zero_coefficients():
 
 
 def test_run_calls_lip_bound_once_per_step(monkeypatch):
-    # once per call of ``step``, which is one sweep: per axis of each advance
-    calls = {"lip_bound": 0, "step": 0, "advance": 0}
+    # each advance bounds every component once, for dt and sweep 0, then
+    # component j once more before sweep j >= 1: 2m - 1 maxima a step
+    calls = []
 
-    def counted(name, fn):
+    def counted(name, fn, arg):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append((name, args[arg] if arg is not None else None))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver_mod, "lip_bound", counted("lip_bound", solver_mod.lip_bound))
-    monkeypatch.setattr(solver_mod, "step", counted("step", solver_mod.step))
-    monkeypatch.setattr(solver_mod, "advance", counted("advance", solver_mod.advance))
-    v0 = TorusPoly(2, {(0, 0): 0.3, (1, 0): -0.25j, (0, 1): 0.1j})
-    traj = run(v0, _burgers_nd(2), TorusGrid((32, 24)),
-               SolverConfig(t_end=0.2, record_times=(0.05,)))
-    assert calls["advance"] == traj.stepping["steps"] > 5
-    assert calls["lip_bound"] == calls["step"] == 2 * calls["advance"]
+    monkeypatch.setattr(solver_mod, "lip_bound", counted("lip_bound", solver_mod.lip_bound, 1))
+    monkeypatch.setattr(solver_mod, "step", counted("step", solver_mod.step, 4))
+    monkeypatch.setattr(solver_mod, "advance", counted("advance", solver_mod.advance, None))
+    for shape in ((48,), (32, 24), (32, 24, 20)):
+        m = len(shape)
+        terms = {(0,) * m: 0.3}
+        for j, amp in enumerate((-0.25j, 0.1j, 0.15j)[:m]):
+            terms[tuple(int(i == j) for i in range(m))] = amp
+        calls.clear()
+        traj = run(TorusPoly(m, terms), _burgers_nd(m), TorusGrid(shape),
+                   SolverConfig(t_end=0.2, record_times=(0.05,)))
+        one = [("advance", None)] + [("lip_bound", j) for j in range(m)] + [("step", 0)]
+        for j in range(1, m):
+            one += [("lip_bound", j), ("step", j)]
+        assert traj.stepping["steps"] > 5
+        assert calls == one * traj.stepping["steps"]
 
 
 # --- monotone up to the cap: a Courant number of 1 ----------------------------
@@ -1070,11 +1091,11 @@ def _assert_monotone_advance(make_flux, shape, courant, seed):
     for x, x2 in zip(fields, stepped):
         assert x2.mean() == pytest.approx(x.mean(), rel=1e-13, abs=1e-14)
         assert x.vmin - 1e-13 <= x2.vmin and x2.vmax <= x.vmax + 1e-13
-    # every sweep, with the alphas it used
+    # every sweep, with the alpha it used
     assert len(sweeps) == len(fields) * len(shape)
-    for x, x2, alphas, j in sweeps:
+    for x, x2, alpha, j in sweeps:
         for k in ENTROPY_KS:
-            assert entropy_residual(x, x2, flux, dt, k, alphas, j) <= 1e-12
+            assert entropy_residual(x, x2, flux, dt, k, alpha, j) <= 1e-12
     assert l1_distance(f2, other2) <= l1_distance(f, other) + 1e-13
     assert l1_distance(up2, other2) <= l1_distance(up, other) + 1e-13
 
@@ -1118,13 +1139,13 @@ def test_beyond_courant_one_the_bumped_cell_goes_down(shape, make_flux):
     # was raised in
     f, up, _, cell = _bumped(shape, 5)
     flux = make_flux(len(shape))
-    alphas = lip_bound(flux, f.vmin, up.vmax)
-    for j, (a, h) in enumerate(zip(alphas, f.grid.h)):
+    for j, h in enumerate(f.grid.h):
+        a = lip_bound(flux, j, f.vmin, up.vmax)
         dt = 1.05 * h / a
         assert _ref_sweep(up.values, flux, dt, a, j)[cell] < \
             _ref_sweep(f.values, flux, dt, a, j)[cell]
         with pytest.raises(CflError):
-            step(up, flux, dt, alphas, j)
+            step(up, flux, dt, a, j)
         # the refusal allows rounding only
         with pytest.raises(CflError):
-            step(up, flux, (1 + 1e-10) * h / a, alphas, j)
+            step(up, flux, (1 + 1e-10) * h / a, a, j)
