@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis, in_lattice
-from .lift import _cube_per_axis, lift_problem
+from .lift import _cube_per_axis, _data_coords, lift_problem
 from .solver import (
     DEFAULT_CFL,
     MAX_STEPS,
@@ -536,8 +536,13 @@ def _declared_group(cfg: ExperimentConfig):
 def _run_check_flux(cfg: ExperimentConfig):
     if cfg.initial is None and cfg.group_frequencies is None:
         raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
-    freqs = cfg.group_frequencies or tuple(cfg.initial.spectrum())
-    gb = group_basis(list(freqs))
+    gb = _declared_group(cfg)
+    if gb is None:
+        gb = group_basis(list(cfg.initial.spectrum()))
+    elif cfg.initial is not None:
+        # exact membership, not a lift: the flux is decided even where it cannot be lifted
+        for lam in cfg.initial.spectrum():
+            _data_coords(lam, gb)
     v = nondegeneracy_check(cfg.flux, gb) if gb.rank else NdVerdict(True)
     row = {
         "nondegenerate": v.nondegenerate,
@@ -553,8 +558,9 @@ def _run_check_flux(cfg: ExperimentConfig):
 
 
 def _run_contraction(cfg: ExperimentConfig):
-    freqs = [*cfg.initial.spectrum(), *cfg.initial_b.spectrum(), *(cfg.group_frequencies or ())]
-    gb = group_basis(freqs)
+    gb = _declared_group(cfg)
+    if gb is None:
+        gb = group_basis([*cfg.initial.spectrum(), *cfg.initial_b.spectrum()])
     pa = lift_problem(cfg.initial, cfg.flux, group=gb)
     pb = lift_problem(cfg.initial_b, None, group=gb)
     if pa.m == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flux import PiecewiseFlux, lift_flux
-from .freqlattice import SpectrumGroupBasis, _value, group_basis, member_coords
+from .freqlattice import Frequency, SpectrumGroupBasis, _value, group_basis, member_coords
 from .solver import MAX_CELLS, CellField
 from .trigpoly import TorusPoly, TrigPoly
 
@@ -199,6 +199,14 @@ def _round_trip_points(n: int) -> np.ndarray:
     return xs
 
 
+def _data_coords(lam: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...]:
+    """``member_coords`` of a data frequency, refused with ValueError outside the group."""
+    k = member_coords(lam, gb)
+    if k is None:
+        raise ValueError(f"data frequency {lam} lies outside the declared group")
+    return k
+
+
 def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
                  group: SpectrumGroupBasis | None = None) -> LiftedProblem:
     """Build the periodic twin of (u0, flux).
@@ -227,12 +235,7 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     # first half of the spectrum, in order, and TorusPoly adds each -k
     half = len(u0._pair_amps)
     for lamf, amp in zip(spectrum, u0._pair_amps.tolist()):
-        k = member_coords(lamf, gb)
-        if k is None:
-            raise ValueError(
-                f"data frequency {lamf} lies outside the declared group"
-            )
-        terms.append((k, amp))
+        terms.append((_data_coords(lamf, gb), amp))
     if len(spectrum) > 2 * half:
         # the zero frequency, in the middle
         terms.append(((0,) * gb.rank, u0.terms[spectrum[half]]))

@@ -295,17 +295,25 @@ def exact_cell_average(p: TorusPoly, g: TorusGrid) -> CellField:
 
     The average of e^{2 pi i k.y} over a cell factorizes per axis into
     sinc(k_j h_j) times the value at the cell midpoint, so each term is a
-    closed-form outer product.  The field mean equals the zero coefficient
-    (aliased modes are killed by the sinc factor).
+    closed-form outer product.  The terms at k and -k are conjugate, so
+    each +-pair adds the real part r of its first key's product twice,
+    the pairs in spectrum order, and the mean last: the sum is real by
+    construction.  The field mean equals the zero coefficient (aliased
+    modes are killed by the sinc factor).
     """
     if p.m != g.m:
         raise ValueError("polynomial and grid dimensions differ")
-    acc = np.zeros(g.shape, dtype=complex)
-    for k, amp in p.terms.items():
+    acc = np.zeros(g.shape)
+    for k, amp in zip(p._pair_rows, p._pair_amps):
         vecs = [np.sinc(kj * hj) * np.exp(2j * np.pi * kj * (np.arange(nj) + 0.5) * hj)
                 for kj, nj, hj in zip(k, g.shape, g.h)]
-        acc = acc + _times_per_axis(np.asarray(amp, dtype=complex), vecs)
-    return CellField(g, p.real(acc))
+        r = _times_per_axis(amp, vecs).real
+        # r added twice, not 2 r once: once for k and once for -k, as a sum
+        # over every key adds them, so that every value keeps its bits
+        acc += r
+        acc += r
+    acc += p.mean
+    return CellField(g, acc)
 
 
 def cfl_dt(f: CellField, cfl: float, alphas: tuple[float, ...]) -> float:

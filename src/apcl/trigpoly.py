@@ -4,9 +4,9 @@ TrigPoly: finite sum of a_lam * e^{2 pi i lam.x} over frequencies lam in R^n
 with exact coordinates (``Frequency``).  TorusPoly: the same over integer
 frequencies on the m-torus.  Reality is a structural invariant: the
 coefficient at -lam is stored and must equal the conjugate at lam.  So
-evaluation sums each +-lam pair once, as a real cosine and sine, and is
-real by construction; only ``solver.exact_cell_average`` still forms a
-complex sum, whose imaginary residue ``_TrigCore.real`` asserts is roundoff.
+evaluation sums each +-lam pair once, as a real cosine and sine, and
+``solver.exact_cell_average`` adds each pair's real part: both are real
+by construction.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ __all__ = [
     "fejer_damp",
     "fejer_factor",
 ]
-
-_IMAG_TOL = 1e-12
-
 
 def _normalize_real_terms(items, negate, sort_key, row):
     """Enforce the a_{-key} = conj(a_key) pairing; drop exact zeros.
@@ -81,12 +78,11 @@ class _TrigCore:
         self.terms, zero, pairs = _normalize_real_terms(
             items, negate, sort_key or (lambda k: k), row)
         self.mean = 0.0 if zero is None else self.terms[zero].real
-        # the scale of every roundoff check on the values
         try:
-            self._amp_scale = math.fsum(abs(a) for a in self.terms.values())
+            amp_scale = math.fsum(abs(a) for a in self.terms.values())
         except OverflowError:
-            self._amp_scale = math.inf
-        if not math.isfinite(self._amp_scale):
+            amp_scale = math.inf
+        if not math.isfinite(amp_scale):
             raise OverflowError("the sum of |re + i im| over the terms and their "
                                 "conjugates lies beyond float range")
         pairs.sort(key=lambda p: p[0])
@@ -100,14 +96,6 @@ class _TrigCore:
 
     def spectrum(self) -> tuple:
         return tuple(self._keys)
-
-    def real(self, vals: np.ndarray) -> np.ndarray:
-        """``vals.real`` of complex values of this sum; asserts |imag| <= 1e-12 max(sum|a|, 1e-300)."""
-        resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-        assert resid <= _IMAG_TOL * max(self._amp_scale, 1e-300), (
-            f"imaginary residue {resid:.3e} exceeds tolerance"
-        )
-        return vals.real
 
     def eval(self, x):
         """Values at x (shape (dim,) or (N, dim)): mean + sum_pairs 2 Re(a e^{i theta}).

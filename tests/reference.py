@@ -3,17 +3,23 @@
 The package computes in integer numerators over one denominator and in
 floats; ``RealQ`` is the rational reference the tests check against.
 These helpers build the same ``RealQ`` values from a flux's ``_num`` and
-``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` is the complex
-sum a trigonometric polynomial's values were first taken from, and
+``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` and
+``cell_average`` are the complex sums over every key that a trigonometric
+polynomial's values and cell averages were first taken from, and
 ``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from apcl.flux import affine_on
 from apcl.lift import interp_periodic
+from apcl.solver import CellField, _times_per_axis
+
+# the imaginary residue of a complex sum over every key, as a share of sum |a|
+IMAG_TOL = 1e-12
 
 
 def real(basis, num, den):
@@ -46,12 +52,19 @@ def affine(scalar_flux, a, b):
     return tuple(real(scalar_flux.basis, c, scalar_flux._den) for c in pair)
 
 
+def _real(p, vals):
+    """``vals.real``, asserting that |imag| <= IMAG_TOL max(sum |a|, 1e-300) over ``p``'s terms."""
+    resid = float(np.max(np.abs(vals.imag), initial=0.0))
+    scale = max(math.fsum(abs(a) for a in p.terms.values()), 1e-300)
+    assert resid <= IMAG_TOL * scale, f"imaginary residue {resid:.3e} exceeds tolerance"
+    return vals.real
+
+
 def trig_values(p, xs):
     """Re(exp(2 pi i x.F) @ a) over every key of ``p``'s spectrum, at points ``xs`` (N, dim).
 
     F holds the keys' float rows (``Frequency.floats``, or the integer
-    vector), a their coefficients; ``p.real`` asserts that the imaginary
-    residue is roundoff.
+    vector), a their coefficients; the imaginary residue must be roundoff.
     """
     keys = p.spectrum()
     xs = np.asarray(xs, dtype=float)
@@ -59,7 +72,22 @@ def trig_values(p, xs):
         return np.zeros(len(xs))
     rows = np.array([k.floats() if hasattr(k, "floats") else k for k in keys], dtype=float)
     amps = np.array([p.terms[k] for k in keys], dtype=complex)
-    return p.real(np.exp(2j * np.pi * (xs @ rows.reshape(len(keys), -1).T)) @ amps)
+    return _real(p, np.exp(2j * np.pi * (xs @ rows.reshape(len(keys), -1).T)) @ amps)
+
+
+def cell_average(p, g):
+    """The exact cell averages of torus polynomial ``p`` on grid ``g``, as a sum over every key.
+
+    Each key k adds its complex product a_k prod_j sinc(k_j h_j)
+    e^{2 pi i k_j y_j} at the cell midpoints y, in ``p.terms`` order; the
+    imaginary residue must be roundoff.
+    """
+    acc = np.zeros(g.shape, dtype=complex)
+    for k, amp in p.terms.items():
+        vecs = [np.sinc(kj * hj) * np.exp(2j * np.pi * kj * (np.arange(nj) + 0.5) * hj)
+                for kj, nj, hj in zip(k, g.shape, g.h)]
+        acc = acc + _times_per_axis(np.asarray(amp, dtype=complex), vecs)
+    return CellField(g, _real(p, acc))
 
 
 def orbit_mean(pb, w, z, radius, samples_per_unit):

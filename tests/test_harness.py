@@ -1145,6 +1145,39 @@ def test_cli_frequency_outside_the_group_is_named_in_config_form(tmp_path, capsy
         'refused: data frequency [["-1"]] lies outside the declared group\n')
 
 
+# group_frequencies is the group in every kind, and must generate the data:
+# check-flux decides it by exact membership, the other kinds through the lift
+SQRT2_DATA = {"terms": [{"frequency": [["0", "1"]], "re": 0.5}]}
+
+
+@pytest.mark.parametrize("kind, stem, edits, outside", [
+    ("contraction", "contraction_pair", {"group_frequencies": [[["2"]]]}, '[["-1"]]'),
+    ("check-flux", "checkflux_sqrt2",
+     {"group_frequencies": [[["1", "0"]]], "initial": SQRT2_DATA}, '[["0", "-1"]]'),
+])
+def test_cli_data_outside_the_declared_group_is_refused(tmp_path, capsys, kind, stem, edits,
+                                                       outside):
+    d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    d.update(edits)
+    rc = cli.main([kind, "--config", write_config(tmp_path, d), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"refused: data frequency {outside} lies outside the declared group\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, stem, edits", [
+    ("contraction", "contraction_pair", {"group_frequencies": [[["1/2"]]]}),
+    ("check-flux", "checkflux_sqrt2", {"initial": SQRT2_DATA}),
+])
+def test_cli_declared_group_that_holds_the_data_runs(tmp_path, capsys, kind, stem, edits):
+    d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    d.update(edits)
+    rc = cli.main([kind, "--config", write_config(tmp_path, d), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_cli_conflicting_coefficients_are_named_in_config_form(tmp_path, capsys):
     d = json.loads((CONFIGS / "burgers_decay.json").read_text())
     d["initial"]["terms"].append({"frequency": [["1"]], "re": 0.5})
@@ -1158,14 +1191,14 @@ def test_cli_conflicting_coefficients_are_named_in_config_form(tmp_path, capsys)
 def test_cli_internal_error_exit_five(tmp_path, capsys, monkeypatch):
     # a broken invariant of the program is not a refusal of the config
     def broken(cfg):
-        raise AssertionError("imaginary residue 1e-3 in cell averages")
+        raise AssertionError("input frequency must lie in its own group")
 
     monkeypatch.setattr(cli, "run_experiment", broken)
     cp = write_config(tmp_path, decay_config())
     rc = cli.main(["decay", "--config", cp, "--out", str(tmp_path / "out")])
     assert rc == 5
     err = capsys.readouterr().err
-    assert err.startswith("internal error: imaginary residue") and "refused" not in err
+    assert err.startswith("internal error: input frequency") and "refused" not in err
     assert not (tmp_path / "out").exists()
 
 

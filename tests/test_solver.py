@@ -37,6 +37,7 @@ from apcl.solver import (
     write_field,
 )
 from apcl.trigpoly import TorusPoly
+import reference
 from bitwise import same_bits
 from sweeps import advance_with_sweeps
 
@@ -111,6 +112,39 @@ def test_exact_cell_average_mean_is_a0():
     v = TorusPoly(2, terms)
     f = exact_cell_average(v, TorusGrid((32, 16)))
     assert f.mean() == pytest.approx(0.37, abs=1e-14)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_cell_average_is_one_sum_over_pairs(data):
+    # a real TorusPoly given twice: its terms in any order, either key of a
+    # pair (with the conjugate coefficient) given, its mean anywhere
+    n = data.draw(st.integers(1, 3))
+    amp = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    keys = data.draw(st.lists(st.tuples(*[st.integers(-10, 10)] * n), max_size=4))
+    pairs = {}
+    for k in keys:
+        if any(k) and tuple(-c for c in k) not in pairs:
+            pairs[k] = data.draw(amp)
+    terms = list(pairs.items())
+    if data.draw(st.booleans()):
+        terms.append(((0,) * n, data.draw(st.floats(-2.0, 2.0))))
+    other = [(tuple(-c for c in k), a.conjugate()) if any(k) and data.draw(st.booleans())
+             else (k, a) for k, a in data.draw(st.permutations(terms))]
+    p, q = TorusPoly(n, terms), TorusPoly(n, other)
+    g = TorusGrid(tuple(data.draw(st.integers(2, 12)) for _ in range(n)))
+    got = exact_cell_average(p, g).values
+    assert same_bits(got, exact_cell_average(q, g).values)
+    # given in spectrum order, each pair's first key and then the zero, the
+    # sum over every key adds the same values in the same order
+    keys = p.spectrum()
+    canonical = TorusPoly(n, [(k, p.terms[k]) for k in keys[:len(keys) - len(keys) // 2]])
+    assert same_bits(got, reference.cell_average(canonical, g).values)
+    # in any other order it differs in the order of its additions only, by
+    # at most eps sum |a| for each of its len(terms) additions
+    want = reference.cell_average(p, g).values
+    amp_sum = math.fsum(abs(a) for a in p.terms.values())
+    assert np.max(np.abs(got - want)) <= len(p.terms) * np.finfo(float).eps * amp_sum
 
 
 def test_cfl_dt_burgers_range():
@@ -509,6 +543,8 @@ def test_traveling_wave_l1_constant_in_time():
     g = TorusGrid((512,))
     for t in (0.0, 0.7, 2.3):
         f = exact_cell_average(w.torus_poly(t), g)
+        # the pair sum keeps the bits of the sum over every key
+        assert same_bits(f.values, reference.cell_average(w.torus_poly(t), g).values)
         ref = CellField(g, np.full(512, 0.1))
         assert l1_distance(f, ref) == pytest.approx(0.5 / np.pi, rel=1e-4)
 
