@@ -569,7 +569,8 @@ def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
     """
     if scalar_flux.n != 1:
         raise ValueError("affine_on expects a scalar flux")
-    a, b = Fraction(a), Fraction(b)
+    a = a if isinstance(a, Fraction) else Fraction(a)
+    b = b if isinstance(b, Fraction) else Fraction(b)
     if not a < b:
         raise ValueError("need a < b")
     bp = scalar_flux.breakpoints

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -42,8 +41,8 @@ def _as_fraction(x) -> Fraction:
 
 def _clear(rows) -> tuple[list[list[int]], int]:
     """Rows of rationals as rows of integer numerators over their lcm denominator."""
-    rows = [[_as_fraction(x) for x in r] for r in rows]
-    den = math.lcm(*(x.denominator for r in rows for x in r))
+    rows = [[x if isinstance(x, Fraction) else _as_fraction(x) for x in r] for r in rows]
+    den = math.lcm(*{x.denominator for r in rows for x in r})
     return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
@@ -80,6 +79,14 @@ class FrequencyBasis:
         for v in self.values:
             if not math.isfinite(v) or v == 0.0:
                 raise ValueError(f"basis values must be finite and nonzero, got {v}")
+
+    def __eq__(self, other):
+        # bases are shared objects, so identity settles most compares
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.values == other.values
 
     @property
     def dim(self) -> int:
@@ -307,6 +314,10 @@ def _hermite(mat: list[list[int]], ncols: int | None = None):
     len(pivot_columns) rows are the canonical Hermite rows: pivot columns
     strictly increasing, pivots positive, entries above each pivot reduced
     into [0, pivot).  Remaining rows are zero in the first ncols columns.
+    Per column, the first row with a nonzero entry becomes the pivot row,
+    and each later nonzero entry is folded into it by one unimodular
+    extended-gcd combination of the two rows (Cohen 1993, sec. 2.4).  The
+    Hermite rows are unique, so they do not depend on the order of folding.
     """
     if not mat:
         return mat, []
@@ -315,23 +326,24 @@ def _hermite(mat: list[list[int]], ncols: int | None = None):
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        # Euclidean reduction until at most one row below r has a nonzero
-        # entry in this column.
-        while True:
-            live = [i for i in range(r, nrows) if mat[i][c]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(mat[i][c]))
-            base = live[0]
-            for i in live[1:]:
-                q = mat[i][c] // mat[base][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[base])]
         live = [i for i in range(r, nrows) if mat[i][c]]
         if not live:
             continue
         i0 = live[0]
         mat[r], mat[i0] = mat[i0], mat[r]
+        for i in live[1:]:
+            a, b = mat[r][c], mat[i][c]
+            if b % a == 0:  # one subtraction, and the pivot row stays
+                q = b // a
+                mat[i] = [y - q * x for x, y in zip(mat[r], mat[i])]
+                continue
+            # (g, x, y) with x a + y b = g = gcd(a, b): the rows become
+            # x row_r + y row_i and (b/g) row_r - (a/g) row_i, a
+            # transform of determinant -1 that zeroes row i in column c
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            mat[r], mat[i] = ([x * u + y * v for u, v in zip(mat[r], mat[i])],
+                              [bg * u - ag * v for u, v in zip(mat[r], mat[i])])
         if mat[r][c] < 0:
             mat[r] = [-x for x in mat[r]]
         p = mat[r][c]
@@ -342,6 +354,17 @@ def _hermite(mat: list[list[int]], ncols: int | None = None):
         pivots.append(c)
         r += 1
     return mat, pivots
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, g = +-gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -462,29 +485,33 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
     Rational coordinate rows are scaled by one global denominator (per-row
     scaling would change the generated group) and Hermite-reduced over Z.
     Rank 0 for an empty or all-zero spectrum; an empty one has no basis or
-    dimension, so it gets the rational basis and n = 1.
+    dimension, so it gets the rational basis and n = 1.  Each frequency is
+    then solved in the group, which must hold it ("input frequency must lie
+    in its own group"); ``_group`` also returns those solves.
     """
     freqs = list(spectrum)
     if not freqs:
         return SpectrumGroupBasis(FrequencyBasis.rational(), 1)
+    return _group(freqs)[0]
+
+
+def _group(freqs: list[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[int, ...]]]:
+    """``group_basis`` of a non-empty list, and each frequency's coordinates in it."""
     basis, n = freqs[0].basis, freqs[0].n
     for f in freqs:
         if f.basis != basis or f.n != n:
             raise ValueError("spectrum frequencies disagree in basis or dimension")
     den = math.lcm(*(f.den for f in freqs))
-    rows = (tuple(x * (den // f.den) for c in f.num for x in c) for f in freqs)
-    # r and -r generate the same group: keep one row of each such pair (a
-    # conjugate-closed spectrum has them all), the one whose first nonzero
-    # entry is positive
-    int_rows = list(dict.fromkeys(
-        tuple(map(operator.neg, r)) if next(filter(None, r), 0) < 0 else r for r in rows))
-    work, pivots = _hermite([list(r) for r in int_rows if any(r)])
+    rows = [[x * (den // f.den) for c in f.num for x in c] for f in freqs]
+    work, pivots = _hermite([list(r) for r in rows if any(r)])
     gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
                             tuple(pivots), den)
-    for r in int_rows:
-        assert _solve_int_rows(gb.rows, gb.pivots, list(r)) is not None, \
-            "input frequency must lie in its own group"
-    return gb
+    coords = []
+    for r in rows:
+        ks = _solve_int_rows(gb.rows, gb.pivots, r)
+        assert ks is not None, "input frequency must lie in its own group"
+        coords.append(tuple(ks))
+    return gb, coords
 
 
 def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | None:

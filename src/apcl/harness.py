@@ -537,12 +537,14 @@ def _run_check_flux(cfg: ExperimentConfig):
     if cfg.initial is None and cfg.group_frequencies is None:
         raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
     gb = _declared_group(cfg)
-    if gb is None:
+    if cfg.initial is not None:
+        if gb is not None:
+            # exact membership, not a lift: the flux is decided even where it cannot be lifted
+            for lam in cfg.initial.spectrum():
+                _data_coords(lam, gb)
+        # the criterion asks about the group the data generate, which a
+        # declared group may exceed by a degenerate direction
         gb = group_basis(list(cfg.initial.spectrum()))
-    elif cfg.initial is not None:
-        # exact membership, not a lift: the flux is decided even where it cannot be lifted
-        for lam in cfg.initial.spectrum():
-            _data_coords(lam, gb)
     v = nondegeneracy_check(cfg.flux, gb) if gb.rank else NdVerdict(True)
     row = {
         "nondegenerate": v.nondegenerate,
@@ -554,7 +556,13 @@ def _run_check_flux(cfg: ExperimentConfig):
         "c": v.c,
     }
     row = {k: "" if x is None else x for k, x in row.items()}
-    return {"verdict": ([row], list(row))}, {"nondegenerate": float(v.nondegenerate)}, {}, {}, []
+    # the group decided over: the data's own, or with no data the declared
+    # one, and then the verdict holds for every data set in it
+    scalars = {"nondegenerate": float(v.nondegenerate), "rank": gb.rank,
+               "group_of": "initial" if cfg.initial is not None else "group_frequencies",
+               "group_frequencies": [[[str(Fraction(x, gb.den)) for x in c] for c in comp]
+                                     for comp in gb.generators]}
+    return {"verdict": ([row], list(row))}, scalars, {}, {}, []
 
 
 def _run_contraction(cfg: ExperimentConfig):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flux import PiecewiseFlux, lift_flux
-from .freqlattice import Frequency, SpectrumGroupBasis, _value, group_basis, member_coords
+from .freqlattice import Frequency, SpectrumGroupBasis, _group, _value, member_coords
 from .solver import MAX_CELLS, CellField
 from .trigpoly import TorusPoly, TrigPoly
 
@@ -212,7 +212,11 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     """Build the periodic twin of (u0, flux).
 
     The group basis is computed from the data spectrum unless ``group`` is
-    given.  A given group must contain the spectrum; it may be larger, which
+    given: from the first key of each +-pair, which generate the same group
+    as the whole spectrum, and the exact solves that check each key's
+    membership are its coordinates, so each key is solved once.  Over a
+    given group each key is solved by ``member_coords``.  A given group
+    must contain the spectrum; it may be larger, which
     enlarges m (e.g. to probe coefficients outside the data's coordinate
     image) or lets several data sets share one torus.  With ``flux`` None
     only the data are lifted.  Verifies the lift round trip
@@ -222,20 +226,23 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     frequencies) do not reproduce the data.
     """
     spectrum = list(u0.spectrum())
+    # the pairs' first keys are the first half of the spectrum, in order,
+    # and TorusPoly adds each -k: one solve per pair, for its first key
+    half = len(u0._pair_amps)
+    firsts = spectrum[:half]
     gb = group
     if gb is None:
-        gb = group_basis(spectrum) if spectrum else SpectrumGroupBasis(u0.basis, u0.n)
+        # the group of the first keys is the group of the whole spectrum,
+        # and the solves that check it are the first keys' coordinates
+        gb, coords = _group(firsts) if firsts else (SpectrumGroupBasis(u0.basis, u0.n), [])
     if flux is not None and gb.n != flux.n:
         raise ValueError("flux component count must equal the data dimension")
     if gb.rank == 0:
         return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
                              lam=np.zeros((0, u0.n)))
-    terms = []
-    # one solve per +-pair, for its first key: the pairs' first keys are the
-    # first half of the spectrum, in order, and TorusPoly adds each -k
-    half = len(u0._pair_amps)
-    for lamf, amp in zip(spectrum, u0._pair_amps.tolist()):
-        terms.append((_data_coords(lamf, gb), amp))
+    if group is not None:
+        coords = [_data_coords(lamf, gb) for lamf in firsts]
+    terms = list(zip(coords, u0._pair_amps.tolist()))
     if len(spectrum) > 2 * half:
         # the zero frequency, in the middle
         terms.append(((0,) * gb.rank, u0.terms[spectrum[half]]))

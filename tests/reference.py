@@ -5,8 +5,9 @@ floats; ``RealQ`` is the rational reference the tests check against.
 These helpers build the same ``RealQ`` values from a flux's ``_num`` and
 ``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` and
 ``cell_average`` are the complex sums over every key that a trigonometric
-polynomial's values and cell averages were first taken from, and
-``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``.
+polynomial's values and cell averages were first taken from,
+``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``, and
+``hermite`` the sort-and-reduce Euclid form of the Hermite reduction.
 """
 
 import math
@@ -101,3 +102,45 @@ def orbit_mean(pb, w, z, radius, samples_per_unit):
     grids = np.meshgrid(*([axis] * pb.n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     return float(np.mean(interp_periodic(w, pb.lift_points(pts, z))))
+
+
+def hermite(mat, ncols=None):
+    """In-place row Hermite reduction by sorted Euclid steps; returns (rows, pivot_columns).
+
+    The contract of ``freqlattice._hermite``: per column, the rows from the
+    next pivot row down are reduced by their smallest nonzero entry, sorted
+    again and reduced until at most one nonzero entry is left, which is
+    made positive and reduces the entries above it into [0, pivot).
+    """
+    if not mat:
+        return mat, []
+    width = ncols if ncols is not None else len(mat[0])
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(width):
+        while True:
+            live = [i for i in range(r, nrows) if mat[i][c]]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: abs(mat[i][c]))
+            base = live[0]
+            for i in live[1:]:
+                q = mat[i][c] // mat[base][c]
+                if q:
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[base])]
+        live = [i for i in range(r, nrows) if mat[i][c]]
+        if not live:
+            continue
+        i0 = live[0]
+        mat[r], mat[i0] = mat[i0], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        p = mat[r][c]
+        for i in range(r):
+            q = mat[i][c] // p
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots

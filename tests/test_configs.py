@@ -39,6 +39,8 @@ EXACT_CSV = {
                        b"true,,,,,,\n",
     "degenerate_diagonal": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
                            b'false,"1,-1",0,-2,2,0.0,0.0\n',
+    "diagonal_data_group": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
+                           b"true,,,,,,\n",
 }
 
 
@@ -48,3 +50,21 @@ def test_exact_layer_csv_bytes(stem, tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / f"{stem}_verdict.csv").read_bytes() == EXACT_CSV[stem]
+
+
+def test_data_group_config_decides_over_the_data_group(tmp_path):
+    # (u^2/2, u^2/2) is degenerate along (1, -1) in the declared Z^2, which
+    # the data 0.5 cos 2 pi x_1 do not reach: their group is {(k, 0)}
+    path = ROOT / "configs" / "diagonal_data_group.json"
+    assert cli.main(["check-flux", "--config", str(path), "--out", str(tmp_path / "own")]) == 0
+    report = json.loads((tmp_path / "own" / "diagonal_data_group_report.json").read_text())
+    assert {k: report["scalars"][k] for k in ("group_of", "rank", "group_frequencies")} == \
+        {"group_of": "initial", "rank": 1, "group_frequencies": [[["1"], ["0"]]]}
+    # without the data, the verdict is over the declared group, for every data set in it
+    d = json.loads(path.read_text())
+    del d["initial"]
+    cp = tmp_path / "declared.json"
+    cp.write_text(json.dumps(d))
+    assert cli.main(["check-flux", "--config", str(cp), "--out", str(tmp_path / "declared")]) == 4
+    report = json.loads((tmp_path / "declared" / "diagonal_data_group_report.json").read_text())
+    assert (report["scalars"]["group_of"], report["scalars"]["rank"]) == ("group_frequencies", 2)

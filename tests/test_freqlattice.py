@@ -3,15 +3,19 @@
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apcl.freqlattice as freqlattice
 from apcl.freqlattice import (
     Frequency,
     FrequencyBasis,
+    _group,
+    _hermite,
     group_basis,
     in_lattice,
     integer_kernel,
@@ -133,6 +137,57 @@ def test_integer_kernel_exact_annihilation(rows):
             sum(Fraction(c) * ki for c, ki in zip(row, k)) == 0 for row in rows
         ):
             assert in_lattice(k, ker)
+
+
+small_matrices = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-12, 12), min_size=width, max_size=width), min_size=1, max_size=5))
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_hermite_matches_the_sort_and_reduce_reference(mat, data):
+    # the Hermite rows are unique, so the extended-gcd folds and the sorted
+    # Euclid steps give the same rows and pivots on the pivot-eligible columns
+    width = len(mat[0])
+    ncols = data.draw(st.none() | st.integers(0, width))
+    work = [list(r) for r in mat]
+    rows, pivots = _hermite(work, ncols)
+    ref_rows, ref_pivots = reference.hermite([list(r) for r in mat], ncols)
+    assert rows is work
+    assert pivots == ref_pivots
+    w = width if ncols is None else ncols
+    assert [r[:w] for r in rows] == [r[:w] for r in ref_rows[:len(pivots)]] + \
+        [[0] * w] * (len(mat) - len(pivots))
+    # a unimodular transform keeps the lattice the rows span
+    assert all(in_lattice(r, rows) for r in mat) and all(in_lattice(h, mat) for h in rows)
+    vec = data.draw(st.lists(st.integers(-12, 12), min_size=width, max_size=width))
+    with mock.patch.object(freqlattice, "_hermite", reference.hermite):
+        ref_kernel = integer_kernel([list(r) for r in mat], width)
+        ref_member = in_lattice(vec, mat)
+    assert integer_kernel([list(r) for r in mat], width) == ref_kernel
+    assert in_lattice(vec, mat) == ref_member
+
+
+def test_equal_bases_that_are_distinct_objects_compare_and_hash_equal():
+    a, b = FrequencyBasis.with_sqrt(2), FrequencyBasis.with_sqrt(2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    # the product table takes no part in equality
+    bare = FrequencyBasis(a.labels, a.values)
+    assert bare == a and hash(bare) == hash(a)
+    assert a != FrequencyBasis.with_sqrt(3) and a != B1
+    assert a.__eq__(a.labels) is NotImplemented
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_group_coordinates_are_member_coords(n, q, data):
+    basis = B1 if q == 1 else B2
+    rows = st.lists(st.lists(rationals, min_size=q, max_size=q), min_size=n, max_size=n)
+    freqs = [Frequency.of(basis, r) for r in data.draw(st.lists(rows, min_size=1, max_size=5))]
+    # with the negatives of some of them, as in a conjugate-closed spectrum
+    freqs += [-f for f in freqs[:data.draw(st.integers(0, len(freqs)))]]
+    gb, coords = _group(freqs)
+    assert coords == [member_coords(f, gb) for f in freqs]
 
 
 def test_group_basis_periodic_pair():
@@ -261,7 +316,7 @@ def test_group_basis_reconstruction_random(n, q, data):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_group_basis_of_a_conjugate_closed_spectrum_is_that_of_its_half(seed):
-    # each +-f pair is reduced as one row, and the Hermite rows are canonical
+    # the Hermite rows are canonical, and -f generates nothing f does not
     rng = np.random.default_rng(seed)
     n, q = int(rng.integers(1, 4)), int(rng.integers(1, 3))
     basis = B1 if q == 1 else B2

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import apcl.solver as solver_mod
@@ -1143,6 +1143,37 @@ def test_cli_frequency_outside_the_group_is_named_in_config_form(tmp_path, capsy
     assert rc == 3
     assert capsys.readouterr().err == (
         'refused: data frequency [["-1"]] lies outside the declared group\n')
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_check_flux_decides_over_the_data_group_inside_a_larger_declared_one(data):
+    # the criterion asks about the group the data generate: a declared group
+    # that holds it properly, by rank or by index, leaves the verdict as it is
+    ints = st.integers(-3, 3)
+    freqs = []
+    for v in data.draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=3)):
+        if any(v) and v not in freqs and tuple(-x for x in v) not in freqs:
+            freqs.append(v)
+    assume(freqs)
+    declared = data.draw(st.sampled_from([[[["1"], ["0"]], [["0"], ["1"]]],
+                                          [[["1/2"], ["0"]], [["0"], ["1"]]]]))
+    data_group, declared_group = (
+        group_basis(Frequency.of(FrequencyBasis.rational(), rows) for rows in spec)
+        for spec in ([[[a], [b]] for a, b in freqs], declared))
+    # the data lie in the declared group, so a different one is a proper subgroup
+    assume((data_group.rows, data_group.den) != (declared_group.rows, declared_group.den))
+    coeff = st.sampled_from(["-1", "0", "1/2", "1", "3/2"])
+    pieces = [[[data.draw(coeff) for _ in range(3)] for _ in range(2)]]
+    initial = {"terms": [{"frequency": [[str(a)], [str(b)]], "re": 0.25} for a, b in freqs]}
+    base = checkflux_config(flux={"breakpoints": ["-2", "2"], "pieces": pieces},
+                            initial=initial, thresholds={})
+    del base["group_frequencies"]
+    own = run_experiment(parse_config(base))
+    over = run_experiment(parse_config({**base, "group_frequencies": declared}))
+    assert over.tables == own.tables
+    assert over.scalars == own.scalars
+    assert own.scalars["rank"] == data_group.rank
 
 
 # group_frequencies is the group in every kind, and must generate the data:

@@ -248,6 +248,26 @@ def test_lift_problem_matches_first_formulas(data):
     assert pb.v0.mean == v0.mean
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lift_problem_group_and_coordinates_are_group_basis_and_member_coords(data):
+    # the group of the pairs' first keys is the group of the whole spectrum,
+    # and each first key's coordinates are its member_coords there
+    u0 = _draw_data(data)
+    pb = lift_problem(u0, None)
+    if not u0.spectrum():  # group_basis gives an empty spectrum n = 1, the lift u0.n
+        return
+    gb = group_basis(u0.spectrum())
+    assert (pb.group.basis, pb.group.n, pb.group.rows, pb.group.pivots, pb.group.den) == \
+        (gb.basis, gb.n, gb.rows, gb.pivots, gb.den)
+    if not pb.m:
+        return
+    firsts = list(u0.spectrum())[:len(u0._pair_amps)]
+    assert len(pb.v0.terms) == 2 * len(firsts) + (len(u0.terms) > 2 * len(firsts))
+    for f in firsts:
+        assert pb.v0.terms[member_coords(f, gb)] == u0.terms[f]
+
+
 def test_lift_is_derived_once_per_flux_and_group():
     u0 = quasi_data()
     spectrum = list(u0.spectrum())
