@@ -7,8 +7,9 @@ positive denominator shared by every entry.  Exactness is the point:
 continuity at breakpoints, directional combinations xi.phi, lifting to the
 torus, and the linear non-degeneracy decision are all settled in Python
 integers, which cannot overflow.  A flux derives each of its lifts once:
-``lift_flux`` keeps the lambda_j.phi tensor per group on the flux, and a
-directional flux is an integer combination of that tensor's components.
+it keeps the lambda_j.phi tensor per group (``_lift``), which
+``lift_flux`` hands out as a flux, a directional flux combines with
+integers and the non-degeneracy decision reads.
 Floats appear only in numeric evaluation paths, whose float tables a flux
 builds on first use.  RealQ, the rational reference and the bench's input
 form, appears only as an accepted coefficient: every result is integers
@@ -20,7 +21,10 @@ affine on some piece, i.e. kills every coefficient of degree >= 2 there.
 Each degree-d coefficient of the combination is sum_j kbar_j (lambda_j.c_d),
 an exact vector of basis coordinates that vanishes iff all its coordinates
 do, so the witnesses on a piece form the integer kernel of the matrix with
-one row per (degree >= 2, basis coordinate) pair.  A polynomial with any
+one row per (degree >= 2, basis coordinate) pair, whose entries are the
+lift's lambda_j.c_d.  The per-piece test decides the matrix's rank
+first: full column rank means no witness, and only a rank-deficient piece
+has its kernel computed (``integer_kernel``).  A polynomial with any
 nonzero coefficient of degree >= 2 is non-affine on every interval, so the
 per-piece test is complete.
 """
@@ -230,7 +234,7 @@ class PiecewiseFlux:
 
     @cached_property
     def _lifts(self) -> dict:
-        """``lift_flux``'s results for this flux, keyed by the group's (rows, den)."""
+        """``_lift``'s results for this flux, keyed by the group's (rows, den)."""
         return {}
 
     @cached_property
@@ -405,25 +409,37 @@ def _mul_add(acc: list[int], x, c, mul):
                 acc[k] += ab * w
 
 
-def _dot(xi, piece, mul, start: int = 0) -> list[tuple[int, ...]]:
-    """Integer coefficients of u -> xi.phi(u) on one piece, degree ``start`` up.
+def _dot(xi, piece, mul) -> list:
+    """Integer coefficients of u -> xi.phi(u) on one piece, one entry per degree.
 
     ``xi`` holds one q-tuple of integer numerators per flux component,
     ``piece`` is one piece of a flux's integer tensor and ``mul`` the basis
     structure constants ``FrequencyBasis.structure``; the result is over the
     product of the three denominators.  This is the one place where a frequency
-    meets the flux coefficients.
+    meets the flux coefficients.  An entry that needs a product of basis
+    elements the basis does not declare holds, in place of its q-tuple, the
+    message of the first such product it meets, so a caller refuses only
+    the entries it reads (``_refusal``).
     """
     q = len(mul[1])
     terms = [(x, comp) for x, comp in zip(xi, piece) if any(x)]
     out = []
-    for d in range(start, max(len(comp) for comp in piece)):
+    for d in range(max(len(comp) for comp in piece)):
         acc = [0] * q
-        for x, comp in terms:
-            if d < len(comp):
-                _mul_add(acc, x, comp[d], mul)
-        out.append(tuple(acc))
+        try:
+            for x, comp in terms:
+                if d < len(comp):
+                    _mul_add(acc, x, comp[d], mul)
+        except ValueError as e:
+            out.append(str(e))
+        else:
+            out.append(tuple(acc))
     return out
+
+
+def _refusal(entries) -> str | None:
+    """The first message among ``_dot``'s ``entries``, or None."""
+    return next((e for e in entries if e.__class__ is str), None)
 
 
 def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
@@ -511,19 +527,33 @@ def lip_bound(flux: PiecewiseFlux, component: int, lo: float, hi: float) -> floa
 
 
 def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdict:
-    """Decide whether any nonzero kbar makes xi.phi affine on some piece."""
+    """Decide whether any nonzero kbar makes xi.phi affine on some piece.
+
+    The lambda_j.c_d of degree >= 2 come from the flux's lift over ``gb``
+    (``_lift``), which a later ``lift_flux`` or ``directional`` over the
+    same group reuses.  Pieces are read in order up to the first with a
+    witness, and only their degree >= 2 entries may refuse an undeclared
+    basis product; the witness's slope and intercept are contracted from
+    xi = sum_j kbar_j lambda_j itself, on degrees 0 and 1 of its piece,
+    where the lift's lambda_j.c_d may need products that xi's do not.
+    """
     _check_group(flux, gb)
     q = flux.basis.dim
     mul = flux.basis.structure
-    for p, piece in enumerate(flux._num):
+    tensor, lifted = _lift(flux, gb)
+    for p, dots in enumerate(tensor):
+        if lifted.__class__ is str and (refusal := _refusal(e for dot in dots for e in dot[2:])):
+            raise ValueError(refusal)
         # lambda_j . c_d for d >= 2, one matrix row per (degree, coordinate)
-        dots = [_dot(lam, piece, mul, 2) for lam in gb.generators]
-        rows = [[dot[d][qi] for dot in dots] for d in range(len(dots[0])) for qi in range(q)]
+        rows = [[dot[d][qi] for dot in dots] for d in range(2, len(dots[0])) for qi in range(q)]
         kern = integer_kernel(rows, gb.rank)
         if kern:
             kbar = kern[0]
             den, values = gb.den * flux._den * mul[0], flux.basis.values
-            slope, intercept = _affine_part(_dot(gb.vector(kbar), piece, mul), q)
+            affine = _dot(gb.vector(kbar), [comp[:2] for comp in flux._num[p]], mul)
+            if refusal := _refusal(affine):
+                raise ValueError(refusal)
+            slope, intercept = _affine_part(affine, q)
             return NdVerdict(
                 nondegenerate=False,
                 kbar=kbar,
@@ -535,22 +565,38 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     return NdVerdict(nondegenerate=True)
 
 
+def _lift(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> tuple:
+    """(tensor, lifted): the lift of ``flux`` over ``gb``, derived once.
+
+    ``tensor[p][j]`` is ``_dot(lambda_j, piece p)``.  ``lifted`` is the flux
+    with those components, or, when an entry holds a refusal, the first
+    one in (piece, generator, degree) order, which is what building the
+    flux refuses.  Kept on the flux, keyed by the group's
+    canonical (rows, den), which with the flux's own basis fixes it, so
+    equal groups from separate ``group_basis`` calls share one lift.
+    """
+    key = (gb.rows, gb.den)
+    got = flux._lifts.get(key)
+    if got is None:
+        mul = flux.basis.structure
+        tensor = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
+        lifted = (_refusal(e for dots in tensor for dot in dots for e in dot)
+                  or PiecewiseFlux._derived(flux, tensor, gb.den * flux._den * mul[0]))
+        got = flux._lifts[key] = (tensor, lifted)
+    return got
+
+
 def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     """m-component flux with components (lambda_j . phi), same breakpoints.
 
-    A flux derives each of its lifts once: the result is kept on the flux,
-    keyed by the group's canonical (rows, den), which with the flux's own
-    basis fixes it, so equal groups from separate ``group_basis`` calls
-    share one lift.  The group is checked on every call.
+    A flux derives each of its lifts once (``_lift``), so every call over
+    an equal group returns the same flux, or refuses with the same
+    undeclared product.  The group is checked on every call.
     """
     _check_group(flux, gb)
-    key = (gb.rows, gb.den)
-    lifted = flux._lifts.get(key)
-    if lifted is None:
-        mul = flux.basis.structure
-        pieces = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
-        lifted = PiecewiseFlux._derived(flux, pieces, gb.den * flux._den * mul[0])
-        flux._lifts[key] = lifted
+    lifted = _lift(flux, gb)[1]
+    if lifted.__class__ is str:
+        raise ValueError(lifted)
     return lifted
 
 

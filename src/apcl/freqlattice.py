@@ -3,10 +3,12 @@
 Real numbers like 1 + 2*sqrt(2) are carried as exact rational coordinate
 vectors over a user-declared basis of reals (assumed Q-independent, not
 verified); floats are kept only as evaluation shadows.  On top of that sit
-integer-lattice routines: the integer kernel of an integer matrix and the
-canonical generating set of the additive group spanned by a finite set of
-frequencies, held as integer numerators over one denominator.  All lattice
-arithmetic is over Python's arbitrary-precision integers: no overflow.
+integer-lattice routines: the integer kernel of an integer matrix (a rank
+test by fraction-free elimination, then Hermite reduction only when the
+rank falls short) and the canonical generating set of the additive group
+spanned by a finite set of frequencies, held as integer numerators over
+one denominator.  All lattice arithmetic is over Python's
+arbitrary-precision integers: no overflow.
 """
 
 from __future__ import annotations
@@ -367,16 +369,50 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """The last pivot of the fraction-free elimination of ``rows``, or 0.
+
+    Bareiss's elimination (*Math. Comp.* 22, 1968) over Python ints: per
+    column c, the first row from row c down with a nonzero entry becomes
+    pivot row c, and every row below it becomes (p row - a pivot_row) /
+    prev, p the pivot, a the row's entry in column c and prev the pivot
+    of column c - 1 (1 at first).  The division is exact: each entry is
+    a minor of the matrix, so the numbers stay as small as its minors.
+    With one pivot per column the last is, up to sign, the ncols x ncols
+    minor on the pivot rows, nonzero (1 for no columns); a column without
+    a pivot means a rank below ncols, and gives 0.
+    """
+    mat = list(rows)  # rows are replaced, never changed in place
+    prev = 1
+    for c in range(ncols):
+        for i in range(c, len(mat)):
+            if mat[i][c]:
+                break
+        else:
+            return 0
+        mat[c], mat[i] = mat[i], mat[c]
+        top = mat[c]
+        p = top[c]
+        if c + 1 < ncols:  # the last column's pivot needs no elimination below it
+            mat[c + 1:] = [[(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                           for r in mat[c + 1:]]
+        prev = p
+    return prev
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the lattice {k in Z^ncols : A k = 0} for an integer matrix A.
 
     ``rows`` holds the matrix rows, each of length ``ncols``.  The result is
     canonical: vectors in Hermite-reduced order with positive leading
-    entries, each primitive.  Empty list iff the kernel is trivial.
+    entries, each primitive.  Empty list iff the kernel is trivial, which
+    is iff A has full column rank: that is decided first, by fraction-free
+    elimination (``_bareiss``), so the Hermite reduction that finds the
+    vectors runs only on a rank-deficient A.
     """
     if any(len(r) != ncols for r in rows):
         raise ValueError("row length disagrees with ncols")
-    if ncols == 0:
+    if _bareiss(rows, ncols):
         return []
     # Dividing a row by its gcd keeps the kernel and the numbers small;
     # zero rows constrain nothing.

@@ -6,8 +6,9 @@ These helpers build the same ``RealQ`` values from a flux's ``_num`` and
 ``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` and
 ``cell_average`` are the complex sums over every key that a trigonometric
 polynomial's values and cell averages were first taken from,
-``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``, and
-``hermite`` the sort-and-reduce Euclid form of the Hermite reduction.
+``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``,
+``hermite`` the sort-and-reduce Euclid form of the Hermite reduction, and
+``kernel`` the integer kernel found by Hermite reduction alone.
 """
 
 import math
@@ -144,3 +145,28 @@ def hermite(mat, ncols=None):
         pivots.append(c)
         r += 1
     return mat, pivots
+
+
+def kernel(rows, ncols):
+    """``freqlattice.integer_kernel`` without its rank test, over ``hermite``.
+
+    The transpose of the matrix, each row divided by its gcd and zero rows
+    dropped, with an identity tail is Hermite-reduced; the tails of the
+    rows whose profile part reduces to zero span the kernel lattice, and
+    their own Hermite rows are the canonical basis.
+    """
+    if ncols == 0:
+        return []
+    int_rows = [[x // math.gcd(*r) for x in r] for r in rows if any(r)]
+    nprof = len(int_rows)
+    work = [[int_rows[i][j] for i in range(nprof)] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    work, pivots = hermite(work, ncols=nprof)
+    tails = [row[nprof:] for row in work[len(pivots):]]
+    if not tails:
+        return []
+    tails, _ = hermite(tails)
+    out = [tuple(vec) for vec in tails if any(vec)]
+    # the kernel lattice is saturated, so its Hermite rows are primitive
+    assert all(math.gcd(*vec) == 1 for vec in out)
+    return out

@@ -37,6 +37,10 @@ def test_shipped_config_passes(path, tmp_path, capsys):
 EXACT_CSV = {
     "checkflux_sqrt2": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
                        b"true,,,,,,\n",
+    # the lift needs sqrt2*sqrt3, which the basis does not declare; the
+    # witness xi = (2, -2) does not
+    "checkflux_undeclared_witness": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
+                                    b'false,"2,-1",0,-1,1,3.4641016151377544,0.0\n',
     "degenerate_diagonal": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"
                            b'false,"1,-1",0,-2,2,0.0,0.0\n',
     "diagonal_data_group": b"nondegenerate,kbar,piece,interval_lo,interval_hi,tau,c\n"

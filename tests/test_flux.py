@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import apcl.flux as flux_mod
 from apcl.flux import (
     PiecewiseFlux,
     _dot,
@@ -20,6 +21,8 @@ from apcl.flux import (
     nondegeneracy_check,
 )
 from apcl.freqlattice import Frequency, FrequencyBasis, _value, group_basis
+from apcl.lift import lift_problem
+from apcl.trigpoly import TrigPoly
 import reference
 from bitwise import same_bits
 
@@ -579,28 +582,88 @@ def test_lift_and_directional_match_realq_arithmetic(data):
 B3 = FrequencyBasis(("1", "sqrt2", "sqrt3"), (1.0, 2 ** 0.5, 3 ** 0.5))
 
 
+UNDECLARED = "product of basis elements sqrt2*sqrt3 is not declared; exact multiplication undefined"
+
+
+def _refused(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
 def test_undeclared_product_raises_only_when_both_factors_are_irrational():
-    # sqrt3 u^2 against the frequency sqrt2: sqrt2*sqrt3 is not declared
-    flux = PiecewiseFlux(B3, [-1, 1], [[["0", "0", ["0", "0", "1"]]]])
     gb = group_basis([Frequency.of(B3, [["0", "1", "0"]])])
-    for call in (lambda: lift_flux(flux, gb), lambda: directional(flux, (1,), gb),
-                 lambda: nondegeneracy_check(flux, gb)):
-        with pytest.raises(ValueError, match="sqrt2\\*sqrt3 is not declared"):
-            call()
-    # sqrt3 u + u^2/2: only the degree-1 coefficient needs sqrt2*sqrt3, and
-    # the decision reads degree >= 2 only, so it still gives a verdict; the
-    # lift and a directional flux, built from it, need every degree
-    linear = PiecewiseFlux(B3, [-1, 1], [[["0", ["0", "0", "1"], "1/2"]]])
-    assert nondegeneracy_check(linear, gb).nondegenerate
-    for call in (lambda: lift_flux(linear, gb), lambda: directional(linear, (1,), gb)):
-        with pytest.raises(ValueError, match="sqrt2\\*sqrt3 is not declared"):
-            call()
+    for decide_first in (False, True):
+        # sqrt3 u^2 against the frequency sqrt2: sqrt2*sqrt3 is not declared;
+        # every call refuses, the decision too, in either order and again
+        # once the flux keeps its lift
+        flux = PiecewiseFlux(B3, [-1, 1], [[["0", "0", ["0", "0", "1"]]]])
+        calls = [lambda: lift_flux(flux, gb), lambda: directional(flux, (1,), gb),
+                 lambda: nondegeneracy_check(flux, gb)]
+        for call in (calls[::-1] if decide_first else calls) * 2:
+            assert _refused(call) == UNDECLARED
+        # sqrt3 u + u^2/2: only the degree-1 coefficient needs sqrt2*sqrt3,
+        # and the decision reads degree >= 2 only, so it still gives a
+        # verdict; the lift and a directional flux need every degree, and
+        # refuse on every call, before the decision has read the lift and after
+        linear = PiecewiseFlux(B3, [-1, 1], [[["0", ["0", "0", "1"], "1/2"]]])
+        if decide_first:
+            assert nondegeneracy_check(linear, gb).nondegenerate
+        for _ in range(2):
+            for call in (lambda: lift_flux(linear, gb), lambda: directional(linear, (1,), gb)):
+                assert _refused(call) == UNDECLARED
+        assert nondegeneracy_check(linear, gb).nondegenerate
     # a rational factor on either side needs no product table
     rational = group_basis([Frequency.of(B3, [["2", "0", "0"]])])
     assert reference.pieces(lift_flux(flux, rational))[0][0][2].coeffs == (0, 0, 2)
     plain = PiecewiseFlux(B3, [-1, 1], [[["0", "0", "1"]]])
     assert reference.pieces(lift_flux(plain, gb))[0][0][2].coeffs == (0, 1, 0)
     assert nondegeneracy_check(plain, gb).nondegenerate
+
+
+def test_witness_needs_no_product_that_only_the_lift_needs():
+    # (u^2 + sqrt3 u, u^2) over the group of (-1 - sqrt2, 1 - sqrt2) and
+    # (-1 + sqrt2, 1 + sqrt2): every lambda_j.phi needs sqrt2*sqrt3 in degree
+    # 1, but the witness xi = 2 lambda_1 - lambda_2 = (2, -2) is rational,
+    # and xi.phi = 2 sqrt3 u
+    flux = PiecewiseFlux(B3, [-1, 1], [[["0", ["0", "0", "1"], "1"], ["0", "0", "1"]]])
+    gb = group_basis([Frequency.of(B3, [["-1", "-1", "0"], ["1", "-1", "0"]]),
+                      Frequency.of(B3, [["-1", "1", "0"], ["1", "1", "0"]])])
+    for _ in range(2):
+        v = nondegeneracy_check(flux, gb)
+        assert (v.nondegenerate, v.kbar, v.piece, v.interval, v.tau, v.c) == \
+            (False, (2, -1), 0, (-1, 1), 3.4641016151377544, 0.0)
+        for call in (lambda: lift_flux(flux, gb), lambda: directional(flux, v.kbar, gb)):
+            assert _refused(call) == UNDECLARED
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_a_decide_and_its_lifts_contract_each_generator_once_per_piece(degenerate, monkeypatch):
+    # (u^2, u^3) on three pieces, over Z^2: nondegenerate; with u^2 for the
+    # second component on the last piece, (1, -1) makes it affine there
+    last = ["0", "0", "1"] if degenerate else ["0", "0", "0", "1"]
+    pieces = [[["0", "0", "1"], ["0", "0", "0", "1"]]] * 2 + [[["0", "0", "1"], last]]
+    flux = PiecewiseFlux(B1, [-2, -1, 0, 1], pieces)
+    freqs = [Frequency.of(B1, [[1], [0]]), Frequency.of(B1, [[0], [1]])]
+    gb = group_basis(freqs)
+    u0 = TrigPoly(B1, 2, [(freqs[0], 0.25), (freqs[1], 0.25j)])
+    degrees = []
+    dot = flux_mod._dot
+
+    def counted(xi, piece, *rest):
+        degrees.append(max(len(comp) for comp in piece) - 1)
+        return dot(xi, piece, *rest)
+
+    monkeypatch.setattr(flux_mod, "_dot", counted)
+    v = nondegeneracy_check(flux, gb)
+    assert v.nondegenerate is not degenerate
+    lifted = lift_flux(flux, gb)
+    directional(flux, v.kbar or (1, 0), gb)
+    assert lift_problem(u0, flux).flux is lifted
+    # npieces x rank contractions of the whole pieces, of degree 3, 3 and 3
+    # or 2, and for a degenerate verdict one more of the witness piece's
+    # degrees <= 1
+    assert degrees == [3, 3, 3, 3] + [2 if degenerate else 3] * 2 + [1] * degenerate
 
 
 def test_fractional_product_table():

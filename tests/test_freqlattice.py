@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import numpy as np
@@ -14,6 +14,7 @@ import apcl.freqlattice as freqlattice
 from apcl.freqlattice import (
     Frequency,
     FrequencyBasis,
+    _bareiss,
     _group,
     _hermite,
     group_basis,
@@ -166,6 +167,62 @@ def test_hermite_matches_the_sort_and_reduce_reference(mat, data):
         ref_member = in_lattice(vec, mat)
     assert integer_kernel([list(r) for r in mat], width) == ref_kernel
     assert in_lattice(vec, mat) == ref_member
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, ncols): up to 8 rows of 1 to 4 entries in -3..3, with zero,
+    duplicate and dependent rows mixed in, and at times a column that is
+    an integer combination of the others, so that the kernel is not trivial."""
+    ncols = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    while len(rows) < 8 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]) if rows
+                    else st.just("zero"))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    if ncols > 1 and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        coef = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        for r in rows:
+            r[c] = sum(w * x for k, (w, x) in enumerate(zip(coef, r)) if k != c)
+    return draw(st.permutations(rows)), ncols
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_with_its_rank_test_matches_the_hermite_reference(case):
+    rows, ncols = case
+    assert integer_kernel([list(r) for r in rows], ncols) == reference.kernel(rows, ncols)
+
+
+def _det(mat):
+    """Leibniz's determinant of a square integer matrix."""
+    n = len(mat)
+    out = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+    return out
+
+
+square_matrices = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(square_matrices)
+@settings(max_examples=200, deadline=None)
+def test_bareiss_last_pivot_is_the_determinant(mat):
+    # every entry of the fraction-free elimination is a minor, so its last
+    # pivot is +-det, and 0 when the matrix is singular
+    assert abs(_bareiss([list(r) for r in mat], len(mat))) == abs(_det(mat))
 
 
 def test_equal_bases_that_are_distinct_objects_compare_and_hash_equal():
