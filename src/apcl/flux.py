@@ -35,6 +35,7 @@ import bisect
 import ctypes
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -437,6 +438,15 @@ def _dot(xi, piece, mul) -> list:
     return out
 
 
+def _combine(kbar, vecs) -> tuple[int, ...]:
+    """sum_j kbar_j vecs[j] for integer q-tuples ``vecs``, as a q-tuple.
+
+    The exact layer's one integer combination: a component of
+    xi = sum_j kbar_j lambda_j, or a degree of xi.phi from the lift's lambda_j.c_d.
+    """
+    return tuple(sum(map(operator.mul, kbar, col)) for col in zip(*vecs))
+
+
 def _refusal(entries) -> str | None:
     """The first message among ``_dot``'s ``entries``, or None."""
     return next((e for e in entries if e.__class__ is str), None)
@@ -456,28 +466,19 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
 
     Built as sum_j kbar_j (lambda_j.phi) from the components of the flux's
     lift over ``gb`` (``lift_flux``, which derives it once), over the lift's
-    denominator.  Coefficients are exact; the breakpoints carry over.  It
-    raises whatever the lift raises: a group of rank 0, or a product of
-    basis elements the basis does not declare, even on a generator whose
-    kbar_j is 0.
+    denominator: each degree's coefficient is the ``_combine`` of the
+    lift's lambda_j.c_d.  Coefficients are exact; the breakpoints carry
+    over.  It raises whatever the lift raises: a group of rank 0, or a
+    product of basis elements the basis does not declare, even on a
+    generator whose kbar_j is 0.
     """
     kbar = tuple(int(k) for k in kbar)
     if len(kbar) != gb.rank:
         raise ValueError(f"kbar must have {gb.rank} entries")
     lifted = lift_flux(flux, gb)
-    terms = [(j, k) for j, k in enumerate(kbar) if k]
-    q = flux.basis.dim
-    pieces = []
-    for piece in lifted._num:
-        degrees = []
-        # lambda_j.c_d for every j, degree d: every lift component of a
-        # piece has the same degrees
-        for dots in zip(*piece):
-            acc = [0] * q
-            for j, k in terms:
-                acc = [x + k * y for x, y in zip(acc, dots[j])]
-            degrees.append(tuple(acc))
-        pieces.append([degrees])
+    # zip(*piece) holds lambda_j.c_d for every j, per degree d: every lift
+    # component of a piece has the same degrees
+    pieces = [[[_combine(kbar, dots) for dots in zip(*piece)]] for piece in lifted._num]
     return PiecewiseFlux._derived(flux, pieces, lifted._den)
 
 
@@ -534,8 +535,9 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     same group reuses.  Pieces are read in order up to the first with a
     witness, and only their degree >= 2 entries may refuse an undeclared
     basis product; the witness's slope and intercept are contracted from
-    xi = sum_j kbar_j lambda_j itself, on degrees 0 and 1 of its piece,
-    where the lift's lambda_j.c_d may need products that xi's do not.
+    xi = sum_j kbar_j lambda_j itself (``_combine`` of the generators per
+    component), on degrees 0 and 1 of its piece, where the lift's
+    lambda_j.c_d may need products that xi's do not.
     """
     _check_group(flux, gb)
     q = flux.basis.dim
@@ -550,7 +552,8 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
         if kern:
             kbar = kern[0]
             den, values = gb.den * flux._den * mul[0], flux.basis.values
-            affine = _dot(gb.vector(kbar), [comp[:2] for comp in flux._num[p]], mul)
+            xi = [_combine(kbar, lams) for lams in zip(*gb.generators)]
+            affine = _dot(xi, [comp[:2] for comp in flux._num[p]], mul)
             if refusal := _refusal(affine):
                 raise ValueError(refusal)
             slope, intercept = _affine_part(affine, q)

@@ -287,6 +287,15 @@ class Frequency:
         return Frequency(self.basis, tuple(tuple(k * x for x in c) for c in self.num), self.den)
 
 
+def _numerators(f: Frequency, den: int) -> tuple[int, ...]:
+    """f's numerators over ``den``, a multiple of ``f.den``, as n blocks of q in one tuple.
+
+    Over one denominator they compare as the flattened rational coordinates do.
+    """
+    mul = den // f.den
+    return tuple(x * mul for c in f.num for x in c)
+
+
 def _value(num, den: int, values) -> float:
     """Float shadow of sum_i (num_i / den) e_i.
 
@@ -455,7 +464,7 @@ def in_lattice(vec: Sequence[int], basis_vectors: Sequence[Sequence[int]]) -> bo
     return _solve_int_rows(mat[: len(pivots)], pivots, list(vec)) is not None
 
 
-def _solve_int_rows(hnf_rows, pivot_cols, v: list[int]):
+def _solve_int_rows(hnf_rows, pivot_cols, v: Sequence[int]):
     """Integer coefficients expressing v over Hermite rows, or None."""
     ks = []
     for row, pc in zip(hnf_rows, pivot_cols):
@@ -475,11 +484,10 @@ class SpectrumGroupBasis:
     """The additive group spanned by a finite set of frequencies, held once.
 
     ``rows`` are its canonical Hermite rows, the generators lambda_j as
-    integer vectors of n blocks of q basis coordinates over the common
-    denominator ``den``, with pivot columns ``pivots``.  Only this module
-    reads that layout: the flux takes the generators and their integer
-    combinations as per-component q-tuples (``generators``, ``vector``),
-    and ``frequencies`` is the same generators in frequency space.
+    ``_numerators`` over the common denominator ``den``, with pivot columns
+    ``pivots``.  Only this module reads that flat layout: the flux takes
+    the generators per component (``generators``) and combines them
+    itself, and ``frequencies`` is the same generators in frequency space.
     """
 
     basis: FrequencyBasis
@@ -492,22 +500,11 @@ class SpectrumGroupBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _blocks(self, row) -> list[tuple[int, ...]]:
-        q = self.basis.dim
-        return [tuple(row[i:i + q]) for i in range(0, len(row), q)]
-
     @cached_property
     def generators(self) -> tuple[list[tuple[int, ...]], ...]:
         """lambda_j as one q-tuple of numerators over ``den`` per component."""
-        return tuple(self._blocks(row) for row in self.rows)
-
-    def vector(self, kbar) -> list[tuple[int, ...]]:
-        """sum_j kbar_j lambda_j, one q-tuple of numerators over ``den`` per component."""
-        flat = [0] * (self.n * self.basis.dim)
-        for kj, row in zip(kbar, self.rows):
-            if kj:
-                flat = [a + kj * x for a, x in zip(flat, row)]
-        return self._blocks(flat)
+        q = self.basis.dim
+        return tuple([row[i:i + q] for i in range(0, len(row), q)] for row in self.rows)
 
     @cached_property
     def frequencies(self) -> tuple[Frequency, ...]:
@@ -538,7 +535,7 @@ def _group(freqs: list[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[int, 
         if f.basis != basis or f.n != n:
             raise ValueError("spectrum frequencies disagree in basis or dimension")
     den = math.lcm(*(f.den for f in freqs))
-    rows = [[x * (den // f.den) for c in f.num for x in c] for f in freqs]
+    rows = [_numerators(f, den) for f in freqs]
     work, pivots = _hermite([list(r) for r in rows if any(r)])
     gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
                             tuple(pivots), den)
@@ -560,6 +557,5 @@ def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | 
         raise ValueError("frequency does not match the group's basis/dimension")
     if gb.den % freq.den:
         return None
-    mul = gb.den // freq.den
-    ks = _solve_int_rows(gb.rows, gb.pivots, [x * mul for c in freq.num for x in c])
+    ks = _solve_int_rows(gb.rows, gb.pivots, _numerators(freq, gb.den))
     return None if ks is None else tuple(ks)

@@ -61,6 +61,14 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError refused as a ConfigError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(path, str(e))
+
+
 def _object(d, path, keys, reader: str | None = None) -> dict:
     """``d`` as a JSON object, refusing any key not in ``keys``.
 
@@ -186,10 +194,7 @@ def _parse_basis(d, path) -> FrequencyBasis:
     if "products" in d:
         products = dict(_list(d["products"], f"{path}.products", product,
                               "products [i, j, [coords...]]"))
-    try:
-        return FrequencyBasis(labels, values, products)
-    except ValueError as e:
-        raise ConfigError(path, str(e))
+    return _checked(path, FrequencyBasis, labels, values, products)
 
 
 def _coordinates(row: list, basis, path) -> tuple[Fraction, ...]:
@@ -251,18 +256,11 @@ def _parse_flux(d, basis, path) -> PiecewiseFlux:
 
     bps = _list(_need(d, "breakpoints", path), f"{path}.breakpoints", _rational, "rationals")
     pieces = _list(_need(d, "pieces", path), f"{path}.pieces", piece, "pieces")
-    try:
-        return PiecewiseFlux(basis, bps, pieces)
-    except ValueError as e:
-        raise ConfigError(path, str(e))
+    return _checked(path, PiecewiseFlux, basis, bps, pieces)
 
 
 def _parse_grid(v, path) -> TorusGrid:
-    shape = _list(v, path, _int, "cell counts", 1)
-    try:
-        return TorusGrid(shape)
-    except ValueError as e:
-        raise ConfigError(path, str(e))
+    return _checked(path, TorusGrid, _list(v, path, _int, "cell counts", 1))
 
 
 def _parse_grids(v, path) -> tuple[TorusGrid, ...]:
@@ -280,10 +278,7 @@ def _parse_solver(d, path) -> SolverConfig:
     t_end = _real(_need(d, "t_end", path), f"{path}.t_end")
     cfl = _real(d.get("cfl", DEFAULT_CFL), f"{path}.cfl")
     record_times = _reals(d.get("record_times", []), f"{path}.record_times")
-    try:
-        return SolverConfig(t_end=t_end, cfl=cfl, record_times=record_times)
-    except ValueError as e:
-        raise ConfigError(path, str(e))
+    return _checked(path, SolverConfig, t_end=t_end, cfl=cfl, record_times=record_times)
 
 
 def _parse_cfl(v, path) -> float:
@@ -454,10 +449,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     if cfg.cube is not None:
         # the largest radius has the most points; the data dimension sets the power
         radii, spu, _ = cfg.cube
-        try:
-            _cube_per_axis(cfg.initial.n, radii[-1], spu)
-        except ValueError as e:
-            raise ConfigError(f"cube.radii[{len(radii) - 1}]", str(e))
+        _checked(f"cube.radii[{len(radii) - 1}]", _cube_per_axis, cfg.initial.n, radii[-1], spu)
     return cfg
 
 

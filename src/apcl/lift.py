@@ -216,7 +216,7 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     as the whole spectrum, and the exact solves that check each key's
     membership are its coordinates, so each key is solved once.  Over a
     given group each key is solved by ``member_coords``.  A given group
-    must contain the spectrum; it may be larger, which
+    must contain the spectrum, one of rank 0 too; it may be larger, which
     enlarges m (e.g. to probe coefficients outside the data's coordinate
     image) or lets several data sets share one torus.  With ``flux`` None
     only the data are lifted.  Verifies the lift round trip
@@ -237,11 +237,12 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
         gb, coords = _group(firsts) if firsts else (SpectrumGroupBasis(u0.basis, u0.n), [])
     if flux is not None and gb.n != flux.n:
         raise ValueError("flux component count must equal the data dimension")
+    if group is not None:
+        # before the rank-0 shortcut, which would drop data outside the group
+        coords = [_data_coords(lamf, gb) for lamf in firsts]
     if gb.rank == 0:
         return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
                              lam=np.zeros((0, u0.n)))
-    if group is not None:
-        coords = [_data_coords(lamf, gb) for lamf in firsts]
     terms = list(zip(coords, u0._pair_amps.tolist()))
     if len(spectrum) > 2 * half:
         # the zero frequency, in the middle

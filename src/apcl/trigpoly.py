@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .freqlattice import Frequency, FrequencyBasis
+from .freqlattice import Frequency, FrequencyBasis, _numerators
 
 __all__ = [
     "TrigPoly",
@@ -130,12 +130,11 @@ class TrigPoly(_TrigCore):
                 raise ValueError("term frequency disagrees with basis or dimension")
         self.basis = basis
         self.n = n
-        # the order of the rational coordinates: numerators over one
-        # common denominator compare as the rationals do
+        # the order of the rational coordinates, as numerators over one denominator
         den = math.lcm(*(lam.den for lam, _ in items))
         super().__init__(
             n, items, lambda f: -f,
-            sort_key=lambda f: tuple(tuple(x * (den // f.den) for x in c) for c in f.num),
+            sort_key=lambda f: _numerators(f, den),
             row=Frequency.floats,
         )
 

@@ -496,7 +496,12 @@ def _assert_directional_is_k_dot_lift(flux, gb, kbar):
             want.append(acc)
         assert dpiece[0] == tuple(want)
     mul = flux.basis.structure
-    xi = gb.vector(kbar)
+    # xi in frequency space, its numerators rescaled to the group's denominator
+    xi = gb.frequencies[0].scale(kbar[0])
+    for kj, lam in zip(kbar[1:], gb.frequencies[1:], strict=True):
+        xi = xi + lam.scale(kj)
+    assert gb.den % xi.den == 0
+    xi = [tuple(x * (gb.den // xi.den) for x in c) for c in xi.num]
     assert d._num == tuple((tuple(_dot(xi, piece, mul)),) for piece in flux._num)
     assert d._den == gb.den * flux._den * mul[0]
 

@@ -1177,7 +1177,8 @@ def test_check_flux_decides_over_the_data_group_inside_a_larger_declared_one(dat
 
 
 # group_frequencies is the group in every kind, and must generate the data:
-# check-flux decides it by exact membership, the other kinds through the lift
+# check-flux decides it by exact membership, the other kinds through the
+# lift, over a group of rank 0 too, which must not lift the data as constant
 SQRT2_DATA = {"terms": [{"frequency": [["0", "1"]], "re": 0.5}]}
 
 
@@ -1185,6 +1186,9 @@ SQRT2_DATA = {"terms": [{"frequency": [["0", "1"]], "re": 0.5}]}
     ("contraction", "contraction_pair", {"group_frequencies": [[["2"]]]}, '[["-1"]]'),
     ("check-flux", "checkflux_sqrt2",
      {"group_frequencies": [[["1", "0"]]], "initial": SQRT2_DATA}, '[["0", "-1"]]'),
+    ("decay", "burgers_decay", {"group_frequencies": [[["0"]]]}, '[["-1"]]'),
+    ("contraction", "contraction_pair", {"group_frequencies": [[["0"]]]}, '[["-1"]]'),
+    ("spectrum", "spectrum_probe", {"group_frequencies": [[["0", "0"]]]}, '[["-1", "0"]]'),
 ])
 def test_cli_data_outside_the_declared_group_is_refused(tmp_path, capsys, kind, stem, edits,
                                                        outside):
@@ -1195,6 +1199,17 @@ def test_cli_data_outside_the_declared_group_is_refused(tmp_path, capsys, kind, 
     assert capsys.readouterr().err == (
         f"refused: data frequency {outside} lies outside the declared group\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_constant_data_run_over_a_declared_zero_group(tmp_path, capsys):
+    # constant data lie in the zero group, and run over it
+    d = json.loads((CONFIGS / "burgers_decay.json").read_text())
+    d.update(group_frequencies=[[["0"]]], initial={"terms": [{"frequency": [["0"]], "re": 0.3}]})
+    rc = cli.main(["decay", "--config", write_config(tmp_path, d), "--out", str(tmp_path / "out")])
+    cap = capsys.readouterr()
+    assert rc == 0, cap.err
+    assert cap.err == ""
+    assert cap.out.startswith("PASS final_l1_to_mean_max\n")
 
 
 @pytest.mark.parametrize("kind, stem, edits", [

@@ -249,6 +249,26 @@ def test_eval_has_one_row_and_amplitude_per_pair():
     assert p.eval([0.25]) == pytest.approx(0.3 + 0.25 * 2 * np.cos(np.pi) - 1.0, abs=1e-15)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_spectrum_order_is_the_rational_coordinates_order(data):
+    # mixed denominators, n <= 2 and q <= 2: each pair's first key is the
+    # one whose flattened rational coordinates sort first, and the first
+    # half of the spectrum is those keys in that order
+    basis, n = data.draw(st.sampled_from([B1, B2])), data.draw(st.integers(1, 2))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    key = st.lists(st.lists(coord, min_size=basis.dim, max_size=basis.dim),
+                   min_size=n, max_size=n).map(lambda rows: Frequency.of(basis, rows))
+    p = TrigPoly(basis, n, _one_per_pair((k, 0.5) for k in data.draw(st.lists(key, max_size=5))))
+
+    def flat(f):
+        return tuple(x for c in f.coords for x in c.coeffs)
+
+    firsts = sorted({min(f, -f, key=flat) for f in p.terms if not f.is_zero}, key=flat)
+    assert p.spectrum()[:len(firsts)] == tuple(firsts)
+    assert len(p.spectrum()) == len(p.terms)
+
+
 def test_eval_at_an_infinite_phase_raises_under_errstate():
     # the lift's round trip refuses phases beyond float range through this
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
