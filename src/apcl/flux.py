@@ -453,8 +453,9 @@ def _refusal(entries) -> str | None:
 
 
 def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
+    """Refuse rank 0, the one place a run does: no xi != 0 to decide, no torus to lift to."""
     if gb.rank < 1:
-        raise ValueError("group basis must have positive rank")
+        raise ValueError("group of rank 0 (constant data or a zero group) holds no xi != 0")
     if gb.n != flux.n:
         raise ValueError("group basis dimension disagrees with flux components")
     if gb.basis != flux.basis:
@@ -468,14 +469,14 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
     lift over ``gb`` (``lift_flux``, which derives it once), over the lift's
     denominator: each degree's coefficient is the ``_combine`` of the
     lift's lambda_j.c_d.  Coefficients are exact; the breakpoints carry
-    over.  It raises whatever the lift raises: a group of rank 0, or a
-    product of basis elements the basis does not declare, even on a
-    generator whose kbar_j is 0.
+    over.  It raises whatever the lift raises, before it reads kbar: a
+    group of rank 0, or a product of basis elements the basis does not
+    declare, even on a generator whose kbar_j is 0.
     """
     kbar = tuple(int(k) for k in kbar)
+    lifted = lift_flux(flux, gb)
     if len(kbar) != gb.rank:
         raise ValueError(f"kbar must have {gb.rank} entries")
-    lifted = lift_flux(flux, gb)
     # zip(*piece) holds lambda_j.c_d for every j, per degree d: every lift
     # component of a piece has the same degrees
     pieces = [[[_combine(kbar, dots) for dots in zip(*piece)]] for piece in lifted._num]

@@ -22,8 +22,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .flux import NdVerdict, PiecewiseFlux, lift_flux, nondegeneracy_check
-from .freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis, in_lattice
+from .flux import PiecewiseFlux, lift_flux, nondegeneracy_check
+from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _clear, _value,
+                          group_basis, in_lattice)
 from .lift import _cube_per_axis, _data_coords, lift_problem
 from .solver import (
     DEFAULT_CFL,
@@ -370,13 +371,15 @@ COMMON_KEYS = ("kind", "basis", "flux", "thresholds", "output")
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config; ``group_frequencies`` holds the declared group itself."""
+
     kind: str
     raw: dict
     basis: FrequencyBasis
     flux: PiecewiseFlux
     initial: TrigPoly | None = None
     initial_b: TrigPoly | None = None
-    group_frequencies: tuple[Frequency, ...] | None = None
+    group_frequencies: SpectrumGroupBasis | None = None
     grid: TorusGrid | None = None
     grids: tuple[TorusGrid, ...] | None = None
     solver: SolverConfig | None = None
@@ -423,8 +426,9 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     parsers = {
         "initial": lambda v, p: _parse_trigpoly(v, basis, p),
         "initial_b": lambda v, p: _parse_trigpoly(v, basis, p),
-        "group_frequencies": lambda v, p: _list(
-            v, p, lambda m, q: _parse_frequency(m, basis, q), "frequencies", 1),
+        # group_basis is looked up per call, so a tracer that rebinds it sees the parse
+        "group_frequencies": lambda v, p: _checked(p, group_basis, _list(
+            v, p, lambda m, q: _parse_frequency(m, basis, q), "frequencies", 1)),
         "grid": _parse_grid,
         "grids": _parse_grids,
         "solver": _parse_solver,
@@ -520,15 +524,12 @@ def _series_from_rows(rows, xkey, ykey, label):
     return (label, [r[xkey] for r in rows], [r[ykey] for r in rows])
 
 
-def _declared_group(cfg: ExperimentConfig):
-    """The group of ``group_frequencies``, or None to take the data's own."""
-    return None if cfg.group_frequencies is None else group_basis(list(cfg.group_frequencies))
-
-
 def _run_check_flux(cfg: ExperimentConfig):
+    """Decide over the data's group, or with no data over the declared one (the verdict
+    then holds for every data set in it); ``nondegeneracy_check`` refuses rank 0."""
     if cfg.initial is None and cfg.group_frequencies is None:
         raise ConfigError("initial", "check-flux needs initial data or group_frequencies")
-    gb = _declared_group(cfg)
+    gb = cfg.group_frequencies
     if cfg.initial is not None:
         if gb is not None:
             # exact membership, not a lift: the flux is decided even where it cannot be lifted
@@ -537,7 +538,7 @@ def _run_check_flux(cfg: ExperimentConfig):
         # the criterion asks about the group the data generate, which a
         # declared group may exceed by a degenerate direction
         gb = group_basis(list(cfg.initial.spectrum()))
-    v = nondegeneracy_check(cfg.flux, gb) if gb.rank else NdVerdict(True)
+    v = nondegeneracy_check(cfg.flux, gb)
     row = {
         "nondegenerate": v.nondegenerate,
         "kbar": None if v.kbar is None else ",".join(map(str, v.kbar)),
@@ -548,8 +549,6 @@ def _run_check_flux(cfg: ExperimentConfig):
         "c": v.c,
     }
     row = {k: "" if x is None else x for k, x in row.items()}
-    # the group decided over: the data's own, or with no data the declared
-    # one, and then the verdict holds for every data set in it
     scalars = {"nondegenerate": float(v.nondegenerate), "rank": gb.rank,
                "group_of": "initial" if cfg.initial is not None else "group_frequencies",
                "group_frequencies": [[[str(Fraction(x, gb.den)) for x in c] for c in comp]
@@ -558,11 +557,11 @@ def _run_check_flux(cfg: ExperimentConfig):
 
 
 def _run_contraction(cfg: ExperimentConfig):
-    gb = _declared_group(cfg)
-    if gb is None:
-        gb = group_basis([*cfg.initial.spectrum(), *cfg.initial_b.spectrum()])
+    gb = cfg.group_frequencies
+    if gb is None and (joint := [*cfg.initial.spectrum(), *cfg.initial_b.spectrum()]):
+        gb = group_basis(joint)
     pa = lift_problem(cfg.initial, cfg.flux, group=gb)
-    pb = lift_problem(cfg.initial_b, None, group=gb)
+    pb = lift_problem(cfg.initial_b, None, group=pa.group)
     if pa.m == 0:
         raise ValueError("contraction needs non-constant data")
     rows = []
@@ -581,9 +580,7 @@ def _run_contraction(cfg: ExperimentConfig):
 
 
 def _wave_problem(cfg: ExperimentConfig):
-    gb = _declared_group(cfg)
-    if gb.rank == 0:
-        raise ValueError("wave experiments need a positive-rank group")
+    gb = cfg.group_frequencies
     wave = exact_counterexample(cfg.flux, gb, cfg.wave["a"], cfg.wave["b"],
                                 cfg.wave["kbar"], tau=cfg.wave["tau"])
     return wave, lift_flux(cfg.flux, gb)
@@ -631,7 +628,7 @@ def _run_convergence(cfg: ExperimentConfig):
 
 def _run_lifted(cfg: ExperimentConfig):
     """``decay`` and ``spectrum``: the lifted solve, with probes and cube when configured."""
-    pb = lift_problem(cfg.initial, cfg.flux, group=_declared_group(cfg))
+    pb = lift_problem(cfg.initial, cfg.flux, group=cfg.group_frequencies)
     if cfg.probes is not None:
         if pb.m == 0:
             raise ValueError("spectrum probing needs non-constant data")

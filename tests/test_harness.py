@@ -290,6 +290,9 @@ BAD_FIELDS = [
      "initial.terms[1].frequency[0][0]"),
     ("group-frequency-overflow", wave_config, ("group_frequencies", [[["-1e400"]]]),
      "group_frequencies[0][0][0]"),
+    # the declared group is built by the parser, so one of mixed dimension is a config error
+    ("group-mixed-dimension", wave_config, ("group_frequencies", [[["1"]], [["1"], ["0"]]]),
+     "group_frequencies"),
     ("wave-a-overflow", wave_config, ("wave", "a", "-1e400"), "wave.a"),
     ("wave-b-overflow", wave_config, ("wave", "b", "1e400"), "wave.b"),
     # each coordinate in range, their sum over the basis values not
@@ -1212,6 +1215,32 @@ def test_cli_constant_data_run_over_a_declared_zero_group(tmp_path, capsys):
     assert cap.out.startswith("PASS final_l1_to_mean_max\n")
 
 
+# a group of rank 0 holds no xi != 0: nothing to decide, and no wave to carry
+RANK_ZERO = "group of rank 0 (constant data or a zero group) holds no xi != 0"
+
+
+@pytest.mark.parametrize("kind, stem, edits, drop", [
+    pytest.param("check-flux", "checkflux_sqrt2", {"group_frequencies": [[["0", "0"]]]}, (),
+                 id="check-flux-zero-group"),
+    pytest.param("check-flux", "checkflux_sqrt2",
+                 {"initial": {"terms": [{"frequency": [["0", "0"]], "re": 0.3}]}},
+                 ("group_frequencies",), id="check-flux-constant-data"),
+    pytest.param("counterexample", "transport_counterexample",
+                 {"group_frequencies": [[["0"]]]}, (), id="counterexample-zero-group"),
+    pytest.param("convergence", "transport_convergence",
+                 {"group_frequencies": [[["0"]]]}, (), id="convergence-zero-group"),
+])
+def test_cli_rank_zero_group_is_refused(tmp_path, capsys, kind, stem, edits, drop):
+    d = json.loads((CONFIGS / f"{stem}.json").read_text())
+    d.update(edits)
+    for key in drop:
+        del d[key]
+    rc = cli.main([kind, "--config", write_config(tmp_path, d), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"refused: {RANK_ZERO}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind, stem, edits", [
     ("contraction", "contraction_pair", {"group_frequencies": [[["1/2"]]]}),
     ("check-flux", "checkflux_sqrt2", {"initial": SQRT2_DATA}),
@@ -1399,6 +1428,13 @@ def test_cli_plot_of_a_long_decay_gets_a_log_axis(tmp_path):
      "spectrum probing needs non-constant data"),
     ("contraction", contraction_config(initial={"terms": [{"frequency": [["0"]], "re": 0.3}]},
                                        initial_b={"terms": [{"frequency": [["0"]], "re": 0.1}]}),
+     "contraction needs non-constant data"),
+    # identically zero n-D data: an empty joint spectrum, lifted in the data's dimension
+    ("contraction", contraction_config(
+        basis=dict(SQRT2_BASIS, products=[[1, 1, ["2", "0"]]]),
+        flux={"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"], ["0", "0", "1/2"]]]},
+        initial={"terms": [{"frequency": [["1", "0"], ["0", "0"]], "re": 0}]},
+        initial_b={"terms": [{"frequency": [["1", "0"], ["0", "0"]], "re": 0}]}, grid=[8, 8]),
      "contraction needs non-constant data"),
 ])
 def test_cli_constant_data_refused_with_exit_three(tmp_path, capsys, kind, d, msg):
