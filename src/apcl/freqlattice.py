@@ -133,32 +133,37 @@ class FrequencyBasis:
         )
 
     def real(self, coeffs) -> "RealQ":
-        return RealQ(self, tuple(_as_fraction(c) for c in coeffs))
+        return RealQ(self, coeffs)
 
 
 @dataclass(frozen=True)
 class RealQ:
     """Exact rational coordinate vector over a FrequencyBasis.
 
-    Equality and hashing are exact (coordinates only); ``value`` is the
+    Equality and hashing are exact (coordinates only).  ``value`` is the
     float shadow, the plain dot product with the basis floats taken in
-    declared order.
+    declared order, built on first read: the exact layer never reads it.
     """
 
     basis: FrequencyBasis
     coeffs: tuple[Fraction, ...]
-    value: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_as_fraction, self.coeffs)))
         if len(self.coeffs) != self.basis.dim:
             raise ValueError(
                 f"expected {self.basis.dim} coordinates, got {len(self.coeffs)}"
             )
+
+    @cached_property
+    def value(self) -> float:
+        """The float shadow; OverflowError when it lies beyond float range."""
         shadow = 0.0
         for c, v in zip(self.coeffs, self.basis.values):
             shadow += float(c) * v
-        object.__setattr__(self, "value", shadow)
+        if not math.isfinite(shadow):
+            raise OverflowError("the float shadow lies beyond float range")
+        return shadow
 
     def _check_same_basis(self, other: "RealQ"):
         if self.basis != other.basis:
@@ -225,8 +230,9 @@ class Frequency:
     ``num[k][i] / den`` is the coordinate of basis element i in component k:
     n q-tuples of integer numerators over one positive denominator, the
     layout of ``SpectrumGroupBasis.generators``.  Kept in lowest terms, so
-    equality and hashing are on ints.  ``coords`` is the same point as
-    RealQs, built on first use, for reference checks.
+    equality is on ints; the hash is on the integers alone, ``(num, den)``.
+    ``coords`` is the same point as RealQs, built on first use, for
+    reference checks.
     """
 
     basis: FrequencyBasis
@@ -246,6 +252,23 @@ class Frequency:
             num = tuple(tuple(x // g for x in c) for c in num)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def _unchecked(cls, basis: FrequencyBasis, num, den: int) -> "Frequency":
+        """The frequency ``num / den`` built without ``__post_init__``.
+
+        Only for numerator tuples that are checked and in lowest terms by
+        construction, as the negation of a frequency is.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    def __hash__(self) -> int:
+        # equal frequencies have equal integers, so the basis need not be hashed
+        return hash((self.num, self.den))
 
     @classmethod
     def of(cls, basis: FrequencyBasis, rows: Sequence[Sequence]) -> "Frequency":
@@ -281,7 +304,8 @@ class Frequency:
                                            for c, d in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "Frequency":
-        return Frequency(self.basis, tuple(tuple(-x for x in c) for c in self.num), self.den)
+        return Frequency._unchecked(self.basis, tuple(tuple(-x for x in c) for c in self.num),
+                                    self.den)
 
     def scale(self, k: int) -> "Frequency":
         return Frequency(self.basis, tuple(tuple(k * x for x in c) for c in self.num), self.den)

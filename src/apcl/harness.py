@@ -54,6 +54,12 @@ __all__ = [
     "render_svg",
 ]
 
+# how far a declared product e_i e_j = sum_k w_k e_k may miss the basis
+# values, relative to the larger of |v_i v_j| and sum_k |w_k v_k|: the values
+# are float shadows, so an exact product is off by a few ulp at most
+PRODUCT_RTOL = 1e-9
+
+
 class ConfigError(ValueError):
     """Config validation failure; message starts with the field path."""
 
@@ -189,6 +195,7 @@ def _parse_basis(d, path) -> FrequencyBasis:
         coords = _list(entry[2], f"{p}[2]", _fraction, "rationals")
         if len(coords) != dim:
             raise ConfigError(f"{p}[2]", f"expected {dim} coordinates, got {len(coords)}")
+        _check_product(labels, values, ij, coords, p)
         return ij, coords
 
     products = None
@@ -196,6 +203,26 @@ def _parse_basis(d, path) -> FrequencyBasis:
         products = dict(_list(d["products"], f"{path}.products", product,
                               "products [i, j, [coords...]]"))
     return _checked(path, FrequencyBasis, labels, values, products)
+
+
+def _check_product(labels, values, ij, coords, path):
+    """Refuse a declared e_i e_j = sum_k w_k e_k that the float values contradict.
+
+    The exact layer multiplies by the table as given, so a wrong entry would
+    change its verdicts; the float values are the only other record of the
+    basis.  Checked within ``PRODUCT_RTOL``; a side beyond float range fails.
+    """
+    i, j = ij
+    lhs = values[i] * values[j]
+    try:
+        terms = [float(w) * v for w, v in zip(coords, values)]
+        rhs, scale = math.fsum(terms), math.fsum(map(abs, terms))
+    except (OverflowError, ValueError):  # a coordinate, or -inf + inf in fsum
+        rhs = scale = math.nan
+    if not abs(lhs - rhs) <= PRODUCT_RTOL * max(abs(lhs), scale):
+        raise ConfigError(path, f"declared {labels[i]}*{labels[j]} = {rhs!r} disagrees with "
+                                f"the basis values' product {lhs!r} beyond relative "
+                                f"tolerance {PRODUCT_RTOL:g}")
 
 
 def _coordinates(row: list, basis, path) -> tuple[Fraction, ...]:

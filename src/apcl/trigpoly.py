@@ -30,8 +30,11 @@ def _normalize_real_terms(items, negate, sort_key, row):
     Returns the terms, the self-paired key (the zero frequency) or None,
     and the +-key pairs, each met once in this one pass: one
     (sort_key(first), first, second, row(first)) per pair, first the key of
-    the pair that sorts first.  ``sort_key`` reverses its order under
-    ``negate``, as a linear one on integer coordinates does.
+    the pair that sorts first.  ``sort_key`` gives a tuple of numbers,
+    zero only at a self-paired key, and the key of ``negate(key)`` is its
+    elementwise negation, as that of a linear one on integer coordinates
+    is.  So it is taken once per pair: the key sorts first when its first
+    nonzero entry is negative.
     """
     terms = {}
     zero = None
@@ -41,7 +44,8 @@ def _normalize_real_terms(items, negate, sort_key, row):
         if amp == 0:
             continue
         neg = negate(key)
-        if key == neg:
+        self_paired = key == neg
+        if self_paired:
             # self-paired frequency (zero): coefficient must be real
             if amp.imag != 0.0:
                 raise ValueError(f"coefficient at self-paired frequency {key} must be real")
@@ -50,10 +54,12 @@ def _normalize_real_terms(items, negate, sort_key, row):
             # the key or its negative came before
             if terms[key] != amp:
                 raise ValueError(f"conflicting coefficients at {key}")
-        elif key != neg:
-            at_key, at_neg = sort_key(key), sort_key(neg)
-            pairs.append((at_key, key, neg, row(key)) if at_key < at_neg
-                         else (at_neg, neg, key, row(neg)))
+        elif not self_paired:
+            at = sort_key(key)
+            if next(filter(None, at)) < 0:
+                pairs.append((at, key, neg, row(key)))
+            else:
+                pairs.append((tuple(-x for x in at), neg, key, row(neg)))
         terms[key] = amp
         terms[neg] = amp.conjugate()
     return terms, zero, pairs

@@ -7,8 +7,10 @@ These helpers build the same ``RealQ`` values from a flux's ``_num`` and
 ``cell_average`` are the complex sums over every key that a trigonometric
 polynomial's values and cell averages were first taken from,
 ``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``,
-``hermite`` the sort-and-reduce Euclid form of the Hermite reduction, and
-``kernel`` the integer kernel found by Hermite reduction alone.
+``hermite`` the sort-and-reduce Euclid form of the Hermite reduction,
+``kernel`` the integer kernel found by Hermite reduction alone, and
+``trig_core`` a trigonometric polynomial's spectrum and pairs as first
+normalised, with a sort key taken for both keys of each pair.
 """
 
 import math
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from apcl.flux import affine_on
+from apcl.freqlattice import Frequency, _numerators
 from apcl.lift import interp_periodic
 from apcl.solver import CellField, _times_per_axis
 
@@ -170,3 +173,68 @@ def kernel(rows, ncols):
     # the kernel lattice is saturated, so its Hermite rows are primitive
     assert all(math.gcd(*vec) == 1 for vec in out)
     return out
+
+
+def normalize_real_terms(items, negate, sort_key, row):
+    """``trigpoly._normalize_real_terms`` with ``sort_key`` taken of both keys of a pair.
+
+    The pair's first key is the one whose own sort key compares smaller.
+    """
+    terms = {}
+    zero = None
+    pairs = []
+    for key, amp in items:
+        amp = complex(amp)
+        if amp == 0:
+            continue
+        neg = negate(key)
+        if key == neg:
+            if amp.imag != 0.0:
+                raise ValueError(f"coefficient at self-paired frequency {key} must be real")
+            zero = key
+        if key in terms:
+            if terms[key] != amp:
+                raise ValueError(f"conflicting coefficients at {key}")
+        elif key != neg:
+            at_key, at_neg = sort_key(key), sort_key(neg)
+            pairs.append((at_key, key, neg, row(key)) if at_key < at_neg
+                         else (at_neg, neg, key, row(neg)))
+        terms[key] = amp
+        terms[neg] = amp.conjugate()
+    return terms, zero, pairs
+
+
+def trig_core(dim, items, negate, sort_key, row):
+    """(spectrum, pair rows, pair amplitudes) as ``_TrigCore`` builds them, over ``normalize_real_terms``.
+
+    Refuses as the core does: ValueError from the normaliser, then
+    OverflowError when the sum of |a| over the terms is not a finite float.
+    """
+    terms, zero, pairs = normalize_real_terms(items, negate, sort_key, row)
+    try:
+        amp_scale = math.fsum(abs(a) for a in terms.values())
+    except OverflowError:
+        amp_scale = math.inf
+    if not math.isfinite(amp_scale):
+        raise OverflowError("the sum of |re + i im| over the terms and their "
+                            "conjugates lies beyond float range")
+    pairs.sort(key=lambda p: p[0])
+    keys = ([p[1] for p in pairs] + ([] if zero is None else [zero])
+            + [p[2] for p in reversed(pairs)])
+    rows = np.array([p[3] for p in pairs], dtype=float).reshape(len(pairs), dim)
+    amps = np.array([terms[p[1]] for p in pairs], dtype=complex)
+    return tuple(keys), rows, amps
+
+
+def trig_poly_core(basis, n, items):
+    """``trig_core`` of a TrigPoly's terms: negation by the checked constructor,
+    sort keys the numerators over the terms' common denominator."""
+    den = math.lcm(*(f.den for f, _ in items))
+    return trig_core(n, items,
+                     lambda f: Frequency(f.basis, [[-x for x in c] for c in f.num], f.den),
+                     lambda f: _numerators(f, den), Frequency.floats)
+
+
+def torus_poly_core(m, items):
+    """``trig_core`` of a TorusPoly's integer keys, each its own sort key."""
+    return trig_core(m, items, lambda k: tuple(-c for c in k), lambda k: k, tuple)

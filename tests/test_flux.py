@@ -20,7 +20,7 @@ from apcl.flux import (
     lip_bound,
     nondegeneracy_check,
 )
-from apcl.freqlattice import Frequency, FrequencyBasis, _value, group_basis
+from apcl.freqlattice import Frequency, FrequencyBasis, _clear, _value, group_basis
 from apcl.lift import lift_problem
 from apcl.trigpoly import TrigPoly
 import reference
@@ -708,6 +708,28 @@ def test_structure_table_is_built_per_basis_object():
         gb = group_basis([Frequency.of(basis, [["0", "1"]])])
         # r * (r u^2) = r^2 u^2
         assert reference.pieces(lift_flux(flux, gb))[0][0][2].coeffs == (r2, 0)
+
+
+@given(st.lists(st.fractions(max_denominator=10 ** 6).filter(lambda c: abs(c) < 10 ** 300),
+                min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_realq_shadow_is_the_shadow_of_its_numerators(coeffs):
+    # RealQ.value, built on first read from the reduced coordinates, is _value of
+    # the numerators over their common denominator bit for bit, at any magnitude
+    (num,), den = _clear([coeffs])
+    assert same_bits(np.array([B2.real(coeffs).value]), np.array([_value(num, den, B2.values)]))
+
+
+def test_realq_shadow_beyond_range_is_checked_where_it_is_read():
+    # a coordinate beyond float range, and two in range whose sum over the values is not
+    for coeffs in ([Fraction(10 ** 400), 0], ["1e308", "1e308"]):
+        big = B2.real(coeffs)  # the exact value is built; its shadow is not
+        with pytest.raises(OverflowError):
+            big.value
+        # a flux from it is refused at its first numeric use
+        flux = PiecewiseFlux(B2, [-1, 1], [[["0", "0", big]]])
+        with pytest.raises(ValueError, match="beyond float range"):
+            at(flux, 0.5)
 
 
 def test_float_shadow_beyond_range_is_a_value_error():

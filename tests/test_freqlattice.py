@@ -1,6 +1,7 @@
 """Exact frequency arithmetic, integer kernels, and group bases."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations, product
 from unittest import mock
@@ -438,6 +439,12 @@ def test_frequency_integer_form_matches_the_rational_oracle(n, q, data):
     if f == g:
         assert hash(f) == hash(g)
     assert (-f).coords == tuple(-c for c in f.coords)
+    # -f, built without the constructor's checks, is the checked result field
+    # for field, and the hash is on the integers alone
+    neg = Frequency(basis, [[-x for x in row] for row in f.num], f.den)
+    assert [getattr(-f, fd.name) for fd in fields(Frequency)] == \
+        [getattr(neg, fd.name) for fd in fields(Frequency)]
+    assert hash(-f) == hash(neg) == hash((neg.num, neg.den)) and -(-f) == f
     assert (f + g).coords == tuple(a + b for a, b in zip(f.coords, g.coords))
     assert (f + g) == Frequency.of(basis, [c.coeffs for c in (f + g).coords])
     k = data.draw(st.integers(-4, 4))

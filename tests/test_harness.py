@@ -187,6 +187,15 @@ def shipped(stem):
     return lambda: json.loads((CONFIGS / f"{stem}.json").read_text())
 
 
+def sqrt2_square_config():
+    """``checkflux_sqrt2.json`` with the flux (sqrt2/2) u^2 over the group of sqrt2:
+    its lift needs sqrt2*sqrt2, and is nondegenerate."""
+    d = shipped("checkflux_sqrt2")()
+    d["flux"]["pieces"] = [[["0", "0", ["0", "1/2"]]]]
+    d["group_frequencies"] = [[["0", "1"]]]
+    return d
+
+
 # configs that must fail to parse, with the field the error must name:
 # integer fields that are not integers, thresholds that are not finite
 # numbers, and output prefixes that would leave the output directory
@@ -222,6 +231,13 @@ BAD_FIELDS = [
      "basis.products[0][2]"),
     ("products-number", decay_config, sqrt2_basis(products=5), "basis.products"),
     ("products-null", decay_config, sqrt2_basis(products=None), "basis.products"),
+    # declared products the basis values contradict, which the exact layer
+    # would use as given: sqrt2*sqrt2 = 3 on the shipped check-flux config, and
+    # sqrt2*sqrt2 = 0, which made (sqrt2/2) u^2 over the group of sqrt2 degenerate
+    ("products-sqrt2-squared-3", shipped("checkflux_sqrt2"),
+     ("basis", "products", [[1, 1, ["3", "0"]]]), "basis.products[0]"),
+    ("products-sqrt2-squared-0", sqrt2_square_config,
+     ("basis", "products", [[1, 1, ["0", "0"]]]), "basis.products[0]"),
     ("values-null", decay_config, sqrt2_basis(values=[1, None]), "basis.values[1]"),
     ("values-bool", decay_config, sqrt2_basis(values=[True, 2 ** 0.5]), "basis.values[0]"),
     ("labels-not-strings", decay_config, sqrt2_basis(labels=[1, [2]]), "basis.labels[0]"),
@@ -379,6 +395,23 @@ def test_parse_config_names_bad_field(make, edit, field):
     with pytest.raises(ConfigError) as e:
         parse_config(edited(make, *edit))
     assert e.value.path == field
+
+
+def test_parse_config_checks_declared_products_against_the_values():
+    # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2 sqrt3 and sqrt6*sqrt6 = 6 hold for the
+    # float values up to roundoff; 6 + 6e-8 does not, within harness.PRODUCT_RTOL
+    r2, r3, r6 = 2 ** 0.5, 3 ** 0.5, 6 ** 0.5
+    basis = {"labels": ["1", "sqrt2", "sqrt3", "sqrt6"], "values": [1.0, r2, r3, r6],
+             "products": [[1, 2, ["0", "0", "0", "1"]], [1, 3, ["0", "0", "2", "0"]],
+                          [3, 3, ["6", "0", "0", "0"]]]}
+    initial = {"terms": [{"frequency": [["0", "0", "0", "0"]], "re": 0.3},
+                         {"frequency": [["0", "1", "0", "0"]], "im": -0.25}]}
+    cfg = parse_config(decay_config(basis=basis, initial=initial))
+    assert cfg.basis.products[(3, 3)] == (6, 0, 0, 0)
+    basis["products"][2][2][0] = "6.00000006"
+    with pytest.raises(ConfigError, match="relative tolerance 1e-09") as e:
+        parse_config(decay_config(basis=basis, initial=initial))
+    assert e.value.path == "basis.products[2]"
 
 
 @pytest.mark.parametrize("make,edit,field",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from apcl.freqlattice import Frequency, FrequencyBasis
 from apcl.trigpoly import TorusPoly, TrigPoly, fejer_damp, fejer_factor
 import reference
+from bitwise import same_bits
 
 B1 = FrequencyBasis.rational()
 B2 = FrequencyBasis.with_sqrt(2)
@@ -273,3 +274,58 @@ def test_eval_at_an_infinite_phase_raises_under_errstate():
     # the lift's round trip refuses phases beyond float range through this
     with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
         TorusPoly(1, {(1,): 0.5}).eval(np.array([[np.inf]]))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_normaliser_matches_the_two_key_reference(data):
+    # random terms of either kind, with repeated and negated keys, zero and
+    # imaginary means and amplitudes near float range: the spectrum, pair rows
+    # and pair amplitudes equal the reference's bit for bit, and each refusal
+    # (conflict, complex self-pair, overflow) is the reference's
+    amp = st.one_of(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0, 0.5, -0.5j, 1e308, complex(0, 1e308)]))
+    real = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e308]))
+    often = st.integers(0, 3).map(bool)
+    if data.draw(st.booleans()):
+        basis, n = data.draw(st.sampled_from([B1, B2])), data.draw(st.integers(1, 2))
+        coord = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        rows = st.lists(st.lists(coord, min_size=basis.dim, max_size=basis.dim),
+                        min_size=n, max_size=n)
+        zero = [[0] * basis.dim] * n
+        # each key built afresh, its negative through the checked constructor
+        key = lambda r, sign: Frequency.of(basis, [[sign * x for x in c] for c in r])  # noqa: E731
+        make = lambda items: TrigPoly(basis, n, items)  # noqa: E731
+        ref = lambda items: reference.trig_poly_core(basis, n, items)  # noqa: E731
+    else:
+        n = data.draw(st.integers(1, 3))
+        rows = st.tuples(*[st.integers(-5, 5)] * n)
+        zero = (0,) * n
+        key = lambda r, sign: tuple(sign * c for c in r)  # noqa: E731
+        make = lambda items: TorusPoly(n, items)  # noqa: E731
+        ref = lambda items: reference.torus_poly_core(n, items)  # noqa: E731
+    signs = st.sampled_from([1, -1])
+    base = data.draw(st.lists(rows, max_size=5)) + ([zero] if data.draw(st.booleans()) else [])
+    # the zero key's coefficient mostly real
+    picks = [(r, data.draw(signs), data.draw(real if r is zero and data.draw(often) else amp))
+             for r in base]
+    # a key met again, or its negative: mostly with the amplitude that agrees
+    for _ in range(data.draw(st.integers(0, 2)) if picks else 0):
+        r, sign, a = data.draw(st.sampled_from(picks))
+        again = data.draw(signs)
+        a = (a if again == 1 else complex(a).conjugate()) if data.draw(often) \
+            else data.draw(amp)
+        picks.append((r, sign * again, a))
+    items = [(key(r, sign), a) for r, sign, a in picks]
+    try:
+        want = ref(items)
+    except (ValueError, OverflowError) as e:
+        with pytest.raises(type(e)) as got:
+            make(items)
+        assert str(got.value) == str(e)
+        return
+    p = make(items)
+    assert p.spectrum() == want[0]
+    assert same_bits(p._pair_rows, want[1]) and p._pair_rows.shape == want[1].shape
+    assert same_bits(p._pair_amps, want[2]) and p._pair_amps.shape == want[2].shape
