@@ -385,31 +385,6 @@ class NdVerdict:
     c: float | None = None
 
 
-def _mul_add(acc: list[int], x, c, mul):
-    """acc += x * c for two q-tuples of integer basis coordinates.
-
-    ``acc`` is over the product of the denominators of x, c and ``mul``.
-    Zero coordinates are skipped, so an undeclared product raises only when
-    both of its factors are nonzero.
-    """
-    _, table, labels = mul
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in enumerate(c):
-            if not b:
-                continue
-            t = table[i][j]
-            if t is None:
-                raise ValueError(
-                    f"product of basis elements {labels[i]}*{labels[j]} "
-                    "is not declared; exact multiplication undefined"
-                )
-            ab = a * b
-            for k, w in t:
-                acc[k] += ab * w
-
-
 def _dot(xi, piece, mul) -> list:
     """Integer coefficients of u -> xi.phi(u) on one piece, one entry per degree.
 
@@ -417,20 +392,41 @@ def _dot(xi, piece, mul) -> list:
     ``piece`` is one piece of a flux's integer tensor and ``mul`` the basis
     structure constants ``FrequencyBasis.structure``; the result is over the
     product of the three denominators.  This is the one place where a frequency
-    meets the flux coefficients.  An entry that needs a product of basis
+    meets the flux coefficients.  Each degree accumulates x_i c_j times the
+    structure constants of e_i e_j, over the components, then i, then j,
+    skipping zero coordinates, so an undeclared product counts only when
+    both of its factors are nonzero.  An entry that needs a product of basis
     elements the basis does not declare holds, in place of its q-tuple, the
     message of the first such product it meets, so a caller refuses only
     the entries it reads (``_refusal``).
     """
-    q = len(mul[1])
+    _, table, labels = mul
+    q = len(table)
     terms = [(x, comp) for x, comp in zip(xi, piece) if any(x)]
     out = []
     for d in range(max(len(comp) for comp in piece)):
         acc = [0] * q
         try:
             for x, comp in terms:
-                if d < len(comp):
-                    _mul_add(acc, x, comp[d], mul)
+                if d >= len(comp):
+                    continue
+                c = comp[d]
+                for i, a in enumerate(x):
+                    if not a:
+                        continue
+                    row = table[i]
+                    for j, b in enumerate(c):
+                        if not b:
+                            continue
+                        t = row[j]
+                        if t is None:
+                            raise ValueError(
+                                f"product of basis elements {labels[i]}*{labels[j]} "
+                                "is not declared; exact multiplication undefined"
+                            )
+                        ab = a * b
+                        for k, w in t:
+                            acc[k] += ab * w
         except ValueError as e:
             out.append(str(e))
         else:
@@ -444,7 +440,7 @@ def _combine(kbar, vecs) -> tuple[int, ...]:
     The exact layer's one integer combination: a component of
     xi = sum_j kbar_j lambda_j, or a degree of xi.phi from the lift's lambda_j.c_d.
     """
-    return tuple(sum(map(operator.mul, kbar, col)) for col in zip(*vecs))
+    return tuple([sum(map(operator.mul, kbar, col)) for col in zip(*vecs)])
 
 
 def _refusal(entries) -> str | None:

@@ -43,9 +43,10 @@ def _as_fraction(x) -> Fraction:
 
 def _clear(rows) -> tuple[list[list[int]], int]:
     """Rows of rationals as rows of integer numerators over their lcm denominator."""
-    rows = [[x if isinstance(x, Fraction) else _as_fraction(x) for x in r] for r in rows]
-    den = math.lcm(*{x.denominator for r in rows for x in r})
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+    rows = [[(x if isinstance(x, Fraction) else _as_fraction(x)).as_integer_ratio() for x in r]
+            for r in rows]
+    den = math.lcm(*{d for r in rows for _, d in r})
+    return [[a * (den // d) for a, d in r] for r in rows], den
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,7 @@ class Frequency:
     den: int = 1
 
     def __post_init__(self):
-        num = tuple(tuple(c) for c in self.num)
-        if not num:
-            raise ValueError("frequency needs at least one coordinate")
-        if any(len(c) != self.basis.dim for c in num):
-            raise ValueError(f"expected {self.basis.dim} coordinates per component")
+        num = _shaped(self.basis, self.num)
         if self.den < 1:
             raise ValueError("frequency denominator must be positive")
         g = math.gcd(self.den, *(x for c in num for x in c))
@@ -272,7 +269,15 @@ class Frequency:
 
     @classmethod
     def of(cls, basis: FrequencyBasis, rows: Sequence[Sequence]) -> "Frequency":
-        return cls(basis, *_clear(rows))
+        """The frequency of rational coordinate rows, one row of q per component.
+
+        ``_clear``'s numerators over the lcm of the denominators are in
+        lowest terms already: a prime power that divides that lcm exactly
+        divides some denominator, whose numerator it does not divide.  So
+        only the shape is checked.
+        """
+        num, den = _clear(rows)
+        return cls._unchecked(basis, _shaped(basis, num), den)
 
     @property
     def n(self) -> int:
@@ -309,6 +314,16 @@ class Frequency:
 
     def scale(self, k: int) -> "Frequency":
         return Frequency(self.basis, tuple(tuple(k * x for x in c) for c in self.num), self.den)
+
+
+def _shaped(basis: FrequencyBasis, num) -> tuple[tuple[int, ...], ...]:
+    """Numerator rows as tuples, refused with ValueError unless n >= 1 rows of q."""
+    num = tuple(tuple(c) for c in num)
+    if not num:
+        raise ValueError("frequency needs at least one coordinate")
+    if any(len(c) != basis.dim for c in num):
+        raise ValueError(f"expected {basis.dim} coordinates per component")
+    return num
 
 
 def _numerators(f: Frequency, den: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from . import __version__
 from .flux import PiecewiseFlux, lift_flux, nondegeneracy_check
 from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _clear, _value,
                           group_basis, in_lattice)
-from .lift import _cube_per_axis, _data_coords, lift_problem
+from .lift import _cube_per_axis, _data_group, lift_problem
 from .solver import (
     DEFAULT_CFL,
     MAX_STEPS,
@@ -560,11 +560,10 @@ def _run_check_flux(cfg: ExperimentConfig):
     if cfg.initial is not None:
         if gb is not None:
             # exact membership, not a lift: the flux is decided even where it cannot be lifted
-            for lam in cfg.initial.spectrum():
-                _data_coords(lam, gb)
+            _data_group(cfg.initial, gb)
         # the criterion asks about the group the data generate, which a
         # declared group may exceed by a degenerate direction
-        gb = group_basis(list(cfg.initial.spectrum()))
+        gb = _data_group(cfg.initial)[0]
     v = nondegeneracy_check(cfg.flux, gb)
     row = {
         "nondegenerate": v.nondegenerate,

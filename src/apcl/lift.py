@@ -207,52 +207,34 @@ def _data_coords(lam: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...]:
     return k
 
 
-def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
-                 group: SpectrumGroupBasis | None = None) -> LiftedProblem:
-    """Build the periodic twin of (u0, flux).
+def _data_group(u0: TrigPoly, group: SpectrumGroupBasis | None = None):
+    """(gb, coords): the group of u0's spectrum, or ``group`` checked to hold it,
+    and the coordinates of the first key of each of u0's +-pairs in it.
 
-    The group basis is computed from the data spectrum unless ``group`` is
-    given: from the first key of each +-pair, which generate the same group
-    as the whole spectrum, and the exact solves that check each key's
-    membership are its coordinates, so each key is solved once.  Over a
-    given group each key is solved by ``member_coords``.  A given group
-    must contain the spectrum, one of rank 0 too; it may be larger, which
-    enlarges m (e.g. to probe coefficients outside the data's coordinate
-    image) or lets several data sets share one torus.  With ``flux`` None
-    only the data are lifted.  Verifies the lift round trip
-    u0(x) = v0(Lambda x) on 100 fixed pseudo-random points to 1e-10, and
-    refuses with ValueError beyond that: the exact lift is right, but the
-    floats of a badly scaled Lambda (group rows far longer than the data
-    frequencies) do not reproduce the data.
+    The pairs' first keys are the first half of the spectrum, in order.
+    -lambda lies in a group iff lambda does, so the first keys generate the
+    group of the whole spectrum, and the exact solves that check each key's
+    membership are its coordinates: one solve per pair.  Over a given group
+    each first key is solved by ``member_coords`` in spectrum order, which
+    refuses the first key outside the group, as solving every key would;
+    the zero frequency, which follows them, lies in every group but is
+    solved too, so a group of another basis or dimension refuses it as well.
     """
-    spectrum = list(u0.spectrum())
-    # the pairs' first keys are the first half of the spectrum, in order,
-    # and TorusPoly adds each -k: one solve per pair, for its first key
+    spectrum = u0.spectrum()
     half = len(u0._pair_amps)
-    firsts = spectrum[:half]
-    gb = group
-    if gb is None:
-        # the group of the first keys is the group of the whole spectrum,
-        # and the solves that check it are the first keys' coordinates
-        gb, coords = _group(firsts) if firsts else (SpectrumGroupBasis(u0.basis, u0.n), [])
-    if flux is not None and gb.n != flux.n:
-        raise ValueError("flux component count must equal the data dimension")
-    if group is not None:
-        # before the rank-0 shortcut, which would drop data outside the group
-        coords = [_data_coords(lamf, gb) for lamf in firsts]
-    if gb.rank == 0:
-        return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
-                             lam=np.zeros((0, u0.n)))
-    terms = list(zip(coords, u0._pair_amps.tolist()))
-    if len(spectrum) > 2 * half:
-        # the zero frequency, in the middle
-        terms.append(((0,) * gb.rank, u0.terms[spectrum[half]]))
-    v0 = TorusPoly(gb.rank, terms)
-    values = gb.basis.values
-    lam = np.array([[_value(c, gb.den, values) for c in comp] for comp in gb.generators],
-                   dtype=float)
-    pb = LiftedProblem(group=gb, v0=v0, lam=lam,
-                       flux=lift_flux(flux, gb) if flux is not None else None)
+    if group is None:
+        if not half:
+            return SpectrumGroupBasis(u0.basis, u0.n), []
+        return _group(list(spectrum[:half]))
+    coords = [_data_coords(lam, group) for lam in spectrum[:len(spectrum) - half]]
+    return group, coords[:half]
+
+
+def _round_trip(u0: TrigPoly, v0: TorusPoly, lam: np.ndarray) -> tuple[float, float]:
+    """(err, scale): max |v0(Lambda x) - u0(x)| and max(1, max |u0(x)|) over the check points.
+
+    ValueError when a phase lies beyond float range.
+    """
     xs = _round_trip_points(u0.n)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -261,11 +243,55 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     except FloatingPointError:
         raise ValueError("lift round trip: the phases 2 pi lambda.x at the check points "
                          "lie beyond float range; the largest |Lambda| entry is "
-                         f"{float(np.max(np.abs(lam))):g}") from None
-    scale = max(1.0, float(np.max(np.abs(direct_vals))))
-    err = float(np.max(np.abs(lifted_vals - direct_vals)))
+                         f"{float(np.abs(lam).max()):g}") from None
+    scale = max(1.0, float(np.abs(direct_vals).max()))
+    lifted_vals -= direct_vals
+    return float(np.abs(lifted_vals, out=lifted_vals).max()), scale
+
+
+def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
+                 group: SpectrumGroupBasis | None = None) -> LiftedProblem:
+    """Build the periodic twin of (u0, flux).
+
+    The group basis is computed from the data spectrum unless ``group`` is
+    given, and each +-pair's first key is solved once in it
+    (``_data_group``).  A given group must contain the spectrum, one of
+    rank 0 too; it may be larger, which enlarges m (e.g. to probe
+    coefficients outside the data's coordinate image) or lets several data
+    sets share one torus.  With ``flux`` None only the data are lifted.
+
+    v0 is built from u0's pairs as they are (``TorusPoly._from_pairs``),
+    with no second normalisation: the coordinate map lambda -> k is
+    injective and odd, so each +-pair of u0 maps to one +-pair of v0, the
+    keys stay distinct and nonzero and the coefficients nonzero, and v0's
+    sum of |a| is u0's, which u0's constructor checked.
+
+    Verifies the lift round trip u0(x) = v0(Lambda x) on 100 fixed
+    pseudo-random points to 1e-10, and refuses with ValueError beyond
+    that: the exact lift is right, but the floats of a badly scaled Lambda
+    (group rows far longer than the data frequencies) do not reproduce the
+    data.
+    """
+    if flux is not None and (u0.n if group is None else group.n) != flux.n:
+        raise ValueError("flux component count must equal the data dimension")
+    # before the rank-0 shortcut, which would drop data outside a given group
+    gb, coords = _data_group(u0, group)
+    if gb.rank == 0:
+        return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
+                             lam=np.zeros((0, u0.n)))
+    half = len(coords)
+    spectrum = u0.spectrum()
+    # the zero frequency, in the middle of the spectrum
+    mean = u0.terms[spectrum[half]] if len(spectrum) > 2 * half else None
+    v0 = TorusPoly._from_pairs(gb.rank, zip(coords, u0._pair_amps.tolist()), mean)
+    values = gb.basis.values
+    lam = np.array([[_value(c, gb.den, values) for c in comp] for comp in gb.generators],
+                   dtype=float)
+    pb = LiftedProblem(group=gb, v0=v0, lam=lam,
+                       flux=lift_flux(flux, gb) if flux is not None else None)
+    err, scale = _round_trip(u0, v0, lam)
     if err > 1e-10 * scale:
         raise ValueError(f"lift round trip off by {err:.3e}, beyond 1e-10 x {scale:g}: "
                          f"the group basis is badly scaled, its largest |Lambda| "
-                         f"entry is {float(np.max(np.abs(lam))):g}")
+                         f"entry is {float(np.abs(lam).max()):g}")
     return pb

@@ -7,6 +7,15 @@ coefficient at -lam is stored and must equal the conjugate at lam.  So
 evaluation sums each +-lam pair once, as a real cosine and sine, and
 ``solver.exact_cell_average`` adds each pair's real part: both are real
 by construction.
+
+The public constructors normalise their terms (``_normalize_real_terms``)
+and check that their sum of |a| is a finite float, then build the one
+evaluation core (``_TrigCore._set_core``).  ``TorusPoly._from_pairs`` is
+the other way into that core, for the lift: the data's coordinate map
+lambda -> k is injective and odd, so each +-pair of a checked TrigPoly
+maps to one +-pair of integer keys, no two keys collide, no coefficient
+is zero, and the sum of |a| is the TrigPoly's.  Normalising those pairs
+a second time could refuse nothing, so it is skipped.
 """
 
 from __future__ import annotations
@@ -81,16 +90,22 @@ class _TrigCore:
     """
 
     def __init__(self, dim: int, items, negate, sort_key=None, row=tuple):
-        self.terms, zero, pairs = _normalize_real_terms(
+        terms, zero, pairs = _normalize_real_terms(
             items, negate, sort_key or (lambda k: k), row)
-        self.mean = 0.0 if zero is None else self.terms[zero].real
         try:
-            amp_scale = math.fsum(abs(a) for a in self.terms.values())
+            amp_scale = math.fsum(abs(a) for a in terms.values())
         except OverflowError:
             amp_scale = math.inf
         if not math.isfinite(amp_scale):
             raise OverflowError("the sum of |re + i im| over the terms and their "
                                 "conjugates lies beyond float range")
+        self._set_core(dim, terms, zero, pairs)
+
+    def _set_core(self, dim: int, terms: dict, zero, pairs: list):
+        """The core of normalised ``terms``, their self-paired key ``zero`` (or
+        None) and their +-pairs, as ``_normalize_real_terms`` gives them."""
+        self.terms = terms
+        self.mean = 0.0 if zero is None else terms[zero].real
         pairs.sort(key=lambda p: p[0])
         firsts = [p[1] for p in pairs]
         # the order reverses under negation: the first keys, the zero, then
@@ -98,7 +113,7 @@ class _TrigCore:
         self._keys = firsts + ([] if zero is None else [zero]) + [p[2] for p in pairs[::-1]]
         self._pair_rows = np.array([p[3] for p in pairs], dtype=float).reshape(len(pairs), dim)
         # the coefficient given last for the key, as ``terms`` holds it
-        self._pair_amps = np.array([self.terms[k] for k in firsts], dtype=complex)
+        self._pair_amps = np.array([terms[k] for k in firsts], dtype=complex)
 
     def spectrum(self) -> tuple:
         return tuple(self._keys)
@@ -109,7 +124,9 @@ class _TrigCore:
         With theta = 2 pi x.lam over the pairs' first keys, each pair adds
         2 re cos(theta) - 2 im sin(theta), which is real by construction.
         """
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        # ``np.atleast_2d`` without the call: one point becomes a row
+        xs = x if x.ndim >= 2 else x.reshape(1, -1)
         dim = self._pair_rows.shape[1]
         if xs.shape[-1] != dim:
             raise ValueError(f"points must have {dim} coordinates")
@@ -123,7 +140,7 @@ class _TrigCore:
             out -= np.sin(theta) @ amps.imag
             out *= 2.0
             out += self.mean
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return float(out[0]) if x.ndim == 1 else out
 
 
 class TrigPoly(_TrigCore):
@@ -159,6 +176,38 @@ class TorusPoly(_TrigCore):
                 raise ValueError(f"expected {m}-vector frequency, got {k}")
         self.m = m
         super().__init__(m, items, lambda k: tuple(-c for c in k))
+
+    @classmethod
+    def _from_pairs(cls, m: int, pairs, mean=None) -> "TorusPoly":
+        """The torus polynomial of one (k, a) per +-pair, a complex, and the mean's
+        coefficient ``mean`` (a complex, or None), unchecked.
+
+        Only for terms normalised by construction, as ``lift_problem``
+        transports them from a TrigPoly's pairs: the keys k are distinct,
+        nonzero and no one is the negation of another, no a is zero and
+        the mean's imaginary part is zero; the sum of |a| over the terms
+        is then the TrigPoly's, which its constructor checked.  Builds
+        what the constructor builds from the same items: the terms in the
+        same order, each conjugate the same bits.
+        """
+        self = object.__new__(cls)
+        self.m = m
+        terms = {}
+        keyed = []
+        for k, a in pairs:
+            neg = tuple([-c for c in k])
+            terms[k] = a
+            terms[neg] = a.conjugate()
+            # a TorusPoly key is its own sort key: the first of the pair is
+            # the one whose first nonzero entry is negative
+            keyed.append((k, k, neg, k) if next(filter(None, k)) < 0 else (neg, neg, k, neg))
+        zero = None
+        if mean is not None:
+            # the constructor stores a self-paired key's coefficient conjugated
+            zero = (0,) * m
+            terms[zero] = mean.conjugate()
+        self._set_core(m, terms, zero, keyed)
+        return self
 
     eval = _TrigCore.eval
 

@@ -16,6 +16,7 @@ from apcl.freqlattice import (
     Frequency,
     FrequencyBasis,
     _bareiss,
+    _clear,
     _group,
     _hermite,
     group_basis,
@@ -450,6 +451,30 @@ def test_frequency_integer_form_matches_the_rational_oracle(n, q, data):
     k = data.draw(st.integers(-4, 4))
     assert f.scale(k).coords == tuple(c.scale(k) for c in f.coords)
     assert f.scale(k) == Frequency.of(basis, [c.coeffs for c in f.scale(k).coords])
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frequency_of_equals_the_checked_constructor(n, q, data):
+    # ``of`` skips the gcd, which is 1 over _clear's lcm denominator: the
+    # frequency is the checked one field for field, with the same hash
+    basis = BASES[q]
+    rows = data.draw(matrices(n, q) | st.lists(st.lists(rationals, min_size=q, max_size=q),
+                                                min_size=n, max_size=n))
+    f, checked = Frequency.of(basis, rows), Frequency(basis, *_clear(rows))
+    assert [getattr(f, fd.name) for fd in fields(Frequency)] == \
+        [getattr(checked, fd.name) for fd in fields(Frequency)]
+    assert all(type(c) is tuple for c in f.num)
+    assert hash(f) == hash(checked) == hash((checked.num, checked.den))
+
+
+def test_frequency_of_keeps_the_shape_checks():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Frequency.of(B2, [])
+    with pytest.raises(ValueError, match="expected 2 coordinates per component"):
+        Frequency.of(B2, [["1", "0"], ["1"]])
+    with pytest.raises(TypeError, match="expected exact rational"):
+        Frequency.of(B1, [[0.5]])
 
 
 @given(st.integers(1, 2), st.integers(1, 3), st.data())

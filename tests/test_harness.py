@@ -1274,6 +1274,21 @@ def test_cli_rank_zero_group_is_refused(tmp_path, capsys, kind, stem, edits, dro
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("terms, refusal", [
+    # the zero frequency lies in every group, but not in one of another dimension
+    ([{"frequency": [["0"]], "re": 0.3}], "frequency does not match the group's basis/dimension"),
+    ([{"frequency": [["1"]], "re": 0.3}], "frequency does not match the group's basis/dimension"),
+    # no term left: no key to solve, and the data's group has rank 0
+    ([{"frequency": [["0"]], "re": 0.0}], RANK_ZERO),
+])
+def test_check_flux_data_of_another_dimension_than_the_declared_group(terms, refusal):
+    d = checkflux_config(flux={"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"]]]},
+                         initial={"terms": terms}, thresholds={})
+    with pytest.raises(ValueError) as e:
+        run_experiment(parse_config(d))
+    assert str(e.value) == refusal
+
+
 @pytest.mark.parametrize("kind, stem, edits", [
     ("contraction", "contraction_pair", {"group_frequencies": [[["1/2"]]]}),
     ("check-flux", "checkflux_sqrt2", {"initial": SQRT2_DATA}),

@@ -1,11 +1,14 @@
 """Dimension lifting and orbit sampling."""
 
+import contextlib
 import re
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import apcl.lift as lift_mod
@@ -75,6 +78,13 @@ def test_lift_dimension_mismatch():
     u0 = TrigPoly(B1, 2, {Frequency.of(B1, [[1], [0]]): 0.5})
     with pytest.raises(ValueError):
         lift_problem(u0, burgers())  # 1-component flux, 2-dimensional data
+    # constant data over a given group of another dimension: the zero frequency
+    # is solved in the group too, which refuses it, of rank 0 or not
+    const = TrigPoly(B1, 1, {Frequency.of(B1, [[0]]): 0.5})
+    for gens in ([[["1"], ["0"]]], [[["0"], ["0"]]]):
+        group = group_basis([Frequency.of(B1, rows) for rows in gens])
+        with pytest.raises(ValueError, match="does not match the group's basis/dimension"):
+            lift_problem(const, None, group=group)
 
 
 def test_lift_enlarged_group():
@@ -266,6 +276,153 @@ def test_lift_problem_group_and_coordinates_are_group_basis_and_member_coords(da
     assert len(pb.v0.terms) == 2 * len(firsts) + (len(u0.terms) > 2 * len(firsts))
     for f in firsts:
         assert pb.v0.terms[member_coords(f, gb)] == u0.terms[f]
+
+
+def _terms_items(p):
+    """A torus polynomial's terms in order, each coefficient by its repr (signed zeros)."""
+    return [(k, repr(a)) for k, a in p.terms.items()]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_lift_builds_v0_from_the_pairs_as_the_checked_constructor_does(data):
+    # v0 comes from u0's +-pairs with no second normalisation: it must be the
+    # TorusPoly the public constructor builds from the same (k, a) items, and
+    # the reference core's, bit for bit, over u0's own group or a larger one
+    basis = data.draw(st.sampled_from([B1, B2]))
+    n = data.draw(st.integers(1, 2))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    coords = st.lists(st.lists(small, min_size=basis.dim, max_size=basis.dim),
+                      min_size=n, max_size=n)
+    amp = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        f = Frequency.of(basis, data.draw(coords))
+        if not f.is_zero and f not in terms and -f not in terms:
+            terms[f] = data.draw(amp)
+    if data.draw(st.booleans()):
+        terms[Frequency.of(basis, [[0] * basis.dim] * n)] = data.draw(st.floats(-1.0, 1.0))
+    u0 = TrigPoly(basis, n, terms)
+    gb = group_basis(u0.spectrum()) if u0.spectrum() else None
+    assume(gb is not None and 1 <= gb.rank <= 3)
+    group = None
+    if data.draw(st.booleans()):
+        # larger by a drawn frequency and by index: half the unit in each component
+        half = Frequency.of(basis, [[Fraction(1, 2)] + [0] * (basis.dim - 1)] * n)
+        group = group_basis([*u0.spectrum(), Frequency.of(basis, data.draw(coords)), half])
+        assume(group.rank <= 3)
+    try:
+        pb = lift_problem(u0, None, group=group)
+    except ValueError as e:  # a badly scaled larger group
+        assert "lift round trip" in str(e)
+        return
+    firsts = list(u0.spectrum())[:len(u0._pair_amps)]
+    items = list(zip([member_coords(f, pb.group) for f in firsts], u0._pair_amps.tolist()))
+    if len(u0.terms) > 2 * len(firsts):
+        items.append(((0,) * pb.m, u0.terms[list(u0.spectrum())[len(firsts)]]))
+    public = TorusPoly(pb.m, items)
+    keys, rows, amps = reference.torus_poly_core(pb.m, items)
+    assert pb.v0.spectrum() == public.spectrum() == keys
+    assert _terms_items(pb.v0) == _terms_items(public)
+    for got in (pb.v0._pair_rows, public._pair_rows):
+        assert got.shape == rows.shape and same_bits(got, rows)
+    for got in (pb.v0._pair_amps, public._pair_amps):
+        assert got.shape == amps.shape and same_bits(got, amps)
+    assert repr(pb.v0.mean) == repr(public.mean) and pb.v0.m == public.m == pb.m
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_data_group_solves_the_first_keys_and_refuses_as_every_key_would(data):
+    # -lambda lies in a group iff lambda does, and the first keys come first in
+    # spectrum order: solving them and the zero refuses the key that solving
+    # every key in order refuses first, with its message
+    u0 = _draw_data(data)
+    basis = u0.basis
+    n = data.draw(st.sampled_from([u0.n, u0.n, 3 - u0.n]))
+    gens = [Frequency.of(basis, data.draw(st.lists(
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                 min_size=basis.dim, max_size=basis.dim), min_size=n, max_size=n)))
+        for _ in range(data.draw(st.integers(1, 3)))]
+    if n == u0.n and data.draw(st.booleans()):
+        gens += list(u0.spectrum())
+    group = group_basis(gens)
+    want = None
+    for lam in u0.spectrum():
+        try:
+            lift_mod._data_coords(lam, group)
+        except ValueError as e:
+            want = str(e)
+            break
+    if want is not None:
+        with pytest.raises(ValueError) as got:
+            lift_mod._data_group(u0, group)
+        assert str(got.value) == want
+        return
+    gb, coords = lift_mod._data_group(u0, group)
+    firsts = list(u0.spectrum())[:len(u0._pair_amps)]
+    assert gb is group and coords == [member_coords(f, group) for f in firsts]
+    # over the data's own group: group_basis of the whole spectrum
+    own, own_coords = lift_mod._data_group(u0)
+    if firsts:
+        whole = group_basis(u0.spectrum())
+        assert (own.rows, own.pivots, own.den) == (whole.rows, whole.pivots, whole.den)
+        assert own_coords == [member_coords(f, whole) for f in firsts]
+    else:
+        assert (own.rank, own.basis, own.n, own_coords) == (0, u0.basis, u0.n, [])
+
+
+@contextlib.contextmanager
+def _recorded_round_trip():
+    """lift_mod._round_trip, wrapped to keep each call's (u0, v0, lam) and its (err, scale)."""
+    calls = []
+    inner = lift_mod._round_trip
+
+    def recording(u0, v0, lam):
+        out = inner(u0, v0, lam)
+        calls.append(((u0, v0, lam), out))
+        return out
+
+    with mock.patch.object(lift_mod, "_round_trip", recording):
+        yield calls
+
+
+def _public_round_trip(u0, v0, lam):
+    """(err, scale) from two public evals at the check points."""
+    xs = lift_mod._round_trip_points(u0.n)
+    direct = u0.eval(xs)
+    return (float(np.abs(v0.eval(xs @ lam.T) - direct).max()),
+            max(1.0, float(np.abs(direct).max())))
+
+
+def test_round_trip_numbers_on_the_badly_scaled_rank_4_data():
+    # the data of test_cli_badly_scaled_lift_is_refused: rank 4 over {1, sqrt2}
+    b = FrequencyBasis.with_sqrt(2)
+    u0 = TrigPoly(b, 2, [(Frequency.of(b, [["0", "0"], ["13/5", "0"]]), 1),
+                         (Frequency.of(b, [["0", "1"], ["1/4", "0"]]), 1),
+                         (Frequency.of(b, [["1", "0"], ["0", "0"]]), 0.5),
+                         (Frequency.of(b, [["1/3", "1/4"], ["0", "2"]]), 0.25)])
+    with _recorded_round_trip() as calls, pytest.raises(
+            ValueError, match=re.escape("lift round trip off by 5.224e-10")):
+        lift_problem(u0, None)
+    (args, (err, scale)), = calls
+    assert args[1].m == 4
+    assert (err, scale) == _public_round_trip(*args)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_round_trip_numbers_are_those_of_two_public_evals(data):
+    u0 = _draw_data(data)
+    with _recorded_round_trip() as calls:
+        pb = lift_problem(u0, None)
+    if not pb.m:
+        assert not calls
+        return
+    (args, (err, scale)), = calls
+    assert args[1] is pb.v0 and args[2] is pb.lam
+    assert (err, scale) == _public_round_trip(*args)
+    assert err <= 1e-10 * scale
 
 
 def test_lift_is_derived_once_per_flux_and_group():
