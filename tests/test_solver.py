@@ -21,6 +21,7 @@ from apcl.solver import (
     advance,
     CflError,
     CounterexampleError,
+    DEFAULT_CFL,
     SolverConfig,
     TorusGrid,
     TravelingWave,
@@ -198,7 +199,8 @@ def _face(a, b, flux, alpha):
     # face 1/2 of the two-cell periodic field [a, b] sits between a and b;
     # ``_faces`` gives twice the Rusanov flux of component 0
     u = np.array([a, b])
-    face = solver_mod._faces(u, flux.eval_component(0, u), alpha, 0, np.empty_like(u))
+    face = solver_mod._faces(*(solver_mod._offsets(a, 0) for a in (u, flux.eval_component(0, u))),
+                             alpha, 0, solver_mod._offsets(np.empty_like(u), 0))
     return 0.5 * float(face[0])
 
 
@@ -619,6 +621,56 @@ def test_run_deterministic():
     assert np.array_equal(a.fields[-1].values, b.fields[-1].values)
 
 
+
+# the wave_1d bench's flux: u/2 on [-1/2, 1/2] and convex quadratics outside
+WAVE_FLUX = PiecewiseFlux(B1, ["-2", "-1/2", "1/2", "2"],
+                          [[["1/8", "1", "1/2"]], [["0", "1/2"]], [["1/8", "0", "1/2"]]])
+
+
+def _advance_loop(v0, flux, g, times, cfl):
+    """``run``'s rows, fields and stepping from a plain loop over ``solver.advance``."""
+    c, vol = v0.mean, g.cell_volume
+    f = exact_cell_average(v0, g)
+    t, dts, ratios, rows, fields, after = 0.0, [], [], [], [], []
+    for target in times:
+        while t < target - 1e-14:
+            dt_cfl, dt, (f,) = solver_mod.advance(flux, cfl, target - t, f)
+            dts.append(dt)
+            ratios.append(dt / dt_cfl)
+            t += dt
+            after.append((t, f))
+        t = target
+        rows.append({"t": t, "l1_to_mean": vol * float(np.sum(np.abs(f.values - c))),
+                     "min": f.vmin, "max": f.vmax, "mass": vol * float(np.sum(f.values))})
+        fields.append(f)
+    stepping = {"steps": len(dts), "dt_min": min(dts), "dt_max": max(dts),
+                "courant_max": cfl * max(ratios)}
+    return rows, fields, stepping, after
+
+
+def test_run_is_a_plain_loop_over_advance():
+    # the wave_1d counterexample's run: 512 cells, t_end 5, record times 1-4,
+    # and one more record time 5e-15 past the end of a step, which that
+    # step reaches within 1e-14, so no step is taken for it
+    g = TorusGrid((512,))
+    v0 = TorusPoly(1, {(0,): -0.2, (1,): -0.1j})
+    times = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    *_, after = _advance_loop(v0, WAVE_FLUX, g, times, DEFAULT_CFL)
+    t_near, f_near = after[100]
+    assert 0.3 < t_near < 1.0
+    times.insert(1, t_near + 5e-15)
+    cfg = SolverConfig(t_end=5.0, record_times=tuple(times[1:-1]))
+    traj = run(v0, WAVE_FLUX, g, cfg)
+    rows, fields, stepping, _ = _advance_loop(v0, WAVE_FLUX, g, times, DEFAULT_CFL)
+    assert [r["t"] for r in traj.rows] == times
+    assert traj.rows == rows
+    assert len(traj.fields) == len(fields) == len(times)
+    assert all(same_bits(a.values, b.values) for a, b in zip(traj.fields, fields))
+    # the near record time holds the field of the step before it
+    assert same_bits(traj.fields[1].values, f_near.values)
+    assert traj.stepping == stepping
+    assert stepping["steps"] > 1000
+
 # --- reference: the unfused step ----------------------------------------------
 # np.roll shifts and npoly.polyval on per-piece masked gathers.  The fused
 # kernel must reproduce its values exactly: the same bytes, so the same
@@ -970,13 +1022,16 @@ def test_traced_eval_component_counts_the_cells_of_a_field():
 def test_neighbours_1d_branch_matches_nd_branch(op, upper):
     # the 1D branch (plain slices and a scalar wrap) against the n-D one
     # (flat views and a slab wrap) on the (N, 1) view of the same values
+    def offsets(a):
+        return solver_mod._offsets(a, 0)
+
     x, _ = _field_values("signed-zero", (97,), np.random.default_rng(5))
     x[40::9] = np.nan
     for first, last in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (np.nan, 1.0), (0.1, 0.2)):
         x[0], x[-1] = first, last
         got, want = np.full_like(x, 7.0), np.full((x.size, 1), 7.0)
-        solver_mod._neighbours(op, x, 0, got, upper)
-        solver_mod._neighbours(op, x.reshape(-1, 1), 0, want, upper)
+        solver_mod._neighbours(op, offsets(x), 0, offsets(got), upper)
+        solver_mod._neighbours(op, offsets(x.reshape(-1, 1)), 0, offsets(want), upper)
         assert same_bits(got, want.reshape(-1)), (first, last)
 
 
@@ -1059,12 +1114,49 @@ def test_steps_write_the_grids_scratch_and_return_new_values(shape, gens, lifted
     assert all(face is faces[0] for face in faces)
 
 
+
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("make_flux", [_burgers_nd, _three_piece_nd])
+def test_1d_fields_and_grids_that_share_scratch_match_the_reference(n, make_flux):
+    # a 1D grid keeps its face buffer's views for every sweep on it: two
+    # fields stepped jointly, as a contraction pair is, write one buffer by
+    # turns, and two equal grids each write their own
+    flux = make_flux(1)
+    rng = np.random.default_rng(n)
+    g = TorusGrid((n,))
+    fa = CellField(g, rng.uniform(-1.5, 1.5, n))
+    fb = CellField(g, rng.uniform(-1.0, 1.8, n))
+    for _ in range(20):
+        _, dt, (na, nb) = advance(flux, 0.9, 1.0, fa, fb)
+        ref_a, ref_b = _ref_step(flux, dt, fa, fb)
+        assert same_bits(na.values, ref_a) and same_bits(nb.values, ref_b)
+        fa, fb = na, nb
+    # the same data by turns on two equal but distinct grids
+    grids = (TorusGrid((n,)), TorusGrid((n,)))
+    assert grids[0] == grids[1] and grids[0] is not grids[1]
+    vals = rng.uniform(-1.5, 1.5, n)
+    fields = [CellField(grid, vals) for grid in grids]
+    for _ in range(20):
+        for k in (0, 1):
+            f = fields[k]
+            _, dt, (fields[k],) = advance(flux, 0.9, 1.0, f)
+            assert same_bits(fields[k].values, _ref_step(flux, dt, f)[0])
+        assert same_bits(fields[0].values, fields[1].values)
+    for grid, other in (grids, grids[::-1]):
+        face, up, down = grid._face_offsets[0]
+        assert face is grid._face
+        assert np.shares_memory(up, face) and np.shares_memory(down, face)
+        assert not np.shares_memory(face, other._face)
+
 def test_horner_plans_drop_zero_coefficients():
     # (top, interior coefficients or None where skipped, constant term)
     assert burgers_1d()._plans[0][0] == ((0.5, None, 0.0),)
     assert _cubic_nd(1)._plans[0][0] == ((1.0, None, 1.0, 0.0),)
     assert _padded_nd(1)._plans[0][0][1] == (0.5, 0.0)
     assert PiecewiseFlux(B1, [-1, 1], [[["1/4"]]])._plans[0][0] == ((0.0, 0.25),)
+    # a piece's coefficients are read-only 0-d arrays, which no evaluation can write
+    top = burgers_1d()._plans[0][0][0][0]
+    assert top.shape == () and top.dtype == float and not top.flags.writeable
     # the gathered plan skips a column only where every piece has a zero
     gathered = _padded_nd(1)._plans[0][1]
     assert [c is None for c in gathered] == [False, True, False, False]
