@@ -47,6 +47,7 @@ from .freqlattice import (
     RealQ,
     SpectrumGroupBasis,
     _clear,
+    _config_form,
     _value,
     integer_kernel,
 )
@@ -231,12 +232,13 @@ class PiecewiseFlux:
         on ``source``'s basis and breakpoints.
 
         Unchecked: for Q-linear images of the checked ``source`` only, as
-        ``lift_flux`` and ``directional`` build.
+        ``_lift`` and ``directional`` build them, tuples throughout; the
+        pieces are stored as given, so a lift's ``_num`` is its tensor.
         """
         self = cls.__new__(cls)
         self.basis, self.breakpoints, self.urange = source.basis, source.breakpoints, source.urange
         self._den = den
-        self._num = tuple(tuple(tuple(comp) for comp in piece) for piece in pieces)
+        self._num = pieces
         self.n = len(self._num[0])
         return self
 
@@ -289,7 +291,7 @@ class PiecewiseFlux:
         """Config form of one component's exact value at a/b, e.g. ["1/9"]."""
         acc = _jump(coefs, (), a, b) or [0] * self.basis.dim
         den = self._den * b ** max(len(coefs) - 1, 0)
-        return json.dumps([str(Fraction(x, den)) for x in acc])
+        return json.dumps(_config_form(acc, den))
 
     @cached_property
     def _inner(self) -> list[float]:
@@ -395,7 +397,7 @@ class NdVerdict:
     c: float | None = None
 
 
-def _dot(xi, piece, mul) -> list:
+def _dot(xi, piece, mul) -> tuple:
     """Integer coefficients of u -> xi.phi(u) on one piece, one entry per degree.
 
     ``xi`` holds one q-tuple of integer numerators per flux component,
@@ -441,7 +443,7 @@ def _dot(xi, piece, mul) -> list:
             out.append(str(e))
         else:
             out.append(tuple(acc))
-    return out
+    return tuple(out)
 
 
 def _combine(kbar, vecs) -> tuple[int, ...]:
@@ -485,7 +487,8 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
         raise ValueError(f"kbar must have {gb.rank} entries")
     # zip(*piece) holds lambda_j.c_d for every j, per degree d: every lift
     # component of a piece has the same degrees
-    pieces = [[[_combine(kbar, dots) for dots in zip(*piece)]] for piece in lifted._num]
+    pieces = tuple([(tuple([_combine(kbar, dots) for dots in zip(*piece)]),)
+                    for piece in lifted._num])
     return PiecewiseFlux._derived(flux, pieces, lifted._den)
 
 
@@ -549,7 +552,7 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
     _check_group(flux, gb)
     q = flux.basis.dim
     mul = flux.basis.structure
-    tensor, lifted = _lift(flux, gb)
+    tensor, den, lifted = _lift(flux, gb)
     for p, dots in enumerate(tensor):
         if lifted.__class__ is str and (refusal := _refusal(e for dot in dots for e in dot[2:])):
             raise ValueError(refusal)
@@ -558,7 +561,6 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
         kern = integer_kernel(rows, gb.rank)
         if kern:
             kbar = kern[0]
-            den, values = gb.den * flux._den * mul[0], flux.basis.values
             xi = [_combine(kbar, lams) for lams in zip(*gb.generators)]
             affine = _dot(xi, [comp[:2] for comp in flux._num[p]], mul)
             if refusal := _refusal(affine):
@@ -569,30 +571,33 @@ def nondegeneracy_check(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> NdVerdic
                 kbar=kbar,
                 piece=p,
                 interval=(flux.breakpoints[p], flux.breakpoints[p + 1]),
-                tau=_value(slope, den, values),
-                c=_value(intercept, den, values),
+                tau=_value(slope, den, flux.basis.values),
+                c=_value(intercept, den, flux.basis.values),
             )
     return NdVerdict(nondegenerate=True)
 
 
 def _lift(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> tuple:
-    """(tensor, lifted): the lift of ``flux`` over ``gb``, derived once.
+    """(tensor, den, lifted): the lift of ``flux`` over ``gb``, derived once.
 
-    ``tensor[p][j]`` is ``_dot(lambda_j, piece p)``.  ``lifted`` is the flux
-    with those components, or, when an entry holds a refusal, the first
-    one in (piece, generator, degree) order, which is what building the
-    flux refuses.  Kept on the flux, keyed by the group's
-    canonical (rows, den), which with the flux's own basis fixes it, so
-    equal groups from separate ``group_basis`` calls share one lift.
+    ``tensor[p][j]`` is the tuple ``_dot(lambda_j, piece p)``, over ``den``,
+    the group's, the flux's and the structure constants' denominators
+    multiplied.  ``lifted`` is the flux whose ``_num`` is that tensor, or,
+    when an entry holds a refusal, the first one in (piece, generator,
+    degree) order, which is what building the flux refuses.  Kept on the
+    flux, keyed by the group's canonical (rows, den), which with the flux's
+    own basis fixes it, so equal groups share one lift.
     """
     key = (gb.rows, gb.den)
     got = flux._lifts.get(key)
     if got is None:
         mul = flux.basis.structure
-        tensor = [[_dot(lam, piece, mul) for lam in gb.generators] for piece in flux._num]
+        tensor = tuple([tuple([_dot(lam, piece, mul) for lam in gb.generators])
+                        for piece in flux._num])
+        den = gb.den * flux._den * mul[0]
         lifted = (_refusal(e for dots in tensor for dot in dots for e in dot)
-                  or PiecewiseFlux._derived(flux, tensor, gb.den * flux._den * mul[0]))
-        got = flux._lifts[key] = (tensor, lifted)
+                  or PiecewiseFlux._derived(flux, tensor, den))
+        got = flux._lifts[key] = (tensor, den, lifted)
     return got
 
 
@@ -604,7 +609,7 @@ def lift_flux(flux: PiecewiseFlux, gb: SpectrumGroupBasis) -> PiecewiseFlux:
     undeclared product.  The group is checked on every call.
     """
     _check_group(flux, gb)
-    lifted = _lift(flux, gb)[1]
+    lifted = _lift(flux, gb)[2]
     if lifted.__class__ is str:
         raise ValueError(lifted)
     return lifted

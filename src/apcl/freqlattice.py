@@ -49,6 +49,11 @@ def _clear(rows) -> tuple[list[list[int]], int]:
     return [[a * (den // d) for a, d in r] for r in rows], den
 
 
+def _config_form(num, den: int) -> list[str]:
+    """Integer numerators over ``den`` in the config form, e.g. ["1/2", "3"]."""
+    return [str(Fraction(x, den)) for x in num]
+
+
 @dataclass(frozen=True)
 class FrequencyBasis:
     """Declared basis of reals, first element always the rational unit 1.
@@ -298,7 +303,7 @@ class Frequency:
 
     def __str__(self) -> str:
         """The config form, e.g. [["1/2", "3"]]."""
-        return json.dumps([[str(Fraction(x, self.den)) for x in c] for c in self.num])
+        return json.dumps([_config_form(c, self.den) for c in self.num])
 
     def __add__(self, other: "Frequency") -> "Frequency":
         if other.basis != self.basis or other.n != self.n:
@@ -567,8 +572,8 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
     return _group(freqs)[0]
 
 
-def _group(freqs: list[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[int, ...]]]:
-    """``group_basis`` of a non-empty list, and each frequency's coordinates in it."""
+def _group(freqs: Sequence[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[int, ...]]]:
+    """``group_basis`` of a non-empty sequence, and each frequency's coordinates in it."""
     basis, n = freqs[0].basis, freqs[0].n
     for f in freqs:
         if f.basis != basis or f.n != n:

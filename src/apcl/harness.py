@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .flux import PiecewiseFlux, lift_flux, nondegeneracy_check
-from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _clear, _value,
-                          group_basis, in_lattice)
+from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _clear,
+                          _config_form, _value, group_basis, in_lattice)
 from .lift import _cube_per_axis, _data_group, lift_problem
 from .solver import (
     DEFAULT_CFL,
@@ -577,7 +577,7 @@ def _run_check_flux(cfg: ExperimentConfig):
     row = {k: "" if x is None else x for k, x in row.items()}
     scalars = {"nondegenerate": float(v.nondegenerate), "rank": gb.rank,
                "group_of": "initial" if cfg.initial is not None else "group_frequencies",
-               "group_frequencies": [[[str(Fraction(x, gb.den)) for x in c] for c in comp]
+               "group_frequencies": [[_config_form(c, gb.den) for c in comp]
                                      for comp in gb.generators]}
     return {"verdict": ([row], list(row))}, scalars, {}, {}, []
 
@@ -680,7 +680,8 @@ def _run_lifted(cfg: ExperimentConfig):
     final = traj.fields[-1] if traj.fields else None
     fields = {"final": final} if cfg.dump_fields and final is not None else {}
     if cfg.probes is not None:
-        image = [list(k) for k in pb.v0.terms]
+        # the pairs' first keys span the lattice of every key
+        image = [list(k) for k in pb.v0._firsts]
         prows = []
         worst_outside = 0.0
         for p in cfg.probes:

@@ -153,14 +153,6 @@ class LiftedProblem:
         y += z
         return _wrap(y)
 
-    def lift_points(self, xs, z) -> np.ndarray:
-        """y = z + Lambda x mod 1 for points x of R^n.
-
-        z must have m entries, one per torus axis.  It is reduced mod 1
-        first, so a large offset cannot swamp Lambda x.
-        """
-        return self._lift(np.atleast_2d(np.asarray(xs, dtype=float)), self._offset(z))
-
     def orbit_mean(self, w: CellField, z, radius: float,
                    samples_per_unit: float) -> float:
         """Cube average of the pullback x -> w(z + Lambda x) over {|x|_inf <= R/2}.
@@ -209,25 +201,23 @@ def _data_coords(lam: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...]:
 
 def _data_group(u0: TrigPoly, group: SpectrumGroupBasis | None = None):
     """(gb, coords): the group of u0's spectrum, or ``group`` checked to hold it,
-    and the coordinates of the first key of each of u0's +-pairs in it.
+    and the coordinates of each of u0's pairs' first keys (``_firsts``) in it.
 
-    The pairs' first keys are the first half of the spectrum, in order.
     -lambda lies in a group iff lambda does, so the first keys generate the
     group of the whole spectrum, and the exact solves that check each key's
     membership are its coordinates: one solve per pair.  Over a given group
-    each first key is solved by ``member_coords`` in spectrum order, which
-    refuses the first key outside the group, as solving every key would;
-    the zero frequency, which follows them, lies in every group but is
-    solved too, so a group of another basis or dimension refuses it as well.
+    each first key is solved by ``member_coords`` in order, which refuses
+    the first key outside the group, as solving every key in spectrum order
+    would; the zero key (``_zero``), which lies in every group, is solved
+    last, so a group of another basis or dimension refuses it as well.
     """
-    spectrum = u0.spectrum()
-    half = len(u0._pair_amps)
+    firsts = u0._firsts
     if group is None:
-        if not half:
-            return SpectrumGroupBasis(u0.basis, u0.n), []
-        return _group(list(spectrum[:half]))
-    coords = [_data_coords(lam, group) for lam in spectrum[:len(spectrum) - half]]
-    return group, coords[:half]
+        return _group(firsts) if firsts else (SpectrumGroupBasis(u0.basis, u0.n), [])
+    coords = [_data_coords(lam, group) for lam in firsts]
+    if u0._zero is not None:
+        _data_coords(u0._zero, group)
+    return group, coords
 
 
 def _round_trip(u0: TrigPoly, v0: TorusPoly, lam: np.ndarray) -> tuple[float, float]:
@@ -260,11 +250,9 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     coefficients outside the data's coordinate image) or lets several data
     sets share one torus.  With ``flux`` None only the data are lifted.
 
-    v0 is built from u0's pairs as they are (``TorusPoly._from_pairs``),
-    with no second normalisation: the coordinate map lambda -> k is
-    injective and odd, so each +-pair of u0 maps to one +-pair of v0, the
-    keys stay distinct and nonzero and the coefficients nonzero, and v0's
-    sum of |a| is u0's, which u0's constructor checked.
+    v0 is built from u0's pairs as they are, with no second normalisation
+    (``TorusPoly._from_pairs`` says why): the first keys' coordinates with
+    ``_pair_amps``, and the mean's coefficient ``terms[_zero]``.
 
     Verifies the lift round trip u0(x) = v0(Lambda x) on 100 fixed
     pseudo-random points to 1e-10, and refuses with ValueError beyond
@@ -279,10 +267,7 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     if gb.rank == 0:
         return LiftedProblem(group=gb, v0=TorusPoly(0, {(): complex(u0.mean)}), flux=None,
                              lam=np.zeros((0, u0.n)))
-    half = len(coords)
-    spectrum = u0.spectrum()
-    # the zero frequency, in the middle of the spectrum
-    mean = u0.terms[spectrum[half]] if len(spectrum) > 2 * half else None
+    mean = None if u0._zero is None else u0.terms[u0._zero]
     v0 = TorusPoly._from_pairs(gb.rank, zip(coords, u0._pair_amps.tolist()), mean)
     values = gb.basis.values
     lam = np.array([[_value(c, gb.den, values) for c in comp] for comp in gb.generators],

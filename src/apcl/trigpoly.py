@@ -8,14 +8,18 @@ evaluation sums each +-lam pair once, as a real cosine and sine, and
 ``solver.exact_cell_average`` adds each pair's real part: both are real
 by construction.
 
+The layout, stated here once: ``spectrum()`` sorts the keys by their sort
+key (a TrigPoly's rational coordinates, a TorusPoly's integer vector).  It
+holds each +-pair's first key, whose sort key's first nonzero entry is
+negative (``_firsts``, in order), then the zero key when there is a mean
+(``_zero``, else None), then the second keys backwards, so negation
+reverses it.  ``_pair_rows`` and ``_pair_amps`` hold one float row and one
+coefficient per first key.  Other modules read ``_firsts`` and ``_zero``.
+
 The public constructors normalise their terms (``_normalize_real_terms``)
 and check that their sum of |a| is a finite float, then build the one
-evaluation core (``_TrigCore._set_core``).  ``TorusPoly._from_pairs`` is
-the other way into that core, for the lift: the data's coordinate map
-lambda -> k is injective and odd, so each +-pair of a checked TrigPoly
-maps to one +-pair of integer keys, no two keys collide, no coefficient
-is zero, and the sum of |a| is the TrigPoly's.  Normalising those pairs
-a second time could refuse nothing, so it is skipped.
+evaluation core (``_TrigCore._set_core``); ``TorusPoly._from_pairs`` is
+the lift's way into that core, with no second normalisation.
 """
 
 from __future__ import annotations
@@ -81,12 +85,10 @@ def _items(terms) -> list:
 class _TrigCore:
     """Evaluation core shared by TrigPoly and TorusPoly.
 
-    Holds the reality-normalised terms, their spectrum in ``sort_key``
-    order, their mean, and one float frequency row and amplitude per +-pair
-    (``_pair_rows``, ``_pair_amps``, in spectrum order: the pair's first
-    key, which is the first half of the spectrum), and evaluates them.
-    Refuses with OverflowError terms whose sum of |a|, over every key and so
-    over each conjugate too, is not a finite float.
+    Holds the reality-normalised terms, their spectrum, their mean and the
+    per-pair arrays, laid out as the module docstring states.  Refuses with
+    OverflowError terms whose sum of |a|, over every key and so over each
+    conjugate too, is not a finite float.
     """
 
     def __init__(self, dim: int, items, negate, sort_key=None, row=tuple):
@@ -107,16 +109,15 @@ class _TrigCore:
         self.terms = terms
         self.mean = 0.0 if zero is None else terms[zero].real
         pairs.sort(key=lambda p: p[0])
-        firsts = [p[1] for p in pairs]
-        # the order reverses under negation: the first keys, the zero, then
-        # the second keys backwards
-        self._keys = firsts + ([] if zero is None else [zero]) + [p[2] for p in pairs[::-1]]
+        self._firsts = firsts = tuple([p[1] for p in pairs])
+        self._zero = zero
+        self._keys = (*firsts, *(() if zero is None else (zero,)), *[p[2] for p in pairs[::-1]])
         self._pair_rows = np.array([p[3] for p in pairs], dtype=float).reshape(len(pairs), dim)
         # the coefficient given last for the key, as ``terms`` holds it
         self._pair_amps = np.array([terms[k] for k in firsts], dtype=complex)
 
     def spectrum(self) -> tuple:
-        return tuple(self._keys)
+        return self._keys
 
     def eval(self, x):
         """Values at x (shape (dim,) or (N, dim)): mean + sum_pairs 2 Re(a e^{i theta}).
@@ -183,12 +184,13 @@ class TorusPoly(_TrigCore):
         coefficient ``mean`` (a complex, or None), unchecked.
 
         Only for terms normalised by construction, as ``lift_problem``
-        transports them from a TrigPoly's pairs: the keys k are distinct,
-        nonzero and no one is the negation of another, no a is zero and
-        the mean's imaginary part is zero; the sum of |a| over the terms
-        is then the TrigPoly's, which its constructor checked.  Builds
-        what the constructor builds from the same items: the terms in the
-        same order, each conjugate the same bits.
+        transports them from a TrigPoly's pairs along the injective, odd
+        coordinate map lambda -> k: the keys k are distinct, nonzero and no
+        one is the negation of another, no a is zero, the mean's imaginary
+        part is zero and the sum of |a| is the TrigPoly's, which its
+        constructor checked, so normalising again could refuse nothing.
+        Builds what the constructor builds from the same items: the terms
+        in the same order, each conjugate the same bits.
         """
         self = object.__new__(cls)
         self.m = m

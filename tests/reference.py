@@ -6,6 +6,7 @@ These helpers build the same ``RealQ`` values from a flux's ``_num`` and
 ``_den`` and from ``FrequencyBasis.real``.  ``trig_values`` and
 ``cell_average`` are the complex sums over every key that a trigonometric
 polynomial's values and cell averages were first taken from,
+``lift_points`` the ``np.mod`` form of the lift z + Lambda x mod 1,
 ``orbit_mean`` the whole-cube form of ``LiftedProblem.orbit_mean``,
 ``hermite`` the sort-and-reduce Euclid form of the Hermite reduction,
 ``kernel`` the integer kernel found by Hermite reduction alone, and
@@ -95,6 +96,12 @@ def cell_average(p, g):
     return CellField(g, _real(p, acc))
 
 
+def lift_points(pb, xs, z):
+    """z + Lambda x mod 1 for points ``xs`` (N, n), each reduction by ``np.mod``."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return np.mod(xs @ pb.lam.T + np.mod(np.asarray(z, dtype=float), 1.0), 1.0)
+
+
 def orbit_mean(pb, w, z, radius, samples_per_unit):
     """The mean of w over the lifted cube, every midpoint made, lifted and interpolated at once.
 
@@ -105,7 +112,7 @@ def orbit_mean(pb, w, z, radius, samples_per_unit):
     axis = (np.arange(per_axis) + 0.5) * (radius / per_axis) - radius / 2.0
     grids = np.meshgrid(*([axis] * pb.n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return float(np.mean(interp_periodic(w, pb.lift_points(pts, z))))
+    return float(np.mean(interp_periodic(w, lift_points(pb, pts, z))))
 
 
 def hermite(mat, ncols=None):

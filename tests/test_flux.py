@@ -642,6 +642,34 @@ def test_witness_needs_no_product_that_only_the_lift_needs():
             assert _refused(call) == UNDECLARED
 
 
+def _tuples(x) -> bool:
+    """Whether ``x`` is a tuple of tuples, ..., of integers or strings, at every level."""
+    return x.__class__ in (int, str) or x.__class__ is tuple and all(map(_tuples, x))
+
+
+def test_a_lift_is_the_decides_tensor_and_a_refused_lift_keeps_its_message_there():
+    # the lifted flux's numerators are the tensor the decide memoised, the
+    # object itself, over the one lift denominator; a directional flux of it
+    # is tuples throughout too
+    flux = PiecewiseFlux(B2, [-1, 0, 1], [[["0", "0", "1/2"], ["0", ["0", "1/3"], "1"]]] * 2)
+    gb = group_basis([Frequency.of(B2, [[1, 0], [0, 1]]), Frequency.of(B2, [[0, 1], [1, 0]])])
+    nondegeneracy_check(flux, gb)
+    tensor, den, lifted = flux._lifts[(gb.rows, gb.den)]
+    assert lift_flux(flux, gb) is lifted and lifted._num is tensor and _tuples(tensor)
+    assert den == lifted._den == gb.den * flux._den * flux.basis.structure[0]
+    assert _tuples(directional(flux, (2, -1), gb)._num)
+    # sqrt3 u + u^2/2 against the frequency sqrt2: the decide reads degree 2
+    # and gives a verdict; the tensor keeps degree 1's refusal in its place,
+    # and the lift refuses with it
+    flux = PiecewiseFlux(B3, [-1, 1], [[["0", ["0", "0", "1"], "1/2"]]])
+    gb = group_basis([Frequency.of(B3, [["0", "1", "0"]])])
+    assert nondegeneracy_check(flux, gb).nondegenerate
+    tensor, den, lifted = flux._lifts[(gb.rows, gb.den)]
+    assert lifted == tensor[0][0][1] == UNDECLARED and _tuples(tensor)
+    assert _refused(lambda: lift_flux(flux, gb)) == UNDECLARED
+    assert flux._lifts[(gb.rows, gb.den)][0] is tensor
+
+
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_a_decide_and_its_lifts_contract_each_generator_once_per_piece(degenerate, monkeypatch):
     # (u^2, u^3) on three pieces, over Z^2: nondegenerate; with u^2 for the

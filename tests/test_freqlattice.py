@@ -1,9 +1,14 @@
 """Exact frequency arithmetic, integer kernels, and group bases."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -494,3 +499,40 @@ def test_trigpoly_spectrum_follows_the_rational_order(n, q, data):
     # one float row per +-pair, of its first key: the spectrum's first half
     half = want[:len(want) // 2]
     assert same_bits(p._pair_rows, np.array([f.floats() for f in half]).reshape(len(half), n))
+
+
+# apcl.freqlattice is the exact layer's base; numpy made unimportable must not
+# matter, on import or at run time: a group, member coordinates (through
+# _numerators), the kernel of a rank-deficient matrix and lattice membership
+# each give their known result; a negation, built without the constructor's
+# checks, equals the checked one with the same hash, the hash is on the
+# reduced integers, Frequency.of, which skips the gcd, equals the checked
+# constructor on _clear's rows, and a RealQ's float shadow is built when read
+NO_NUMPY = textwrap.dedent("""
+    import math, sys; sys.modules["numpy"] = None
+    from apcl.freqlattice import (Frequency, FrequencyBasis, _clear, group_basis, in_lattice,
+                                  integer_kernel, member_coords)
+    b = FrequencyBasis.with_sqrt(2)
+    f, g = Frequency.of(b, [["1/2", "0"], ["0", "1"]]), Frequency.of(b, [["1/3", "0"], ["0", "0"]])
+    gb = group_basis([f, g])
+    assert (gb.rows, gb.den) == (((1, 0, 0, 6), (0, 0, 0, 12)), 6), gb
+    assert [member_coords(h, gb) for h in (f, g, f.scale(2) + g)] == [(3, -1), (2, -1), (8, -3)]
+    assert member_coords(Frequency.of(b, [["1/4", "0"], ["0", "0"]]), gb) is None
+    assert integer_kernel([[1, 2, 3], [2, 4, 6]], 3) == [(1, 1, -1), (0, 3, -2)]
+    assert in_lattice([2, 4], [[1, 2]]) and not in_lattice([1, 1], [[1, 2]])
+    checked = Frequency(b, ((-3, 0), (0, -6)), 6)
+    assert (-f).__dict__ == checked.__dict__ and hash(-f) == hash(checked)
+    assert Frequency(b, [[2, 0], [0, 4]], 4) == f and hash(Frequency(b, [[2, 0], [0, 4]], 4)) == hash(f)
+    assert hash(f) == hash((((1, 0), (0, 2)), 2))
+    for rows in ([["1/2", "0"], ["0", "1"]], [["2/4", "-6/9"], ["0", "0"]], [[0, 0], [0, 0]], [[3, "1/6"]]):
+        h, want = Frequency.of(b, rows), Frequency(b, *_clear(rows))
+        assert h.__dict__ == want.__dict__ and hash(h) == hash(want), (h, want)
+    assert b.real(["1", "1"]).value == 1 + math.sqrt(2)
+""")
+
+
+def test_the_exact_lattice_runs_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

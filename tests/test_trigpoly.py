@@ -219,6 +219,35 @@ def _one_per_pair(terms):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_firsts_and_zero_lay_out_the_spectrum(data):
+    # the pairs' first keys open the spectrum, one per pair amplitude, and the
+    # self-paired key is its middle one, or None with no mean: for either
+    # public kind, and for the lift's unchecked TorusPoly._from_pairs of
+    # either key of each pair, in the terms' order
+    p, n = _draw_sum(data)
+    polys = [p]
+    if isinstance(p, TorusPoly):
+        zero = (0,) * n
+        items = [(k, a) for k, a in _one_per_pair(p.terms.items()) if k != zero]
+        items = [(tuple(-c for c in k), a.conjugate()) if data.draw(st.booleans()) else (k, a)
+                 for k, a in items]
+        polys.append(TorusPoly._from_pairs(n, items, p.terms.get(zero)))
+    else:
+        zero = Frequency.of(p.basis, [[0] * p.basis.dim] * n)
+    for q in polys:
+        spectrum, half = q.spectrum(), len(q._pair_amps)
+        assert type(q._firsts) is tuple and q._firsts == spectrum[:half]
+        if zero in q.terms:
+            assert len(spectrum) == 2 * half + 1
+            assert q._zero == spectrum[half] == zero and q.mean == q.terms[q._zero].real
+        else:
+            assert len(spectrum) == 2 * half and q._zero is None
+    if len(polys) == 2:
+        assert polys[1]._firsts == p._firsts and polys[1]._zero == p._zero
+
+
+@given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_eval_matches_the_complex_sum(data):
     p, dim = _draw_sum(data)
