@@ -112,6 +112,11 @@ def _plan(coef: np.ndarray) -> tuple:
             coef[:, 0])
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Ascending float coefficients of the derivative of ``c``; [0.0] for a constant."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+
+
 def _constant(c: np.ndarray) -> np.ndarray:
     """The one entry of ``c`` as a read-only 0-d float array."""
     out = c.reshape(()).copy()
@@ -266,14 +271,6 @@ class PiecewiseFlux:
             for piece in self._num
         ], dtype=float)
 
-    @cached_property
-    def _dcoef_f(self) -> np.ndarray:
-        """Float derivative coefficients ``[p, k, d]``, ascending degree."""
-        deg = self._coef_f.shape[2]
-        if deg > 1:
-            return self._coef_f[:, :, 1:] * np.arange(1, deg)
-        return np.zeros((self.npieces, self.n, 1))
-
     @property
     def npieces(self) -> int:
         return len(self._num)
@@ -322,7 +319,7 @@ class PiecewiseFlux:
         """Per component, one (u_p, u_{p+1}, top, rest, crit) per piece, as Python floats.
 
         ``top`` and ``rest`` are the coefficients of phi_k' on the piece as
-        ``_dcoef_f`` holds them, the highest one and then the others in
+        ``_derivative`` gives them, the highest one and then the others in
         descending degree (the order ``polyval`` takes them in); ``crit``
         are the real roots of phi_k'' strictly inside the piece, where
         |phi_k'| can peak between the ends.  The outer ends are -inf and
@@ -334,9 +331,10 @@ class PiecewiseFlux:
         for k in range(self.n):
             rows = []
             for p in range(self.npieces):
-                c = self._dcoef_f[p, k].tolist()
+                d1 = _derivative(self._coef_f[p, k])
+                c = d1.tolist()
                 u0, u1 = bp[p], bp[p + 1]
-                dd = np.trim_zeros(self._dcoef_f[p, k, 1:] * np.arange(1, len(c)), "b")
+                dd = np.trim_zeros(_derivative(d1), "b")
                 crit = []
                 if len(dd) > 1:
                     # phi'' of degree >= 1: its real roots (a pair with a tiny

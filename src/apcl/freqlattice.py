@@ -483,14 +483,10 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
         for j in range(ncols)
     ]
     work, pivots = _hermite(work, ncols=nprof)
-    kernel = [row[nprof:] for row in work[len(pivots):]]
-    if not kernel:
-        return []
-    kernel, _ = _hermite(kernel)
+    # the rank is below ncols (_bareiss), so these rows are nonempty and independent
+    kernel, _ = _hermite([row[nprof:] for row in work[len(pivots):]])
     out = []
     for vec in kernel:
-        if not any(vec):
-            continue
         g = math.gcd(*vec)
         # The kernel lattice is saturated, so Hermite basis vectors are
         # automatically primitive; anything else is a bug.

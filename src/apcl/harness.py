@@ -661,8 +661,7 @@ def _run_lifted(cfg: ExperimentConfig):
         for i, p in enumerate(cfg.probes):
             if len(p) != pb.m:
                 raise ConfigError(f"probes[{i}]", f"expected {pb.m} entries, got {len(p)}")
-            # on N cells, k and k - N read the same grid mode
-            if any(2 * abs(k) >= n for k, n in zip(p, cfg.grid.shape)):
+            if not cfg.grid.holds(p):
                 raise ConfigError(f"probes[{i}]", f"needs 2|k_j| < N_j on the grid "
                                   f"{list(cfg.grid.shape)}, got {list(p)}")
     if cfg.cube is not None:

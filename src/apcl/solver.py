@@ -194,6 +194,10 @@ class TorusGrid:
             v /= n
         return v
 
+    def holds(self, k) -> bool:
+        """2|k_j| < N_j on every axis j: on N_j cells k_j and k_j + N_j read one grid mode."""
+        return all(2 * abs(kj) < n for kj, n in zip(k, self.shape))
+
     def centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
         return (np.arange(n) + 0.5) / n
@@ -323,7 +327,7 @@ def exact_cell_average(p: TorusPoly, g: TorusGrid) -> CellField:
     modes are killed by the sinc factor).
     """
     if p.m != g.m:
-        raise ValueError("polynomial and grid dimensions differ")
+        raise ValueError(f"a {p.m}-dimensional polynomial on a {g.m}-dimensional grid")
     acc = np.zeros(g.shape)
     for k, amp in zip(p._pair_rows, p._pair_amps):
         vecs = [np.sinc(kj * hj) * np.exp(2j * np.pi * kj * (np.arange(nj) + 0.5) * hj)
@@ -410,14 +414,14 @@ def _faces(u: tuple, phi: tuple, alpha: float, j: int, face: tuple) -> np.ndarra
     return face
 
 
-def _flux_difference(face: tuple, j: int, scale: float, out: tuple) -> np.ndarray:
-    """scale * (face_{i+1/2} - face_{i-1/2}) along axis j, into ``out``; returns its array.
+def _flux_difference(face: tuple, j: int, dt: float, n: int, out: tuple) -> np.ndarray:
+    """0.5 * dt * n * (face_{i+1/2} - face_{i-1/2}) along axis j of n cells, into ``out``.
 
-    ``face`` and ``out`` come as ``_offsets`` gives them.
+    ``face`` and ``out`` come as ``_offsets`` gives them; returns ``out``'s array.
     """
     _neighbours(np.subtract, face, j, out, True)
     out = out[0]
-    out *= scale
+    out *= 0.5 * dt * n
     return out
 
 
@@ -445,7 +449,7 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
     phi = _offsets(flux.eval_component(axis, f), axis)
     face = g._face_offsets[axis]
     _faces(_offsets(u, axis), phi, alpha, axis, face)
-    d = _flux_difference(face, axis, 0.5 * dt * g.shape[axis], phi)
+    d = _flux_difference(face, axis, dt, g.shape[axis], phi)
     return CellField._swept(g, np.subtract(u, d, d))
 
 
@@ -527,7 +531,7 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     # two faces at once, so face buffers of its own rather than the grid's
     qface = _faces(_offsets(umax, axis), phi_max, alpha, axis, _offsets(_empty(u), axis))
     qface -= _faces(_offsets(umin, axis), phi_min, alpha, axis, _offsets(_empty(u), axis))
-    acc += _flux_difference(_offsets(qface, axis), axis, 0.5 * dt * g.shape[axis], phi_max)
+    acc += _flux_difference(_offsets(qface, axis), axis, dt, g.shape[axis], phi_max)
     return float(acc.max())
 
 
@@ -535,8 +539,8 @@ def fourier_coeff(f: CellField, kbar) -> complex:
     """Midpoint quadrature of the torus Fourier coefficient at kbar.
 
     On N_j cells along axis j, k_j and k_j + N_j read the same grid mode,
-    so the coefficient stands for kbar alone only when 2|k_j| < N_j on
-    every axis; the harness refuses any other probe.
+    so the coefficient stands for kbar alone only when the grid holds
+    kbar (``TorusGrid.holds``); the harness refuses any other probe.
     """
     g = f.grid
     kbar = tuple(int(c) for c in kbar)
@@ -561,8 +565,10 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
            every_step: bool = True):
     """Step the exact cell averages of torus polynomials ``data`` jointly; yield (t, fields, log).
 
-    A joint range outside the flux's working range is refused before the
-    first yield, as observing it may overflow.  Each step is one ``advance``
+    A datum with a mode that the grid does not hold (``TorusGrid.holds``),
+    whose cell averages would read another mode, is refused before the
+    first yield, and so is a joint range outside the flux's working range,
+    as observing it may overflow.  Each step is one ``advance``
     of every field, added to ``log``, one ``StepLog``.  Yields at each of
     ``times`` (ascending from 0.0), where t lands exactly, and, if
     ``every_step``, after each step too; a time reached within 1e-14 takes
@@ -571,6 +577,11 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
     ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
     """
     fields = [exact_cell_average(p, grid) for p in data]
+    for p in data:
+        for k in p._firsts:
+            if not grid.holds(k):
+                raise ValueError(f"data mode {list(k)} needs 2|k_j| < N_j on the grid "
+                                 f"{list(grid.shape)}")
     _check_range(flux, *_joint_range(fields))
     log, t = StepLog(cfl), 0.0
     end = times[-1]
@@ -609,8 +620,6 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
     if v0.m == 0:
         return Trajectory([], [{"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
                                for t in times], StepLog(cfg.cfl).record())
-    if grid.m != v0.m:
-        raise ValueError(f"problem needs a {v0.m}-dimensional grid")
     rows, fields = [], []
     # one yield per record time, none between them
     for t, (v,), log in evolve(flux, cfg.cfl, grid, (v0,), times, every_step=False):

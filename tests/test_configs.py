@@ -1,6 +1,7 @@
 """Every shipped config runs through the CLI with ``--plot`` and passes its own thresholds."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +14,11 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def test_configs_found():
-    assert len(CONFIGS) >= 7
+    # README's command list names every shipped config under its own kind, and no other
+    listed = set(re.findall(r"^apcl (\S+) +--config configs/(\S+)\.json --plot$",
+                            (ROOT / "README.md").read_text(), re.MULTILINE))
+    shipped = {(json.loads(p.read_text())["kind"], p.stem) for p in CONFIGS}
+    assert CONFIGS and listed == shipped
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

@@ -188,7 +188,8 @@ def _ref_lip_bound(flux, lo, hi):
             if a > b:
                 continue
             us = np.linspace(a, b, 1024) if a < b else np.array([a])
-            best = max(best, float(np.abs(npoly.polyval(us, flux._dcoef_f[p, k])).max()))
+            dphi = npoly.polyder(flux._coef_f[p, k])
+            best = max(best, float(np.abs(npoly.polyval(us, dphi)).max()))
         out.append(best)
     return tuple(out)
 
@@ -254,7 +255,8 @@ def test_lip_bound_exact_max_above_degree_two():
             a, b = max(f._bp_f[p], lo), min(f._bp_f[p + 1], hi)
             if a <= b:
                 us = np.linspace(a, b, 100_001)
-                fine = max(fine, float(np.abs(npoly.polyval(us, f._dcoef_f[p, 0])).max()))
+                dphi = npoly.polyder(f._coef_f[p, 0])
+                fine = max(fine, float(np.abs(npoly.polyval(us, dphi)).max()))
         assert got >= ref * (1 - 1e-12)
         assert got >= fine * (1 - 1e-12)
     assert lip_bound(f, 0, -2.0, 2.0) == pytest.approx(3.0, rel=1e-15)
@@ -268,7 +270,7 @@ def test_lip_bound_reaches_into_the_slack():
     f = PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "-1/2"]], [["0", "0", "1/2"]]])
     lo, hi = -1.0 - 5e-13, 1.0 + 5e-13
     for (a, b), u, p in (((lo, -0.5), lo, 0), ((0.5, hi), hi, -1), ((lo, hi), hi, -1)):
-        slope = abs(float(npoly.polyval(u, f._dcoef_f[p, 0])))
+        slope = abs(float(npoly.polyval(u, npoly.polyder(f._coef_f[p, 0]))))
         assert slope > 1.0
         assert lip_bound(f, 0, a, b) == slope
 

@@ -1134,6 +1134,100 @@ def test_cli_data_outside_working_range_refused_before_observing(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def aliased_burgers_config():
+    """``burgers_decay.json`` with one more term, at 1/1000.
+
+    The data's group is generated by 1/1000, so the frequency-1 term sits at
+    k = +-1000 on the 256-cell torus; its cell averages would alias it to
+    k = -24, and the decay would start from a field without it.
+    """
+    d = shipped("burgers_decay")()
+    d["initial"]["terms"].append({"frequency": [["1/1000"]], "re": 0.1})
+    return d
+
+
+def n4_cube_config():
+    """A spectrum cube over n = 4 data of rank 1: the lift runs, the cube sampler refuses."""
+    return cube_config(
+        flux={"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"]] * 4]},
+        initial={"terms": [{"frequency": [["0"]] * 4, "re": 0.3},
+                           {"frequency": [["1"], ["0"], ["0"], ["0"]], "im": -0.25}]},
+        grid=[16])
+
+
+def undeclared_witness_config():
+    """(u^2, sqrt3 u + u^2) over the group of lambda = (sqrt2, -sqrt2), no products declared.
+
+    lambda.phi has no u^2 term, so the decision finds the witness xi = lambda,
+    whose degree-1 part -sqrt2 sqrt3 u needs a product the basis does not declare.
+    """
+    return checkflux_config(
+        basis={"labels": ["1", "sqrt2", "sqrt3"], "values": [1.0, 2 ** 0.5, 3 ** 0.5]},
+        flux={"breakpoints": ["-1", "1"],
+              "pieces": [[["0", "0", "1"], ["0", ["0", "0", "1"], "1"]]]},
+        group_frequencies=[[["0", "1", "0"], ["0", "-1", "0"]]], thresholds={})
+
+
+# refusals a config can reach, each with its exit code and message; a config
+# given as a string is written as it stands
+CONFIG_REFUSALS = [
+    pytest.param("decay", "nope", 2, "config error: {path}: invalid JSON: "
+                 "Expecting value: line 1 column 1 (char 0)", id="invalid-json"),
+    pytest.param("decay", "[]", 2, "config error: {path}: top-level config must be an object",
+                 id="top-level-list"),
+    pytest.param("check-flux", edited(checkflux_config, "group_frequencies", DELETE), 2,
+                 "config error: initial: check-flux needs initial data or group_frequencies",
+                 id="check-flux-without-data-or-group"),
+    pytest.param("decay", decay_config(basis={"labels": ["1", "1"], "values": [1.0, 1.0]}), 2,
+                 "config error: basis: basis labels must be distinct", id="duplicate-labels"),
+    pytest.param("contraction", contraction_config(steps="5/2"), 2,
+                 "config error: steps: expected an integer, got '5/2'", id="fractional-steps"),
+    pytest.param("decay", edited(decay_config, "initial", "terms", 1, "frequency", [["1"], ["0"]]),
+                 2, "config error: initial.terms[1].frequency: dimension 2 != 1",
+                 id="term-of-another-dimension"),
+    pytest.param("decay", decay_config(flux={
+        "breakpoints": ["-2", "0", "2"],
+        "pieces": [[["0", "0", "1/2"]], [["0", "0", "1/2"], ["0"]]]}), 2,
+                 "config error: flux: all pieces must have the same component count",
+                 id="pieces-of-different-component-counts"),
+    pytest.param("counterexample", edited(wave_config, "wave", "a", "-2"), 3,
+                 "refused: [a, b] must lie inside the breakpoint span", id="wave-outside-the-span"),
+    pytest.param("counterexample", edited(wave_config, "wave", "kbar", [1, 0]), 3,
+                 "refused: kbar must have 1 entries", id="kbar-of-another-length"),
+    pytest.param("check-flux", edited(lambda: checkflux_config(
+        initial={"terms": [{"frequency": [["1"]], "re": 0.3}]}), "group_frequencies", DELETE), 3,
+                 "refused: group basis dimension disagrees with flux components",
+                 id="check-flux-data-of-another-dimension"),
+    # one text for a grid of another dimension than the rank, in every stepping kind
+    *(pytest.param(kind, d, 3, "refused: a 1-dimensional polynomial on a 2-dimensional grid",
+                   id=f"{kind}-grid-of-another-dimension") for kind, d in [
+        ("contraction", contraction_config(grid=[16, 16])),
+        ("decay", decay_config(grid=[16, 16])),
+        ("spectrum", spectrum_config(grid=[16, 16])),
+        ("counterexample", wave_config(grid=[16, 16])),
+        ("convergence", edited(lambda: wave_config("convergence", grids=[[16, 16], [32, 32]],
+                                                   thresholds={}), "grid", DELETE)),
+    ]),
+    pytest.param("decay", aliased_burgers_config(), 3,
+                 "refused: data mode [-1000] needs 2|k_j| < N_j on the grid [256]",
+                 id="data-mode-the-grid-cannot-hold"),
+    pytest.param("spectrum", n4_cube_config(), 3, "refused: cube sampling supports n <= 3",
+                 id="cube-over-n4-data"),
+    pytest.param("check-flux", undeclared_witness_config(), 3,
+                 "refused: product of basis elements sqrt2*sqrt3 is not declared; "
+                 "exact multiplication undefined", id="witness-needs-an-undeclared-product"),
+]
+
+
+@pytest.mark.parametrize("kind, d, rc, msg", CONFIG_REFUSALS)
+def test_cli_config_refusals_end_cleanly(tmp_path, capsys, kind, d, rc, msg):
+    path = tmp_path / "cfg.json"
+    path.write_text(d if isinstance(d, str) else json.dumps(d))
+    assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == rc
+    assert capsys.readouterr().err == msg.format(path=path) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_derived_float_overflow_exit_three(tmp_path, capsys):
     # every rational is in float range, but the lifted flux 1e10 * 1e300 u^2
     # is not: its float table refuses when the solve first needs it

@@ -457,7 +457,7 @@ def test_lift_is_derived_once_per_flux_and_group():
         assert dt == want_dt and same_bits(got.values, want.values)
 
 
-FLOAT_TABLES = {"_bp_f", "_coef_f", "_dcoef_f"}
+FLOAT_TABLES = {"_bp_f", "_coef_f", "_inner", "_plans", "_lip_pieces"}
 
 
 def test_exact_layer_builds_no_float_tables():

@@ -500,6 +500,25 @@ def test_evolve_yields_after_each_step_and_at_each_time():
         next(evolve(burgers_1d(), 0.45, g, (v0, outside), times))
 
 
+@pytest.mark.parametrize("shape, held", [((8,), False), ((9,), True), ((9, 6), False),
+                                         ((9, 7), True)])
+def test_evolve_refuses_a_data_mode_the_grid_does_not_hold(shape, held):
+    # on N cells the mode k is held iff 2|k| < N: on 8 cells k = 4 reads k = -4
+    m = len(shape)
+    v0 = TorusPoly(m, {(0,) * m: 0.2, (4, -3)[:m]: 0.25j})
+    g = TorusGrid(shape)
+    assert g.holds((4, -3)[:m]) is held
+    flux = PiecewiseFlux(B1, [-2, 2], [[["0", "0", "1/2"]] * m])
+    loop = evolve(flux, 0.9, g, (v0,), (0.0,))
+    if held:
+        assert next(loop)[0] == 0.0
+    else:
+        with pytest.raises(ValueError) as e:
+            next(loop)
+        k = [-4, 3][:m]  # the pair's first key
+        assert str(e.value) == f"data mode {k} needs 2|k_j| < N_j on the grid {list(shape)}"
+
+
 def test_evolve_caps_dt_and_budgets_only_a_finite_horizon(monkeypatch):
     zero = PiecewiseFlux(B1, [-2, 2], [[["0"]]])
     v0 = TorusPoly(1, {(0,): 0.2, (1,): 0.25j})
@@ -524,8 +543,9 @@ def test_run_rank_zero_constant():
 
 def test_run_grid_dimension_mismatch():
     v0 = TorusPoly(2, {(0, 0): 0.3, (1, 0): -0.25j})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         run(v0, None, TorusGrid((32,)), SolverConfig(t_end=0.1))
+    assert str(e.value) == "a 2-dimensional polynomial on a 1-dimensional grid"
 
 
 def test_traveling_wave_profile_and_range():
