@@ -458,12 +458,18 @@ def _refusal(entries) -> str | None:
     return next((e for e in entries if e.__class__ is str), None)
 
 
+def _check_components(flux: PiecewiseFlux, n: int, grid: bool = False):
+    """Refuse a flux without one component per axis of n-dimensional frequencies, or grid."""
+    if flux.n != n:
+        where = f"on a {n}-dimensional grid" if grid else f"for {n}-dimensional frequencies"
+        raise ValueError(f"a {flux.n}-component flux {where}")
+
+
 def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
     """Refuse rank 0, the one place a run does: no xi != 0 to decide, no torus to lift to."""
     if gb.rank < 1:
         raise ValueError("group of rank 0 (constant data or a zero group) holds no xi != 0")
-    if gb.n != flux.n:
-        raise ValueError("group basis dimension disagrees with flux components")
+    _check_components(flux, gb.n)
     if gb.basis != flux.basis:
         raise ValueError("group basis and flux use different frequency bases")
 
@@ -482,7 +488,7 @@ def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseF
     kbar = tuple(int(k) for k in kbar)
     lifted = lift_flux(flux, gb)
     if len(kbar) != gb.rank:
-        raise ValueError(f"kbar must have {gb.rank} entries")
+        raise ValueError(f"kbar {[*kbar]} has {len(kbar)} entries for a group of rank {gb.rank}")
     # zip(*piece) holds lambda_j.c_d for every j, per degree d: every lift
     # component of a piece has the same degrees
     pieces = tuple([(tuple([_combine(kbar, dots) for dots in zip(*piece)]),)
@@ -634,7 +640,7 @@ def affine_on(scalar_flux: PiecewiseFlux, a: Fraction, b: Fraction):
         raise ValueError("need a < b")
     bp = scalar_flux.breakpoints
     if a < bp[0] or b > bp[-1]:
-        raise ValueError("[a, b] must lie inside the breakpoint span")
+        raise ValueError(f"[a, b] = [{a}, {b}] leaves the breakpoint span [{bp[0]}, {bp[-1]}]")
     overlapped = [comp for (comp,), lo, hi in zip(scalar_flux._num, bp, bp[1:])
                   if lo < b and hi > a]
     if any(any(c) for comp in overlapped for c in comp[2:]):

@@ -306,8 +306,7 @@ class Frequency:
         return json.dumps([_config_form(c, self.den) for c in self.num])
 
     def __add__(self, other: "Frequency") -> "Frequency":
-        if other.basis != self.basis or other.n != self.n:
-            raise ValueError("frequencies disagree in basis or dimension")
+        _check_space(other, self.basis, self.n)
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return Frequency(self.basis, tuple(tuple(x * a + y * b for x, y in zip(c, d))
@@ -329,6 +328,13 @@ def _shaped(basis: FrequencyBasis, num) -> tuple[tuple[int, ...], ...]:
     if any(len(c) != basis.dim for c in num):
         raise ValueError(f"expected {basis.dim} coordinates per component")
     return num
+
+
+def _check_space(f: Frequency, basis: FrequencyBasis, n: int):
+    """Refuse with ValueError a frequency ``f`` that is not n-dimensional over ``basis``."""
+    if f.n != n or f.basis != basis:
+        other = "" if f.basis == basis else " over another basis"
+        raise ValueError(f"a {f.n}-dimensional frequency{other} among {n}-dimensional ones")
 
 
 def _numerators(f: Frequency, den: int) -> tuple[int, ...]:
@@ -570,15 +576,13 @@ def group_basis(spectrum: Iterable[Frequency]) -> SpectrumGroupBasis:
 
 def _group(freqs: Sequence[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[int, ...]]]:
     """``group_basis`` of a non-empty sequence, and each frequency's coordinates in it."""
-    basis, n = freqs[0].basis, freqs[0].n
     for f in freqs:
-        if f.basis != basis or f.n != n:
-            raise ValueError("spectrum frequencies disagree in basis or dimension")
+        _check_space(f, freqs[0].basis, freqs[0].n)
     den = math.lcm(*(f.den for f in freqs))
     rows = [_numerators(f, den) for f in freqs]
     work, pivots = _hermite([list(r) for r in rows if any(r)])
-    gb = SpectrumGroupBasis(basis, n, tuple(tuple(r) for r in work[: len(pivots)]),
-                            tuple(pivots), den)
+    gb = SpectrumGroupBasis(freqs[0].basis, freqs[0].n,
+                            tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots), den)
     coords = []
     for r in rows:
         ks = _solve_int_rows(gb.rows, gb.pivots, r)
@@ -593,8 +597,7 @@ def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | 
     None when the exact solve has no integer solution (the frequency lies
     outside the group).
     """
-    if freq.basis != gb.basis or freq.n != gb.n:
-        raise ValueError("frequency does not match the group's basis/dimension")
+    _check_space(freq, gb.basis, gb.n)
     if gb.den % freq.den:
         return None
     ks = _solve_int_rows(gb.rows, gb.pivots, _numerators(freq, gb.den))

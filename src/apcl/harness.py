@@ -295,6 +295,9 @@ def _parse_grids(v, path) -> tuple[TorusGrid, ...]:
     """At least two grids; the observed order divides by the log of each h_max ratio."""
     grids = _list(v, path, _parse_grid, "at least two grids", 2)
     for i in range(1, len(grids)):
+        if grids[i].m != grids[0].m:
+            raise ConfigError(f"{path}[{i}]", f"a {grids[i].m}-dimensional grid in a ladder "
+                              f"that starts with a {grids[0].m}-dimensional one")
         if max(grids[i].h) == max(grids[i - 1].h):
             raise ConfigError(f"{path}[{i}]", f"h_max equals that of {path}[{i - 1}]; "
                               "the observed order needs two different mesh sizes")
@@ -304,18 +307,9 @@ def _parse_grids(v, path) -> tuple[TorusGrid, ...]:
 def _parse_solver(d, path) -> SolverConfig:
     _object(d, path, ("t_end", "cfl", "record_times"))
     t_end = _real(_need(d, "t_end", path), f"{path}.t_end")
-    cfl = _real(d.get("cfl", DEFAULT_CFL), f"{path}.cfl")
+    cfl = _checked(f"{path}.cfl", check_cfl, _real(d.get("cfl", DEFAULT_CFL), f"{path}.cfl"))
     record_times = _reals(d.get("record_times", []), f"{path}.record_times")
     return _checked(path, SolverConfig, t_end=t_end, cfl=cfl, record_times=record_times)
-
-
-def _parse_cfl(v, path) -> float:
-    cfl = _real(v, path)
-    try:
-        return check_cfl(cfl)
-    except ValueError as e:
-        # the path already names the field
-        raise ConfigError(path, str(e).removeprefix("cfl ")) from None
 
 
 def _parse_wave(d, path) -> dict:
@@ -460,7 +454,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
         "grids": _parse_grids,
         "solver": _parse_solver,
         "steps": _steps,
-        "cfl": _parse_cfl,
+        "cfl": lambda v, p: _checked(p, check_cfl, _real(v, p)),
         "wave": _parse_wave,
         "probes": lambda v, p: _list(v, p, _ints, "integer vectors", 1),
         "cube": _parse_cube,
@@ -480,7 +474,7 @@ def parse_config(d: dict, kind: str | None = None) -> ExperimentConfig:
     if cfg.cube is not None:
         # the largest radius has the most points; the data dimension sets the power
         radii, spu, _ = cfg.cube
-        _checked(f"cube.radii[{len(radii) - 1}]", _cube_per_axis, cfg.initial.n, radii[-1], spu)
+        _checked("cube", _cube_per_axis, cfg.initial.n, radii[-1], spu)
     return cfg
 
 
@@ -584,8 +578,9 @@ def _run_check_flux(cfg: ExperimentConfig):
 
 def _run_contraction(cfg: ExperimentConfig):
     gb = cfg.group_frequencies
-    if gb is None and (joint := [*cfg.initial.spectrum(), *cfg.initial_b.spectrum()]):
-        gb = group_basis(joint)
+    # the pairs' first keys generate the group of the joint spectrum (``lift._data_group``)
+    if gb is None and (firsts := [*cfg.initial._firsts, *cfg.initial_b._firsts]):
+        gb = group_basis(firsts)
     pa = lift_problem(cfg.initial, cfg.flux, group=gb)
     pb = lift_problem(cfg.initial_b, None, group=pa.group)
     if pa.m == 0:
@@ -667,8 +662,8 @@ def _run_lifted(cfg: ExperimentConfig):
     if cfg.cube is not None:
         radii, spu, offset = cfg.cube
         z = (0.0,) * pb.m if offset is None else offset
-        if len(z) != pb.m:
-            raise ConfigError("cube.offset", f"expected {pb.m} entries, got {len(z)}")
+        # orbit_mean takes z itself: wrapping the wrapped offset again can change its bits
+        _checked("cube.offset", pb._offset, z)
     traj = run(pb.v0, pb.flux, cfg.grid, cfg.solver)
     rows = traj.rows
     tables = {"series": (rows, list(rows[0]))}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import PiecewiseFlux, lift_flux
+from .flux import PiecewiseFlux, _check_components, lift_flux
 from .freqlattice import Frequency, SpectrumGroupBasis, _group, _value, member_coords
 from .solver import MAX_CELLS, CellField
 from .trigpoly import TorusPoly, TrigPoly
@@ -98,9 +98,11 @@ _BLOCK = 1 << 13
 def _cube_per_axis(n: int, radius: float, samples_per_unit: float) -> int:
     """Midpoints per axis of the sampling cube, max(1, round(R * spu)).
 
-    Raises ValueError when the cube, that count to the power n, would hold
-    more than ``MAX_CELLS`` points.
+    Raises ValueError for n > 3, or when the cube, that count to the power
+    n, would hold more than ``MAX_CELLS`` points.
     """
+    if n > 3:
+        raise ValueError(f"cube sampling supports n <= 3, got {n}-dimensional data")
     try:
         points = radius * samples_per_unit
     except OverflowError:  # an integer count beyond float range
@@ -166,8 +168,6 @@ class LiftedProblem:
         point plus one block's temporaries.  Each point's value is the same
         as from the whole cube at once, and so is the mean.
         """
-        if self.n > 3:
-            raise ValueError("cube sampling supports n <= 3")
         per_axis = _cube_per_axis(self.n, radius, samples_per_unit)
         z = self._offset(z)
         axis = (np.arange(per_axis) + 0.5) * (radius / per_axis) - radius / 2.0
@@ -260,8 +260,8 @@ def lift_problem(u0: TrigPoly, flux: PiecewiseFlux | None,
     (group rows far longer than the data frequencies) do not reproduce the
     data.
     """
-    if flux is not None and (u0.n if group is None else group.n) != flux.n:
-        raise ValueError("flux component count must equal the data dimension")
+    if flux is not None:
+        _check_components(flux, u0.n if group is None else group.n)
     # before the rank-0 shortcut, which would drop data outside a given group
     gb, coords = _data_group(u0, group)
     if gb.rank == 0:

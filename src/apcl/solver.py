@@ -85,6 +85,7 @@ import numpy as np
 
 from .flux import (
     PiecewiseFlux,
+    _check_components,
     _check_range,
     _empty,
     affine_on,
@@ -141,7 +142,7 @@ MAX_CELLS = 2 ** 24
 def check_cfl(cfl: float) -> float:
     """``cfl``, refused with ValueError unless it lies in (0, 1]."""
     if not 0.0 < cfl <= MAX_CFL:
-        raise ValueError("cfl must lie in (0, 1]")
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl!r}")
     return cfl
 
 
@@ -435,7 +436,7 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
     """
     g = f.grid
     if flux.n != g.m:
-        raise ValueError("flux component count must match grid dimension")
+        _check_components(flux, g.m, grid=True)
     courant = alpha * dt / g.h[axis]
     # rounding only: dt = cfl / max_j alpha_j/h_j at cfl 1 gives a Courant
     # number an ulp or two from 1; a NaN one (0 * inf) fails this test too
@@ -519,8 +520,7 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     sweep.
     """
     g = before.grid
-    if flux.n != g.m:
-        raise ValueError("flux component count must match grid dimension")
+    _check_components(flux, g.m, grid=True)
     u, u2 = before.values, after.values
     k = float(k)
     acc = np.abs(u2 - k) - np.abs(u - k)

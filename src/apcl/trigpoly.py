@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .freqlattice import Frequency, FrequencyBasis, _numerators
+from .freqlattice import Frequency, FrequencyBasis, _check_space, _numerators
 
 __all__ = [
     "TrigPoly",
@@ -150,8 +150,7 @@ class TrigPoly(_TrigCore):
     def __init__(self, basis: FrequencyBasis, n: int, terms):
         items = _items(terms)
         for lam, _ in items:
-            if lam.basis != basis or lam.n != n:
-                raise ValueError("term frequency disagrees with basis or dimension")
+            _check_space(lam, basis, n)
         self.basis = basis
         self.n = n
         # the order of the rational coordinates, as numerators over one denominator

@@ -53,6 +53,24 @@ def test_eval_two_piece_continuity():
     assert at(f, 0.5) == pytest.approx([0.0])
 
 
+# refusals that only a direct call reaches (the harness refuses such input
+# first), each with its text
+@pytest.mark.parametrize("call, msg", [
+    pytest.param(lambda: PiecewiseFlux(B1, [-1, 1], [[[B2.real([0, 1])]]]),
+                 "coefficient uses a different basis", id="coefficient-of-another-basis"),
+    pytest.param(lambda: PiecewiseFlux(B1, [-1, 1], [[[[0, 1]]]]),
+                 "expected 1 coordinates, got 2", id="coefficient-of-another-length"),
+    pytest.param(lambda: lip_bound(burgers(), 0, 1.0, 0.0), "need lo <= hi",
+                 id="lip-bound-of-an-empty-range"),
+    pytest.param(lambda: affine_on(PiecewiseFlux(B1, [-1, 1], [[["0", "1"], ["0", "1"]]]), 0, 1),
+                 "affine_on expects a scalar flux", id="affine-on-a-flux-vector"),
+])
+def test_direct_call_refusals(call, msg):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == msg
+
+
 def test_construction_rejects_discontinuity():
     with pytest.raises(ValueError):
         PiecewiseFlux(B1, [-1, 0, 1], [[["0", "0", "1"]], [["1"]]])

@@ -392,6 +392,23 @@ def test_group_basis_of_a_conjugate_closed_spectrum_is_that_of_its_half(seed):
     assert (whole.rows, whole.pivots, whole.den) == (half.rows, half.pivots, half.den)
 
 
+# refusals that only a direct call reaches (the harness refuses such input
+# first), each with its text
+@pytest.mark.parametrize("call, msg", [
+    pytest.param(lambda: Frequency.of(B1, [[1]]) + Frequency.of(B1, [[1], [0]]),
+                 "a 2-dimensional frequency among 1-dimensional ones", id="sum-of-dimensions"),
+    pytest.param(lambda: Frequency.of(B1, [[1]]) + Frequency.of(B2, [[1, 0]]),
+                 "a 1-dimensional frequency over another basis among 1-dimensional ones",
+                 id="sum-of-bases"),
+    pytest.param(lambda: integer_kernel([[1, 2]], 3), "row length disagrees with ncols",
+                 id="kernel-row-length"),
+])
+def test_direct_call_refusals(call, msg):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == msg
+
+
 def test_frequency_negation_exact():
     f = Frequency.of(B2, [[Fraction(2, 3), Fraction(-1, 7)]])
     g = -f

@@ -333,10 +333,10 @@ OVER_BUDGET = [
     ("grid", decay_config, ("grid", [4097, 4097]), "grid"),
     ("grids", lambda: wave_config(kind="convergence"),
      ("grids", [[32], [2 ** 24 + 1]]), "grids[1]"),
-    ("cube-radius", cube_config, ("cube", "radii", [2.0, 1e308]), "cube.radii[1]"),
-    ("cube-samples", cube_config, ("cube", "samples_per_unit", 10 ** 7), "cube.radii[1]"),
+    ("cube-radius", cube_config, ("cube", "radii", [2.0, 1e308]), "cube"),
+    ("cube-samples", cube_config, ("cube", "samples_per_unit", 10 ** 7), "cube"),
     ("cube-2d", lambda: cube_config(initial={"terms": [{"frequency": [["1"], ["0"]]}]}),
-     ("cube", "radii", [2.0, 2049.0]), "cube.radii[1]"),
+     ("cube", "radii", [2.0, 2049.0]), "cube"),
 ]
 
 
@@ -645,6 +645,25 @@ def test_render_svg_refuses_empty(tmp_path):
         render_svg([("z", [0.0, np.nan, 1.0], [np.inf, 0.5, -np.inf])], str(p))
 
 
+def test_render_svg_refuses_series_of_unequal_lengths(tmp_path):
+    with pytest.raises(ValueError) as e:
+        render_svg([("s", [0, 1], [1.0])], str(tmp_path / "p.svg"))
+    assert str(e.value) == "series 's': x/y length mismatch"
+
+
+def test_save_names_a_plot_with_no_finite_point_and_writes_the_rest(tmp_path, capsys):
+    rows = [{"t": 0.0, "y": NAN}]
+    report = harness.RunReport(kind="decay", config={}, verdicts={}, scalars={},
+                               tables={"series": (rows, ["t", "y"])},
+                               plots={"series": [("y", [0.0], [NAN])]}, wall_clock_s=0.0)
+    paths = report.save(str(tmp_path), plot=True)
+    svg = tmp_path / "decay_series.svg"
+    assert capsys.readouterr().err == f"not plotted: {svg}: no plottable points\n"
+    assert paths == [str(tmp_path / "decay_report.json"), str(tmp_path / "decay_series.csv")]
+    assert (tmp_path / "decay_series.csv").read_text() == "t,y\n0.0,nan\n"
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("y", [1e-3, 0.2, 1.0, 123.456])
 def test_ticks_of_a_one_ulp_range(y):
     # a step below half an ulp of y: adding it to a tick would never move it
@@ -822,7 +841,8 @@ def test_cli_cube_offset_of_wrong_length_is_a_config_error(tmp_path, capsys):
     rc = cli.main(["spectrum", "--config", write_config(tmp_path, d),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error: cube.offset: expected 1 entries")
+    assert capsys.readouterr().err == ("config error: cube.offset: "
+                                       "offset z must have m = 1 entries, got 2\n")
 
 
 def every_threshold_config(kind):
@@ -1147,7 +1167,7 @@ def aliased_burgers_config():
 
 
 def n4_cube_config():
-    """A spectrum cube over n = 4 data of rank 1: the lift runs, the cube sampler refuses."""
+    """A spectrum cube over n = 4 data of rank 1, which the parser refuses before the lift."""
     return cube_config(
         flux={"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"]] * 4]},
         initial={"terms": [{"frequency": [["0"]] * 4, "re": 0.3},
@@ -1167,6 +1187,9 @@ def undeclared_witness_config():
               "pieces": [[["0", "0", "1"], ["0", ["0", "0", "1"], "1"]]]},
         group_frequencies=[[["0", "1", "0"], ["0", "-1", "0"]]], thresholds={})
 
+
+# a flux of two components, for one-dimensional data or a two-dimensional group
+TWO_COMPONENTS = {"breakpoints": ["-2", "2"], "pieces": [[["0", "0", "1/2"], ["0", "0", "1/2"]]]}
 
 # refusals a config can reach, each with its exit code and message; a config
 # given as a string is written as it stands
@@ -1191,13 +1214,41 @@ CONFIG_REFUSALS = [
                  "config error: flux: all pieces must have the same component count",
                  id="pieces-of-different-component-counts"),
     pytest.param("counterexample", edited(wave_config, "wave", "a", "-2"), 3,
-                 "refused: [a, b] must lie inside the breakpoint span", id="wave-outside-the-span"),
+                 "refused: [a, b] = [-2, 1/4] leaves the breakpoint span [-1, 1]",
+                 id="wave-outside-the-span"),
     pytest.param("counterexample", edited(wave_config, "wave", "kbar", [1, 0]), 3,
-                 "refused: kbar must have 1 entries", id="kbar-of-another-length"),
+                 "refused: kbar [1, 0] has 2 entries for a group of rank 1",
+                 id="kbar-of-another-length"),
+    # one text for a flux with another component count than the data's
+    # dimension, whether the data are decided or lifted
     pytest.param("check-flux", edited(lambda: checkflux_config(
         initial={"terms": [{"frequency": [["1"]], "re": 0.3}]}), "group_frequencies", DELETE), 3,
-                 "refused: group basis dimension disagrees with flux components",
+                 "refused: a 2-component flux for 1-dimensional frequencies",
                  id="check-flux-data-of-another-dimension"),
+    pytest.param("decay", decay_config(flux=TWO_COMPONENTS), 3,
+                 "refused: a 2-component flux for 1-dimensional frequencies",
+                 id="decay-data-of-another-dimension"),
+    # one text for frequencies of different dimensions, wherever they meet
+    pytest.param("decay", decay_config(flux=TWO_COMPONENTS, group_frequencies=[[["1"], ["0"]]]),
+                 3, "refused: a 1-dimensional frequency among 2-dimensional ones",
+                 id="decay-data-outside-the-declared-dimension"),
+    pytest.param("contraction", contraction_config(
+        initial_b={"terms": [{"frequency": [["1"], ["0"]], "re": 0.2}]}), 3,
+                 "refused: a 2-dimensional frequency among 1-dimensional ones",
+                 id="contraction-pair-of-different-dimensions"),
+    pytest.param("check-flux", checkflux_config(group_frequencies=[[["1"]], [["1"], ["0"]]]), 2,
+                 "config error: group_frequencies: a 2-dimensional frequency among "
+                 "1-dimensional ones", id="group-frequencies-of-mixed-dimension"),
+    pytest.param("convergence", edited(lambda: wave_config("convergence", grids=[[16], [16, 16]],
+                                                           thresholds={}), "grid", DELETE), 2,
+                 "config error: grids[1]: a 2-dimensional grid in a ladder that starts with a "
+                 "1-dimensional one", id="grid-ladder-of-mixed-dimension"),
+    # one form for both cfl fields: the path, then the range and what it saw
+    pytest.param("contraction", contraction_config(cfl=1.5), 2,
+                 "config error: cfl: cfl must lie in (0, 1], got 1.5", id="cfl-above-one"),
+    pytest.param("decay", edited(decay_config, "solver", "cfl", 0), 2,
+                 "config error: solver.cfl: cfl must lie in (0, 1], got 0.0",
+                 id="solver-cfl-zero"),
     # one text for a grid of another dimension than the rank, in every stepping kind
     *(pytest.param(kind, d, 3, "refused: a 1-dimensional polynomial on a 2-dimensional grid",
                    id=f"{kind}-grid-of-another-dimension") for kind, d in [
@@ -1211,7 +1262,8 @@ CONFIG_REFUSALS = [
     pytest.param("decay", aliased_burgers_config(), 3,
                  "refused: data mode [-1000] needs 2|k_j| < N_j on the grid [256]",
                  id="data-mode-the-grid-cannot-hold"),
-    pytest.param("spectrum", n4_cube_config(), 3, "refused: cube sampling supports n <= 3",
+    pytest.param("spectrum", n4_cube_config(), 2,
+                 "config error: cube: cube sampling supports n <= 3, got 4-dimensional data",
                  id="cube-over-n4-data"),
     pytest.param("check-flux", undeclared_witness_config(), 3,
                  "refused: product of basis elements sqrt2*sqrt3 is not declared; "
@@ -1344,6 +1396,8 @@ def test_cli_constant_data_run_over_a_declared_zero_group(tmp_path, capsys):
 
 # a group of rank 0 holds no xi != 0: nothing to decide, and no wave to carry
 RANK_ZERO = "group of rank 0 (constant data or a zero group) holds no xi != 0"
+# the one-dimensional data of ``checkflux_config`` in its two-dimensional group
+ANOTHER_DIMENSION = "a 1-dimensional frequency among 2-dimensional ones"
 
 
 @pytest.mark.parametrize("kind, stem, edits, drop", [
@@ -1370,8 +1424,10 @@ def test_cli_rank_zero_group_is_refused(tmp_path, capsys, kind, stem, edits, dro
 
 @pytest.mark.parametrize("terms, refusal", [
     # the zero frequency lies in every group, but not in one of another dimension
-    ([{"frequency": [["0"]], "re": 0.3}], "frequency does not match the group's basis/dimension"),
-    ([{"frequency": [["1"]], "re": 0.3}], "frequency does not match the group's basis/dimension"),
+    pytest.param([{"frequency": [["0"]], "re": 0.3}], ANOTHER_DIMENSION,
+                 id="terms0-frequency zero in a group of another dimension"),
+    pytest.param([{"frequency": [["1"]], "re": 0.3}], ANOTHER_DIMENSION,
+                 id="terms1-frequency one in a group of another dimension"),
     # no term left: no key to solve, and the data's group has rank 0
     ([{"frequency": [["0"]], "re": 0.0}], RANK_ZERO),
 ])

@@ -76,15 +76,17 @@ def test_lift_constant_data():
 
 def test_lift_dimension_mismatch():
     u0 = TrigPoly(B1, 2, {Frequency.of(B1, [[1], [0]]): 0.5})
-    with pytest.raises(ValueError):
-        lift_problem(u0, burgers())  # 1-component flux, 2-dimensional data
+    with pytest.raises(ValueError) as e:
+        lift_problem(u0, burgers())
+    assert str(e.value) == "a 1-component flux for 2-dimensional frequencies"
     # constant data over a given group of another dimension: the zero frequency
     # is solved in the group too, which refuses it, of rank 0 or not
     const = TrigPoly(B1, 1, {Frequency.of(B1, [[0]]): 0.5})
     for gens in ([[["1"], ["0"]]], [[["0"], ["0"]]]):
         group = group_basis([Frequency.of(B1, rows) for rows in gens])
-        with pytest.raises(ValueError, match="does not match the group's basis/dimension"):
+        with pytest.raises(ValueError) as e:
             lift_problem(const, None, group=group)
+        assert str(e.value) == "a 1-dimensional frequency among 2-dimensional ones"
 
 
 def test_lift_enlarged_group():
@@ -122,6 +124,14 @@ def test_interp_constant_field():
     f = CellField(g, np.full((8, 8), 0.42))
     pts = np.random.default_rng(0).uniform(0, 1, (50, 2))
     assert interp_periodic(f, pts) == pytest.approx(np.full(50, 0.42))
+
+
+def test_interp_refuses_points_of_another_width():
+    # only a direct call reaches it: the cube's points have the data's width
+    f = CellField(TorusGrid((4, 4)), np.zeros((4, 4)))
+    with pytest.raises(ValueError) as e:
+        interp_periodic(f, np.zeros((3, 1)))
+    assert str(e.value) == "points must have 2 coordinates"
 
 
 def test_interp_exact_at_centers():

@@ -292,6 +292,26 @@ def test_step_cfl_refusal():
         step(f, flux, 1.0, lip_bound(flux, 0, f.vmin, f.vmax))
 
 
+# refusals that only a direct call reaches (the harness refuses such input
+# first), each with its text
+@pytest.mark.parametrize("call, msg", [
+    pytest.param(lambda f, flux: step(f, flux, 0.01, 1.0),
+                 "a 1-component flux on a 2-dimensional grid", id="step-component-count"),
+    pytest.param(lambda f, flux: entropy_residual(f, f, flux, 0.01, 0.0, 1.0),
+                 "a 1-component flux on a 2-dimensional grid",
+                 id="entropy-residual-component-count"),
+    pytest.param(lambda f, flux: fourier_coeff(f, (1,)), "kbar length must match grid dimension",
+                 id="fourier-coeff-kbar-length"),
+    pytest.param(lambda f, flux: CellField(f.grid, np.zeros(4)),
+                 "values shape (4,) != grid (4, 4)", id="cell-field-shape"),
+])
+def test_direct_call_refusals(call, msg):
+    f = CellField(TorusGrid((4, 4)), np.zeros((4, 4)))
+    with pytest.raises(ValueError) as e:
+        call(f, burgers_1d())
+    assert str(e.value) == msg
+
+
 def test_step_refuses_a_dt_that_is_not_finite():
     g = TorusGrid((4,))
     flux = burgers_1d()

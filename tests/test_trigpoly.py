@@ -50,6 +50,20 @@ def test_eval_dimension_mismatch():
         p.eval([0.1, 0.2])
 
 
+# refusals that only a direct call reaches (the harness refuses such input
+# first), each with its text
+@pytest.mark.parametrize("make, msg", [
+    pytest.param(lambda: TrigPoly(B1, 2, {XI: 0.5}),
+                 "a 1-dimensional frequency among 2-dimensional ones", id="trig-term"),
+    pytest.param(lambda: TorusPoly(2, {(1,): 0.5}), "expected 2-vector frequency, got (1,)",
+                 id="torus-term"),
+])
+def test_direct_call_refusals(make, msg):
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == msg
+
+
 def test_mean_and_coeff():
     p = sine_poly()
     zero = Frequency.of(B1, [[0]])
