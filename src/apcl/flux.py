@@ -63,11 +63,21 @@ __all__ = [
 ]
 
 
+def _check_basis(what: str, got: FrequencyBasis, basis: FrequencyBasis):
+    """Refuse ``what`` over the basis ``got`` for a flux over another basis, ``basis``."""
+    if got != basis:
+        # bases of equal labels differ in their values, so name those too
+        same = got.labels == basis.labels
+
+        def form(b):
+            return "[" + ", ".join(f"{s}={v!r}" if same else s for s, v in zip(b.labels, b.values)) + "]"
+        raise ValueError(f"{what} over the basis {form(got)} for a flux over {form(basis)}")
+
+
 def _coords(basis: FrequencyBasis, c) -> tuple:
     """Rational basis coordinates of a coefficient given as RealQ, list or rational."""
     if isinstance(c, RealQ):
-        if c.basis != basis:
-            raise ValueError("coefficient uses a different basis")
+        _check_basis("a coefficient", c.basis, basis)
         return c.coeffs
     if isinstance(c, (list, tuple)):
         if len(c) != basis.dim:
@@ -291,6 +301,19 @@ class PiecewiseFlux:
         return json.dumps(_config_form(acc, den))
 
     @cached_property
+    def _affine_pieces(self) -> dict:
+        """{p: the float (c_0, c_1) of each component} for every piece p that is affine.
+
+        A piece is affine when every component has degree <= 1 on it,
+        decided exactly.  ``solver.advance`` reads this to carry a bound
+        (``CellField.kept``); a flux with no affine piece, such as Burgers,
+        costs it that one read.
+        """
+        return {p: tuple((c[0], c[1] if len(c) > 1 else 0.0) for c in self._coef_f[p].tolist())
+                for p, piece in enumerate(self._num)
+                if not any(any(c) for comp in piece for c in comp[2:])}
+
+    @cached_property
     def _inner(self) -> list[float]:
         """The interior breakpoints as floats, in order."""
         return self._bp_f[1:-1].tolist()
@@ -349,13 +372,21 @@ class PiecewiseFlux:
         """Vectorized single-component evaluation with the tie rules above.
 
         ``u`` is an array, or a field that holds its values' range: anything
-        with ``values``, ``vmin`` and ``vmax``, as ``solver.CellField`` has.
-        A field's range is read, not reduced again, unless it is NaN.
-        Refuses values beyond the working range (``_check_range``).
-        Returns a new array, which the caller may overwrite.
+        with ``values``, ``vmin``, ``vmax`` and ``kept``, as
+        ``solver.CellField`` has.  A field this flux stepped on a carried
+        bound (``kept``) hands over that bound, which holds its values, so
+        its range is not reduced; any other field's range is read, and
+        reduced again only if it is NaN.  Refuses values beyond the working
+        range (``_check_range``).  Returns a new array, which the caller
+        may overwrite.
         """
-        if hasattr(u, "vmin"):
-            umin, umax, u = u.vmin, u.vmax, u.values
+        if hasattr(u, "kept"):
+            kept = u.kept
+            if kept is not None and kept[0] is self:
+                umin, umax = kept[1], kept[2]
+            else:
+                umin, umax = u.vmin, u.vmax
+            u = u.values
         else:
             umin = umax = math.nan
             u = np.asarray(u, dtype=float)
@@ -470,8 +501,7 @@ def _check_group(flux: PiecewiseFlux, gb: SpectrumGroupBasis):
     if gb.rank < 1:
         raise ValueError("group of rank 0 (constant data or a zero group) holds no xi != 0")
     _check_components(flux, gb.n)
-    if gb.basis != flux.basis:
-        raise ValueError("group basis and flux use different frequency bases")
+    _check_basis("a group", gb.basis, flux.basis)
 
 
 def directional(flux: PiecewiseFlux, kbar, gb: SpectrumGroupBasis) -> PiecewiseFlux:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .flux import PiecewiseFlux, lift_flux, nondegeneracy_check
-from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _clear,
+from .freqlattice import (Frequency, FrequencyBasis, SpectrumGroupBasis, _check_space, _clear,
                           _config_form, _value, group_basis, in_lattice)
 from .lift import _cube_per_axis, _data_group, lift_problem
 from .solver import (
@@ -257,8 +257,7 @@ def _parse_trigpoly(d, basis, path) -> TrigPoly:
         freq = _parse_frequency(_need(t, "frequency", p, list), basis, f"{p}.frequency")
         if n is None:
             n = freq.n
-        elif freq.n != n:
-            raise ConfigError(f"{p}.frequency", f"dimension {freq.n} != {n}")
+        _checked(f"{p}.frequency", _check_space, freq, basis, n)
         re = _real(t.get("re", 0.0), f"{p}.re")
         im = _real(t.get("im", 0.0), f"{p}.im")
         parsed.append((freq, complex(re, im)))

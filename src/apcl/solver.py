@@ -9,9 +9,11 @@ safety factor, which ``lip_bound`` takes in closed form from the piece
 ends and the critical points of phi_j' between them.  In 1D a step is one
 sweep.  For a linear flux at a Courant number of 1 a sweep is exact
 upwind, a shift by one cell.  ``advance`` is the one place that chooses
-dt and the alphas, 2m - 1 maxima a step: dt from the alphas of the
-fields' range at the start of the step, then each sweep with the alpha
-of what it reads, the start's for sweep 0.  ``evolve``
+dt and the alphas, 2m - 1 maxima a step on a flux that is not affine on
+the range: dt from the alphas of the fields' range at the start of the
+step, then each sweep with the alpha of what it reads, the start's for
+sweep 0; on a flux that is, none after the first step (the range rule
+below).  ``evolve``
 is the one time loop that calls it: ``run`` and the harness's two-field
 contraction both step through ``evolve``.
 
@@ -36,6 +38,39 @@ divergence, is monotone only while sum_j C_j <= 1, so it takes
 sum_j C_j / max_j C_j times the steps, up to m.  A sweep's range
 lies inside the range it reads, up to rounding, so each later alpha_j is
 at most the start's and each sweep's C_j at most the cfl.
+
+Range rule: a field's range ``vmin``/``vmax`` is exact, reduced on first
+read.  Where every component is affine, phi_j = c_0 + c_1 u, on one piece
+that holds the fields' joint range [lo, hi] with room to spare, alpha_j is
+|c_1| wherever the range lies in that piece, and the max principle keeps
+every later value in [lo, hi] up to rounding.  So the step that finds
+this reduces the range once, takes the alphas once, and hands the
+stepped fields the bound [lo - delta, hi + delta] with those alphas
+(``CellField.kept``).  Later steps of fields that carry it read no range
+and take no maximum: the flux evaluation takes the bound for its range
+check and its piece, which is the same one piece, so the sweeps run the
+same ufuncs on the same operands and every value, alpha and dt keeps its
+bits.  ``run`` reads the exact range at every record time, as always,
+and asserts that it lies in the bound (exit 5 otherwise).
+
+Drift bound: let s = |c_1| = alpha_j, r = |c_0/c_1|, M the largest |u|
+a sweep reads and eps = 2^-53.  Each evaluated phi is off by at most
+eps s (2M + r), each face (at most s (4M + 2r)) by eps s (14M + 6r), each
+face difference by eps s (36M + 16r), and the update, scaled by
+dt/2h_j <= (1 + 4 eps)/(2s) as the Courant number of ``advance``'s dt is
+at most 1 + 4 eps, by eps (26M + 12r); the exact update overshoots the
+range it reads by at most (C_j - 1) 2M <= 8 eps M and the final
+subtraction rounds by eps M.  So one affine sweep leaves the range it
+reads by under 35 eps (M + r) <= 2^-47 (M + r) (``_DRIFT``), to first
+order.  A run takes at most ``MAX_STEPS`` steps of m sweeps, so
+delta = 2 MAX_STEPS m 2^-47 (max(|lo|, |hi|) + r + 2^-400), r the largest
+over the components of nonzero slope; the factor 2 covers M's growth
+past max(|lo|, |hi|) and the second-order terms, and 2^-400 the
+subnormal rounding, as ``_LIMIT`` = 2^400 bounds |phi_j| over the bound
+and 1/s.  A range within delta of a breakpoint or of the span's end, a
+flux with no affine piece there and a range beyond ``_LIMIT``'s rule take
+the reduced path every step; for a flux with no affine piece at all,
+such as Burgers, the test is one cached read.
 
 Scratch rule: a sweep allocates no full-grid array but its one flux
 evaluation and, in it, the new values.  The Horner result phi_j takes
@@ -72,6 +107,7 @@ depends on the layout.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import operator
@@ -207,34 +243,55 @@ class TorusGrid:
 class CellField:
     """Cell-average values on a TorusGrid; treated as immutable.
 
-    ``vmin`` and ``vmax`` are the values' range, reduced once here.
-    ``lip_bound``, ``eval_component`` and ``_observe`` trust them, so
-    ``values`` must not be written after construction.  A sweep wraps its
-    new values through ``CellField._swept``, which skips the conversion
-    and the shape check: those values are the sweep's own new array, a
-    float one of the grid's shape, C-contiguous like the field it swept.
+    ``vmin`` and ``vmax`` are the values' exact range, reduced on first
+    read and kept.  ``lip_bound``, ``eval_component`` and ``_observe``
+    trust them, so ``values`` must not be written after construction.
+    ``kept`` is None, or the bound (flux, lo, hi, alphas) that ``advance``
+    hands the fields it stepped on a flux affine on their range, which
+    ``advance`` and ``eval_component`` read in place of the range (the
+    module docstring's range rule).  A sweep wraps its new values through
+    ``CellField._swept``, which skips the conversion and the shape check:
+    those values are the sweep's own new array, a float one of the grid's
+    shape, C-contiguous like the field it swept.
     """
 
-    __slots__ = ("grid", "values", "vmin", "vmax")
+    __slots__ = ("grid", "values", "kept", "vmin", "vmax")
 
     def __init__(self, grid: TorusGrid, values):
         values = np.ascontiguousarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
-        self._hold(grid, values)
-
-    @classmethod
-    def _swept(cls, grid: TorusGrid, values: np.ndarray) -> CellField:
-        field = object.__new__(cls)
-        field._hold(grid, values)
-        return field
-
-    def _hold(self, grid: TorusGrid, values: np.ndarray):
         self.grid = grid
         self.values = values
+        self.kept = None
+
+    @classmethod
+    def _swept(cls, grid: TorusGrid, values: np.ndarray, reduce: bool) -> CellField:
+        """The new field of a sweep, its range reduced now if ``reduce``.
+
+        A sweep that carries no bound passes True: its range is read at the
+        next step, and reducing it here costs about 1 us less than the
+        first read's fallback through ``__getattr__``.
+        """
+        field = object.__new__(cls)
+        field.grid = grid
+        field.values = values
+        field.kept = None
+        if reduce:
+            field._reduce()
+        return field
+
+    def _reduce(self):
         # the ufunc reductions ndarray.min/max call, NaN propagating alike
-        self.vmin = float(np.minimum.reduce(values, None))
-        self.vmax = float(np.maximum.reduce(values, None))
+        self.vmin = float(np.minimum.reduce(self.values, None))
+        self.vmax = float(np.maximum.reduce(self.values, None))
+
+    def __getattr__(self, name: str):
+        # only a slot not yet set comes here: vmin and vmax before the first read
+        if name != "vmin" and name != "vmax":
+            raise AttributeError(f"'CellField' object has no attribute {name!r}")
+        self._reduce()
+        return self.vmin if name == "vmin" else self.vmax
 
     @property
     def size(self) -> int:
@@ -451,7 +508,9 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
     face = g._face_offsets[axis]
     _faces(_offsets(u, axis), phi, alpha, axis, face)
     d = _flux_difference(face, axis, dt, g.shape[axis], phi)
-    return CellField._swept(g, np.subtract(u, d, d))
+    # a sweep of a field that carries a bound of this flux leaves the range unreduced
+    kept = f.kept
+    return CellField._swept(g, np.subtract(u, d, d), kept is None or kept[0] is not flux)
 
 
 def _joint_range(fields) -> tuple[float, float]:
@@ -466,6 +525,43 @@ def _joint_range(fields) -> tuple[float, float]:
     return lo, hi
 
 
+# the drift of one affine sweep past the range it reads, per unit of
+# max|u| + |c_0/c_1|, and the limit on |phi_j| and on 1/|c_1| that keeps
+# its rounding free of overflow and its subnormal rounding under 2^-400
+# of that unit (the module docstring's drift bound)
+_DRIFT = 2.0 ** -47
+_LIMIT = 2.0 ** 400
+
+
+def _carry(flux: PiecewiseFlux, lo: float, hi: float):
+    """The bound ``advance`` hands fields of joint range [lo, hi] under ``flux``, or None.
+
+    (flux, lo - delta, hi + delta, the alphas over [lo, hi]) when every
+    component has degree <= 1 on the piece that holds [lo - delta,
+    hi + delta] strictly inside its ends, delta the module docstring's
+    drift margin; None otherwise, for a NaN range, and for one outside
+    ``_LIMIT``'s rule.
+    """
+    if not lo <= hi:
+        return None
+    p = bisect.bisect_right(flux._inner, lo)
+    affine = flux._affine_pieces.get(p)
+    if affine is None:
+        return None
+    slopes = [abs(c1) for _, c1 in affine if c1]
+    if not slopes or min(slopes) * _LIMIT < 1.0:
+        return None
+    ratio = max(abs(c0 / c1) for c0, c1 in affine if c1)
+    delta = 2 * MAX_STEPS * flux.n * _DRIFT * (max(-lo, hi) + ratio + 1.0 / _LIMIT)
+    lo_k, hi_k = lo - delta, hi + delta
+    if not (flux._bp_f[p] < lo_k and hi_k < flux._bp_f[p + 1]):
+        return None
+    big = max(-lo_k, hi_k)
+    if any(abs(c0) + abs(c1) * big > _LIMIT for c0, c1 in affine):
+        return None
+    return flux, lo_k, hi_k, tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
+
+
 def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
             *fields: CellField) -> tuple[float, float, list[CellField]]:
     """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
@@ -473,28 +569,49 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
     Every alpha_j over the joint range of the fields, the CFL step dt_cfl
     from them and dt = min(dt_cfl, ``t_remaining``); then one sweep of
     every field along each axis j in turn, with alpha_j over the joint
-    range of what it reads: the start's for axis 0.  2m - 1 maxima a step.
+    range of what it reads: the start's for axis 0.  2m - 1 maxima a step,
+    unless every field carries one bound of this flux (``CellField.kept``)
+    or the flux is affine on their range, so that this step starts one:
+    then the bound gives every alpha, and the stepped fields carry it (the
+    module docstring's range rule).
     """
-    lo, hi = _joint_range(fields)
+    kept = fields[0].kept
+    for f in fields:
+        if f.kept is not kept:
+            kept = None
+    if kept is None or kept[0] is not flux:
+        lo, hi = _joint_range(fields)
+        # a flux with no affine piece, such as Burgers, pays this one read
+        kept = _carry(flux, lo, hi) if flux._affine_pieces else None
     if flux.n == 1:
         # one sweep, with no list of alphas and no loop over the axes: in
         # 1D the Python around a step costs about half as much as its ufuncs
-        alpha = lip_bound(flux, 0, lo, hi)
+        alpha = lip_bound(flux, 0, lo, hi) if kept is None else kept[3][0]
         dt_cfl = cfl_dt(fields[0], cfl, (alpha,))
         dt = t_remaining if t_remaining < dt_cfl else dt_cfl
         stepped = []
         for f in fields:
-            stepped.append(step(f, flux, dt, alpha, 0))
+            f = step(f, flux, dt, alpha, 0)
+            f.kept = kept
+            stepped.append(f)
         return dt_cfl, dt, stepped
-    alphas = []  # a plain loop: a comprehension's frame (Python <= 3.11) costs 0.3 us
-    for j in range(flux.n):
-        alphas.append(lip_bound(flux, j, lo, hi))
+    if kept is None:
+        alphas = []  # a plain loop: a comprehension's frame (Python <= 3.11) costs 0.3 us
+        for j in range(flux.n):
+            alphas.append(lip_bound(flux, j, lo, hi))
+    else:
+        alphas = kept[3]
     dt_cfl = cfl_dt(fields[0], cfl, alphas)
     dt = t_remaining if t_remaining < dt_cfl else dt_cfl
     for axis, alpha in enumerate(alphas):
-        if axis:
+        if axis and kept is None:
             alpha = lip_bound(flux, axis, *_joint_range(fields))
-        fields = [step(f, flux, dt, alpha, axis) for f in fields]
+        stepped = []
+        for f in fields:
+            f = step(f, flux, dt, alpha, axis)
+            f.kept = kept
+            stepped.append(f)
+        fields = stepped
     return dt_cfl, dt, fields
 
 
@@ -552,6 +669,11 @@ def fourier_coeff(f: CellField, kbar) -> complex:
 
 
 def _observe(t: float, v: CellField, c: float) -> dict:
+    """A record row of ``v`` at t: its exact range, and that range inside any carried bound."""
+    kept = v.kept
+    if kept is not None and not kept[1] <= v.vmin <= v.vmax <= kept[2]:
+        raise AssertionError(f"the range [{v.vmin!r}, {v.vmax!r}] at t={t:g} left the carried "
+                             f"bound [{kept[1]!r}, {kept[2]!r}]")
     return {
         "t": t,
         "l1_to_mean": _l1(v, c),

@@ -57,7 +57,16 @@ def test_eval_two_piece_continuity():
 # first), each with its text
 @pytest.mark.parametrize("call, msg", [
     pytest.param(lambda: PiecewiseFlux(B1, [-1, 1], [[[B2.real([0, 1])]]]),
-                 "coefficient uses a different basis", id="coefficient-of-another-basis"),
+                 "a coefficient over the basis [1, sqrt2] for a flux over [1]",
+                 id="coefficient-of-another-basis"),
+    pytest.param(lambda: lift_flux(burgers(), group_basis([Frequency.of(B2, [[0, 1]])])),
+                 "a group over the basis [1, sqrt2] for a flux over [1]",
+                 id="group-of-another-basis"),
+    pytest.param(lambda: PiecewiseFlux(FrequencyBasis(("1", "s"), (1.0, 2.0 ** 0.5)), [-1, 1],
+                                       [[[FrequencyBasis(("1", "s"), (1.0, 3.0 ** 0.5))
+                                          .real([0, 1])]]]),
+                 "a coefficient over the basis [1=1.0, s=1.7320508075688772] for a flux "
+                 "over [1=1.0, s=1.4142135623730951]", id="coefficient-of-a-basis-of-equal-labels"),
     pytest.param(lambda: PiecewiseFlux(B1, [-1, 1], [[[[0, 1]]]]),
                  "expected 1 coordinates, got 2", id="coefficient-of-another-length"),
     pytest.param(lambda: lip_bound(burgers(), 0, 1.0, 0.0), "need lo <= hi",

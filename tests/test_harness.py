@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -896,6 +897,27 @@ def test_threshold_without_its_scalar_is_an_internal_error(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith("internal error: threshold")
 
 
+def test_a_range_that_leaves_the_carried_bound_is_an_internal_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the counterexample's wave [-1/4, 1/4] on u/2 carries a bound from its
+    # first step; a cell written to 0.3 after every sweep leaves it, and
+    # the exact range read at the record time 0.25 shows that
+    real = solver_mod.step
+
+    def planted(f, flux, dt, alpha, axis=0):
+        after = real(f, flux, dt, alpha, axis)
+        after.values[0] = 0.3
+        return after
+
+    monkeypatch.setattr(solver_mod, "step", planted)
+    cp = write_config(tmp_path, wave_config())
+    assert cli.main(["counterexample", "--config", cp, "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"internal error: the range \[-0\.249\d+, 0\.3\] at t=0\.25 left "
+                        r"the carried bound \[-0\.2498\d+, 0\.2498\d+\]\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_passed_is_none_without_thresholds(tmp_path):
     assert run_experiment(parse_config(checkflux_config())).passed is True
     failing = checkflux_config(thresholds={"expect": "nondegenerate"})
@@ -1206,7 +1228,8 @@ CONFIG_REFUSALS = [
     pytest.param("contraction", contraction_config(steps="5/2"), 2,
                  "config error: steps: expected an integer, got '5/2'", id="fractional-steps"),
     pytest.param("decay", edited(decay_config, "initial", "terms", 1, "frequency", [["1"], ["0"]]),
-                 2, "config error: initial.terms[1].frequency: dimension 2 != 1",
+                 2, "config error: initial.terms[1].frequency: a 2-dimensional frequency "
+                 "among 1-dimensional ones",
                  id="term-of-another-dimension"),
     pytest.param("decay", decay_config(flux={
         "breakpoints": ["-2", "0", "2"],

@@ -457,7 +457,8 @@ def test_lift_is_derived_once_per_flux_and_group():
     b3 = FrequencyBasis.with_sqrt(3)
     alien = group_basis([Frequency.of(b3, [[1, 0]]), Frequency.of(b3, [[0, 1]])])
     assert (alien.rows, alien.den) == (gb1.rows, gb1.den)
-    with pytest.raises(ValueError, match="different frequency bases"):
+    with pytest.raises(ValueError, match=re.escape("a group over the basis [1, sqrt3] for a "
+                                                   "flux over [1, sqrt2]")):
         lift_flux(flux, alien)
     # a step on the memoized lift, float tables built or not, is a step on a fresh one
     field = exact_cell_average(lift_problem(u0, None, group=gb1).v0, TorusGrid((32, 16)))

@@ -1317,3 +1317,282 @@ def test_beyond_courant_one_the_bumped_cell_goes_down(shape, make_flux):
         # the refusal allows rounding only
         with pytest.raises(CflError):
             step(up, flux, (1 + 1e-10) * h / a, a, j)
+
+
+# --- the carried bound of a flux affine on the range --------------------------
+# advance reduces the range and bounds the alphas at the step that finds
+# every component affine on one piece holding it, and hands the stepped
+# fields that bound; later steps read neither, with every bit unchanged
+
+def _wave(m, basis=B1):
+    """``WAVE_FLUX`` over ``basis`` (m = 1): u/2 on [-1/2, 1/2], quadratics outside."""
+    return PiecewiseFlux(basis, ["-2", "-1/2", "1/2", "2"],
+                         [[["1/8", "1", "1/2"]], [["0", "1/2"]], [["1/8", "0", "1/2"]]])
+
+
+# 3 - u/3 on [0, 4] and a quadratic on [-4, 0]: an affine piece with a
+# constant term and a negative slope
+SHIFTED_FLUX = PiecewiseFlux(B1, ["-4", "0", "4"], [[["3", "-1/3", "1/4"]], [["3", "-1/3"]]])
+
+
+def _reducing_advance(flux, cfl, t_remaining, *fields):
+    """``advance`` as a loop that reduces every field's range on every step.
+
+    alpha_j over the joint range of the values sweep j reads, each field
+    swept as a fresh ``CellField`` of its values, which carries no bound.
+    """
+    def joint(fs):
+        return min(float(f.values.min()) for f in fs), max(float(f.values.max()) for f in fs)
+
+    alphas = _alphas(flux, *joint(fields))
+    dt_cfl = cfl_dt(fields[0], cfl, alphas)
+    dt = min(dt_cfl, t_remaining)
+    for j in range(flux.n):
+        alpha = lip_bound(flux, j, *joint(fields)) if j else alphas[0]
+        fields = [step(CellField(f.grid, f.values), flux, dt, alpha, j) for f in fields]
+    return dt_cfl, dt, fields
+
+
+def _sine(shape, mid, amp, seed):
+    """mid + amp times a random smooth field of sup norm at most 1."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(shape)
+    for j, n in enumerate(shape):
+        x = (np.arange(n) + 0.5) / n
+        w = w + np.sin(2 * np.pi * (x + rng.uniform())).reshape([-1 if i == j else 1
+                                                                 for i in range(len(shape))])
+    return mid + amp * w / len(shape)
+
+
+def _near_end(shape, at, cells=1):
+    """A field inside the wave flux's middle piece but for its first ``cells`` cells, set to ``at``."""
+    u = _sine(shape, 0.0, 0.2, 3)
+    u.reshape(-1)[:cells] = at
+    return u
+
+
+# (flux, the fields' values, cfl, the least count of steps, at the start,
+# that carry no bound: 0 where every step carries one); the drift margin
+# delta of the wave flux's middle piece on a range reaching 1/2 is
+# 2 MAX_STEPS 2^-47 (1/2) = 7.1e-9
+CARRY_CASES = [
+    pytest.param(WAVE_FLUX, [_sine((128,), -0.05, 0.2, 1)], DEFAULT_CFL, 0, id="wave-1d"),
+    pytest.param(WAVE_FLUX, [_sine((64,), 0.1, 0.3, 2)], 1.0, 0, id="wave-1d-cfl-1"),
+    pytest.param(SHIFTED_FLUX, [_sine((96,), 2.0, 1.5, 3)], DEFAULT_CFL, 0, id="shifted-1d"),
+    pytest.param(WAVE_FLUX, [_sine((64,), -0.05, 0.2, 4), _sine((64,), 0.1, 0.25, 5)],
+                 DEFAULT_CFL, 0, id="two-fields"),
+    pytest.param(_lifted(_wave, B2, [1, 0], [0, 1]), [_sine((24, 20), 0.0, 0.3, 6)],
+                 DEFAULT_CFL, 0, id="lift-t2"),
+    pytest.param(_lifted(_wave, B1, [1], [2], [Fraction(1, 2)]),
+                 [_sine((8, 6, 5), 0.1, 0.2, 7), _sine((8, 6, 5), -0.1, 0.2, 8)],
+                 DEFAULT_CFL, 0, id="lift-t3-two-fields"),
+    # one cell within delta of the breakpoint 1/2, until the sweeps lower it
+    pytest.param(WAVE_FLUX, [_near_end((128,), 0.5 - 2e-9)], DEFAULT_CFL, 1,
+                 id="within-delta-of-a-breakpoint"),
+    pytest.param(WAVE_FLUX, [_near_end((128,), 0.5 - 1e-8)], DEFAULT_CFL, 0,
+                 id="beyond-delta-of-a-breakpoint"),
+    pytest.param(_lifted(_wave, B2, [1, 0], [0, 1]), [_near_end((24, 20), -0.5 + 2e-9)],
+                 DEFAULT_CFL, 1, id="lift-t2-within-delta"),
+    # 16 cells at the span's end -1/4, which the upwind sweeps keep there
+    # for a few steps
+    pytest.param(PiecewiseFlux(B1, ["-1/4", "1/2"], [[["0", "1/2"]]]),
+                 [_near_end((64,), -0.25, 16)], DEFAULT_CFL, 5, id="at-the-span-end"),
+]
+
+
+def _joint_range_of(arrays):
+    return min(float(a.min()) for a in arrays), max(float(a.max()) for a in arrays)
+
+
+@pytest.mark.parametrize("flux, values, cfl, plain", CARRY_CASES)
+def test_affine_advance_matches_a_loop_that_reduces_every_step(flux, values, cfl, plain):
+    g = TorusGrid(values[0].shape)
+    fields = [CellField(g, v) for v in values]
+    ref = [CellField(g, v) for v in values]
+    carries = []
+    for _ in range(60):
+        before = [r.values for r in ref]
+        dt_cfl, dt, fields = advance(flux, cfl, math.inf, *fields)
+        dt_cfl2, dt2, ref = _reducing_advance(flux, cfl, math.inf, *ref)
+        assert (dt_cfl, dt) == (dt_cfl2, dt2)
+        assert all(same_bits(f.values, r.values) for f, r in zip(fields, ref))
+        # one bound for every field, held from the step that starts it on
+        kept = fields[0].kept
+        assert all(f.kept is kept for f in fields)
+        carries.append(kept is not None)
+        if kept is None:
+            continue
+        if not any(carries[:-1]):
+            # it holds the alphas of the range at that step's start
+            assert kept[0] is flux and kept[3] == _alphas(flux, *_joint_range_of(before))
+        # the bound holds every field, and its range still reads exactly
+        for f in fields:
+            assert (f.vmin, f.vmax) == (f.values.min(), f.values.max())
+            assert kept[1] <= f.vmin <= f.vmax <= kept[2]
+    assert carries == sorted(carries) and carries[-1]
+    assert carries.count(False) >= plain and (carries.count(False) == 0) == (plain == 0)
+
+
+def _collect(flux, cfl, grid, data, times, every_step):
+    """What ``evolve`` yields: (t, the fields' values, each field's range, the log's record)."""
+    return [(t, [f.values.copy() for f in fs], [(f.vmin, f.vmax) for f in fs], log.record())
+            for t, fs, log in evolve(flux, cfl, grid, data, times, every_step=every_step)]
+
+
+# (flux, grid, data): the wave flux's middle piece in 1D and its lift on T^2
+AFFINE_RUNS = [
+    pytest.param(WAVE_FLUX, TorusGrid((256,)), [TorusPoly(1, {(0,): -0.05, (1,): -0.1j})],
+                 id="wave-1d"),
+    pytest.param(_lifted(_wave, B2, [1, 0], [0, 1]), TorusGrid((32, 24)),
+                 [TorusPoly(2, {(0, 0): 0.05, (1, 0): -0.1j, (0, 1): 0.08j})], id="lift-t2"),
+    pytest.param(WAVE_FLUX, TorusGrid((128,)), [TorusPoly(1, {(0,): -0.05, (1,): -0.1j}),
+                                                TorusPoly(1, {(0,): 0.1, (2,): 0.05 + 0.1j})],
+                 id="two-fields"),
+]
+
+
+@pytest.mark.parametrize("flux, grid, data", AFFINE_RUNS)
+def test_affine_runs_match_runs_that_reduce_every_step(flux, grid, data, monkeypatch):
+    # the same runs with no bound carried, so that every step reduces the
+    # range of every field and bounds every alpha again, as before
+    fields = [exact_cell_average(p, grid) for p in data]
+    assert advance(flux, DEFAULT_CFL, math.inf, *fields)[2][0].kept is not None
+    cfg = SolverConfig(t_end=1.0, record_times=(0.25, 0.5))
+    runs = []
+    for carry in (solver_mod._carry, lambda flux, lo, hi: None):
+        monkeypatch.setattr(solver_mod, "_carry", carry)
+        got = {"evolve": _collect(flux, DEFAULT_CFL, grid, data, (0.0, 0.3, 0.6), True)}
+        if len(data) == 1:
+            traj = run(data[0], flux, grid, cfg)
+            got["run"] = (traj.rows, [f.values for f in traj.fields], traj.stepping)
+        runs.append(got)
+    carried, reduced = runs
+    for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(carried["evolve"],
+                                                                   reduced["evolve"]):
+        assert (t, ranges, log) == (t2, ranges2, log2)
+        assert all(same_bits(a, b) for a, b in zip(values, values2))
+    assert len(carried["evolve"]) == len(reduced["evolve"]) > 10
+    if "run" in carried:
+        (rows, fields, stepping), (rows2, fields2, stepping2) = carried["run"], reduced["run"]
+        assert (rows, stepping) == (rows2, stepping2)
+        assert all(same_bits(a, b) for a, b in zip(fields, fields2))
+
+
+class _CountedNumpy:
+    """numpy as a module sees it, with each range reduction logged in ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("minimum", "maximum", "fmin", "fmax"):
+            return fn
+        events = self.events
+
+        class Counted:
+            def __getattr__(self, attr):
+                if attr == "reduce":
+                    def reduce(*args, **kwargs):
+                        events.append(name)
+                        return fn.reduce(*args, **kwargs)
+                    return reduce
+                return getattr(fn, attr)
+
+            def __call__(self, *args, **kwargs):
+                return fn(*args, **kwargs)
+
+        return Counted()
+
+
+def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
+    """The run's (trajectory, events): advance, lip_bound, observe and each range reduction."""
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("advance", "lip_bound", "_observe"):
+        monkeypatch.setattr(solver_mod, name, logged(name, getattr(solver_mod, name)))
+    monkeypatch.setattr(solver_mod, "np", _CountedNumpy(events))
+    monkeypatch.setattr(flux_mod, "np", _CountedNumpy(events))
+    traj = run(v0, flux, grid, SolverConfig(t_end=1.0, record_times=record_times))
+    monkeypatch.undo()
+    return traj, events
+
+
+@pytest.mark.parametrize("flux, grid, v0", [
+    pytest.param(WAVE_FLUX, TorusGrid((128,)), TorusPoly(1, {(0,): -0.05, (1,): -0.1j}),
+                 id="wave-1d"),
+    pytest.param(_lifted(_wave, B2, [1, 0], [0, 1]), TorusGrid((32, 24)),
+                 TorusPoly(2, {(0, 0): 0.05, (1, 0): -0.1j, (0, 1): 0.08j}), id="lift-t2"),
+])
+def test_an_affine_run_bounds_and_reduces_only_at_its_start_and_record_times(flux, grid, v0,
+                                                                              monkeypatch):
+    record_times = (0.25, 0.5, 0.75)
+    traj, events = _events_of_a_run(monkeypatch, flux, v0, grid, record_times)
+    steps = [i for i, e in enumerate(events) if e == "advance"]
+    assert len(steps) == traj.stepping["steps"] > 15
+    # the first step bounds each component once, as it starts the bound
+    assert [e for e in events[:steps[1]] if e == "lip_bound"] == ["lip_bound"] * flux.n
+    after = events[steps[1]:]
+    assert "lip_bound" not in after
+    # after it, a range is reduced only where a record time reads one,
+    # once per record time, the end included
+    observed = [i for i, e in enumerate(after) if e == "_observe"]
+    assert len(observed) == len(record_times) + 1
+    reduced = [i for i, e in enumerate(after) if e in ("minimum", "maximum", "fmin", "fmax")]
+    assert reduced == [i + k for i in observed for k in (1, 2)]
+    assert [after[i] for i in reduced] == ["minimum", "maximum"] * len(observed)
+    for f, row in zip(traj.fields, traj.rows):
+        assert (row["min"], row["max"]) == (f.values.min(), f.values.max())
+
+
+def test_a_burgers_run_reduces_its_range_every_step(monkeypatch):
+    # no affine piece: every advance bounds its one component and every
+    # step's new field is reduced, 2m - 1 = 1 maximum a step
+    traj, events = _events_of_a_run(monkeypatch, burgers_1d(), TorusPoly(
+        1, {(0,): 0.3, (1,): -0.25j}), TorusGrid((64,)), (0.5,))
+    steps = traj.stepping["steps"]
+    assert events.count("advance") == events.count("lip_bound") == steps > 10
+    # the data's range, then one per step; the record times read those
+    assert events.count("minimum") == events.count("maximum") == 1 + steps
+    assert all(f.kept is None for f in traj.fields)
+
+
+def _drift(flux, j, before):
+    """The module docstring's per-sweep drift bound for component j on ``before``'s values."""
+    c0, c1 = flux._affine_pieces[0][j]
+    big = float(np.abs(before.values).max())
+    return solver_mod._DRIFT * (big + abs(c0 / c1))
+
+
+_SLOPES = st.fractions(Fraction(-64), Fraction(64), max_denominator=64).filter(
+    lambda c: abs(c) >= Fraction(1, 64))
+
+
+@given(c0=st.lists(st.one_of(st.just(Fraction(0)), st.fractions(-10 ** 6, 10 ** 6,
+                                                                 max_denominator=1000)),
+                   min_size=2, max_size=2),
+       c1=st.lists(_SLOPES, min_size=2, max_size=2),
+       m=st.integers(1, 2), lo=st.floats(-50, 50), width=st.floats(0.0, 50),
+       cfl=st.floats(0.5, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_affine_sweeps_drift_within_the_bound(c0, c1, m, lo, width, cfl, seed):
+    # one affine piece on [-2000, 2000], a large constant term allowed:
+    # each sweep stays in the range it reads up to the drift bound, and a
+    # field that carries a bound stays inside it
+    flux = PiecewiseFlux(B1, [-2000, 2000], [[[c0[j], c1[j]] for j in range(m)]])
+    shape = (48,) if m == 1 else (12, 10)
+    f = CellField(TorusGrid(shape), np.random.default_rng(seed).uniform(lo, lo + width, shape))
+    for _ in range(80):
+        _, _, (f2,), sweeps = advance_with_sweeps(flux, cfl, math.inf, f)
+        for before, after, _, j in sweeps:
+            d = _drift(flux, j, before)
+            assert before.vmin - d <= after.vmin and after.vmax <= before.vmax + d
+        if f2.kept is not None:
+            assert f2.kept[1] <= f2.vmin and f2.vmax <= f2.kept[2]
+        f = f2
