@@ -374,18 +374,17 @@ class PiecewiseFlux:
         ``u`` is an array, or a field that holds its values' range: anything
         with ``values``, ``vmin``, ``vmax`` and ``kept``, as
         ``solver.CellField`` has.  A field this flux stepped on a carried
-        bound (``kept``) hands over that bound, which holds its values, so
-        its range is not reduced; any other field's range is read, and
-        reduced again only if it is NaN.  Refuses values beyond the working
-        range (``_check_range``).  Returns a new array, which the caller
-        may overwrite.
+        bound (``kept``) takes the bound's plan, as the range check and the
+        piece choice made with the bound hold for its values.  Any other
+        field's range is read, and reduced again only if it is NaN.
+        Refuses values beyond the working range (``_check_range``).
+        Returns a new array, which the caller may overwrite.
         """
         if hasattr(u, "kept"):
             kept = u.kept
-            if kept is not None and kept[0] is self:
-                umin, umax = kept[1], kept[2]
-            else:
-                umin, umax = u.vmin, u.vmax
+            if kept is not None and kept.flux is self:
+                return _horner(kept.plans[component], u.values)
+            umin, umax = u.vmin, u.vmax
             u = u.values
         else:
             umin = umax = math.nan

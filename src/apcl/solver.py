@@ -13,9 +13,8 @@ dt and the alphas, 2m - 1 maxima a step on a flux that is not affine on
 the range: dt from the alphas of the fields' range at the start of the
 step, then each sweep with the alpha of what it reads, the start's for
 sweep 0; on a flux that is, none after the first step (the range rule
-below).  ``evolve``
-is the one time loop that calls it: ``run`` and the harness's two-field
-contraction both step through ``evolve``.
+below).  ``evolve`` is the one time loop that calls it: ``run`` and the
+harness's two-field contraction both step through ``evolve``.
 
 A sweep is monotone when every new value is a nondecreasing function of
 the old ones.  Its weight on u_i is 1 - C_j, C_j = alpha_j dt/h_j the
@@ -44,14 +43,16 @@ read.  Where every component is affine, phi_j = c_0 + c_1 u, on one piece
 that holds the fields' joint range [lo, hi] with room to spare, alpha_j is
 |c_1| wherever the range lies in that piece, and the max principle keeps
 every later value in [lo, hi] up to rounding.  So the step that finds
-this reduces the range once, takes the alphas once, and hands the
-stepped fields the bound [lo - delta, hi + delta] with those alphas
-(``CellField.kept``).  Later steps of fields that carry it read no range
-and take no maximum: the flux evaluation takes the bound for its range
-check and its piece, which is the same one piece, so the sweeps run the
-same ufuncs on the same operands and every value, alpha and dt keeps its
-bits.  ``run`` reads the exact range at every record time, as always,
-and asserts that it lies in the bound (exit 5 otherwise).
+this reduces the range once and hands the stepped fields the bound
+[lo - delta, hi + delta] (``CellField.kept``, a ``_Bound``) with what a
+later step on their grid at their cfl would find again: the alphas,
+dt_cfl, the piece's Horner plans, and each alpha_j and scale
+0.5 dt_cfl N_j as a 0-d array, which a ufunc reads as the float it holds.
+A step that carries the bound, strictly inside the piece, would pass the
+range check and pick that piece as the step that made it did, so it
+reads, checks and chooses nothing and runs the same ufuncs on the same
+operands: every value, alpha and dt keeps its bits.  ``run`` asserts at
+each record time that the exact range lies in the bound (exit 5).
 
 Drift bound: let s = |c_1| = alpha_j, r = |c_0/c_1|, M the largest |u|
 a sweep reads and eps = 2^-53.  Each evaluated phi is off by at most
@@ -110,9 +111,9 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-import operator
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -123,6 +124,7 @@ from .flux import (
     PiecewiseFlux,
     _check_components,
     _check_range,
+    _constant,
     _empty,
     affine_on,
     directional,
@@ -244,18 +246,17 @@ class CellField:
     """Cell-average values on a TorusGrid; treated as immutable.
 
     ``vmin`` and ``vmax`` are the values' exact range, reduced on first
-    read and kept.  ``lip_bound``, ``eval_component`` and ``_observe``
-    trust them, so ``values`` must not be written after construction.
-    ``kept`` is None, or the bound (flux, lo, hi, alphas) that ``advance``
-    hands the fields it stepped on a flux affine on their range, which
-    ``advance`` and ``eval_component`` read in place of the range (the
-    module docstring's range rule).  A sweep wraps its new values through
-    ``CellField._swept``, which skips the conversion and the shape check:
-    those values are the sweep's own new array, a float one of the grid's
-    shape, C-contiguous like the field it swept.
+    read and kept.  ``lip_bound``, ``eval_component``, ``_observe`` and the
+    range rule trust them, so ``values`` must not be written after
+    construction: a sweep into a ping-pong buffer would break that silently.
+    ``kept`` is None, or the ``_Bound`` that ``advance`` hands the fields
+    it stepped on a flux affine on their range, which a step reads in
+    place of the range (the module docstring's range rule).  A sweep wraps
+    its new values through ``CellField._swept``, which skips the
+    conversion and the shape check: those values are the sweep's own new
+    array, a float one of the grid's shape, C-contiguous like the field it
+    swept.
     """
-
-    __slots__ = ("grid", "values", "kept", "vmin", "vmax")
 
     def __init__(self, grid: TorusGrid, values):
         values = np.ascontiguousarray(values, dtype=float)
@@ -270,8 +271,8 @@ class CellField:
         """The new field of a sweep, its range reduced now if ``reduce``.
 
         A sweep that carries no bound passes True: its range is read at the
-        next step, and reducing it here costs about 1 us less than the
-        first read's fallback through ``__getattr__``.
+        next step, and reducing it here costs about 1 us less than a first
+        read through the cached property.
         """
         field = object.__new__(cls)
         field.grid = grid
@@ -281,17 +282,16 @@ class CellField:
             field._reduce()
         return field
 
-    def _reduce(self):
+    # the first read of a range not yet reduced; a ``__getattr__`` fallback
+    # would slow every attribute load of a field, about 50 ns (Python 3.11)
+    vmin = cached_property(lambda self: self._reduce()[0])
+    vmax = cached_property(lambda self: self._reduce()[1])
+
+    def _reduce(self) -> tuple[float, float]:
         # the ufunc reductions ndarray.min/max call, NaN propagating alike
         self.vmin = float(np.minimum.reduce(self.values, None))
         self.vmax = float(np.maximum.reduce(self.values, None))
-
-    def __getattr__(self, name: str):
-        # only a slot not yet set comes here: vmin and vmax before the first read
-        if name != "vmin" and name != "vmax":
-            raise AttributeError(f"'CellField' object has no attribute {name!r}")
-        self._reduce()
-        return self.vmin if name == "vmin" else self.vmax
+        return self.vmin, self.vmax
 
     @property
     def size(self) -> int:
@@ -415,71 +415,55 @@ def cfl_dt(f: CellField, cfl: float, alphas: tuple[float, ...]) -> float:
     return cfl / rate
 
 
-# the scalar twin of each ufunc ``_neighbours`` takes: the same IEEE operation
-_SCALAR_OP = {np.add: operator.add, np.subtract: operator.sub}
-
-
 def _offsets(x: np.ndarray, j: int) -> tuple:
-    """(x, up, down): ``x`` and its flat views one cell apart along axis j.
+    """(x, up, down, first, last): ``x``, its flat views one cell apart along axis j, its ends.
 
-    up[i] is the cell one step up axis j from down[i], for every pair that
-    does not wrap round the torus.  One cell along axis j is
-    s = prod(shape[j+1:]) elements of the C-contiguous ``x``, so the views
-    are the flat array without its first s and without its last s elements.
+    up[i] is the cell one step up axis j from down[i], s = prod(shape[j+1:])
+    elements further on in the C-contiguous ``x``.  A neighbour operation
+    is one ufunc call on the views, then the same operation on x[first]
+    and x[last], the ends of axis j, for the pairs that wrap: two scalars
+    in 1D, far cheaper than a ufunc call, and two slabs in n-D, which redo
+    the pairs that came out wrong on the flat views.
     """
     if x.ndim == 1:
-        return x, x[1:], x[:-1]
+        return x, x[1:], x[:-1], 0, -1
     s = math.prod(x.shape[j + 1:])
     xf = x.reshape(-1)
-    return x, xf[s:], xf[:-s]
+    lead = (slice(None),) * j
+    return x, xf[s:], xf[:-s], lead + (slice(None, 1),), lead + (slice(-1, None),)
 
 
-def _neighbours(op, x: tuple, j: int, out: tuple, upper: bool):
-    """out = op(x_{i+1}, x_i) along axis j of the torus, stored at i (at i+1 if ``upper``).
-
-    ``x`` and ``out`` are C-contiguous arrays as ``_offsets`` gives them.
-    One ufunc call on the views offset by one cell takes every pair but
-    those that wrap round the torus: no shifted copy, and contiguous loops.
-    In 1D the one pair that wraps is a scalar operation, which costs far
-    less than a ufunc call.  In n-D the pairs that wrap come out wrong on
-    the flat views and are redone from the first and last slabs of axis j.
-    """
-    x, x_up, x_down = x
-    out, out_up, out_down = out
-    op(x_up, x_down, out_up if upper else out_down)
-    if x.ndim == 1:
-        out[0 if upper else -1] = _SCALAR_OP[op](x.item(0), x.item(-1))
-        return
-    first = (slice(None),) * j + (slice(None, 1),)
-    last = (slice(None),) * j + (slice(-1, None),)
-    op(x[first], x[last], out=out[first] if upper else out[last])
-
-
-def _faces(u: tuple, phi: tuple, alpha: float, j: int, face: tuple) -> np.ndarray:
-    """Twice the Rusanov flux on face i+1/2 of every cell along axis j, in ``face``.
+def _faces(u: tuple, phi: tuple, alpha, face: tuple) -> np.ndarray:
+    """Twice the Rusanov flux on face i+1/2 of every cell along one axis, in ``face``.
 
     The face is (phi_i + phi_{i+1}) - alpha (u_{i+1} - u_i), phi the values
-    of the flux's component j at u; all three come as ``_offsets`` gives
-    them.  ``phi`` then holds alpha times the jump and is free for the
-    caller to overwrite, as the flux difference does: it is still in
-    cache.  Returns the face array.
+    of the flux's component at u, all three as ``_offsets`` gives them;
+    ``phi`` is left holding alpha times the jump, for the caller to reuse.
     """
-    _neighbours(np.add, phi, j, face, False)
-    _neighbours(np.subtract, u, j, phi, False)
-    jump, face = phi[0], face[0]
-    jump *= alpha
-    face -= jump
+    u, u_up, u_down, first, last = u
+    x, x_up, x_down, _, _ = phi
+    face, _, face_down, _, _ = face
+    np.add(x_up, x_down, face_down)
+    face[last] = x[first] + x[last]
+    np.subtract(u_up, u_down, x_down)
+    x[last] = u[first] - u[last]
+    x *= alpha
+    face -= x
     return face
 
 
-def _flux_difference(face: tuple, j: int, dt: float, n: int, out: tuple) -> np.ndarray:
-    """0.5 * dt * n * (face_{i+1/2} - face_{i-1/2}) along axis j of n cells, into ``out``.
+def _scale(dt: float, n: int) -> float:
+    """The flux difference's factor 0.5 * dt * n on n cells: dt/h for doubled faces."""
+    return 0.5 * dt * n
 
-    ``face`` and ``out`` come as ``_offsets`` gives them; returns ``out``'s array.
-    """
-    _neighbours(np.subtract, face, j, out, True)
-    out = out[0]
-    out *= 0.5 * dt * n
+
+def _flux_difference(face: tuple, scale, out: tuple) -> np.ndarray:
+    """``_scale``'s scale * (face_{i+1/2} - face_{i-1/2}) into ``out``, both from ``_offsets``."""
+    face, face_up, face_down, first, last = face
+    out, out_up, _, _, _ = out
+    np.subtract(face_up, face_down, out_up)
+    out[first] = face[first] - face[last]
+    out *= scale
     return out
 
 
@@ -502,15 +486,19 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
             f"CFL violation: alpha_j dt/h_j = {courant:.6g} > 1 on axis {axis} "
             f"(dt={dt:.6g}, alpha={alpha:.6g}, shape={g.shape})"
         )
-    # the offset views of each array the sweep makes, once; the face buffer's are the grid's
-    u = f.values
+    kept, n = f.kept, g.shape[axis]
+    if kept is None or kept.flux is not flux:
+        kept, scale = None, _scale(dt, n)
+    else:
+        # 0-d twins for the bound's own alpha and dt alone (by identity, as -0.0 == 0.0)
+        alpha = kept.rates[axis] if alpha is kept.alphas[axis] else alpha
+        scale = kept.scales[axis] if dt is kept.dt_cfl and g is kept.grid else _scale(dt, n)
+    u = _offsets(f.values, axis)
     phi = _offsets(flux.eval_component(axis, f), axis)
     face = g._face_offsets[axis]
-    _faces(_offsets(u, axis), phi, alpha, axis, face)
-    d = _flux_difference(face, axis, dt, g.shape[axis], phi)
-    # a sweep of a field that carries a bound of this flux leaves the range unreduced
-    kept = f.kept
-    return CellField._swept(g, np.subtract(u, d, d), kept is None or kept[0] is not flux)
+    _faces(u, phi, alpha, face)
+    d = _flux_difference(face, scale, phi)
+    return CellField._swept(g, np.subtract(u[0], d, d), kept is None)
 
 
 def _joint_range(fields) -> tuple[float, float]:
@@ -533,14 +521,17 @@ _DRIFT = 2.0 ** -47
 _LIMIT = 2.0 ** 400
 
 
-def _carry(flux: PiecewiseFlux, lo: float, hi: float):
-    """The bound ``advance`` hands fields of joint range [lo, hi] under ``flux``, or None.
+_Bound = namedtuple("_Bound", "flux lo hi alphas plans rates grid cfl dt_cfl scales")
 
-    (flux, lo - delta, hi + delta, the alphas over [lo, hi]) when every
-    component has degree <= 1 on the piece that holds [lo - delta,
-    hi + delta] strictly inside its ends, delta the module docstring's
-    drift margin; None otherwise, for a NaN range, and for one outside
-    ``_LIMIT``'s rule.
+
+def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: float):
+    """The range rule's bound of fields of joint range [lo, hi] on ``field``'s grid at ``cfl``.
+
+    [lo - delta, hi + delta], delta the drift margin, when every component
+    has degree <= 1 on the piece p that holds it strictly inside its ends;
+    None otherwise, for a NaN range, and for one outside ``_LIMIT``'s rule.
+    plans[j] is component j's Horner plan on p; rates[j], alpha_j, and
+    scales[j], axis j's 0.5 dt_cfl N_j, are read-only 0-d arrays.
     """
     if not lo <= hi:
         return None
@@ -556,10 +547,13 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float):
     lo_k, hi_k = lo - delta, hi + delta
     if not (flux._bp_f[p] < lo_k and hi_k < flux._bp_f[p + 1]):
         return None
-    big = max(-lo_k, hi_k)
-    if any(abs(c0) + abs(c1) * big > _LIMIT for c0, c1 in affine):
+    if any(abs(c0) + abs(c1) * max(-lo_k, hi_k) > _LIMIT for c0, c1 in affine):
         return None
-    return flux, lo_k, hi_k, tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
+    alphas = tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
+    dt_cfl = cfl_dt(field, cfl, alphas)
+    return _Bound(flux, lo_k, hi_k, alphas, tuple(plans[p] for plans, _ in flux._plans),
+                  tuple(_constant(np.array(a)) for a in alphas), field.grid, cfl, dt_cfl,
+                  tuple(_constant(np.array(_scale(dt_cfl, n))) for n in field.grid.shape))
 
 
 def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
@@ -570,29 +564,33 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
     from them and dt = min(dt_cfl, ``t_remaining``); then one sweep of
     every field along each axis j in turn, with alpha_j over the joint
     range of what it reads: the start's for axis 0.  2m - 1 maxima a step,
-    unless every field carries one bound of this flux (``CellField.kept``)
-    or the flux is affine on their range, so that this step starts one:
-    then the bound gives every alpha, and the stepped fields carry it (the
-    module docstring's range rule).
+    unless every field carries one bound of this flux, grid and cfl
+    (``CellField.kept``) or the flux is affine on their range, so that
+    this step starts one: then the bound gives every alpha and dt_cfl, and
+    the stepped fields carry it (the module docstring's range rule).
     """
-    kept = fields[0].kept
-    for f in fields:
-        if f.kept is not kept:
-            kept = None
-    if kept is None or kept[0] is not flux:
+    kept = None
+    # a flux with no affine piece, such as Burgers, pays this one read
+    if flux._affine_pieces:
+        kept = fields[0].kept
+        for f in fields:
+            if f.kept is not kept:
+                kept = None
+        if kept is None or kept.flux is not flux or kept.cfl != cfl \
+                or kept.grid is not fields[0].grid:
+            kept = _carry(flux, *_joint_range(fields), fields[0], cfl)
+    if kept is None:
         lo, hi = _joint_range(fields)
-        # a flux with no affine piece, such as Burgers, pays this one read
-        kept = _carry(flux, lo, hi) if flux._affine_pieces else None
     if flux.n == 1:
-        # one sweep, with no list of alphas and no loop over the axes: in
-        # 1D the Python around a step costs about half as much as its ufuncs
-        alpha = lip_bound(flux, 0, lo, hi) if kept is None else kept[3][0]
-        dt_cfl = cfl_dt(fields[0], cfl, (alpha,))
+        # one sweep, with no list of alphas and no loop over the axes
+        alpha = lip_bound(flux, 0, lo, hi) if kept is None else kept.alphas[0]
+        dt_cfl = cfl_dt(fields[0], cfl, (alpha,)) if kept is None else kept.dt_cfl
         dt = t_remaining if t_remaining < dt_cfl else dt_cfl
         stepped = []
         for f in fields:
             f = step(f, flux, dt, alpha, 0)
-            f.kept = kept
+            if kept is not None:
+                f.kept = kept
             stepped.append(f)
         return dt_cfl, dt, stepped
     if kept is None:
@@ -600,8 +598,8 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
         for j in range(flux.n):
             alphas.append(lip_bound(flux, j, lo, hi))
     else:
-        alphas = kept[3]
-    dt_cfl = cfl_dt(fields[0], cfl, alphas)
+        alphas = kept.alphas
+    dt_cfl = cfl_dt(fields[0], cfl, alphas) if kept is None else kept.dt_cfl
     dt = t_remaining if t_remaining < dt_cfl else dt_cfl
     for axis, alpha in enumerate(alphas):
         if axis and kept is None:
@@ -646,9 +644,9 @@ def entropy_residual(before: CellField, after: CellField, flux: PiecewiseFlux,
     phi_max = _offsets(flux.eval_component(axis, umax), axis)
     phi_min = _offsets(flux.eval_component(axis, umin), axis)
     # two faces at once, so face buffers of its own rather than the grid's
-    qface = _faces(_offsets(umax, axis), phi_max, alpha, axis, _offsets(_empty(u), axis))
-    qface -= _faces(_offsets(umin, axis), phi_min, alpha, axis, _offsets(_empty(u), axis))
-    acc += _flux_difference(_offsets(qface, axis), axis, dt, g.shape[axis], phi_max)
+    qface = _faces(_offsets(umax, axis), phi_max, alpha, _offsets(_empty(u), axis))
+    qface -= _faces(_offsets(umin, axis), phi_min, alpha, _offsets(_empty(u), axis))
+    acc += _flux_difference(_offsets(qface, axis), _scale(dt, g.shape[axis]), phi_max)
     return float(acc.max())
 
 
@@ -671,9 +669,9 @@ def fourier_coeff(f: CellField, kbar) -> complex:
 def _observe(t: float, v: CellField, c: float) -> dict:
     """A record row of ``v`` at t: its exact range, and that range inside any carried bound."""
     kept = v.kept
-    if kept is not None and not kept[1] <= v.vmin <= v.vmax <= kept[2]:
+    if kept is not None and not kept.lo <= v.vmin <= v.vmax <= kept.hi:
         raise AssertionError(f"the range [{v.vmin!r}, {v.vmax!r}] at t={t:g} left the carried "
-                             f"bound [{kept[1]!r}, {kept[2]!r}]")
+                             f"bound [{kept.lo!r}, {kept.hi!r}]")
     return {
         "t": t,
         "l1_to_mean": _l1(v, c),

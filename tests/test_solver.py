@@ -200,7 +200,7 @@ def _face(a, b, flux, alpha):
     # ``_faces`` gives twice the Rusanov flux of component 0
     u = np.array([a, b])
     face = solver_mod._faces(*(solver_mod._offsets(a, 0) for a in (u, flux.eval_component(0, u))),
-                             alpha, 0, solver_mod._offsets(np.empty_like(u), 0))
+                             alpha, solver_mod._offsets(np.empty_like(u), 0))
     return 0.5 * float(face[0])
 
 
@@ -1057,22 +1057,30 @@ def test_traced_eval_component_counts_the_cells_of_a_field():
             assert s[5] == f.size == math.prod(g.shape)
 
 
-@pytest.mark.parametrize("op", [np.add, np.subtract])
-@pytest.mark.parametrize("upper", [False, True])
-def test_neighbours_1d_branch_matches_nd_branch(op, upper):
-    # the 1D branch (plain slices and a scalar wrap) against the n-D one
-    # (flat views and a slab wrap) on the (N, 1) view of the same values
+@pytest.mark.parametrize("part", ["faces", "flux_difference"])
+def test_1d_wrap_matches_nd_wrap(part):
+    # the 1D ends (plain slices and two scalars) against the n-D ones (flat
+    # views and two slabs) on the (N, 1) view of the same values, through
+    # each sweep helper whose neighbour operations wrap round the torus
     def offsets(a):
         return solver_mod._offsets(a, 0)
 
     x, _ = _field_values("signed-zero", (97,), np.random.default_rng(5))
     x[40::9] = np.nan
+    y = x[::-1].copy()
     for first, last in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (np.nan, 1.0), (0.1, 0.2)):
-        x[0], x[-1] = first, last
-        got, want = np.full_like(x, 7.0), np.full((x.size, 1), 7.0)
-        solver_mod._neighbours(op, offsets(x), 0, offsets(got), upper)
-        solver_mod._neighbours(op, offsets(x.reshape(-1, 1)), 0, offsets(want), upper)
-        assert same_bits(got, want.reshape(-1)), (first, last)
+        x[0], x[-1] = y[-1], y[0] = first, last
+        got = []
+        for shape in ((x.size,), (x.size, 1)):
+            u, phi, out = x.reshape(shape).copy(), y.reshape(shape).copy(), np.full(shape, 7.0)
+            if part == "faces":
+                # the face sum, and the jump times alpha that phi then holds
+                face = solver_mod._faces(offsets(u), offsets(phi), 0.75, offsets(out))
+                got.append((face.reshape(-1), phi.reshape(-1)))
+            else:
+                d = solver_mod._flux_difference(offsets(u), 0.3, offsets(out))
+                got.append((d.reshape(-1),))
+        assert all(same_bits(a, b) for a, b in zip(*got)), (first, last)
 
 
 def _on_line(a):
@@ -1183,7 +1191,7 @@ def test_1d_fields_and_grids_that_share_scratch_match_the_reference(n, make_flux
             assert same_bits(fields[k].values, _ref_step(flux, dt, f)[0])
         assert same_bits(fields[0].values, fields[1].values)
     for grid, other in (grids, grids[::-1]):
-        face, up, down = grid._face_offsets[0]
+        face, up, down, *_ = grid._face_offsets[0]
         assert face is grid._face
         assert np.shares_memory(up, face) and np.shares_memory(down, face)
         assert not np.shares_memory(face, other._face)
@@ -1459,7 +1467,7 @@ def test_affine_runs_match_runs_that_reduce_every_step(flux, grid, data, monkeyp
     assert advance(flux, DEFAULT_CFL, math.inf, *fields)[2][0].kept is not None
     cfg = SolverConfig(t_end=1.0, record_times=(0.25, 0.5))
     runs = []
-    for carry in (solver_mod._carry, lambda flux, lo, hi: None):
+    for carry in (solver_mod._carry, lambda *args: None):
         monkeypatch.setattr(solver_mod, "_carry", carry)
         got = {"evolve": _collect(flux, DEFAULT_CFL, grid, data, (0.0, 0.3, 0.6), True)}
         if len(data) == 1:
@@ -1596,3 +1604,140 @@ def test_affine_sweeps_drift_within_the_bound(c0, c1, m, lo, width, cfl, seed):
         if f2.kept is not None:
             assert f2.kept[1] <= f2.vmin and f2.vmax <= f2.kept[2]
         f = f2
+
+
+# --- the carried 1D path against the reference step ---------------------------
+# a step of fields that carry a bound evaluates the bound's plan with no range
+# check or piece choice, and takes the bound's 0-d alpha and scale for its own
+# alpha and dt: every bit still that of the np.roll + polyval reference
+
+class _CountedChecks:
+    """``flux._check_range``, its calls counted: the checked path makes them, the carried one not."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = flux_mod._check_range
+
+        def counted(*args):
+            self.calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(flux_mod, "_check_range", counted)
+
+
+@pytest.mark.parametrize("flux, values, cfl", [
+    # u/2 at cfl 1: alpha = 1/2 exactly, so every sweep is exact upwind
+    pytest.param(WAVE_FLUX, [_sine((128,), -0.05, 0.2, 1)], 1.0, id="cfl-1"),
+    pytest.param(SHIFTED_FLUX, [_sine((96,), 2.0, 1.5, 3)], DEFAULT_CFL, id="shifted"),
+    pytest.param(WAVE_FLUX, [_sine((64,), -0.05, 0.2, 4), _sine((64,), 0.1, 0.25, 5)],
+                 DEFAULT_CFL, id="two-fields"),
+])
+def test_carried_1d_steps_match_the_reference_bitwise(flux, values, cfl, monkeypatch):
+    checks = _CountedChecks(monkeypatch)
+    g = TorusGrid(values[0].shape)
+    fields = [CellField(g, v) for v in values]
+    kept = None
+    for k in range(40):
+        # every fifth step is cut short, as the last step before a record time
+        # is: its dt is not the bound's, so it takes the float scale
+        t_remaining = 0.37 * kept.dt_cfl if kept is not None and k % 5 == 4 else math.inf
+        checks.calls = 0
+        dt_cfl, dt, stepped = advance(flux, cfl, t_remaining, *fields)
+        carried_checks = checks.calls
+        assert all(same_bits(f.values, r) for f, r in zip(stepped, _ref_step(flux, dt, *fields)))
+        if kept is not None:
+            # carried: no range check, one dt_cfl, and dt cut short where asked
+            assert carried_checks == 0 and dt_cfl is kept.dt_cfl
+            assert (dt == t_remaining) if t_remaining < dt_cfl else (dt is dt_cfl)
+        kept = stepped[0].kept
+        assert kept is not None and kept.flux is flux and all(f.kept is kept for f in stepped)
+        if cfl == 1.0 and dt == dt_cfl:
+            assert dt_cfl * kept.alphas[0] * g.shape[0] == 1.0
+            np.testing.assert_allclose(stepped[0].values, np.roll(fields[0].values, 1),
+                                       rtol=0, atol=1e-15)
+        fields = stepped
+
+
+def test_a_direct_step_on_a_carried_field_uses_the_alpha_it_is_handed():
+    # the bound's 0-d alpha stands for the bound's own alpha alone; another
+    # one, or an equal float that is not the bound's, is used as handed
+    g = TorusGrid((128,))
+    _, _, (f,) = advance(WAVE_FLUX, DEFAULT_CFL, math.inf, CellField(g, _sine((128,), 0.0, 0.2, 6)))
+    kept = f.kept
+    assert kept is not None and kept.alphas == (0.5,)
+    for dt in (kept.dt_cfl, 0.5 * kept.dt_cfl):
+        for alpha in (kept.alphas[0], 0.55, 1.0 / 3.0, float("0.5")):
+            got = step(f, WAVE_FLUX, dt, alpha)
+            assert same_bits(got.values, _ref_sweep(f.values, WAVE_FLUX, dt, alpha, 0)), alpha
+            # a direct step hands on no bound, and its range reads exactly
+            assert got.kept is None and got.vmax == got.values.max()
+    # the CFL cap holds for a carried field too
+    with pytest.raises(CflError):
+        step(f, WAVE_FLUX, kept.dt_cfl, 2.0)
+
+
+def test_a_field_carrying_another_fluxs_bound_takes_the_checked_path(monkeypatch):
+    # OTHER is WAVE_FLUX's middle piece u/2 alone, on [-1/4, 1/4]: a field
+    # that carries WAVE_FLUX's bound is checked against OTHER's working
+    # range, and refused beyond it
+    other = PiecewiseFlux(B1, ["-1/4", "1/4"], [[["0", "1/2"]]])
+    checks = _CountedChecks(monkeypatch)
+    g = TorusGrid((64,))
+    for amp, inside in ((0.2, True), (0.45, False)):
+        _, _, (f,) = advance(WAVE_FLUX, DEFAULT_CFL, math.inf,
+                             CellField(g, _sine((64,), 0.0, amp, 7)))
+        assert f.kept is not None and f.kept.flux is WAVE_FLUX
+        checks.calls = 0
+        if not inside:
+            with pytest.raises(ValueError, match=r"leave the working range \[-0\.25, 0\.25\]"):
+                other.eval_component(0, f)
+            with pytest.raises(ValueError, match="leave the working range"):
+                step(f, other, 0.5 / 64, 0.5)
+            assert checks.calls == 2
+            continue
+        assert same_bits(other.eval_component(0, f), other.eval_component(0, f.values))
+        assert checks.calls == 2
+        # advance makes OTHER's own bound, and the steps keep the reference's bits
+        fields = [f]
+        for _ in range(10):
+            _, dt, stepped = advance(other, DEFAULT_CFL, math.inf, *fields)
+            assert same_bits(stepped[0].values, _ref_step(other, dt, *fields)[0])
+            assert stepped[0].kept.flux is other
+            fields = stepped
+
+
+def _frozen(monkeypatch):
+    """``CellField`` with every field's ``values`` read-only from construction on."""
+    init, swept = CellField.__init__, CellField._swept.__func__
+
+    def frozen_init(self, grid, values):
+        init(self, grid, values)
+        self.values.flags.writeable = False
+
+    def frozen_swept(cls, grid, values, reduce):
+        field = swept(cls, grid, values, reduce)
+        values.flags.writeable = False
+        return field
+
+    monkeypatch.setattr(CellField, "__init__", frozen_init)
+    monkeypatch.setattr(CellField, "_swept", classmethod(frozen_swept))
+
+
+@pytest.mark.parametrize("flux, grid, data", AFFINE_RUNS)
+def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
+    # the range rule trusts that no field's values are written after it is
+    # built: with every field's values read-only, a sweep that wrote one (a
+    # ping-pong buffer, say) would raise, and the runs keep every bit
+    times = (0.0, 0.3, 0.6)
+    plain = _collect(flux, DEFAULT_CFL, grid, data, times, True)
+    _frozen(monkeypatch)
+    frozen = []
+    for t, fields, log in evolve(flux, DEFAULT_CFL, grid, data, times, every_step=True):
+        assert not any(f.values.flags.writeable for f in fields)
+        frozen.append((t, [f.values.copy() for f in fields], [(f.vmin, f.vmax) for f in fields],
+                       log.record()))
+    assert fields[0].kept is not None
+    assert len(frozen) == len(plain) > 10
+    for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(frozen, plain):
+        assert (t, ranges, log) == (t2, ranges2, log2)
+        assert all(same_bits(a, b) for a, b in zip(values, values2))
