@@ -1057,30 +1057,36 @@ def test_traced_eval_component_counts_the_cells_of_a_field():
             assert s[5] == f.size == math.prod(g.shape)
 
 
-@pytest.mark.parametrize("part", ["faces", "flux_difference"])
-def test_1d_wrap_matches_nd_wrap(part):
-    # the 1D ends (plain slices and two scalars) against the n-D ones (flat
-    # views and two slabs) on the (N, 1) view of the same values, through
-    # each sweep helper whose neighbour operations wrap round the torus
+# each neighbour operation of a sweep, op(x_{i+1}, x_i) stored at i (at
+# i+1 if upper): the face sum and the jump of _faces, and the upward
+# difference of _flux_difference; no sweep takes an upward add
+@pytest.mark.parametrize("upper, op", [(False, np.add), (False, np.subtract),
+                                       (True, np.subtract)])
+def test_neighbours_1d_branch_matches_nd_branch(upper, op):
+    # the 1D ends (plain slices and two scalars) and the n-D ones (flat views
+    # and two slabs, on the (N, 1) view of the same values) against the
+    # operation on the torus, bit for bit; alpha and the scale are 1 and the
+    # jump taken off the face sum is +0, each of which keeps every bit
     def offsets(a):
         return solver_mod._offsets(a, 0)
 
     x, _ = _field_values("signed-zero", (97,), np.random.default_rng(5))
     x[40::9] = np.nan
-    y = x[::-1].copy()
     for first, last in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (np.nan, 1.0), (0.1, 0.2)):
-        x[0], x[-1] = y[-1], y[0] = first, last
-        got = []
+        x[0], x[-1] = first, last
+        want = op(x, np.roll(x, 1)) if upper else op(np.roll(x, -1), x)
         for shape in ((x.size,), (x.size, 1)):
-            u, phi, out = x.reshape(shape).copy(), y.reshape(shape).copy(), np.full(shape, 7.0)
-            if part == "faces":
-                # the face sum, and the jump times alpha that phi then holds
-                face = solver_mod._faces(offsets(u), offsets(phi), 0.75, offsets(out))
-                got.append((face.reshape(-1), phi.reshape(-1)))
+            vals, out = x.reshape(shape).copy(), np.full(shape, 7.0)
+            if upper:
+                got = solver_mod._flux_difference(offsets(vals), 1.0, offsets(out))
+            elif op is np.add:
+                got = solver_mod._faces(offsets(np.zeros(shape)), offsets(vals), 1.0,
+                                        offsets(out))
             else:
-                d = solver_mod._flux_difference(offsets(u), 0.3, offsets(out))
-                got.append((d.reshape(-1),))
-        assert all(same_bits(a, b) for a, b in zip(*got)), (first, last)
+                phi = np.full(shape, 7.0)
+                solver_mod._faces(offsets(vals), offsets(phi), 1.0, offsets(out))
+                got = phi
+            assert same_bits(got.reshape(-1), want), (shape, first, last)
 
 
 def _on_line(a):
