@@ -46,8 +46,10 @@ every later value in [lo, hi] up to rounding.  So the step that finds
 this reduces the range once and hands the stepped fields the bound
 [lo - delta, hi + delta] (``CellField.kept``, a ``_Bound``) with what a
 later step on their grid at their cfl would find again: the alphas,
-dt_cfl, the piece's Horner plans, and each alpha_j and scale
-0.5 dt_cfl N_j as a 0-d array, which a ufunc reads as the float it holds.
+dt_cfl, the piece's Horner plans, each Courant number alpha_j dt_cfl/h_j,
+and each alpha_j and scale 0.5 dt_cfl N_j as a 0-d array, which a ufunc
+reads as the float it holds.  A sweep handed the bound's own alpha and
+dt reads all three, and still tests the Courant number against the cap.
 A step that carries the bound, strictly inside the piece, would pass the
 range check and pick that piece as the step that made it did, so it
 reads, checks and chooses nothing and runs the same ufuncs on the same
@@ -83,7 +85,11 @@ must not step fields of one ``TorusGrid`` at once.  The grid keeps that
 buffer's views one cell apart along each axis too (``_face_offsets``), and
 a sweep takes those of its other two arrays once (``_offsets``): on 1D
 grids of 128-2048 cells a ufunc call on views made in advance costs about
-half as much as one that slices its operands first.  ``entropy_residual``
+half as much as one that slices its operands first.  The new values are
+phi_j's array, so the new field keeps phi_j's views (``CellField._swept``)
+and the next sweep along the same axis reads them: in 1D a sweep slices
+phi_j alone; in n-D the next sweep runs along another axis and slices
+both.  No view is written once its field is built.  ``entropy_residual``
 holds two faces at once, so it uses face buffers of its own.
 
 Layout rule: every full-grid array of at least 64 KiB that a sweep
@@ -167,6 +173,11 @@ MAX_CFL = 1.0
 
 # the Courant number a config that names none runs at, 10% below the cap
 DEFAULT_CFL = 0.9
+
+# the largest Courant number ``step`` takes: the cap up to rounding, as
+# dt = cfl / max_j alpha_j/h_j at cfl 1 gives a Courant number an ulp or
+# two from 1; a NaN one (0 * inf) fails the test against it too
+_COURANT_CAP = MAX_CFL * (1.0 + 1e-12)
 
 # the most time steps one run, or one contraction pair, may take; the
 # shipped configs and the bench workloads take at most a few thousand
@@ -255,7 +266,10 @@ class CellField:
     its new values through ``CellField._swept``, which skips the
     conversion and the shape check: those values are the sweep's own new
     array, a float one of the grid's shape, C-contiguous like the field it
-    swept.
+    swept.  Such a field keeps the ``_offsets`` views of its values along
+    the sweep's axis (``_views``, along ``_axis``; both None for a field
+    the constructor built), and a sweep along that axis reads them in
+    place of slicing ``values`` again; they must not be written either.
     """
 
     def __init__(self, grid: TorusGrid, values):
@@ -265,19 +279,24 @@ class CellField:
         self.grid = grid
         self.values = values
         self.kept = None
+        self._views = self._axis = None
 
     @classmethod
-    def _swept(cls, grid: TorusGrid, values: np.ndarray, reduce: bool) -> CellField:
-        """The new field of a sweep, its range reduced now if ``reduce``.
+    def _swept(cls, grid: TorusGrid, views: tuple, axis: int, reduce: bool) -> CellField:
+        """The new field of a sweep along ``axis``, its range reduced now if ``reduce``.
 
-        A sweep that carries no bound passes True: its range is read at the
-        next step, and reducing it here costs about 1 us less than a first
-        read through the cached property.
+        ``views`` is the ``_offsets`` tuple of the new values along ``axis``,
+        kept for the next sweep along that axis.  A sweep that carries no
+        bound passes True: its range is read at the next step, and reducing
+        it here costs about 1 us less than a first read through the cached
+        property.
         """
         field = object.__new__(cls)
         field.grid = grid
-        field.values = values
+        field.values = views[0]
         field.kept = None
+        field._views = views
+        field._axis = axis
         if reduce:
             field._reduce()
         return field
@@ -475,30 +494,31 @@ def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
     the ``lip_bound`` of component ``axis`` over what it reads; in 1D a
     sweep is the step.  Refuses a Courant number alpha dt/h_axis above 1.
     """
-    g = f.grid
-    if flux.n != g.m:
-        _check_components(flux, g.m, grid=True)
-    courant = alpha * dt / g.h[axis]
-    # rounding only: dt = cfl / max_j alpha_j/h_j at cfl 1 gives a Courant
-    # number an ulp or two from 1; a NaN one (0 * inf) fails this test too
-    if not courant <= MAX_CFL * (1.0 + 1e-12):
+    g, kept = f.grid, f.kept
+    if kept is not None and kept.flux is flux and g is kept.grid \
+            and alpha is kept.alphas[axis] and dt is kept.dt_cfl:
+        # the bound's own alpha and dt (by identity, as -0.0 == 0.0) on its
+        # grid, whose component count the sweep that first carried it checked:
+        # the bound's Courant number and the 0-d twins of alpha and the scale
+        courant, alpha, scale = kept.courants[axis], kept.rates[axis], kept.scales[axis]
+    else:
+        if flux.n != g.m:
+            _check_components(flux, g.m, grid=True)
+        if kept is not None and kept.flux is not flux:
+            kept = None
+        courant, scale = alpha * dt / g.h[axis], _scale(dt, g.shape[axis])
+    if not courant <= _COURANT_CAP:
         raise CflError(
             f"CFL violation: alpha_j dt/h_j = {courant:.6g} > 1 on axis {axis} "
             f"(dt={dt:.6g}, alpha={alpha:.6g}, shape={g.shape})"
         )
-    kept, n = f.kept, g.shape[axis]
-    if kept is None or kept.flux is not flux:
-        kept, scale = None, _scale(dt, n)
-    else:
-        # 0-d twins for the bound's own alpha and dt alone (by identity, as -0.0 == 0.0)
-        alpha = kept.rates[axis] if alpha is kept.alphas[axis] else alpha
-        scale = kept.scales[axis] if dt is kept.dt_cfl and g is kept.grid else _scale(dt, n)
-    u = _offsets(f.values, axis)
+    u = f._views if f._axis == axis else _offsets(f.values, axis)
     phi = _offsets(flux.eval_component(axis, f), axis)
     face = g._face_offsets[axis]
     _faces(u, phi, alpha, face)
     d = _flux_difference(face, scale, phi)
-    return CellField._swept(g, np.subtract(u[0], d, d), kept is None)
+    np.subtract(u[0], d, d)
+    return CellField._swept(g, phi, axis, kept is None)
 
 
 def _joint_range(fields) -> tuple[float, float]:
@@ -521,7 +541,7 @@ _DRIFT = 2.0 ** -47
 _LIMIT = 2.0 ** 400
 
 
-_Bound = namedtuple("_Bound", "flux lo hi alphas plans rates grid cfl dt_cfl scales")
+_Bound = namedtuple("_Bound", "flux lo hi alphas plans rates grid cfl dt_cfl scales courants")
 
 
 def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: float):
@@ -531,7 +551,9 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
     has degree <= 1 on the piece p that holds it strictly inside its ends;
     None otherwise, for a NaN range, and for one outside ``_LIMIT``'s rule.
     plans[j] is component j's Horner plan on p; rates[j], alpha_j, and
-    scales[j], axis j's 0.5 dt_cfl N_j, are read-only 0-d arrays.
+    scales[j], axis j's 0.5 dt_cfl N_j, are read-only 0-d arrays;
+    courants[j] is axis j's Courant number alpha_j dt_cfl/h_j, computed as
+    ``step`` computes it.
     """
     if not lo <= hi:
         return None
@@ -551,9 +573,11 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
         return None
     alphas = tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
     dt_cfl = cfl_dt(field, cfl, alphas)
+    g = field.grid
     return _Bound(flux, lo_k, hi_k, alphas, tuple(plans[p] for plans, _ in flux._plans),
-                  tuple(_constant(np.array(a)) for a in alphas), field.grid, cfl, dt_cfl,
-                  tuple(_constant(np.array(_scale(dt_cfl, n))) for n in field.grid.shape))
+                  tuple(_constant(np.array(a)) for a in alphas), g, cfl, dt_cfl,
+                  tuple(_constant(np.array(_scale(dt_cfl, n))) for n in g.shape),
+                  tuple(a * dt_cfl / h for a, h in zip(alphas, g.h)))
 
 
 def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
@@ -583,8 +607,11 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
         lo, hi = _joint_range(fields)
     if flux.n == 1:
         # one sweep, with no list of alphas and no loop over the axes
-        alpha = lip_bound(flux, 0, lo, hi) if kept is None else kept.alphas[0]
-        dt_cfl = cfl_dt(fields[0], cfl, (alpha,)) if kept is None else kept.dt_cfl
+        if kept is None:
+            alpha = lip_bound(flux, 0, lo, hi)
+            dt_cfl = cfl_dt(fields[0], cfl, (alpha,))
+        else:
+            alpha, dt_cfl = kept.alphas[0], kept.dt_cfl
         dt = t_remaining if t_remaining < dt_cfl else dt_cfl
         stepped = []
         for f in fields:
@@ -615,7 +642,9 @@ def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
 
 def _l1(f: CellField, other) -> float:
     """prod_j h_j * sum_cells |f - other|, ``other`` an array on f's grid or a scalar."""
-    return f.grid.cell_volume * float(np.sum(np.abs(f.values - other)))
+    d = f.values - other
+    # the pairwise sum np.sum takes, without its Python wrapper
+    return f.grid.cell_volume * float(np.add.reduce(np.absolute(d, d), None))
 
 
 def l1_distance(f: CellField, g: CellField) -> float:
@@ -677,7 +706,7 @@ def _observe(t: float, v: CellField, c: float) -> dict:
         "l1_to_mean": _l1(v, c),
         "min": v.vmin,
         "max": v.vmax,
-        "mass": v.grid.cell_volume * float(np.sum(v.values)),
+        "mass": v.grid.cell_volume * float(np.add.reduce(v.values, None)),
     }
 
 

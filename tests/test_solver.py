@@ -1713,37 +1713,133 @@ def test_a_field_carrying_another_fluxs_bound_takes_the_checked_path(monkeypatch
 
 
 def _frozen(monkeypatch):
-    """``CellField`` with every field's ``values`` read-only from construction on."""
+    """``CellField`` with every field's ``values``, and the views of them it keeps, read-only.
+
+    numpy leaves a view made before its base is set read-only writeable, so
+    the views a swept field keeps are set read-only one by one.
+    """
     init, swept = CellField.__init__, CellField._swept.__func__
 
     def frozen_init(self, grid, values):
         init(self, grid, values)
         self.values.flags.writeable = False
 
-    def frozen_swept(cls, grid, values, reduce):
-        field = swept(cls, grid, values, reduce)
-        values.flags.writeable = False
+    def frozen_swept(cls, grid, views, axis, reduce):
+        field = swept(cls, grid, views, axis, reduce)
+        for a in views[:3]:
+            a.flags.writeable = False
         return field
 
     monkeypatch.setattr(CellField, "__init__", frozen_init)
     monkeypatch.setattr(CellField, "_swept", classmethod(frozen_swept))
 
 
-@pytest.mark.parametrize("flux, grid, data", AFFINE_RUNS)
+# the affine runs, and the contraction pair: two Burgers fields, none of
+# which carries a bound
+FROZEN_RUNS = AFFINE_RUNS + [
+    pytest.param(burgers_1d(), TorusGrid((256,)), [TorusPoly(1, {(0,): 0.3, (1,): -0.25j}),
+                                                   TorusPoly(1, {(0,): 0.1, (1,): 0.25})],
+                 id="contraction-pair"),
+]
+
+
+@pytest.mark.parametrize("flux, grid, data", FROZEN_RUNS)
 def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
     # the range rule trusts that no field's values are written after it is
-    # built: with every field's values read-only, a sweep that wrote one (a
-    # ping-pong buffer, say) would raise, and the runs keep every bit
+    # built: with every field's values and kept views read-only, a sweep that
+    # wrote one (a ping-pong buffer, say) would raise, and the runs keep every bit
     times = (0.0, 0.3, 0.6)
     plain = _collect(flux, DEFAULT_CFL, grid, data, times, True)
     _frozen(monkeypatch)
     frozen = []
     for t, fields, log in evolve(flux, DEFAULT_CFL, grid, data, times, every_step=True):
         assert not any(f.values.flags.writeable for f in fields)
+        assert not any(a.flags.writeable for f in fields if f._views for a in f._views[:3])
         frozen.append((t, [f.values.copy() for f in fields], [(f.vmin, f.vmax) for f in fields],
                        log.record()))
-    assert fields[0].kept is not None
+    assert (fields[0].kept is not None) == bool(flux._affine_pieces)
     assert len(frozen) == len(plain) > 10
     for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(frozen, plain):
         assert (t, ranges, log) == (t2, ranges2, log2)
         assert all(same_bits(a, b) for a, b in zip(values, values2))
+
+
+# --- what a sweep slices, and the Courant numbers a bound holds ---------------
+# a swept field keeps the views of its values that its sweep made; the next
+# sweep along that axis reads them and slices only the new flux values
+
+@pytest.mark.parametrize("flux, shape, nfields", [
+    pytest.param(WAVE_FLUX, (128,), 1, id="carried-1d"),
+    pytest.param(burgers_1d(), (96,), 2, id="burgers-1d"),
+    pytest.param(_burgers_nd(2), (12, 10), 2, id="burgers-2d"),
+    pytest.param(_linear_nd(3), (6, 5, 4), 2, id="carried-3d"),
+])
+def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypatch):
+    # each field's first sweep slices its values and phi, and a later sweep
+    # phi alone in 1D; in n-D the kept views run along another axis, so every
+    # sweep slices both, and every sweep reads views one cell apart along its
+    # own axis; m + 1 steps, each bit for bit the reference's
+    calls, axes = [0], []
+    real_offsets, real_step, real_faces = solver_mod._offsets, solver_mod.step, solver_mod._faces
+
+    def counted(x, j):
+        calls[0] += 1
+        return real_offsets(x, j)
+
+    def recorded(f, flux, dt, alpha, axis=0):
+        axes.append(axis)
+        return real_step(f, flux, dt, alpha, axis)
+
+    def checked(u, phi, alpha, face):
+        # up[i] starts prod(shape[j+1:]) elements past x[i] for the sweep's axis j
+        s = math.prod(shape[axes[-1] + 1:])
+        for x, up, down, *_ in (u, phi, face):
+            base = x.__array_interface__["data"][0]
+            assert up.__array_interface__["data"][0] - base == 8 * s
+            assert down.__array_interface__["data"][0] == base and up.size == x.size - s
+        return real_faces(u, phi, alpha, face)
+
+    m, g = len(shape), TorusGrid(shape)
+    fields = [CellField(g, _sine(shape, 0.1 * k, 0.3, k)) for k in range(nfields)]
+    assert len(g._face_offsets) == m  # the face buffer's views, made once per grid
+    monkeypatch.setattr(solver_mod, "_offsets", counted)
+    monkeypatch.setattr(solver_mod, "step", recorded)
+    monkeypatch.setattr(solver_mod, "_faces", checked)
+    for _ in range(m + 1):
+        _, dt, stepped = advance(flux, DEFAULT_CFL, math.inf, *fields)
+        assert all(same_bits(f.values, r) for f, r in zip(stepped, _ref_step(flux, dt, *fields)))
+        fields = stepped
+    assert (fields[0].kept is not None) == bool(flux._affine_pieces)
+    sweeps = (m + 1) * m * nfields
+    assert len(axes) == sweeps
+    assert calls[0] == (sweeps + nfields if m == 1 else 2 * sweeps)
+
+
+@pytest.mark.parametrize("flux, shape", [
+    pytest.param(WAVE_FLUX, (128,), id="wave-1d"),
+    pytest.param(_linear_nd(2), (12, 10), id="linear-2d"),
+    pytest.param(_linear_nd(3), (6, 5, 4), id="linear-3d"),
+])
+def test_a_bound_holds_each_axis_courant_number(flux, shape):
+    # the stored number is alpha_j dt_cfl/h_j bit for bit; a step cut short
+    # computes its own, so a planted bound whose stored number is past the
+    # cap steps when cut short and is refused on a full step
+    g = TorusGrid(shape)
+    f0 = CellField(g, _sine(shape, 0.0, 0.3, 8))
+    _, _, (f,) = advance(flux, DEFAULT_CFL, math.inf, f0)
+    kept = f.kept
+    assert kept is not None
+    want = tuple(lip_bound(flux, j, f0.vmin, f0.vmax) * kept.dt_cfl / g.h[j]
+                 for j in range(len(shape)))
+    assert [c.hex() for c in kept.courants] == [c.hex() for c in want]
+    assert [c.hex() for c in kept.courants] == \
+        [(a * kept.dt_cfl / h).hex() for a, h in zip(kept.alphas, g.h)]
+    planted = kept._replace(courants=(math.nextafter(solver_mod._COURANT_CAP, 2.0),) * len(shape))
+    f.kept = planted
+    _, dt, (short,) = advance(flux, DEFAULT_CFL, 0.37 * kept.dt_cfl, f)
+    assert dt == 0.37 * kept.dt_cfl and short.kept is planted
+    assert same_bits(short.values, _ref_step(flux, dt, f)[0])
+    with pytest.raises(CflError, match="CFL violation"):
+        advance(flux, DEFAULT_CFL, math.inf, f)
+    with pytest.raises(CflError, match="CFL violation"):
+        step(f, flux, kept.dt_cfl, kept.alphas[0])
