@@ -534,6 +534,8 @@ class SpectrumGroupBasis:
     ``pivots``.  Only this module reads that flat layout: the flux takes
     the generators per component (``generators``) and combines them
     itself, and ``frequencies`` is the same generators in frequency space.
+    ``_built`` holds the coordinates of the frequencies it was built from,
+    keyed by their ``(num, den)``, which ``member_coords`` looks up.
     """
 
     basis: FrequencyBasis
@@ -541,6 +543,7 @@ class SpectrumGroupBasis:
     rows: tuple[tuple[int, ...], ...] = ()
     pivots: tuple[int, ...] = ()
     den: int = 1
+    _built: Mapping[tuple, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -581,23 +584,31 @@ def _group(freqs: Sequence[Frequency]) -> tuple[SpectrumGroupBasis, list[tuple[i
     den = math.lcm(*(f.den for f in freqs))
     rows = [_numerators(f, den) for f in freqs]
     work, pivots = _hermite([list(r) for r in rows if any(r)])
-    gb = SpectrumGroupBasis(freqs[0].basis, freqs[0].n,
-                            tuple(tuple(r) for r in work[: len(pivots)]), tuple(pivots), den)
+    hnf = tuple(tuple(r) for r in work[: len(pivots)])
     coords = []
     for r in rows:
-        ks = _solve_int_rows(gb.rows, gb.pivots, r)
+        ks = _solve_int_rows(hnf, pivots, r)
         assert ks is not None, "input frequency must lie in its own group"
         coords.append(tuple(ks))
-    return gb, coords
+    built = {(f.num, f.den): ks for f, ks in zip(freqs, coords)}
+    return SpectrumGroupBasis(freqs[0].basis, freqs[0].n, hnf, tuple(pivots), den, built), coords
 
 
 def member_coords(freq: Frequency, gb: SpectrumGroupBasis) -> tuple[int, ...] | None:
     """Integer coordinates of ``freq`` over the group basis, or None.
 
     None when the exact solve has no integer solution (the frequency lies
-    outside the group).
+    outside the group).  A frequency the group was built from, or its
+    negation, is looked up instead of solved.
     """
     _check_space(freq, gb.basis, gb.n)
+    if gb._built:
+        ks = gb._built.get((freq.num, freq.den))
+        if ks is not None:
+            return ks
+        ks = gb._built.get((tuple([tuple([-x for x in c]) for c in freq.num]), freq.den))
+        if ks is not None:
+            return tuple([-k for k in ks])
     if gb.den % freq.den:
         return None
     ks = _solve_int_rows(gb.rows, gb.pivots, _numerators(freq, gb.den))

@@ -1,6 +1,7 @@
 """Dimension lifting and orbit sampling."""
 
 import contextlib
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import apcl.freqlattice as freqlattice
 import apcl.lift as lift_mod
 from apcl.flux import (
     PiecewiseFlux,
@@ -383,18 +385,23 @@ def test_data_group_solves_the_first_keys_and_refuses_as_every_key_would(data):
 
 
 @contextlib.contextmanager
-def _recorded_round_trip():
-    """lift_mod._round_trip, wrapped to keep each call's (u0, v0, lam) and its (err, scale)."""
+def _recorded(name):
+    """lift_mod.<name>, wrapped to keep each call's (u0, v0, lam) and its result."""
     calls = []
-    inner = lift_mod._round_trip
+    inner = getattr(lift_mod, name)
 
     def recording(u0, v0, lam):
         out = inner(u0, v0, lam)
         calls.append(((u0, v0, lam), out))
         return out
 
-    with mock.patch.object(lift_mod, "_round_trip", recording):
+    with mock.patch.object(lift_mod, name, recording):
         yield calls
+
+
+def _recorded_round_trip():
+    """lift_mod._round_trip, wrapped to keep each call's (u0, v0, lam) and its (err, scale)."""
+    return _recorded("_round_trip")
 
 
 def _public_round_trip(u0, v0, lam):
@@ -421,18 +428,85 @@ def test_round_trip_numbers_on_the_badly_scaled_rank_4_data():
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_round_trip_numbers_are_those_of_two_public_evals(data):
+@settings(max_examples=200, deadline=None)
+def test_phase_bound_holds_the_public_round_trip_err(data):
+    # the bound is at least the err of two public evals, and the lift refuses
+    # iff that err misses 1e-10 x scale, whether the bound certified it or not
     u0 = _draw_data(data)
-    with _recorded_round_trip() as calls:
-        pb = lift_problem(u0, None)
-    if not pb.m:
+    with _recorded("_phase_bound") as calls:
+        try:
+            pb, refusal = lift_problem(u0, None), None
+        except ValueError as e:
+            pb, refusal = None, str(e)
+    if pb is not None and not pb.m:
         assert not calls
         return
-    (args, (err, scale)), = calls
-    assert args[1] is pb.v0 and args[2] is pb.lam
-    assert (err, scale) == _public_round_trip(*args)
-    assert err <= 1e-10 * scale
+    (args, bound), = calls
+    _, v0, lam = args
+    # pair p of v0 is the lift of pair p of u0: the bound pairs them so
+    gb = group_basis(u0.spectrum())
+    assert v0._pair_rows.tolist() == [list(member_coords(f, gb)) for f in u0._firsts]
+    err, scale = _public_round_trip(*args)
+    assert bound >= err
+    assert (refusal is not None) == (err > 1e-10 * scale)
+    if pb is not None:
+        assert v0 is pb.v0 and lam is pb.lam
+
+
+def test_phase_bound_holds_on_amplitudes_of_many_sizes():
+    # where one pair's phases differ by an ulp or two and the amplitudes span
+    # decades, the evals' rounding outweighs the phase term: the margin covers it
+    rnd = random.Random(20260)
+    for _ in range(300):
+        basis, n = rnd.choice([B1, B2]), rnd.choice([1, 2])
+        terms = {}
+        for _ in range(rnd.randint(1, 3)):
+            f = Frequency.of(basis, [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 2))
+                                      for _ in range(basis.dim)] for _ in range(n)])
+            if not f.is_zero and f not in terms and -f not in terms:
+                terms[f] = complex(rnd.uniform(-0.5, 0.5), rnd.uniform(-0.5, 0.5)) \
+                    * 10.0 ** rnd.randint(-4, 0)
+        if rnd.random() < 0.5:
+            terms[Frequency.of(basis, [[0] * basis.dim] * n)] = rnd.uniform(-1.0, 1.0)
+        u0 = TrigPoly(basis, n, terms)
+        with _recorded("_phase_bound") as calls:
+            pb = lift_problem(u0, None)
+        if pb.m:
+            (args, bound), = calls
+            err, scale = _public_round_trip(*args)
+            assert bound >= err
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_member_coords_looks_up_the_build_keys_and_their_negations(data):
+    # a group keeps the solves of the keys it was built from: member_coords of
+    # them and of their negations is a lookup, and equals the solve
+    u0 = _draw_data(data)
+    build = list(u0._firsts) if data.draw(st.booleans()) else list(u0.spectrum())
+    assume(build)
+    gb = group_basis(build)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    others = [Frequency.of(u0.basis, data.draw(st.lists(
+        st.lists(small, min_size=u0.basis.dim, max_size=u0.basis.dim),
+        min_size=u0.n, max_size=u0.n))) for _ in range(3)]
+
+    def solved(f):
+        if gb.den % f.den:
+            return None
+        ks = freqlattice._solve_int_rows(gb.rows, gb.pivots,
+                                         freqlattice._numerators(f, gb.den))
+        return None if ks is None else tuple(ks)
+
+    looked_up = [*build, *[-f for f in build]]
+    want = [solved(f) for f in looked_up + others]
+    with mock.patch.object(freqlattice, "_solve_int_rows",
+                           side_effect=freqlattice._solve_int_rows) as solve:
+        got = [member_coords(f, gb) for f in looked_up]
+        assert not solve.called
+        got += [member_coords(f, gb) for f in others]
+    assert got == want
+    assert all(k is not None for k in want[:len(looked_up)])
 
 
 def test_lift_is_derived_once_per_flux_and_group():
