@@ -305,9 +305,9 @@ class PiecewiseFlux:
         """{p: the float (c_0, c_1) of each component} for every piece p that is affine.
 
         A piece is affine when every component has degree <= 1 on it,
-        decided exactly.  ``solver.advance`` reads this to carry a bound
-        (``CellField.kept``); a flux with no affine piece, such as Burgers,
-        costs it that one read.
+        decided exactly.  The solver's stepper reads this to plan a carried
+        bound (``solver._carry``); a flux with no affine piece, such as
+        Burgers, costs it that one read.
         """
         return {p: tuple((c[0], c[1] if len(c) > 1 else 0.0) for c in self._coef_f[p].tolist())
                 for p, piece in enumerate(self._num)
@@ -361,7 +361,7 @@ class PiecewiseFlux:
                 crit = []
                 if len(dd) > 1:
                     # phi'' of degree >= 1: its real roots (a pair with a tiny
-                    # imaginary part is kept too, which can only raise the bound)
+                    # imaginary part counts too, which can only raise the bound)
                     crit = [float(r.real) for r in np.roots(dd[::-1])
                             if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and u0 < r.real < u1]
                 rows.append((ends[p], ends[p + 1], c[-1], tuple(c[-2::-1]), crit))
@@ -372,18 +372,12 @@ class PiecewiseFlux:
         """Vectorized single-component evaluation with the tie rules above.
 
         ``u`` is an array, or a field that holds its values' range: anything
-        with ``values``, ``vmin``, ``vmax`` and ``kept``, as
-        ``solver.CellField`` has.  A field this flux stepped on a carried
-        bound (``kept``) takes the bound's plan, as the range check and the
-        piece choice made with the bound hold for its values.  Any other
-        field's range is read, and reduced again only if it is NaN.
+        with ``values``, ``vmin`` and ``vmax``, as ``solver.CellField`` has.
+        A field's range is read, and reduced again only if it is NaN.
         Refuses values beyond the working range (``_check_range``).
         Returns a new array, which the caller may overwrite.
         """
-        if hasattr(u, "kept"):
-            kept = u.kept
-            if kept is not None and kept.flux is self:
-                return _horner(kept.plans[component], u.values)
+        if hasattr(u, "values"):
             umin, umax = u.vmin, u.vmax
             u = u.values
         else:

@@ -536,7 +536,7 @@ class RunReport:
 
 # --- runners: each returns (tables, scalars, plots, fields, stepping) -------
 # plots maps an SVG name to its (label, xs, ys) series, and render_svg picks
-# the y scale; stepping holds one StepLog record per ``solver.evolve`` loop:
+# the y scale; stepping holds one stepper record per ``solver.evolve`` loop:
 # per grid for convergence, per pair for contraction, none for check-flux;
 # decay and spectrum share one runner, which reads what the config holds
 
@@ -586,17 +586,19 @@ def _run_contraction(cfg: ExperimentConfig):
         raise ValueError("contraction needs non-constant data")
     rows = []
     # dt is capped at unit time, the step a flux constant on the joint range gets
-    for t, (fa, fb), log in evolve(pa.flux, cfg.cfl, cfg.grid, (pa.v0, pb.v0),
-                                   (0.0, math.inf), cap=1.0):
-        rows.append({"step": log.steps, "t": t, "l1_distance": l1_distance(fa, fb)})
-        if log.steps == cfg.steps:
+    for t, (fa, fb), stepper in evolve(pa.flux, cfg.cfl, cfg.grid, (pa.v0, pb.v0),
+                                       (0.0, math.inf), cap=1.0):
+        rows.append({"step": stepper.steps, "t": t, "l1_distance": l1_distance(fa, fb)})
+        if stepper.steps == cfg.steps:
             break
+    # the series reads no range, so the carried bound is checked once, after the last step
+    stepper.check(t)
     d = [r["l1_distance"] for r in rows]
     tables = {"series": (rows, ["step", "t", "l1_distance"])}
     scalars = {"initial_distance": d[0], "final_distance": d[-1],
                "max_step_increase": max([0.0] + [b - a for a, b in zip(d, d[1:])])}
     plots = {"series": [_series_from_rows(rows, "t", "l1_distance", "l1_distance")]}
-    return tables, scalars, plots, {}, [log.record()]
+    return tables, scalars, plots, {}, [stepper.record()]
 
 
 def _wave_problem(cfg: ExperimentConfig):

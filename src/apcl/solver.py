@@ -8,13 +8,13 @@ of |phi_j'| over the joint range of the fields the sweep reads, with no
 safety factor, which ``lip_bound`` takes in closed form from the piece
 ends and the critical points of phi_j' between them.  In 1D a step is one
 sweep.  For a linear flux at a Courant number of 1 a sweep is exact
-upwind, a shift by one cell.  ``advance`` is the one place that chooses
-dt and the alphas, 2m - 1 maxima a step on a flux that is not affine on
-the range: dt from the alphas of the fields' range at the start of the
-step, then each sweep with the alpha of what it reads, the start's for
-sweep 0; on a flux that is, none after the first step (the range rule
-below).  ``evolve`` is the one time loop that calls it: ``run`` and the
-harness's two-field contraction both step through ``evolve``.
+upwind, a shift by one cell.  A run's ``_Stepper`` is the one place that
+chooses dt and the alphas, 2m - 1 maxima a step on a flux that is not
+affine on the range: dt from the alphas of the fields' range at the start
+of the step, then each sweep with the alpha of what it reads, the start's
+for sweep 0; on a flux that is, none after the first step (the range rule
+below).  ``evolve``, the one time loop, builds one stepper per run: ``run``
+and the harness's two-field contraction both step through it.
 
 A sweep is monotone when every new value is a nondecreasing function of
 the old ones.  Its weight on u_i is 1 - C_j, C_j = alpha_j dt/h_j the
@@ -43,24 +43,22 @@ read.  Where every component is affine, phi_j = c_0 + c_1 u, on one piece
 that holds the fields' joint range [lo, hi] with room to spare, alpha_j is
 |c_1| wherever the range lies in that piece, and the max principle keeps
 every later value in [lo, hi] up to rounding.  So the step that finds
-this reduces the range once and hands the stepped fields the bound
-[lo - delta, hi + delta] (``CellField.kept``, a ``_Bound``) with what a
-later step on their grid at their cfl would find again: the alphas,
-dt_cfl, the piece's Horner plans, each Courant number alpha_j dt_cfl/h_j,
-and each alpha_j and scale 0.5 dt_cfl N_j as a 0-d array, which a ufunc
-reads as the float it holds.  A sweep handed the bound's own alpha and
-dt reads all three, and still tests the Courant number against the cap.
-A step that carries the bound, strictly inside the piece, would pass the
-range check and pick that piece as the step that made it did, so it
-reads, checks and chooses nothing and runs the same ufuncs on the same
-operands: every value, alpha and dt keeps its bits.  ``run`` asserts at
-each record time that the exact range lies in the bound (exit 5).
+this reduces the range once, and the run's stepper keeps the bound
+[lo - delta, hi + delta] with what a later step would find again
+(``_carry``), alpha_j and the scale 0.5 dt_cfl N_j among it as 0-d
+arrays, which a ufunc reads as the float each holds.  Strictly inside the
+piece, a step on the bound would pass the range check and pick that
+piece as the step that made it did, so its sweeps (``_carried_sweep``)
+check nothing but the Courant number against the cap and run the same
+ufuncs on the same operands: every value, alpha and dt keeps its bits.
+``_Stepper.check`` asserts that the exact range lies in the bound (exit
+5), at each record time of ``run`` and after the contraction's last step.
 
 Drift bound: let s = |c_1| = alpha_j, r = |c_0/c_1|, M the largest |u|
 a sweep reads and eps = 2^-53.  Each evaluated phi is off by at most
 eps s (2M + r), each face (at most s (4M + 2r)) by eps s (14M + 6r), each
 face difference by eps s (36M + 16r), and the update, scaled by
-dt/2h_j <= (1 + 4 eps)/(2s) as the Courant number of ``advance``'s dt is
+dt/2h_j <= (1 + 4 eps)/(2s) as the Courant number of a stepper's dt is
 at most 1 + 4 eps, by eps (26M + 12r); the exact update overshoots the
 range it reads by at most (C_j - 1) 2M <= 8 eps M and the final
 subtraction rounds by eps M.  So one affine sweep leaves the range it
@@ -86,11 +84,10 @@ buffer's views one cell apart along each axis too (``_face_offsets``), and
 a sweep takes those of its other two arrays once (``_offsets``): on 1D
 grids of 128-2048 cells a ufunc call on views made in advance costs about
 half as much as one that slices its operands first.  The new values are
-phi_j's array, so the new field keeps phi_j's views (``CellField._swept``)
-and the next sweep along the same axis reads them: in 1D a sweep slices
-phi_j alone; in n-D the next sweep runs along another axis and slices
-both.  No view is written once its field is built.  ``entropy_residual``
-holds two faces at once, so it uses face buffers of its own.
+phi_j's array, so in 1D a stepper keeps phi_j's views and its next
+carried sweep slices phi_j alone; ``step``, handed a field, and every n-D
+sweep slice both.  No view is written once its values are a field's.
+``entropy_residual`` holds two faces at once, so it has face buffers of its own.
 
 Layout rule: every full-grid array of at least 64 KiB that a sweep
 writes starts on a 64-byte cache line: each Horner result, and so the new
@@ -132,6 +129,7 @@ from .flux import (
     _check_range,
     _constant,
     _empty,
+    _horner,
     affine_on,
     directional,
     lip_bound,
@@ -145,7 +143,6 @@ __all__ = [
     "SolverConfig",
     "DEFAULT_CFL",
     "check_cfl",
-    "StepLog",
     "Trajectory",
     "CflError",
     "CounterexampleError",
@@ -257,19 +254,12 @@ class CellField:
     """Cell-average values on a TorusGrid; treated as immutable.
 
     ``vmin`` and ``vmax`` are the values' exact range, reduced on first
-    read and kept.  ``lip_bound``, ``eval_component``, ``_observe`` and the
+    read and kept.  ``lip_bound``, ``eval_component``, the stepper and the
     range rule trust them, so ``values`` must not be written after
     construction: a sweep into a ping-pong buffer would break that silently.
-    ``kept`` is None, or the ``_Bound`` that ``advance`` hands the fields
-    it stepped on a flux affine on their range, which a step reads in
-    place of the range (the module docstring's range rule).  A sweep wraps
-    its new values through ``CellField._swept``, which skips the
-    conversion and the shape check: those values are the sweep's own new
-    array, a float one of the grid's shape, C-contiguous like the field it
-    swept.  Such a field keeps the ``_offsets`` views of its values along
-    the sweep's axis (``_views``, along ``_axis``; both None for a field
-    the constructor built), and a sweep along that axis reads them in
-    place of slicing ``values`` again; they must not be written either.
+    A sweep wraps its new values, its own C-contiguous float array of the
+    grid's shape, through ``CellField._swept``, which skips the conversion
+    and the shape check.
     """
 
     def __init__(self, grid: TorusGrid, values):
@@ -278,25 +268,17 @@ class CellField:
             raise ValueError(f"values shape {values.shape} != grid {grid.shape}")
         self.grid = grid
         self.values = values
-        self.kept = None
-        self._views = self._axis = None
 
     @classmethod
-    def _swept(cls, grid: TorusGrid, views: tuple, axis: int, reduce: bool) -> CellField:
-        """The new field of a sweep along ``axis``, its range reduced now if ``reduce``.
+    def _swept(cls, grid: TorusGrid, values: np.ndarray, reduce: bool) -> CellField:
+        """The field of a sweep's new ``values``, its range reduced now if ``reduce``.
 
-        ``views`` is the ``_offsets`` tuple of the new values along ``axis``,
-        kept for the next sweep along that axis.  A sweep that carries no
-        bound passes True: its range is read at the next step, and reducing
-        it here costs about 1 us less than a first read through the cached
-        property.
+        ``step`` passes True, as the next step reads the range: here it costs
+        about 1 us less than through the cached property.
         """
         field = object.__new__(cls)
         field.grid = grid
-        field.values = views[0]
-        field.kept = None
-        field._views = views
-        field._axis = axis
+        field.values = values
         if reduce:
             field._reduce()
         return field
@@ -336,44 +318,6 @@ class SolverConfig:
             if not 0.0 <= t <= self.t_end + 1e-12:
                 raise ValueError(f"record time {t} outside [0, t_end]")
         object.__setattr__(self, "record_times", tuple(min(t, self.t_end) for t in rt))
-
-
-class StepLog:
-    """How one run, or one contraction pair, stepped: ``add`` each ``advance``.
-
-    ``record`` gives the step count, the least and largest dt, and the peak
-    Courant number max_j alpha_j dt/h_j, with the alphas of the step's start.
-    A step's Courant number is cfl * (dt / dt_cfl), as
-    dt_cfl = cfl / max_j alpha_j/h_j; dt <= dt_cfl,
-    so the quotient rounds to at most 1 and the peak to at most ``cfl``.
-    """
-
-    __slots__ = ("cfl", "steps", "dt_min", "dt_max", "ratio_max")
-
-    def __init__(self, cfl: float):
-        self.cfl = cfl
-        self.steps = 0
-        self.dt_min = math.inf
-        self.dt_max = 0.0
-        self.ratio_max = 0.0
-
-    def add(self, dt_cfl: float, dt: float):
-        self.steps += 1
-        if dt < self.dt_min:
-            self.dt_min = dt
-        if dt > self.dt_max:
-            self.dt_max = dt
-        # 0 when every alpha is 0 and dt_cfl infinite
-        ratio = dt / dt_cfl
-        if ratio > self.ratio_max:
-            self.ratio_max = ratio
-
-    def record(self) -> dict:
-        """steps, dt_min, dt_max and courant_max; the last three null without a step."""
-        if not self.steps:
-            return {"steps": 0, "dt_min": None, "dt_max": None, "courant_max": None}
-        return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
-                "courant_max": self.cfl * self.ratio_max}
 
 
 @dataclass
@@ -486,39 +430,33 @@ def _flux_difference(face: tuple, scale, out: tuple) -> np.ndarray:
     return out
 
 
+def _cfl_violation(courant: float, axis: int, dt: float, alpha, shape) -> CflError:
+    """The refusal of a sweep along ``axis`` whose Courant number passes ``_COURANT_CAP``."""
+    return CflError(f"CFL violation: alpha_j dt/h_j = {courant:.6g} > 1 on axis {axis} "
+                    f"(dt={dt:.6g}, alpha={alpha:.6g}, shape={shape})")
+
+
 def step(f: CellField, flux: PiecewiseFlux, dt: float, alpha: float,
          axis: int = 0) -> CellField:
     """One sweep: the conservative update of ``f`` along ``axis`` alone, viscosity ``alpha``.
 
-    ``advance`` composes one sweep per axis into a time step, each with
-    the ``lip_bound`` of component ``axis`` over what it reads; in 1D a
-    sweep is the step.  Refuses a Courant number alpha dt/h_axis above 1.
+    A stepper with no bound composes one sweep per axis into a time step,
+    each with the ``lip_bound`` of component ``axis`` over what it reads;
+    in 1D a sweep is the step.  Refuses a Courant number alpha dt/h_axis above 1.
     """
-    g, kept = f.grid, f.kept
-    if kept is not None and kept.flux is flux and g is kept.grid \
-            and alpha is kept.alphas[axis] and dt is kept.dt_cfl:
-        # the bound's own alpha and dt (by identity, as -0.0 == 0.0) on its
-        # grid, whose component count the sweep that first carried it checked:
-        # the bound's Courant number and the 0-d twins of alpha and the scale
-        courant, alpha, scale = kept.courants[axis], kept.rates[axis], kept.scales[axis]
-    else:
-        if flux.n != g.m:
-            _check_components(flux, g.m, grid=True)
-        if kept is not None and kept.flux is not flux:
-            kept = None
-        courant, scale = alpha * dt / g.h[axis], _scale(dt, g.shape[axis])
+    g = f.grid
+    if flux.n != g.m:
+        _check_components(flux, g.m, grid=True)
+    courant = alpha * dt / g.h[axis]
     if not courant <= _COURANT_CAP:
-        raise CflError(
-            f"CFL violation: alpha_j dt/h_j = {courant:.6g} > 1 on axis {axis} "
-            f"(dt={dt:.6g}, alpha={alpha:.6g}, shape={g.shape})"
-        )
-    u = f._views if f._axis == axis else _offsets(f.values, axis)
+        raise _cfl_violation(courant, axis, dt, alpha, g.shape)
+    u = _offsets(f.values, axis)
     phi = _offsets(flux.eval_component(axis, f), axis)
     face = g._face_offsets[axis]
     _faces(u, phi, alpha, face)
-    d = _flux_difference(face, scale, phi)
+    d = _flux_difference(face, _scale(dt, g.shape[axis]), phi)
     np.subtract(u[0], d, d)
-    return CellField._swept(g, phi, axis, kept is None)
+    return CellField._swept(g, d, True)
 
 
 def _joint_range(fields) -> tuple[float, float]:
@@ -541,7 +479,7 @@ _DRIFT = 2.0 ** -47
 _LIMIT = 2.0 ** 400
 
 
-_Bound = namedtuple("_Bound", "flux lo hi alphas plans rates grid cfl dt_cfl scales courants")
+_Bound = namedtuple("_Bound", "lo hi alphas plans rates dt_cfl scales courants")
 
 
 def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: float):
@@ -553,8 +491,12 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
     plans[j] is component j's Horner plan on p; rates[j], alpha_j, and
     scales[j], axis j's 0.5 dt_cfl N_j, are read-only 0-d arrays;
     courants[j] is axis j's Courant number alpha_j dt_cfl/h_j, computed as
-    ``step`` computes it.
+    ``step`` computes it.  Refuses a flux of another component count, as no
+    carried sweep checks it.
     """
+    g = field.grid
+    if flux.n != g.m:
+        _check_components(flux, g.m, grid=True)
     if not lo <= hi:
         return None
     p = bisect.bisect_right(flux._inner, lo)
@@ -573,71 +515,135 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
         return None
     alphas = tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
     dt_cfl = cfl_dt(field, cfl, alphas)
-    g = field.grid
-    return _Bound(flux, lo_k, hi_k, alphas, tuple(plans[p] for plans, _ in flux._plans),
-                  tuple(_constant(np.array(a)) for a in alphas), g, cfl, dt_cfl,
+    return _Bound(lo_k, hi_k, alphas, tuple(plans[p] for plans, _ in flux._plans),
+                  tuple(_constant(np.array(a)) for a in alphas), dt_cfl,
                   tuple(_constant(np.array(_scale(dt_cfl, n))) for n in g.shape),
                   tuple(a * dt_cfl / h for a, h in zip(alphas, g.h)))
+
+
+def _carried_sweep(u: tuple, axis: int, dt: float, scale, courant: float, bound: _Bound,
+                   grid: TorusGrid) -> tuple:
+    """``step``'s sweep of values in ``bound``, ``_offsets`` ``u``; the new values' ``_offsets``.
+
+    ``scale`` and ``courant`` are the step's on ``axis``; the bound's plan and 0-d alpha
+    give ``step``'s ufuncs and operands on such values, so its bits, with no range check.
+    """
+    if not courant <= _COURANT_CAP:
+        raise _cfl_violation(courant, axis, dt, bound.alphas[axis], grid.shape)
+    phi = _offsets(_horner(bound.plans[axis], u[0]), axis)
+    face = grid._face_offsets[axis]
+    _faces(u, phi, bound.rates[axis], face)
+    d = _flux_difference(face, scale, phi)
+    np.subtract(u[0], d, d)
+    return phi
+
+
+class _Stepper:
+    """One run's steps of its ``fields`` on one grid under ``flux`` at ``cfl``, and their log.
+
+    ``bound`` is the range rule's bound that its steps carry, or None; in
+    1D ``_views`` holds the ``_offsets`` of the last carried sweeps' values.
+    ``record`` gives the step count, the least and largest dt, and the peak
+    Courant number max_j alpha_j dt/h_j with the alphas of the step's start,
+    cfl * (dt / dt_cfl) as dt_cfl = cfl / max_j alpha_j/h_j: at most ``cfl``.
+    """
+
+    def __init__(self, flux: PiecewiseFlux, cfl: float, grid: TorusGrid, fields):
+        self.flux, self.cfl, self.grid, self.fields = flux, cfl, grid, fields
+        self.bound = self._views = None
+        self.steps, self.dt_min, self.dt_max, self.ratio_max = 0, math.inf, 0.0, 0.0
+
+    def advance(self, t_remaining: float) -> tuple[float, float]:
+        """One monotone step of every field: (dt_cfl, dt), dt = min(dt_cfl, ``t_remaining``).
+
+        Without a bound it plans one (``_carry``), so a range that moves onto
+        an affine piece is carried from then on.
+        """
+        flux, fields, bound = self.flux, self.fields, self.bound
+        # a flux with no affine piece, such as Burgers, pays this one read
+        if bound is None and flux._affine_pieces:
+            bound = self.bound = _carry(flux, *_joint_range(fields), fields[0], self.cfl)
+        if bound is None:
+            # 2m - 1 maxima, and a ``solver.step`` a sweep
+            lo, hi = _joint_range(fields)
+            if flux.n == 1:
+                # no list of alphas, no axis loop, no comprehension frame (0.3 us, Python <= 3.11)
+                alpha = lip_bound(flux, 0, lo, hi)
+                dt_cfl = cfl_dt(fields[0], self.cfl, (alpha,))
+                dt = t_remaining if t_remaining < dt_cfl else dt_cfl
+                stepped = []
+                for f in fields:
+                    stepped.append(step(f, flux, dt, alpha, 0))
+                self.fields = stepped
+                return dt_cfl, dt
+            alphas = [lip_bound(flux, j, lo, hi) for j in range(flux.n)]
+            dt_cfl = cfl_dt(fields[0], self.cfl, alphas)
+            dt = t_remaining if t_remaining < dt_cfl else dt_cfl
+            for axis, alpha in enumerate(alphas):
+                if axis:
+                    alpha = lip_bound(flux, axis, *_joint_range(fields))
+                fields = [step(f, flux, dt, alpha, axis) for f in fields]
+            self.fields = fields
+            return dt_cfl, dt
+        g, dt_cfl = self.grid, bound.dt_cfl
+        if t_remaining < dt_cfl:
+            dt = t_remaining
+            scales = [_scale(dt, n) for n in g.shape]
+            courants = [a * dt / h for a, h in zip(bound.alphas, g.h)]
+        else:
+            dt, scales, courants = dt_cfl, bound.scales, bound.courants
+        views = self._views or [_offsets(f.values, 0) for f in fields]
+        for axis in range(g.m):
+            if axis:
+                views = [_offsets(u[0], axis) for u in views]
+            swept = []  # plain loops: no comprehension frame
+            for u in views:
+                swept.append(_carried_sweep(u, axis, dt, scales[axis], courants[axis], bound, g))
+            views = swept
+        fields = []
+        for u in views:
+            fields.append(CellField._swept(g, u[0], False))
+        self.fields, self._views = fields, views if g.m == 1 else None
+        return dt_cfl, dt
+
+    def add(self, dt_cfl: float, dt: float):
+        """Log one step of ``dt`` whose CFL step was ``dt_cfl``."""
+        self.steps += 1
+        if dt < self.dt_min:
+            self.dt_min = dt
+        if dt > self.dt_max:
+            self.dt_max = dt
+        # 0 when every alpha is 0 and dt_cfl infinite
+        ratio = dt / dt_cfl
+        if ratio > self.ratio_max:
+            self.ratio_max = ratio
+
+    def record(self) -> dict:
+        """steps, dt_min, dt_max and courant_max; the last three null without a step."""
+        if not self.steps:
+            return {"steps": 0, "dt_min": None, "dt_max": None, "courant_max": None}
+        return {"steps": self.steps, "dt_min": self.dt_min, "dt_max": self.dt_max,
+                "courant_max": self.cfl * self.ratio_max}
+
+    def check(self, t: float):
+        """Refuse, as an internal error (exit 5), a field whose exact range at t left the bound."""
+        b = self.bound
+        for f in self.fields if b else ():
+            if not b.lo <= f.vmin <= f.vmax <= b.hi:
+                raise AssertionError(f"the range [{f.vmin!r}, {f.vmax!r}] at t={t:g} left the "
+                                     f"carried bound [{b.lo!r}, {b.hi!r}]")
 
 
 def advance(flux: PiecewiseFlux, cfl: float, t_remaining: float,
             *fields: CellField) -> tuple[float, float, list[CellField]]:
     """One monotone step of every field with one operator; returns (dt_cfl, dt, stepped fields).
 
-    Every alpha_j over the joint range of the fields, the CFL step dt_cfl
-    from them and dt = min(dt_cfl, ``t_remaining``); then one sweep of
-    every field along each axis j in turn, with alpha_j over the joint
-    range of what it reads: the start's for axis 0.  2m - 1 maxima a step,
-    unless every field carries one bound of this flux, grid and cfl
-    (``CellField.kept``) or the flux is affine on their range, so that
-    this step starts one: then the bound gives every alpha and dt_cfl, and
-    the stepped fields carry it (the module docstring's range rule).
+    The first step of a fresh ``_Stepper``, so no state carries across
+    calls: on the bound of a flux affine on the fields' range, or with
+    alpha_j over the joint range of what sweep j reads.
     """
-    kept = None
-    # a flux with no affine piece, such as Burgers, pays this one read
-    if flux._affine_pieces:
-        kept = fields[0].kept
-        for f in fields:
-            if f.kept is not kept:
-                kept = None
-        if kept is None or kept.flux is not flux or kept.cfl != cfl \
-                or kept.grid is not fields[0].grid:
-            kept = _carry(flux, *_joint_range(fields), fields[0], cfl)
-    if kept is None:
-        lo, hi = _joint_range(fields)
-    if flux.n == 1:
-        # one sweep, with no list of alphas and no loop over the axes
-        if kept is None:
-            alpha = lip_bound(flux, 0, lo, hi)
-            dt_cfl = cfl_dt(fields[0], cfl, (alpha,))
-        else:
-            alpha, dt_cfl = kept.alphas[0], kept.dt_cfl
-        dt = t_remaining if t_remaining < dt_cfl else dt_cfl
-        stepped = []
-        for f in fields:
-            f = step(f, flux, dt, alpha, 0)
-            if kept is not None:
-                f.kept = kept
-            stepped.append(f)
-        return dt_cfl, dt, stepped
-    if kept is None:
-        alphas = []  # a plain loop: a comprehension's frame (Python <= 3.11) costs 0.3 us
-        for j in range(flux.n):
-            alphas.append(lip_bound(flux, j, lo, hi))
-    else:
-        alphas = kept.alphas
-    dt_cfl = cfl_dt(fields[0], cfl, alphas) if kept is None else kept.dt_cfl
-    dt = t_remaining if t_remaining < dt_cfl else dt_cfl
-    for axis, alpha in enumerate(alphas):
-        if axis and kept is None:
-            alpha = lip_bound(flux, axis, *_joint_range(fields))
-        stepped = []
-        for f in fields:
-            f = step(f, flux, dt, alpha, axis)
-            f.kept = kept
-            stepped.append(f)
-        fields = stepped
-    return dt_cfl, dt, fields
+    stepper = _Stepper(flux, cfl, fields[0].grid, fields)
+    return (*stepper.advance(t_remaining), stepper.fields)
 
 
 def _l1(f: CellField, other) -> float:
@@ -696,11 +702,7 @@ def fourier_coeff(f: CellField, kbar) -> complex:
 
 
 def _observe(t: float, v: CellField, c: float) -> dict:
-    """A record row of ``v`` at t: its exact range, and that range inside any carried bound."""
-    kept = v.kept
-    if kept is not None and not kept.lo <= v.vmin <= v.vmax <= kept.hi:
-        raise AssertionError(f"the range [{v.vmin!r}, {v.vmax!r}] at t={t:g} left the carried "
-                             f"bound [{kept.lo!r}, {kept.hi!r}]")
+    """A record row of ``v`` at t, with its exact range."""
     return {
         "t": t,
         "l1_to_mean": _l1(v, c),
@@ -712,18 +714,17 @@ def _observe(t: float, v: CellField, c: float) -> dict:
 
 def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=math.inf,
            every_step: bool = True):
-    """Step the exact cell averages of torus polynomials ``data`` jointly; yield (t, fields, log).
+    """Step the cell averages of torus polynomials ``data`` jointly; yield (t, fields, stepper).
 
     A datum with a mode that the grid does not hold (``TorusGrid.holds``),
     whose cell averages would read another mode, is refused before the
     first yield, and so is a joint range outside the flux's working range,
-    as observing it may overflow.  Each step is one ``advance``
-    of every field, added to ``log``, one ``StepLog``.  Yields at each of
-    ``times`` (ascending from 0.0), where t lands exactly, and, if
-    ``every_step``, after each step too; a time reached within 1e-14 takes
-    no step.  dt passes neither the next time nor ``cap``.  A finite
-    ``times[-1]`` is refused with ``CflError`` once the steps taken plus
-    ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
+    as observing it may overflow.  One ``_Stepper`` takes and logs every
+    step.  Yields at each of ``times`` (ascending from 0.0), where t lands
+    exactly, and, if ``every_step``, after each step too; a time reached
+    within 1e-14 takes no step.  dt passes neither the next time nor
+    ``cap``.  A finite ``times[-1]`` is refused with ``CflError`` once the
+    steps taken plus ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
     """
     fields = [exact_cell_average(p, grid) for p in data]
     for p in data:
@@ -732,27 +733,27 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
                 raise ValueError(f"data mode {list(k)} needs 2|k_j| < N_j on the grid "
                                  f"{list(grid.shape)}")
     _check_range(flux, *_joint_range(fields))
-    log, t = StepLog(cfl), 0.0
+    stepper, t = _Stepper(flux, cfl, grid, fields), 0.0
     end = times[-1]
     budgeted = end < math.inf
     for target in times:
         near = target - 1e-14
         while t < near:
             rest = target - t
-            dt_cfl, dt, fields = advance(flux, cfl, cap if cap < rest else rest, *fields)
+            dt_cfl, dt = stepper.advance(cap if cap < rest else rest)
             # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the alphas overflow
-            left = MAX_STEPS - log.steps
+            left = MAX_STEPS - stepper.steps
             if budgeted and end - t > dt_cfl * left:
                 raise CflError(
                     f"step budget: t={t:g} to t_end={end:g} at dt={dt_cfl:.4g} "
                     f"takes more than the {left} steps left of the {MAX_STEPS} a run may take"
                 )
-            log.add(dt_cfl, dt)
+            stepper.add(dt_cfl, dt)
             t += dt
             if every_step and t < near:
-                yield t, fields, log
+                yield t, stepper.fields, stepper
         t = target
-        yield t, fields, log
+        yield t, stepper.fields, stepper
 
 
 def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
@@ -760,21 +761,23 @@ def run(v0: TorusPoly, flux: PiecewiseFlux | None, grid: TorusGrid,
     """Evolve torus data v0 under an m-component flux to t_end, recording observables.
 
     ``evolve`` steps v0 to each record time and t_end, where a row holds t,
-    the L1 distance to the data mean C, field min/max, and mass; ``stepping``
-    is its ``StepLog`` record.  Rank-zero data (constant, m = 0) shortcut to
+    the L1 distance to the data mean C, field min/max, and mass, once the
+    stepper's ``check`` found the range inside any carried bound; ``stepping``
+    is the stepper's record.  Rank-zero data (constant, m = 0) shortcut to
     the constant solution and read neither flux nor grid.
     """
     c = v0.mean
     times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.record_times})
     if v0.m == 0:
         return Trajectory([], [{"t": t, "l1_to_mean": 0.0, "min": c, "max": c, "mass": c}
-                               for t in times], StepLog(cfg.cfl).record())
+                               for t in times], _Stepper(flux, cfg.cfl, grid, []).record())
     rows, fields = [], []
     # one yield per record time, none between them
-    for t, (v,), log in evolve(flux, cfg.cfl, grid, (v0,), times, every_step=False):
+    for t, (v,), stepper in evolve(flux, cfg.cfl, grid, (v0,), times, every_step=False):
+        stepper.check(t)
         rows.append(_observe(t, v, c))
         fields.append(v)
-    return Trajectory(fields=fields, rows=rows, stepping=log.record())
+    return Trajectory(fields=fields, rows=rows, stepping=stepper.record())
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from apcl.harness import (
 from apcl.flux import PiecewiseFlux, affine_on, directional, lift_flux, nondegeneracy_check
 from apcl.freqlattice import Frequency, FrequencyBasis, RealQ, group_basis
 from apcl.lift import lift_problem
-from apcl.solver import MAX_CELLS, advance, exact_counterexample, read_field
+from apcl.solver import MAX_CELLS, exact_counterexample, read_field
 from apcl.trigpoly import TrigPoly
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -897,24 +897,58 @@ def test_threshold_without_its_scalar_is_an_internal_error(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith("internal error: threshold")
 
 
+def _plant_after_every_carried_sweep(monkeypatch, value):
+    """Write ``value`` into the first cell of every sweep's new values on a carried bound."""
+    real = solver_mod._carried_sweep
+
+    def planted(*args):
+        phi = real(*args)
+        phi[0][0] = value
+        return phi
+
+    monkeypatch.setattr(solver_mod, "_carried_sweep", planted)
+
+
 def test_a_range_that_leaves_the_carried_bound_is_an_internal_error(tmp_path, capsys,
                                                                    monkeypatch):
     # the counterexample's wave [-1/4, 1/4] on u/2 carries a bound from its
     # first step; a cell written to 0.3 after every sweep leaves it, and
     # the exact range read at the record time 0.25 shows that
-    real = solver_mod.step
-
-    def planted(f, flux, dt, alpha, axis=0):
-        after = real(f, flux, dt, alpha, axis)
-        after.values[0] = 0.3
-        return after
-
-    monkeypatch.setattr(solver_mod, "step", planted)
+    _plant_after_every_carried_sweep(monkeypatch, 0.3)
     cp = write_config(tmp_path, wave_config())
     assert cli.main(["counterexample", "--config", cp, "--out", str(tmp_path / "out")]) == 5
     err = capsys.readouterr().err
     assert re.fullmatch(r"internal error: the range \[-0\.249\d+, 0\.3\] at t=0\.25 left "
                         r"the carried bound \[-0\.2498\d+, 0\.2498\d+\]\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_contraction_that_leaves_the_carried_bound_is_an_internal_error(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the shipped contraction pair on the wave flux's affine middle piece
+    # u/2 on [-1/2, 1/2], every amplitude times 0.3: the pair's joint range
+    # [-0.12, 0.24] carries a bound from the first step, and 0.45, written
+    # into a cell after every sweep, stays inside the piece but leaves the
+    # bound; the series reads no range, so the check after the last step
+    # shows it
+    d = json.loads((CONFIGS / "contraction_pair.json").read_text())
+    d["flux"] = {"breakpoints": ["-2", "-1/2", "1/2", "2"],
+                 "pieces": [[["1/8", "1", "1/2"]], [["0", "1/2"]], [["1/8", "0", "1/2"]]]}
+    for data in ("initial", "initial_b"):
+        for term in d[data]["terms"]:
+            for part in ("re", "im"):
+                if part in term:
+                    term[part] *= 0.3
+    cp = write_config(tmp_path, d)
+    # unplanted, it passes
+    assert cli.main(["contraction", "--config", cp, "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    _plant_after_every_carried_sweep(monkeypatch, 0.45)
+    assert cli.main(["contraction", "--config", cp, "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    # 200 steps at dt = 0.45 (1/256) / 0.5 take the pair to t = 0.703125
+    assert re.fullmatch(r"internal error: the range \[-0\.\d+, 0\.45\] at t=0\.703125 left "
+                        r"the carried bound \[-0\.1199\d+, 0\.2399\d+\]\n", err), err
     assert not (tmp_path / "out").exists()
 
 
@@ -945,8 +979,8 @@ def test_report_save_layout(tmp_path):
                                        ("contraction", 0.45), ("counterexample", None),
                                        ("convergence", None), ("spectrum", None)])
 def test_report_says_how_the_run_stepped(kind, cfl, tmp_path, monkeypatch):
-    # one StepLog record per solver run, per grid for convergence: its
-    # steps are the advance calls on that grid, its Courant peak the cfl
+    # one stepper record per solver run, per grid for convergence: its
+    # steps are the steps its stepper took on that grid, its Courant peak the cfl
     d = every_threshold_config(kind)
     if cfl is None:
         cfl = 0.9
@@ -957,11 +991,13 @@ def test_report_says_how_the_run_stepped(kind, cfl, tmp_path, monkeypatch):
     shapes = [tuple(g) for g in (d["grids"] if kind == "convergence" else [d["grid"]])]
     grids = []
 
-    def counted(flux, cfl, t_remaining, *fields):
-        grids.append(fields[0].grid.shape)
-        return advance(flux, cfl, t_remaining, *fields)
+    real = solver_mod._Stepper.advance
 
-    monkeypatch.setattr(solver_mod, "advance", counted)
+    def counted(stepper, t_remaining):
+        grids.append(stepper.grid.shape)
+        return real(stepper, t_remaining)
+
+    monkeypatch.setattr(solver_mod._Stepper, "advance", counted)
     rep = run_experiment(parse_config(d))
     assert [r["steps"] for r in rep.stepping] == [grids.count(s) for s in shapes]
     assert len(grids) == sum(r["steps"] for r in rep.stepping)

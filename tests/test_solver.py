@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -40,7 +40,7 @@ from apcl.solver import (
 from apcl.trigpoly import TorusPoly
 import reference
 from bitwise import same_bits
-from sweeps import advance_with_sweeps
+from sweeps import advance_with_sweeps, recorded_sweeps
 
 B1 = FrequencyBasis.rational()
 
@@ -297,6 +297,10 @@ def test_step_cfl_refusal():
 @pytest.mark.parametrize("call, msg", [
     pytest.param(lambda f, flux: step(f, flux, 0.01, 1.0),
                  "a 1-component flux on a 2-dimensional grid", id="step-component-count"),
+    # a flux affine on the range: the stepper's plan refuses it, as no carried sweep checks it
+    pytest.param(lambda f, flux: advance(PiecewiseFlux(B1, [-2, 2], [[["0", "1/2"]]]), 0.9,
+                                         math.inf, f),
+                 "a 1-component flux on a 2-dimensional grid", id="carried-advance-component-count"),
     pytest.param(lambda f, flux: entropy_residual(f, f, flux, 0.01, 0.0, 1.0),
                  "a 1-component flux on a 2-dimensional grid",
                  id="entropy-residual-component-count"),
@@ -452,8 +456,8 @@ def test_run_records_and_mean():
 def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
     v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
     calls = []
-    real = solver_mod.advance
-    monkeypatch.setattr(solver_mod, "advance", lambda *a: calls.append(1) or real(*a))
+    real = solver_mod._Stepper.advance
+    monkeypatch.setattr(solver_mod._Stepper, "advance", lambda *a: calls.append(1) or real(*a))
     full = run(v0, burgers_1d(), TorusGrid((64,)), SolverConfig(t_end=0.5))
     n = len(calls)
     assert 10 < n < 100
@@ -1229,7 +1233,8 @@ def test_run_calls_lip_bound_once_per_step(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "lip_bound", counted("lip_bound", solver_mod.lip_bound, 1))
     monkeypatch.setattr(solver_mod, "step", counted("step", solver_mod.step, 4))
-    monkeypatch.setattr(solver_mod, "advance", counted("advance", solver_mod.advance, None))
+    monkeypatch.setattr(solver_mod._Stepper, "advance",
+                        counted("advance", solver_mod._Stepper.advance, None))
     for shape in ((48,), (32, 24), (32, 24, 20)):
         m = len(shape)
         terms = {(0,) * m: 0.3}
@@ -1334,9 +1339,9 @@ def test_beyond_courant_one_the_bumped_cell_goes_down(shape, make_flux):
 
 
 # --- the carried bound of a flux affine on the range --------------------------
-# advance reduces the range and bounds the alphas at the step that finds
-# every component affine on one piece holding it, and hands the stepped
-# fields that bound; later steps read neither, with every bit unchanged
+# a run's stepper reduces the range and bounds the alphas at the step that
+# finds every component affine on one piece holding it, and keeps that bound
+# for the run; later steps read neither, with every bit unchanged
 
 def _wave(m, basis=B1):
     """``WAVE_FLUX`` over ``basis`` (m = 1): u/2 on [-1/2, 1/2], quadratics outside."""
@@ -1418,31 +1423,36 @@ def _joint_range_of(arrays):
     return min(float(a.min()) for a in arrays), max(float(a.max()) for a in arrays)
 
 
+def _stepper(flux, cfl, *values):
+    """A run's stepper of fields of ``values`` on one grid, before its first step."""
+    g = TorusGrid(values[0].shape)
+    return solver_mod._Stepper(flux, cfl, g, [CellField(g, v) for v in values])
+
+
 @pytest.mark.parametrize("flux, values, cfl, plain", CARRY_CASES)
 def test_affine_advance_matches_a_loop_that_reduces_every_step(flux, values, cfl, plain):
-    g = TorusGrid(values[0].shape)
-    fields = [CellField(g, v) for v in values]
-    ref = [CellField(g, v) for v in values]
-    carries = []
+    stepper = _stepper(flux, cfl, *values)
+    ref = [CellField(stepper.grid, v) for v in values]
+    carries, bound = [], None
     for _ in range(60):
         before = [r.values for r in ref]
-        dt_cfl, dt, fields = advance(flux, cfl, math.inf, *fields)
+        dt_cfl, dt = stepper.advance(math.inf)
         dt_cfl2, dt2, ref = _reducing_advance(flux, cfl, math.inf, *ref)
         assert (dt_cfl, dt) == (dt_cfl2, dt2)
-        assert all(same_bits(f.values, r.values) for f, r in zip(fields, ref))
-        # one bound for every field, held from the step that starts it on
-        kept = fields[0].kept
-        assert all(f.kept is kept for f in fields)
-        carries.append(kept is not None)
-        if kept is None:
+        assert all(same_bits(f.values, r.values) for f, r in zip(stepper.fields, ref))
+        # one bound per run: the stepper keeps the one its first carried step found
+        assert bound is None or stepper.bound is bound
+        bound = stepper.bound
+        carries.append(bound is not None)
+        if bound is None:
             continue
-        if not any(carries[:-1]):
+        if carries.count(True) == 1:
             # it holds the alphas of the range at that step's start
-            assert kept[0] is flux and kept[3] == _alphas(flux, *_joint_range_of(before))
+            assert bound.alphas == _alphas(flux, *_joint_range_of(before))
         # the bound holds every field, and its range still reads exactly
-        for f in fields:
+        for f in stepper.fields:
             assert (f.vmin, f.vmax) == (f.values.min(), f.values.max())
-            assert kept[1] <= f.vmin <= f.vmax <= kept[2]
+            assert bound.lo <= f.vmin <= f.vmax <= bound.hi
     assert carries == sorted(carries) and carries[-1]
     assert carries.count(False) >= plain and (carries.count(False) == 0) == (plain == 0)
 
@@ -1469,8 +1479,10 @@ AFFINE_RUNS = [
 def test_affine_runs_match_runs_that_reduce_every_step(flux, grid, data, monkeypatch):
     # the same runs with no bound carried, so that every step reduces the
     # range of every field and bounds every alpha again, as before
-    fields = [exact_cell_average(p, grid) for p in data]
-    assert advance(flux, DEFAULT_CFL, math.inf, *fields)[2][0].kept is not None
+    stepper = solver_mod._Stepper(flux, DEFAULT_CFL, grid,
+                                  [exact_cell_average(p, grid) for p in data])
+    stepper.advance(math.inf)
+    assert stepper.bound is not None
     cfg = SolverConfig(t_end=1.0, record_times=(0.25, 0.5))
     runs = []
     for carry in (solver_mod._carry, lambda *args: None):
@@ -1520,7 +1532,7 @@ class _CountedNumpy:
 
 
 def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
-    """The run's (trajectory, events): advance, lip_bound, observe and each range reduction."""
+    """The run's (trajectory, events): each step, bound plan, lip_bound, check and range reduction."""
     events = []
 
     def logged(name, fn):
@@ -1529,8 +1541,11 @@ def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("advance", "lip_bound", "_observe"):
+    for name in ("_carry", "lip_bound"):
         monkeypatch.setattr(solver_mod, name, logged(name, getattr(solver_mod, name)))
+    for name in ("advance", "check"):
+        monkeypatch.setattr(solver_mod._Stepper, name,
+                            logged(name, getattr(solver_mod._Stepper, name)))
     monkeypatch.setattr(solver_mod, "np", _CountedNumpy(events))
     monkeypatch.setattr(flux_mod, "np", _CountedNumpy(events))
     traj = run(v0, flux, grid, SolverConfig(t_end=1.0, record_times=record_times))
@@ -1550,13 +1565,15 @@ def test_an_affine_run_bounds_and_reduces_only_at_its_start_and_record_times(flu
     traj, events = _events_of_a_run(monkeypatch, flux, v0, grid, record_times)
     steps = [i for i, e in enumerate(events) if e == "advance"]
     assert len(steps) == traj.stepping["steps"] > 15
-    # the first step bounds each component once, as it starts the bound
-    assert [e for e in events[:steps[1]] if e == "lip_bound"] == ["lip_bound"] * flux.n
+    # one bound per run: the first step plans it, bounding each component once
+    assert events.count("_carry") == 1
+    assert [e for e in events[:steps[1]] if e in ("_carry", "lip_bound")] == \
+        ["_carry"] + ["lip_bound"] * flux.n
     after = events[steps[1]:]
     assert "lip_bound" not in after
-    # after it, a range is reduced only where a record time reads one,
+    # after it, a range is reduced only where a record time checks one,
     # once per record time, the end included
-    observed = [i for i, e in enumerate(after) if e == "_observe"]
+    observed = [i for i, e in enumerate(after) if e == "check"]
     assert len(observed) == len(record_times) + 1
     reduced = [i for i, e in enumerate(after) if e in ("minimum", "maximum", "fmin", "fmax")]
     assert reduced == [i + k for i in observed for k in (1, 2)]
@@ -1566,15 +1583,15 @@ def test_an_affine_run_bounds_and_reduces_only_at_its_start_and_record_times(flu
 
 
 def test_a_burgers_run_reduces_its_range_every_step(monkeypatch):
-    # no affine piece: every advance bounds its one component and every
-    # step's new field is reduced, 2m - 1 = 1 maximum a step
+    # no affine piece: no bound is planned, every advance bounds its one
+    # component and every step's new field is reduced, 2m - 1 = 1 maximum a step
     traj, events = _events_of_a_run(monkeypatch, burgers_1d(), TorusPoly(
         1, {(0,): 0.3, (1,): -0.25j}), TorusGrid((64,)), (0.5,))
     steps = traj.stepping["steps"]
     assert events.count("advance") == events.count("lip_bound") == steps > 10
+    assert "_carry" not in events and events.count("check") == 3
     # the data's range, then one per step; the record times read those
     assert events.count("minimum") == events.count("maximum") == 1 + steps
-    assert all(f.kept is None for f in traj.fields)
 
 
 def _drift(flux, j, before):
@@ -1594,28 +1611,31 @@ _SLOPES = st.fractions(Fraction(-64), Fraction(64), max_denominator=64).filter(
        c1=st.lists(_SLOPES, min_size=2, max_size=2),
        m=st.integers(1, 2), lo=st.floats(-50, 50), width=st.floats(0.0, 50),
        cfl=st.floats(0.5, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+# u at cfl 1 on [1, 1.5]: the first sweep's max lands 1 ulp above the max it reads
+@example(c0=[Fraction(0)] * 2, c1=[Fraction(1)] * 2, m=1, lo=1.0, width=0.5, cfl=1.0, seed=1)
 @settings(max_examples=60, deadline=None)
 def test_affine_sweeps_drift_within_the_bound(c0, c1, m, lo, width, cfl, seed):
     # one affine piece on [-2000, 2000], a large constant term allowed:
-    # each sweep stays in the range it reads up to the drift bound, and a
-    # field that carries a bound stays inside it
+    # each sweep stays in the range it reads up to the drift bound, and the
+    # run's field stays inside the bound its first step carries
     flux = PiecewiseFlux(B1, [-2000, 2000], [[[c0[j], c1[j]] for j in range(m)]])
     shape = (48,) if m == 1 else (12, 10)
-    f = CellField(TorusGrid(shape), np.random.default_rng(seed).uniform(lo, lo + width, shape))
+    stepper = _stepper(flux, cfl, np.random.default_rng(seed).uniform(lo, lo + width, shape))
     for _ in range(80):
-        _, _, (f2,), sweeps = advance_with_sweeps(flux, cfl, math.inf, f)
+        with recorded_sweeps() as sweeps:
+            stepper.advance(math.inf)
         for before, after, _, j in sweeps:
             d = _drift(flux, j, before)
             assert before.vmin - d <= after.vmin and after.vmax <= before.vmax + d
-        if f2.kept is not None:
-            assert f2.kept[1] <= f2.vmin and f2.vmax <= f2.kept[2]
-        f = f2
+        if stepper.bound is not None:
+            (f,) = stepper.fields
+            assert stepper.bound.lo <= f.vmin and f.vmax <= stepper.bound.hi
 
 
 # --- the carried 1D path against the reference step ---------------------------
-# a step of fields that carry a bound evaluates the bound's plan with no range
-# check or piece choice, and takes the bound's 0-d alpha and scale for its own
-# alpha and dt: every bit still that of the np.roll + polyval reference
+# a step on the stepper's bound evaluates the bound's plan with no range
+# check or piece choice, and takes the bound's 0-d alpha, and its 0-d scale
+# for a full step: every bit still that of the np.roll + polyval reference
 
 class _CountedChecks:
     """``flux._check_range``, its calls counted: the checked path makes them, the carried one not."""
@@ -1640,59 +1660,59 @@ class _CountedChecks:
 ])
 def test_carried_1d_steps_match_the_reference_bitwise(flux, values, cfl, monkeypatch):
     checks = _CountedChecks(monkeypatch)
-    g = TorusGrid(values[0].shape)
-    fields = [CellField(g, v) for v in values]
-    kept = None
+    stepper = _stepper(flux, cfl, *values)
+    bound = None
     for k in range(40):
         # every fifth step is cut short, as the last step before a record time
         # is: its dt is not the bound's, so it takes the float scale
-        t_remaining = 0.37 * kept.dt_cfl if kept is not None and k % 5 == 4 else math.inf
+        t_remaining = 0.37 * bound.dt_cfl if bound is not None and k % 5 == 4 else math.inf
+        fields = stepper.fields
         checks.calls = 0
-        dt_cfl, dt, stepped = advance(flux, cfl, t_remaining, *fields)
+        dt_cfl, dt = stepper.advance(t_remaining)
         carried_checks = checks.calls
+        stepped = stepper.fields
         assert all(same_bits(f.values, r) for f, r in zip(stepped, _ref_step(flux, dt, *fields)))
-        if kept is not None:
-            # carried: no range check, one dt_cfl, and dt cut short where asked
-            assert carried_checks == 0 and dt_cfl is kept.dt_cfl
+        if bound is not None:
+            # carried: no range check, the one bound and its dt_cfl, and dt cut short where asked
+            assert carried_checks == 0 and stepper.bound is bound and dt_cfl is bound.dt_cfl
             assert (dt == t_remaining) if t_remaining < dt_cfl else (dt is dt_cfl)
-        kept = stepped[0].kept
-        assert kept is not None and kept.flux is flux and all(f.kept is kept for f in stepped)
+        bound = stepper.bound
+        assert bound is not None
         if cfl == 1.0 and dt == dt_cfl:
-            assert dt_cfl * kept.alphas[0] * g.shape[0] == 1.0
+            assert dt_cfl * bound.alphas[0] * stepper.grid.shape[0] == 1.0
             np.testing.assert_allclose(stepped[0].values, np.roll(fields[0].values, 1),
                                        rtol=0, atol=1e-15)
-        fields = stepped
 
 
 def test_a_direct_step_on_a_carried_field_uses_the_alpha_it_is_handed():
-    # the bound's 0-d alpha stands for the bound's own alpha alone; another
-    # one, or an equal float that is not the bound's, is used as handed
-    g = TorusGrid((128,))
-    _, _, (f,) = advance(WAVE_FLUX, DEFAULT_CFL, math.inf, CellField(g, _sine((128,), 0.0, 0.2, 6)))
-    kept = f.kept
-    assert kept is not None and kept.alphas == (0.5,)
-    for dt in (kept.dt_cfl, 0.5 * kept.dt_cfl):
-        for alpha in (kept.alphas[0], 0.55, 1.0 / 3.0, float("0.5")):
+    # a field that a carried step made is a plain field: a direct step
+    # takes the alpha and dt it is handed, the bound's or any other
+    stepper = _stepper(WAVE_FLUX, DEFAULT_CFL, _sine((128,), 0.0, 0.2, 6))
+    stepper.advance(math.inf)
+    (f,), bound = stepper.fields, stepper.bound
+    assert bound is not None and bound.alphas == (0.5,)
+    for dt in (bound.dt_cfl, 0.5 * bound.dt_cfl):
+        for alpha in (bound.alphas[0], 0.55, 1.0 / 3.0, float("0.5")):
             got = step(f, WAVE_FLUX, dt, alpha)
             assert same_bits(got.values, _ref_sweep(f.values, WAVE_FLUX, dt, alpha, 0)), alpha
-            # a direct step hands on no bound, and its range reads exactly
-            assert got.kept is None and got.vmax == got.values.max()
-    # the CFL cap holds for a carried field too
+            # its range reads exactly
+            assert got.vmax == got.values.max()
+    # the CFL cap holds for it too
     with pytest.raises(CflError):
-        step(f, WAVE_FLUX, kept.dt_cfl, 2.0)
+        step(f, WAVE_FLUX, bound.dt_cfl, 2.0)
 
 
 def test_a_field_carrying_another_fluxs_bound_takes_the_checked_path(monkeypatch):
     # OTHER is WAVE_FLUX's middle piece u/2 alone, on [-1/4, 1/4]: a field
-    # that carries WAVE_FLUX's bound is checked against OTHER's working
-    # range, and refused beyond it
+    # that a stepper made on WAVE_FLUX's bound is checked against OTHER's
+    # working range, and refused beyond it
     other = PiecewiseFlux(B1, ["-1/4", "1/4"], [[["0", "1/2"]]])
     checks = _CountedChecks(monkeypatch)
-    g = TorusGrid((64,))
     for amp, inside in ((0.2, True), (0.45, False)):
-        _, _, (f,) = advance(WAVE_FLUX, DEFAULT_CFL, math.inf,
-                             CellField(g, _sine((64,), 0.0, amp, 7)))
-        assert f.kept is not None and f.kept.flux is WAVE_FLUX
+        wave = _stepper(WAVE_FLUX, DEFAULT_CFL, _sine((64,), 0.0, amp, 7))
+        wave.advance(math.inf)
+        (f,) = wave.fields
+        assert wave.bound is not None
         checks.calls = 0
         if not inside:
             with pytest.raises(ValueError, match=r"leave the working range \[-0\.25, 0\.25\]"):
@@ -1703,39 +1723,46 @@ def test_a_field_carrying_another_fluxs_bound_takes_the_checked_path(monkeypatch
             continue
         assert same_bits(other.eval_component(0, f), other.eval_component(0, f.values))
         assert checks.calls == 2
-        # advance makes OTHER's own bound, and the steps keep the reference's bits
-        fields = [f]
+        # a stepper of OTHER makes its own bound, and its steps keep the reference's bits
+        stepper = solver_mod._Stepper(other, DEFAULT_CFL, f.grid, [f])
         for _ in range(10):
-            _, dt, stepped = advance(other, DEFAULT_CFL, math.inf, *fields)
-            assert same_bits(stepped[0].values, _ref_step(other, dt, *fields)[0])
-            assert stepped[0].kept.flux is other
-            fields = stepped
+            fields = stepper.fields
+            _, dt = stepper.advance(math.inf)
+            assert same_bits(stepper.fields[0].values, _ref_step(other, dt, *fields)[0])
+        assert stepper.bound is not None and stepper.bound.lo > -0.25
 
 
 def _frozen(monkeypatch):
-    """``CellField`` with every field's ``values``, and the views of them it keeps, read-only.
+    """Every field's ``values``, and the views a stepper keeps of its values, read-only.
 
     numpy leaves a view made before its base is set read-only writeable, so
-    the views a swept field keeps are set read-only one by one.
+    the views a carried sweep returns are set read-only one by one.
     """
     init, swept = CellField.__init__, CellField._swept.__func__
+    carried = solver_mod._carried_sweep
 
     def frozen_init(self, grid, values):
         init(self, grid, values)
         self.values.flags.writeable = False
 
-    def frozen_swept(cls, grid, views, axis, reduce):
-        field = swept(cls, grid, views, axis, reduce)
+    def frozen_swept(cls, grid, values, reduce):
+        field = swept(cls, grid, values, reduce)
+        values.flags.writeable = False
+        return field
+
+    def frozen_carried(*args):
+        views = carried(*args)
         for a in views[:3]:
             a.flags.writeable = False
-        return field
+        return views
 
     monkeypatch.setattr(CellField, "__init__", frozen_init)
     monkeypatch.setattr(CellField, "_swept", classmethod(frozen_swept))
+    monkeypatch.setattr(solver_mod, "_carried_sweep", frozen_carried)
 
 
-# the affine runs, and the contraction pair: two Burgers fields, none of
-# which carries a bound
+# the affine runs, and the contraction pair: two Burgers fields, on which
+# no bound is carried
 FROZEN_RUNS = AFFINE_RUNS + [
     pytest.param(burgers_1d(), TorusGrid((256,)), [TorusPoly(1, {(0,): 0.3, (1,): -0.25j}),
                                                    TorusPoly(1, {(0,): 0.1, (1,): 0.25})],
@@ -1746,18 +1773,20 @@ FROZEN_RUNS = AFFINE_RUNS + [
 @pytest.mark.parametrize("flux, grid, data", FROZEN_RUNS)
 def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
     # the range rule trusts that no field's values are written after it is
-    # built: with every field's values and kept views read-only, a sweep that
-    # wrote one (a ping-pong buffer, say) would raise, and the runs keep every bit
+    # built: with every field's values and the stepper's views read-only, a
+    # sweep that wrote one (a ping-pong buffer, say) would raise, and the
+    # runs keep every bit
     times = (0.0, 0.3, 0.6)
     plain = _collect(flux, DEFAULT_CFL, grid, data, times, True)
     _frozen(monkeypatch)
     frozen = []
-    for t, fields, log in evolve(flux, DEFAULT_CFL, grid, data, times, every_step=True):
+    for t, fields, stepper in evolve(flux, DEFAULT_CFL, grid, data, times, every_step=True):
         assert not any(f.values.flags.writeable for f in fields)
-        assert not any(a.flags.writeable for f in fields if f._views for a in f._views[:3])
+        assert not any(a.flags.writeable for u in stepper._views or () for a in u[:3])
         frozen.append((t, [f.values.copy() for f in fields], [(f.vmin, f.vmax) for f in fields],
-                       log.record()))
-    assert (fields[0].kept is not None) == bool(flux._affine_pieces)
+                       stepper.record()))
+    assert (stepper.bound is not None) == bool(flux._affine_pieces)
+    assert (stepper._views is not None) == (stepper.bound is not None and grid.m == 1)
     assert len(frozen) == len(plain) > 10
     for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(frozen, plain):
         assert (t, ranges, log) == (t2, ranges2, log2)
@@ -1765,8 +1794,8 @@ def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
 
 
 # --- what a sweep slices, and the Courant numbers a bound holds ---------------
-# a swept field keeps the views of its values that its sweep made; the next
-# sweep along that axis reads them and slices only the new flux values
+# in 1D the stepper keeps the views of the values its carried sweeps made;
+# the next carried sweep reads them and slices only the new flux values
 
 @pytest.mark.parametrize("flux, shape, nfields", [
     pytest.param(WAVE_FLUX, (128,), 1, id="carried-1d"),
@@ -1775,12 +1804,15 @@ def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
     pytest.param(_linear_nd(3), (6, 5, 4), 2, id="carried-3d"),
 ])
 def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypatch):
-    # each field's first sweep slices its values and phi, and a later sweep
-    # phi alone in 1D; in n-D the kept views run along another axis, so every
-    # sweep slices both, and every sweep reads views one cell apart along its
-    # own axis; m + 1 steps, each bit for bit the reference's
+    # a carried 1D run slices each field's values once, at its first step,
+    # and then phi alone; a sweep through ``step``, which is handed a field,
+    # slices its values and phi, and in n-D every sweep runs along another
+    # axis than the last, so it slices both; every sweep reads views one
+    # cell apart along its own axis; m + 1 steps, each bit for bit the
+    # reference's
     calls, axes = [0], []
     real_offsets, real_step, real_faces = solver_mod._offsets, solver_mod.step, solver_mod._faces
+    real_carried = solver_mod._carried_sweep
 
     def counted(x, j):
         calls[0] += 1
@@ -1789,6 +1821,10 @@ def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypa
     def recorded(f, flux, dt, alpha, axis=0):
         axes.append(axis)
         return real_step(f, flux, dt, alpha, axis)
+
+    def recorded_carried(u, axis, *args):
+        axes.append(axis)
+        return real_carried(u, axis, *args)
 
     def checked(u, phi, alpha, face):
         # up[i] starts prod(shape[j+1:]) elements past x[i] for the sweep's axis j
@@ -1799,20 +1835,23 @@ def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypa
             assert down.__array_interface__["data"][0] == base and up.size == x.size - s
         return real_faces(u, phi, alpha, face)
 
-    m, g = len(shape), TorusGrid(shape)
-    fields = [CellField(g, _sine(shape, 0.1 * k, 0.3, k)) for k in range(nfields)]
-    assert len(g._face_offsets) == m  # the face buffer's views, made once per grid
+    m = len(shape)
+    stepper = _stepper(flux, DEFAULT_CFL, *[_sine(shape, 0.1 * k, 0.3, k) for k in range(nfields)])
+    assert len(stepper.grid._face_offsets) == m  # the face buffer's views, made once per grid
     monkeypatch.setattr(solver_mod, "_offsets", counted)
     monkeypatch.setattr(solver_mod, "step", recorded)
+    monkeypatch.setattr(solver_mod, "_carried_sweep", recorded_carried)
     monkeypatch.setattr(solver_mod, "_faces", checked)
     for _ in range(m + 1):
-        _, dt, stepped = advance(flux, DEFAULT_CFL, math.inf, *fields)
-        assert all(same_bits(f.values, r) for f, r in zip(stepped, _ref_step(flux, dt, *fields)))
-        fields = stepped
-    assert (fields[0].kept is not None) == bool(flux._affine_pieces)
+        fields = stepper.fields
+        _, dt = stepper.advance(math.inf)
+        assert all(same_bits(f.values, r)
+                   for f, r in zip(stepper.fields, _ref_step(flux, dt, *fields)))
+    carried = bool(flux._affine_pieces)
+    assert (stepper.bound is not None) == carried
     sweeps = (m + 1) * m * nfields
     assert len(axes) == sweeps
-    assert calls[0] == (sweeps + nfields if m == 1 else 2 * sweeps)
+    assert calls[0] == (sweeps + nfields if m == 1 and carried else 2 * sweeps)
 
 
 @pytest.mark.parametrize("flux, shape", [
@@ -1824,22 +1863,24 @@ def test_a_bound_holds_each_axis_courant_number(flux, shape):
     # the stored number is alpha_j dt_cfl/h_j bit for bit; a step cut short
     # computes its own, so a planted bound whose stored number is past the
     # cap steps when cut short and is refused on a full step
-    g = TorusGrid(shape)
-    f0 = CellField(g, _sine(shape, 0.0, 0.3, 8))
-    _, _, (f,) = advance(flux, DEFAULT_CFL, math.inf, f0)
-    kept = f.kept
-    assert kept is not None
-    want = tuple(lip_bound(flux, j, f0.vmin, f0.vmax) * kept.dt_cfl / g.h[j]
+    stepper = _stepper(flux, DEFAULT_CFL, _sine(shape, 0.0, 0.3, 8))
+    (f0,) = stepper.fields
+    stepper.advance(math.inf)
+    bound, g = stepper.bound, stepper.grid
+    assert bound is not None
+    want = tuple(lip_bound(flux, j, f0.vmin, f0.vmax) * bound.dt_cfl / g.h[j]
                  for j in range(len(shape)))
-    assert [c.hex() for c in kept.courants] == [c.hex() for c in want]
-    assert [c.hex() for c in kept.courants] == \
-        [(a * kept.dt_cfl / h).hex() for a, h in zip(kept.alphas, g.h)]
-    planted = kept._replace(courants=(math.nextafter(solver_mod._COURANT_CAP, 2.0),) * len(shape))
-    f.kept = planted
-    _, dt, (short,) = advance(flux, DEFAULT_CFL, 0.37 * kept.dt_cfl, f)
-    assert dt == 0.37 * kept.dt_cfl and short.kept is planted
-    assert same_bits(short.values, _ref_step(flux, dt, f)[0])
+    assert [c.hex() for c in bound.courants] == [c.hex() for c in want]
+    assert [c.hex() for c in bound.courants] == \
+        [(a * bound.dt_cfl / h).hex() for a, h in zip(bound.alphas, g.h)]
+    planted = bound._replace(courants=(math.nextafter(solver_mod._COURANT_CAP, 2.0),) * len(shape))
+    stepper.bound = planted
+    (f,) = stepper.fields
+    _, dt = stepper.advance(0.37 * bound.dt_cfl)
+    assert dt == 0.37 * bound.dt_cfl and stepper.bound is planted
+    assert same_bits(stepper.fields[0].values, _ref_step(flux, dt, f)[0])
     with pytest.raises(CflError, match="CFL violation"):
-        advance(flux, DEFAULT_CFL, math.inf, f)
-    with pytest.raises(CflError, match="CFL violation"):
-        step(f, flux, kept.dt_cfl, kept.alphas[0])
+        stepper.advance(math.inf)
+    # a direct step stores no number: it computes its own, under the cap
+    assert same_bits(step(f, flux, bound.dt_cfl, bound.alphas[0]).values,
+                     _ref_sweep(f.values, flux, bound.dt_cfl, bound.alphas[0], 0))
