@@ -14,7 +14,10 @@ affine on the range: dt from the alphas of the fields' range at the start
 of the step, then each sweep with the alpha of what it reads, the start's
 for sweep 0; on a flux that is, none after the first step (the range rule
 below).  ``evolve``, the one time loop, builds one stepper per run: ``run``
-and the harness's two-field contraction both step through it.
+and the harness's two-field contraction both step through it.  Every
+full step on a carried bound has the bound's dt, so where ``evolve``
+yields only at its times the stepper takes those up to the next step cut
+short or time in one call (``_Stepper.full_steps``).
 
 A sweep is monotone when every new value is a nondecreasing function of
 the old ones.  Its weight on u_i is 1 - C_j, C_j = alpha_j dt/h_j the
@@ -48,9 +51,9 @@ this reduces the range once, and the run's stepper keeps the bound
 (``_carry``), alpha_j and the scale 0.5 dt_cfl N_j among it as 0-d
 arrays, which a ufunc reads as the float each holds.  Strictly inside the
 piece, a step on the bound would pass the range check and pick that
-piece as the step that made it did, so its sweeps (``_carried_sweep``)
-check nothing but the Courant number against the cap and run the same
-ufuncs on the same operands: every value, alpha and dt keeps its bits.
+piece as the step that made it did, so its sweeps (``_Stepper._carried``)
+check nothing but the Courant numbers against the cap, once a call, and run
+the same ufuncs on the same operands: every value, alpha and dt keeps its bits.
 ``_Stepper.check`` asserts that the exact range lies in the bound (exit
 5), at each record time of ``run`` and after the contraction's last step.
 
@@ -479,7 +482,7 @@ _DRIFT = 2.0 ** -47
 _LIMIT = 2.0 ** 400
 
 
-_Bound = namedtuple("_Bound", "lo hi alphas plans rates dt_cfl scales courants")
+_Bound = namedtuple("_Bound", "lo hi alphas dt_cfl courants sweeps")
 
 
 def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: float):
@@ -488,11 +491,12 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
     [lo - delta, hi + delta], delta the drift margin, when every component
     has degree <= 1 on the piece p that holds it strictly inside its ends;
     None otherwise, for a NaN range, and for one outside ``_LIMIT``'s rule.
-    plans[j] is component j's Horner plan on p; rates[j], alpha_j, and
-    scales[j], axis j's 0.5 dt_cfl N_j, are read-only 0-d arrays;
     courants[j] is axis j's Courant number alpha_j dt_cfl/h_j, computed as
-    ``step`` computes it.  Refuses a flux of another component count, as no
-    carried sweep checks it.
+    ``step`` computes it; sweeps[j] is what sweep j of a step of dt_cfl
+    reads: (j, component j's Horner plan on p, alpha_j, the grid's face
+    views along j, 0.5 dt_cfl N_j), alpha_j and the scale as read-only 0-d
+    arrays.  Refuses a flux of another component count, as no carried
+    sweep checks it.
     """
     g = field.grid
     if flux.n != g.m:
@@ -515,27 +519,10 @@ def _carry(flux: PiecewiseFlux, lo: float, hi: float, field: CellField, cfl: flo
         return None
     alphas = tuple(lip_bound(flux, j, lo, hi) for j in range(flux.n))
     dt_cfl = cfl_dt(field, cfl, alphas)
-    return _Bound(lo_k, hi_k, alphas, tuple(plans[p] for plans, _ in flux._plans),
-                  tuple(_constant(np.array(a)) for a in alphas), dt_cfl,
-                  tuple(_constant(np.array(_scale(dt_cfl, n))) for n in g.shape),
-                  tuple(a * dt_cfl / h for a, h in zip(alphas, g.h)))
-
-
-def _carried_sweep(u: tuple, axis: int, dt: float, scale, courant: float, bound: _Bound,
-                   grid: TorusGrid) -> tuple:
-    """``step``'s sweep of values in ``bound``, ``_offsets`` ``u``; the new values' ``_offsets``.
-
-    ``scale`` and ``courant`` are the step's on ``axis``; the bound's plan and 0-d alpha
-    give ``step``'s ufuncs and operands on such values, so its bits, with no range check.
-    """
-    if not courant <= _COURANT_CAP:
-        raise _cfl_violation(courant, axis, dt, bound.alphas[axis], grid.shape)
-    phi = _offsets(_horner(bound.plans[axis], u[0]), axis)
-    face = grid._face_offsets[axis]
-    _faces(u, phi, bound.rates[axis], face)
-    d = _flux_difference(face, scale, phi)
-    np.subtract(u[0], d, d)
-    return phi
+    return _Bound(lo_k, hi_k, alphas, dt_cfl, tuple(a * dt_cfl / h for a, h in zip(alphas, g.h)),
+                  tuple(zip(range(g.m), (plans[p] for plans, _ in flux._plans),
+                            (_constant(np.array(a)) for a in alphas), g._face_offsets,
+                            (_constant(np.array(_scale(dt_cfl, n))) for n in g.shape))))
 
 
 class _Stepper:
@@ -543,6 +530,7 @@ class _Stepper:
 
     ``bound`` is the range rule's bound that its steps carry, or None; in
     1D ``_views`` holds the ``_offsets`` of the last carried sweeps' values.
+    ``advance`` takes one step, ``full_steps`` k of the bound's dt in one loop.
     ``record`` gives the step count, the least and largest dt, and the peak
     Courant number max_j alpha_j dt/h_j with the alphas of the step's start,
     cfl * (dt / dt_cfl) as dt_cfl = cfl / max_j alpha_j/h_j: at most ``cfl``.
@@ -587,28 +575,50 @@ class _Stepper:
             return dt_cfl, dt
         g, dt_cfl = self.grid, bound.dt_cfl
         if t_remaining < dt_cfl:
-            dt = t_remaining
-            scales = [_scale(dt, n) for n in g.shape]
-            courants = [a * dt / h for a, h in zip(bound.alphas, g.h)]
-        else:
-            dt, scales, courants = dt_cfl, bound.scales, bound.courants
-        views = self._views or [_offsets(f.values, 0) for f in fields]
-        for axis in range(g.m):
-            if axis:
-                views = [_offsets(u[0], axis) for u in views]
-            swept = []  # plain loops: no comprehension frame
-            for u in views:
-                swept.append(_carried_sweep(u, axis, dt, scales[axis], courants[axis], bound, g))
-            views = swept
+            self._carried(1, t_remaining, [a * t_remaining / h for a, h in zip(bound.alphas, g.h)],
+                          [(*sweep[:4], _scale(t_remaining, n))
+                           for sweep, n in zip(bound.sweeps, g.shape)])
+            return dt_cfl, t_remaining
+        self._carried(1, dt_cfl, bound.courants, bound.sweeps)
+        return dt_cfl, dt_cfl
+
+    def full_steps(self, k: int):
+        """k >= 1 steps of the bound's dt_cfl, logged as k ``advance`` and ``add`` calls leave."""
+        b = self.bound
+        self._carried(k, b.dt_cfl, b.courants, b.sweeps)
+        self.add(b.dt_cfl, b.dt_cfl, k)
+
+    def _carried(self, k: int, dt: float, courants, sweeps):
+        """k steps of dt on the bound, each with dt's ``courants`` and ``sweeps`` (``_carry``).
+
+        The bound's plan and 0-d alpha give ``step``'s ufuncs, operands and
+        bits, with no range check.
+        """
+        g, m = self.grid, self.grid.m
+        for axis, courant in enumerate(courants):
+            if not courant <= _COURANT_CAP:
+                raise _cfl_violation(courant, axis, dt, self.bound.alphas[axis], g.shape)
+        views = self._views or [_offsets(f.values, 0) for f in self.fields]
+        for n in range(k):
+            for axis, plan, rate, face, scale in sweeps:
+                if m > 1 and (n or axis):
+                    views = [_offsets(u[0], axis) for u in views]
+                swept = []  # plain loops: no comprehension frame
+                for u in views:
+                    phi = _offsets(_horner(plan, u[0]), axis)
+                    _faces(u, phi, rate, face)
+                    d = _flux_difference(face, scale, phi)
+                    np.subtract(u[0], d, d)
+                    swept.append(phi)
+                views = swept
         fields = []
         for u in views:
             fields.append(CellField._swept(g, u[0], False))
-        self.fields, self._views = fields, views if g.m == 1 else None
-        return dt_cfl, dt
+        self.fields, self._views = fields, views if m == 1 else None
 
-    def add(self, dt_cfl: float, dt: float):
-        """Log one step of ``dt`` whose CFL step was ``dt_cfl``."""
-        self.steps += 1
+    def add(self, dt_cfl: float, dt: float, k: int = 1):
+        """Log k >= 1 steps of ``dt`` whose CFL step was ``dt_cfl``."""
+        self.steps += k
         if dt < self.dt_min:
             self.dt_min = dt
         if dt > self.dt_max:
@@ -712,6 +722,14 @@ def _observe(t: float, v: CellField, c: float) -> dict:
     }
 
 
+def _over_budget(t: float, end: float, dt_cfl: float, left: int) -> CflError:
+    """The refusal of a step at t whose ceil((end - t) / dt_cfl) passes the ``left`` steps."""
+    # tested as end - t > dt_cfl left: ceil(x / d) > n iff x > n d for an integer n; d is 0
+    # when the alphas overflow
+    return CflError(f"step budget: t={t:g} to t_end={end:g} at dt={dt_cfl:.4g} "
+                    f"takes more than the {left} steps left of the {MAX_STEPS} a run may take")
+
+
 def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=math.inf,
            every_step: bool = True):
     """Step the cell averages of torus polynomials ``data`` jointly; yield (t, fields, stepper).
@@ -725,6 +743,9 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
     within 1e-14 takes no step.  dt passes neither the next time nor
     ``cap``.  A finite ``times[-1]`` is refused with ``CflError`` once the
     steps taken plus ceil((times[-1] - t) / dt_cfl) would exceed ``MAX_STEPS``.
+    Without ``every_step``, the full steps on a carried bound up to the next
+    step cut short or time are counted here, each budget tested, and taken
+    in one call.
     """
     fields = [exact_cell_average(p, grid) for p in data]
     for p in data:
@@ -740,18 +761,26 @@ def evolve(flux: PiecewiseFlux, cfl: float, grid: TorusGrid, data, times, cap=ma
         near = target - 1e-14
         while t < near:
             rest = target - t
-            dt_cfl, dt = stepper.advance(cap if cap < rest else rest)
-            # ceil(x / d) > n iff x > n d for an integer n; d is 0 when the alphas overflow
-            left = MAX_STEPS - stepper.steps
-            if budgeted and end - t > dt_cfl * left:
-                raise CflError(
-                    f"step budget: t={t:g} to t_end={end:g} at dt={dt_cfl:.4g} "
-                    f"takes more than the {left} steps left of the {MAX_STEPS} a run may take"
-                )
-            stepper.add(dt_cfl, dt)
-            t += dt
-            if every_step and t < near:
-                yield t, stepper.fields, stepper
+            rest = cap if cap < rest else rest
+            bound = stepper.bound
+            if every_step or bound is None or rest < bound.dt_cfl:
+                dt_cfl, dt = stepper.advance(rest)
+                left = MAX_STEPS - stepper.steps
+                if budgeted and end - t > dt_cfl * left:
+                    raise _over_budget(t, end, dt_cfl, left)
+                stepper.add(dt_cfl, dt)
+                t += dt
+                if every_step and t < near:
+                    yield t, stepper.fields, stepper
+            else:  # the steps that ``advance`` would take in full, counted, then taken
+                dt, k = bound.dt_cfl, 0
+                while t < near and (cap if cap < target - t else target - t) >= dt:
+                    left = MAX_STEPS - stepper.steps - k
+                    if budgeted and end - t > dt * left:
+                        raise _over_budget(t, end, dt, left)
+                    k += 1
+                    t += dt
+                stepper.full_steps(k)
         t = target
         yield t, stepper.fields, stepper
 

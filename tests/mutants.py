@@ -79,27 +79,42 @@ MUTANTS = (
            ("tests/test_solver.py", "-k", "affine_run_bounds")),
     # the carried sweep's Courant numbers and views
     Mutant("no cap test on carried sweeps", "apcl/solver.py",
-           "    if not courant <= _COURANT_CAP:\n"
-           "        raise _cfl_violation(courant, axis, dt, bound.alphas[axis], grid.shape)",
-           "    if False:\n"
-           "        raise _cfl_violation(courant, axis, dt, bound.alphas[axis], grid.shape)",
+           "            if not courant <= _COURANT_CAP:\n                raise _cfl_violation(",
+           "            if False:\n                raise _cfl_violation(",
            ("tests/test_solver.py", "-k", "courant_number")),
     Mutant("a step cut short takes the bound's Courant numbers", "apcl/solver.py",
-           "            courants = [a * dt / h for a, h in zip(bound.alphas, g.h)]",
-           "            courants = bound.courants",
+           "1, t_remaining, [a * t_remaining / h for a, h in zip(bound.alphas, g.h)],",
+           "1, t_remaining, bound.courants,",
            ("tests/test_solver.py", "-k", "courant_number")),
     Mutant("n-D views kept for the next step", "apcl/solver.py",
-           "        self.fields, self._views = fields, views if g.m == 1 else None",
+           "        self.fields, self._views = fields, views if m == 1 else None",
            "        self.fields, self._views = fields, views",
            ("tests/test_solver.py", "-k", "slices_the_new_flux_values")),
     Mutant("views reused across axes", "apcl/solver.py",
-           "            if axis:\n                views = [_offsets(u[0], axis) for u in views]",
-           "            if False:\n                views = [_offsets(u[0], axis) for u in views]",
+           "                if m > 1 and (n or axis):",
+           "                if m > 1 and n:",
            ("tests/test_solver.py", "-k", "slices_the_new_flux_values or affine_advance_matches")),
+    Mutant("views reused across the steps of a batch", "apcl/solver.py",
+           "                if m > 1 and (n or axis):",
+           "                if m > 1 and axis:",
+           ("tests/test_solver.py", "-k", "slices_the_new_flux_values or one_step_per_call")),
     Mutant("no views kept in 1D", "apcl/solver.py",
-           "        self.fields, self._views = fields, views if g.m == 1 else None",
+           "        self.fields, self._views = fields, views if m == 1 else None",
            "        self.fields, self._views = fields, None",
            ("tests/test_solver.py", "-k", "slices_the_new_flux_values")),
+    # the batch of full steps that a carried run takes in one call
+    Mutant("a batch takes one step too few", "apcl/solver.py",
+           "        self._carried(k, b.dt_cfl, b.courants, b.sweeps)",
+           "        self._carried(k - 1, b.dt_cfl, b.courants, b.sweeps)",
+           ("tests/test_solver.py", "-k", "one_step_per_call")),
+    Mutant("the log counts one step per batch", "apcl/solver.py",
+           "        self.add(b.dt_cfl, b.dt_cfl, k)",
+           "        self.add(b.dt_cfl, b.dt_cfl)",
+           ("tests/test_solver.py", "-k", "one_step_per_call")),
+    Mutant("the budget test runs once per batch", "apcl/solver.py",
+           "                    if budgeted and end - t > dt * left:",
+           "                    if budgeted and not k and end - t > dt * left:",
+           ("tests/test_solver.py", "-k", "budget")),
     # the lift's phase bound
     Mutant("phase bound halved", "apcl/lift.py",
            "            d = float((np.abs(dtheta, out=dtheta) @ w).max())",

@@ -897,16 +897,20 @@ def test_threshold_without_its_scalar_is_an_internal_error(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith("internal error: threshold")
 
 
-def _plant_after_every_carried_sweep(monkeypatch, value):
-    """Write ``value`` into the first cell of every sweep's new values on a carried bound."""
-    real = solver_mod._carried_sweep
+def _plant_after_every_carried_call(monkeypatch, value):
+    """Write ``value`` into the first cell of each field's new values after every carried call.
 
-    def planted(*args):
-        phi = real(*args)
-        phi[0][0] = value
-        return phi
+    A call (``_Stepper._carried``) takes one step, or every full step up to
+    the next step cut short or record time.
+    """
+    real = solver_mod._Stepper._carried
 
-    monkeypatch.setattr(solver_mod, "_carried_sweep", planted)
+    def planted(stepper, *args):
+        real(stepper, *args)
+        for f in stepper.fields:
+            f.values[0] = value
+
+    monkeypatch.setattr(solver_mod._Stepper, "_carried", planted)
 
 
 def test_a_range_that_leaves_the_carried_bound_is_an_internal_error(tmp_path, capsys,
@@ -914,7 +918,7 @@ def test_a_range_that_leaves_the_carried_bound_is_an_internal_error(tmp_path, ca
     # the counterexample's wave [-1/4, 1/4] on u/2 carries a bound from its
     # first step; a cell written to 0.3 after every sweep leaves it, and
     # the exact range read at the record time 0.25 shows that
-    _plant_after_every_carried_sweep(monkeypatch, 0.3)
+    _plant_after_every_carried_call(monkeypatch, 0.3)
     cp = write_config(tmp_path, wave_config())
     assert cli.main(["counterexample", "--config", cp, "--out", str(tmp_path / "out")]) == 5
     err = capsys.readouterr().err
@@ -943,7 +947,7 @@ def test_a_contraction_that_leaves_the_carried_bound_is_an_internal_error(tmp_pa
     # unplanted, it passes
     assert cli.main(["contraction", "--config", cp, "--out", str(tmp_path / "plain")]) == 0
     capsys.readouterr()
-    _plant_after_every_carried_sweep(monkeypatch, 0.45)
+    _plant_after_every_carried_call(monkeypatch, 0.45)
     assert cli.main(["contraction", "--config", cp, "--out", str(tmp_path / "out")]) == 5
     err = capsys.readouterr().err
     # 200 steps at dt = 0.45 (1/256) / 0.5 take the pair to t = 0.703125
@@ -980,7 +984,8 @@ def test_report_save_layout(tmp_path):
                                        ("convergence", None), ("spectrum", None)])
 def test_report_says_how_the_run_stepped(kind, cfl, tmp_path, monkeypatch):
     # one stepper record per solver run, per grid for convergence: its
-    # steps are the steps its stepper took on that grid, its Courant peak the cfl
+    # steps are the steps its stepper took on that grid, one an ``advance``
+    # and k a batch of k full steps on a carried bound, its Courant peak the cfl
     d = every_threshold_config(kind)
     if cfl is None:
         cfl = 0.9
@@ -991,13 +996,18 @@ def test_report_says_how_the_run_stepped(kind, cfl, tmp_path, monkeypatch):
     shapes = [tuple(g) for g in (d["grids"] if kind == "convergence" else [d["grid"]])]
     grids = []
 
-    real = solver_mod._Stepper.advance
+    real, real_full = solver_mod._Stepper.advance, solver_mod._Stepper.full_steps
 
     def counted(stepper, t_remaining):
         grids.append(stepper.grid.shape)
         return real(stepper, t_remaining)
 
+    def counted_full(stepper, k):
+        grids.extend([stepper.grid.shape] * k)
+        return real_full(stepper, k)
+
     monkeypatch.setattr(solver_mod._Stepper, "advance", counted)
+    monkeypatch.setattr(solver_mod._Stepper, "full_steps", counted_full)
     rep = run_experiment(parse_config(d))
     assert [r["steps"] for r in rep.stepping] == [grids.count(s) for s in shapes]
     assert len(grids) == sum(r["steps"] for r in rep.stepping)

@@ -459,8 +459,9 @@ def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
     real = solver_mod._Stepper.advance
     monkeypatch.setattr(solver_mod._Stepper, "advance", lambda *a: calls.append(1) or real(*a))
     full = run(v0, burgers_1d(), TorusGrid((64,)), SolverConfig(t_end=0.5))
+    # Burgers carries no bound: one ``advance`` per step
     n = len(calls)
-    assert 10 < n < 100
+    assert 10 < n < 100 and n == full.stepping["steps"]
     calls.clear()
     monkeypatch.setattr(solver_mod, "MAX_STEPS", 5)
     with pytest.raises(CflError, match="the 5 a run may take"):
@@ -474,17 +475,43 @@ def test_run_refuses_a_run_over_its_step_budget(monkeypatch):
     assert [r["t"] for r in traj.rows] == [0.0, 1e-9, 0.5]
     assert traj.rows[-1]["mass"] == pytest.approx(full.rows[-1]["mass"], abs=1e-13)
     # a linear flux keeps dt fixed, so the estimate is exact: a budget of
-    # the run's own step count k lets it finish, k - 1 does not
+    # the run's own step count k lets it finish, k - 1 does not, at the
+    # first step, before any batch of full steps on its bound
     transport = PiecewiseFlux(B1, [-2, 2], [[["0", "1"]]])
     monkeypatch.setattr(solver_mod, "MAX_STEPS", 10 ** 6)
-    calls.clear()
-    run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
-    k = len(calls)
+    k = run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5)).stepping["steps"]
+    assert k > 10
     monkeypatch.setattr(solver_mod, "MAX_STEPS", k)
-    run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+    assert run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5)).stepping["steps"] == k
     monkeypatch.setattr(solver_mod, "MAX_STEPS", k - 1)
-    with pytest.raises(CflError):
+    calls.clear()
+    with pytest.raises(CflError) as refusal:
         run(v0, transport, TorusGrid((64,)), SolverConfig(t_end=0.5))
+    assert str(refusal.value) == (f"step budget: t=0 to t_end=0.5 at dt={0.9 / 64:.4g} takes "
+                                  f"more than the {k - 1} steps left of the {k - 1} a run may take")
+    assert len(calls) == 1
+
+
+def test_a_batch_of_full_steps_tests_the_budget_at_every_step(monkeypatch):
+    # dt = 0.8 / 8 = 0.1: t sums to 0.7999999999999999 after eight steps,
+    # so the estimate ceil((1 - t) / 0.1) of the ninth reads 3 where the
+    # first eight read 10 - s; a budget of 10 refuses the ninth step, in
+    # the batch of full steps after the first, as a run that takes each
+    # step in its own call does
+    transport = PiecewiseFlux(B1, [-2, 2], [[["0", "1"]]])
+    v0 = TorusPoly(1, {(0,): 0.3, (1,): -0.25j})
+    g = TorusGrid((8,))
+    want = ("step budget: t=0.8 to t_end=1 at dt=0.1 takes more than the 2 steps left of "
+            "the 10 a run may take")
+    assert run(v0, transport, g, SolverConfig(t_end=1.0, cfl=0.8)).stepping["steps"] == 10
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 10)
+    for every_step in (False, True):
+        with pytest.raises(CflError) as refusal:
+            list(evolve(transport, 0.8, g, (v0,), (0.0, 1.0), every_step=every_step))
+        assert str(refusal.value) == want
+    with pytest.raises(CflError) as refusal:
+        run(v0, transport, g, SolverConfig(t_end=1.0, cfl=0.8))
+    assert str(refusal.value) == want
 
 
 def test_run_stops_at_t_end_for_a_record_time_rounded_past_it():
@@ -1487,7 +1514,8 @@ def test_affine_runs_match_runs_that_reduce_every_step(flux, grid, data, monkeyp
     runs = []
     for carry in (solver_mod._carry, lambda *args: None):
         monkeypatch.setattr(solver_mod, "_carry", carry)
-        got = {"evolve": _collect(flux, DEFAULT_CFL, grid, data, (0.0, 0.3, 0.6), True)}
+        got = {"evolve": _collect(flux, DEFAULT_CFL, grid, data, (0.0, 0.3, 0.6), True),
+               "batched": _collect(flux, DEFAULT_CFL, grid, data, (0.0, 0.3, 0.6), False)}
         if len(data) == 1:
             traj = run(data[0], flux, grid, cfg)
             got["run"] = (traj.rows, [f.values for f in traj.fields], traj.stepping)
@@ -1498,10 +1526,80 @@ def test_affine_runs_match_runs_that_reduce_every_step(flux, grid, data, monkeyp
         assert (t, ranges, log) == (t2, ranges2, log2)
         assert all(same_bits(a, b) for a, b in zip(values, values2))
     assert len(carried["evolve"]) == len(reduced["evolve"]) > 10
+    for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(carried["batched"],
+                                                                   reduced["batched"]):
+        assert (t, ranges, log) == (t2, ranges2, log2)
+        assert all(same_bits(a, b) for a, b in zip(values, values2))
+    assert len(carried["batched"]) == len(reduced["batched"]) == 3
     if "run" in carried:
         (rows, fields, stepping), (rows2, fields2, stepping2) = carried["run"], reduced["run"]
         assert (rows, stepping) == (rows2, stepping2)
         assert all(same_bits(a, b) for a, b in zip(fields, fields2))
+
+
+def _one_step_per_call(flux, cfl, grid, data, times):
+    """``_collect``'s yields at ``times`` of a run that takes each step in its own ``advance`` call."""
+    stepper = solver_mod._Stepper(flux, cfl, grid, [exact_cell_average(p, grid) for p in data])
+    t, out = 0.0, []
+    for target in times:
+        while t < target - 1e-14:
+            dt_cfl, dt = stepper.advance(target - t)
+            stepper.add(dt_cfl, dt)
+            t += dt
+        t = target
+        out.append((t, [f.values.copy() for f in stepper.fields],
+                    [(f.vmin, f.vmax) for f in stepper.fields], stepper.record()))
+    return out
+
+
+# (flux, grid, cfl, data): record times 0.3, 0.55 and 1 cut a step short
+# on every grid, and at cfl 1 the full steps run at the cap
+BATCHED_RUNS = [
+    pytest.param(WAVE_FLUX, TorusGrid((128,)), DEFAULT_CFL,
+                 [TorusPoly(1, {(0,): -0.05, (1,): -0.1j})], id="wave-1d"),
+    pytest.param(WAVE_FLUX, TorusGrid((128,)), 1.0,
+                 [TorusPoly(1, {(0,): 0.1, (1,): 0.15 - 0.1j})], id="wave-1d-cfl-1"),
+    pytest.param(WAVE_FLUX, TorusGrid((96,)), DEFAULT_CFL,
+                 [TorusPoly(1, {(0,): -0.05, (1,): -0.1j}),
+                  TorusPoly(1, {(0,): 0.1, (2,): 0.05 + 0.1j})], id="two-fields"),
+    pytest.param(_lifted(_wave, B2, [1, 0], [0, 1]), TorusGrid((32, 24)), DEFAULT_CFL,
+                 [TorusPoly(2, {(0, 0): 0.05, (1, 0): -0.1j, (0, 1): 0.08j})], id="lift-t2"),
+    pytest.param(_lifted(_wave, B1, [1], [2], [Fraction(1, 2)]), TorusGrid((16, 12, 10)), 1.0,
+                 [TorusPoly(3, {(0, 0, 0): -0.05, (1, 0, 0): 0.1j, (0, 1, 1): 0.05 - 0.05j})],
+                 id="lift-t3-cfl-1"),
+]
+
+
+@pytest.mark.parametrize("flux, grid, cfl, data", BATCHED_RUNS)
+def test_batched_runs_match_runs_that_take_one_step_per_call(flux, grid, cfl, data,
+                                                             monkeypatch):
+    # a run that yields only at its times takes the full steps of each
+    # record interval in one batch; every value, range, row and log entry
+    # keeps the bits of the same run taken one ``advance`` at a time
+    times = (0.0, 0.3, 0.55, 1.0)
+    stepwise = _one_step_per_call(flux, cfl, grid, data, times)
+    batches = []
+    real_full = solver_mod._Stepper.full_steps
+    monkeypatch.setattr(solver_mod._Stepper, "full_steps",
+                        lambda stepper, k: batches.append(k) or real_full(stepper, k))
+    with recorded_sweeps() as sweeps:
+        batched = _collect(flux, cfl, grid, data, times, False)
+    assert len(batches) == len(times) - 1 and min(batches) > 1
+    # the recorder sees every sweep of every batch
+    assert len(sweeps) == batched[-1][3]["steps"] * grid.m * len(data)
+    assert len(batched) == len(stepwise) == len(times)
+    for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(batched, stepwise):
+        assert (t, ranges, log) == (t2, ranges2, log2)
+        assert all(same_bits(a, b) for a, b in zip(values, values2))
+    # the steps cut short at the record times are logged too
+    assert log["dt_min"] < log["dt_max"] == stepwise[-1][3]["dt_max"]
+    if len(data) == 1:
+        traj = run(data[0], flux, grid, SolverConfig(t_end=1.0, cfl=cfl,
+                                                     record_times=times[1:-1]))
+        rows = [solver_mod._observe(t, CellField(grid, v), data[0].mean)
+                for t, (v,), _, _ in stepwise]
+        assert traj.rows == rows and traj.stepping == stepwise[-1][3]
+        assert all(same_bits(f.values, v) for f, (_, (v,), _, _) in zip(traj.fields, stepwise))
 
 
 class _CountedNumpy:
@@ -1532,7 +1630,10 @@ class _CountedNumpy:
 
 
 def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
-    """The run's (trajectory, events): each step, bound plan, lip_bound, check and range reduction."""
+    """The run's (trajectory, events): each stepper call, bound plan, lip_bound, check and range reduction.
+
+    A stepper call is an ``advance`` of one step or a ``full_steps`` batch.
+    """
     events = []
 
     def logged(name, fn):
@@ -1543,7 +1644,7 @@ def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
 
     for name in ("_carry", "lip_bound"):
         monkeypatch.setattr(solver_mod, name, logged(name, getattr(solver_mod, name)))
-    for name in ("advance", "check"):
+    for name in ("advance", "full_steps", "check"):
         monkeypatch.setattr(solver_mod._Stepper, name,
                             logged(name, getattr(solver_mod._Stepper, name)))
     monkeypatch.setattr(solver_mod, "np", _CountedNumpy(events))
@@ -1562,9 +1663,16 @@ def _events_of_a_run(monkeypatch, flux, v0, grid, record_times):
 def test_an_affine_run_bounds_and_reduces_only_at_its_start_and_record_times(flux, grid, v0,
                                                                               monkeypatch):
     record_times = (0.25, 0.5, 0.75)
+    batches = []
+    real_full = solver_mod._Stepper.full_steps
+    monkeypatch.setattr(solver_mod._Stepper, "full_steps",
+                        lambda stepper, k: batches.append(k) or real_full(stepper, k))
     traj, events = _events_of_a_run(monkeypatch, flux, v0, grid, record_times)
-    steps = [i for i, e in enumerate(events) if e == "advance"]
-    assert len(steps) == traj.stepping["steps"] > 15
+    steps = [i for i, e in enumerate(events) if e in ("advance", "full_steps")]
+    # the first step plans the bound; then each record interval takes its
+    # full steps in one batch and the step cut short at its end alone
+    assert events[steps[1]] == "full_steps" and len(batches) == len(record_times) + 1
+    assert events.count("advance") + sum(batches) == traj.stepping["steps"] > 15
     # one bound per run: the first step plans it, bounding each component once
     assert events.count("_carry") == 1
     assert [e for e in events[:steps[1]] if e in ("_carry", "lip_bound")] == \
@@ -1736,10 +1844,11 @@ def _frozen(monkeypatch):
     """Every field's ``values``, and the views a stepper keeps of its values, read-only.
 
     numpy leaves a view made before its base is set read-only writeable, so
-    the views a carried sweep returns are set read-only one by one.
+    the views that a stepper keeps of its carried sweeps' values are set
+    read-only one by one.
     """
     init, swept = CellField.__init__, CellField._swept.__func__
-    carried = solver_mod._carried_sweep
+    carried = solver_mod._Stepper._carried
 
     def frozen_init(self, grid, values):
         init(self, grid, values)
@@ -1750,15 +1859,15 @@ def _frozen(monkeypatch):
         values.flags.writeable = False
         return field
 
-    def frozen_carried(*args):
-        views = carried(*args)
-        for a in views[:3]:
-            a.flags.writeable = False
-        return views
+    def frozen_carried(stepper, *args):
+        carried(stepper, *args)
+        for u in stepper._views or ():
+            for a in u[:3]:
+                a.flags.writeable = False
 
     monkeypatch.setattr(CellField, "__init__", frozen_init)
     monkeypatch.setattr(CellField, "_swept", classmethod(frozen_swept))
-    monkeypatch.setattr(solver_mod, "_carried_sweep", frozen_carried)
+    monkeypatch.setattr(solver_mod._Stepper, "_carried", frozen_carried)
 
 
 # the affine runs, and the contraction pair: two Burgers fields, on which
@@ -1775,22 +1884,27 @@ def test_runs_write_no_field_after_construction(flux, grid, data, monkeypatch):
     # the range rule trusts that no field's values are written after it is
     # built: with every field's values and the stepper's views read-only, a
     # sweep that wrote one (a ping-pong buffer, say) would raise, and the
-    # runs keep every bit
+    # runs keep every bit, whether they yield after each step or, taking
+    # full steps in batches on a carried bound, at the times alone
     times = (0.0, 0.3, 0.6)
-    plain = _collect(flux, DEFAULT_CFL, grid, data, times, True)
-    _frozen(monkeypatch)
-    frozen = []
-    for t, fields, stepper in evolve(flux, DEFAULT_CFL, grid, data, times, every_step=True):
-        assert not any(f.values.flags.writeable for f in fields)
-        assert not any(a.flags.writeable for u in stepper._views or () for a in u[:3])
-        frozen.append((t, [f.values.copy() for f in fields], [(f.vmin, f.vmax) for f in fields],
-                       stepper.record()))
-    assert (stepper.bound is not None) == bool(flux._affine_pieces)
-    assert (stepper._views is not None) == (stepper.bound is not None and grid.m == 1)
-    assert len(frozen) == len(plain) > 10
-    for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(frozen, plain):
-        assert (t, ranges, log) == (t2, ranges2, log2)
-        assert all(same_bits(a, b) for a, b in zip(values, values2))
+    for every_step in (True, False):
+        plain = _collect(flux, DEFAULT_CFL, grid, data, times, every_step)
+        with monkeypatch.context() as patched:
+            _frozen(patched)
+            frozen = []
+            for t, fields, stepper in evolve(flux, DEFAULT_CFL, grid, data, times,
+                                             every_step=every_step):
+                assert not any(f.values.flags.writeable for f in fields)
+                assert not any(a.flags.writeable for u in stepper._views or () for a in u[:3])
+                frozen.append((t, [f.values.copy() for f in fields],
+                               [(f.vmin, f.vmax) for f in fields], stepper.record()))
+        assert (stepper.bound is not None) == bool(flux._affine_pieces)
+        assert (stepper._views is not None) == (stepper.bound is not None and grid.m == 1)
+        assert len(frozen) == len(plain)
+        assert len(frozen) > 10 if every_step else len(frozen) == len(times)
+        for (t, values, ranges, log), (t2, values2, ranges2, log2) in zip(frozen, plain):
+            assert (t, ranges, log) == (t2, ranges2, log2)
+            assert all(same_bits(a, b) for a, b in zip(values, values2))
 
 
 # --- what a sweep slices, and the Courant numbers a bound holds ---------------
@@ -1808,23 +1922,20 @@ def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypa
     # and then phi alone; a sweep through ``step``, which is handed a field,
     # slices its values and phi, and in n-D every sweep runs along another
     # axis than the last, so it slices both; every sweep reads views one
-    # cell apart along its own axis; m + 1 steps, each bit for bit the
-    # reference's
-    calls, axes = [0], []
+    # cell apart along its own axis, the axis of the slice of phi just
+    # before its faces; m + 1 steps, each bit for bit the reference's, and
+    # then, on a carried bound, m + 1 full steps in one batch
+    calls, axes, stepped = [0], [], []
     real_offsets, real_step, real_faces = solver_mod._offsets, solver_mod.step, solver_mod._faces
-    real_carried = solver_mod._carried_sweep
 
     def counted(x, j):
         calls[0] += 1
+        axes.append(j)
         return real_offsets(x, j)
 
     def recorded(f, flux, dt, alpha, axis=0):
-        axes.append(axis)
+        stepped.append(axis)
         return real_step(f, flux, dt, alpha, axis)
-
-    def recorded_carried(u, axis, *args):
-        axes.append(axis)
-        return real_carried(u, axis, *args)
 
     def checked(u, phi, alpha, face):
         # up[i] starts prod(shape[j+1:]) elements past x[i] for the sweep's axis j
@@ -1833,14 +1944,15 @@ def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypa
             base = x.__array_interface__["data"][0]
             assert up.__array_interface__["data"][0] - base == 8 * s
             assert down.__array_interface__["data"][0] == base and up.size == x.size - s
+        checked.sweeps += 1
         return real_faces(u, phi, alpha, face)
 
+    checked.sweeps = 0
     m = len(shape)
     stepper = _stepper(flux, DEFAULT_CFL, *[_sine(shape, 0.1 * k, 0.3, k) for k in range(nfields)])
     assert len(stepper.grid._face_offsets) == m  # the face buffer's views, made once per grid
     monkeypatch.setattr(solver_mod, "_offsets", counted)
     monkeypatch.setattr(solver_mod, "step", recorded)
-    monkeypatch.setattr(solver_mod, "_carried_sweep", recorded_carried)
     monkeypatch.setattr(solver_mod, "_faces", checked)
     for _ in range(m + 1):
         fields = stepper.fields
@@ -1850,8 +1962,18 @@ def test_a_sweep_slices_the_new_flux_values_alone(flux, shape, nfields, monkeypa
     carried = bool(flux._affine_pieces)
     assert (stepper.bound is not None) == carried
     sweeps = (m + 1) * m * nfields
-    assert len(axes) == sweeps
+    assert checked.sweeps == sweeps and len(stepped) == (0 if carried else sweeps)
     assert calls[0] == (sweeps + nfields if m == 1 and carried else 2 * sweeps)
+    if not carried:
+        return
+    fields, dt = stepper.fields, stepper.bound.dt_cfl
+    calls[0] = checked.sweeps = 0
+    stepper.full_steps(m + 1)
+    assert checked.sweeps == sweeps and not stepped
+    assert calls[0] == (sweeps if m == 1 else 2 * sweeps)
+    for _ in range(m + 1):
+        fields = [CellField(stepper.grid, r) for r in _ref_step(flux, dt, *fields)]
+    assert all(same_bits(f.values, r.values) for f, r in zip(stepper.fields, fields))
 
 
 @pytest.mark.parametrize("flux, shape", [
